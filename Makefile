@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze bench bench-quick chaos heal profile service bench-service clean
+.PHONY: test analyze bench bench-quick chaos heal profile service bench-service ledger ledger-compare clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -45,6 +45,17 @@ service:
 ## at 1/2/4 workers and a kill -9 supervision row.
 bench-service:
 	$(PYTHON) benchmarks/bench_service.py --quick --output BENCH_service.json
+
+## The perf ledger (benchmarks/ledger/README.md): all four workloads,
+## untraced then traced, every metric by name (a few minutes on 2 cores).
+## Records and ledgers land in benchmarks/ledger/out/.
+ledger:
+	$(PYTHON) -m benchmarks.ledger
+
+## Judge ledger B against ledger A, metric by metric against its bound:
+##   make ledger-compare A=benchmarks/ledger/out/ledger-seed200-*.json B=...
+ledger-compare:
+	$(PYTHON) -m benchmarks.ledger compare $(A) $(B)
 
 ## Where does the time go?  Per-phase/per-rule breakdown + Perfetto trace.
 profile:

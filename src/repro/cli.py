@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from collections import Counter
 from pathlib import Path
@@ -829,9 +830,26 @@ def _run_top(args: argparse.Namespace) -> int:
             _time.sleep(args.interval)
 
 
+#: Generation-0 collector threshold while :func:`main` runs (CPython's
+#: default is 700).  A compile builds a few million long-lived, acyclic
+#: token/declaration/spec/fact objects, and the default policy re-walks
+#: them over and over looking for cycles that are not there.
+_BATCH_GC_THRESHOLD = 100_000
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    thresholds = gc.get_threshold()
+    gc.set_threshold(_BATCH_GC_THRESHOLD, *thresholds[1:])
+    try:
+        return _dispatch(argv)
+    finally:
+        # Tests and embedders call main() in-process: leave no trace.
+        gc.set_threshold(*thresholds)
+
+
+def _dispatch(argv: Sequence[str]) -> int:
     try:
         if argv and argv[0] == "top":
             args = build_top_parser().parse_args(argv[1:])
@@ -1422,6 +1440,10 @@ def _run_verify_runtime(args: argparse.Namespace) -> int:
     return 0 if report.adheres else 1
 
 
+#: How many levels of spans below ``profile`` the per-phase table shows.
+_PROFILE_DEPTH = 3
+
+
 def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
     """The ``nmslc profile`` subcommand: where does the time go?
 
@@ -1467,22 +1489,40 @@ def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
 
     records = session.tracer.finished()
     total = top.elapsed
+    # Rows are keyed by the chain of span names below "profile", so a
+    # phase's sub-phases (compile > compile.pass1 > compile.lex) print
+    # under it; only the depth-1 rows add up to the total.
+    by_id = {record.span_id: record for record in records}
+
+    def chain(record):
+        names = [record.name]
+        while record.depth > 1:
+            record = by_id.get(record.parent_id)
+            if record is None:  # parent recorded in another process
+                return None
+            names.append(record.name)
+        return tuple(reversed(names))
+
     phases: dict = {}
     for record in records:
-        if record.depth != 1:
-            continue
-        seconds, spans = phases.get(record.name, (0.0, 0))
-        phases[record.name] = (seconds + record.duration_s, spans + 1)
+        key = chain(record) if 1 <= record.depth <= _PROFILE_DEPTH else None
+        if key is not None:
+            seconds, spans = phases.get(key, (0.0, 0))
+            phases[key] = (seconds + record.duration_s, spans + 1)
+
+    def slowest_first(key):
+        return [(-phases[key[:n]][0], key[n - 1]) for n in range(1, len(key) + 1)]
 
     print(f"profile: {args.specification} (engine={args.engine})")
     print(f"{'phase':<28} {'seconds':>12} {'share':>7} {'spans':>6}")
     accounted = 0.0
-    for name, (seconds, spans) in sorted(
-        phases.items(), key=lambda item: -item[1][0]
-    ):
-        accounted += seconds
+    for key in sorted(phases, key=slowest_first):
+        seconds, spans = phases[key]
+        if len(key) == 1:
+            accounted += seconds
         share = 100.0 * seconds / total if total else 0.0
-        print(f"  {name:<26} {seconds:>12.6f} {share:>6.1f}% {spans:>6}")
+        label = "  " * len(key) + key[-1]
+        print(f"{label:<28} {seconds:>12.6f} {share:>6.1f}% {spans:>6}")
     if total:
         untraced = max(0.0, total - accounted)
         print(

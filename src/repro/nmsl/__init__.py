@@ -19,7 +19,7 @@ consistency facts or configuration output.  The extension mechanism
 the base language.
 """
 
-from repro.nmsl.lexer import NmslLexer, NmslToken, tokenize
+from repro.nmsl.lexer import NmslToken, tokenize
 from repro.nmsl.generic import Declaration, GenericClause, parse_generic
 from repro.nmsl.frequency import FrequencySpec, INFREQUENT_PERIOD_SECONDS
 from repro.nmsl.specs import (
@@ -54,7 +54,6 @@ __all__ = [
     "INFREQUENT_PERIOD_SECONDS",
     "InterfaceSpec",
     "NmslCompiler",
-    "NmslLexer",
     "NmslToken",
     "ProcessInvocation",
     "ProcessSpec",

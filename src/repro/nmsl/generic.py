@@ -16,22 +16,14 @@ preserved for actions that re-parse it (the ASN.1 body of a type spec).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
+from repro import obs
 from repro.errors import NmslSyntaxError, SourceLocation
-from repro.nmsl.lexer import (
-    EOF,
-    NUMBER,
-    PERIOD,
-    PUNCT,
-    STRING,
-    WORD,
-    NmslLexer,
-    NmslToken,
-)
+from repro.nmsl.lexer import EOF, PERIOD, PUNCT, STRING, WORD, NmslToken, tokenize
 
-_OPENERS = {"(": ")", "{": "}", "[": "]"}
-_CLOSERS = {")": "(", "}": "{", "]": "["}
+_OPENERS = frozenset("({[")
+_CLOSERS = frozenset(")}]")
 
 
 @dataclass
@@ -65,22 +57,28 @@ class Declaration:
 
 
 class GenericParser:
-    """Recursive-descent parser for the Figure 6.1 grammar."""
+    """Recursive-descent parser for the Figure 6.1 grammar.
+
+    The token list ends with ``EOF`` and no method steps past it, so the
+    hot loops (clauses, parameter lists) walk it by index unchecked.
+    """
 
     def __init__(self, text: str, filename: str = "<nmsl>"):
         self._text = text
-        self._tokens = list(NmslLexer(text, filename).tokens())
+        o = obs.current()
+        with o.span("compile.lex") as span:
+            self._tokens = tokenize(text, filename)
+            if o.enabled:
+                span.annotate(
+                    tokens=len(self._tokens), bytes=len(text.encode("utf-8"))
+                )
         self._index = 0
 
     # ------------------------------------------------------------------
     # Token helpers.
     # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> NmslToken:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
     def _next(self) -> NmslToken:
-        token = self._peek()
+        token = self._tokens[self._index]
         if token.kind != EOF:
             self._index += 1
         return token
@@ -95,13 +93,8 @@ class GenericParser:
             )
         return token
 
-    def _accept(self, kind: str, text: Optional[str] = None) -> Optional[NmslToken]:
-        if self._peek().matches(kind, text):
-            return self._next()
-        return None
-
     def at_end(self) -> bool:
-        return self._peek().kind == EOF
+        return self._tokens[self._index].kind == EOF
 
     # ------------------------------------------------------------------
     # Productions.
@@ -152,68 +145,80 @@ class GenericParser:
         )
 
     def _parse_declparams(self) -> List[List[NmslToken]]:
-        if not self._accept(PUNCT, "("):
+        tokens = self._tokens
+        index = self._index
+        if not tokens[index].matches(PUNCT, "("):
             return []
         groups: List[List[NmslToken]] = []
         current: List[NmslToken] = []
         depth = 0
         while True:
-            token = self._next()
-            if token.kind == EOF:
+            index += 1
+            token = tokens[index]
+            kind, text = token.kind, token.text
+            if kind == EOF:
                 raise NmslSyntaxError(
                     "unterminated parameter list", token.location
                 )
-            if token.matches(PUNCT, "(") or token.matches(PUNCT, "{") or token.matches(PUNCT, "["):
-                depth += 1
-            elif token.text in _CLOSERS and token.kind == PUNCT:
-                if token.text == ")" and depth == 0:
-                    break
-                depth -= 1
-            elif depth == 0 and token.kind == PUNCT and token.text in (",", ";"):
-                groups.append(current)
-                current = []
-                continue
+            if kind == PUNCT:
+                if text in _OPENERS:
+                    depth += 1
+                elif text in _CLOSERS:
+                    if text == ")" and depth == 0:
+                        break
+                    depth -= 1
+                elif depth == 0 and text in (",", ";"):
+                    groups.append(current)
+                    current = []
+                    continue
             current.append(token)
+        self._index = index + 1
         if current or groups:
             groups.append(current)
         return groups
 
     def _parse_clauses(self) -> List[GenericClause]:
+        """Clauses up to the closing ``end``: each is the token run up to
+        the next ``;`` at bracket depth 0."""
+        tokens, source = self._tokens, self._text
+        index = self._index
         clauses: List[GenericClause] = []
         while True:
-            token = self._peek()
-            if token.kind == EOF:
+            first = tokens[index]
+            if first.kind == EOF:
                 raise NmslSyntaxError(
-                    "specification not terminated by 'end'", token.location
+                    "specification not terminated by 'end'", first.location
                 )
-            if token.is_word("end"):
+            if first.kind == WORD and first.text == "end":
+                self._index = index
                 return clauses
-            clauses.append(self._parse_clause())
-
-    def _parse_clause(self) -> GenericClause:
-        tokens: List[NmslToken] = []
-        depth = 0
-        first = self._peek()
-        while True:
-            token = self._peek()
-            if token.kind == EOF:
-                raise NmslSyntaxError("clause not terminated by ';'", token.location)
-            if depth == 0 and token.matches(PUNCT, ";"):
-                self._next()
-                break
-            if token.kind == PUNCT and token.text in _OPENERS:
-                depth += 1
-            elif token.kind == PUNCT and token.text in _CLOSERS:
-                depth -= 1
-                if depth < 0:
+            start = index
+            depth = 0
+            while True:
+                token = tokens[index]
+                kind = token.kind
+                if kind == PUNCT:
+                    text = token.text
+                    if text == ";" and depth == 0:
+                        break
+                    if text in _OPENERS:
+                        depth += 1
+                    elif text in _CLOSERS:
+                        depth -= 1
+                        if depth < 0:
+                            raise NmslSyntaxError(
+                                f"unbalanced {text!r} in clause", token.location
+                            )
+                elif kind == EOF:
                     raise NmslSyntaxError(
-                        f"unbalanced {token.text!r} in clause", token.location
+                        "clause not terminated by ';'", token.location
                     )
-            tokens.append(self._next())
-        if not tokens:
-            raise NmslSyntaxError("empty clause", first.location)
-        raw = self._text[tokens[0].start : tokens[-1].end]
-        return GenericClause(tokens=tokens, raw_text=raw, location=first.location)
+                index += 1
+            if index == start:
+                raise NmslSyntaxError("empty clause", first.location)
+            raw = source[first.start : tokens[index - 1].end]
+            clauses.append(GenericClause(tokens[start:index], raw, first.location))
+            index += 1
 
 
 def parse_generic(text: str, filename: str = "<nmsl>") -> List[Declaration]:

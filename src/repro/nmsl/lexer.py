@@ -8,18 +8,22 @@ special character sequences like ``::=`` or ``;``"):
   hyphens and underscores; a *trailing* dot is split off as ``PERIOD``
   because a period ends a specification (``end type ipAddrTable.``).
 * ``STRING`` — double-quoted (``"romano.cs.wisc.edu"``).
-* ``NUMBER`` — integer or decimal literal.
-* ``PUNCT`` — ``::=  :=  ;  ,  (  )  :  <=  >=  <  >  =  *``.
+* ``NUMBER`` — integer or decimal literal: a word of the exact shape
+  ``-?[0-9]+(\\.[0-9]+)?``.  Anything else (``1e5``, ``1_000``, ``nan``,
+  ``inf``) is a ``WORD``.
+* ``PUNCT`` — ``::=  :=  ;  ,  (  )  :  <=  >=  <  >  =  *  {  }  [  ]  |``.
 * ``PERIOD`` — the specification terminator ``.``.
 
-Comments run from ``--`` to end of line.  Tokens carry source offsets so
-raw text spans (ASN.1 bodies) can be recovered exactly.
+Comments run from ``--`` to end of line.  A token carries only its source
+offsets; its line and column are worked out from them the first time
+``token.location`` is read, which it is for about one token in six.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from bisect import bisect_right
+from typing import List, Union
 
 from repro.errors import NmslSyntaxError, SourceLocation
 
@@ -30,20 +34,91 @@ PUNCT = "PUNCT"
 PERIOD = "PERIOD"
 EOF = "EOF"
 
-_MULTI_PUNCT = ("::=", ":=", "<=", ">=")
-_SINGLE_PUNCT = ";,():<>=*{}[]|"
-_WORD_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
+#: One more character of a word: a hyphen only when it does not open ``--``.
+_WORD_CHAR = r"(?:[A-Za-z0-9_]|-(?!-))"
+#: What may follow inside a word; dots only when the word goes on after them.
+_WORD_MORE = rf"(?:\.*{_WORD_CHAR})"
+
+#: Blank space and comments, then exactly one token.  The alternatives are
+#: tried in the order written; the name of the one that matched is the
+#: token kind, except ``BAD``, which is every way of going wrong.
+_TOKEN = re.compile(
+    rf"""(?:\s+|--[^\n]*)*(?:
+      "(?P<STRING>[^"\n]*)"
+    | (?P<PUNCT>::=|:=|<=|>=|[;,():<>=*{{}}\[\]|])
+    | (?P<PERIOD>\.)
+    | (?P<NUMBER>-?[0-9]+(?:\.[0-9]+)?)(?!{_WORD_MORE})
+    | (?P<WORD>{_WORD_CHAR}{_WORD_MORE}*)
+    | (?P<EOF>\Z)
+    | (?P<BAD>.)
+    )""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
+class SourceMap:
+    """Where the lines of one source text start, shared by its tokens."""
+
+    __slots__ = ("filename", "line_starts")
+
+    def __init__(self, text: str, filename: str):
+        self.filename = filename
+        self.line_starts = [0]
+        self.line_starts.extend(m.end() for m in re.finditer("\n", text))
+
+    def locate(self, offset: int) -> SourceLocation:
+        line = bisect_right(self.line_starts, offset)
+        return SourceLocation(
+            self.filename, line, offset - self.line_starts[line - 1] + 1
+        )
+
+
 class NmslToken:
-    """One lexical token with location and raw-text offsets."""
+    """One lexical token: kind, text and raw-text offsets.
 
-    kind: str
-    text: str
-    location: SourceLocation
-    start: int = 0
-    end: int = 0
+    *location* is a :class:`SourceLocation`, or the :class:`SourceMap`
+    that turns ``start`` into one the first time ``location`` is read.
+    """
+
+    __slots__ = ("kind", "text", "start", "end", "_where")
+
+    def __init__(
+        self,
+        kind: str,
+        text: str,
+        location: Union[SourceLocation, SourceMap],
+        start: int = 0,
+        end: int = 0,
+    ):
+        self.kind = kind
+        self.text = text
+        self.start = start
+        self.end = end
+        self._where = location
+
+    @property
+    def location(self) -> SourceLocation:
+        where = self._where
+        if where.__class__ is SourceMap:
+            where = self._where = where.locate(self.start)
+        return where
+
+    def _key(self):
+        return (self.kind, self.text, self.location, self.start, self.end)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not NmslToken:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"NmslToken(kind={self.kind!r}, text={self.text!r}, "
+            f"location={self.location!r}, start={self.start!r}, end={self.end!r})"
+        )
 
     def matches(self, kind: str, text: str | None = None) -> bool:
         if self.kind != kind:
@@ -54,129 +129,27 @@ class NmslToken:
         return self.matches(WORD, text)
 
 
-class NmslLexer:
-    """Streaming tokenizer over NMSL source text."""
-
-    def __init__(self, text: str, filename: str = "<nmsl>"):
-        self.text = text
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._filename, self._line, self._col)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self.text):
-                return
-            if self.text[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def _skip_blank(self) -> None:
-        while self._pos < len(self.text):
-            ch = self._peek()
-            if ch.isspace():
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def tokens(self) -> Iterator[NmslToken]:
-        while True:
-            self._skip_blank()
-            location = self._location()
-            start = self._pos
-            ch = self._peek()
-            if not ch:
-                yield NmslToken(EOF, "", location, start, start)
-                return
-            if ch == '"':
-                yield self._lex_string(location, start)
-                continue
-            matched = False
-            for punct in _MULTI_PUNCT:
-                if self.text.startswith(punct, self._pos):
-                    self._advance(len(punct))
-                    yield NmslToken(PUNCT, punct, location, start, self._pos)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch == ".":
-                self._advance()
-                yield NmslToken(PERIOD, ".", location, start, self._pos)
-                continue
-            if ch in _SINGLE_PUNCT:
-                self._advance()
-                yield NmslToken(PUNCT, ch, location, start, self._pos)
-                continue
-            if ch in _WORD_CHARS:
-                yield from self._lex_wordish(location, start)
-                continue
-            raise NmslSyntaxError(f"unexpected character {ch!r}", location)
-
-    def _lex_string(self, location: SourceLocation, start: int) -> NmslToken:
-        self._advance()  # opening quote
-        content_start = self._pos
-        while self._peek() and self._peek() != '"':
-            if self._peek() == "\n":
-                raise NmslSyntaxError("newline inside string", location)
-            self._advance()
-        if not self._peek():
-            raise NmslSyntaxError("unterminated string", location)
-        text = self.text[content_start : self._pos]
-        self._advance()  # closing quote
-        return NmslToken(STRING, text, location, start, self._pos)
-
-    def _lex_wordish(self, location: SourceLocation, start: int) -> Iterator[NmslToken]:
-        while self._peek() in _WORD_CHARS and self._peek():
-            # "--" starts a comment even adjacent to a word.
-            if self._peek() == "-" and self._peek(1) == "-":
-                break
-            self._advance()
-        raw = self.text[start : self._pos]
-        # Split trailing dots off: they terminate specifications.
-        trailing = 0
-        while raw.endswith("."):
-            raw = raw[:-1]
-            trailing += 1
-        if not raw:
-            # The word was entirely dots; re-emit them as PERIODs.
-            for index in range(trailing):
-                yield NmslToken(PERIOD, ".", location, start + index, start + index + 1)
-            return
-        end = start + len(raw)
-        yield NmslToken(self._classify(raw), raw, location, start, end)
-        for index in range(trailing):
-            yield NmslToken(PERIOD, ".", location, end + index, end + index + 1)
-
-    @staticmethod
-    def _classify(raw: str) -> str:
-        try:
-            int(raw)
-            return NUMBER
-        except ValueError:
-            pass
-        try:
-            float(raw)
-            return NUMBER
-        except ValueError:
-            pass
-        return WORD
-
-
 def tokenize(text: str, filename: str = "<nmsl>") -> List[NmslToken]:
     """Tokenize *text* fully, ending with the EOF token."""
-    return list(NmslLexer(text, filename).tokens())
+    source = SourceMap(text, filename)
+    tokens: List[NmslToken] = []
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        end = match.end()
+        if kind == STRING:
+            append(NmslToken(STRING, value, source, end - len(value) - 2, end))
+        elif kind != "BAD":
+            append(NmslToken(kind, value, source, end - len(value), end))
+            if kind == EOF:  # left to run, finditer matches \Z a second time
+                break
+        else:
+            if value != '"':
+                message = f"unexpected character {value!r}"
+            elif text.find("\n", end) != -1:
+                message = "newline inside string"
+            else:
+                message = "unterminated string"
+            raise NmslSyntaxError(message, source.locate(end - 1))
+    return tokens

@@ -72,3 +72,40 @@ end system "bare.example".
         )
         bundle = compiler.generate("BartsSnmpd", result)
         assert bundle.unit_for("bare.example") is None
+
+
+class TestEffectiveViewMemo:
+    """One ``MibView.intersection`` per distinct (agent view, element
+    view) pair in a generation run, and never a wrong view for it."""
+
+    SPEC = """
+process agent ::= supports mgmt.mib; end process agent.
+system a ::= cpu x; supports mgmt.mib.system, mgmt.mib.ip; process agent; end system a.
+system b ::= cpu x; supports mgmt.mib.system, mgmt.mib.ip; process agent; end system b.
+system c ::= cpu x; supports mgmt.mib.tcp; process agent; end system c.
+system d ::= cpu x; process agent; end system d.
+"""
+
+    def test_shared_pairs_intersect_once(self, monkeypatch):
+        from repro.mib.view import MibView
+
+        calls = []
+        intersection = MibView.intersection
+
+        def counting(self, other):
+            calls.append((self.paths(), other.paths()))
+            return intersection(self, other)
+
+        compiler = NmslCompiler()
+        result = compiler.compile(self.SPEC)
+        monkeypatch.setattr(MibView, "intersection", counting)
+        bundle = compiler.generate("BartsSnmpd", result)
+        assert len(calls) == len(set(calls)) == 2
+
+        def views(name):
+            lines = bundle.unit_for(name).text.splitlines()
+            return [l.split()[-1] for l in lines if l.startswith("view ")]
+
+        assert views("a") == views("b") == ["mgmt.mib.ip", "mgmt.mib.system"]
+        assert views("c") == ["mgmt.mib.tcp"]
+        assert views("d") == ["mgmt.mib"]  # no element view: the agent's own

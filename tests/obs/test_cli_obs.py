@@ -50,7 +50,16 @@ class TestTraceAndMetricsFlags:
         document = json.loads(trace.read_text())
         events = document["traceEvents"]
         names = {event["name"] for event in events}
-        assert {"compile", "consistency.check"} <= names
+        assert {
+            "compile",
+            "compile.pass1",
+            "compile.lex",
+            "compile.pass2",
+            "consistency.check",
+        } <= names
+        (lex,) = (event for event in events if event["name"] == "compile.lex")
+        assert lex["args"]["bytes"] == len(campus_file.read_bytes())
+        assert lex["args"]["tokens"] > 100
         for event in events:
             assert {"name", "ph", "pid", "tid", "ts"} <= set(event)
         assert "wrote chrome trace" in capsys.readouterr().err
@@ -140,8 +149,12 @@ class TestProfileSubcommand:
         assert main(["profile", str(campus_file)]) == 0
         out = capsys.readouterr().out
         assert "profile:" in out
-        assert "compile" in out
-        assert "consistency.check" in out
+        # Top-level phases, with their sub-phases indented under them.
+        rows = [line.split()[0] for line in out.splitlines() if "%" in line]
+        assert {"compile", "compile.pass2", "consistency.check"} <= set(rows)
+        assert rows.index("compile") < rows.index("compile.pass1")
+        assert rows[rows.index("compile.pass1") + 1] == "compile.lex"
+        assert re.search(r"^      compile\.lex\s", out, re.M)
         assert "keyword dispatch (pass 2):" in out
         assert re.search(r"process\s+3", out)
 

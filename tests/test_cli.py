@@ -1,7 +1,10 @@
 """Tests for the nmslc command line."""
 
+import gc
+
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.workloads.paper import PAPER_SPEC_TEXT
 from repro.workloads.scenarios import campus_internet
@@ -471,3 +474,40 @@ class TestKeyboardInterrupt:
         )
         assert code == 130
         assert closed, "journal must be flushed on Ctrl-C"
+
+
+class TestCollectorThreshold:
+    """main() raises the gen-0 threshold for its own extent only."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        # An unusual starting point, so "restored" cannot mean "reset to
+        # the interpreter default"; and a probe on the way into the work.
+        before = gc.get_threshold()
+        gc.set_threshold(701, 11, 12)
+        inside = []
+        dispatch = cli._dispatch
+
+        def probe(argv):
+            inside.append(gc.get_threshold())
+            return dispatch(argv)
+
+        monkeypatch.setattr(cli, "_dispatch", probe)
+        try:
+            yield inside
+            assert inside == [(cli._BATCH_GC_THRESHOLD, 11, 12)]
+            assert gc.get_threshold() == (701, 11, 12)
+        finally:
+            gc.set_threshold(*before)
+
+    def test_restored_after_success(self, seen, paper_file, capsys):
+        assert main([str(paper_file), "--check"]) == 0
+
+    def test_restored_after_system_exit(self, seen, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+
+    def test_restored_after_compile_error(self, seen, tmp_path, capsys):
+        bad = tmp_path / "bad.nmsl"
+        bad.write_text("process broken ::= supports")
+        assert main([str(bad)]) == 2

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze bench bench-quick chaos heal profile service bench-service ledger ledger-compare clean
+.PHONY: test analyze bench bench-quick chaos heal profile service bench-service ledger ledger-full-check ledger-compare clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -51,6 +51,11 @@ bench-service:
 ## Records and ledgers land in benchmarks/ledger/out/.
 ledger:
 	$(PYTHON) -m benchmarks.ledger
+
+## The paper row alone, in the driver's form: fresh processes check the
+## 10,000-domain model against the generator's oracle (CI's smoke).
+ledger-full-check:
+	$(PYTHON) benchmarks/ledger --workload full_check_10k --seed 7 --seconds 15 --trace 0
 
 ## Judge ledger B against ledger A, metric by metric against its bound:
 ##   make ledger-compare A=benchmarks/ledger/out/ledger-seed200-*.json B=...

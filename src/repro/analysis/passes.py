@@ -347,10 +347,9 @@ def _grantee_admits(
         return True
     if broad.grantee_domain == narrow.grantee_domain:
         return True
-    ancestors = facts.transitive_containment().get(
-        f"domain:{narrow.grantee_domain}", set()
+    return broad.grantee_domain in facts.domains_of(
+        f"domain:{narrow.grantee_domain}"
     )
-    return f"domain:{broad.grantee_domain}" in ancestors
 
 
 def _shadows(
@@ -415,10 +414,9 @@ def _transitive_overbroad_reach(
 ) -> Iterator[Diagnostic]:
     facts = context.facts
     index = context.index
-    direct_domains = facts.direct_domains_map()
     reported: Set[Tuple] = set()
     for server in facts.agents():
-        direct = set(direct_domains.get(f"instance:{server.id}", ()))
+        direct = facts.direct_domains(server)
         for permission in index.permissions_for(server):
             if permission.grantee_domain != context.public_domain:
                 continue
@@ -474,12 +472,10 @@ def _candidate_instances(
         ]
         return agents or facts.proxies_for_system(name)
     if kind == "domain":
-        containment = facts.transitive_containment()
         return [
             instance
             for instance in facts.agents()
-            if f"domain:{name}"
-            in containment.get(f"instance:{instance.id}", set())
+            if name in facts.domains_of(instance)
         ]
     return []
 

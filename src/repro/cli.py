@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import sys
 from collections import Counter
 from pathlib import Path
@@ -81,6 +80,7 @@ from typing import Iterator, Optional, Sequence
 
 from repro import obs
 from repro.codegen.base import ConfigurationGenerator
+from repro.collector import bulk_load
 from repro.codegen.transport import FileDropTransport, MailSpoolTransport
 from repro.consistency.checker import ConsistencyChecker, check_with_clpr
 from repro.errors import ReproError
@@ -830,23 +830,14 @@ def _run_top(args: argparse.Namespace) -> int:
             _time.sleep(args.interval)
 
 
-#: Generation-0 collector threshold while :func:`main` runs (CPython's
-#: default is 700).  A compile builds a few million long-lived, acyclic
-#: token/declaration/spec/fact objects, and the default policy re-walks
-#: them over and over looking for cycles that are not there.
-_BATCH_GC_THRESHOLD = 100_000
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    thresholds = gc.get_threshold()
-    gc.set_threshold(_BATCH_GC_THRESHOLD, *thresholds[1:])
-    try:
+    # A compile builds a few million long-lived, acyclic token,
+    # declaration, spec and fact objects; tests and embedders call
+    # main() in-process, and the scope leaves the collector as it was.
+    with bulk_load():
         return _dispatch(argv)
-    finally:
-        # Tests and embedders call main() in-process: leave no trace.
-        gc.set_threshold(*thresholds)
 
 
 def _dispatch(argv: Sequence[str]) -> int:
@@ -1514,7 +1505,7 @@ def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
         return [(-phases[key[:n]][0], key[n - 1]) for n in range(1, len(key) + 1)]
 
     print(f"profile: {args.specification} (engine={args.engine})")
-    print(f"{'phase':<28} {'seconds':>12} {'share':>7} {'spans':>6}")
+    print(f"{'phase':<36} {'seconds':>12} {'share':>7} {'spans':>6}")
     accounted = 0.0
     for key in sorted(phases, key=slowest_first):
         seconds, spans = phases[key]
@@ -1522,14 +1513,14 @@ def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
             accounted += seconds
         share = 100.0 * seconds / total if total else 0.0
         label = "  " * len(key) + key[-1]
-        print(f"{label:<28} {seconds:>12.6f} {share:>6.1f}% {spans:>6}")
+        print(f"{label:<36} {seconds:>12.6f} {share:>6.1f}% {spans:>6}")
     if total:
         untraced = max(0.0, total - accounted)
         print(
-            f"  {'(untraced)':<26} {untraced:>12.6f} "
+            f"  {'(untraced)':<34} {untraced:>12.6f} "
             f"{100.0 * untraced / total:>6.1f}%"
         )
-    print(f"{'total':<28} {total:>12.6f}")
+    print(f"{'total':<36} {total:>12.6f}")
 
     rule_stats = (outcome.stats or {}).get("rule_stats") if outcome else None
     if rule_stats:

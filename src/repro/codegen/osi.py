@@ -25,13 +25,12 @@ def osi_domain_action(context: OutputContext, spec: DomainSpec) -> Optional[str]
         lines.append(f"  subDomain {subdomain};")
     for system_name in spec.systems:
         lines.append(f"  managedSystem {system_name};")
-    containment = facts.transitive_containment()
     port_number = 0
     for permission in facts.permissions:
+        # An instance grant carries the domains around its grantor.
         owned = permission.grantor == f"domain:{spec.name}" or (
             permission.grantor.startswith("instance:")
-            and f"domain:{spec.name}"
-            in containment.get(permission.grantor, set())
+            and spec.name in permission.grantor_domains
         )
         if not owned:
             continue

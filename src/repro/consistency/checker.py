@@ -5,14 +5,15 @@ Three implementations of the paper's model:
 * :class:`ConsistencyChecker` with ``engine="indexed"`` (the default) —
   the scalable path.  Reference→permission coverage goes through the
   :class:`~repro.consistency.index.PermissionIndex` (per-server OID-prefix
-  buckets instead of permission scans), views are interned, coverage
-  verdicts are memoized per reference shape, and the reduction step can
-  be sharded per administrative domain across a thread pool (``jobs``).
+  buckets instead of permission scans), views are interned, a check of
+  an unchanged fact set reuses the verdicts it holds, and the reduction
+  step can be sharded per administrative domain across a process pool
+  (``jobs``).
   This is what the Section 3.1 scale goal demands.
 
-* ``engine="scan"`` — the original closure implementation kept verbatim
-  as the ablation baseline: containment closure and expansion in Python,
-  reduction by scanning each reference's candidate permissions.
+* ``engine="scan"`` — the original reduction kept as the ablation
+  baseline: no index, no memos, every reference scans its candidate
+  permissions (over the same fact set and containment tables).
 
 * :func:`check_with_clpr` — the faithful path.  The compiler's CLP(R)
   consistency output (:meth:`FactSet.to_clpr_text`) plus the rule text of
@@ -40,13 +41,12 @@ engines; ``ConsistencyChecker.recheck`` is the incremental API used by
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import gc
 import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.collector import bulk_load, collector_watch, frozen_fork_heap
 
 from repro.clpr.program import parse_program
 from repro.clpr.solver import Engine
@@ -87,24 +87,21 @@ _WORKER_STATE: Optional[Tuple] = None
 
 
 @contextlib.contextmanager
-def frozen_fork_heap():
-    """Freeze the GC heap around a fork so children share pages cleanly.
+def _watched(o, span):
+    """Annotate *span* with the collector passes that ran inside it.
 
-    Forked workers inherit the parent's heap copy-on-write; a GC pass in
-    either side rewrites object headers and duplicates every touched
-    page.  Collecting then freezing immediately before the fork keeps
-    the shared structures (fact sets, warm spec caches) on read-only
-    pages for the workers' lifetime.  Used by the ``--jobs`` shard
-    reduction below and by the service worker pool
-    (:mod:`repro.service.pool`), which forks long-lived workers off the
-    same warm heap.
+    Only for a live, wall-clock trace: a disabled run installs no
+    callback, and a deterministic one must not record wall time.
     """
-    gc.collect()
-    gc.freeze()
-    try:
+    if not o.enabled or o.deterministic:
         yield
-    finally:
-        gc.unfreeze()
+        return
+    with collector_watch() as tally:
+        yield
+    span.annotate(
+        gc_collections=tally["gc_collections"],
+        gc_pause_s=round(tally["gc_pause_s"], 6),
+    )
 
 
 def _reduce_shard_worker(bucket_index: int):
@@ -200,7 +197,6 @@ class ConsistencyChecker:
         # Per-fact-set state (reset whenever the fingerprint changes):
         self._index: Optional[PermissionIndex] = None
         self._candidate_memo: Dict[str, Tuple] = {}
-        self._shape_memo: Dict[Tuple, Tuple[Inconsistency, ...]] = {}
         # Pure view-pair memos (views are interned; results never stale):
         self._cover_memo: Dict[Tuple[int, int], bool] = {}
         self._fit_memo: Dict[Tuple[int, int], Tuple] = {}
@@ -215,10 +211,10 @@ class ConsistencyChecker:
         # Plain-int memo tallies — cheap enough to keep unconditionally;
         # published to repro.obs after each check when enabled.
         self._memo_hits: Dict[str, int] = {
-            "shape": 0, "cover": 0, "fit": 0, "candidate": 0
+            "cover": 0, "fit": 0, "candidate": 0
         }
         self._memo_misses: Dict[str, int] = {
-            "shape": 0, "cover": 0, "fit": 0, "candidate": 0
+            "cover": 0, "fit": 0, "candidate": 0
         }
         self._published: Dict[Tuple, float] = {}
         self._published_registry = None
@@ -240,29 +236,34 @@ class ConsistencyChecker:
         in-place mutation of the specification the checker was built
         with.
         """
-        fp_tuple = self._spec.fingerprint_tuple()
-        if self._facts is None or not self._fingerprints_match(
-            self._facts_fingerprint, fp_tuple
-        ):
+        fp_tuple = None
+        if self._facts is not None:
+            fp_tuple = self._spec.fingerprint_tuple()
+            if self._fingerprints_match(self._facts_fingerprint, fp_tuple):
+                if self._facts.expansion:
+                    # Wholesale reuse: this access expanded no declarations.
+                    declarations = self._facts.expansion.get("declarations", 0)
+                    self._facts.expansion = {
+                        "expanded": 0,
+                        "reused": declarations,
+                        "declarations": declarations,
+                    }
+                return self._facts
+        with bulk_load():
+            if fp_tuple is None:
+                # Nothing is cached yet: the fingerprint pass builds as
+                # many objects as the generation it keys.
+                fp_tuple = self._spec.fingerprint_tuple()
             if self._generator is not None:
                 self._facts = self._generator.generate(
                     self._spec, fingerprint_tuple=fp_tuple
                 )
             else:
                 self._facts = FactGenerator(self._spec, self._tree).generate()
-            self._facts_fingerprint = fp_tuple
-            self._view_cache = {}
-            self._index = None
-            self._candidate_memo = {}
-            self._shape_memo = {}
-        elif self._facts.expansion:
-            # Wholesale reuse: this access expanded no declarations.
-            declarations = self._facts.expansion.get("declarations", 0)
-            self._facts.expansion = {
-                "expanded": 0,
-                "reused": declarations,
-                "declarations": declarations,
-            }
+        self._facts_fingerprint = fp_tuple
+        self._view_cache = {}
+        self._index = None
+        self._candidate_memo = {}
         return self._facts
 
     @staticmethod
@@ -292,36 +293,52 @@ class ConsistencyChecker:
         deadline=None,
     ) -> ConsistencyResult:
         o = obs.current()
-        with o.span("consistency.check", engine=self._engine, jobs=jobs) as span:
+        with o.span(
+            "consistency.check", engine=self._engine, jobs=jobs
+        ) as span, _watched(o, span):
             if deadline is not None:
                 deadline.check("consistency.check")
             with o.span("consistency.facts"):
                 facts = self.facts
             problems: List[Inconsistency] = []
             warnings: List[str] = list(facts.warnings)
-
-            inst_problems, inst_warnings = self._instantiation_problems(facts)
-            problems.extend(inst_problems)
-            warnings.extend(inst_warnings)
-            with o.span("consistency.reduce", references=len(facts.references)):
-                verdicts = self._reduce(
-                    facts,
-                    list(enumerate(facts.references)),
-                    jobs,
-                    deadline=deadline,
+            # Verdicts are a function of the fact set alone, so a check
+            # of the one already reduced only re-assembles the report.
+            warm = (
+                self._verdict_list is not None
+                and self._checked_references is facts.references
+            )
+            with contextlib.nullcontext() if warm else bulk_load():
+                inst_problems, inst_warnings = self._instantiation_problems(
+                    facts
                 )
-            self._verdict_list = [
-                verdicts[position]
-                for position in range(len(facts.references))
-            ]
-            self._checked_references = facts.references
+                problems.extend(inst_problems)
+                warnings.extend(inst_warnings)
+                if not warm:
+                    # Dropped first: a reduction that is abandoned (a
+                    # deadline) must not leave stale verdicts to reuse.
+                    self._verdict_list = None
+                    with o.span(
+                        "consistency.reduce", references=len(facts.references)
+                    ):
+                        verdicts = self._reduce(
+                            facts,
+                            list(enumerate(facts.references)),
+                            jobs,
+                            deadline=deadline,
+                        )
+                    self._checked_references = facts.references
+                    self._verdict_list = [
+                        verdicts[position]
+                        for position in range(len(facts.references))
+                    ]
+                    if self._engine == "indexed":
+                        # Prime the per-domain taint index now, while we
+                        # are on the full-check clock, so the first
+                        # incremental recheck does not pay for it.
+                        facts.domain_reference_taint()
             for verdict in self._verdict_list:
                 problems.extend(verdict)
-            if self._engine == "indexed":
-                # Prime the per-domain taint index now, while we are on
-                # the full-check clock, so the first incremental recheck
-                # does not pay for building it.
-                facts.domain_reference_taint()
             if check_capacity:
                 warnings.extend(self._check_capacity(facts))
             span.annotate(inconsistencies=len(problems))
@@ -330,7 +347,7 @@ class ConsistencyChecker:
             "instances": len(facts.instances),
             "references": len(facts.references),
             "permissions": len(facts.permissions),
-            "containment_edges": len(facts.containment),
+            "containment_edges": facts.containment_edges(),
             "engine": self._engine,
             "jobs": jobs,
             "seconds": span.elapsed,
@@ -384,18 +401,28 @@ class ConsistencyChecker:
         o = obs.current()
         with o.span(
             "consistency.recheck", engine=self._engine, jobs=jobs
-        ) as span:
+        ) as span, _watched(o, span), contextlib.ExitStack() as scope:
             previous_list = (
                 self._verdict_list if self._facts is not None else None
             )
             previous_references = self._checked_references
+            # Dropped until this recheck completes: if it is abandoned (a
+            # deadline) the next check or recheck starts from nothing
+            # rather than from verdicts the patch below has staled.
+            self._verdict_list = None
             # The exports-only fast path: a delta that touches nothing
             # but domain export clauses patches the cached fact set in
             # place (references, instances, containment and views are
             # untouched by construction), so the millisecond budget is
             # spent on the few re-reduced references, not on fact
             # regeneration.
-            patched = self._try_export_patch(delta)
+            patched = previous_list is not None and self._try_export_patch(
+                delta
+            )
+            if not patched:
+                # A structural delta regenerates facts and re-reduces in
+                # bulk; the patch path allocates next to nothing.
+                scope.enter_context(bulk_load())
             self._spec = delta.specification
             with o.span("consistency.facts"):
                 facts = self._facts if patched else self.facts
@@ -514,7 +541,7 @@ class ConsistencyChecker:
             ("instances", len(facts.instances)),
             ("references", len(facts.references)),
             ("permissions", len(facts.permissions)),
-            ("containment_edges", len(facts.containment)),
+            ("containment_edges", facts.containment_edges()),
         ):
             o.gauge(
                 "repro_consistency_facts",
@@ -622,7 +649,6 @@ class ConsistencyChecker:
         if (
             facts is None
             or self._engine != "indexed"
-            or self._verdict_list is None
             or self._checked_references is not facts.references
             or not delta.diff.entries
         ):
@@ -711,9 +737,8 @@ class ConsistencyChecker:
             "declarations": declarations,
         }
         # Permission-dependent state restarts; views, candidate sets and
-        # the containment closure survive (none read permissions).
+        # the containment tables survive (none read permissions).
         self._index = None
-        self._shape_memo = {}
         if self._generator is not None:
             for name in changed:
                 domain = new_spec.domains[name]
@@ -801,8 +826,6 @@ class ConsistencyChecker:
             # rebuilding its own.
             if self._engine == "indexed":
                 self._permission_index(facts)
-            facts.direct_domains_map()
-            facts.transitive_containment()
             facts.permissions_by_grantor()
             _WORKER_STATE = (self, facts, buckets)
             # Freeze the heap so the collector never rewrites object
@@ -869,33 +892,11 @@ class ConsistencyChecker:
         self, reference: Reference, facts: FactSet
     ) -> Tuple[Inconsistency, ...]:
         """This reference's problems, via the engine selected at build."""
-        if self._engine == "scan":
-            return tuple(self._check_reference(reference, facts))
-        key = (
-            reference.server,
-            reference.variables,
-            reference.access,
-            reference.frequency.as_tuple(),
-            reference.client_domains,
-            facts.direct_domains_map().get(reference.client, ()),
-        )
-        verdict = self._shape_memo.get(key)
-        if verdict is None:
-            self._memo_misses["shape"] += 1
-            if self._covered_fast(reference, facts):
-                verdict = ()
-            else:
-                # Fall back to the scan for byte-identical cause reports.
-                verdict = tuple(self._check_reference(reference, facts))
-            self._shape_memo[key] = verdict
-        else:
-            self._memo_hits["shape"] += 1
-        return tuple(
-            dataclasses.replace(problem, reference=reference)
-            if problem.reference is not None
-            else problem
-            for problem in verdict
-        )
+        if self._engine == "indexed" and self._covered_fast(reference, facts):
+            return ()
+        # The scan, and the indexed path's cause reporter: reports are
+        # byte-identical between engines because this writes them all.
+        return tuple(self._check_reference(reference, facts))
 
     # ------------------------------------------------------------------
     # The indexed fast path: decide coverage without building reports.
@@ -941,12 +942,12 @@ class ConsistencyChecker:
                 element_view, reference_view
             ):
                 return False
-        direct = facts.direct_domains_map()
-        client_direct = direct.get(reference.client, ())
-        server_direct = direct.get(f"instance:{server.id}", ())
-        for domain in client_direct:
-            if domain in server_direct:
-                return True
+        client = self._instance_by_tag(reference.client, facts)
+        if client is not None:
+            server_direct = facts.direct_domains(server)
+            for domain in facts.direct_domains(client):
+                if domain in server_direct:
+                    return True
         index = self._permission_index(facts)
         return (
             index.covering_permission(server, reference, reference_view)
@@ -969,8 +970,11 @@ class ConsistencyChecker:
 
     def _permission_index(self, facts: FactSet) -> PermissionIndex:
         if self._index is None:
+            # The generator's interner, not a bound method of this
+            # checker: index -> checker would be a reference cycle, and
+            # a dropped checker must die by reference count.
             self._index = PermissionIndex(
-                facts, self._view, public_domain=self._public
+                facts, self._generator.view, public_domain=self._public
             )
         return self._index
 
@@ -1153,12 +1157,10 @@ class ConsistencyChecker:
                 return facts.proxies_for_system(name), True, name
             return agents, True, name
         if kind == "domain":
-            containment = facts.transitive_containment()
             members = [
                 instance
                 for instance in facts.agents()
-                if f"domain:{name}"
-                in containment.get(f"instance:{instance.id}", set())
+                if name in facts.domains_of(instance)
             ]
             return members, False, None
         return None, False, None
@@ -1209,24 +1211,10 @@ class ConsistencyChecker:
         # with the server is implicitly permitted.  A distant common
         # ancestor (an umbrella domain) grants nothing.
         client_instance = self._instance_by_tag(reference.client, facts)
-        if client_instance is not None:
-            if self._engine == "scan":
-                client_direct = set(
-                    facts.direct_domains_of_instance(client_instance)
-                )
-                server_direct = set(
-                    facts.direct_domains_of_instance(server)
-                )
-            else:
-                direct = facts.direct_domains_map()
-                client_direct = set(
-                    direct.get(f"instance:{client_instance.id}", ())
-                )
-                server_direct = set(
-                    direct.get(f"instance:{server.id}", ())
-                )
-            if client_direct.intersection(server_direct):
-                return None
+        if client_instance is not None and not set(
+            facts.direct_domains(client_instance)
+        ).isdisjoint(facts.direct_domains(server)):
+            return None
         permissions = self._permissions_for_server(server, facts)
         if not permissions:
             return Inconsistency(
@@ -1271,12 +1259,9 @@ class ConsistencyChecker:
         self, server: InstanceId, facts: FactSet
     ) -> List[Permission]:
         by_grantor = facts.permissions_by_grantor()
-        containment = facts.transitive_containment()
-        containers = containment.get(f"instance:{server.id}", set())
         result = list(by_grantor.get(f"instance:{server.id}", ()))
-        for container in containers:
-            if container.startswith("domain:"):
-                result.extend(by_grantor.get(container, ()))
+        for domain in facts.domains_of(server):
+            result.extend(by_grantor.get(f"domain:{domain}", ()))
         return result
 
     # ------------------------------------------------------------------

@@ -134,36 +134,50 @@ def affected_entities(diff: SpecificationDiff, facts: FactSet) -> Set[str]:
     transitive-ancestor expansion makes grantee-side changes visible too.
     """
     affected: Set[str] = set()
-    for name in diff.changed_names("domain"):
+    changed_domains = diff.changed_names("domain")
+    for name in changed_domains:
         affected.add(f"domain:{name}")
     for name in diff.changed_names("system"):
         affected.add(f"system:{name}")
     changed_processes = diff.changed_names("process")
     for name in changed_processes:
         affected.add(f"process:{name}")
-    for instance in facts.instances:
-        if instance.process_name in changed_processes:
-            affected.add(f"instance:{instance.id}")
+    if changed_processes:
+        for instance in facts.instances:
             # A changed agent process changes what its host can serve.
-            if instance.owner_kind == "system":
+            if (
+                instance.process_name in changed_processes
+                and instance.owner_kind == "system"
+            ):
                 affected.add(f"system:{instance.owner}")
-    # Expand domain taint downward: members of changed domains.
-    containment = facts.transitive_containment()
-    for child, parents in containment.items():
-        if parents & affected:
-            affected.add(child)
+    # Expand domain taint downward: members of changed domains, then the
+    # instances of every tainted owner.
+    if changed_domains:
+        owners = facts.owners
+        for name in facts.specification.domains:
+            if not changed_domains.isdisjoint(owners.above(name)):
+                affected.add(f"domain:{name}")
+        for name, direct in owners.direct.items():
+            if not changed_domains.isdisjoint(owners.around(direct)):
+                affected.add(f"system:{name}")
     # A tainted instance taints the targets it can answer for: a literal
     # ``process:P`` reference is covered universally over P's instances,
     # and a proxied element is served from wherever its proxies live —
     # so a domain change around any such instance must re-verdict those
     # references even when client and literal target are elsewhere.
+    answered: Set[str] = set()
     for instance in facts.instances:
-        if f"instance:{instance.id}" in affected:
-            affected.add(f"process:{instance.process_name}")
+        if (
+            instance.process_name in changed_processes
+            or f"{instance.owner_kind}:{instance.owner}" in affected
+        ):
+            affected.add(f"instance:{instance.id}")
+            answered.add(f"process:{instance.process_name}")
             process = facts.specification.processes.get(instance.process_name)
             if process is not None:
                 for proxied in process.proxied_systems():
-                    affected.add(f"system:{proxied}")
+                    answered.add(f"system:{proxied}")
+    affected.update(answered)
     return affected
 
 
@@ -193,8 +207,8 @@ class DeltaChecker:
 
     A thin convenience wrapper over one persistent
     :class:`ConsistencyChecker` and its :meth:`~ConsistencyChecker.recheck`
-    — the checker's memoized views, containment closures and per-shape
-    verdicts stay warm across versions.
+    — the checker's interned views and per-reference verdicts stay warm
+    across versions.
     """
 
     def __init__(self, tree: MibTree, engine: str = "indexed", jobs: int = 1):

@@ -18,27 +18,25 @@ names, or system names.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConsistencyError
-from repro.mib.tree import Access, MibTree
+from repro import obs
+from repro.mib.tree import MibTree
 from repro.mib.view import MibView
 from repro.nmsl.frequency import FrequencySpec
-from repro.nmsl.specs import (
-    WILDCARD,
-    DomainSpec,
-    ProcessInvocation,
-    ProcessSpec,
-    Specification,
-    SystemSpec,
-    PUBLIC_DOMAIN,
-)
+from repro.nmsl.specs import WILDCARD, ProcessSpec, Specification
 from repro.consistency.relations import Permission, Reference, access_atom
 
 
-@dataclass(frozen=True)
+#: ``dataclass(slots=True)`` arrived in Python 3.10; on 3.9 an instance
+#: id keeps a ``__dict__`` (one more tracked object each, nothing else).
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(frozen=True, **_SLOTS)
 class InstanceId:
     """A unique process instantiation: ``instan(owner, process, ordinal)``."""
 
@@ -47,16 +45,89 @@ class InstanceId:
     process_name: str
     ordinal: int
     args: Tuple[object, ...] = ()
+    #: ``process@owner#ordinal``, built once: the checker keys several
+    #: hot dicts on it.
+    id: str = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def id(self) -> str:
-        # cached_property writes to the instance __dict__ directly, which
-        # a frozen dataclass permits: the id string is built once, not on
-        # every lookup (the checker keys several hot dicts on it).
-        return f"{self.process_name}@{self.owner}#{self.ordinal}"
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "id", f"{self.process_name}@{self.owner}#{self.ordinal}"
+        )
 
     def __str__(self) -> str:
         return self.id
+
+
+class Containment:
+    """Owner-keyed containment: the domains around each system and domain.
+
+    Instances need no entries of their own — an instance is contained by
+    its owner and by whatever contains the owner — and the systems of one
+    domain share one tuple, so the tables grow with the number of
+    *owners*, hold nothing but strings and tuples of strings, and are
+    built by plain loops: nothing here can form a reference cycle.
+    """
+
+    __slots__ = ("direct", "edges", "_parents", "_above", "_around")
+
+    def __init__(self, specification: Specification):
+        #: system name -> the domains that list it, sorted.
+        self.direct: Dict[str, Tuple[str, ...]] = {}
+        #: domain -> member edges declared (``contains/2`` minus instances).
+        self.edges = 0
+        self._parents: Dict[str, List[str]] = {}
+        self._above: Dict[str, Tuple[str, ...]] = {}
+        self._around: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        direct = self.direct
+        for domain in specification.domains.values():
+            single = (domain.name,)
+            for system_name in domain.systems:
+                had = direct.get(system_name)
+                direct[system_name] = (
+                    single if had is None
+                    else tuple(sorted({*had, domain.name}))
+                )
+            for subdomain in domain.subdomains:
+                self._parents.setdefault(subdomain, []).append(domain.name)
+            self.edges += len(domain.systems) + len(domain.subdomains)
+
+    def above(self, domain: str) -> Tuple[str, ...]:
+        """Sorted names of the domains that transitively contain *domain*.
+
+        A worklist, not recursion: a containment cycle (a compile error,
+        but a typed model can carry one) terminates, and puts every
+        domain on the cycle above every other, itself included.
+        """
+        got = self._above.get(domain)
+        if got is None:
+            seen: Set[str] = set()
+            frontier = list(self._parents.get(domain, ()))
+            while frontier:
+                parent = frontier.pop()
+                if parent in seen:
+                    continue
+                seen.add(parent)
+                known = self._above.get(parent)
+                if known is None:
+                    frontier.extend(self._parents.get(parent, ()))
+                else:
+                    seen.update(known)
+            got = self._above[domain] = tuple(sorted(seen))
+        return got
+
+    def around(self, domains: Tuple[str, ...]) -> Tuple[str, ...]:
+        """*domains* plus everything above them, sorted.
+
+        One result per distinct argument: every system (and instance) of
+        a domain gets the same tuple object.
+        """
+        got = self._around.get(domains)
+        if got is None:
+            names = set(domains)
+            for domain in domains:
+                names.update(self.above(domain))
+            got = self._around[domains] = tuple(sorted(names))
+        return got
 
 
 @dataclass
@@ -66,9 +137,6 @@ class FactSet:
     specification: Specification
     tree: MibTree
     instances: List[InstanceId] = field(default_factory=list)
-    #: containment edges parent -> child, entities named as
-    #: ``domain:<name>``, ``system:<name>``, ``instance:<id>``.
-    containment: List[Tuple[str, str]] = field(default_factory=list)
     references: List[Reference] = field(default_factory=list)
     permissions: List[Permission] = field(default_factory=list)
     #: instance id -> the view its process type supports.
@@ -82,55 +150,78 @@ class FactSet:
     expansion: Dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # Derived lookups.
+    # Containment: the edge list and the owner-keyed closure.
     # ------------------------------------------------------------------
-    _containment_cache: Optional[Dict[str, Set[str]]] = None
+    @cached_property
+    def containment(self) -> List[Tuple[str, str]]:
+        """``contains/2`` edges parent -> child, entities named as
+        ``domain:<name>``, ``system:<name>``, ``instance:<id>``.
 
-    def transitive_containment(self) -> Dict[str, Set[str]]:
-        """child -> set of all (transitive) containers (computed once).
-
-        Entities whose *direct* parent sets are identical share one
-        ancestor set object: at paper scale the ten thousand systems of
-        a domain (and the instances on them) would otherwise each build
-        an identical set.  Callers treat the returned sets as read-only.
+        Only the CLP(R) and tuple renderings read the edges (the checker
+        asks :meth:`domains_of`), so the list is built on first use.
         """
-        if self._containment_cache is not None:
-            return self._containment_cache
-        parents: Dict[str, Set[str]] = {}
-        direct: Dict[str, Set[str]] = {}
-        for parent, child in self.containment:
-            direct.setdefault(child, set()).add(parent)
-        #: canonical direct-parent key -> the shared ancestor set.
-        shared: Dict[Tuple[str, ...], Set[str]] = {}
+        edges: List[Tuple[str, str]] = []
+        for domain in self.specification.domains.values():
+            parent = f"domain:{domain.name}"
+            for system_name in domain.systems:
+                edges.append((parent, f"system:{system_name}"))
+            for subdomain in domain.subdomains:
+                edges.append((parent, f"domain:{subdomain}"))
+        for instance in self.instances:
+            edges.append(
+                (f"{instance.owner_kind}:{instance.owner}", f"instance:{instance.id}")
+            )
+        return edges
 
-        def collect(child: str) -> Set[str]:
-            got = parents.get(child)
-            if got is not None:
-                return got
-            parents[child] = set()  # cycle guard (cycles reported elsewhere)
-            key = tuple(sorted(direct.get(child, ())))
-            result = shared.get(key)
-            if result is None:
-                result = set()
-                for parent in key:
-                    result.add(parent)
-                    result.update(collect(parent))
-                shared[key] = result
-            parents[child] = result
-            return result
+    @cached_property
+    def owners(self) -> Containment:
+        """The owner-keyed tables behind :meth:`domains_of`."""
+        return Containment(self.specification)
 
-        for child in direct:
-            collect(child)
-        self._containment_cache = parents
-        return parents
+    def containment_edges(self) -> int:
+        """``len(self.containment)`` without building the list."""
+        return self.owners.edges + len(self.instances)
 
-    def invalidate_caches(self) -> None:
-        """Call after mutating ``containment`` post-generation."""
-        self._containment_cache = None
-        self._grantor_cache = None
-        self._instance_cache = None
-        self._direct_domains_cache = None
-        self._taint_cache = None
+    def direct_domains(self, instance: InstanceId) -> Tuple[str, ...]:
+        """Domains that directly contain the instance's owner.
+
+        Used for the implicit intra-domain permission: only sharing an
+        *immediate* administrative domain grants implicit access — a
+        common distant ancestor (an umbrella domain) does not.
+        """
+        if instance.owner_kind == "domain":
+            return (instance.owner,)
+        return self.owners.direct.get(instance.owner, ())
+
+    def domains_of(self, entity) -> Tuple[str, ...]:
+        """Sorted names of every domain that transitively contains *entity*:
+        an :class:`InstanceId`, or a ``domain:``/``system:``/``instance:`` tag.
+
+        All instances of one owner, and all systems of one domain, get
+        the same tuple object; callers treat it as read-only.
+        """
+        owners = self.owners
+        if isinstance(entity, str):
+            kind, _sep, name = entity.partition(":")
+            if kind == "domain":
+                return owners.above(name)
+            if kind == "system":
+                return owners.around(owners.direct.get(name, ()))
+            entity = self.instance_by_id(name) if kind == "instance" else None
+            if entity is None:
+                return ()
+        return owners.around(self.direct_domains(entity))
+
+    def ancestors(self, tag: str) -> Set[str]:
+        """Tags of every (transitive) container of the tagged entity."""
+        kind, _sep, name = tag.partition(":")
+        instance = self.instance_by_id(name) if kind == "instance" else None
+        containers = {
+            f"domain:{domain}" for domain in self.domains_of(instance or tag)
+        }
+        if instance is not None:
+            containers.add(f"{instance.owner_kind}:{instance.owner}")
+        return containers
 
     _taint_cache: Optional[Tuple[Dict[str, Set[int]], Set[int]]] = None
 
@@ -150,7 +241,6 @@ class FactSet:
         """
         if self._taint_cache is not None:
             return self._taint_cache
-        closure = self.transitive_containment()
         index: Dict[str, Set[int]] = {}
         wildcard: Set[int] = set()
         for position, reference in enumerate(self.references):
@@ -164,20 +254,16 @@ class FactSet:
             if kind == "domain":
                 # ...and so do the server side's containing domains.
                 domains.add(name)
-                for parent in closure.get(server, ()):
-                    if parent.startswith("domain:"):
-                        domains.add(parent.split(":", 1)[1])
+                domains.update(self.domains_of(server))
             elif kind == "system":
-                for parent in closure.get(f"system:{name}", ()):
-                    if parent.startswith("domain:"):
-                        domains.add(parent.split(":", 1)[1])
+                domains.update(self.domains_of(server))
                 # An agentless element may be proxy-managed from another
                 # domain; taint the proxies' domains too.
                 for proxy in self.proxies_for_system(name):
-                    domains.update(self.domains_of_instance(proxy))
+                    domains.update(self.domains_of(proxy))
             elif kind == "process":
                 for instance in self.instances_of_process(name):
-                    domains.update(self.domains_of_instance(instance))
+                    domains.update(self.domains_of(instance))
             for domain in domains:
                 index.setdefault(domain, set()).add(position)
         self._taint_cache = (index, wildcard)
@@ -202,72 +288,6 @@ class FactSet:
                 instance.id: instance for instance in self.instances
             }
         return self._instance_cache.get(instance_id)
-
-    def domains_of_instance(self, instance: InstanceId) -> Tuple[str, ...]:
-        containers = self.transitive_containment().get(
-            f"instance:{instance.id}", set()
-        )
-        return tuple(
-            sorted(
-                name.split(":", 1)[1]
-                for name in containers
-                if name.startswith("domain:")
-            )
-        )
-
-    def direct_domains_of_instance(self, instance: InstanceId) -> Tuple[str, ...]:
-        """Domains that directly contain the instance's owner.
-
-        Used for the implicit intra-domain permission: only sharing an
-        *immediate* administrative domain grants implicit access — a
-        common distant ancestor (an umbrella domain) does not.
-        """
-        if instance.owner_kind == "domain":
-            return (instance.owner,)
-        owner = f"system:{instance.owner}"
-        return tuple(
-            sorted(
-                parent.split(":", 1)[1]
-                for parent, child in self.containment
-                if child == owner and parent.startswith("domain:")
-            )
-        )
-
-    _direct_domains_cache: Optional[Dict[str, Tuple[str, ...]]] = None
-
-    def direct_domains_map(self) -> Dict[str, Tuple[str, ...]]:
-        """``instance:<id>`` tag -> immediate administrative domains.
-
-        Built in one pass over the containment edges — the indexed
-        engine's replacement for the per-call edge scan of
-        :meth:`direct_domains_of_instance` (which stays as written for
-        the legacy scan engine's ablation baseline).
-        """
-        if self._direct_domains_cache is None:
-            by_system: Dict[str, List[str]] = {}
-            for parent, child in self.containment:
-                if parent.startswith("domain:") and child.startswith("system:"):
-                    by_system.setdefault(
-                        child.split(":", 1)[1], []
-                    ).append(parent.split(":", 1)[1])
-            # Sort each system's domain list once (it is almost always a
-            # single domain), not once per instance on the system.
-            system_domains: Dict[str, Tuple[str, ...]] = {
-                name: tuple(domains) if len(domains) == 1
-                else tuple(sorted(domains))
-                for name, domains in by_system.items()
-            }
-            mapping: Dict[str, Tuple[str, ...]] = {}
-            empty: Tuple[str, ...] = ()
-            for instance in self.instances:
-                if instance.owner_kind == "domain":
-                    mapping[f"instance:{instance.id}"] = (instance.owner,)
-                else:
-                    mapping[f"instance:{instance.id}"] = system_domains.get(
-                        instance.owner, empty
-                    )
-            self._direct_domains_cache = mapping
-        return self._direct_domains_cache
 
     _agents_cache: Optional[List[InstanceId]] = None
     _by_process_cache: Optional[Dict[str, List[InstanceId]]] = None
@@ -539,20 +559,7 @@ def _entity_tuple(tagged: str) -> tuple:
 
 
 _ACCESS_COVER_FACTS = [
-    "access_covers(any, readonly).",
-    "access_covers(any, writeonly).",
-    "access_covers(any, readwrite).",
-    "access_covers(any, any).",
-    "access_covers(any, none).",
-    "access_covers(readwrite, readonly).",
-    "access_covers(readwrite, writeonly).",
-    "access_covers(readwrite, readwrite).",
-    "access_covers(readwrite, none).",
-    "access_covers(readonly, readonly).",
-    "access_covers(readonly, none).",
-    "access_covers(writeonly, writeonly).",
-    "access_covers(writeonly, none).",
-    "access_covers(none, none).",
+    f"access_covers({broad}, {narrow})." for broad, narrow in _ACCESS_COVER_PAIRS
 ]
 
 
@@ -597,11 +604,17 @@ class FactGenerator:
 
     def generate(self) -> FactSet:
         facts = FactSet(self._spec, self._tree)
-        self._make_instances(facts)
-        self._make_containment(facts)
-        self._make_views(facts)
-        self._make_permissions(facts)
-        self._make_references(facts)
+        span = obs.current().span
+        with span("consistency.facts.instances"):
+            self._make_instances(facts)
+        with span("consistency.facts.containment"):
+            facts.owners  # built here so the phase is attributed
+        with span("consistency.facts.views"):
+            self._make_views(facts)
+        with span("consistency.facts.permissions"):
+            self._make_permissions(facts)
+        with span("consistency.facts.references"):
+            self._make_references(facts)
         return facts
 
     # ------------------------------------------------------------------
@@ -612,46 +625,26 @@ class FactGenerator:
         # when specifications are merged (the speculative what-if relies
         # on re-identifying pre-existing instances).
         counters: Dict[Tuple[str, str], int] = {}
-
-        def make(owner: str, owner_kind: str, invocation: ProcessInvocation) -> None:
-            if invocation.process_name not in self._spec.processes:
-                return  # linker already reported this
-            key = (owner, invocation.process_name)
-            counters[key] = counters.get(key, 0) + 1
-            facts.instances.append(
-                InstanceId(
-                    owner=owner,
-                    owner_kind=owner_kind,
-                    process_name=invocation.process_name,
-                    ordinal=counters[key],
-                    args=invocation.args,
-                )
-            )
-
-        for system in self._spec.systems.values():
-            for invocation in system.processes:
-                make(system.name, "system", invocation)
-        for domain in self._spec.domains.values():
-            for invocation in domain.processes:
-                make(domain.name, "domain", invocation)
-
-    # ------------------------------------------------------------------
-    # Containment (contains/2) with distribution over instantiation.
-    # ------------------------------------------------------------------
-    def _make_containment(self, facts: FactSet) -> None:
-        for domain in self._spec.domains.values():
-            for system_name in domain.systems:
-                facts.containment.append(
-                    (f"domain:{domain.name}", f"system:{system_name}")
-                )
-            for subdomain in domain.subdomains:
-                facts.containment.append(
-                    (f"domain:{domain.name}", f"domain:{subdomain}")
-                )
-        for instance in facts.instances:
-            facts.containment.append(
-                (f"{instance.owner_kind}:{instance.owner}", f"instance:{instance.id}")
-            )
+        processes = self._spec.processes
+        for owner_kind, owners in (
+            ("system", self._spec.systems),
+            ("domain", self._spec.domains),
+        ):
+            for owner in owners.values():
+                for invocation in owner.processes:
+                    if invocation.process_name not in processes:
+                        continue  # linker already reported this
+                    key = (owner.name, invocation.process_name)
+                    ordinal = counters[key] = counters.get(key, 0) + 1
+                    facts.instances.append(
+                        InstanceId(
+                            owner.name,
+                            owner_kind,
+                            invocation.process_name,
+                            ordinal,
+                            invocation.args,
+                        )
+                    )
 
     # ------------------------------------------------------------------
     # Supported views.
@@ -659,9 +652,14 @@ class FactGenerator:
     def _make_views(self, facts: FactSet) -> None:
         for system in self._spec.systems.values():
             facts.system_supports[system.name] = self._view(system.supports)
+        by_process: Dict[str, MibView] = {}
         for instance in facts.instances:
-            process = self._spec.processes[instance.process_name]
-            facts.instance_supports[instance.id] = self._view(process.supports)
+            view = by_process.get(instance.process_name)
+            if view is None:
+                view = by_process[instance.process_name] = self._view(
+                    self._spec.processes[instance.process_name].supports
+                )
+            facts.instance_supports[instance.id] = view
 
     def _view(self, paths: Sequence[str]) -> MibView:
         if self._view_of is not None:
@@ -673,16 +671,11 @@ class FactGenerator:
     # Permissions (perm_eq/perm_gt).
     # ------------------------------------------------------------------
     def _make_permissions(self, facts: FactSet) -> None:
-        containment = facts.transitive_containment()
         for instance in facts.instances:
             process = self._spec.processes[instance.process_name]
-            grantor_domains = tuple(
-                sorted(
-                    name.split(":", 1)[1]
-                    for name in containment.get(f"instance:{instance.id}", set())
-                    if name.startswith("domain:")
-                )
-            )
+            if not process.exports:
+                continue
+            grantor_domains = facts.domains_of(instance)
             for export in process.exports:
                 facts.permissions.append(
                     Permission(
@@ -715,16 +708,11 @@ class FactGenerator:
     # References (ref_eq/ref_gt).
     # ------------------------------------------------------------------
     def _make_references(self, facts: FactSet) -> None:
-        containment = facts.transitive_containment()
         for instance in facts.instances:
             process = self._spec.processes[instance.process_name]
-            client_domains = tuple(
-                sorted(
-                    name.split(":", 1)[1]
-                    for name in containment.get(f"instance:{instance.id}", set())
-                    if name.startswith("domain:")
-                )
-            )
+            if not process.queries:
+                continue
+            client_domains = facts.domains_of(instance)
             for query in process.queries:
                 server = self._resolve_target(process, instance, query.target)
                 facts.references.append(
@@ -767,117 +755,6 @@ class FactGenerator:
         return f"external:{value}"
 
 
-class _InternedFactGenerator(FactGenerator):
-    """FactGenerator variant used by :class:`IncrementalFactGenerator`.
-
-    Behaviourally identical to the base generator (same facts, same
-    ordering) but avoids its per-instance re-work: views are interned via
-    ``view_of``, the containment closure may be supplied memoized, and
-    the sorted domain tuples embedded in references/permissions are
-    computed once per owner instead of once per instance.
-    """
-
-    def __init__(self, specification, tree, view_of, closure_of=None):
-        super().__init__(specification, tree, view_of=view_of)
-        self._closure_of = closure_of
-        self._owner_domains: Dict[str, Tuple[str, ...]] = {}
-
-    def generate(self) -> FactSet:
-        facts = FactSet(self._spec, self._tree)
-        self._make_instances(facts)
-        self._make_containment(facts)
-        if self._closure_of is not None:
-            facts._containment_cache = self._closure_of(
-                tuple(facts.containment), facts
-            )
-        self._make_views(facts)
-        self._make_permissions(facts)
-        self._make_references(facts)
-        return facts
-
-    def _domains_of_owner(self, facts: FactSet, instance: InstanceId) -> Tuple[str, ...]:
-        """The sorted administrative domains containing *instance*.
-
-        Equals the base generator's per-instance computation: every
-        instance shares its owner's transitive containers plus the owner
-        itself, so the tuple is a function of the owner tag alone.
-        """
-        owner_tag = f"{instance.owner_kind}:{instance.owner}"
-        got = self._owner_domains.get(owner_tag)
-        if got is None:
-            containers = set(
-                facts.transitive_containment().get(owner_tag, ())
-            )
-            containers.add(owner_tag)
-            got = tuple(
-                sorted(
-                    name.split(":", 1)[1]
-                    for name in containers
-                    if name.startswith("domain:")
-                )
-            )
-            self._owner_domains[owner_tag] = got
-        return got
-
-    def _make_permissions(self, facts: FactSet) -> None:
-        for instance in facts.instances:
-            process = self._spec.processes[instance.process_name]
-            if not process.exports:
-                continue
-            grantor_domains = self._domains_of_owner(facts, instance)
-            for export in process.exports:
-                facts.permissions.append(
-                    Permission(
-                        grantor=f"instance:{instance.id}",
-                        grantor_domains=grantor_domains,
-                        grantee_domain=export.to_domain,
-                        variables=export.variables,
-                        access=export.access,
-                        frequency=export.frequency,
-                        origin=f"process {process.name} exports",
-                        location=export.location,
-                    )
-                )
-        for domain in self._spec.domains.values():
-            for export in domain.exports:
-                facts.permissions.append(
-                    Permission(
-                        grantor=f"domain:{domain.name}",
-                        grantor_domains=(domain.name,),
-                        grantee_domain=export.to_domain,
-                        variables=export.variables,
-                        access=export.access,
-                        frequency=export.frequency,
-                        origin=f"domain {domain.name} exports",
-                        location=export.location,
-                    )
-                )
-
-    def _make_references(self, facts: FactSet) -> None:
-        for instance in facts.instances:
-            process = self._spec.processes[instance.process_name]
-            if not process.queries:
-                continue
-            client_domains = self._domains_of_owner(facts, instance)
-            for query in process.queries:
-                server = self._resolve_target(process, instance, query.target)
-                facts.references.append(
-                    Reference(
-                        client=f"instance:{instance.id}",
-                        client_domains=client_domains,
-                        server=server,
-                        variables=query.requests,
-                        access=query.access,
-                        frequency=query.frequency,
-                        origin=(
-                            f"process {process.name} queries {query.target} "
-                            f"({instance.id})"
-                        ),
-                        location=query.location,
-                    )
-                )
-
-
 class IncrementalFactGenerator:
     """Memoizing fact generation across specification versions.
 
@@ -887,8 +764,6 @@ class IncrementalFactGenerator:
     * :class:`MibView` objects are interned per paths-tuple, so a
       10,000-element internet whose elements share one ``supports`` list
       resolves it once, not once per element;
-    * the transitive containment closure is memoized per containment
-      edge-set, so a delta that touches no domain membership reuses it;
     * per-declaration fingerprints (:meth:`ProcessSpec.fingerprint_tuple`
       et al.) are compared across calls, and the expanded/reused split is
       recorded in :attr:`FactSet.expansion` — an incremental recheck
@@ -896,15 +771,11 @@ class IncrementalFactGenerator:
       than a cold generation, which ``tests/consistency`` asserts.
     """
 
-    #: How many containment closures to retain (delta checking flips
-    #: between at most a handful of versions at a time).
-    CLOSURE_CACHE_SIZE = 4
-
     def __init__(self, tree: MibTree):
         self._tree = tree
         self._views: Dict[Tuple[str, ...], MibView] = {}
-        self._closures: Dict[Tuple[Tuple[str, str], ...], Dict[str, Set[str]]] = {}
-        self._seen: Dict[Tuple[str, str], Tuple] = {}
+        #: declaration kind -> name -> the fingerprint last generated from.
+        self._seen: Dict[str, Dict[str, Tuple]] = {}
 
     @property
     def tree(self) -> MibTree:
@@ -927,33 +798,41 @@ class IncrementalFactGenerator:
         specification: Specification,
         fingerprint_tuple: Optional[Tuple] = None,
     ) -> FactSet:
-        fingerprints: Dict[Tuple[str, str], Tuple] = {}
         if fingerprint_tuple is not None:
             # Reuse the caller's whole-spec fingerprint pass: entries for
             # processes/systems/domains each lead with (kind, name).
-            for table in fingerprint_tuple[1:4]:
-                for declaration in table:
-                    fingerprints[(declaration[0], declaration[1])] = declaration
+            fingerprints = {
+                kind: {declaration[1]: declaration for declaration in table}
+                for kind, table in zip(
+                    ("process", "system", "domain"), fingerprint_tuple[1:4]
+                )
+            }
         else:
-            for kind, table in (
-                ("process", specification.processes),
-                ("system", specification.systems),
-                ("domain", specification.domains),
-            ):
-                for name, declaration in table.items():
-                    fingerprints[(kind, name)] = declaration.fingerprint_tuple()
-        expanded = sum(
-            1
-            for key, fingerprint in fingerprints.items()
-            if self._seen.get(key) != fingerprint
-        )
-        facts = _InternedFactGenerator(
-            specification, self._tree, self.view, self._closure
+            fingerprints = {
+                kind: {
+                    name: declaration.fingerprint_tuple()
+                    for name, declaration in table.items()
+                }
+                for kind, table in (
+                    ("process", specification.processes),
+                    ("system", specification.systems),
+                    ("domain", specification.domains),
+                )
+            }
+        declarations = expanded = 0
+        for kind, table in fingerprints.items():
+            seen = self._seen.get(kind, {})
+            declarations += len(table)
+            for name, fingerprint in table.items():
+                if seen.get(name) != fingerprint:
+                    expanded += 1
+        facts = FactGenerator(
+            specification, self._tree, view_of=self.view
         ).generate()
         facts.expansion = {
             "expanded": expanded,
-            "reused": len(fingerprints) - expanded,
-            "declarations": len(fingerprints),
+            "reused": declarations - expanded,
+            "declarations": declarations,
         }
         self._seen = fingerprints
         return facts
@@ -966,13 +845,4 @@ class IncrementalFactGenerator:
         patched declarations keeps the expanded/reused accounting of the
         *next* full generation honest.
         """
-        self._seen[(kind, name)] = fingerprint
-
-    def _closure(self, edges, facts: FactSet) -> Dict[str, Set[str]]:
-        got = self._closures.get(edges)
-        if got is None:
-            got = facts.transitive_containment()
-            self._closures[edges] = got
-            while len(self._closures) > self.CLOSURE_CACHE_SIZE:
-                self._closures.pop(next(iter(self._closures)))
-        return got
+        self._seen.setdefault(kind, {})[name] = fingerprint

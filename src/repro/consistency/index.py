@@ -7,7 +7,8 @@ permission list per reference — O(refs × perms) in the worst case.  The
 
 * per server instance, the applicable permissions (its own exports plus
   every containing domain's) are collected once and their views resolved
-  once;
+  once — and once for *all* servers of an owner that export nothing of
+  their own;
 * within a server's permission set, permissions are bucketed by the OID
   components of their view roots, so "which permissions could cover this
   requested subtree" is answered by walking the subtree's OID prefixes —
@@ -21,7 +22,7 @@ covered, and by which permission").  Cause reporting for uncovered
 references stays with the checker's detailed scan, so inconsistency
 reports are byte-identical between engines.
 
-Index entries are built lazily per server: a check that never references
+Index entries are built lazily: a check that never references
 a server never pays for indexing its permissions.
 """
 
@@ -64,7 +65,7 @@ class PermissionIndex:
         self._facts = facts
         self._view_of = view_of
         self._public = public_domain
-        self._servers: Dict[str, _ServerIndex] = {}
+        self._servers: Dict[Tuple[Optional[str], Tuple[str, ...]], _ServerIndex] = {}
         #: id(view) -> its root OIDs as component tuples (views are
         #: interned by the checker, so id-keying is safe; the pin list
         #: keeps them alive for the index's lifetime).
@@ -84,16 +85,23 @@ class PermissionIndex:
         return [permission for permission, _view in entries]
 
     def _server_index(self, server: InstanceId) -> _ServerIndex:
-        got = self._servers.get(server.id)
+        facts = self._facts
+        domains = facts.domains_of(server)
+        # Servers that grant nothing themselves see exactly their
+        # domains' grants: one entry per distinct domain tuple (shared by
+        # every such server of an owner) instead of one per server.
+        grants_own = facts.specification.processes[server.process_name].exports
+        key = (server.id if grants_own else None, domains)
+        got = self._servers.get(key)
         if got is None:
-            by_grantor = self._facts.permissions_by_grantor()
-            containment = self._facts.transitive_containment()
-            permissions: List[Permission] = list(
-                by_grantor.get(f"instance:{server.id}", ())
+            by_grantor = facts.permissions_by_grantor()
+            permissions: List[Permission] = (
+                list(by_grantor.get(f"instance:{server.id}", ()))
+                if grants_own
+                else []
             )
-            for container in containment.get(f"instance:{server.id}", ()):
-                if container.startswith("domain:"):
-                    permissions.extend(by_grantor.get(container, ()))
+            for domain in domains:
+                permissions.extend(by_grantor.get(f"domain:{domain}", ()))
             entries = tuple(
                 (permission, self._view_of(permission.variables))
                 for permission in permissions
@@ -106,7 +114,7 @@ class PermissionIndex:
                 for components in self._roots_of(view):
                     buckets.setdefault(components, []).append(position)
             got = (entries, buckets)
-            self._servers[server.id] = got
+            self._servers[key] = got
         return got
 
     # ------------------------------------------------------------------

@@ -510,19 +510,16 @@ class ManagementRuntime:
         prefer a shared immediate domain (implicit trust), then a
         permission granted to one of the client's domains, then public.
         """
-        client_direct = set(self.facts.direct_domains_of_instance(instance))
-        target_direct = set(self.facts.direct_domains_of_instance(target))
+        client_direct = set(self.facts.direct_domains(instance))
+        target_direct = set(self.facts.direct_domains(target))
         shared = sorted(client_direct & target_direct)
         if shared:
             return shared[0]
-        containment = self.facts.transitive_containment()
-        containers = containment.get(f"instance:{target.id}", set())
         by_grantor = self.facts.permissions_by_grantor()
         grants = list(by_grantor.get(f"instance:{target.id}", ()))
-        for container in containers:
-            if container.startswith("domain:"):
-                grants.extend(by_grantor.get(container, ()))
-        client_domains = set(self.facts.domains_of_instance(instance))
+        for domain in self.facts.domains_of(target):
+            grants.extend(by_grantor.get(f"domain:{domain}", ()))
+        client_domains = self.facts.domains_of(instance)
         for permission in grants:
             if permission.grantee_domain in client_domains:
                 return permission.grantee_domain

@@ -6,7 +6,7 @@ throughput, and — worse for a management plane that must itself be
 dependable — one wedged or crashing request takes every other request
 down with it.  This module shards request execution across *supervised
 worker processes* the same way ``--jobs`` shards the checker: fork off
-a warm parent heap (:func:`repro.consistency.checker.frozen_fork_heap`),
+a warm parent heap (:func:`repro.collector.frozen_fork_heap`),
 share the compiled structures copy-on-write, and keep the merge
 deterministic.
 
@@ -739,7 +739,7 @@ class ProcessWorkerPool:
             self._spawn(worker_id)
 
     def _spawn(self, worker_id: int) -> None:
-        from repro.consistency.checker import frozen_fork_heap
+        from repro.collector import frozen_fork_heap
 
         config = self.core.config
         parent_conn, child_conn = self._context.Pipe()

@@ -142,3 +142,43 @@ class TestDeltaEquivalence:
         full = ConsistencyChecker(after, compiler.tree).check()
         assert incremental.consistent == full.consistent
         assert len(incremental.inconsistencies) == len(full.inconsistencies)
+
+
+class TestAbandonedRecheck:
+    """A recheck cut short by its deadline has already patched the fact
+    set; the verdicts it was going to replace are stale and must not be
+    reused by whatever the caller does next."""
+
+    @staticmethod
+    def internet(silent):
+        return SyntheticInternet(
+            InternetParameters(
+                n_domains=6, systems_per_domain=2, applications_per_domain=2,
+                silent_domains=silent,
+            )
+        ).specification()
+
+    def abandoned(self, compiler):
+        from repro.deadline import Deadline
+        from repro.errors import DeadlineExceeded
+
+        checker = ConsistencyChecker(self.internet(()), compiler.tree)
+        assert checker.check().consistent
+        expired = Deadline(at_s=0, clock=lambda: 1)
+        with pytest.raises(DeadlineExceeded):
+            checker.recheck(self.internet((2,)), deadline=expired)
+        return checker
+
+    def test_check_after_abandoned_recheck(self, compiler):
+        after = self.abandoned(compiler).check()
+        fresh = ConsistencyChecker(self.internet((2,)), compiler.tree).check()
+        assert not fresh.consistent
+        assert after.render() == fresh.render()
+
+    def test_recheck_after_abandoned_recheck(self, compiler):
+        # The second delta touches another domain only: domain 2's
+        # references are tainted by nothing in it.
+        after = self.abandoned(compiler).recheck(self.internet((2, 4)))
+        fresh = ConsistencyChecker(self.internet((2, 4)), compiler.tree).check()
+        assert after.render() == fresh.render()
+        assert len(after.inconsistencies) == 4

@@ -56,21 +56,23 @@ class TestContainment:
         assert len(instance_edges) == 3
 
     def test_transitive_closure(self, facts):
-        closure = facts.transitive_containment()
         agent = facts.instances_on_system("romano.cs.wisc.edu")[0]
-        containers = closure[f"instance:{agent.id}"]
+        containers = facts.ancestors(f"instance:{agent.id}")
         assert "domain:wisc-cs" in containers
         assert "system:romano.cs.wisc.edu" in containers
 
     def test_domains_of_instance(self, facts):
         agent = facts.instances_on_system("romano.cs.wisc.edu")[0]
-        assert facts.domains_of_instance(agent) == ("wisc-cs",)
+        assert facts.domains_of(agent) == ("wisc-cs",)
+        assert facts.domains_of(f"instance:{agent.id}") == ("wisc-cs",)
+        assert facts.domains_of("system:romano.cs.wisc.edu") == ("wisc-cs",)
+        assert facts.domains_of("domain:wisc-cs") == ()
 
     def test_direct_domains(self, facts):
         agent = facts.instances_on_system("romano.cs.wisc.edu")[0]
-        assert facts.direct_domains_of_instance(agent) == ("wisc-cs",)
+        assert facts.direct_domains(agent) == ("wisc-cs",)
         app = facts.instances_of_process("snmpaddr")[0]
-        assert facts.direct_domains_of_instance(app) == ("wisc-cs",)
+        assert facts.direct_domains(app) == ("wisc-cs",)
 
 
 class TestReferencesAndPermissions:

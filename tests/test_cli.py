@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro import cli
+from repro import cli, collector
 from repro.cli import main
 from repro.workloads.paper import PAPER_SPEC_TEXT
 from repro.workloads.scenarios import campus_internet
@@ -495,7 +495,7 @@ class TestCollectorThreshold:
         monkeypatch.setattr(cli, "_dispatch", probe)
         try:
             yield inside
-            assert inside == [(cli._BATCH_GC_THRESHOLD, 11, 12)]
+            assert inside == [(collector.BULK_LOAD_GEN0_THRESHOLD, 11, 12)]
             assert gc.get_threshold() == (701, 11, 12)
         finally:
             gc.set_threshold(*before)

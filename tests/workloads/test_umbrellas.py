@@ -47,9 +47,9 @@ class TestStructure:
         facts = FactGenerator(internet.specification(), compiler.tree).generate()
         agent = facts.instances_on_system(internet.system_name(0, 0))[0]
         # instance -> dom -> region -> root: three domains above it.
-        assert len(facts.domains_of_instance(agent)) == 3
+        assert len(facts.domains_of(agent)) == 3
         # ... but only one immediate domain.
-        assert facts.direct_domains_of_instance(agent) == (
+        assert facts.direct_domains(agent) == (
             internet.domain_name(0),
         )
 

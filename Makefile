@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze bench bench-quick chaos heal profile service bench-service ledger ledger-full-check ledger-compare clean
+.PHONY: test analyze bench bench-quick chaos heal profile service bench-service ledger ledger-full-check ledger-edit-stream ledger-compare clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -56,6 +56,15 @@ ledger:
 ## 10,000-domain model against the generator's oracle (CI's smoke).
 ledger-full-check:
 	$(PYTHON) benchmarks/ledger --workload full_check_10k --seed 7 --seconds 15 --trace 0
+
+## The edit stream alone, in the driver's form, untraced then traced:
+## one warm checker and one warm impact analyzer take 44 seeded
+## one-domain edits to the 10,000-domain model, every answer checked
+## against the edit oracle (CI's smoke; the traced run adds the rows
+## that say where an edit's time goes).
+ledger-edit-stream:
+	$(PYTHON) benchmarks/ledger --workload edit_stream_10k --seed 7 --seconds 15 --trace 0
+	$(PYTHON) benchmarks/ledger --workload edit_stream_10k --seed 7 --seconds 15 --trace 1
 
 ## Judge ledger B against ledger A, metric by metric against its bound:
 ##   make ledger-compare A=benchmarks/ledger/out/ledger-seed200-*.json B=...

@@ -17,9 +17,9 @@ dead-extension pass simply has nothing to analyze.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.consistency.facts import FactGenerator, FactSet
+from repro.consistency.facts import FactSet, IncrementalFactGenerator
 from repro.consistency.index import PermissionIndex
 from repro.mib.tree import MibTree
 from repro.mib.view import MibView
@@ -45,36 +45,31 @@ class AnalysisContext:
     _index: Optional[PermissionIndex] = field(
         default=None, init=False, repr=False
     )
-    _views: Dict[Tuple[str, ...], MibView] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _generator: IncrementalFactGenerator = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._generator = IncrementalFactGenerator(self.tree)
 
     @property
     def facts(self) -> FactSet:
         if self._facts is None:
-            self._facts = FactGenerator(
-                self.specification, self.tree, view_of=self.view
-            ).generate()
+            self._facts = self._generator.generate(self.specification)
         return self._facts
 
     @property
     def index(self) -> PermissionIndex:
         if self._index is None:
+            # The generator's interner, not a bound method of this
+            # context: index -> context would be a reference cycle, and
+            # a request's context must die by reference count.
             self._index = PermissionIndex(
-                self.facts, self.view, self.public_domain
+                self.facts, self._generator.view, self.public_domain
             )
         return self._index
 
     def view(self, paths: Sequence[str]) -> MibView:
         """The interned view for a paths-tuple (unknown paths dropped)."""
-        key = tuple(paths)
-        got = self._views.get(key)
-        if got is None:
-            got = MibView(
-                self.tree, [path for path in key if self.tree.knows(path)]
-            )
-            self._views[key] = got
-        return got
+        return self._generator.view(paths)
 
     def is_user_type_path(self, path: str) -> bool:
         """Does *path* name a user-specified type rather than MIB data?

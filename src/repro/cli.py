@@ -707,6 +707,12 @@ def build_profile_parser() -> argparse.ArgumentParser:
         help="profile even when the specification has semantic errors",
     )
     parser.add_argument(
+        "--diff-against",
+        metavar="OLDFILE",
+        help="check OLDFILE first and profile the incremental recheck "
+        "that brings the checker to the specification (closure engine)",
+    )
+    parser.add_argument(
         "--top",
         type=int,
         default=10,
@@ -1469,12 +1475,22 @@ def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
 
             outcome = check_with_datalog(result.specification, compiler.tree)
         else:
+            first = result
+            if args.diff_against:
+                first = compiler.compile(
+                    Path(args.diff_against).read_text(encoding="utf-8"),
+                    strict=False,
+                )
             checker = ConsistencyChecker(
-                result.specification,
+                first.specification,
                 compiler.tree,
                 engine="scan" if args.engine == "scan" else "indexed",
             )
             outcome = checker.check(jobs=args.jobs)
+            if args.diff_against:
+                outcome = checker.recheck(
+                    result.specification, jobs=args.jobs
+                )
         if args.output:
             compiler.generate(args.output, result)
 

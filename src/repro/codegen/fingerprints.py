@@ -30,6 +30,7 @@ import hashlib
 from typing import Dict, Iterable, List, Optional
 
 from repro.nmsl.actions import OutputContext, OutputRegistry
+from repro.nmsl.outputs import _facts
 
 
 def default_fingerprint_registry() -> OutputRegistry:
@@ -53,19 +54,48 @@ def config_fingerprints(
     """``tag -> element -> sha256`` content fingerprints.
 
     *elements* scopes the computation: only configurations delivered to
-    one of the named elements are generated and hashed, and a scoped
-    element's fingerprint equals its unscoped one (attribution never
-    depends on what else is in scope).  Pass the checker's warm *facts*
-    to skip a fresh fact expansion — essential on the near-O(change)
-    diff budget.
+    one of the named elements are generated and hashed, at a cost in
+    the size of the scope, and a scoped element's fingerprint equals its
+    unscoped one (attribution never depends on what else is in scope).
+    Pass the checker's warm *facts* to skip a fresh fact expansion —
+    essential on the near-O(change) diff budget.
     """
     if registry is None:
         registry = default_fingerprint_registry()
-    scope = None if elements is None else set(elements)
     options: Dict[str, object] = {"tree": tree, "module": None}
     if facts is not None:
         options["facts"] = facts
     context = OutputContext(specification=specification, options=options)
+    # Who is in scope, which domains deliver to them (in declaration
+    # order) and which process types they instantiate are all looked up
+    # from the names: a scoped call walks no system or domain table.
+    facts = _facts(context)
+    direct = facts.owners.direct
+    # (A dict, not a set: the result lists elements in table order.)
+    scope = dict.fromkeys(
+        (*specification.systems, *direct) if elements is None else elements
+    )
+    systems = [
+        specification.systems[name]
+        for name in scope
+        if name in specification.systems
+    ]
+    deliveries = [
+        (
+            specification.domains[name],
+            [m for m in specification.domains[name].systems if m in scope],
+        )
+        for name in sorted(
+            {domain for name in scope for domain in direct.get(name, ())},
+            key=facts.owner_ranks()[1].__getitem__,
+        )
+    ]
+    instantiators: Dict[str, List[str]] = {}
+    for system in systems:
+        for process_name in dict.fromkeys(
+            invocation.process_name for invocation in system.processes
+        ):
+            instantiators.setdefault(process_name, []).append(system.name)
 
     fingerprints: Dict[str, Dict[str, str]] = {}
     for tag in tags:
@@ -77,40 +107,21 @@ def config_fingerprints(
 
         system_action = registry.lookup(tag, "system")
         if system_action is not None:
-            for system in specification.systems.values():
-                if scope is not None and system.name not in scope:
-                    continue
+            for system in systems:
                 deliver(system.name, system_action(context, system))
         domain_action = registry.lookup(tag, "domain")
         if domain_action is not None:
-            for domain in specification.domains.values():
-                members = [
-                    name
-                    for name in domain.systems
-                    if scope is None or name in scope
-                ]
-                if not members:
-                    continue
+            for domain, members in deliveries:
                 text = domain_action(context, domain)
                 for name in members:
                     deliver(name, text)
         process_action = registry.lookup(tag, "process")
-        if process_action is not None:
+        if process_action is not None and instantiators:
             for process in specification.processes.values():
-                instantiators = [
-                    system.name
-                    for system in specification.systems.values()
-                    if (scope is None or system.name in scope)
-                    and any(
-                        invocation.process_name == process.name
-                        for invocation in system.processes
-                    )
-                ]
-                if not instantiators:
-                    continue
-                text = process_action(context, process)
-                for name in instantiators:
-                    deliver(name, text)
+                if process.name in instantiators:
+                    text = process_action(context, process)
+                    for name in instantiators[process.name]:
+                        deliver(name, text)
         fingerprints[tag] = {
             element: hashlib.sha256(
                 ("\n".join(parts) + "\n").encode("utf-8")

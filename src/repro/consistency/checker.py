@@ -28,7 +28,7 @@ coverage fast and falls back to the scan's detailed cause analysis only
 for the (rare) uncovered references, so the differential test suite can
 hold all paths to the same verdicts *and* the same rendered causes.
 
-The checker's fact set, view cache and verdict memos are keyed by the
+The checker's fact set and verdict memos are keyed by the
 specification fingerprint (:meth:`Specification.fingerprint`), so
 mutating the specification between ``check()`` calls is safe — the next
 check regenerates what the mutation staled.
@@ -41,9 +41,10 @@ engines; ``ConsistencyChecker.recheck`` is the incremental API used by
 from __future__ import annotations
 
 import contextlib
+import itertools
 import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.collector import bulk_load, collector_watch, frozen_fork_heap
@@ -168,7 +169,6 @@ class ConsistencyChecker:
         public_domain: str = PUBLIC_DOMAIN,
         *,
         engine: str = "indexed",
-        generator: Optional[IncrementalFactGenerator] = None,
         shard_threshold: Optional[int] = None,
     ):
         if engine not in ("indexed", "scan"):
@@ -177,9 +177,8 @@ class ConsistencyChecker:
         self._tree = tree
         self._public = public_domain
         self._engine = engine
-        self._generator = generator or (
-            IncrementalFactGenerator(tree) if engine == "indexed" else None
-        )
+        #: Generates the indexed engine's facts; interns views for both.
+        self._generator = IncrementalFactGenerator(tree)
         #: Minimum pending references before ``jobs`` shards the
         #: reduction; overridable so the sharding oracle tests can force
         #: multi-process reduction on small corpora.
@@ -189,7 +188,6 @@ class ConsistencyChecker:
         )
         self._facts: Optional[FactSet] = None
         self._facts_fingerprint: Optional[Tuple] = None
-        self._view_cache: Dict[Tuple[str, ...], MibView] = {}
         #: Verdicts of the last check, aligned by position with the
         #: reference list they were computed over (recheck fuel).
         self._verdict_list: Optional[List[Tuple[Inconsistency, ...]]] = None
@@ -201,13 +199,14 @@ class ConsistencyChecker:
         self._cover_memo: Dict[Tuple[int, int], bool] = {}
         self._fit_memo: Dict[Tuple[int, int], Tuple] = {}
         self._memo_pins: List[MibView] = []  # keep ids in the memos alive
-        #: Instantiation verdicts for the current fact-set object; an
-        #: exports-only patch leaves instances and views untouched, so
-        #: the recheck path reuses these instead of re-walking every
-        #: instance (identity-keyed: regeneration makes a new FactSet).
+        #: Instantiation verdicts for the current fact-set object: the
+        #: outcome per instance (aligned with ``facts.instances``, so a
+        #: patch can splice an owner's), then the problems and warnings
+        #: among them (identity-keyed: regeneration makes a new FactSet).
         self._instantiation_memo: Optional[
-            Tuple[FactSet, Tuple[Inconsistency, ...], Tuple[str, ...]]
+            Tuple[FactSet, List, Tuple[Inconsistency, ...], Tuple[str, ...]]
         ] = None
+        self._verdict_changes: List[Tuple] = []  # see verdict_changes()
         # Plain-int memo tallies — cheap enough to keep unconditionally;
         # published to repro.obs after each check when enabled.
         self._memo_hits: Dict[str, int] = {
@@ -242,26 +241,18 @@ class ConsistencyChecker:
             if self._fingerprints_match(self._facts_fingerprint, fp_tuple):
                 if self._facts.expansion:
                     # Wholesale reuse: this access expanded no declarations.
-                    declarations = self._facts.expansion.get("declarations", 0)
-                    self._facts.expansion = {
-                        "expanded": 0,
-                        "reused": declarations,
-                        "declarations": declarations,
-                    }
+                    self._facts.note_expansion(0)
                 return self._facts
         with bulk_load():
             if fp_tuple is None:
                 # Nothing is cached yet: the fingerprint pass builds as
                 # many objects as the generation it keys.
                 fp_tuple = self._spec.fingerprint_tuple()
-            if self._generator is not None:
-                self._facts = self._generator.generate(
-                    self._spec, fingerprint_tuple=fp_tuple
-                )
+            if self._engine == "indexed":
+                self._facts = self._generator.generate(self._spec)
             else:
                 self._facts = FactGenerator(self._spec, self._tree).generate()
         self._facts_fingerprint = fp_tuple
-        self._view_cache = {}
         self._index = None
         self._candidate_memo = {}
         return self._facts
@@ -378,13 +369,16 @@ class ConsistencyChecker:
 
         *delta* is an :class:`repro.consistency.evolution.EvolutionDelta`
         (or a plain new :class:`Specification`, diffed against the
-        current one).  Fact expansion is incremental — only declarations
-        the delta touched are re-expanded (see
-        :class:`IncrementalFactGenerator`) — and only references whose
-        client, server or containing domains changed are re-reduced; the
-        rest reuse their remembered verdicts.  The result is equal to a
-        from-scratch :meth:`check` of the new specification (asserted by
-        the differential and property suites).
+        current one).  What the diff contains decides the path.  An
+        *owner-local* delta — changed system and domain declarations,
+        containment and the process table untouched — re-expands only
+        those owners inside the cached fact set and re-reduces only the
+        references the taint index ties to them.  Any other delta
+        regenerates the facts and re-reduces the references whose
+        client, server or containing domains changed.  Every other
+        verdict is reused, and the result equals a from-scratch
+        :meth:`check` of the new specification (asserted by the
+        differential and property suites).
         """
         from repro.consistency.evolution import (
             EvolutionDelta,
@@ -410,74 +404,98 @@ class ConsistencyChecker:
             # deadline) the next check or recheck starts from nothing
             # rather than from verdicts the patch below has staled.
             self._verdict_list = None
-            # The exports-only fast path: a delta that touches nothing
-            # but domain export clauses patches the cached fact set in
-            # place (references, instances, containment and views are
-            # untouched by construction), so the millisecond budget is
-            # spent on the few re-reduced references, not on fact
-            # regeneration.
-            patched = previous_list is not None and self._try_export_patch(
-                delta
+            self._verdict_changes = []
+            # A patch is whole before the reduction — the one step a
+            # deadline can abandon — starts.
+            patch = (
+                self._patch_facts(delta) if previous_list is not None else None
             )
-            if not patched:
-                # A structural delta regenerates facts and re-reduces in
-                # bulk; the patch path allocates next to nothing.
+            if patch is None:
+                # Regenerating and re-reducing in bulk allocates by the
+                # hundred thousand; a patch next to nothing.
                 scope.enter_context(bulk_load())
             self._spec = delta.specification
+            old_facts = self._facts
             with o.span("consistency.facts"):
-                facts = self._facts if patched else self.facts
+                facts = old_facts if patch is not None else self.facts
             problems: List[Inconsistency] = []
             warnings: List[str] = list(facts.warnings)
             inst_problems, inst_warnings = self._instantiation_problems(facts)
             problems.extend(inst_problems)
             warnings.extend(inst_warnings)
 
-            rechecked = reused = 0
-            new_list: List[Tuple[Inconsistency, ...]] = (
-                [()] * len(facts.references)
-            )
-            if previous_list is None or previous_references is None:
-                pending = list(enumerate(facts.references))
-            elif patched:
-                # Same reference list, so verdicts are reusable by
-                # position; only positions the changed domains taint
-                # (per the precomputed taint index) are re-reduced.
-                tainted = self._tainted_positions(delta.diff, facts)
+            # Before the reduction ``new_list`` holds, for every
+            # reference, the verdict it had (none if it is new);
+            # ``gone`` collects the references that no longer exist.
+            key = self._reference_key
+            references = facts.references
+
+            def carried(old_references, verdicts) -> Dict[Tuple, Tuple]:
+                return dict(
+                    zip(map(key, old_references), zip(old_references, verdicts))
+                )
+
+            if patch is not None:
+                new_list = list(previous_list)
+                gone: Dict[Tuple, Tuple] = {}
+                for start, replaced, length in patch.references:
+                    end = start + len(replaced)
+                    had = carried(replaced, new_list[start:end])
+                    new_list[start:end] = [
+                        had.pop(key(reference), (None, ()))[1]
+                        for reference in references[start:start + length]
+                    ]
+                    gone.update(had)
                 pending = [
-                    (position, facts.references[position])
-                    for position in sorted(tainted)
+                    (position, references[position])
+                    for position in sorted(patch.pending)
                 ]
-                for position in range(len(facts.references)):
-                    if position not in tainted:
-                        new_list[position] = previous_list[position]
-                        reused += 1
             else:
-                previous_verdicts = {
-                    self._reference_key(reference): previous_list[position]
-                    for position, reference in enumerate(previous_references)
-                }
-                affected = affected_entities(delta.diff, facts)
+                new_list = [()] * len(references)
+                gone = (
+                    {}
+                    if previous_list is None or previous_references is None
+                    else carried(previous_references, previous_list)
+                )
+                # Tainted through containment as it is and as it was: a
+                # removed domain's members are only in the old tables.
+                affected = (
+                    affected_entities(delta.diff, facts)
+                    | affected_entities(delta.diff, old_facts)
+                    if gone
+                    else ()
+                )
                 pending = []
-                for position, reference in enumerate(facts.references):
-                    key = self._reference_key(reference)
-                    if key in previous_verdicts and not reference_affected(
-                        reference, affected
-                    ):
-                        new_list[position] = previous_verdicts[key]
-                        reused += 1
-                    else:
-                        pending.append((position, reference))
+                for position, reference in enumerate(references):
+                    had = gone.pop(key(reference), None)
+                    if had is not None:
+                        new_list[position] = had[1]
+                        if not reference_affected(reference, affected):
+                            continue
+                    pending.append((position, reference))
+            del old_facts  # a regenerated-over fact set dies here, not later
             with o.span("consistency.reduce", references=len(pending)):
                 computed = self._reduce(facts, pending, jobs, deadline=deadline)
-            for position, _reference in pending:
+            changes = self._verdict_changes
+            for position, reference in pending:
+                if new_list[position] != computed[position]:
+                    changes.append(
+                        (reference, new_list[position], computed[position])
+                    )
                 new_list[position] = computed[position]
-                rechecked += 1
+            changes.extend(
+                (reference, verdict, ())
+                for reference, verdict in gone.values()
+                if verdict
+            )
+            rechecked = len(pending)
+            reused = len(references) - rechecked
             self._verdict_list = new_list
-            self._checked_references = facts.references
-            for verdict in new_list:
-                problems.extend(verdict)
+            self._checked_references = references
+            problems.extend(itertools.chain.from_iterable(new_list))
             if check_capacity:
                 warnings.extend(self._check_capacity(facts))
+            patched = patch is not None
             span.annotate(rechecked=rechecked, reused=reused, patched=patched)
 
         stats = {
@@ -606,161 +624,134 @@ class ConsistencyChecker:
         )
 
     # ------------------------------------------------------------------
-    # Incremental helpers: the exports-only patch and its taint set.
+    # Incremental helpers: instantiation verdicts and the owner patch.
     # ------------------------------------------------------------------
     def _instantiation_problems(
         self, facts: FactSet
     ) -> Tuple[Tuple[Inconsistency, ...], Tuple[str, ...]]:
-        """Instantiation verdicts, memoized per fact-set object.
-
-        Valid as long as the fact set's instances and views are the ones
-        the verdicts were computed over — exactly the identity of the
-        ``FactSet`` (regeneration builds a new one; the exports-only
-        patch leaves instances and views alone).
-        """
+        """Instantiation verdicts, memoized per fact-set object:
+        regeneration builds a new ``FactSet``, and :meth:`_patch_facts`
+        splices the outcomes of the owners it re-expands."""
         memo = self._instantiation_memo
-        if memo is not None and memo[0] is facts:
-            return memo[1], memo[2]
-        warnings: List[str] = []
-        problems = tuple(self._check_instantiations(facts, warnings))
-        self._instantiation_memo = (facts, problems, tuple(warnings))
-        return problems, self._instantiation_memo[2]
+        if memo is None or memo[0] is not facts:
+            self._remember_instantiations(
+                facts, self._instantiation_outcomes(facts, facts.instances)
+            )
+        return self._instantiation_memo[2:]
 
-    def _tainted_positions(self, diff, facts: FactSet) -> Set[int]:
-        """Reference positions a patched domain delta could re-verdict."""
-        index, wildcard = facts.domain_reference_taint()
-        tainted: Set[int] = set(wildcard)
-        for name in diff.changed_names("domain"):
-            tainted.update(index.get(name, ()))
-        return tainted
+    def _remember_instantiations(self, facts: FactSet, outcomes: List) -> None:
+        self._instantiation_memo = (
+            facts,
+            outcomes,
+            tuple(o for o in outcomes if o.__class__ is Inconsistency),
+            tuple(o for o in outcomes if o.__class__ is str),
+        )
 
-    def _try_export_patch(self, delta) -> bool:
-        """Patch the cached facts in place for an exports-only delta.
-
-        Sound only when the delta changes *nothing but domain export
-        clauses*: instances, containment, references and views are then
-        functions of unchanged declarations, so swapping the domain-
-        granted permissions (and the specification pointer) yields
-        exactly the fact set a cold generation of the new specification
-        would build — in microseconds instead of a full expansion.
-        Returns False (leaving all state untouched) in every other case.
+    def _patch_facts(self, delta):
+        """Patch the cached facts in place if *delta* is owner-local:
+        every diff entry a *changed* system or domain whose containment
+        fields are as they were, nothing else the fingerprint covers
+        moved (DESIGN.md §3.2 has why that is sound).  Returns the
+        :class:`FactPatch`, or None — all state untouched — otherwise.
         """
         facts = self._facts
         if (
-            facts is None
-            or self._engine != "indexed"
+            self._engine != "indexed"
             or self._checked_references is not facts.references
             or not delta.diff.entries
         ):
-            return False
+            return None
         old_spec, new_spec = self._spec, delta.specification
-        changed: Dict[str, object] = {}
+        owners: List[Tuple[str, str]] = []
         for entry in delta.diff.entries:
-            if entry.kind != "domain" or entry.change != "changed":
-                return False
-            old = old_spec.domains.get(entry.name)
-            new = new_spec.domains.get(entry.name)
-            if old is None or new is None:
-                return False
-            if (
-                sorted(old.systems) != sorted(new.systems)
-                or sorted(old.subdomains) != sorted(new.subdomains)
-                or [(p.process_name, p.args) for p in old.processes]
-                != [(p.process_name, p.args) for p in new.processes]
-            ):
-                return False
-            changed[entry.name] = new
-        # The diff tracks processes/systems/domains; everything else in
-        # the fingerprint must be shared or value-equal for the patch to
-        # be sound.
-        if not self._same_entries(old_spec.types, new_spec.types):
-            return False
-        if (
-            old_spec.extras != new_spec.extras
-            or old_spec.extension_clauses != new_spec.extension_clauses
-        ):
-            return False
-        # Domain-granted permissions form the tail of the permission
-        # list (generation order: instance grants first); rebuild just
-        # that tail in the new specification's declaration order.
-        by_grantor = facts.permissions_by_grantor()
-        split = len(facts.permissions)
-        while split and facts.permissions[split - 1].grantor.startswith(
-            "domain:"
-        ):
-            split -= 1
-        new_permissions = facts.permissions[:split]
-        new_grants: Dict[str, List[Permission]] = {}
-        for domain in new_spec.domains.values():
-            replacement = changed.get(domain.name)
-            if replacement is None:
-                new_permissions.extend(
-                    by_grantor.get(f"domain:{domain.name}", ())
+            if entry.change != "changed" or entry.kind == "process":
+                return None
+            name = entry.name
+            if entry.kind == "domain":
+                old, new = old_spec.domains.get(name), new_spec.domains.get(name)
+                if (
+                    old is None
+                    or new is None
+                    or sorted(old.systems) != sorted(new.systems)
+                    or sorted(old.subdomains) != sorted(new.subdomains)
+                ):
+                    return None
+            elif name not in new_spec.systems or not facts.owners.direct.get(name):
+                return None  # a homeless element has no domain to taint
+            if name in new_spec.systems and name in new_spec.domains:
+                return None  # the two would share instance ordinals
+            owners.append((entry.kind, name))
+        # Not in the diff, but in the fingerprint — or, the order of the
+        # tables, in the order of the facts: all as it was, too.
+        if not (
+            self._same_entries(old_spec.types, new_spec.types)
+            and old_spec.extras == new_spec.extras
+            and old_spec.extension_clauses == new_spec.extension_clauses
+            and all(
+                old is new or list(old) == list(new)
+                for old, new in (
+                    (old_spec.systems, new_spec.systems),
+                    (old_spec.domains, new_spec.domains),
                 )
-                continue
-            grants: List[Permission] = []
-            for export in replacement.exports:
-                grants.append(
-                    Permission(
-                        grantor=f"domain:{domain.name}",
-                        grantor_domains=(domain.name,),
-                        grantee_domain=export.to_domain,
-                        variables=export.variables,
-                        access=export.access,
-                        frequency=export.frequency,
-                        origin=f"domain {domain.name} exports",
-                        location=export.location,
+            )
+        ):
+            return None
+        o = obs.current()
+        with o.span("consistency.facts.patch", owners=len(owners)) as span:
+            patch = facts.patch_owners(
+                FactGenerator(
+                    new_spec, self._tree, view_of=self._generator.view
+                ),
+                owners,
+            )
+            memo = self._instantiation_memo
+            if memo is not None and memo[0] is facts:
+                outcomes = memo[1]
+                moved = False
+                for start, old_length, length in patch.instances:
+                    fresh = self._instantiation_outcomes(
+                        facts, facts.instances[start:start + length]
                     )
-                )
-            new_permissions.extend(grants)
-            new_grants[domain.name] = grants
-        facts.permissions = new_permissions
-        # Patch the grantor index in place: every unchanged entry still
-        # holds the exact Permission objects in new_permissions, so only
-        # the changed domains' grants move (rebuilding the index walks
-        # every permission — a paper-scale internet has 100,000+).
-        for name, grants in new_grants.items():
-            key = f"domain:{name}"
-            if grants:
-                by_grantor[key] = grants
-            else:
-                by_grantor.pop(key, None)
-        facts.specification = new_spec
-        declarations = (
-            len(new_spec.processes)
-            + len(new_spec.systems)
-            + len(new_spec.domains)
-        )
-        facts.expansion = {
-            "expanded": len(changed),
-            "reused": declarations - len(changed),
-            "declarations": declarations,
-        }
-        # Permission-dependent state restarts; views, candidate sets and
-        # the containment tables survive (none read permissions).
-        self._index = None
-        if self._generator is not None:
-            for name in changed:
-                domain = new_spec.domains[name]
-                self._generator.note_declaration(
-                    "domain", name, domain.fingerprint_tuple()
-                )
-        # Splice the changed domains' entry fingerprints into old_spec's
-        # memoised table fingerprints rather than re-walking every
-        # declaration — at paper scale the full walk dominates an
-        # incremental recheck's budget.
-        new_spec.adopt_patched_fingerprints(old_spec, changed)
-        self._facts_fingerprint = new_spec.fingerprint_tuple()
-        return True
+                    moved |= any(fresh) or any(
+                        outcomes[start:start + old_length]
+                    )
+                    outcomes[start:start + old_length] = fresh
+                if moved:
+                    self._remember_instantiations(facts, outcomes)
+            # Permission- and instance-dependent state restarts.
+            self._index = None
+            self._candidate_memo = {}
+            self._facts_fingerprint = new_spec.adopt_fingerprints(
+                old_spec,
+                {
+                    "systems": [n for kind, n in owners if kind == "system"],
+                    "domains": [n for kind, n in owners if kind == "domain"],
+                },
+            )
+            span.annotate(
+                instances=sum(length for _s, _o, length in patch.instances),
+                references=sum(length for _s, _o, length in patch.references),
+                permissions=patch.permissions,
+                pending=len(patch.pending),
+            )
+        return patch
 
     @staticmethod
     def _same_entries(old: Dict, new: Dict) -> bool:
-        """Whether two declaration tables hold identical entry objects."""
+        """Whether two declaration tables hold the same entries: the
+        same objects, or (a re-parse) equal fingerprints."""
         if old is new:
             return True
         if len(old) != len(new):
             return False
-        return all(new.get(name) is spec for name, spec in old.items())
+        return all(
+            name in new
+            and (
+                new[name] is spec
+                or new[name].fingerprint_tuple() == spec.fingerprint_tuple()
+            )
+            for name, spec in old.items()
+        )
 
     # ------------------------------------------------------------------
     # The reduction step, optionally sharded per administrative domain
@@ -909,7 +900,7 @@ class ConsistencyChecker:
             return True
         if not candidates:
             return False
-        reference_view = self._view(reference.variables)
+        reference_view = self.view(reference.variables)
         for server in candidates:
             ok = self._server_covers(
                 reference, server, reference_view, facts, data_system
@@ -996,33 +987,37 @@ class ConsistencyChecker:
     # ------------------------------------------------------------------
     # Instantiation consistency: a process must fit its network element.
     # ------------------------------------------------------------------
-    def _check_instantiations(
-        self, facts: FactSet, warnings: List[str]
-    ) -> List[Inconsistency]:
-        """An agent's effective view is ``process supports ∩ element supports``.
+    def _instantiation_outcomes(
+        self, facts: FactSet, instances: Sequence[InstanceId]
+    ) -> List[Union[None, str, Inconsistency]]:
+        """One outcome per instance: nothing, a warning or a problem.
 
-        The paper's own example instantiates an agent supporting the full
-        MIB on an element without EGP — the view is silently clipped, so a
-        non-empty intersection is only worth a warning.  An *empty*
-        intersection means the instantiation can serve nothing: reported
-        as an inconsistency.
+        An agent's effective view is ``process supports ∩ element
+        supports``.  The paper's own example instantiates an agent
+        supporting the full MIB on an element without EGP — the view is
+        silently clipped, so a non-empty intersection is only worth a
+        warning.  An *empty* intersection means the instantiation can
+        serve nothing: reported as an inconsistency.
         """
-        problems: List[Inconsistency] = []
+        outcomes: List[Union[None, str, Inconsistency]] = []
         instance_supports = facts.instance_supports
         system_supports = facts.system_supports
-        for instance in facts.instances:
-            if instance.owner_kind != "system":
-                continue
-            supported = instance_supports[instance.id]
-            element_view = system_supports.get(instance.owner)
-            if element_view is None or supported.is_empty():
-                continue
-            state, effective_paths = self._fit(supported, element_view)
-            if state == "ok":
-                continue
-            if state == "empty":
-                problems.append(
-                    Inconsistency(
+        for instance in instances:
+            outcome = None
+            element_view = (
+                system_supports.get(instance.owner)
+                if instance.owner_kind == "system"
+                else None
+            )
+            if element_view is not None:
+                supported = instance_supports[instance.id]
+                state, effective_paths = (
+                    ("ok", None)
+                    if supported.is_empty()
+                    else self._fit(supported, element_view)
+                )
+                if state == "empty":
+                    outcome = Inconsistency(
                         kind=InconsistencyKind.INSTANTIATION_CONFLICT,
                         message=(
                             f"process {instance.process_name!r} on "
@@ -1031,14 +1026,14 @@ class ConsistencyChecker:
                             f"element: {sorted(element_view.paths())})"
                         ),
                     )
-                )
-            else:
-                warnings.append(
-                    f"process {instance.process_name!r} on {instance.owner!r}: "
-                    "supported view clipped to what the element supports "
-                    f"({effective_paths})"
-                )
-        return problems
+                elif state == "clipped":
+                    outcome = (
+                        f"process {instance.process_name!r} on "
+                        f"{instance.owner!r}: supported view clipped to what "
+                        f"the element supports ({effective_paths})"
+                    )
+            outcomes.append(outcome)
+        return outcomes
 
     def _fit(
         self, supported: MibView, element_view: MibView
@@ -1090,7 +1085,7 @@ class ConsistencyChecker:
                     reference=reference,
                 )
             ]
-        reference_view = self._view(reference.variables)
+        reference_view = self.view(reference.variables)
         failures: List[Tuple[InstanceId, Inconsistency]] = []
         successes = 0
         for server in candidates:
@@ -1225,7 +1220,7 @@ class ConsistencyChecker:
         causes: List[str] = []
         best_kind = InconsistencyKind.MISSING_PERMISSION
         for permission in permissions:
-            permission_view = self._view(permission.variables)
+            permission_view = self.view(permission.variables)
             verdict = permission_covers(
                 reference,
                 permission,
@@ -1295,37 +1290,23 @@ class ConsistencyChecker:
                 )
         return warnings
 
-    def _view(self, paths: Sequence[str]) -> MibView:
-        if self._generator is not None:
-            return self._generator.view(paths)
-        key = tuple(paths)
-        cached = self._view_cache.get(key)
-        if cached is None:
-            cached = MibView(
-                self._tree, [path for path in paths if self._tree.knows(path)]
-            )
-            self._view_cache[key] = cached
-        return cached
-
     # ------------------------------------------------------------------
     # Public accessors for differential clients (repro.consistency.impact).
     # ------------------------------------------------------------------
     def view(self, paths: Sequence[str]) -> MibView:
-        """A (cached) MIB view over ``paths``, sharing the checker's memo."""
-        return self._view(paths)
+        """The interned MIB view over ``paths``."""
+        return self._generator.view(paths)
 
-    def reference_verdicts(self):
-        """Per-reference verdicts from the last check/recheck.
+    @property
+    def checked_facts(self) -> Optional[FactSet]:
+        """:attr:`facts` as last reduced: no staleness (fingerprint) pass."""
+        return self._facts
 
-        Returns a list of ``(reference, problems)`` pairs aligned with the
-        checked reference list, or ``None`` if no check has run yet.  The
-        returned list is a snapshot: a subsequent :meth:`recheck` replaces
-        the underlying storage rather than mutating it, so callers may
-        hold the result across a recheck to compare old vs new verdicts.
-        """
-        if self._verdict_list is None or self._checked_references is None:
-            return None
-        return list(zip(self._checked_references, self._verdict_list))
+    def verdict_changes(self) -> List[Tuple]:
+        """``(reference, old problems, new problems)`` for each verdict
+        the last :meth:`recheck` moved, in reference order (a new
+        reference had none), then for each reference it dropped."""
+        return self._verdict_changes
 
 
 def check_with_clpr(

@@ -16,8 +16,10 @@ true of re-checking consistency.  This module provides:
   tags a diff taints, and whether a reference touches any of them;
 * :class:`DeltaChecker` — the convenience wrapper: feed it successive
   specification versions and it keeps one persistent
-  :class:`ConsistencyChecker` warm, so fact expansion is incremental
-  (only declarations the diff touched are re-expanded) and only the
+  :class:`ConsistencyChecker` warm.  A delta that only changes system
+  and domain declarations in place (containment and the process table
+  as they were) re-expands just those owners inside the cached fact
+  set; any other delta regenerates the facts.  Either way only the
   references that could be affected are re-reduced, with untouched
   verdicts reused.  A reference is affected when its client instance,
   its target, or any domain containing either changed.
@@ -99,13 +101,19 @@ def diff_specifications(
             # no per-entry walk — at paper scale the unchanged 100,000-
             # system table dominates the diff otherwise.
             continue
-        for name in sorted(set(old_table) | set(new_table)):
+        # Entries shared by identity (all but a few, in the replace-one-
+        # entry idiom) drop out before anything is sorted or compared.
+        moved = [
+            name
+            for name, entry in old_table.items()
+            if new_table.get(name) is not entry
+        ]
+        moved.extend(name for name in new_table if name not in old_table)
+        for name in sorted(moved):
             if name not in new_table:
                 diff.entries.append(DiffEntry(kind, name, "removed"))
             elif name not in old_table:
                 diff.entries.append(DiffEntry(kind, name, "added"))
-            elif old_table[name] is new_table[name]:
-                continue
             elif _fingerprint(old_table[name]) != _fingerprint(new_table[name]):
                 diff.entries.append(DiffEntry(kind, name, "changed"))
     return diff
@@ -177,6 +185,14 @@ def affected_entities(diff: SpecificationDiff, facts: FactSet) -> Set[str]:
             if process is not None:
                 for proxied in process.proxied_systems():
                     answered.add(f"system:{proxied}")
+                if process.is_agent():
+                    # ...and a ``domain:D`` reference is covered over
+                    # every agent under D (a tag of its own: the domain
+                    # did not change, its clients are not tainted).
+                    answered.update(
+                        f"agents:{domain}"
+                        for domain in facts.domains_of(instance)
+                    )
     affected.update(answered)
     return affected
 
@@ -185,7 +201,10 @@ def reference_affected(reference, affected: Set[str]) -> bool:
     """Could this reference's verdict have changed under the taint set?"""
     if reference.client in affected:
         return True
-    if reference.server in affected:
+    kind, _sep, name = reference.server.partition(":")
+    if reference.server in affected or (
+        kind == "domain" and f"agents:{name}" in affected
+    ):
         return True
     if reference.server == "*":
         # Wildcard coverage can shift with any change at all.

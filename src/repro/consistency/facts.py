@@ -131,6 +131,22 @@ class Containment:
 
 
 @dataclass
+class FactPatch:
+    """What :meth:`FactSet.patch_owners` replaced, owner by owner in rank
+    order; each position is valid once the entries before it are applied."""
+
+    #: (start, old length, new length) in ``FactSet.instances``.
+    instances: List[Tuple[int, int, int]] = field(default_factory=list)
+    #: (start, the references replaced, new length) in ``references``.
+    references: List[Tuple[int, List[Reference], int]] = field(
+        default_factory=list
+    )
+    permissions: int = 0  # grants and exports re-expanded
+    #: positions (after the patch) of the references to reduce again.
+    pending: Set[int] = field(default_factory=set)
+
+
+@dataclass
 class FactSet:
     """Everything the checker needs, plus CLP(R) rendering."""
 
@@ -145,9 +161,24 @@ class FactSet:
     system_supports: Dict[str, MibView] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
     #: expansion accounting filled in by :class:`IncrementalFactGenerator`:
-    #: how many declarations were expanded fresh vs reused from the
-    #: previous generation (empty for the plain :class:`FactGenerator`).
+    #: how many declarations the last generation or patch expanded and
+    #: how many it left alone (empty for the plain :class:`FactGenerator`).
     expansion: Dict[str, int] = field(default_factory=dict)
+
+    def note_expansion(self, expanded: Optional[int] = None) -> None:
+        """Record that *expanded* declarations (default: every one) were
+        expanded to bring this fact set to its specification."""
+        spec = self.specification
+        declarations = (
+            len(spec.processes) + len(spec.systems) + len(spec.domains)
+        )
+        if expanded is None:
+            expanded = declarations
+        self.expansion = {
+            "expanded": expanded,
+            "reused": declarations - expanded,
+            "declarations": declarations,
+        }
 
     # ------------------------------------------------------------------
     # Containment: the edge list and the owner-keyed closure.
@@ -235,39 +266,64 @@ class FactSet:
         export clauses change appears in its position set; ``wildcard``
         holds the positions of run-time (``*``) targets, affected by any
         delta.  A function of references, containment and instances
-        only, so it survives an exports-only permission patch; the
-        checker uses it to re-reduce a handful of references after a
-        one-domain delta instead of the whole internet.
+        only — :meth:`patch_owners` keeps it exact — so the checker
+        re-reduces a handful of references after a one-owner delta
+        instead of the whole internet.
         """
         if self._taint_cache is not None:
             return self._taint_cache
-        index: Dict[str, Set[int]] = {}
-        wildcard: Set[int] = set()
-        for position, reference in enumerate(self.references):
+        self._taint_cache = ({}, set())
+        self._retaint(range(len(self.references)), add=True)
+        return self._taint_cache
+
+    def _server_taint(self, server: str) -> Set[str]:
+        """The domains around whatever may answer for *server*: their
+        export clauses are the ones a reference to it reads."""
+        domains: Set[str] = set()
+        kind, _sep, name = server.partition(":")
+        if kind == "domain":
+            domains.add(name)
+            domains.update(self.domains_of(server))
+            # Any agent inside answers, under its own subdomains' grants.
+            for agent in self.agents():
+                around = self.domains_of(agent)
+                if name in around:
+                    domains.update(around)
+        elif kind == "system":
+            domains.update(self.domains_of(server))
+            # An agentless element may be proxy-managed from another
+            # domain; taint the proxies' domains too.
+            for proxy in self.proxies_for_system(name):
+                domains.update(self.domains_of(proxy))
+        elif kind == "process":
+            for instance in self.instances_of_process(name):
+                domains.update(self.domains_of(instance))
+        return domains
+
+    def _retaint(self, positions, add: bool) -> None:
+        """Enter (or withdraw) the references at *positions* in the taint
+        index, as the fact set stands now."""
+        index, wildcard = self._taint_cache
+        servers: Dict[str, Set[str]] = {}
+        for position in positions:
+            reference = self.references[position]
             server = reference.server
             if server == "*":
-                wildcard.add(position)
+                (wildcard.add if add else wildcard.discard)(position)
                 continue
-            # The client's domains grant implicit/exported access...
-            domains = set(reference.client_domains)
-            kind, _sep, name = server.partition(":")
-            if kind == "domain":
-                # ...and so do the server side's containing domains.
-                domains.add(name)
-                domains.update(self.domains_of(server))
-            elif kind == "system":
-                domains.update(self.domains_of(server))
-                # An agentless element may be proxy-managed from another
-                # domain; taint the proxies' domains too.
-                for proxy in self.proxies_for_system(name):
-                    domains.update(self.domains_of(proxy))
-            elif kind == "process":
-                for instance in self.instances_of_process(name):
-                    domains.update(self.domains_of(instance))
-            for domain in domains:
-                index.setdefault(domain, set()).add(position)
-        self._taint_cache = (index, wildcard)
-        return self._taint_cache
+            server_side = servers.get(server)
+            if server_side is None:
+                server_side = servers[server] = self._server_taint(server)
+            # The client's domains grant implicit/exported access, the
+            # server side's the rest.
+            for domain in server_side.union(reference.client_domains):
+                if add:
+                    index.setdefault(domain, set()).add(position)
+                else:
+                    tainted = index[domain]
+                    tainted.discard(position)
+                    if not tainted:
+                        del index[domain]
 
     _grantor_cache: Optional[Dict[str, List[Permission]]] = None
 
@@ -332,6 +388,222 @@ class FactSet:
                     index.setdefault(proxied, []).append(instance)
             self._proxy_cache = index
         return self._proxy_cache.get(system_name, [])
+
+    # ------------------------------------------------------------------
+    # The owner-scoped patch (DESIGN.md §3.2).  ``instances``,
+    # ``permissions`` (instance grants, then domain exports),
+    # ``references`` and every instance-ordered index are sorted by the
+    # rank of the owner that produced each entry: an owner's segment is
+    # found by bisection.
+    # ------------------------------------------------------------------
+    _rank_cache: Optional[Tuple[Dict[str, int], Dict[str, int]]] = None
+
+    def owner_ranks(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """(system -> rank, domain -> rank) in cold-generation order:
+        systems in table order, then domains (built on first use; a
+        patch never reorders it)."""
+        if self._rank_cache is None:
+            spec = self.specification
+            systems = {name: rank for rank, name in enumerate(spec.systems)}
+            domains = enumerate(spec.domains, len(systems))
+            self._rank_cache = (systems, {name: rank for rank, name in domains})
+        return self._rank_cache
+
+    def owner_rank(self, kind: str, name: str) -> int:
+        return self.owner_ranks()[kind == "domain"][name]
+
+    def _instance_rank(self, instance: InstanceId) -> int:
+        return self.owner_rank(instance.owner_kind, instance.owner)
+
+    def _reference_rank(self, reference: Reference) -> int:
+        client = reference.client.partition(":")[2]
+        return self._instance_rank(self._instance_cache[client])
+
+    def _exports_rank(self, domain: str) -> int:
+        """A domain's exports follow every instance grant."""
+        spec = self.specification
+        owners = len(spec.systems) + len(spec.domains)
+        return self.owner_rank("domain", domain) + owners
+
+    def _grantor_rank(self, permission: Permission) -> int:
+        kind, _sep, name = permission.grantor.partition(":")
+        if kind == "domain":
+            return self._exports_rank(name)
+        return self._instance_rank(self._instance_cache[name])
+
+    @staticmethod
+    def _owned(items: Sequence, rank: int, rank_of) -> Tuple[int, int]:
+        """``[start, end)`` of the entries of rank-sorted *items* whose
+        owner has *rank* (where they would go, when it has none)."""
+        start, high = 0, len(items)
+        while start < high:
+            middle = (start + high) // 2
+            if rank_of(items[middle]) < rank:
+                start = middle + 1
+            else:
+                high = middle
+        end = start
+        while end < len(items) and rank_of(items[end]) == rank:
+            end += 1
+        return start, end
+
+    def patch_owners(
+        self, generator: "FactGenerator", owners: Sequence[Tuple[str, str]]
+    ) -> "FactPatch":
+        """Re-expand only *owners* from *generator*'s specification, in place.
+
+        *owners* are the ``(kind, name)`` of system and domain
+        declarations that changed while containment, the process table
+        and the order of the declaration tables did not: what an owner
+        contributes is then a function of its own declaration alone, so
+        replacing its segment of each list and its entries in each lazy
+        index yields the fact set a cold generation would build.
+        """
+        spec = generator._spec
+        processes = spec.processes
+        self.domain_reference_taint()
+        by_grantor = self.permissions_by_grantor()
+        self.instance_by_id("")  # references and grants are ranked through it
+        around = self.owners.around
+        homes = {
+            (kind, name): (name,) if kind == "domain"
+            else self.owners.direct[name]
+            for kind, name in owners
+        }
+        # Whatever read these domains' exports, or reached a server
+        # inside them, before the patch ...
+        reach = {domain for home in homes.values() for domain in home}
+        index = self._taint_cache[0]
+        pending = set().union(*(index.get(domain, ()) for domain in reach))
+        self.specification = spec
+        self.__dict__.pop("containment", None)  # edge list: rebuilt on use
+        patch = FactPatch()
+        for rank, kind, name in sorted(
+            (self.owner_rank(kind, name), kind, name) for kind, name in owners
+        ):
+            owner = (spec.domains if kind == "domain" else spec.systems)[name]
+            i0, i1 = self._owned(self.instances, rank, self._instance_rank)
+            g0, g1 = self._owned(self.permissions, rank, self._grantor_rank)
+            r0, r1 = self._owned(self.references, rank, self._reference_rank)
+            old = self.instances[i0:i1]
+            new: List[InstanceId] = []
+            generator._make_instances(kind, (owner,), {}, new)
+            # References elsewhere answered by a process type this
+            # owner starts or stops instantiating: their taint moves.
+            answered: Set[str] = set()
+            for process_name in {i.process_name for i in old} ^ {
+                i.process_name for i in new
+            }:
+                process = processes[process_name]
+                answered.add(f"process:{process_name}")
+                answered.update(
+                    f"system:{proxied}" for proxied in process.proxied_systems()
+                )
+                if process.is_agent():
+                    answered.update(
+                        f"domain:{domain}"
+                        for domain in around(homes[kind, name])
+                    )
+            others = [
+                position
+                for position, reference in enumerate(self.references)
+                if reference.server in answered and not r0 <= position < r1
+            ] if answered else []
+            self._retaint([*range(r0, r1), *others], add=False)
+            pending.difference_update(range(r0, r1))
+            for instance in old:
+                del self._instance_cache[instance.id]
+                del self.instance_supports[instance.id]
+            for permission in self.permissions[g0:g1]:
+                by_grantor.pop(permission.grantor, None)
+            generator._make_views(
+                self, (owner,) if kind == "system" else (), new
+            )
+            grants: List[Permission] = []
+            generator._make_grants(self, new, grants)
+            references: List[Reference] = []
+            generator._make_references(self, new, references)
+            patch.instances.append((i0, i1 - i0, len(new)))
+            patch.references.append((r0, self.references[r0:r1], len(references)))
+            patch.permissions += len(grants)
+            self.instances[i0:i1] = new
+            self.permissions[g0:g1] = grants
+            self.references[r0:r1] = references
+            for instance in new:
+                self._instance_cache[instance.id] = instance
+            for permission in grants:
+                by_grantor.setdefault(permission.grantor, []).append(permission)
+            self._swap_instances(rank, old, new)
+            if kind == "domain":
+                e0, e1 = self._owned(
+                    self.permissions, self._exports_rank(name), self._grantor_rank
+                )
+                exports: List[Permission] = []
+                generator._make_exports((owner,), exports)
+                self.permissions[e0:e1] = exports
+                by_grantor.pop(f"domain:{name}", None)
+                if exports:
+                    by_grantor[f"domain:{name}"] = exports
+                patch.permissions += len(exports)
+            grown = len(references) - (r1 - r0)
+            if grown:
+                def shifted(positions):
+                    return {p + grown if p >= r1 else p for p in positions}
+
+                index, wildcard = self._taint_cache
+                for domain in index:
+                    index[domain] = shifted(index[domain])
+                self._taint_cache = (index, shifted(wildcard))
+                pending = shifted(pending)
+                others = shifted(others)
+            fresh = range(r0, r0 + len(references))
+            self._retaint([*fresh, *others], add=True)
+            pending.update(fresh)
+        # ... and whatever does now, plus every run-time target.
+        index, wildcard = self._taint_cache
+        pending.update(wildcard, *(index.get(domain, ()) for domain in reach))
+        patch.pending = pending
+        self.note_expansion(len(owners))
+        return patch
+
+    def _swap_instances(
+        self, rank: int, old: List[InstanceId], new: List[InstanceId]
+    ) -> None:
+        """Replace one owner's entries in the instance-ordered indexes
+        that have been built (the others build from the patched list)."""
+        processes = self.specification.processes
+
+        def swap(index, keys_of) -> None:
+            if index is None:
+                return
+            members: Dict[str, List[InstanceId]] = {}
+            for instance in new:
+                for key in keys_of(instance):
+                    members.setdefault(key, []).append(instance)
+            for key in {
+                key for instance in old for key in keys_of(instance)
+            }.union(members):
+                items = index.setdefault(key, [])
+                start, end = self._owned(items, rank, self._instance_rank)
+                items[start:end] = members.get(key, ())
+                if not items:
+                    del index[key]
+
+        swap(self._by_process_cache, lambda i: (i.process_name,))
+        swap(
+            self._by_system_cache,
+            lambda i: (i.owner,) if i.owner_kind == "system" else (),
+        )
+        swap(
+            self._proxy_cache,
+            lambda i: processes[i.process_name].proxied_systems(),
+        )
+        if self._agents_cache is not None:
+            # The one unkeyed list: lend it a key for the swap.
+            swap(
+                {"": self._agents_cache},
+                lambda i: ("",) if processes[i.process_name].is_agent() else (),
+            )
 
     # ------------------------------------------------------------------
     # CLP(R) text rendering (the paper's consistency output format).
@@ -603,57 +875,67 @@ class FactGenerator:
         self._view_of = view_of
 
     def generate(self) -> FactSet:
-        facts = FactSet(self._spec, self._tree)
+        spec = self._spec
+        facts = FactSet(spec, self._tree)
         span = obs.current().span
         with span("consistency.facts.instances"):
-            self._make_instances(facts)
+            counters: Dict[Tuple[str, str], int] = {}
+            for kind, table in (("system", spec.systems), ("domain", spec.domains)):
+                self._make_instances(
+                    kind, table.values(), counters, facts.instances
+                )
         with span("consistency.facts.containment"):
             facts.owners  # built here so the phase is attributed
         with span("consistency.facts.views"):
-            self._make_views(facts)
+            self._make_views(facts, spec.systems.values(), facts.instances)
         with span("consistency.facts.permissions"):
-            self._make_permissions(facts)
+            self._make_grants(facts, facts.instances, facts.permissions)
+            self._make_exports(spec.domains.values(), facts.permissions)
         with span("consistency.facts.references"):
-            self._make_references(facts)
+            self._make_references(facts, facts.instances, facts.references)
         return facts
 
+    # Each step expands the owners or instances it is handed into *out*:
+    # all of them for a cold generation, one owner's for
+    # :meth:`FactSet.patch_owners` — one code, so one result.
     # ------------------------------------------------------------------
     # Instantiation (instan/3).
     # ------------------------------------------------------------------
-    def _make_instances(self, facts: FactSet) -> None:
+    def _make_instances(
+        self,
+        owner_kind: str,
+        owners,
+        counters: Dict[Tuple[str, str], int],
+        out: List[InstanceId],
+    ) -> None:
         # Ordinals count per (owner, process) so instance ids are stable
         # when specifications are merged (the speculative what-if relies
         # on re-identifying pre-existing instances).
-        counters: Dict[Tuple[str, str], int] = {}
         processes = self._spec.processes
-        for owner_kind, owners in (
-            ("system", self._spec.systems),
-            ("domain", self._spec.domains),
-        ):
-            for owner in owners.values():
-                for invocation in owner.processes:
-                    if invocation.process_name not in processes:
-                        continue  # linker already reported this
-                    key = (owner.name, invocation.process_name)
-                    ordinal = counters[key] = counters.get(key, 0) + 1
-                    facts.instances.append(
-                        InstanceId(
-                            owner.name,
-                            owner_kind,
-                            invocation.process_name,
-                            ordinal,
-                            invocation.args,
-                        )
+        for owner in owners:
+            for invocation in owner.processes:
+                if invocation.process_name not in processes:
+                    continue  # linker already reported this
+                key = (owner.name, invocation.process_name)
+                ordinal = counters[key] = counters.get(key, 0) + 1
+                out.append(
+                    InstanceId(
+                        owner.name,
+                        owner_kind,
+                        invocation.process_name,
+                        ordinal,
+                        invocation.args,
                     )
+                )
 
     # ------------------------------------------------------------------
     # Supported views.
     # ------------------------------------------------------------------
-    def _make_views(self, facts: FactSet) -> None:
-        for system in self._spec.systems.values():
+    def _make_views(self, facts: FactSet, systems, instances) -> None:
+        for system in systems:
             facts.system_supports[system.name] = self._view(system.supports)
         by_process: Dict[str, MibView] = {}
-        for instance in facts.instances:
+        for instance in instances:
             view = by_process.get(instance.process_name)
             if view is None:
                 view = by_process[instance.process_name] = self._view(
@@ -670,14 +952,16 @@ class FactGenerator:
     # ------------------------------------------------------------------
     # Permissions (perm_eq/perm_gt).
     # ------------------------------------------------------------------
-    def _make_permissions(self, facts: FactSet) -> None:
-        for instance in facts.instances:
+    def _make_grants(
+        self, facts: FactSet, instances, out: List[Permission]
+    ) -> None:
+        for instance in instances:
             process = self._spec.processes[instance.process_name]
             if not process.exports:
                 continue
             grantor_domains = facts.domains_of(instance)
             for export in process.exports:
-                facts.permissions.append(
+                out.append(
                     Permission(
                         grantor=f"instance:{instance.id}",
                         grantor_domains=grantor_domains,
@@ -689,9 +973,12 @@ class FactGenerator:
                         location=export.location,
                     )
                 )
-        for domain in self._spec.domains.values():
+
+    @staticmethod
+    def _make_exports(domains, out: List[Permission]) -> None:
+        for domain in domains:
             for export in domain.exports:
-                facts.permissions.append(
+                out.append(
                     Permission(
                         grantor=f"domain:{domain.name}",
                         grantor_domains=(domain.name,),
@@ -707,15 +994,17 @@ class FactGenerator:
     # ------------------------------------------------------------------
     # References (ref_eq/ref_gt).
     # ------------------------------------------------------------------
-    def _make_references(self, facts: FactSet) -> None:
-        for instance in facts.instances:
+    def _make_references(
+        self, facts: FactSet, instances, out: List[Reference]
+    ) -> None:
+        for instance in instances:
             process = self._spec.processes[instance.process_name]
             if not process.queries:
                 continue
             client_domains = facts.domains_of(instance)
             for query in process.queries:
                 server = self._resolve_target(process, instance, query.target)
-                facts.references.append(
+                out.append(
                     Reference(
                         client=f"instance:{instance.id}",
                         client_domains=client_domains,
@@ -756,30 +1045,24 @@ class FactGenerator:
 
 
 class IncrementalFactGenerator:
-    """Memoizing fact generation across specification versions.
+    """Fact generation across specification versions.
 
-    The scalable engine's generation path, re-usable across evolution
-    deltas:
+    The scalable engine's generation path:
 
     * :class:`MibView` objects are interned per paths-tuple, so a
       10,000-element internet whose elements share one ``supports`` list
-      resolves it once, not once per element;
-    * per-declaration fingerprints (:meth:`ProcessSpec.fingerprint_tuple`
-      et al.) are compared across calls, and the expanded/reused split is
-      recorded in :attr:`FactSet.expansion` — an incremental recheck
-      after a single-declaration delta performs strictly less expansion
-      than a cold generation, which ``tests/consistency`` asserts.
+      resolves it once, not once per element — and never again in a
+      later version;
+    * :meth:`generate` expands every declaration; an owner-local delta
+      instead re-expands only the owners it changed, inside the fact set
+      the previous version left (:meth:`FactSet.patch_owners`, with this
+      generator's interner).  Either way :attr:`FactSet.expansion`
+      counts what was actually expanded.
     """
 
     def __init__(self, tree: MibTree):
         self._tree = tree
         self._views: Dict[Tuple[str, ...], MibView] = {}
-        #: declaration kind -> name -> the fingerprint last generated from.
-        self._seen: Dict[str, Dict[str, Tuple]] = {}
-
-    @property
-    def tree(self) -> MibTree:
-        return self._tree
 
     def view(self, paths: Sequence[str]) -> MibView:
         """The interned view for a paths-tuple (tree-scoped, never stale)."""
@@ -793,56 +1076,9 @@ class IncrementalFactGenerator:
             self._views[key] = got
         return got
 
-    def generate(
-        self,
-        specification: Specification,
-        fingerprint_tuple: Optional[Tuple] = None,
-    ) -> FactSet:
-        if fingerprint_tuple is not None:
-            # Reuse the caller's whole-spec fingerprint pass: entries for
-            # processes/systems/domains each lead with (kind, name).
-            fingerprints = {
-                kind: {declaration[1]: declaration for declaration in table}
-                for kind, table in zip(
-                    ("process", "system", "domain"), fingerprint_tuple[1:4]
-                )
-            }
-        else:
-            fingerprints = {
-                kind: {
-                    name: declaration.fingerprint_tuple()
-                    for name, declaration in table.items()
-                }
-                for kind, table in (
-                    ("process", specification.processes),
-                    ("system", specification.systems),
-                    ("domain", specification.domains),
-                )
-            }
-        declarations = expanded = 0
-        for kind, table in fingerprints.items():
-            seen = self._seen.get(kind, {})
-            declarations += len(table)
-            for name, fingerprint in table.items():
-                if seen.get(name) != fingerprint:
-                    expanded += 1
+    def generate(self, specification: Specification) -> FactSet:
         facts = FactGenerator(
             specification, self._tree, view_of=self.view
         ).generate()
-        facts.expansion = {
-            "expanded": expanded,
-            "reused": declarations - expanded,
-            "declarations": declarations,
-        }
-        self._seen = fingerprints
+        facts.note_expansion()
         return facts
-
-    def note_declaration(self, kind: str, name: str, fingerprint: Tuple) -> None:
-        """Record that a declaration's current fingerprint has been seen.
-
-        Used by the checker's exports-only patch path, which updates the
-        cached fact set without a :meth:`generate` call: noting the
-        patched declarations keeps the expanded/reused accounting of the
-        *next* full generation honest.
-        """
-        self._seen.setdefault(kind, {})[name] = fingerprint

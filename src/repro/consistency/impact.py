@@ -23,15 +23,18 @@ set lives in :mod:`repro.rollout.gate`.
 Cost model
 ----------
 :meth:`ImpactAnalyzer.analyze` piggybacks on one persistent
-:class:`~repro.consistency.checker.ConsistencyChecker`.  On the
-exports-only fast path the recheck patches the cached fact set **in
-place**, so everything that reads A-side state (config fingerprints for
-impacted elements, the permission index snapshot, the verdict snapshot)
-is captured *before* the recheck runs; verdict comparison then touches
-only the tainted reference positions.  Config fingerprinting is scoped
-to the impacted elements by default — ``config_scope="full"`` hashes
-every element on both sides, which additionally exposes
-config-rewrites-without-spec-cause (NM403) at full-check cost.
+:class:`~repro.consistency.checker.ConsistencyChecker`.  An owner-local
+delta makes the recheck patch the cached fact set **in place**, so
+A-side state (config fingerprints for impacted elements, the grants of
+the grantors the diff names) is captured *before* the recheck runs; the
+verdict flips are the verdicts the recheck itself moved
+(:meth:`ConsistencyChecker.verdict_changes`).  Nothing here walks the
+model, not even for a whole-spec fingerprint: only the diff, the
+impacted elements and the re-reduced references.
+Config fingerprinting is scoped to the impacted elements by default —
+``config_scope="full"`` hashes every element on both sides, which
+additionally exposes config-rewrites-without-spec-cause (NM403) at
+full-check cost.
 """
 
 from __future__ import annotations
@@ -446,10 +449,11 @@ class ImpactAnalyzer:
         )
 
         # ---- A-side state, captured before the recheck can patch the
-        # cached fact set in place (the exports-only fast path mutates
-        # facts.permissions and the grantor index rather than building a
-        # new FactSet).
-        old_facts = checker.facts
+        # cached fact set in place (an owner-local delta replaces the
+        # owners' segments and index entries rather than building a new
+        # FactSet).  Like ``recheck``, the delta is taken against the
+        # revision as it was last analyzed: no staleness test.
+        old_facts = checker.checked_facts
         if self._config_scope == "full":
             old_scope = None
         else:
@@ -462,12 +466,16 @@ class ImpactAnalyzer:
             if old_scope is None or old_scope
             else {tag: {} for tag in self._tags}
         )
-        old_by_grantor = dict(old_facts.permissions_by_grantor())
-        old_verdicts = checker.reference_verdicts()
-        old_instance_grantors = self._instance_grantors(diff, old_facts)
+        grantors = self._grantors(diff, old_facts)
+        by_grantor = old_facts.permissions_by_grantor()
+        old_grants = {
+            grantor: by_grantor[grantor]
+            for grantor in grantors
+            if grantor in by_grantor
+        }
 
         result = checker.recheck(delta, jobs=self._jobs)
-        new_facts = checker.facts
+        new_facts = checker.checked_facts
 
         # ---- B-side fingerprints over the impacted scope.
         if self._config_scope == "full":
@@ -482,16 +490,31 @@ class ImpactAnalyzer:
             else {tag: {} for tag in self._tags}
         )
 
-        verdict_flips = self._verdict_flips(
-            diff, result, old_verdicts, checker, new_facts
-        )
-        permission_changes = self._permission_changes(
-            diff,
-            old_by_grantor,
-            new_facts,
-            old_instance_grantors,
-            checker,
-        )
+        verdict_flips = [
+            VerdictFlip(
+                _flip_kind(old_problems, new_problems),
+                reference,
+                tuple(old_problems),
+                tuple(new_problems),
+            )
+            for reference, old_problems, new_problems
+            in checker.verdict_changes()
+            if _verdict_signature(old_problems)
+            != _verdict_signature(new_problems)
+        ]
+        grantors |= self._grantors(diff, new_facts)
+        by_grantor = new_facts.permissions_by_grantor()
+        permission_changes: List[PermissionChange] = []
+        for grantor in sorted(grantors):
+            permission_changes.extend(
+                grantor_permission_changes(
+                    grantor,
+                    old_grants.get(grantor, ()),
+                    by_grantor.get(grantor, ()),
+                    checker.view,
+                    PUBLIC_DOMAIN,
+                )
+            )
         config_changes: List[ConfigChange] = []
         for tag in self._tags:
             old_map = old_prints.get(tag, {})
@@ -538,119 +561,20 @@ class ImpactAnalyzer:
             stats=stats,
         )
 
-    # ------------------------------------------------------------------
-    # Verdict comparison.
-    # ------------------------------------------------------------------
-    def _verdict_flips(
-        self, diff, result, old_verdicts, checker, new_facts
-    ) -> List[VerdictFlip]:
-        flips: List[VerdictFlip] = []
-        new_verdicts = checker.reference_verdicts() or []
-        if old_verdicts is None:
-            old_verdicts = []
-        if result.stats.get("patched"):
-            # Same reference list by position; only tainted positions can
-            # have moved (everything else reused its verdict verbatim).
-            index, wildcard = new_facts.domain_reference_taint()
-            tainted = set(wildcard)
-            for name in diff.changed_names("domain"):
-                tainted.update(index.get(name, ()))
-            for position in sorted(tainted):
-                reference, new_problems = new_verdicts[position]
-                old_problems = old_verdicts[position][1]
-                if _verdict_signature(old_problems) != _verdict_signature(
-                    new_problems
-                ):
-                    flips.append(
-                        VerdictFlip(
-                            _flip_kind(old_problems, new_problems),
-                            reference,
-                            tuple(old_problems),
-                            tuple(new_problems),
-                        )
-                    )
-            return flips
-        # Regenerated facts: align by reference key, like the recheck's
-        # own verdict-reuse path (O(references), the same order the
-        # non-patched recheck already paid).
-        key = ConsistencyChecker._reference_key
-        old_map = {
-            key(reference): (reference, problems)
-            for reference, problems in old_verdicts
-        }
-        new_keys = set()
-        for reference, new_problems in new_verdicts:
-            reference_key = key(reference)
-            new_keys.add(reference_key)
-            old_entry = old_map.get(reference_key)
-            old_problems = old_entry[1] if old_entry is not None else ()
-            if _verdict_signature(old_problems) != _verdict_signature(
-                new_problems
-            ):
-                flips.append(
-                    VerdictFlip(
-                        _flip_kind(old_problems, new_problems),
-                        reference,
-                        tuple(old_problems),
-                        tuple(new_problems),
-                    )
-                )
-        for reference_key, (reference, old_problems) in old_map.items():
-            if reference_key not in new_keys and old_problems:
-                # The offending reference itself disappeared in B.
-                flips.append(
-                    VerdictFlip("fixed", reference, tuple(old_problems), ())
-                )
-        return flips
-
-    # ------------------------------------------------------------------
-    # Permission comparison.
-    # ------------------------------------------------------------------
     @staticmethod
-    def _instance_grantors(diff, facts) -> Set[str]:
-        """Instance grantor tags the diff could re-grant.
-
-        Empty for domain-only deltas without an instance scan, keeping
-        the exports-only fast path O(change).
-        """
-        changed_processes = diff.changed_names("process")
-        changed_systems = diff.changed_names("system")
-        if not changed_processes and not changed_systems:
-            return set()
-        keys: Set[str] = set()
-        for instance in facts.instances:
-            if instance.process_name in changed_processes or (
-                instance.owner_kind == "system"
-                and instance.owner in changed_systems
-            ):
-                keys.add(f"instance:{instance.id}")
-        return keys
-
-    def _permission_changes(
-        self,
-        diff,
-        old_by_grantor,
-        new_facts,
-        old_instance_grantors,
-        checker,
-    ) -> List[PermissionChange]:
-        grantors = {
-            f"domain:{name}" for name in diff.changed_names("domain")
-        }
-        grantors.update(old_instance_grantors)
-        grantors.update(self._instance_grantors(diff, new_facts))
-        if not grantors:
-            return []
-        new_by_grantor = new_facts.permissions_by_grantor()
-        changes: List[PermissionChange] = []
-        for grantor in sorted(grantors):
-            changes.extend(
-                grantor_permission_changes(
-                    grantor,
-                    old_by_grantor.get(grantor, ()),
-                    new_by_grantor.get(grantor, ()),
-                    checker.view,
-                    PUBLIC_DOMAIN,
-                )
+    def _grantors(diff, facts) -> Set[str]:
+        """Grantor tags the diff could re-grant: the changed domains and
+        the instances of changed systems and processes — looked up, not
+        scanned for, so a one-owner delta stays O(change)."""
+        grantors = {f"domain:{name}" for name in diff.changed_names("domain")}
+        for name in diff.changed_names("system"):
+            grantors.update(
+                f"instance:{instance.id}"
+                for instance in facts.instances_on_system(name)
             )
-        return changes
+        for name in diff.changed_names("process"):
+            grantors.update(
+                f"instance:{instance.id}"
+                for instance in facts.instances_of_process(name)
+            )
+        return grantors

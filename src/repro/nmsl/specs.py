@@ -383,65 +383,43 @@ class Specification:
     #: signature is recomputed on *every* lookup — it is the mechanism
     #: that makes in-place table mutation visible — but it is one
     #: ``id()`` per entry, while re-deriving the fingerprint would sort
-    #: and walk every declaration.  The sorted names ride along so an
-    #: exports-only patch can splice one entry's fingerprint by binary
-    #: search instead of rebuilding a 10,000-element tuple from the
-    #: table.
+    #: and walk every declaration.  The sorted names ride along so
+    #: :meth:`adopt_fingerprints` can splice one entry's fingerprint by
+    #: binary search instead of re-deriving the table's.
     _table_fingerprints: Dict[
         str, Tuple[Tuple[int, int], Tuple, Tuple[str, ...]]
     ] = field(default_factory=dict, repr=False, compare=False, init=False)
 
-    def adopt_fingerprints(self, other: "Specification") -> None:
-        """Seed this specification's table-fingerprint memo from *other*.
+    def adopt_fingerprints(
+        self, other: "Specification", replaced: Dict[str, Iterable[str]]
+    ) -> Tuple:
+        """This specification's fingerprint tuple, spliced from *other*'s.
 
-        For every table whose entry identities match *other*'s memoized
-        signature the cached fingerprint carries over — so a clone that
-        shares three of four tables with its parent re-fingerprints only
-        the table it replaced.  Safe unconditionally: entries that do
-        not match are simply recomputed on demand.
+        For a revision the caller has shown to hold *other*'s
+        declarations value for value, under the same names, except the
+        entries named in *replaced* (table name -> declaration names):
+        only those are re-fingerprinted, and no table that did not
+        change is walked.  A carried-over signature that does not match
+        (equal values, other objects) only costs that table a
+        recomputation at the next :meth:`fingerprint_tuple`.
         """
-        for name, table in (
-            ("types", self.types),
-            ("processes", self.processes),
-            ("systems", self.systems),
-            ("domains", self.domains),
-        ):
-            if name in self._table_fingerprints:
-                continue
+        for name in ("types", "processes", "systems", "domains"):
             cached = other._table_fingerprints.get(name)
-            if cached is not None and self._table_signature(table) == cached[0]:
-                self._table_fingerprints[name] = cached
-
-    def adopt_patched_fingerprints(
-        self, other: "Specification", changed_domains: Iterable[str]
-    ) -> None:
-        """Seed the memo when only the named domain entries changed.
-
-        The caller (the checker's exports-only patch) has already proved
-        that types/processes/systems hold identical entry objects and
-        that the domain table differs from *other*'s exactly in
-        ``changed_domains`` (same key set, entries replaced).  Identical
-        entry objects have an identical identity-signature, so those
-        memo entries copy over verbatim; the domains fingerprint is the
-        parent's with the changed positions spliced — no table walk.
-        """
-        for name in ("types", "processes", "systems"):
-            cached = other._table_fingerprints.get(name)
-            if cached is not None and name not in self._table_fingerprints:
-                self._table_fingerprints[name] = cached
-        cached = other._table_fingerprints.get("domains")
-        if cached is None:
-            return
-        _signature, fingerprints, names = cached
-        spliced = list(fingerprints)
-        for domain_name in changed_domains:
-            position = bisect_left(names, domain_name)
-            spliced[position] = self.domains[domain_name].fingerprint_tuple()
-        self._table_fingerprints["domains"] = (
-            self._table_signature(self.domains),
-            tuple(spliced),
-            names,
-        )
+            if cached is None:
+                return self.fingerprint_tuple()
+            if replaced.get(name):
+                table = getattr(self, name)
+                _signature, fingerprints, names = cached
+                spliced = list(fingerprints)
+                for entry in replaced[name]:
+                    position = bisect_left(names, entry)
+                    spliced[position] = table[entry].fingerprint_tuple()
+                cached = (self._table_signature(table), tuple(spliced), names)
+            self._table_fingerprints[name] = cached
+        return tuple(
+            self._table_fingerprints[name][1]
+            for name in ("types", "processes", "systems", "domains")
+        ) + self._extension_fingerprint()
 
     @staticmethod
     def _table_signature(table: Dict) -> Tuple[int, int]:
@@ -470,6 +448,10 @@ class Specification:
             self._table_fingerprint("processes", self.processes),
             self._table_fingerprint("systems", self.systems),
             self._table_fingerprint("domains", self.domains),
+        ) + self._extension_fingerprint()
+
+    def _extension_fingerprint(self) -> Tuple:
+        return (
             tuple(
                 (name, tuple(repr(item) for item in items))
                 for name, items in sorted(self.extras.items())

@@ -38,7 +38,8 @@ runs byte-identically under the simulated runtime:
     request deadline; crashed workers restart on the supervisor's
     backoff schedule.  Worker span subtrees ship back inside response
     frames and are spliced into the parent trace, so a pooled check
-    stays one connected trace.
+    stays one connected trace.  A worker whose supervisor is gone (a
+    ``kill -9`` drains nothing) exits at its next heartbeat.
 
 Replay semantics (the idempotency contract, per op):
 
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -558,6 +560,7 @@ def _rss_kb() -> float:
 def _pool_worker_main(
     worker_id: int,
     conn,
+    supervisor_pid: int,
     spec_cache_limit: int,
     heartbeat_interval_s: float,
     measure_resources: bool,
@@ -603,6 +606,11 @@ def _pool_worker_main(
 
     def heartbeats() -> None:
         while not stop.wait(heartbeat_interval_s):
+            # A SIGKILLed supervisor drains nothing, and its end of the
+            # pipe never reads EOF here (later forks hold copies of it):
+            # being re-parented is the one signal there is.
+            if os.getppid() != supervisor_pid:
+                os._exit(0)
             try:
                 send(("hb", {"rss_kb": _rss_kb()}))
             except (OSError, BrokenPipeError):
@@ -749,6 +757,7 @@ class ProcessWorkerPool:
                 args=(
                     worker_id,
                     child_conn,
+                    os.getpid(),
                     config.spec_cache_limit,
                     config.heartbeat_interval_s,
                     config.measure_resources,
@@ -882,7 +891,6 @@ class ProcessWorkerPool:
     # -- kills, recycles, drain -----------------------------------------
     def kill_worker(self, worker_id: int, reason: str) -> None:
         """SIGKILL one worker (monitor verdict: wedge/overrun)."""
-        import os
         import signal as _signal
 
         with self._lock:
@@ -926,7 +934,6 @@ class ProcessWorkerPool:
         refusal — a drain never silently drops a request.
         """
         import asyncio
-        import os
         import signal as _signal
 
         self._stopping = True

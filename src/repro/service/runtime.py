@@ -694,7 +694,13 @@ class AsyncServiceRuntime:
             self._kick()  # unblock the dispatcher to observe _stopped
             await asyncio.wait_for(dispatcher, timeout=5.0)
             if monitor is not None:
-                await asyncio.wait_for(monitor, timeout=5.0)
+                # Asleep until its next heartbeat check: nothing is
+                # left to watch, so wake it rather than wait it out.
+                monitor.cancel()
+                try:
+                    await monitor
+                except asyncio.CancelledError:
+                    pass
             if http_server is not None:
                 http_server.close()
                 await http_server.wait_closed()

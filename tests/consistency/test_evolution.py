@@ -182,3 +182,60 @@ class TestAbandonedRecheck:
         fresh = ConsistencyChecker(self.internet((2, 4)), compiler.tree).check()
         assert after.render() == fresh.render()
         assert len(after.inconsistencies) == 4
+
+    # A structural delta is patched in place too (a retarget, and an
+    # invocation dropped so the owner's segments change length): the
+    # patch must be whole — facts, fingerprint, instantiation verdicts —
+    # before the reduction, the one step a deadline can abandon.
+    @classmethod
+    def restructured(cls, silent):
+        from repro.nmsl.specs import ProcessInvocation
+
+        spec = cls.internet(silent)
+        first = spec.domains[SyntheticInternet.domain_name(1)]
+        spec.domains[first.name] = dataclasses.replace(
+            first,
+            processes=(
+                ProcessInvocation(
+                    "poller", (SyntheticInternet.system_name(4, 1),)
+                ),
+            ),
+        )
+        return spec
+
+    def abandoned_structural(self, compiler):
+        from repro.deadline import Deadline
+        from repro.errors import DeadlineExceeded
+
+        checker = ConsistencyChecker(self.internet((4,)), compiler.tree)
+        assert len(checker.check().inconsistencies) == 2
+        target = self.restructured((4,))
+        with pytest.raises(DeadlineExceeded):
+            checker.recheck(
+                target, deadline=Deadline(at_s=0, clock=lambda: 1)
+            )
+        # It got as far as the patch, and no further.
+        assert checker.checked_facts.specification is target
+        assert checker._verdict_list is None
+        return checker
+
+    def test_check_after_abandoned_structural_recheck(self, compiler):
+        after = self.abandoned_structural(compiler).check()
+        fresh = ConsistencyChecker(
+            self.restructured((4,)), compiler.tree
+        ).check()
+        assert len(fresh.inconsistencies) == 3
+        assert after.render() == fresh.render()
+        assert (
+            dataclasses.replace(after, stats={}).to_json()
+            == dataclasses.replace(fresh, stats={}).to_json()
+        )
+
+    def test_recheck_after_abandoned_structural_recheck(self, compiler):
+        checker = self.abandoned_structural(compiler)
+        after = checker.recheck(self.restructured((2, 4)))
+        assert after.stats["rechecked"] == after.stats["references"]
+        fresh = ConsistencyChecker(
+            self.restructured((2, 4)), compiler.tree
+        ).check()
+        assert after.render() == fresh.render()

@@ -142,21 +142,22 @@ def _pick_domain(spec, position):
     return names[position % len(names)]
 
 
+def _problems_by_reference(spec):
+    """A fresh full check's problems, grouped by the reference they name."""
+    grouped = {}
+    for problem in ConsistencyChecker(spec, TREE).check().inconsistencies:
+        if problem.reference is not None:
+            key = ConsistencyChecker._reference_key(problem.reference)
+            grouped[key] = grouped.get(key, ()) + (problem,)
+    return grouped
+
+
 def _brute_force_flips(spec_a, spec_b):
-    """Verdict flips by definition: two fresh full checks, keyed align."""
-    checker_a = ConsistencyChecker(spec_a, TREE)
-    checker_a.check()
-    checker_b = ConsistencyChecker(spec_b, TREE)
-    checker_b.check()
-    key = ConsistencyChecker._reference_key
-    old = {
-        key(reference): tuple(problems)
-        for reference, problems in checker_a.reference_verdicts()
-    }
-    new = {
-        key(reference): tuple(problems)
-        for reference, problems in checker_b.reference_verdicts()
-    }
+    """Verdict flips by definition: two fresh full checks, keyed align
+    (a reference without problems and a reference that is not there
+    read the same: nothing to report)."""
+    old = _problems_by_reference(spec_a)
+    new = _problems_by_reference(spec_b)
     flips = {}
     for reference_key, new_problems in new.items():
         old_problems = old.get(reference_key, ())

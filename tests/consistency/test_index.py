@@ -35,7 +35,7 @@ def compiler():
 
 def _index_for(checker):
     facts = checker.facts
-    return PermissionIndex(facts, checker._view), facts
+    return PermissionIndex(facts, checker.view), facts
 
 
 class TestPermissionIndexAgreesWithScan:
@@ -66,7 +66,7 @@ class TestPermissionIndexAgreesWithScan:
             candidates, _existential, _data = checker._candidate_servers(
                 reference, facts
             )
-            reference_view = checker._view(reference.variables)
+            reference_view = checker.view(reference.variables)
             for server in candidates or ():
                 scan_hit = None
                 for permission in checker._permissions_for_server(
@@ -76,7 +76,7 @@ class TestPermissionIndexAgreesWithScan:
                         reference,
                         permission,
                         reference_view,
-                        checker._view(permission.variables),
+                        checker.view(permission.variables),
                     )
                     if verdict.covered:
                         scan_hit = permission
@@ -114,7 +114,7 @@ class TestPermissionIndexAgreesWithScan:
             reference, facts
         )
         index.covering_permission(
-            candidates[0], reference, checker._view(reference.variables)
+            candidates[0], reference, checker.view(reference.variables)
         )
         stats = index.stats()
         assert stats["indexed_servers"] == 1

@@ -167,6 +167,24 @@ class TestProfileSubcommand:
         assert match, out
         assert float(match.group(1)) <= 5.0, out
 
+    def test_diff_against_profiles_the_owner_patch(
+        self, campus_file, tmp_path, capsys
+    ):
+        old = tmp_path / "old.nmsl"
+        old.write_text(campus_internet(include_noc_permission=False))
+        assert (
+            main(["profile", str(campus_file), "--diff-against", str(old)])
+            == 0
+        )
+        out = capsys.readouterr().out
+        rows = [line.split()[0] for line in out.splitlines() if "%" in line]
+        # One domain's exports changed: the recheck patches that owner
+        # into the fact set (indented under it); only the cold check of
+        # the old revision generated facts.
+        assert "consistency.recheck" in rows
+        assert re.search(r"^    consistency\.facts\.patch\s", out, re.M)
+        assert rows.count("consistency.facts.instances") == 1
+
     def test_datalog_engine_reports_per_rule_times(self, campus_file, capsys):
         assert main(["profile", str(campus_file), "--engine", "datalog"]) == 0
         out = capsys.readouterr().out

@@ -22,6 +22,18 @@ def _daemon_env():
     return env
 
 
+def _stop_daemon(proc):
+    """Drain a fixture's daemon (SIGTERM retires its workers); kill it
+    only if it will not go."""
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=20)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
 def _run_daemon_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "repro.service.daemon", *argv],
@@ -118,9 +130,7 @@ def daemon(tmp_path):
         "http_port": ready["http_port"],
         "metrics_path": metrics_path,
     }
-    if proc.poll() is None:
-        proc.kill()
-        proc.wait(timeout=10)
+    _stop_daemon(proc)
 
 
 class TestDaemon:

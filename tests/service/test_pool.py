@@ -30,6 +30,8 @@ from repro.service.pool import (
     request_fingerprint,
 )
 
+from tests.service.test_daemon import _daemon_env, _stop_daemon
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CAMPUS = str(REPO_ROOT / "examples" / "campus.nmsl")
 
@@ -354,10 +356,6 @@ class TestSimulatedPool:
 # ----------------------------------------------------------------------
 # The real pool: forked processes under a live daemon.
 # ----------------------------------------------------------------------
-def _daemon_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    return env
 
 
 @pytest.fixture
@@ -396,9 +394,7 @@ def pooled_daemon(tmp_path):
         "http_port": ready["http_port"],
         "audit_path": audit_path,
     }
-    if proc.poll() is None:
-        proc.kill()
-        proc.wait(timeout=10)
+    _stop_daemon(proc)
 
 
 def _healthz(daemon):
@@ -557,3 +553,34 @@ class TestRealPool:
         events = [json.loads(line) for line in audit.splitlines()]
         exits = [e for e in events if e["event"] == "worker-exit"]
         assert any(e.get("reason") == "overrun" for e in exits)
+
+    def test_workers_do_not_outlive_a_killed_supervisor(self, pooled_daemon):
+        """``kill -9`` of the daemon drains nothing; its workers must
+        notice they were orphaned and go, within a heartbeat or two."""
+        workers = [
+            worker["pid"]
+            for worker in _healthz(pooled_daemon)["pool"]["workers"]
+        ]
+        assert len(workers) == 2
+        pooled_daemon["proc"].kill()
+        pooled_daemon["proc"].wait(timeout=10)
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            # Orphans are reaped by init; until then a zombie still
+            # answers signal 0, so look at its state too.
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        # heartbeat_interval_s is 0.5 s: a few of them, plus slack for a
+        # loaded machine.
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(alive, workers)):
+            time.sleep(0.1)
+        assert not any(map(alive, workers))

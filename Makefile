@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze bench bench-quick chaos heal profile service bench-service ledger ledger-full-check ledger-edit-stream ledger-compare clean
+.PHONY: test analyze chaos heal profile service ledger ledger-full-check ledger-edit-stream ledger-compare clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -12,14 +12,6 @@ analyze:
 		--baseline examples/analysis-baseline.json
 	$(PYTHON) -m repro.cli analyze examples/campus.nmsl examples/paper_internet.nmsl \
 		--baseline examples/analysis-baseline.json --format sarif > analysis.sarif
-
-## Full engine comparison: scan vs indexed vs incremental, all sizes.
-bench:
-	$(PYTHON) benchmarks/bench_consistency.py --output BENCH_consistency.json
-
-## CI smoke: small workloads only.
-bench-quick:
-	$(PYTHON) benchmarks/bench_consistency.py --quick --output BENCH_consistency.json
 
 ## Fault-injected rollout campaigns across 3 fixed seeds (see docs/ROLLOUT.md).
 chaos:
@@ -39,12 +31,6 @@ heal:
 ## graceful SIGTERM drain (see docs/SERVICE.md).
 service:
 	$(PYTHON) benchmarks/service_smoke.py
-
-## Open-loop service load: per-class latency + shed rate on the simulated
-## runtime, sustained req/s against the real daemon, worker-pool scaling
-## at 1/2/4 workers and a kill -9 supervision row.
-bench-service:
-	$(PYTHON) benchmarks/bench_service.py --quick --output BENCH_service.json
 
 ## The perf ledger (benchmarks/ledger/README.md): all four workloads,
 ## untraced then traced, every metric by name (a few minutes on 2 cores).
@@ -77,8 +63,7 @@ profile:
 		--output consistency --trace TRACE_profile.json
 
 clean:
-	rm -rf .pytest_cache .benchmarks analysis.sarif BENCH_chaos.json \
+	rm -rf .pytest_cache analysis.sarif BENCH_chaos.json \
 		TRACE_chaos.jsonl METRICS_chaos.prom TRACE_profile.json \
-		TRACE_consistency.json METRICS_consistency.prom HEAL_report.json \
-		SERVICE_metrics.prom SERVICE_smoke.json
+		HEAL_report.json SERVICE_metrics.prom SERVICE_smoke.json
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

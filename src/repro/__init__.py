@@ -15,8 +15,9 @@ Subpackages
     The specification language: lexer, generalized parser (pass 1),
     action-driven semantics (pass 2), extension mechanism, compiler.
 ``repro.consistency``
-    The consistency model of Figure 4.9, the closure-based checker, the
-    faithful CLP(R) path, and the speculative/reverse modes.
+    The consistency model of Figure 4.9, the one checker, the oracle
+    table beside it (scan, faithful CLP(R), datalog), and the
+    speculative/reverse modes.
 ``repro.codegen``
     Configuration Generators (snmpd-style, ACL table, OSI) and shipping
     transports.
@@ -38,7 +39,8 @@ from repro.nmsl.compiler import (
     compile_text,
 )
 from repro.nmsl.extension import Extension, ExtensionAction, parse_extension
-from repro.consistency.checker import ConsistencyChecker, check_with_clpr
+from repro.consistency.checker import ConsistencyChecker
+from repro.consistency.oracles import check_with_clpr
 from repro.consistency.report import ConsistencyResult, Inconsistency, InconsistencyKind
 from repro.consistency.speculative import SpeculativeChecker, solve_for_frequency
 from repro.codegen.base import ConfigurationGenerator

@@ -11,8 +11,7 @@ Code families:
   the frequency/type analyses.
 
 NM101/NM102/NM201/NM202 are the four passes migrated from the seed
-linter (``repro.consistency.lint`` remains as a compatibility shim over
-them); the other five are new in this framework.  Every pass yields
+linter; the other five are new in this framework.  Every pass yields
 :class:`Diagnostic` values anchored at the declaring clause's
 :class:`SourceLocation`.
 """

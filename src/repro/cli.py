@@ -20,8 +20,7 @@ The static analyzer runs as a subcommand::
     nmslc analyze examples/*.nmsl --baseline analysis-baseline.json
 
 ``analyze`` exits 1 when any non-baselined error-severity diagnostic is
-found (and 2 on compile failure), so it can gate CI.  The old ``--lint``
-flag remains as a deprecated alias.
+found (and 2 on compile failure), so it can gate CI.
 
 The relational diff verifies the *delta* between two revisions::
 
@@ -82,10 +81,25 @@ from repro import obs
 from repro.codegen.base import ConfigurationGenerator
 from repro.collector import bulk_load
 from repro.codegen.transport import FileDropTransport, MailSpoolTransport
-from repro.consistency.checker import ConsistencyChecker, check_with_clpr
+from repro.consistency.checker import ConsistencyChecker
+from repro.consistency.oracles import ORACLES
 from repro.errors import ReproError
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.nmsl.extension import parse_extension
+
+
+def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
+    """``--engine``: the production checker, or an oracle by name."""
+    parser.add_argument(
+        "--engine",
+        choices=("indexed", *ORACLES),
+        default="indexed",
+        help="what answers the check: the production indexed checker "
+        "(default), or an oracle from repro.consistency.oracles — the "
+        "unindexed reference scan, the faithful CLP(R) path, the "
+        "bottom-up datalog path.  --jobs, --capacity and --diff-against "
+        "are the checker's own",
+    )
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -168,22 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the consistency checker and report inconsistencies",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("closure", "scan", "clpr"),
-        default="closure",
-        help="consistency engine: indexed closure (default), the "
-        "unindexed reference scan (ablation baseline), or the faithful "
-        "CLP(R) path",
-    )
+    _add_engine_argument(parser)
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
         help="shard the consistency reduction step per administrative "
-        "domain across N worker processes (closure engines only; "
-        "verdicts are byte-identical to a serial check)",
+        "domain across N worker processes (verdicts are byte-identical "
+        "to a serial check)",
     )
     parser.add_argument(
         "--output",
@@ -222,12 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         action="store_true",
         help="print the specification re-rendered in canonical layout",
-    )
-    parser.add_argument(
-        "--lint",
-        action="store_true",
-        help="deprecated alias for the 'analyze' subcommand: report "
-        "static-analysis findings in text form",
     )
     parser.add_argument(
         "--list-tags",
@@ -339,12 +340,6 @@ def build_diff_parser() -> argparse.ArgumentParser:
         help="fingerprint every element, not just impacted ones; "
         "enables NM403 (config rewrite without spec cause) at the cost "
         "of two full generation runs",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("indexed", "scan"),
-        default="indexed",
-        help="consistency engine for the baseline check (default: indexed)",
     )
     parser.add_argument(
         "--jobs",
@@ -676,18 +671,13 @@ def build_profile_parser() -> argparse.ArgumentParser:
         "and per-keyword detail from the metrics registry",
     )
     parser.add_argument("specification", help="NMSL specification file")
-    parser.add_argument(
-        "--engine",
-        choices=("closure", "scan", "clpr", "datalog"),
-        default="closure",
-        help="consistency engine to profile (default: closure)",
-    )
+    _add_engine_argument(parser)
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="reduction worker threads (closure engines only)",
+        help="reduction worker processes",
     )
     parser.add_argument(
         "--output",
@@ -710,7 +700,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
         "--diff-against",
         metavar="OLDFILE",
         help="check OLDFILE first and profile the incremental recheck "
-        "that brings the checker to the specification (closure engine)",
+        "that brings the checker to the specification",
     )
     parser.add_argument(
         "--top",
@@ -935,30 +925,13 @@ def _run(args: argparse.Namespace) -> int:
     if args.diff_against:
         status = max(status, _diff_against(args, compiler, result))
 
-    if args.lint:
-        from repro.analysis import default_registry, render_text
-
-        print(
-            "nmslc: warning: --lint is deprecated; use 'nmslc analyze'",
-            file=sys.stderr,
-        )
-        report = default_registry().run(compiler.analysis_context(result))
-        print(render_text(report))
-        if report.gating():
-            status = max(status, 1)
-
     if args.check:
-        if args.engine == "clpr":
-            outcome = check_with_clpr(result.specification, compiler.tree)
+        if args.engine != "indexed":
+            outcome = ORACLES[args.engine](result.specification, compiler.tree)
         else:
-            checker = ConsistencyChecker(
-                result.specification,
-                compiler.tree,
-                engine="scan" if args.engine == "scan" else "indexed",
-            )
-            outcome = checker.check(
-                check_capacity=args.capacity, jobs=args.jobs
-            )
+            outcome = ConsistencyChecker(
+                result.specification, compiler.tree
+            ).check(check_capacity=args.capacity, jobs=args.jobs)
         print(outcome.render())
         if not outcome.consistent:
             status = 1
@@ -1093,7 +1066,6 @@ def _run_diff(args: argparse.Namespace) -> int:
     )
     analyzer = ImpactAnalyzer(
         old_compiler.tree,
-        engine=args.engine,
         jobs=args.jobs,
         tags=tags,
         config_scope="full" if args.full_config_scan else "impacted",
@@ -1446,7 +1418,7 @@ def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
 
     Runs compile → check (→ generate) under one top-level span and
     prints a per-phase breakdown (from the tracer), a per-rule table
-    (datalog engine), and the keyword-dispatch counts (from metrics).
+    (datalog oracle), and the keyword-dispatch counts (from metrics).
     """
     text = Path(args.specification).read_text(encoding="utf-8")
     extensions = tuple(
@@ -1468,12 +1440,8 @@ def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
             for error in result.report.errors:
                 print(f"nmslc: error: {error}", file=sys.stderr)
             return 2
-        if args.engine == "clpr":
-            outcome = check_with_clpr(result.specification, compiler.tree)
-        elif args.engine == "datalog":
-            from repro.consistency.datalog_path import check_with_datalog
-
-            outcome = check_with_datalog(result.specification, compiler.tree)
+        if args.engine != "indexed":
+            outcome = ORACLES[args.engine](result.specification, compiler.tree)
         else:
             first = result
             if args.diff_against:
@@ -1481,11 +1449,7 @@ def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
                     Path(args.diff_against).read_text(encoding="utf-8"),
                     strict=False,
                 )
-            checker = ConsistencyChecker(
-                first.specification,
-                compiler.tree,
-                engine="scan" if args.engine == "scan" else "indexed",
-            )
+            checker = ConsistencyChecker(first.specification, compiler.tree)
             outcome = checker.check(jobs=args.jobs)
             if args.diff_against:
                 outcome = checker.recheck(

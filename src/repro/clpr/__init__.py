@@ -16,9 +16,7 @@ from scratch:
 * :mod:`repro.clpr.program` — clause database plus a Prolog-style text
   parser for rules and queries;
 * :mod:`repro.clpr.solver` — SLD resolution with negation as failure
-  (the paper's closed-world assumption) and constraint-store integration;
-* :mod:`repro.clpr.datalog` — a semi-naive bottom-up evaluator used as the
-  scalable fast path for ground rule closures.
+  (the paper's closed-world assumption) and constraint-store integration.
 """
 
 from repro.clpr.terms import Atom, Num, Struct, Var, atom, num, struct, var

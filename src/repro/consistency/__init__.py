@@ -21,17 +21,21 @@ permission), and **reduction** (relating references to permissions).  The
 proof is a *proof of inconsistency* under a closed-world assumption; found
 inconsistencies are reported with their immediate causes.
 
-Two implementations are provided, compared by an ablation benchmark:
+There is one checker, and a table of oracles beside it:
 
-* :class:`~repro.consistency.checker.ConsistencyChecker` — the scalable
-  closure-based checker (bottom-up datalog for the closure rules, set
-  difference for the closed-world reduction step);
-* :func:`~repro.consistency.checker.check_with_clpr` — the faithful path:
-  the compiler's CLP(R) consistency output plus the rule text of
-  :mod:`repro.consistency.rules`, run through :class:`repro.clpr.Engine`;
-* :func:`~repro.consistency.datalog_path.check_with_datalog` — the middle
-  ground: the same rules evaluated bottom-up (semi-naive), with the
-  closed-world negation as a final set difference.
+* :class:`~repro.consistency.checker.ConsistencyChecker` — the
+  production path: indexed reduction over owner-keyed facts,
+  incremental :meth:`~repro.consistency.checker.ConsistencyChecker.recheck`;
+* :data:`~repro.consistency.oracles.ORACLES` — ``{name: (specification,
+  tree) -> ConsistencyResult}``, the independent executable models the
+  differential suite holds the checker to: ``scan`` (the reduction rule
+  of :mod:`repro.consistency.causes` for every reference; byte-identical
+  reports), ``clpr`` (:func:`~repro.consistency.oracles.check_with_clpr`,
+  the faithful path: the compiler's CLP(R) consistency output plus the
+  rule text of :mod:`repro.consistency.rules`, run through
+  :class:`repro.clpr.Engine`) and ``datalog``
+  (:func:`~repro.consistency.datalog_path.check_with_datalog`, the same
+  rules bottom-up with the closed-world negation as a set difference).
 
 Speculative modes (paper Section 4.2) live in
 :mod:`repro.consistency.speculative`: checking a new organisation's
@@ -47,12 +51,9 @@ from repro.consistency.relations import (
     access_atom,
 )
 from repro.consistency.facts import FactGenerator, InstanceId
-from repro.consistency.checker import (
-    ConsistencyChecker,
-    ConsistencyResult,
-    check_with_clpr,
-)
+from repro.consistency.checker import ConsistencyChecker, ConsistencyResult
 from repro.consistency.datalog_path import check_with_datalog
+from repro.consistency.oracles import ORACLES, check_with_clpr
 from repro.consistency.evolution import (
     DeltaChecker,
     SpecificationDiff,
@@ -83,6 +84,7 @@ __all__ = [
     "Inconsistency",
     "InconsistencyKind",
     "InstanceId",
+    "ORACLES",
     "Permission",
     "PermissionChange",
     "Reference",

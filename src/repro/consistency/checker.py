@@ -1,41 +1,29 @@
 """The Consistency Checker: prove inconsistency, report causes.
 
-Three implementations of the paper's model:
+One checker, as in paper Figure 3.1.  :class:`ConsistencyChecker`
+expands the specification into facts
+(:class:`~repro.consistency.facts.IncrementalFactGenerator`, interned
+views), decides reference→permission coverage through the
+:class:`~repro.consistency.index.PermissionIndex` (per-server OID-prefix
+buckets instead of permission scans), reuses the verdicts it holds when
+the fact set is unchanged, rechecks an evolution delta by patching the
+owners it touches (:meth:`ConsistencyChecker.recheck`, used by
+:class:`repro.consistency.evolution.DeltaChecker`), and can shard the
+reduction step per administrative domain across a process pool
+(``jobs``).  This is what the Section 3.1 scale goal demands.
 
-* :class:`ConsistencyChecker` with ``engine="indexed"`` (the default) —
-  the scalable path.  Reference→permission coverage goes through the
-  :class:`~repro.consistency.index.PermissionIndex` (per-server OID-prefix
-  buckets instead of permission scans), views are interned, a check of
-  an unchanged fact set reuses the verdicts it holds, and the reduction
-  step can be sharded per administrative domain across a process pool
-  (``jobs``).
-  This is what the Section 3.1 scale goal demands.
-
-* ``engine="scan"`` — the original reduction kept as the ablation
-  baseline: no index, no memos, every reference scans its candidate
-  permissions (over the same fact set and containment tables).
-
-* :func:`check_with_clpr` — the faithful path.  The compiler's CLP(R)
-  consistency output (:meth:`FactSet.to_clpr_text`) plus the rule text of
-  :mod:`repro.consistency.rules` are handed to the
-  :class:`repro.clpr.Engine`, and ``inconsistent(R)`` is queried — exactly
-  the architecture of paper Figure 3.1.  Wildcard (``*``) query targets
-  are outside this path (their values are unknown until run time); the
-  scalable path checks them existentially.
-
-Whatever the engine, reports are identical: the indexed path decides
-coverage fast and falls back to the scan's detailed cause analysis only
-for the (rare) uncovered references, so the differential test suite can
-hold all paths to the same verdicts *and* the same rendered causes.
+It only *decides* coverage.  For the (rare) uncovered reference the
+report is written by :mod:`repro.consistency.causes` — the unindexed
+reduction rule, which is also the whole of the ``scan`` oracle.  The
+independent executable models the checker is held to (``scan``, the
+faithful CLP(R) path, the rule-text-driven datalog path) live beside it
+in :mod:`repro.consistency.oracles`; the differential suite drives
+every one of them against this class.
 
 The checker's fact set and verdict memos are keyed by the
 specification fingerprint (:meth:`Specification.fingerprint`), so
 mutating the specification between ``check()`` calls is safe — the next
 check regenerates what the mutation staled.
-
-The ablation benchmark ``benchmarks/bench_consistency.py`` compares the
-engines; ``ConsistencyChecker.recheck`` is the incremental API used by
-:class:`repro.consistency.evolution.DeltaChecker`.
 """
 
 from __future__ import annotations
@@ -44,14 +32,19 @@ import contextlib
 import itertools
 import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.collector import bulk_load, collector_watch, frozen_fork_heap
 
-from repro.clpr.program import parse_program
-from repro.clpr.solver import Engine
-from repro.clpr.terms import Struct
+from repro.consistency.causes import (
+    Candidates,
+    candidate_servers,
+    check_reference,
+    fit,
+    instance_by_tag,
+    instantiation_outcomes,
+)
 from repro.consistency.facts import (
     FactGenerator,
     FactSet,
@@ -59,17 +52,8 @@ from repro.consistency.facts import (
     InstanceId,
 )
 from repro.consistency.index import PermissionIndex
-from repro.consistency.relations import (
-    Permission,
-    Reference,
-    permission_covers,
-)
-from repro.consistency.report import (
-    ConsistencyResult,
-    Inconsistency,
-    InconsistencyKind,
-)
-from repro.consistency.rules import CONSISTENCY_RULES
+from repro.consistency.relations import Reference
+from repro.consistency.report import ConsistencyResult, Inconsistency
 from repro.mib.tree import MibTree
 from repro.mib.view import MibView
 from repro.nmsl.specs import Specification, PUBLIC_DOMAIN
@@ -121,12 +105,8 @@ def _reduce_shard_worker(bucket_index: int):
     span_mark = len(tracer) if tracer is not None else 0
     hits_before = dict(checker._memo_hits)
     misses_before = dict(checker._memo_misses)
-    index = (
-        checker._permission_index(facts)
-        if checker._engine == "indexed"
-        else None
-    )
-    index_before = (index.hits, index.misses) if index is not None else (0, 0)
+    index = checker._permission_index(facts)
+    index_before = (index.hits, index.misses)
     # The fork preserved this thread's span stack, so the shard span
     # parents onto the request's in-flight consistency.check span and
     # carries its trace id into the worker subtree.
@@ -148,8 +128,8 @@ def _reduce_shard_worker(bucket_index: int):
             memo: checker._memo_misses[memo] - misses_before[memo]
             for memo in checker._memo_misses
         },
-        "index_hits": (index.hits - index_before[0]) if index else 0,
-        "index_misses": (index.misses - index_before[1]) if index else 0,
+        "index_hits": index.hits - index_before[0],
+        "index_misses": index.misses - index_before[1],
         "spans": (
             tracer.export_spans(since=span_mark)
             if tracer is not None
@@ -160,7 +140,7 @@ def _reduce_shard_worker(bucket_index: int):
 
 
 class ConsistencyChecker:
-    """Closure-based consistency checking over a typed specification."""
+    """Indexed, incremental consistency checking over a typed specification."""
 
     def __init__(
         self,
@@ -168,16 +148,12 @@ class ConsistencyChecker:
         tree: MibTree,
         public_domain: str = PUBLIC_DOMAIN,
         *,
-        engine: str = "indexed",
         shard_threshold: Optional[int] = None,
     ):
-        if engine not in ("indexed", "scan"):
-            raise ValueError(f"unknown consistency engine {engine!r}")
         self._spec = specification
         self._tree = tree
         self._public = public_domain
-        self._engine = engine
-        #: Generates the indexed engine's facts; interns views for both.
+        #: Generates the facts; interns their views across versions.
         self._generator = IncrementalFactGenerator(tree)
         #: Minimum pending references before ``jobs`` shards the
         #: reduction; overridable so the sharding oracle tests can force
@@ -219,10 +195,6 @@ class ConsistencyChecker:
         self._published_registry = None
 
     @property
-    def engine(self) -> str:
-        return self._engine
-
-    @property
     def specification(self) -> Specification:
         return self._spec
 
@@ -248,10 +220,7 @@ class ConsistencyChecker:
                 # Nothing is cached yet: the fingerprint pass builds as
                 # many objects as the generation it keys.
                 fp_tuple = self._spec.fingerprint_tuple()
-            if self._engine == "indexed":
-                self._facts = self._generator.generate(self._spec)
-            else:
-                self._facts = FactGenerator(self._spec, self._tree).generate()
+            self._facts = self._generator.generate(self._spec)
         self._facts_fingerprint = fp_tuple
         self._index = None
         self._candidate_memo = {}
@@ -285,7 +254,7 @@ class ConsistencyChecker:
     ) -> ConsistencyResult:
         o = obs.current()
         with o.span(
-            "consistency.check", engine=self._engine, jobs=jobs
+            "consistency.check", engine="indexed", jobs=jobs
         ) as span, _watched(o, span):
             if deadline is not None:
                 deadline.check("consistency.check")
@@ -323,11 +292,10 @@ class ConsistencyChecker:
                         verdicts[position]
                         for position in range(len(facts.references))
                     ]
-                    if self._engine == "indexed":
-                        # Prime the per-domain taint index now, while we
-                        # are on the full-check clock, so the first
-                        # incremental recheck does not pay for it.
-                        facts.domain_reference_taint()
+                    # Prime the per-domain taint index now, while we
+                    # are on the full-check clock, so the first
+                    # incremental recheck does not pay for it.
+                    facts.domain_reference_taint()
             for verdict in self._verdict_list:
                 problems.extend(verdict)
             if check_capacity:
@@ -339,7 +307,7 @@ class ConsistencyChecker:
             "references": len(facts.references),
             "permissions": len(facts.permissions),
             "containment_edges": facts.containment_edges(),
-            "engine": self._engine,
+            "engine": "indexed",
             "jobs": jobs,
             "seconds": span.elapsed,
         }
@@ -394,7 +362,7 @@ class ConsistencyChecker:
             )
         o = obs.current()
         with o.span(
-            "consistency.recheck", engine=self._engine, jobs=jobs
+            "consistency.recheck", engine="indexed", jobs=jobs
         ) as span, _watched(o, span), contextlib.ExitStack() as scope:
             previous_list = (
                 self._verdict_list if self._facts is not None else None
@@ -506,7 +474,7 @@ class ConsistencyChecker:
             "reused": reused,
             "diff_entries": len(delta.diff),
             "patched": patched,
-            "engine": self._engine,
+            "engine": "indexed",
             "jobs": jobs,
             "seconds": span.elapsed,
         }
@@ -553,7 +521,7 @@ class ConsistencyChecker:
         o.counter(
             "repro_consistency_checks_total",
             "consistency checks run",
-            engine=self._engine,
+            engine="indexed",
         ).inc()
         for kind, count in (
             ("instances", len(facts.instances)),
@@ -635,7 +603,8 @@ class ConsistencyChecker:
         memo = self._instantiation_memo
         if memo is None or memo[0] is not facts:
             self._remember_instantiations(
-                facts, self._instantiation_outcomes(facts, facts.instances)
+                facts,
+                instantiation_outcomes(facts, facts.instances, self._fit),
             )
         return self._instantiation_memo[2:]
 
@@ -656,8 +625,7 @@ class ConsistencyChecker:
         """
         facts = self._facts
         if (
-            self._engine != "indexed"
-            or self._checked_references is not facts.references
+            self._checked_references is not facts.references
             or not delta.diff.entries
         ):
             return None
@@ -709,8 +677,10 @@ class ConsistencyChecker:
                 outcomes = memo[1]
                 moved = False
                 for start, old_length, length in patch.instances:
-                    fresh = self._instantiation_outcomes(
-                        facts, facts.instances[start:start + length]
+                    fresh = instantiation_outcomes(
+                        facts,
+                        facts.instances[start:start + length],
+                        self._fit,
                     )
                     moved |= any(fresh) or any(
                         outcomes[start:start + old_length]
@@ -815,8 +785,7 @@ class ConsistencyChecker:
             # Build the shared lazy structures once in the parent so
             # every worker inherits them via copy-on-write instead of
             # rebuilding its own.
-            if self._engine == "indexed":
-                self._permission_index(facts)
+            self._permission_index(facts)
             facts.permissions_by_grantor()
             _WORKER_STATE = (self, facts, buckets)
             # Freeze the heap so the collector never rewrites object
@@ -882,12 +851,21 @@ class ConsistencyChecker:
     def _reference_problems(
         self, reference: Reference, facts: FactSet
     ) -> Tuple[Inconsistency, ...]:
-        """This reference's problems, via the engine selected at build."""
-        if self._engine == "indexed" and self._covered_fast(reference, facts):
+        """This reference's problems: decided through the index, and —
+        only when it is not covered — explained by the unindexed rule,
+        which writes every report (so the ``scan`` oracle's is the same
+        bytes)."""
+        if self._covered_fast(reference, facts):
             return ()
-        # The scan, and the indexed path's cause reporter: reports are
-        # byte-identical between engines because this writes them all.
-        return tuple(self._check_reference(reference, facts))
+        return tuple(
+            check_reference(
+                reference,
+                facts,
+                self._candidates(reference, facts),
+                self.view,
+                self._public,
+            )
+        )
 
     # ------------------------------------------------------------------
     # The indexed fast path: decide coverage without building reports.
@@ -920,7 +898,7 @@ class ConsistencyChecker:
         facts: FactSet,
         data_system: Optional[str],
     ) -> bool:
-        """Mirror of :meth:`_check_against_server`, verdict only."""
+        """Mirror of :func:`causes.check_against_server`, verdict only."""
         process_view = facts.instance_supports[server.id]
         if not self._covers(process_view, reference_view):
             return False
@@ -933,7 +911,7 @@ class ConsistencyChecker:
                 element_view, reference_view
             ):
                 return False
-        client = self._instance_by_tag(reference.client, facts)
+        client = instance_by_tag(reference.client, facts)
         if client is not None:
             server_direct = facts.direct_domains(server)
             for domain in facts.direct_domains(client):
@@ -969,295 +947,31 @@ class ConsistencyChecker:
             )
         return self._index
 
-    def _candidates(
-        self, reference: Reference, facts: FactSet
-    ) -> Tuple[Optional[List[InstanceId]], bool, Optional[str]]:
-        """Candidate servers, memoized per target when indexed."""
-        if self._engine == "scan":
-            return self._candidate_servers(reference, facts)
+    def _candidates(self, reference: Reference, facts: FactSet) -> Candidates:
+        """:func:`causes.candidate_servers`, memoized per target."""
         got = self._candidate_memo.get(reference.server)
         if got is None:
             self._memo_misses["candidate"] += 1
-            got = self._candidate_servers(reference, facts)
+            got = candidate_servers(reference, facts)
             self._candidate_memo[reference.server] = got
         else:
             self._memo_hits["candidate"] += 1
         return got
 
-    # ------------------------------------------------------------------
-    # Instantiation consistency: a process must fit its network element.
-    # ------------------------------------------------------------------
-    def _instantiation_outcomes(
-        self, facts: FactSet, instances: Sequence[InstanceId]
-    ) -> List[Union[None, str, Inconsistency]]:
-        """One outcome per instance: nothing, a warning or a problem.
-
-        An agent's effective view is ``process supports ∩ element
-        supports``.  The paper's own example instantiates an agent
-        supporting the full MIB on an element without EGP — the view is
-        silently clipped, so a non-empty intersection is only worth a
-        warning.  An *empty* intersection means the instantiation can
-        serve nothing: reported as an inconsistency.
-        """
-        outcomes: List[Union[None, str, Inconsistency]] = []
-        instance_supports = facts.instance_supports
-        system_supports = facts.system_supports
-        for instance in instances:
-            outcome = None
-            element_view = (
-                system_supports.get(instance.owner)
-                if instance.owner_kind == "system"
-                else None
-            )
-            if element_view is not None:
-                supported = instance_supports[instance.id]
-                state, effective_paths = (
-                    ("ok", None)
-                    if supported.is_empty()
-                    else self._fit(supported, element_view)
-                )
-                if state == "empty":
-                    outcome = Inconsistency(
-                        kind=InconsistencyKind.INSTANTIATION_CONFLICT,
-                        message=(
-                            f"process {instance.process_name!r} on "
-                            f"{instance.owner!r} supports no data the element "
-                            f"supports (process: {sorted(supported.paths())}, "
-                            f"element: {sorted(element_view.paths())})"
-                        ),
-                    )
-                elif state == "clipped":
-                    outcome = (
-                        f"process {instance.process_name!r} on "
-                        f"{instance.owner!r}: supported view clipped to what "
-                        f"the element supports ({effective_paths})"
-                    )
-            outcomes.append(outcome)
-        return outcomes
-
     def _fit(
         self, supported: MibView, element_view: MibView
     ) -> Tuple[str, Optional[List[str]]]:
-        """Classify a (process view, element view) pair, memoized when
-        indexed: ``ok`` (covered), ``clipped`` (non-empty intersection,
-        with its sorted paths) or ``empty``."""
-        if self._engine == "indexed":
-            key = (id(supported), id(element_view))
-            got = self._fit_memo.get(key)
-            if got is not None:
-                self._memo_hits["fit"] += 1
-                return got
-            self._memo_misses["fit"] += 1
-        if element_view.covers_view(supported):
-            result: Tuple[str, Optional[List[str]]] = ("ok", None)
-        else:
-            effective = supported.intersection(element_view)
-            if effective.is_empty():
-                result = ("empty", None)
-            else:
-                result = ("clipped", sorted(effective.paths()))
-        if self._engine == "indexed":
-            self._fit_memo[key] = result
-            self._memo_pins.append(supported)
-            self._memo_pins.append(element_view)
-        return result
-
-    # ------------------------------------------------------------------
-    # Reference reduction (the scan path, and the cause reporter for the
-    # indexed path's uncovered references).
-    # ------------------------------------------------------------------
-    def _check_reference(
-        self, reference: Reference, facts: FactSet
-    ) -> List[Inconsistency]:
-        candidates, existential, data_system = self._candidates(
-            reference, facts
-        )
-        if candidates is None:  # unknown/external target: cannot check
-            return []
-        if not candidates:
-            return [
-                Inconsistency(
-                    kind=InconsistencyKind.NO_SERVER,
-                    message=(
-                        f"no server instance (or proxy) exists for query "
-                        f"target {reference.server!r}"
-                    ),
-                    reference=reference,
-                )
-            ]
-        reference_view = self.view(reference.variables)
-        failures: List[Tuple[InstanceId, Inconsistency]] = []
-        successes = 0
-        for server in candidates:
-            problem = self._check_against_server(
-                reference, server, reference_view, facts, data_system
-            )
-            if problem is None:
-                successes += 1
-                if existential:
-                    return []
-            else:
-                failures.append((server, problem))
-        if existential:
-            # No candidate worked; report the nearest misses.
-            causes = tuple(
-                f"{server.id}: {problem.causes[0] if problem.causes else problem.message}"
-                for server, problem in failures[:5]
-            )
-            return [
-                Inconsistency(
-                    kind=failures[0][1].kind if failures else InconsistencyKind.NO_SERVER,
-                    message=(
-                        f"no instantiated server can satisfy this query "
-                        f"(tried {len(failures)})"
-                    ),
-                    reference=reference,
-                    causes=causes,
-                )
-            ]
-        return [problem for _server, problem in failures]
-
-    def _candidate_servers(
-        self, reference: Reference, facts: FactSet
-    ) -> Tuple[Optional[List[InstanceId]], bool, Optional[str]]:
-        """Candidate servers, coverage mode, and whose data is served.
-
-        Returns ``(candidates, existential, data_system)``:
-
-        * literal process targets: the client may reach *any* instance of
-          the process type, so every instance must be covered (universal);
-        * system targets: the client addresses that element; any agent on
-          it may answer (existential).  An element with *no* agents may be
-          proxy-managed (paper Section 3.1): the candidates are then the
-          proxy instances, still serving the *target* element's data —
-          ``data_system`` names that element either way;
-        * domain targets: any agent in the domain may answer — the client
-          cannot know which, so all must be covered (universal);
-        * ``*`` targets (run-time values): existential over all agents;
-        * external targets (IP literals etc.): unknown, not checkable.
-        """
-        server = reference.server
-        if server == "*":
-            return facts.agents(), True, None
-        kind, _sep, name = server.partition(":")
-        if kind == "process":
-            return facts.instances_of_process(name), False, None
-        if kind == "system":
-            agents = [
-                instance
-                for instance in facts.instances_on_system(name)
-                if self._spec.processes[instance.process_name].is_agent()
-            ]
-            if not agents:
-                return facts.proxies_for_system(name), True, name
-            return agents, True, name
-        if kind == "domain":
-            members = [
-                instance
-                for instance in facts.agents()
-                if name in facts.domains_of(instance)
-            ]
-            return members, False, None
-        return None, False, None
-
-    def _check_against_server(
-        self,
-        reference: Reference,
-        server: InstanceId,
-        reference_view: MibView,
-        facts: FactSet,
-        data_system: Optional[str] = None,
-    ) -> Optional[Inconsistency]:
-        """None if covered; otherwise the inconsistency for this server.
-
-        ``data_system`` names the element whose data is being served when
-        it differs from the server instance's host (the proxy case).
-        """
-        process_view = facts.instance_supports[server.id]
-        if not process_view.covers_view(reference_view):
-            return Inconsistency(
-                kind=InconsistencyKind.UNSUPPORTED_BY_PROCESS,
-                message=(
-                    f"server process {server.process_name!r} ({server.id}) does "
-                    f"not support the requested data"
-                ),
-                reference=reference,
-                causes=(f"process supports only {sorted(process_view.paths())}",),
-            )
-        element_name: Optional[str] = data_system
-        if element_name is None and server.owner_kind == "system":
-            element_name = server.owner
-        if element_name is not None:
-            element_view = facts.system_supports.get(element_name, None)
-            if element_view is not None and not element_view.covers_view(
-                reference_view
-            ):
-                return Inconsistency(
-                    kind=InconsistencyKind.UNSUPPORTED_BY_ELEMENT,
-                    message=(
-                        f"network element {element_name!r} does not support "
-                        f"the requested data"
-                    ),
-                    reference=reference,
-                    causes=(f"element supports only {sorted(element_view.paths())}",),
-                )
-        # Exports govern access "from outside the domain" (Section 4.1.5):
-        # a reference whose client shares an *immediate* containing domain
-        # with the server is implicitly permitted.  A distant common
-        # ancestor (an umbrella domain) grants nothing.
-        client_instance = self._instance_by_tag(reference.client, facts)
-        if client_instance is not None and not set(
-            facts.direct_domains(client_instance)
-        ).isdisjoint(facts.direct_domains(server)):
-            return None
-        permissions = self._permissions_for_server(server, facts)
-        if not permissions:
-            return Inconsistency(
-                kind=InconsistencyKind.MISSING_PERMISSION,
-                message=f"no permission is exported for data at {server.id}",
-                reference=reference,
-            )
-        causes: List[str] = []
-        best_kind = InconsistencyKind.MISSING_PERMISSION
-        for permission in permissions:
-            permission_view = self.view(permission.variables)
-            verdict = permission_covers(
-                reference,
-                permission,
-                reference_view,
-                permission_view,
-                public_domain=self._public,
-            )
-            if verdict.covered:
-                return None
-            causes.append(f"{permission.origin or permission.grantor}: {verdict.reason}")
-            if "frequency" in verdict.reason or "violates permitted" in verdict.reason:
-                best_kind = InconsistencyKind.FREQUENCY_CONFLICT
-            elif "access" in verdict.reason and best_kind is not InconsistencyKind.FREQUENCY_CONFLICT:
-                best_kind = InconsistencyKind.ACCESS_EXCEEDED
-        return Inconsistency(
-            kind=best_kind,
-            message=(
-                f"reference has no corresponding permission at {server.id}"
-            ),
-            reference=reference,
-            causes=tuple(causes),
-        )
-
-    @staticmethod
-    def _instance_by_tag(tag: str, facts: FactSet) -> Optional[InstanceId]:
-        if not tag.startswith("instance:"):
-            return None
-        return facts.instance_by_id(tag.split(":", 1)[1])
-
-    def _permissions_for_server(
-        self, server: InstanceId, facts: FactSet
-    ) -> List[Permission]:
-        by_grantor = facts.permissions_by_grantor()
-        result = list(by_grantor.get(f"instance:{server.id}", ()))
-        for domain in facts.domains_of(server):
-            result.extend(by_grantor.get(f"domain:{domain}", ()))
-        return result
+        """:func:`causes.fit`, memoized over interned views."""
+        key = (id(supported), id(element_view))
+        got = self._fit_memo.get(key)
+        if got is not None:
+            self._memo_hits["fit"] += 1
+            return got
+        self._memo_misses["fit"] += 1
+        got = self._fit_memo[key] = fit(supported, element_view)
+        self._memo_pins.append(supported)
+        self._memo_pins.append(element_view)
+        return got
 
     # ------------------------------------------------------------------
     # Capacity warnings (element swamping, paper Section 4.1.4).
@@ -1307,93 +1021,3 @@ class ConsistencyChecker:
         the last :meth:`recheck` moved, in reference order (a new
         reference had none), then for each reference it dropped."""
         return self._verdict_changes
-
-
-def check_with_clpr(
-    specification: Specification,
-    tree: MibTree,
-    limit: int = 1000,
-) -> ConsistencyResult:
-    """The faithful CLP(R) path: facts text + rules text -> engine query."""
-    o = obs.current()
-    with o.span("consistency.check", engine="clpr") as span:
-        with o.span("consistency.facts"):
-            facts = FactGenerator(specification, tree).generate()
-            program_text = facts.to_clpr_text() + CONSISTENCY_RULES
-            program = parse_program(program_text)
-        engine = Engine(program, max_depth=100_000)
-        problems: List[Inconsistency] = []
-        seen = set()
-        with o.span("consistency.solve", clauses=len(program)):
-            for answer in engine.solve("inconsistent(R)", limit=limit):
-                term = answer.value("R")
-                rendered = repr(term)
-                if rendered in seen:
-                    continue
-                seen.add(rendered)
-                causes: Tuple[str, ...] = ()
-                if (
-                    isinstance(term, Struct)
-                    and term.functor == "ref"
-                    and len(term.args) == 5
-                ):
-                    client, server, variable, _access, _period = term.args
-                    causes = (
-                        f"client {client!r}",
-                        f"server {server!r}",
-                        f"variable {variable!r}",
-                    )
-                problems.append(
-                    Inconsistency(
-                        kind=InconsistencyKind.MISSING_PERMISSION,
-                        message=f"CLP(R) proved: inconsistent({rendered})",
-                        causes=causes,
-                    )
-                )
-        span.annotate(**engine.stats)
-    if o.enabled:
-        o.counter(
-            "repro_consistency_checks_total",
-            "consistency checks run",
-            engine="clpr",
-        ).inc()
-        o.counter(
-            "repro_clpr_unifications_total",
-            "head/argument unification attempts in the SLD engine",
-        ).inc(engine.stats["unifications"])
-        o.counter(
-            "repro_clpr_constraint_propagations_total",
-            "linear constraints pushed to the store",
-        ).inc(engine.stats["constraint_propagations"])
-    return ConsistencyResult(
-        consistent=not problems,
-        inconsistencies=problems,
-        stats={
-            "clauses": len(program),
-            "seconds": span.elapsed,
-            "engine": "clpr-sld",
-            "unifications": engine.stats["unifications"],
-            "constraint_propagations": engine.stats["constraint_propagations"],
-        },
-    )
-
-
-def failing_clients(result: ConsistencyResult) -> frozenset:
-    """The client instance ids implicated by a result's inconsistencies.
-
-    Works across engines: the closure engines name the client via the
-    offending :class:`Reference`; the CLP(R) path names it in the
-    structured ``client ...`` cause.  Used by the differential oracle to
-    compare *causes*, not just verdicts.
-    """
-    clients = set()
-    for problem in result.inconsistencies:
-        if problem.reference is not None and problem.reference.client.startswith(
-            "instance:"
-        ):
-            clients.add(problem.reference.client.split(":", 1)[1])
-            continue
-        for cause in problem.causes:
-            if cause.startswith("client "):
-                clients.add(cause.split(" ", 1)[1].strip("'"))
-    return frozenset(clients)

@@ -1,8 +1,8 @@
 """The datalog path: bottom-up evaluation of the consistency rules.
 
-A third engine between the closure fast path and full SLD resolution:
-the same facts and (positive) rules as the CLP(R) path, evaluated
-bottom-up with semi-naive iteration over interned fact tuples
+An oracle between the indexed checker and full SLD resolution: the
+same facts and (positive) rules as the CLP(R) path, evaluated bottom-up
+with semi-naive iteration over interned fact tuples
 (:mod:`repro.consistency.seminaive`).  The rule text below is still the
 single source of truth — it is parsed with the CLP(R) parser and
 translated mechanically into the tuple engine's compiled-rule IR, so
@@ -187,6 +187,7 @@ def check_with_datalog(
         for fact in sorted(fb.facts_for("ref_inst"), key=repr):
             if fact[1:] not in ok_tuples:
                 derivation = "\n".join(fb.explain(fact, depth=3)[:4])
+                _ref_inst, client, server, variable, _access, _period = fact
                 problems.append(
                     Inconsistency(
                         kind=InconsistencyKind.MISSING_PERMISSION,
@@ -194,7 +195,14 @@ def check_with_datalog(
                             f"datalog proved: reference without permission "
                             f"{fact!r}"
                         ),
-                        causes=(derivation,),
+                        # The derivation, then the CLP(R) path's
+                        # structured causes (``failing_clients`` reads them).
+                        causes=(
+                            derivation,
+                            f"client {client}",
+                            f"server {server}",
+                            f"variable {variable}",
+                        ),
                     )
                 )
         span.annotate(derived_facts=len(fb))

@@ -230,9 +230,8 @@ class DeltaChecker:
     across versions.
     """
 
-    def __init__(self, tree: MibTree, engine: str = "indexed", jobs: int = 1):
+    def __init__(self, tree: MibTree, jobs: int = 1):
         self._tree = tree
-        self._engine = engine
         self._jobs = jobs
         self._checker: Optional[ConsistencyChecker] = None
         self.last_rechecked = 0
@@ -240,14 +239,12 @@ class DeltaChecker:
 
     @property
     def checker(self) -> Optional[ConsistencyChecker]:
-        """The persistent engine (None before the first check)."""
+        """The persistent checker (None before the first check)."""
         return self._checker
 
     def check(self, specification: Specification) -> ConsistencyResult:
         if self._checker is None:
-            self._checker = ConsistencyChecker(
-                specification, self._tree, engine=self._engine
-            )
+            self._checker = ConsistencyChecker(specification, self._tree)
             result = self._checker.check(jobs=self._jobs)
             self.last_rechecked = result.stats["references"]
             self.last_reused = 0

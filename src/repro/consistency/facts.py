@@ -4,10 +4,10 @@ This is the compiler's "consistency output" (paper Section 3.2/6.2) in two
 forms:
 
 * Python objects (:class:`FactSet`) — instances, containment, references
-  and permissions — consumed by the closure-based checker;
+  and permissions — consumed by the checker;
 * CLP(R) program text (:meth:`FactSet.to_clpr_text`) — the literal
   "statements of a logic programming language" handed to the CLP(R)
-  engine by the faithful checker path.
+  engine by the faithful ``clpr`` oracle.
 
 Instantiation: every ``process`` clause of a system or domain creates an
 *instance* with a unique id (``instan(X, Y, Z)`` of Figure 4.9).
@@ -933,17 +933,19 @@ class FactGenerator:
     # ------------------------------------------------------------------
     def _make_views(self, facts: FactSet, systems, instances) -> None:
         for system in systems:
-            facts.system_supports[system.name] = self._view(system.supports)
+            facts.system_supports[system.name] = self.view(system.supports)
         by_process: Dict[str, MibView] = {}
         for instance in instances:
             view = by_process.get(instance.process_name)
             if view is None:
-                view = by_process[instance.process_name] = self._view(
+                view = by_process[instance.process_name] = self.view(
                     self._spec.processes[instance.process_name].supports
                 )
             facts.instance_supports[instance.id] = view
 
-    def _view(self, paths: Sequence[str]) -> MibView:
+    def view(self, paths: Sequence[str]) -> MibView:
+        """The view over the known *paths*: ``view_of``'s when one was
+        given, else a fresh object per call."""
         if self._view_of is not None:
             return self._view_of(tuple(paths))
         known = [path for path in paths if self._tree.knows(path)]
@@ -1047,7 +1049,7 @@ class FactGenerator:
 class IncrementalFactGenerator:
     """Fact generation across specification versions.
 
-    The scalable engine's generation path:
+    The checker's generation path:
 
     * :class:`MibView` objects are interned per paths-tuple, so a
       10,000-element internet whose elements share one ``supports`` list

@@ -381,7 +381,6 @@ class ImpactAnalyzer:
         self,
         tree: MibTree,
         *,
-        engine: str = "indexed",
         jobs: int = 1,
         tags: Sequence[str] = ("BartsSnmpd",),
         config_scope: str = "impacted",
@@ -393,7 +392,6 @@ class ImpactAnalyzer:
                 f"not {config_scope!r}"
             )
         self._tree = tree
-        self._engine = engine
         self._jobs = jobs
         self._tags = tuple(tags)
         self._config_scope = config_scope
@@ -406,9 +404,7 @@ class ImpactAnalyzer:
 
     def baseline(self, specification: Specification) -> ConsistencyResult:
         """Full-check revision A and remember its verdicts and facts."""
-        self._checker = ConsistencyChecker(
-            specification, self._tree, engine=self._engine
-        )
+        self._checker = ConsistencyChecker(specification, self._tree)
         return self._checker.check(jobs=self._jobs)
 
     def _fingerprints(

@@ -1,7 +1,8 @@
 """Indexed reference→permission coverage lookup.
 
 The paper's reduction step asks, for every reference, whether some
-permission covers it.  The scan engine answers by walking the candidate
+permission covers it.  The reduction rule as written
+(:mod:`repro.consistency.causes`) answers by walking the candidate
 permission list per reference — O(refs × perms) in the worst case.  The
 :class:`PermissionIndex` here drops that to near-O(refs):
 
@@ -19,8 +20,8 @@ permission list per reference — O(refs × perms) in the worst case.  The
 
 The index answers the *positive* question only ("is the reference
 covered, and by which permission").  Cause reporting for uncovered
-references stays with the checker's detailed scan, so inconsistency
-reports are byte-identical between engines.
+references stays with :mod:`repro.consistency.causes`, so the checker's
+reports are byte-identical to the ``scan`` oracle's.
 
 Index entries are built lazily: a check that never references
 a server never pays for indexing its permissions.

@@ -1,12 +1,10 @@
 """Semi-naive datalog over interned fact tuples, compiled to closures.
 
-The rewrite of the consistency engine's datalog core for paper scale
-(Section 3.1).  The previous bottom-up evaluator
-(:mod:`repro.clpr.datalog`) interprets parsed CLP(R) terms: every
-candidate fact pays a ``clause.fresh()`` renaming and a general
-unification, which is where the superlinear tail of the consistency
-benchmark went.  This engine trades that generality for speed on the
-function-free fragment the checker actually uses:
+The datalog core of the rule-text-driven oracle
+(:mod:`repro.consistency.datalog_path`).  An evaluator over parsed
+CLP(R) terms pays a ``clause.fresh()`` renaming and a general
+unification per candidate fact; this engine trades that generality for
+speed on the function-free fragment the consistency rules actually use:
 
 * **facts are plain tuples** — ``("contains", ("domain", "noc"),
   ("system", "romano"))`` — deduplicated ("interned") in one set, so a

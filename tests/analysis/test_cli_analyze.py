@@ -1,4 +1,4 @@
-"""CLI tests for ``nmslc analyze`` and the deprecated ``--lint`` alias."""
+"""CLI tests for ``nmslc analyze``."""
 
 import json
 from pathlib import Path
@@ -133,11 +133,3 @@ class TestBaselineFlow:
             )
             == 0
         )
-
-
-class TestLintAlias:
-    def test_deprecation_warning_and_exit_zero(self, warning_file, capsys):
-        assert main([str(warning_file), "--lint"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "NM101" in captured.out

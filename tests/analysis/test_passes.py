@@ -3,8 +3,9 @@
 Every fixture here is a minimal specification seeded with exactly one
 defect (NM103's extension fixture seeds two, one per dead-entry kind),
 and each test asserts the pass reports it — and nothing else — with a
-real source span.  A final suite asserts the five passes that are new
-in the analysis framework stay silent on both paper examples.
+real source span; the seed linter's clean cases ride along.  A final
+suite asserts the five passes that are new in the analysis framework
+stay silent on both paper examples.
 """
 
 from pathlib import Path
@@ -64,6 +65,22 @@ end system "dumb.example".
         report = analyze(text, codes=["NM102"])
         diagnostic = only_finding(report, "NM102")
         assert diagnostic.subject == "dumb.example"
+
+    def test_nm102_proxied_element_is_managed(self):
+        text = BASE.replace(
+            "    supports mgmt.mib.system, mgmt.mib.ip;\nend process agent.",
+            "    supports mgmt.mib.system, mgmt.mib.ip;\n"
+            "    proxies dumb.example via direct;\nend process agent.",
+        ) + """
+system "dumb.example" ::=
+    cpu z80;
+    interface p0 net lan type ethernet-csmacd speed 10000000 bps;
+    opsys firmware version 1;
+    supports mgmt.mib.ip;
+end system "dumb.example".
+"""
+        report = analyze(text, codes=["NM102"])
+        assert len(report) == 0, [d.render() for d in report]
 
 
 class TestNM103DeadExtensionEntries:
@@ -139,6 +156,30 @@ class TestPermissionPasses:
         report = analyze(text, codes=["NM202"])
         diagnostic = only_finding(report, "NM202")
         assert diagnostic.severity is Severity.ERROR
+
+    def test_nm201_used_export_not_flagged(self):
+        text = BASE + """
+process watcher(T: Process) ::=
+    queries T requests mgmt.mib.ip frequency >= 10 minutes;
+end process watcher.
+domain servers ::=
+    system server.example;
+    exports mgmt.mib.ip to clients access ReadOnly frequency >= 5 minutes;
+end domain servers.
+domain clients ::= process watcher(server.example); end domain clients.
+"""
+        report = analyze(text, codes=["NM201"])
+        assert len(report) == 0, [d.render() for d in report]
+
+    def test_nm202_readonly_to_public_clean(self):
+        text = BASE.replace(
+            "end process agent.",
+            '    exports mgmt.mib.ip to "public"\n'
+            "        access ReadOnly frequency >= 5 minutes;\n"
+            "end process agent.",
+        )
+        report = analyze(text, codes=["NM202"])
+        assert len(report) == 0, [d.render() for d in report]
 
     def test_nm203_shadowed_permission(self):
         report = analyze(

@@ -120,20 +120,19 @@ def test_exports_recheck_leaves_the_collector_nothing(collector_off):
     assert gc.collect() == 0
 
 
-@pytest.mark.parametrize("engine", ["indexed", "scan"])
-def test_dropped_checker_dies_by_reference_count(collector_off, engine):
+def test_dropped_checker_dies_by_reference_count(collector_off):
     """``nmsld`` makes a checker per analyze/diff and drops it: it (and
     its fact set, and its permission index) must go at once, not wait
     for a generation-2 pass over a warm daemon's heap."""
-    checker = ConsistencyChecker(
-        _internet().specification(), _COMPILER.tree, engine=engine
-    )
+    checker = ConsistencyChecker(_internet().specification(), _COMPILER.tree)
     result = checker.check()
     assert result.inconsistencies
-    dead = [weakref.ref(checker), weakref.ref(checker.facts)]
-    if engine == "indexed":
-        assert checker._index is not None
-        dead.append(weakref.ref(checker._index))
+    assert checker._index is not None
+    dead = [
+        weakref.ref(checker),
+        weakref.ref(checker.facts),
+        weakref.ref(checker._index),
+    ]
     del checker, result
     assert [ref() for ref in dead] == [None] * len(dead)
     assert gc.collect() == 0

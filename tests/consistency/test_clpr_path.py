@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.consistency.checker import ConsistencyChecker, check_with_clpr
+from repro.consistency.checker import ConsistencyChecker
+from repro.consistency.oracles import check_with_clpr
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.workloads.generator import InternetParameters, SyntheticInternet
 from repro.workloads.paper import PAPER_SPEC_TEXT

@@ -1,17 +1,19 @@
-"""Differential oracle: the fast engines against the CLP(R) semantics.
+"""Differential suite: the production checker against the oracle table.
 
-The indexed/incremental engine is only trustworthy if it keeps agreeing
+The indexed/incremental checker is only trustworthy if it keeps agreeing
 with the faithful path of paper Figure 3.1.  This suite draws a seeded
 corpus of ≥50 synthetic internets (reusing
 :class:`repro.workloads.generator.SyntheticInternet`) and asserts, for
-every spec:
+every spec and every oracle registered in
+:data:`repro.consistency.oracles.ORACLES`:
 
-* the indexed engine, the unindexed scan and :func:`check_with_clpr`
-  return the same consistent/inconsistent verdict;
-* they implicate the same set of client instances (the *causes*, via
-  :func:`failing_clients`) — the closure engines name the client on the
-  offending reference, the CLP(R) path in its structured ``client ...``
-  cause;
+* the oracle returns the checker's consistent/inconsistent verdict;
+* it implicates the same set of client instances (the *causes*, via
+  :func:`failing_clients`) — the checker and ``scan`` name the client on
+  the offending reference, the rule-driven paths in a structured
+  ``client ...`` cause;
+* ``scan``, which words its report as the checker does, renders the
+  byte-identical report;
 * an incremental ``recheck`` that arrives at the spec from a clean
   baseline produces the same verdict and causes as a from-scratch check.
 
@@ -19,19 +21,17 @@ Scope note — wildcard targets are excluded by construction: the
 synthetic generator only emits literal ``system:`` query targets.
 Wildcard (``*``) references have run-time-bound targets, which the
 CLP(R) fact rendering cannot ground, so the two paths are not comparable
-there (the closure engines check them existentially; see the module
-docstring of :mod:`repro.consistency.checker`).
+there (the checker decides them existentially; see the module docstring
+of :mod:`repro.consistency.oracles`).
 """
 
 import random
 
 import pytest
 
-from repro.consistency.checker import (
-    ConsistencyChecker,
-    check_with_clpr,
-    failing_clients,
-)
+from repro.consistency.checker import ConsistencyChecker
+from repro.consistency.index import PermissionIndex
+from repro.consistency.oracles import ORACLES, failing_clients
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.workloads.generator import InternetParameters, SyntheticInternet
 
@@ -86,24 +86,62 @@ def test_engines_agree(parameters):
     tree = _COMPILER.tree
 
     indexed = ConsistencyChecker(specification, tree).check()
-    scan = ConsistencyChecker(specification, tree, engine="scan").check()
-    clpr = check_with_clpr(specification, tree)
+    assert {"scan", "clpr", "datalog"} <= set(ORACLES)
+    for name, oracle in ORACLES.items():
+        answer = oracle(specification, tree)
+        # Verdict agreement (acceptance criterion: 0 disagreements).
+        assert answer.consistent == indexed.consistent, (
+            f"verdict disagreement on {parameters!r}: "
+            f"indexed={indexed.consistent} {name}={answer.consistent}"
+        )
+        # Every oracle implicates the same clients.
+        assert failing_clients(answer) == failing_clients(indexed), (
+            f"cause disagreement with {name} on {parameters!r}"
+        )
+        if name == "scan":
+            # It words its report as the checker does: same bytes.
+            assert answer.render() == indexed.render()
+            assert answer.warnings == indexed.warnings
 
-    # Verdict agreement (acceptance criterion: 0 disagreements).
-    assert indexed.consistent == scan.consistent == clpr.consistent, (
-        f"verdict disagreement on {parameters!r}: "
-        f"indexed={indexed.consistent} scan={scan.consistent} "
-        f"clpr={clpr.consistent}"
-    )
-    # Indexed and scan agree on the full rendered report.
-    assert [
-        (p.kind, p.message, p.causes) for p in indexed.inconsistencies
-    ] == [(p.kind, p.message, p.causes) for p in scan.inconsistencies]
-    # All three implicate the same clients.
-    assert failing_clients(indexed) == failing_clients(scan)
-    assert failing_clients(indexed) == failing_clients(clpr), (
-        f"cause disagreement on {parameters!r}"
-    )
+
+def test_scan_oracle_shares_no_state_with_the_checker(monkeypatch):
+    """An oracle is only evidence if it is independent: checking the
+    same specification object through ``scan`` builds no
+    ``PermissionIndex``, reads and writes none of a live checker's
+    memos, and reduces a fact set of its own."""
+    parameters = next(p for p in _corpus() if p.silent_domains)
+    specification = SyntheticInternet(parameters).specification()
+    tree = _COMPILER.tree
+    checker = ConsistencyChecker(specification, tree)
+    indexed = checker.check()
+    assert indexed.inconsistencies
+
+    def state():
+        return (
+            checker.cache_tallies(),
+            checker._index.stats(),
+            len(checker._cover_memo),
+            len(checker._fit_memo),
+            len(checker._candidate_memo),
+            len(checker._generator._views),
+        )
+
+    built = []
+    build = PermissionIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermissionIndex, "__init__", counting)
+    before = state()
+    scan = ORACLES["scan"](specification, tree)
+    assert built == []
+    assert state() == before
+    assert scan.render() == indexed.render()
+    for mine, theirs in zip(indexed.inconsistencies, scan.inconsistencies):
+        assert mine.reference == theirs.reference
+        assert mine.reference is not theirs.reference
 
 
 @pytest.mark.parametrize(

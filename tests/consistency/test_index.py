@@ -17,6 +17,7 @@ import dataclasses
 
 import pytest
 
+from repro.consistency.causes import candidate_servers, permissions_for_server
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.index import PermissionIndex
 from repro.consistency.relations import permission_covers
@@ -63,15 +64,13 @@ class TestPermissionIndexAgreesWithScan:
         index, facts = _index_for(checker)
         compared = 0
         for reference in facts.references:
-            candidates, _existential, _data = checker._candidate_servers(
+            candidates, _existential, _data = candidate_servers(
                 reference, facts
             )
             reference_view = checker.view(reference.variables)
             for server in candidates or ():
                 scan_hit = None
-                for permission in checker._permissions_for_server(
-                    server, facts
-                ):
+                for permission in permissions_for_server(server, facts):
                     verdict = permission_covers(
                         reference,
                         permission,
@@ -96,12 +95,12 @@ class TestPermissionIndexAgreesWithScan:
         checker = ConsistencyChecker(spec, compiler.tree)
         index, facts = _index_for(checker)
         for reference in facts.references:
-            candidates, _existential, _data = checker._candidate_servers(
+            candidates, _existential, _data = candidate_servers(
                 reference, facts
             )
             for server in candidates or ():
                 assert index.permissions_for(server) == (
-                    checker._permissions_for_server(server, facts)
+                    permissions_for_server(server, facts)
                 )
 
     def test_lazy_build_and_stats(self, compiler):
@@ -110,7 +109,7 @@ class TestPermissionIndexAgreesWithScan:
         index, facts = _index_for(checker)
         assert index.stats()["indexed_servers"] == 0
         reference = facts.references[0]
-        candidates, _existential, _data = checker._candidate_servers(
+        candidates, _existential, _data = candidate_servers(
             reference, facts
         )
         index.covering_permission(
@@ -123,10 +122,9 @@ class TestPermissionIndexAgreesWithScan:
 class TestFingerprintKeyedCaches:
     """Regression: spec mutation between checks must be observed."""
 
-    @pytest.mark.parametrize("engine", ["indexed", "scan"])
-    def test_mutation_after_check_is_seen(self, compiler, engine):
+    def test_mutation_after_check_is_seen(self, compiler):
         spec = compiler.compile(campus_internet()).specification
-        checker = ConsistencyChecker(spec, compiler.tree, engine=engine)
+        checker = ConsistencyChecker(spec, compiler.tree)
         first = checker.check()
         assert first.consistent
 

@@ -25,11 +25,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.consistency.checker import (
-    ConsistencyChecker,
-    check_with_clpr,
-    failing_clients,
-)
+from repro.consistency.checker import ConsistencyChecker
+from repro.consistency.oracles import ORACLES, failing_clients
 from repro.consistency.evolution import diff_specifications
 from repro.consistency.facts import IncrementalFactGenerator
 from repro.mib.tree import Access
@@ -483,7 +480,7 @@ def test_corpus_patch_equals_cold_generation(index):
     for delta in (*LOCAL_DELTAS, several):
         after = delta(rng, before)
         result, _fresh = check_local_delta(before, after, warm=index % 2 == 0)
-        scan = ConsistencyChecker(after, TREE, engine="scan").check()
+        scan = ORACLES["scan"](after, TREE)
         assert _report(result) == _report(scan)
         before = after
     # CLP(R) grounds literal system targets only (the scope note of
@@ -501,7 +498,7 @@ def test_corpus_patch_equals_cold_generation(index):
             len(diff_specifications(before, after))
         )
         before = after
-    clpr = check_with_clpr(before, TREE)
+    clpr = ORACLES["clpr"](before, TREE)
     assert result.consistent == clpr.consistent
     assert failing_clients(result) == failing_clients(clpr)
 

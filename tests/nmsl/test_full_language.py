@@ -3,7 +3,8 @@ recursive queries (paper Sections 3.1 and 4.1.3)."""
 
 import pytest
 
-from repro.consistency.checker import ConsistencyChecker, check_with_clpr
+from repro.consistency.checker import ConsistencyChecker
+from repro.consistency.oracles import check_with_clpr
 from repro.consistency.facts import FactGenerator
 from repro.consistency.report import InconsistencyKind
 from repro.errors import NmslSemanticError

@@ -183,16 +183,22 @@ class TestWorkerSupervisor:
         supervisor = WorkerSupervisor(config)
         supervisor.worker_started(0, now=0.0)
         supervisor.worker_started(1, now=0.0)
-        overrun = _request(deadline=SimpleNamespace(at_s=10.0))
-        supervisor.assign(overrun, now=1.0)
+        # Literal spec strings, so the affinity hash (sha256 of the spec
+        # parameter, mod 2) does not depend on where the repo is checked
+        # out: "/over-budget.nmsl" prefers worker 0, "/silent.nmsl" 1.
+        overrun = _request(
+            params={"spec": "/over-budget.nmsl"},
+            deadline=SimpleNamespace(at_s=10.0),
+        )
+        assert supervisor.assign(overrun, now=1.0) == 0
         supervisor.heartbeat(0, now=10.5)  # alive, just over-budget
         assert supervisor.overdue_workers(now=11.0) == []
         assert supervisor.overdue_workers(now=12.5) == [(0, "overrun")]
         # Worker 1: no deadline, but heartbeats went stale.
         wedged = _request(
-            params={"spec": "/w.nmsl"}, deadline=None, request_id="r2"
+            params={"spec": "/silent.nmsl"}, deadline=None, request_id="r2"
         )
-        supervisor.assign(wedged, now=1.0)
+        assert supervisor.assign(wedged, now=1.0) == 1
         supervisor.heartbeat(1, now=2.0)
         stale = supervisor.overdue_workers(now=12.5)
         assert (1, "wedge") in stale

@@ -106,14 +106,6 @@ class TestFormatAndLint:
         out = capsys.readouterr().out.split()
         assert {"consistency", "BartsSnmpd", "acl-table", "osi"} <= set(out)
 
-    def test_lint(self, tmp_path, capsys):
-        spec = tmp_path / "spec.nmsl"
-        spec.write_text(
-            "process ghost ::= supports mgmt.mib; end process ghost."
-        )
-        assert main([str(spec), "--lint"]) == 0
-        assert "[unused-process] ghost" in capsys.readouterr().out
-
     def test_capacity_flag(self, paper_file, capsys):
         assert main([str(paper_file), "--check", "--capacity"]) == 0
 

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze chaos heal profile service ledger ledger-full-check ledger-edit-stream ledger-compare clean
+.PHONY: test analyze chaos heal profile service ledger ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -51,6 +51,14 @@ ledger-full-check:
 ledger-edit-stream:
 	$(PYTHON) benchmarks/ledger --workload edit_stream_10k --seed 7 --seconds 15 --trace 0
 	$(PYTHON) benchmarks/ledger --workload edit_stream_10k --seed 7 --seconds 15 --trace 1
+
+## The warm daemon alone, in the driver's form, untraced then traced: a
+## live `nmsld --workers 1` serves two 1,000-domain specs to closed-loop
+## clients, every answer checked on arrival (CI's smoke; the traced run
+## adds spec_cache_hit_ms, check_inproc_ms, hop_ms and overhead_ms).
+ledger-daemon-mix:
+	$(PYTHON) benchmarks/ledger --workload daemon_mix_1k --seed 7 --seconds 15 --trace 0
+	$(PYTHON) benchmarks/ledger --workload daemon_mix_1k --seed 7 --seconds 15 --trace 1
 
 ## Judge ledger B against ledger A, metric by metric against its bound:
 ##   make ledger-compare A=benchmarks/ledger/out/ledger-seed200-*.json B=...

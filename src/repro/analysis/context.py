@@ -11,7 +11,9 @@ Extension-table information (``extensions``, ``keyword_table``,
 ``extension_decltypes``) is optional: it is present when the context is
 built through :meth:`repro.nmsl.compiler.NmslCompiler.analysis_context`
 and absent for bare ``Specification`` objects, in which case the
-dead-extension pass simply has nothing to analyze.
+dead-extension pass simply has nothing to analyze.  ``checker`` is
+optional too: given a warm ``ConsistencyChecker`` of the specification
+(``nmsld``'s session), the passes read its fact set and views.
 """
 
 from __future__ import annotations
@@ -40,20 +42,25 @@ class AnalysisContext:
     extension_files: Tuple[str, ...] = ()
     extension_decltypes: Tuple[str, ...] = ()
     keyword_table: Optional[KeywordTable] = None
+    checker: Optional[object] = None
 
     _facts: Optional[FactSet] = field(default=None, init=False, repr=False)
     _index: Optional[PermissionIndex] = field(
         default=None, init=False, repr=False
     )
-    _generator: IncrementalFactGenerator = field(init=False, repr=False)
+    #: Interns the views: ``checker`` when given, else one of our own.
+    _generator: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._generator = IncrementalFactGenerator(self.tree)
+        self._generator = self.checker or IncrementalFactGenerator(self.tree)
 
     @property
     def facts(self) -> FactSet:
         if self._facts is None:
-            self._facts = self._generator.generate(self.specification)
+            self._facts = (
+                self.checker.facts if self.checker is not None
+                else self._generator.generate(self.specification)
+            )
         return self._facts
 
     @property

@@ -6,7 +6,8 @@ warm :class:`~repro.consistency.checker.ConsistencyChecker` (with its
 verdict memos and permission index) alive across requests, so the
 second ``check`` of an unchanged spec costs memo lookups instead of a
 full compile + fact expansion.  Entries are keyed by resolved path and
-invalidated by content hash; a bounded LRU caps resident specs.
+invalidated by content hash (:mod:`repro.service.specfile`: from ``stat``
+while the file is unchanged); a bounded LRU caps resident specs.
 
 :class:`ServiceHandlers` executes each operation against the cache and
 returns a JSON-safe result payload.  Handlers run on worker threads in
@@ -23,6 +24,7 @@ threads at the same wall-clock moment.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import threading
 from collections import OrderedDict
@@ -30,9 +32,11 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
+from repro.collector import bulk_load
 from repro.deadline import Deadline
-from repro.errors import ReproError, RolloutVetoed
+from repro.errors import NmslSemanticError, NmslSyntaxError, RolloutVetoed
 from repro.service.protocol import ProtocolError
+from repro.service.specfile import read_spec
 
 #: Findings/problems included in a response before truncation.
 MAX_REPORTED = 50
@@ -53,14 +57,12 @@ class SpecSession:
         #: concurrently; on the same spec they serialise here.
         self.campaign_lock = threading.Lock()
         self.compiler = NmslCompiler(CompilerOptions(filename=path))
-        self.result = self.compiler.compile(text)
-        if self.result.report.errors:
-            raise ProtocolError(
-                "compile",
-                f"{path}: " + "; ".join(
-                    str(error) for error in self.result.report.errors[:5]
-                ),
-            )
+        try:
+            with bulk_load():
+                self.result = self.compiler.compile(text)
+        except (NmslSyntaxError, NmslSemanticError) as exc:
+            # The compile is strict: errors arrive as exceptions.
+            raise ProtocolError("compile", str(exc))
         self.checks = 0
         self._checker = None
         self._runtime = None
@@ -105,17 +107,27 @@ class SpecCache:
     def get(self, spec: str) -> SpecSession:
         path = str(Path(spec))
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+            text_hash, data = read_spec(path)
+            with self._lock:
+                session = self._entries.get(path)
+                if session is not None and session.text_hash == text_hash:
+                    self._entries.move_to_end(path)
+                    self.hits += 1
+                    self._publish()
+                    return session
+            if data is None:  # the signature answered; now the text is needed
+                text_hash, data = read_spec(path, need_bytes=True)
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(
+                "bad-request",
+                f"{spec} is not valid UTF-8: byte offset {exc.start}: "
+                f"{exc.reason}",
+            )
+        except (OSError, ValueError) as exc:  # ValueError: NUL in the path
             raise ProtocolError("bad-request", f"cannot read {spec}: {exc}")
-        text_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        with self._lock:
-            session = self._entries.get(path)
-            if session is not None and session.text_hash == text_hash:
-                self._entries.move_to_end(path)
-                self.hits += 1
-                self._publish()
-                return session
+        # Universal newlines, as nmslc's text-mode read gives the compiler.
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
         # Compile outside the cache lock (it can take seconds at paper
         # scale); last writer wins on a racing recompile of one path.
         self.misses += 1
@@ -350,7 +362,11 @@ class ServiceHandlers:
             Deadline.poll(deadline, "service.analyze")
             with session.lock:
                 report = registry.run(
-                    session.compiler.analysis_context(session.result),
+                    # The passes read the fact set `check` keeps warm.
+                    dataclasses.replace(
+                        session.compiler.analysis_context(session.result),
+                        checker=session.checker,
+                    ),
                     codes=tuple(codes) if codes else None,
                 )
             gating = gating or bool(report.gating())

@@ -1,14 +1,14 @@
 """Fault-isolated multi-process worker pool: supervision, recovery,
 poison-request quarantine.
 
-The GIL bounds a single-process ``nmsld`` to one CPU of check
-throughput, and — worse for a management plane that must itself be
-dependable — one wedged or crashing request takes every other request
-down with it.  This module shards request execution across *supervised
-worker processes* the same way ``--jobs`` shards the checker: fork off
-a warm parent heap (:func:`repro.collector.frozen_fork_heap`),
-share the compiled structures copy-on-write, and keep the merge
-deterministic.
+The pool is for fault isolation: in a single-process ``nmsld`` one
+wedged or crashing request takes every other request down with it, so
+requests execute in *supervised worker processes* forked off the
+daemon's warm heap (:func:`repro.collector.frozen_fork_heap`).  It buys
+no throughput — two workers serve a check-only load no faster than one
+(``service.pool.scaling_2w`` ≈ 1.0, EXPERIMENTS.md "PR 16") — and a hop
+costs ~0.5 ms (``service.pool.hop_ms``, "PR 22"): two pipe frames and,
+on each side, one ``stat`` of the spec (:mod:`repro.service.specfile`).
 
 Three layers, strictly separated so the whole supervision state machine
 runs byte-identically under the simulated runtime:
@@ -50,9 +50,8 @@ op          replayable rationale
 ``analyze`` yes        pure read
 ``diff``    yes        pure read of both specs
 ``compile`` yes        pure read
-``ping``    yes        trivial (never pooled in practice)
-``status``  yes        read of core state (never pooled)
-``slo``     yes        read of tracker state (never pooled)
+``ping``    yes        trivial; like ``status``/``slo`` never pooled
+``status``  yes        read of core state (``slo``: of tracker state)
 ``rollout`` **no**     mutates elements; journal guards resume instead
 ``heal``    **no**     mutates elements
 =========== ========== ==============================================
@@ -71,11 +70,11 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.service.protocol import IDEMPOTENT_OPS
+from repro.service.specfile import spec_digest
 
 #: Worker states.
 IDLE, BUSY, DOWN = "idle", "busy", "down"
@@ -101,11 +100,11 @@ def request_fingerprint(op: str, params: dict) -> str:
         value = params.get(key)
         if isinstance(value, str):
             try:
-                content = Path(value).read_bytes()
-            except OSError:
+                content_digest = bytes.fromhex(spec_digest(value))
+            except (OSError, ValueError):  # ValueError: NUL in the path
                 continue
             digest.update(b"\x00" + key.encode("utf-8") + b"\x00")
-            digest.update(hashlib.sha256(content).digest())
+            digest.update(content_digest)
     return digest.hexdigest()
 
 

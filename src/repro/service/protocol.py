@@ -28,22 +28,24 @@ drops::
 
 Error kinds and their HTTP-style codes:
 
-=============== ==== ==================================================
-``bad-request``  400 malformed JSON / missing or invalid fields
-``unknown-op``   404 ``op`` not in :data:`OPS`
-``compile``      422 the specification does not compile
-``vetoed``       403 relational gate refused the campaign (NM401 unwaived)
-``queue-full``   503 bounded queue full; nothing lower-priority to shed
-``shed``         503 evicted from the queue by a higher-priority arrival
-``draining``     503 daemon is draining (SIGTERM received)
-``circuit-open`` 503 campaign circuit breaker open (repeat offender)
-``worker-lost``  503 a pool worker died mid-request and the op is not
-                     replayable (or its replay budget is spent)
-``quarantined``  503 the request's fingerprint is in the poison-request
-                     registry (killed workers twice; NM501)
-``deadline``     504 deadline expired (queued or mid-execution)
-``internal``     500 unexpected server-side failure
-=============== ==== ==================================================
+=================== ==== ==============================================
+``bad-request``      400 malformed JSON / missing or invalid fields
+``frame-too-large``  413 no newline within :data:`MAX_FRAME_BYTES`;
+                         the connection is closed after this reply
+``unknown-op``       404 ``op`` not in :data:`OPS`
+``compile``          422 the specification does not compile
+``vetoed``           403 relational gate refused the campaign (NM401 unwaived)
+``queue-full``       503 bounded queue full; nothing lower-priority to shed
+``shed``             503 evicted from the queue by a higher-priority arrival
+``draining``         503 daemon is draining (SIGTERM received)
+``circuit-open``     503 campaign circuit breaker open (repeat offender)
+``worker-lost``      503 a pool worker died mid-request and the op is not
+                         replayable (or its replay budget is spent)
+``quarantined``      503 the request's fingerprint is in the poison-request
+                         registry (killed workers twice; NM501)
+``deadline``         504 deadline expired (queued or mid-execution)
+``internal``         500 unexpected server-side failure
+=================== ==== ==============================================
 
 Serialisation is deterministic: ``sort_keys=True``, compact separators —
 same-seed simulated runs serialise byte-identical transcripts.
@@ -56,6 +58,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.obs.context import TraceContext
+
+#: Longest request line ``nmsld`` reads (asyncio's default is 64 KiB).
+MAX_FRAME_BYTES = 256 * 1024
 
 #: Priority classes in rank order — rank 0 is served first, the highest
 #: rank is shed first.
@@ -106,11 +111,15 @@ IDEMPOTENT_OPS = frozenset(
 #: conventionally are.  ``quarantined`` counts as a client fault: the
 #: registry only holds fingerprints that killed workers twice.
 CLIENT_FAULT_KINDS = frozenset(
-    {"bad-request", "unknown-op", "compile", "vetoed", "quarantined"}
+    {
+        "bad-request", "frame-too-large", "unknown-op", "compile", "vetoed",
+        "quarantined",
+    }
 )
 
 ERROR_CODES: Dict[str, int] = {
     "bad-request": 400,
+    "frame-too-large": 413,
     "unknown-op": 404,
     "compile": 422,
     "vetoed": 403,

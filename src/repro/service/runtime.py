@@ -34,7 +34,11 @@ from typing import List, Optional, Protocol, Tuple
 
 from repro import obs
 from repro.service.core import ServiceConfig, ServiceCore, ServiceRequest
-from repro.service.protocol import encode_message
+from repro.service.protocol import (
+    MAX_FRAME_BYTES,
+    encode_message,
+    error_response,
+)
 
 _log = logging.getLogger("repro.service")
 
@@ -361,6 +365,18 @@ class AsyncServiceRuntime:
                     line = await reader.readline()
                 except (ConnectionResetError, asyncio.IncompleteReadError):
                     break
+                except ValueError:
+                    # No newline within the bound, so nothing after it
+                    # can be framed either: answer, then hang up.
+                    refusal = error_response(
+                        None, "frame-too-large",
+                        f"request line exceeds {MAX_FRAME_BYTES} bytes",
+                    )
+                    self.core.audit.event(
+                        "reject", at_s=self.core.clock(), **refusal["error"]
+                    )
+                    await self._send(writer, refusal)
+                    break
                 if not line:
                     break
                 text = line.decode("utf-8", errors="replace")
@@ -619,12 +635,14 @@ class AsyncServiceRuntime:
         if self.socket_path:
             self._remove_stale_socket(self.socket_path)
             server = await asyncio.start_unix_server(
-                self._serve_client, path=self.socket_path
+                self._serve_client, path=self.socket_path,
+                limit=MAX_FRAME_BYTES,
             )
             endpoint = self.socket_path
         else:
             server = await asyncio.start_server(
-                self._serve_client, host=self.host, port=self.port
+                self._serve_client, host=self.host, port=self.port,
+                limit=MAX_FRAME_BYTES,
             )
             self.port = server.sockets[0].getsockname()[1]
             endpoint = f"{self.host}:{self.port}"

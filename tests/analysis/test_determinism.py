@@ -81,3 +81,24 @@ def test_report_is_sorted_and_deduplicated():
         (d.fingerprint(), d.location) for d in report.diagnostics
     ]
     assert len(fingerprint_spans) == len(set(fingerprint_spans))
+
+
+def test_checker_backed_context_reports_the_same_over_corpus():
+    """``nmsld`` hands ``analyze`` its session's warm checker; the passes
+    must read the same facts there as in a fact set of their own —
+    before the checker has checked anything and after."""
+    from repro.analysis import AnalysisContext, default_registry
+    from repro.consistency.checker import ConsistencyChecker
+
+    registry = default_registry()
+    for parameters in _corpus():
+        spec = SyntheticInternet(parameters).specification()
+        bare = render_text(analyze_specification(spec, _COMPILER.tree))
+        checker = ConsistencyChecker(spec, _COMPILER.tree)
+        for _round in ("cold checker", "checked"):
+            context = AnalysisContext(
+                specification=spec, tree=_COMPILER.tree, checker=checker
+            )
+            assert render_text(registry.run(context)) == bare
+            assert context.facts is checker.checked_facts
+            checker.check()

@@ -1,0 +1,179 @@
+"""Bytes the daemon cannot use are refused with a structured error.
+
+A specification that is not UTF-8 and a request line with no end are
+the two inputs that used to escape as a traceback (``internal``, or an
+unhandled exception on the submit executor) and as a connection that
+died without a word.  A specification that does not compile took the
+same two exits (a strict compile raises), not the documented 422.
+"""
+
+import json
+import socket
+import time
+
+import pytest
+
+from repro.service import ServiceConfig, ServiceCore
+from repro.service.client import ServiceClient
+from repro.service.handlers import SpecCache
+from repro.service.protocol import (
+    MAX_FRAME_BYTES,
+    ProtocolError,
+    encode_message,
+)
+
+from tests.service.test_pool import CAMPUS, pooled_daemon  # noqa: F401
+
+#: Valid up to byte 8, then a lone continuation byte.
+NOT_UTF8 = b"domain d\x80 ::= end domain d.\n"
+
+
+@pytest.fixture
+def bad_spec(tmp_path):
+    path = tmp_path / "latin.nmsl"
+    path.write_bytes(NOT_UTF8)
+    return str(path)
+
+
+def _assert_names_the_byte(error, path):
+    assert error["kind"] == "bad-request" and error["code"] == 400
+    assert path in error["message"]
+    assert "byte offset 8" in error["message"]
+
+
+class TestNotUtf8InProcess:
+    def test_cache_refuses_naming_path_and_offset(self, bad_spec):
+        with pytest.raises(ProtocolError) as caught:
+            SpecCache().get(bad_spec)
+        assert caught.value.kind == "bad-request"
+        assert bad_spec in str(caught.value)
+        assert "byte offset 8" in str(caught.value)
+
+    @pytest.mark.parametrize("op", ["check", "compile", "analyze"])
+    def test_executed_op_answers_bad_request(self, bad_spec, op):
+        core = ServiceCore(ServiceConfig(), clock=lambda: 0.0)
+        request, responses = core.submit(
+            encode_message({"id": "r", "op": op, "params": {"spec": bad_spec}})
+        )
+        assert request is not None and responses == []
+        admitted, disposition = core.next_action()
+        assert admitted is request and disposition != "expired"
+        response = core.execute(request)
+        assert not response["ok"]
+        _assert_names_the_byte(response["error"], bad_spec)
+
+    @pytest.mark.parametrize("op", ["rollout", "heal"])
+    def test_campaign_is_refused_at_admission(self, bad_spec, op):
+        core = ServiceCore(ServiceConfig(), clock=lambda: 0.0)
+        request, responses = core.submit(
+            encode_message({"id": "r", "op": op, "params": {"spec": bad_spec}})
+        )
+        assert request is None
+        [(_reply_to, response)] = responses
+        _assert_names_the_byte(response["error"], bad_spec)
+
+
+class TestDoesNotCompile:
+    @pytest.fixture(params=["domain d ::= system nowhere; end domain d.\n",
+                            "domain d ::=\n", "@@@"])
+    def broken_spec(self, request, tmp_path):
+        path = tmp_path / "broken.nmsl"
+        path.write_text(request.param)
+        return str(path)
+
+    @pytest.mark.parametrize("op", ["check", "rollout"])
+    def test_answers_compile_422(self, broken_spec, op):
+        core = ServiceCore(ServiceConfig(), clock=lambda: 0.0)
+        request, responses = core.submit(
+            encode_message(
+                {"id": "r", "op": op, "params": {"spec": broken_spec}}
+            )
+        )
+        if op == "check":
+            core.next_action()
+            response = core.execute(request)
+        else:  # a campaign compiles at admission
+            assert request is None
+            [(_reply_to, response)] = responses
+        error = response["error"]
+        assert error["kind"] == "compile" and error["code"] == 422
+        assert f"{broken_spec}:" in error["message"]  # path:line:column
+
+
+def _connect(daemon):
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(30.0)
+    sock.connect(daemon["socket"])
+    return sock
+
+
+def _read_to_eof(sock):
+    received = b""
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            break
+        if not chunk:
+            break
+        received += chunk
+    return received
+
+
+class TestOverTheSocket:
+    def test_hostile_bytes_get_structured_answers(
+        self, pooled_daemon, bad_spec  # noqa: F811
+    ):
+        """One daemon boot, every boundary: a non-UTF-8 spec through the
+        pool and through rollout admission, a 1 MiB line, a dripped half
+        line — and the daemon serves a real request after each."""
+        with ServiceClient(socket_path=pooled_daemon["socket"]) as client:
+            for op in ("check", "rollout"):
+                response = client.request(op, {"spec": bad_spec})
+                assert not response["ok"], response
+                _assert_names_the_byte(response["error"], bad_spec)
+
+            # A line that never ends: one reply, then the server hangs up.
+            with _connect(pooled_daemon) as sock:
+                try:
+                    sock.sendall(b"x" * (1024 * 1024))
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # it stopped reading at the bound, as it should
+                [line] = _read_to_eof(sock).splitlines()
+            error = json.loads(line)["error"]
+            assert error["kind"] == "frame-too-large" and error["code"] == 413
+            assert str(MAX_FRAME_BYTES) in error["message"]
+            assert client.request("check", {"spec": CAMPUS})["ok"]
+
+            # A line just inside the bound is still a request.
+            padded = encode_message(
+                {"id": "big", "op": "ping",
+                 "params": {"pad": "x" * (MAX_FRAME_BYTES - 200)}}
+            ).encode("utf-8")
+            assert 65536 < len(padded) <= MAX_FRAME_BYTES
+            with _connect(pooled_daemon) as sock, sock.makefile("rb") as reader:
+                sock.sendall(padded)
+                line = reader.readline()
+            assert json.loads(line)["result"] == {"pong": True}
+
+            # Half a request, a byte at a time, then EOF.
+            with _connect(pooled_daemon) as sock:
+                for byte in b'{"id": "drip", "op": "pi':
+                    sock.sendall(bytes([byte]))
+                    time.sleep(0.002)
+                sock.shutdown(socket.SHUT_WR)
+                [line] = _read_to_eof(sock).splitlines()
+            error = json.loads(line)["error"]
+            assert error["kind"] == "bad-request"
+            assert "malformed JSON" in error["message"]
+            assert client.request("ping")["ok"]
+
+        audit = [
+            json.loads(line)
+            for line in pooled_daemon["audit_path"].read_text().splitlines()
+        ]
+        assert any(
+            event["event"] == "reject"
+            and event.get("kind") == "frame-too-large"
+            for event in audit
+        )

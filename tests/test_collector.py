@@ -324,3 +324,99 @@ class TestUnderMain:
         monkeypatch.setattr(ConsistencyChecker, "check", probed)
         assert cli.main([str(spec), "--check"]) == 0
         assert after_check == [(RAISED, 11, 12)]
+
+
+class TestDaemonColdPath:
+    """``nmsld`` compiles a specification under the same scope ``nmslc``
+    does (``SpecSession``), in the daemon and in a pool worker alike."""
+
+    @pytest.fixture
+    def compile_sees(self, monkeypatch):
+        seen = []
+        compile_ = NmslCompiler.compile
+
+        def probed(compiler, text):
+            seen.append(gc.get_threshold()[0])
+            return compile_(compiler, text)
+
+        monkeypatch.setattr(NmslCompiler, "compile", probed)
+        return seen
+
+    def test_cache_miss_is_scoped_and_a_hit_is_not(
+        self, odd_policy, compile_sees, tmp_path
+    ):
+        from repro.service.handlers import SpecCache
+
+        spec = tmp_path / "paper.nmsl"
+        spec.write_text(PAPER_SPEC_TEXT)
+        cache = SpecCache()
+        session = cache.get(str(spec))
+        assert compile_sees == [RAISED]
+        assert gc.get_threshold() == (701, 11, 12)
+        assert cache.get(str(spec)) is session
+        assert compile_sees == [RAISED]
+
+    def test_restored_after_a_compile_error(
+        self, odd_policy, compile_sees, tmp_path
+    ):
+        from repro.service.handlers import SpecCache
+        from repro.service.protocol import ProtocolError
+
+        spec = tmp_path / "broken.nmsl"
+        spec.write_text("domain d ::= system nowhere; end domain d.\n")
+        with pytest.raises(ProtocolError) as caught:
+            SpecCache().get(str(spec))
+        assert caught.value.kind == "compile"
+        assert compile_sees == [RAISED]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_pool_worker_keeps_the_policy_it_was_forked_with(
+        self, odd_policy, tmp_path
+    ):
+        """A real worker main loop in a forked child: cold check (cache
+        miss), warm check, a spec that does not compile; the child then
+        reports what its collector policy reads."""
+        import multiprocessing
+
+        from repro.service.pool import _pool_worker_main
+
+        good = tmp_path / "paper.nmsl"
+        good.write_text(PAPER_SPEC_TEXT)
+        broken = tmp_path / "broken.nmsl"
+        broken.write_text("domain d ::= system nowhere; end domain d.\n")
+        context = multiprocessing.get_context("fork")
+        parent_conn, child_conn = context.Pipe()
+        report_out, report_in = context.Pipe(duplex=False)
+
+        def child(supervisor_pid):
+            _pool_worker_main(0, child_conn, supervisor_pid, 8, 60.0, False)
+            report_in.send((gc.get_threshold(), gc.isenabled()))
+
+        process = context.Process(target=child, args=(os.getpid(),))
+        process.start()
+        try:
+            answers = []
+            for index, path in enumerate((good, good, broken)):
+                parent_conn.send(("req", {
+                    "id": f"r{index}", "op": "check", "cls": "interactive",
+                    "params": {"spec": str(path)},
+                }))
+                assert parent_conn.poll(60)
+                kind, frame = parent_conn.recv()
+                assert kind == "res"
+                answers.append(frame)
+            parent_conn.send(("exit",))
+            assert report_out.poll(30)
+            policy = report_out.recv()
+        finally:
+            process.join(30)
+            if process.is_alive():
+                process.kill()
+                process.join(10)
+        assert not process.is_alive()
+        assert [frame["ok"] for frame in answers] == [True, True, False]
+        assert [frame["result"]["warm"] for frame in answers[:2]] == [
+            False, True,
+        ]
+        assert answers[2]["kind"] == "compile"
+        assert policy == ((701, 11, 12), True)

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze chaos heal profile service ledger ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare clean
+.PHONY: test analyze chaos heal profile service ledger ledger-cold-text ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -37,6 +37,15 @@ service:
 ## Records and ledgers land in benchmarks/ledger/out/.
 ledger:
 	$(PYTHON) -m benchmarks.ledger
+
+## The operator's cold path alone, in the driver's form, untraced then
+## traced: fresh `nmslc SPEC --check --output BartsSnmpd` processes on the
+## 1,000-domain text, verdict count and one config per system checked
+## (CI's smoke; the traced run adds the front-end, codegen.* and cli.*
+## rows — cli.import_s is what a new eager import moves).
+ledger-cold-text:
+	$(PYTHON) benchmarks/ledger --workload cold_text_1k --seed 7 --seconds 15 --trace 0
+	$(PYTHON) benchmarks/ledger --workload cold_text_1k --seed 7 --seconds 15 --trace 1
 
 ## The paper row alone, in the driver's form: fresh processes check the
 ## 10,000-domain model against the generator's oracle (CI's smoke).

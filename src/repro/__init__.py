@@ -32,62 +32,52 @@ Subpackages
     internets for the scale evaluation.
 """
 
-from repro.nmsl.compiler import (
-    CompileResult,
-    CompilerOptions,
-    NmslCompiler,
-    compile_text,
-)
-from repro.nmsl.extension import Extension, ExtensionAction, parse_extension
-from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.oracles import check_with_clpr
-from repro.consistency.report import ConsistencyResult, Inconsistency, InconsistencyKind
-from repro.consistency.speculative import SpeculativeChecker, solve_for_frequency
-from repro.codegen.base import ConfigurationGenerator
-from repro.codegen.transport import (
-    CallbackTransport,
-    FileDropTransport,
-    MailSpoolTransport,
-    ReliableTransport,
-)
-from repro.netsim.processes import ManagementRuntime
-from repro.netsim.monitor import RuntimeVerifier
-from repro.netsim.faults import FaultInjector, FaultSpec
-from repro.rollout import (
-    RetryPolicy,
-    RolloutCoordinator,
-    RolloutReport,
-    RolloutState,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CallbackTransport",
-    "CompileResult",
-    "CompilerOptions",
-    "ConfigurationGenerator",
-    "ConsistencyChecker",
-    "ConsistencyResult",
-    "Extension",
-    "ExtensionAction",
-    "FaultInjector",
-    "FaultSpec",
-    "FileDropTransport",
-    "Inconsistency",
-    "InconsistencyKind",
-    "MailSpoolTransport",
-    "ManagementRuntime",
-    "NmslCompiler",
-    "ReliableTransport",
-    "RetryPolicy",
-    "RolloutCoordinator",
-    "RolloutReport",
-    "RolloutState",
-    "RuntimeVerifier",
-    "SpeculativeChecker",
-    "check_with_clpr",
-    "compile_text",
-    "parse_extension",
-    "solve_for_frequency",
-]
+#: Public name -> defining module.  Resolved on first access (PEP 562),
+#: so ``import repro.anything`` pays only for what it uses.
+_EXPORTS = {
+    "CallbackTransport": "repro.codegen.transport",
+    "CompileResult": "repro.nmsl.compiler",
+    "CompilerOptions": "repro.nmsl.compiler",
+    "ConfigurationGenerator": "repro.codegen.base",
+    "ConsistencyChecker": "repro.consistency.checker",
+    "ConsistencyResult": "repro.consistency.report",
+    "Extension": "repro.nmsl.extension",
+    "ExtensionAction": "repro.nmsl.extension",
+    "FaultInjector": "repro.netsim.faults",
+    "FaultSpec": "repro.netsim.faults",
+    "FileDropTransport": "repro.codegen.transport",
+    "Inconsistency": "repro.consistency.report",
+    "InconsistencyKind": "repro.consistency.report",
+    "MailSpoolTransport": "repro.codegen.transport",
+    "ManagementRuntime": "repro.netsim.processes",
+    "NmslCompiler": "repro.nmsl.compiler",
+    "ReliableTransport": "repro.codegen.transport",
+    "RetryPolicy": "repro.rollout",
+    "RolloutCoordinator": "repro.rollout",
+    "RolloutReport": "repro.rollout",
+    "RolloutState": "repro.rollout",
+    "RuntimeVerifier": "repro.netsim.monitor",
+    "SpeculativeChecker": "repro.consistency.speculative",
+    "check_with_clpr": "repro.consistency.oracles",
+    "compile_text": "repro.nmsl.compiler",
+    "parse_extension": "repro.nmsl.extension",
+    "solve_for_frequency": "repro.consistency.speculative",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

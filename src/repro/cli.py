@@ -78,9 +78,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from repro import obs
-from repro.codegen.base import ConfigurationGenerator
 from repro.collector import bulk_load
-from repro.codegen.transport import FileDropTransport, MailSpoolTransport
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.oracles import ORACLES
 from repro.errors import ReproError
@@ -886,12 +884,24 @@ def _dispatch(argv: Sequence[str]) -> int:
         return 130
 
 
+def _read_source(path) -> str:
+    """The text of a specification or extension file; bytes that are not
+    UTF-8 are the user's error (exit 2), not a traceback."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReproError(
+            f"{path}: not UTF-8 text (invalid byte at offset {exc.start})"
+        ) from None
+
+
+def _read_extensions(names) -> tuple:
+    return tuple(parse_extension(_read_source(name)) for name in names)
+
+
 def _run(args: argparse.Namespace) -> int:
-    text = Path(args.specification).read_text(encoding="utf-8")
-    extensions = tuple(
-        parse_extension(Path(name).read_text(encoding="utf-8"))
-        for name in args.extensions
-    )
+    text = _read_source(args.specification)
+    extensions = _read_extensions(args.extensions)
     compiler = NmslCompiler(
         CompilerOptions(
             filename=args.specification,
@@ -925,20 +935,29 @@ def _run(args: argparse.Namespace) -> int:
     if args.diff_against:
         status = max(status, _diff_against(args, compiler, result))
 
+    facts = None  # the checker's, when one ran: codegen reads the same
     if args.check:
         if args.engine != "indexed":
             outcome = ORACLES[args.engine](result.specification, compiler.tree)
         else:
-            outcome = ConsistencyChecker(
-                result.specification, compiler.tree
-            ).check(check_capacity=args.capacity, jobs=args.jobs)
+            checker = ConsistencyChecker(result.specification, compiler.tree)
+            outcome = checker.check(
+                check_capacity=args.capacity, jobs=args.jobs
+            )
+            facts = checker.checked_facts
         print(outcome.render())
         if not outcome.consistent:
             status = 1
 
     if args.output:
         if args.ship_dir or args.mail_dir:
-            generator = ConfigurationGenerator(compiler, result)
+            from repro.codegen.base import ConfigurationGenerator
+            from repro.codegen.transport import (
+                FileDropTransport,
+                MailSpoolTransport,
+            )
+
+            generator = ConfigurationGenerator(compiler, result, facts=facts)
             if args.ship_dir:
                 transport = FileDropTransport(Path(args.ship_dir))
             else:
@@ -950,7 +969,7 @@ def _run(args: argparse.Namespace) -> int:
                     f"{record.destination} ({record.octets} octets)"
                 )
         else:
-            bundle = compiler.generate(args.output, result)
+            bundle = compiler.generate(args.output, result, facts=facts)
             sys.stdout.write(bundle.text())
     return status
 
@@ -969,14 +988,11 @@ def _run_analyze(args: argparse.Namespace) -> int:
         codes = tuple(
             code.strip() for code in args.select.split(",") if code.strip()
         )
-    extensions = tuple(
-        parse_extension(Path(name).read_text(encoding="utf-8"))
-        for name in args.extensions
-    )
+    extensions = _read_extensions(args.extensions)
     registry = default_registry()
     merged = AnalysisReport()
     for spec_path in args.specifications:
-        text = Path(spec_path).read_text(encoding="utf-8")
+        text = _read_source(spec_path)
         compiler = NmslCompiler(
             CompilerOptions(
                 filename=spec_path,
@@ -1019,7 +1035,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 def _compile_revision(path, extensions, extension_files, lax=False):
     """Compile one revision for the diff; None + stderr on errors."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_source(path)
     compiler = NmslCompiler(
         CompilerOptions(
             filename=str(path),
@@ -1047,10 +1063,7 @@ def _run_diff(args: argparse.Namespace) -> int:
     )
     from repro.consistency.impact import ImpactAnalyzer
 
-    extensions = tuple(
-        parse_extension(Path(name).read_text(encoding="utf-8"))
-        for name in args.extensions
-    )
+    extensions = _read_extensions(args.extensions)
     extension_files = tuple(args.extensions)
     old = _compile_revision(args.old, extensions, extension_files)
     if old is None:
@@ -1194,7 +1207,7 @@ def _compile_for_runtime(args: argparse.Namespace):
     """Compile a specification and build its simulated runtime, or None."""
     from repro.netsim.processes import ManagementRuntime
 
-    text = Path(args.specification).read_text(encoding="utf-8")
+    text = _read_source(args.specification)
     compiler = NmslCompiler(CompilerOptions(filename=args.specification))
     result = compiler.compile(text)
     if result.report.errors:
@@ -1420,12 +1433,9 @@ def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
     prints a per-phase breakdown (from the tracer), a per-rule table
     (datalog oracle), and the keyword-dispatch counts (from metrics).
     """
-    text = Path(args.specification).read_text(encoding="utf-8")
-    extensions = tuple(
-        parse_extension(Path(name).read_text(encoding="utf-8"))
-        for name in args.extensions
-    )
-    outcome = None
+    text = _read_source(args.specification)
+    extensions = _read_extensions(args.extensions)
+    outcome = facts = None
     with session.span("profile", file=args.specification) as top:
         with session.span("profile.setup"):
             compiler = NmslCompiler(
@@ -1446,8 +1456,7 @@ def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
             first = result
             if args.diff_against:
                 first = compiler.compile(
-                    Path(args.diff_against).read_text(encoding="utf-8"),
-                    strict=False,
+                    _read_source(args.diff_against), strict=False
                 )
             checker = ConsistencyChecker(first.specification, compiler.tree)
             outcome = checker.check(jobs=args.jobs)
@@ -1455,8 +1464,9 @@ def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
                 outcome = checker.recheck(
                     result.specification, jobs=args.jobs
                 )
+            facts = checker.checked_facts
         if args.output:
-            compiler.generate(args.output, result)
+            compiler.generate(args.output, result, facts=facts)
 
     records = session.tracer.finished()
     total = top.elapsed
@@ -1542,7 +1552,7 @@ def _diff_against(args, compiler, result) -> int:
     """Diff the compiled spec against an older version and delta-check."""
     from repro.consistency.evolution import DeltaChecker, diff_specifications
 
-    old_text = Path(args.diff_against).read_text(encoding="utf-8")
+    old_text = _read_source(args.diff_against)
     old_result = compiler.compile(old_text, strict=False)
     diff = diff_specifications(old_result.specification, result.specification)
     print(f"--- changes vs {args.diff_against} ---")

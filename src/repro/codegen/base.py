@@ -30,17 +30,27 @@ class GeneratedConfig:
 class ConfigurationGenerator:
     """Generates and ships per-element configuration."""
 
-    def __init__(self, compiler: NmslCompiler, result: CompileResult):
+    def __init__(self, compiler: NmslCompiler, result: CompileResult, facts=None):
         self._compiler = compiler
         self._result = result
+        self._facts = facts
+        self._bundles: Dict[str, OutputBundle] = {}
 
     # ------------------------------------------------------------------
     # Generation.
     # ------------------------------------------------------------------
     def generate(self, tag: str) -> List[GeneratedConfig]:
         """Centralized generation: one compiler run for all elements."""
-        bundle = self._compiler.generate(tag, self._result)
-        return self._split_per_element(tag, bundle)
+        return self._split_per_element(tag, self._bundle(tag))
+
+    def _bundle(self, tag: str) -> OutputBundle:
+        """The compiler's output for *tag*, generated once per instance."""
+        bundle = self._bundles.get(tag)
+        if bundle is None:
+            bundle = self._bundles[tag] = self._compiler.generate(
+                tag, self._result, facts=self._facts
+            )
+        return bundle
 
     def generate_for_element(self, tag: str, element: str) -> GeneratedConfig:
         """Distributed generation: regenerate just one element's config.
@@ -49,8 +59,7 @@ class ConfigurationGenerator:
         specification, the configuration information for that process can
         be generated from its specification alone" (Section 5).
         """
-        bundle = self._compiler.generate(tag, self._result)
-        for config in self._split_per_element(tag, bundle):
+        for config in self._split_per_element(tag, self._bundle(tag)):
             if config.element == element:
                 return config
         raise CodegenError(

@@ -28,7 +28,7 @@ from repro.clpr.program import parse_program, parse_term
 from repro.clpr.solver import Answer, Engine
 from repro.clpr.terms import Struct, Var
 from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.facts import FactGenerator
+from repro.consistency.facts import IncrementalFactGenerator
 from repro.consistency.report import ConsistencyResult, Inconsistency
 from repro.consistency.rules import CONSISTENCY_RULES
 from repro.errors import ConsistencyError
@@ -84,7 +84,7 @@ class SpeculativeChecker:
         references.
         """
         merged = self._existing.merged_with(candidate)
-        facts = FactGenerator(merged, self._tree).generate()
+        facts = IncrementalFactGenerator(self._tree).generate(merged)
         candidate_owners = set(candidate.systems) | set(candidate.domains)
         total_rate = 0.0
         for reference in facts.references:
@@ -128,7 +128,7 @@ def solve_for_frequency(
     and ``J`` an instance of *server_process*.  The union of residual
     bounds across answers describes the satisfying periods.
     """
-    facts = FactGenerator(specification, tree).generate()
+    facts = IncrementalFactGenerator(tree).generate(specification)
     text = facts.to_clpr_text() + CONSISTENCY_RULES
     program = parse_program(text)
 

@@ -110,6 +110,8 @@ class MibTree:
         self._by_oid: Dict[Oid, MibNode] = {Oid(): self._root}
         # Name-path resolution entry points: name -> node.
         self._roots_by_name: Dict[str, MibNode] = {}
+        # resolve() memo: successes only, dropped by every mutator.
+        self._resolved: Dict[str, MibNode] = {}
 
     # ------------------------------------------------------------------
     # Registration.
@@ -127,6 +129,7 @@ class MibTree:
         oid = Oid(oid)
         if not len(oid):
             raise MibError("cannot register the empty OID")
+        self._resolved.clear()
         existing = self._by_oid.get(oid)
         if existing is not None:
             if existing.name and existing.name != name:
@@ -159,6 +162,7 @@ class MibTree:
         if node is not None:
             return node
         parent = self._ensure(oid.parent)
+        self._resolved.clear()
         node = MibNode(name="", oid=oid, parent=parent)
         parent.children[oid.components[-1]] = node
         self._by_oid[oid] = node
@@ -170,6 +174,7 @@ class MibTree:
         if node is None:
             raise MibError(f"no node at {Oid(oid)} for root alias {name!r}")
         self._roots_by_name[name] = node
+        self._resolved.clear()
 
     # ------------------------------------------------------------------
     # Lookup.
@@ -190,6 +195,9 @@ class MibTree:
 
     def resolve(self, name_path: str) -> MibNode:
         """Resolve a dotted name path such as ``mgmt.mib.ip.ipAddrTable``."""
+        node = self._resolved.get(name_path)
+        if node is not None:
+            return node
         parts = [part for part in name_path.split(".") if part]
         if not parts:
             raise MibError("empty name path")
@@ -203,6 +211,7 @@ class MibTree:
             node = self._child_named(node, part)
             if node is None:
                 raise MibError(f"no member {part!r} in path {name_path!r}")
+        self._resolved[name_path] = node
         return node
 
     def knows(self, name_path: str) -> bool:

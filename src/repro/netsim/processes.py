@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.asn1.types import Asn1Module
 from repro.codegen.base import ConfigurationGenerator
-from repro.consistency.facts import FactGenerator, FactSet, InstanceId
+from repro.consistency.facts import FactSet, IncrementalFactGenerator, InstanceId
 from repro.errors import SimulationError, SnmpError
 from repro.mib.instances import InstanceStore
 from repro.mib.tree import MibTree
@@ -90,7 +90,9 @@ class ManagementRuntime:
         self.tree: MibTree = compiler.tree
         self.simulator = simulator or Simulator()
         self.internet = Internet.from_specification(self.specification)
-        self.facts: FactSet = FactGenerator(self.specification, self.tree).generate()
+        self.facts: FactSet = IncrementalFactGenerator(self.tree).generate(
+            self.specification
+        )
         self.agents: Dict[str, SnmpAgent] = {}  # agent instance id -> agent
         self.drivers: List[ApplicationDriver] = []
         self.log: List[QueryRecord] = []

@@ -87,16 +87,19 @@ class KeywordTable:
     """Ordered keyword entries; extensions prepend (first match wins)."""
 
     def __init__(self, entries: Iterable[KeywordEntry] = BASE_KEYWORDS):
-        self._entries: List[KeywordEntry] = list(entries)
+        self._entries: List[KeywordEntry] = []
+        #: (keyword, decltype) -> the first entry in order that matches.
+        self._by_key: Dict[Tuple[str, str], KeywordEntry] = {}
+        for entry in reversed(tuple(entries)):
+            self.prepend(entry)
 
     def prepend(self, entry: KeywordEntry) -> None:
         self._entries.insert(0, entry)
+        for decltype in entry.decltypes:
+            self._by_key[entry.keyword, decltype] = entry
 
     def lookup(self, keyword: str, decltype: str) -> Optional[KeywordEntry]:
-        for entry in self._entries:
-            if entry.keyword == keyword and entry.valid_in(decltype):
-                return entry
-        return None
+        return self._by_key.get((keyword, decltype))
 
     def is_keyword(self, keyword: str, decltype: str) -> bool:
         return self.lookup(keyword, decltype) is not None

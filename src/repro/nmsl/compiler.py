@@ -197,15 +197,26 @@ class NmslCompiler:
     # ------------------------------------------------------------------
     # Output generation.
     # ------------------------------------------------------------------
-    def generate(self, tag: str, result: CompileResult) -> OutputBundle:
-        """Run the output-specific actions for *tag* over every declaration."""
+    def generate(self, tag: str, result: CompileResult, facts=None) -> OutputBundle:
+        """Run the output-specific actions for *tag* over every declaration.
+
+        *facts* is the :class:`~repro.consistency.facts.FactSet` of
+        ``result.specification`` when the caller already holds one (a
+        checker's ``checked_facts``); the actions read it instead of
+        expanding their own.
+        """
         o = obs.current()
         with o.span("codegen.generate", tag=tag) as span:
             specification = result.specification
-            context = OutputContext(
-                specification=specification,
-                options={"tree": self.tree, "module": self.module},
-            )
+            options = {"tree": self.tree, "module": self.module}
+            if facts is not None:
+                if facts.specification is not specification:
+                    raise CodegenError(
+                        "the fact set handed to generate() was expanded "
+                        "from another specification"
+                    )
+                options["facts"] = facts
+            context = OutputContext(specification=specification, options=options)
             bundle = OutputBundle(tag=tag)
             produced_any = False
             for declaration in result.declarations:

@@ -13,9 +13,8 @@ Configuration-output actions (``BartsSnmpd`` etc.) are registered by
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.consistency.facts import FactGenerator, FactSet, _atom as atom_text
 from repro.nmsl.actions import OutputContext, OutputRegistry
 from repro.nmsl.specs import (
     DomainSpec,
@@ -25,6 +24,11 @@ from repro.nmsl.specs import (
     TypeSpec,
 )
 
+# repro.consistency is built on repro.nmsl's specs, so this module names
+# it only inside functions: either package imports first, on its own.
+if TYPE_CHECKING:
+    from repro.consistency.facts import FactSet
+
 CONSISTENCY_TAG = "consistency"
 
 #: Pseudo-decltype for whole-specification epilogue actions.
@@ -32,14 +36,23 @@ EPILOGUE = "*"
 
 
 def _facts(context: OutputContext) -> FactSet:
-    """The FactSet for this generation run, built once and cached."""
+    """The FactSet of this generation run: the one it was handed (the
+    checker's), else expanded once here with interned MIB views."""
     cached = context.options.get("facts")
     if cached is None:
-        specification = context.specification
-        tree = context.options["tree"]
-        cached = FactGenerator(specification, tree).generate()
+        from repro.consistency.facts import IncrementalFactGenerator
+
+        cached = IncrementalFactGenerator(context.options["tree"]).generate(
+            context.specification
+        )
         context.options["facts"] = cached
     return cached
+
+
+def atom_text(text) -> str:
+    from repro.consistency.facts import _atom
+
+    return _atom(text)
 
 
 def _select(text: str, pairs) -> str:

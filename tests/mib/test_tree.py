@@ -108,6 +108,53 @@ class TestNamePaths:
     def test_name_path_rendering(self, tree):
         assert tree.resolve("iso.org.leafA").name_path() == "iso.org.leafA"
 
+    def test_resolve_is_memoised_per_tree(self, tree):
+        node = tree.resolve("iso.org.leafA")
+        walked = []
+        original = MibTree._child_named
+        try:
+            MibTree._child_named = staticmethod(
+                lambda node, name: walked.append(name) or original(node, name)
+            )
+            assert tree.resolve("iso.org.leafA") is node
+            assert tree.knows("iso.org.leafA")
+            assert walked == []
+            assert tree.resolve("iso.org.leafB").oid == Oid("1.3.2")
+            assert walked == ["org", "leafB"]
+        finally:
+            MibTree._child_named = staticmethod(original)
+
+    def test_failures_are_not_memoised(self, tree):
+        for _ in range(2):
+            with pytest.raises(MibError, match="no member 'leafZ' in path"):
+                tree.resolve("iso.org.leafZ")
+            assert not tree.knows("iso.org.leafZ")
+        tree.register("leafZ", "1.3.26")
+        assert tree.resolve("iso.org.leafZ").oid == Oid("1.3.26")
+
+    def test_every_mutator_drops_the_memo(self):
+        tree = MibTree()
+        tree.register("top", "1")
+        tree.register("table", "1.1")
+        tree.add_root_alias("top", "1")
+        assert tree.resolve("top.table").oid == Oid("1.1")
+        # register: a second child with the name shadows nothing, but a
+        # re-pointed root alias and a filled-in ancestor both must show.
+        tree.register("other", "2")
+        tree.register("table", "2.1")
+        tree.add_root_alias("top", "2")
+        assert tree.resolve("top.table").oid == Oid("2.1")
+        # _ensure: anonymous ancestors appear under a resolved path...
+        tree.register("deep", "2.1.5.9")
+        assert not tree.knows("top.table.mid.deep")
+        # ...and naming one (register's fill-in branch) makes it resolve.
+        tree.register("mid", "2.1.5")
+        assert tree.resolve("top.table.mid.deep").oid == Oid("2.1.5.9")
+        # An alias added by re-registering is seen at once.
+        assert not tree.knows("top.table.Mid")
+        tree.register("mid", "2.1.5", aliases=("Mid",))
+        assert tree.resolve("top.table.Mid").name == "mid"
+
 
 class TestTraversal:
     def test_walk_in_oid_order(self, tree):

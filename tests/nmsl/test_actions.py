@@ -55,6 +55,34 @@ class TestKeywordTable:
         assert not table.lookup("requests", "process").starts_clause
         assert not table.lookup("to", "domain").starts_clause
 
+    def test_lookup_is_the_first_match_of_a_scan_in_order(self):
+        """The keyed lookup against the ordered scan it replaced, over
+        the base table and after overlapping prepends."""
+        table = KeywordTable()
+        entries = list(BASE_KEYWORDS)
+        prepends = [
+            KeywordEntry("exports", ("system", "process"), starts_clause=False),
+            KeywordEntry("billing", ("process", "ledger")),
+            KeywordEntry("exports", ("process",)),
+            KeywordEntry("billing", ("ledger",), starts_clause=False),
+        ]
+        for step in [None, *prepends]:
+            if step is not None:
+                table.prepend(step)
+                entries.insert(0, step)
+            keywords = {entry.keyword for entry in entries} | {"gyrates"}
+            for keyword in keywords:
+                for decltype in ("type", "process", "system", "domain", "ledger"):
+                    scanned = next(
+                        (
+                            entry
+                            for entry in entries
+                            if entry.keyword == keyword and entry.valid_in(decltype)
+                        ),
+                        None,
+                    )
+                    assert table.lookup(keyword, decltype) is scanned
+
 
 class TestSegmentation:
     def test_exports_clause(self):

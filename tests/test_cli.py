@@ -503,3 +503,90 @@ class TestCollectorThreshold:
         bad = tmp_path / "bad.nmsl"
         bad.write_text("process broken ::= supports")
         assert main([str(bad)]) == 2
+
+
+class TestNotUtf8:
+    """A spec or extension file that is not UTF-8 is the user's error:
+    ``nmslc: error: PATH: ...`` and exit 2 from every command."""
+
+    OFFSET = len("process p ::= ")
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "bad.nmsl"
+        path.write_bytes(b"process p ::= \xff end process p.")
+        return path
+
+    @pytest.fixture
+    def bad_ext(self, tmp_path):
+        path = tmp_path / "bad.nmslx"
+        path.write_bytes(b"extension billing;\nkeyword \xff in process;\n")
+        return path
+
+    def _refused(self, capsys, argv, path, offset):
+        assert main([str(arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nmslc: error: ")
+        assert f"{path}: not UTF-8 text" in err
+        assert f"offset {offset}" in err
+        assert "Traceback" not in err and "UnicodeDecodeError" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("{bad}", "--check"),
+            ("{bad}", "--output", "BartsSnmpd"),
+            ("{bad}", "--format"),
+            ("{bad}", "--list-tags"),
+            ("analyze", "{bad}"),
+            ("analyze", "{good}", "{bad}"),
+            ("diff", "{bad}", "{good}"),
+            ("diff", "{good}", "{bad}"),
+            ("rollout", "{bad}"),
+            ("rollout", "{good}", "--diff-base", "{bad}"),
+            ("heal", "{bad}"),
+            ("verify-runtime", "{bad}"),
+            ("profile", "{bad}"),
+            ("profile", "{good}", "--diff-against", "{bad}"),
+            ("{good}", "--check", "--diff-against", "{bad}"),
+        ],
+        ids=lambda argv: "-".join(a.strip("{}-") for a in argv),
+    )
+    def test_specification(self, argv, bad, paper_file, capsys):
+        argv = [a.format(bad=bad, good=paper_file) for a in argv]
+        self._refused(capsys, argv, bad, self.OFFSET)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("{good}", "--check"),
+            ("analyze", "{good}"),
+            ("diff", "{good}", "{good}"),
+            ("profile", "{good}"),
+        ],
+        ids=lambda argv: argv[0].strip("{}"),
+    )
+    def test_extension_file(self, argv, bad_ext, paper_file, capsys):
+        argv = [a.format(good=paper_file) for a in argv]
+        argv += ["--extensions", bad_ext]
+        self._refused(capsys, argv, bad_ext, len("extension billing;\nkeyword "))
+
+    def test_subprocess_prints_one_line(self, bad):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", str(bad), "--check"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == (
+            f"nmslc: error: {bad}: not UTF-8 text "
+            f"(invalid byte at offset {self.OFFSET})\n"
+        )

@@ -47,10 +47,13 @@ ledger-cold-text:
 	$(PYTHON) benchmarks/ledger --workload cold_text_1k --seed 7 --seconds 15 --trace 0
 	$(PYTHON) benchmarks/ledger --workload cold_text_1k --seed 7 --seconds 15 --trace 1
 
-## The paper row alone, in the driver's form: fresh processes check the
-## 10,000-domain model against the generator's oracle (CI's smoke).
+## The paper row alone, as BENCHMARK.json runs it, untraced then traced:
+## fresh processes check the 10,000-domain model against the generator's
+## oracle (CI's smoke; the traced run adds the rows that split the check
+## into fact generation, taint index and reduction).
 ledger-full-check:
 	$(PYTHON) benchmarks/ledger --workload full_check_10k --seed 7 --seconds 15 --trace 0
+	$(PYTHON) benchmarks/ledger --workload full_check_10k --seed 7 --seconds 15 --trace 1
 
 ## The edit stream alone, in the driver's form, untraced then traced:
 ## one warm checker and one warm impact analyzer take 44 seeded

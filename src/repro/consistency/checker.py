@@ -20,10 +20,12 @@ faithful CLP(R) path, the rule-text-driven datalog path) live beside it
 in :mod:`repro.consistency.oracles`; the differential suite drives
 every one of them against this class.
 
-The checker's fact set and verdict memos are keyed by the
-specification fingerprint (:meth:`Specification.fingerprint`), so
-mutating the specification between ``check()`` calls is safe — the next
-check regenerates what the mutation staled.
+The checker's fact set and verdict memos are keyed on the declarations
+they were expanded from: reused exactly while the specification holds
+the same objects under the same names in the same order (an identity
+walk, no value fingerprint), so mutating it between ``check()`` calls is
+safe.  Equal values under other objects (a re-parse) are matched
+through :meth:`ConsistencyChecker.recheck`'s diff instead.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import contextlib
 import itertools
 import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
+from operator import is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -47,6 +50,7 @@ from repro.consistency.causes import (
 )
 from repro.consistency.facts import (
     FactGenerator,
+    FactPatch,
     FactSet,
     IncrementalFactGenerator,
     InstanceId,
@@ -69,6 +73,15 @@ _DEADLINE_POLL_REFERENCES = 32
 #: Set immediately before the pool forks and cleared after the merge, so
 #: workers read the parent's checker without pickling the fact set.
 _WORKER_STATE: Optional[Tuple] = None
+
+#: The tables a fact set is expanded from, in the order their record is
+#: checked; an extension table maps to lists callers append to in place.
+_TABLES = ("types", "processes", "systems", "domains")
+_EXTENSIONS = ("extras", "extension_clauses")
+
+
+def _same_items(items, recorded: Tuple) -> bool:
+    return len(items) == len(recorded) and all(map(is_, items, recorded))
 
 
 @contextlib.contextmanager
@@ -163,12 +176,13 @@ class ConsistencyChecker:
             else shard_threshold
         )
         self._facts: Optional[FactSet] = None
-        self._facts_fingerprint: Optional[Tuple] = None
+        #: table name -> (keys, entries) the facts were expanded from.
+        self._expanded_from: Dict[str, Tuple[List, List]] = {}
         #: Verdicts of the last check, aligned by position with the
         #: reference list they were computed over (recheck fuel).
         self._verdict_list: Optional[List[Tuple[Inconsistency, ...]]] = None
         self._checked_references: Optional[List[Reference]] = None
-        # Per-fact-set state (reset whenever the fingerprint changes):
+        # Per-fact-set state (reset whenever the facts are regenerated):
         self._index: Optional[PermissionIndex] = None
         self._candidate_memo: Dict[str, Tuple] = {}
         # Pure view-pair memos (views are interned; results never stale):
@@ -200,48 +214,54 @@ class ConsistencyChecker:
 
     @property
     def facts(self) -> FactSet:
-        """The expanded fact set, keyed by the specification fingerprint.
+        """The expanded fact set, reused while the specification holds
+        the declarations it was expanded from.
 
-        Regenerated (and all per-fact-set memos dropped) whenever the
-        specification's structural fingerprint changes — including
-        in-place mutation of the specification the checker was built
-        with.
+        Regenerated (and all per-fact-set memos dropped) when an entry
+        of any table was replaced, added, removed, renamed or moved —
+        including in place, in the specification the checker was built
+        with.  The test is identity only; equal values under other
+        objects are :meth:`recheck`'s to match, through its diff.
         """
-        fp_tuple = None
-        if self._facts is not None:
-            fp_tuple = self._spec.fingerprint_tuple()
-            if self._fingerprints_match(self._facts_fingerprint, fp_tuple):
-                if self._facts.expansion:
-                    # Wholesale reuse: this access expanded no declarations.
-                    self._facts.note_expansion(0)
-                return self._facts
+        facts = self._facts
+        if facts is not None and self._expansion_holds(self._spec):
+            if facts.expansion:
+                # Wholesale reuse: this access expanded no declarations.
+                facts.note_expansion(0)
+            return facts
         with bulk_load():
-            if fp_tuple is None:
-                # Nothing is cached yet: the fingerprint pass builds as
-                # many objects as the generation it keys.
-                fp_tuple = self._spec.fingerprint_tuple()
+            self._record_expansion(self._spec)
             self._facts = self._generator.generate(self._spec)
-        self._facts_fingerprint = fp_tuple
         self._index = None
         self._candidate_memo = {}
         return self._facts
 
-    @staticmethod
-    def _fingerprints_match(old: Optional[Tuple], new: Tuple) -> bool:
-        """Whether two whole-spec fingerprint tuples are equal.
+    def _expansion_holds(self, spec: Specification) -> bool:
+        """Whether *spec* holds, by identity and in order, what the facts
+        were expanded from (stops at the first difference)."""
+        for name, (keys, entries) in self._expanded_from.items():
+            table = getattr(spec, name)
+            same = _same_items if name in _EXTENSIONS else is_
+            if not (
+                len(table) == len(keys)
+                and all(map(same, table.values(), entries))
+                and all(map(is_, table, keys))
+            ):
+                return False
+        return True
 
-        Identity-aware: the per-table memo in
-        :meth:`Specification.fingerprint_tuple` returns the *same* table
-        tuples while a table is unchanged, so the common case is a few
-        pointer comparisons — hashing a 100,000-entry fingerprint on
-        every ``facts`` access is exactly what the paper-scale budget
-        cannot afford.  Falls back to value equality per element.
-        """
-        if old is None or len(old) != len(new):
-            return False
-        if old is new:
-            return True
-        return all(a is b or a == b for a, b in zip(old, new))
+    def _record_expansion(
+        self, spec: Specification, shared_with: Optional[Specification] = None
+    ) -> None:
+        """Record *spec*'s tables (an extension table's lists as copies)
+        as what the facts are expanded from; a table it shares with
+        *shared_with*, recorded before, keeps its record."""
+        for name in _TABLES + _EXTENSIONS:
+            table = getattr(spec, name)
+            if shared_with is None or table is not getattr(shared_with, name):
+                values = table.values()
+                copies = map(tuple, values) if name in _EXTENSIONS else values
+                self._expanded_from[name] = (list(table), list(copies))
 
     # ------------------------------------------------------------------
     # The check.
@@ -367,6 +387,10 @@ class ConsistencyChecker:
             previous_list = (
                 self._verdict_list if self._facts is not None else None
             )
+            if not delta.diff and not self._expansion_holds(self._spec):
+                # Changed in place, so diffed against itself: no verdict
+                # of the facts that staled is reused.
+                previous_list = None
             previous_references = self._checked_references
             # Dropped until this recheck completes: if it is abandoned (a
             # deadline) the next check or recheck starts from nothing
@@ -463,7 +487,7 @@ class ConsistencyChecker:
             problems.extend(itertools.chain.from_iterable(new_list))
             if check_capacity:
                 warnings.extend(self._check_capacity(facts))
-            patched = patch is not None
+            patched = patch is not None and bool(delta.diff)
             span.annotate(rechecked=rechecked, reused=reused, patched=patched)
 
         stats = {
@@ -619,15 +643,14 @@ class ConsistencyChecker:
     def _patch_facts(self, delta):
         """Patch the cached facts in place if *delta* is owner-local:
         every diff entry a *changed* system or domain whose containment
-        fields are as they were, nothing else the fingerprint covers
-        moved (DESIGN.md §3.2 has why that is sound).  Returns the
+        fields are as they were, nothing else the facts are expanded
+        from moved (DESIGN.md §3.2 has why that is sound).  An empty
+        diff (a value-equal re-parse) patches nothing: the facts are
+        rebound to the new specification.  Returns the
         :class:`FactPatch`, or None — all state untouched — otherwise.
         """
         facts = self._facts
-        if (
-            self._checked_references is not facts.references
-            or not delta.diff.entries
-        ):
+        if self._checked_references is not facts.references:
             return None
         old_spec, new_spec = self._spec, delta.specification
         owners: List[Tuple[str, str]] = []
@@ -649,8 +672,8 @@ class ConsistencyChecker:
             if name in new_spec.systems and name in new_spec.domains:
                 return None  # the two would share instance ordinals
             owners.append((entry.kind, name))
-        # Not in the diff, but in the fingerprint — or, the order of the
-        # tables, in the order of the facts: all as it was, too.
+        # Not in the diff, but expanded — or, the order of the tables,
+        # in the order of the facts: all as it was, too.
         if not (
             self._same_entries(old_spec.types, new_spec.types)
             and old_spec.extras == new_spec.extras
@@ -664,6 +687,10 @@ class ConsistencyChecker:
             )
         ):
             return None
+        if not owners:
+            facts.rebind(new_spec)
+            self._record_expansion(new_spec, shared_with=old_spec)
+            return FactPatch()
         o = obs.current()
         with o.span("consistency.facts.patch", owners=len(owners)) as span:
             patch = facts.patch_owners(
@@ -691,13 +718,7 @@ class ConsistencyChecker:
             # Permission- and instance-dependent state restarts.
             self._index = None
             self._candidate_memo = {}
-            self._facts_fingerprint = new_spec.adopt_fingerprints(
-                old_spec,
-                {
-                    "systems": [n for kind, n in owners if kind == "system"],
-                    "domains": [n for kind, n in owners if kind == "domain"],
-                },
-            )
+            self._record_expansion(new_spec, shared_with=old_spec)
             span.annotate(
                 instances=sum(length for _s, _o, length in patch.instances),
                 references=sum(length for _s, _o, length in patch.references),
@@ -709,7 +730,7 @@ class ConsistencyChecker:
     @staticmethod
     def _same_entries(old: Dict, new: Dict) -> bool:
         """Whether two declaration tables hold the same entries: the
-        same objects, or (a re-parse) equal fingerprints."""
+        same objects, or (a re-parse) equal declaration fingerprints."""
         if old is new:
             return True
         if len(old) != len(new):
@@ -1013,7 +1034,7 @@ class ConsistencyChecker:
 
     @property
     def checked_facts(self) -> Optional[FactSet]:
-        """:attr:`facts` as last reduced: no staleness (fingerprint) pass."""
+        """:attr:`facts` as last reduced: no staleness (identity) walk."""
         return self._facts
 
     def verdict_changes(self) -> List[Tuple]:

@@ -32,8 +32,9 @@ affectedness test tracks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
+from repro.collector import bulk_load
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.facts import FactSet
 from repro.consistency.report import ConsistencyResult
@@ -80,42 +81,40 @@ def _spec_tables(specification: Specification):
     )
 
 
-def _fingerprint(spec_obj) -> Tuple:
-    """A comparable value-summary of one declaration."""
-    fingerprint_tuple = getattr(spec_obj, "fingerprint_tuple", None)
-    if fingerprint_tuple is not None:
-        return fingerprint_tuple()
-    return (repr(spec_obj),)
-
-
 def diff_specifications(
     old: Specification, new: Specification
 ) -> SpecificationDiff:
-    """Structural diff of two specification versions."""
+    """Structural diff of two specification versions (two separate
+    compiles share no declaration, so every one is fingerprinted: a bulk
+    phase, scoped as one)."""
     diff = SpecificationDiff()
-    for (kind, old_table), (_kind2, new_table) in zip(
-        _spec_tables(old), _spec_tables(new)
-    ):
-        if old_table is new_table:
-            # A shared table (the clone-one-table evolution idiom) needs
-            # no per-entry walk — at paper scale the unchanged 100,000-
-            # system table dominates the diff otherwise.
-            continue
-        # Entries shared by identity (all but a few, in the replace-one-
-        # entry idiom) drop out before anything is sorted or compared.
-        moved = [
-            name
-            for name, entry in old_table.items()
-            if new_table.get(name) is not entry
-        ]
-        moved.extend(name for name in new_table if name not in old_table)
-        for name in sorted(moved):
-            if name not in new_table:
-                diff.entries.append(DiffEntry(kind, name, "removed"))
-            elif name not in old_table:
-                diff.entries.append(DiffEntry(kind, name, "added"))
-            elif _fingerprint(old_table[name]) != _fingerprint(new_table[name]):
-                diff.entries.append(DiffEntry(kind, name, "changed"))
+    with bulk_load():
+        for (kind, old_table), (_kind2, new_table) in zip(
+            _spec_tables(old), _spec_tables(new)
+        ):
+            if old_table is new_table:
+                # A shared table (the clone-one-table evolution idiom)
+                # needs no per-entry walk — at paper scale the unchanged
+                # 100,000-system table dominates the diff otherwise.
+                continue
+            # Entries shared by identity (all but a few, in the replace-
+            # one-entry idiom) drop out before anything is compared.
+            moved = [
+                name
+                for name, entry in old_table.items()
+                if new_table.get(name) is not entry
+            ]
+            moved.extend(name for name in new_table if name not in old_table)
+            for name in sorted(moved):
+                if name not in new_table:
+                    diff.entries.append(DiffEntry(kind, name, "removed"))
+                elif name not in old_table:
+                    diff.entries.append(DiffEntry(kind, name, "added"))
+                elif (
+                    old_table[name].fingerprint_tuple()
+                    != new_table[name].fingerprint_tuple()
+                ):
+                    diff.entries.append(DiffEntry(kind, name, "changed"))
     return diff
 
 

@@ -180,6 +180,12 @@ class FactSet:
             "declarations": declarations,
         }
 
+    def rebind(self, specification: Specification) -> None:
+        """Make these facts describe *specification*, which expands to them."""
+        self.specification = specification
+        self.__dict__.pop("containment", None)  # edge list: rebuilt on use
+        self.note_expansion(0)
+
     # ------------------------------------------------------------------
     # Containment: the edge list and the owner-keyed closure.
     # ------------------------------------------------------------------
@@ -475,8 +481,7 @@ class FactSet:
         reach = {domain for home in homes.values() for domain in home}
         index = self._taint_cache[0]
         pending = set().union(*(index.get(domain, ()) for domain in reach))
-        self.specification = spec
-        self.__dict__.pop("containment", None)  # edge list: rebuilt on use
+        self.rebind(spec)
         patch = FactPatch()
         for rank, kind, name in sorted(
             (self.owner_rank(kind, name), kind, name) for kind, name in owners

@@ -53,7 +53,7 @@ class PermissionIndex:
     """Permissions keyed by (server, grantee domain, OID prefix, access).
 
     Built against one :class:`FactSet`; the consistency checker discards
-    it whenever the specification fingerprint changes, so it can cache
+    it whenever the facts are regenerated or patched, so it can cache
     aggressively.
     """
 

@@ -13,16 +13,11 @@ Configuration-output actions (``BartsSnmpd`` etc.) are registered by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import re
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.nmsl.actions import OutputContext, OutputRegistry
-from repro.nmsl.specs import (
-    DomainSpec,
-    ProcessSpec,
-    Specification,
-    SystemSpec,
-    TypeSpec,
-)
+from repro.nmsl.specs import Specification, TypeSpec
 
 # repro.consistency is built on repro.nmsl's specs, so this module names
 # it only inside functions: either package imports first, on its own.
@@ -55,15 +50,81 @@ def atom_text(text) -> str:
     return _atom(text)
 
 
-def _select(text: str, pairs) -> str:
-    """Lines matching any (prefix, needle) pair."""
-    lines = []
-    for line in text.splitlines():
-        for prefix, needle in pairs:
-            if line.startswith(prefix) and needle in line:
-                lines.append(line)
-                break
-    return "\n".join(lines)
+#: Which lines of the fact text each table's action emits: a line is a
+#: declaration's when it starts with *prefix* and holds *head*, then the
+#: declaration's name (as an atom, or as written), then *tail*.
+_SELECTORS = {
+    "processes": (
+        ("proc_supports(", "proc_supports(", ",", atom_text),
+        ("proc_export(", "proc_export(", ",", atom_text),
+        ("proc_query(", "proc_query(", ",", atom_text),
+    ),
+    "systems": (
+        ("instance(", ", ", ",", atom_text),
+        ("inst_arg(", "@", "#", str),
+        ("system_supports(", "system_supports(", ",", atom_text),
+        ("speed(", "speed(", ",", atom_text),
+        ("contains(system", "contains(system(", ")", atom_text),
+    ),
+    "domains": (
+        ("contains(domain", "contains(domain(", "),", atom_text),
+        ("dom_export(", "dom_export(", ",", atom_text),
+    ),
+}
+
+
+def _between(line: str, head: str, tail: str) -> List[str]:
+    """Every *name* with ``head + name + tail`` in *line* (no head or
+    tail above overlaps itself, so non-overlapping matches find all)."""
+    ends = [match.start() for match in re.finditer(re.escape(tail), line)]
+    return [
+        line[match.end():end]
+        for match in re.finditer(re.escape(head), line)
+        for end in ends
+        if end >= match.end()
+    ]
+
+
+def _owned_lines(context: OutputContext):
+    """The fact text's lines, rendered once per output context, and the
+    positions of each declaration's by ``(table, name)``: one pass, where
+    filtering the whole text per declaration was quadratic."""
+    got = context.options.get("owned_lines")
+    if got is None:
+        selectors = [
+            (prefix, head, tail, table, {
+                key(spec.name): spec.name
+                for spec in getattr(context.specification, table).values()
+            })
+            for table, rules in _SELECTORS.items()
+            for prefix, head, tail, key in rules
+        ]
+        lines = _facts(context).to_clpr_text().splitlines()
+        owned: Dict[Tuple[str, str], List[int]] = {}
+        for position, line in enumerate(lines):
+            for owner in {
+                (table, names[key])
+                for prefix, head, tail, table, names in selectors
+                if line.startswith(prefix)
+                for key in _between(line, head, tail)
+                if key in names
+            }:
+                owned.setdefault(owner, []).append(position)
+        got = context.options["owned_lines"] = (lines, owned)
+    return got
+
+
+def _owned_action(table: str):
+    def action(context: OutputContext, spec) -> Optional[str]:
+        lines, owned = _owned_lines(context)
+        return "\n".join(lines[at] for at in owned.get((table, spec.name), ()))
+
+    return action
+
+
+consistency_process_action = _owned_action("processes")
+consistency_system_action = _owned_action("systems")
+consistency_domain_action = _owned_action("domains")
 
 
 def consistency_type_action(context: OutputContext, spec: TypeSpec) -> Optional[str]:
@@ -75,62 +136,15 @@ def consistency_type_action(context: OutputContext, spec: TypeSpec) -> Optional[
     return "\n".join(lines)
 
 
-def consistency_process_action(
-    context: OutputContext, spec: ProcessSpec
-) -> Optional[str]:
-    full = _facts(context).to_clpr_text()
-    name = atom_text(spec.name)
-    return _select(
-        full,
-        (
-            ("proc_supports(", f"proc_supports({name},"),
-            ("proc_export(", f"proc_export({name},"),
-            ("proc_query(", f"proc_query({name},"),
-        ),
-    )
-
-
-def consistency_system_action(
-    context: OutputContext, spec: SystemSpec
-) -> Optional[str]:
-    full = _facts(context).to_clpr_text()
-    name = atom_text(spec.name)
-    return _select(
-        full,
-        (
-            ("instance(", f", {name},"),
-            ("inst_arg(", f"@{spec.name}#"),
-            ("system_supports(", f"system_supports({name},"),
-            ("speed(", f"speed({name},"),
-            ("contains(system", f"contains(system({name})"),
-        ),
-    )
-
-
-def consistency_domain_action(
-    context: OutputContext, spec: DomainSpec
-) -> Optional[str]:
-    full = _facts(context).to_clpr_text()
-    name = atom_text(spec.name)
-    return _select(
-        full,
-        (
-            ("contains(domain", f"contains(domain({name}),"),
-            ("dom_export(", f"dom_export({name},"),
-        ),
-    )
-
-
 def consistency_epilogue_action(
     context: OutputContext, spec: Specification
 ) -> Optional[str]:
-    full = _facts(context).to_clpr_text()
-    lines = [
+    lines, _owned = _owned_lines(context)
+    return "\n".join(
         line
-        for line in full.splitlines()
+        for line in lines
         if line.startswith(("data_covers(", "access_covers("))
-    ]
-    return "\n".join(lines)
+    )
 
 
 def register_base_outputs(registry: OutputRegistry) -> None:

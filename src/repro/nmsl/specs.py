@@ -8,9 +8,8 @@ consumed by the consistency checker and the configuration generators.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.asn1.nodes import Asn1Type
 from repro.errors import NmslSemanticError, SourceLocation
@@ -30,9 +29,9 @@ def _cached_fingerprint(spec, compute) -> Tuple:
     fingerprinted: the supported mutation idiom (used throughout the
     tests and the evolution API) replaces the declaration object in the
     specification table via :func:`dataclasses.replace`, which produces
-    a fresh object with an empty cache.  This turns the whole-spec
-    fingerprint from O(declaration size) per declaration per check into
-    a dict lookup, which the paper-scale checker depends on.
+    a fresh object with an empty cache.  The specification diff compares
+    declarations by this, so one compared across revisions is summarised
+    once.
     """
     got = spec.__dict__.get("_fingerprint_cache")
     if got is None:
@@ -290,22 +289,15 @@ class Specification:
     # ------------------------------------------------------------------
     def add_type(self, spec: TypeSpec) -> None:
         self._add(self.types, spec.name, spec, "type")
-        self._forget_fingerprint("types")
 
     def add_process(self, spec: ProcessSpec) -> None:
         self._add(self.processes, spec.name, spec, "process")
-        self._forget_fingerprint("processes")
 
     def add_system(self, spec: SystemSpec) -> None:
         self._add(self.systems, spec.name, spec, "system")
-        self._forget_fingerprint("systems")
 
     def add_domain(self, spec: DomainSpec) -> None:
         self._add(self.domains, spec.name, spec, "domain")
-        self._forget_fingerprint("domains")
-
-    def _forget_fingerprint(self, name: str) -> None:
-        self._table_fingerprints.pop(name, None)
 
     @staticmethod
     def _add(table: Dict, name: str, spec, kind: str) -> None:
@@ -353,114 +345,6 @@ class Specification:
             for spec in source.domains.values():
                 merged.add_domain(spec)
         return merged
-
-    # ------------------------------------------------------------------
-    # Fingerprints (stale-cache keys for the consistency engine).
-    # ------------------------------------------------------------------
-    def fingerprint(self) -> int:
-        """A process-local fingerprint of the whole specification.
-
-        Two specifications with equal declaration *values* fingerprint
-        equally even when the objects differ; replacing, adding or
-        removing declarations in the tables changes the fingerprint.
-        The consistency engine keys its fact and view caches on this,
-        so callers may mutate a specification between checks and the
-        next check sees the change.  Mutation granularity is the
-        declaration object: replace table entries (the
-        ``dataclasses.replace`` idiom) rather than mutating a
-        declaration's fields in place after it has been checked.
-        (Process-local: built on ``hash``, so not stable across
-        interpreter runs.)
-        """
-        return hash(self.fingerprint_tuple())
-
-    # Per-table fingerprint memo: table name -> (identity signature,
-    # fingerprint tuple).  The signature is a cheap one-pass function of
-    # the table's entry identities, so a 100,000-system internet whose
-    # delta touched only a domain re-sorts and re-fingerprints only the
-    # domain table.
-    #: name -> (signature, fingerprint tuple, sorted entry names).  The
-    #: signature is recomputed on *every* lookup — it is the mechanism
-    #: that makes in-place table mutation visible — but it is one
-    #: ``id()`` per entry, while re-deriving the fingerprint would sort
-    #: and walk every declaration.  The sorted names ride along so
-    #: :meth:`adopt_fingerprints` can splice one entry's fingerprint by
-    #: binary search instead of re-deriving the table's.
-    _table_fingerprints: Dict[
-        str, Tuple[Tuple[int, int], Tuple, Tuple[str, ...]]
-    ] = field(default_factory=dict, repr=False, compare=False, init=False)
-
-    def adopt_fingerprints(
-        self, other: "Specification", replaced: Dict[str, Iterable[str]]
-    ) -> Tuple:
-        """This specification's fingerprint tuple, spliced from *other*'s.
-
-        For a revision the caller has shown to hold *other*'s
-        declarations value for value, under the same names, except the
-        entries named in *replaced* (table name -> declaration names):
-        only those are re-fingerprinted, and no table that did not
-        change is walked.  A carried-over signature that does not match
-        (equal values, other objects) only costs that table a
-        recomputation at the next :meth:`fingerprint_tuple`.
-        """
-        for name in ("types", "processes", "systems", "domains"):
-            cached = other._table_fingerprints.get(name)
-            if cached is None:
-                return self.fingerprint_tuple()
-            if replaced.get(name):
-                table = getattr(self, name)
-                _signature, fingerprints, names = cached
-                spliced = list(fingerprints)
-                for entry in replaced[name]:
-                    position = bisect_left(names, entry)
-                    spliced[position] = table[entry].fingerprint_tuple()
-                cached = (self._table_signature(table), tuple(spliced), names)
-            self._table_fingerprints[name] = cached
-        return tuple(
-            self._table_fingerprints[name][1]
-            for name in ("types", "processes", "systems", "domains")
-        ) + self._extension_fingerprint()
-
-    @staticmethod
-    def _table_signature(table: Dict) -> Tuple[int, int]:
-        signature = 0
-        for spec in table.values():
-            signature ^= id(spec)
-        return (len(table), signature)
-
-    def _table_fingerprint(self, name: str, table: Dict) -> Tuple:
-        signature = self._table_signature(table)
-        cached = self._table_fingerprints.get(name)
-        if cached is not None and cached[0] == signature:
-            return cached[1]
-        entries = sorted(table.items())
-        fingerprint = tuple(spec.fingerprint_tuple() for _name, spec in entries)
-        self._table_fingerprints[name] = (
-            signature,
-            fingerprint,
-            tuple(entry_name for entry_name, _spec in entries),
-        )
-        return fingerprint
-
-    def fingerprint_tuple(self) -> Tuple:
-        return (
-            self._table_fingerprint("types", self.types),
-            self._table_fingerprint("processes", self.processes),
-            self._table_fingerprint("systems", self.systems),
-            self._table_fingerprint("domains", self.domains),
-        ) + self._extension_fingerprint()
-
-    def _extension_fingerprint(self) -> Tuple:
-        return (
-            tuple(
-                (name, tuple(repr(item) for item in items))
-                for name, items in sorted(self.extras.items())
-            ),
-            tuple(
-                (key, tuple(clauses))
-                for key, clauses in sorted(self.extension_clauses.items())
-            ),
-        )
 
     def counts(self) -> Dict[str, int]:
         return {

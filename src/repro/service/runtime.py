@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
-from typing import List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro import obs
 from repro.service.core import ServiceConfig, ServiceCore, ServiceRequest
@@ -353,12 +353,15 @@ class AsyncServiceRuntime:
         self.metrics_path = metrics_path
         self.trace_path = trace_path
         self._drain_requested = False
+        #: Per open connection: lines read from it and not yet answered.
+        self._owed: Dict[object, int] = {}
 
     # -- socket protocol ------------------------------------------------
     async def _serve_client(self, reader, writer) -> None:
         import asyncio
 
         loop = asyncio.get_running_loop()
+        self._owed[writer] = 0
         try:
             while True:
                 try:
@@ -375,6 +378,7 @@ class AsyncServiceRuntime:
                     self.core.audit.event(
                         "reject", at_s=self.core.clock(), **refusal["error"]
                     )
+                    self._owed[writer] += 1
                     await self._send(writer, refusal)
                     break
                 if not line:
@@ -395,11 +399,18 @@ class AsyncServiceRuntime:
                     )
                 except RuntimeError:
                     break  # executor shut down mid-drain; daemon is exiting
+                self._owed[writer] += 1  # every line is answered once
                 for reply_to, message in responses:
                     await self._send(reply_to or writer, message)
                 if request is not None:
                     self._kick()
+            # A client that half-closes after sending still reads: its
+            # answers (a drain's refusals included) go out before we close.
+            while self._owed[writer] > 0:
+                self._answered.clear()
+                await self._answered.wait()
         finally:
+            del self._owed[writer]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -414,6 +425,9 @@ class AsyncServiceRuntime:
             await writer.drain()
         except (ConnectionResetError, OSError):
             pass  # client went away; response already accounted for
+        if writer in self._owed:
+            self._owed[writer] -= 1
+            self._answered.set()
 
     def _kick(self) -> None:
         """Wake the dispatcher: queued work may now be startable."""
@@ -604,6 +618,7 @@ class AsyncServiceRuntime:
 
         self._stopped = False
         self._work_available = asyncio.Event()
+        self._answered = asyncio.Event()
         loop = asyncio.get_running_loop()
         # Worker processes fork first, while this process is still
         # (nearly) single-threaded — forking after the executors spin up
@@ -699,7 +714,6 @@ class AsyncServiceRuntime:
             # SIGKILL with their requests answered), flush, exit 0.
             self.core.begin_drain()
             server.close()
-            await server.wait_closed()
             if self.socket_path:
                 self._unlink_socket(self.socket_path)
             for reply_to, message in self.core.drain_responses():
@@ -708,6 +722,9 @@ class AsyncServiceRuntime:
                 await self._pool.stop(self.core.config.drain_grace_s)
             while self.core.in_flight > 0:
                 await asyncio.sleep(0.05)
+            # Only now is nothing owed to a half-closed connection, whose
+            # handler waits for that before it closes.
+            await server.wait_closed()
             self._stopped = True
             self._kick()  # unblock the dispatcher to observe _stopped
             await asyncio.wait_for(dispatcher, timeout=5.0)

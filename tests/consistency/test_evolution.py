@@ -185,7 +185,7 @@ class TestAbandonedRecheck:
 
     # A structural delta is patched in place too (a retarget, and an
     # invocation dropped so the owner's segments change length): the
-    # patch must be whole — facts, fingerprint, instantiation verdicts —
+    # patch must be whole — facts, their record, instantiation verdicts —
     # before the reduction, the one step a deadline can abandon.
     @classmethod
     def restructured(cls, silent):

@@ -1,12 +1,13 @@
-"""The PermissionIndex, fingerprint-keyed caches, and incremental expansion.
+"""The PermissionIndex, identity-keyed caches, and incremental expansion.
 
 Three concerns:
 
 * the OID-prefix-bucketed index answers "which permission covers this
   reference at this server" exactly as the linear scan over
   :func:`permission_covers` would;
-* the checker's fact/view caches are keyed by the specification
-  fingerprint, so mutating the specification between checks is seen
+* the checker's fact/view caches are keyed on the declarations the
+  facts were expanded from, so mutating the specification between
+  checks is seen
   (regression: the seed checker cached ``_facts`` forever);
 * an incremental recheck after a single-declaration delta re-expands
   strictly fewer declarations than a full check (the tentpole's

@@ -370,8 +370,8 @@ def remove_domain(rng, spec):
 
 
 def change_extras(rng, spec):
-    """Not a declaration the diff tracks, but in the fingerprint: rides
-    on an exports toggle so there is a diff to look at."""
+    """Not a table the diff tracks, but one the facts are keyed on:
+    rides on an exports toggle so there is a diff to look at."""
     return dataclasses.replace(
         toggle_exports(rng, spec), extras={"note": [rng.random()]}
     )

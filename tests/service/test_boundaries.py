@@ -177,3 +177,28 @@ class TestOverTheSocket:
             and event.get("kind") == "frame-too-large"
             for event in audit
         )
+
+
+class TestHalfClose:
+    def test_replies_arrive_after_the_client_stops_sending(
+        self, pooled_daemon  # noqa: F811
+    ):
+        """A client may write its requests, shut down its sending side
+        and read until EOF: every request admitted on the connection is
+        answered before the daemon closes it."""
+        frames = b"".join(
+            encode_message({"id": request_id, "op": op, "params": params})
+            .encode("utf-8")
+            for request_id, op, params in (
+                ("ping", "ping", {}),
+                ("check", "check", {"spec": CAMPUS}),
+            )
+        )
+        with _connect(pooled_daemon) as sock:
+            sock.sendall(frames)
+            sock.shutdown(socket.SHUT_WR)
+            replies = [
+                json.loads(line) for line in _read_to_eof(sock).splitlines()
+            ]
+        assert sorted(reply["id"] for reply in replies) == ["check", "ping"]
+        assert all(reply["ok"] for reply in replies), replies

@@ -13,12 +13,18 @@ import threading
 import pytest
 
 from repro import cli, collector
+from repro.consistency import evolution
 from repro.consistency.checker import ConsistencyChecker
 from repro.deadline import Deadline
+from repro.nmsl import specs
 from repro.errors import DeadlineExceeded
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.workloads.generator import InternetParameters, SyntheticInternet
-from repro.workloads.paper import PAPER_SPEC_TEXT
+from repro.workloads.paper import (
+    PAPER_SPEC_TEXT,
+    PaperScaleInternet,
+    PaperScaleParameters,
+)
 
 _COMPILER = NmslCompiler(CompilerOptions(register_codegen=False))
 RAISED = collector.BULK_LOAD_GEN0_THRESHOLD
@@ -303,6 +309,41 @@ class TestCheckerScopes:
 
     def test_facts_access_alone_restores(self, odd_policy):
         assert ConsistencyChecker(_internet(), _COMPILER.tree).facts.instances
+
+
+class TestDiffScope:
+    def test_diff_of_two_compiles_is_scoped_and_runs_no_full_pass(
+        self, odd_policy, monkeypatch
+    ):
+        """Two separately compiled versions share no declaration, so the
+        diff fingerprints every one: a bulk phase the cold check no
+        longer pre-pays inside its own scope."""
+        text = PaperScaleInternet(
+            PaperScaleParameters(n_domains=60, hub_count=4, seed=7)
+        ).text()
+        old, new = (_COMPILER.compile(text).specification for _ in range(2))
+        seen = []
+        cached = specs._cached_fingerprint
+
+        def probed(declaration, compute):
+            seen.append(gc.get_threshold()[0])
+            return cached(declaration, compute)
+
+        monkeypatch.setattr(specs, "_cached_fingerprint", probed)
+        full_passes = []
+
+        def on_pass(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full_passes.append(info)
+
+        gc.callbacks.append(on_pass)
+        try:
+            diff = evolution.diff_specifications(old, new)
+        finally:
+            gc.callbacks.remove(on_pass)
+        assert diff.is_empty()
+        assert seen and set(seen) == {RAISED}
+        assert full_passes == []
 
 
 class TestUnderMain:

@@ -31,11 +31,10 @@ through :meth:`ConsistencyChecker.recheck`'s diff instead.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
 from operator import is_
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.collector import bulk_load, collector_watch, frozen_fork_heap
@@ -80,7 +79,15 @@ _TABLES = ("types", "processes", "systems", "domains")
 _EXTENSIONS = ("extras", "extension_clauses")
 
 
-def _same_items(items, recorded: Tuple) -> bool:
+def _flags(verdicts: Sequence[Tuple[Inconsistency, ...]]) -> Set[int]:
+    """The positions of the non-empty verdicts."""
+    return {position for position, verdict in enumerate(verdicts) if verdict}
+
+
+def same_items(items, recorded) -> bool:
+    """Whether two sequences (or two tables' key sequences) hold the
+    same objects in the same order: an identity walk that allocates
+    nothing."""
     return len(items) == len(recorded) and all(map(is_, items, recorded))
 
 
@@ -179,8 +186,11 @@ class ConsistencyChecker:
         #: table name -> (keys, entries) the facts were expanded from.
         self._expanded_from: Dict[str, Tuple[List, List]] = {}
         #: Verdicts of the last check, aligned by position with the
-        #: reference list they were computed over (recheck fuel).
+        #: reference list they were computed over (recheck fuel), and
+        #: the positions among them whose verdict is not empty (replaced
+        #: together: the flags describe the list beside them).
         self._verdict_list: Optional[List[Tuple[Inconsistency, ...]]] = None
+        self._flagged: Set[int] = set()
         self._checked_references: Optional[List[Reference]] = None
         # Per-fact-set state (reset whenever the facts are regenerated):
         self._index: Optional[PermissionIndex] = None
@@ -241,7 +251,7 @@ class ConsistencyChecker:
         were expanded from (stops at the first difference)."""
         for name, (keys, entries) in self._expanded_from.items():
             table = getattr(spec, name)
-            same = _same_items if name in _EXTENSIONS else is_
+            same = same_items if name in _EXTENSIONS else is_
             if not (
                 len(table) == len(keys)
                 and all(map(same, table.values(), entries))
@@ -280,8 +290,6 @@ class ConsistencyChecker:
                 deadline.check("consistency.check")
             with o.span("consistency.facts"):
                 facts = self.facts
-            problems: List[Inconsistency] = []
-            warnings: List[str] = list(facts.warnings)
             # Verdicts are a function of the fact set alone, so a check
             # of the one already reduced only re-assembles the report.
             warm = (
@@ -289,11 +297,8 @@ class ConsistencyChecker:
                 and self._checked_references is facts.references
             )
             with contextlib.nullcontext() if warm else bulk_load():
-                inst_problems, inst_warnings = self._instantiation_problems(
-                    facts
-                )
-                problems.extend(inst_problems)
-                warnings.extend(inst_warnings)
+                # Memoised here, inside the bulk scope; _assemble reads it.
+                self._instantiation_problems(facts)
                 if not warm:
                     # Dropped first: a reduction that is abandoned (a
                     # deadline) must not leave stale verdicts to reuse.
@@ -312,14 +317,12 @@ class ConsistencyChecker:
                         verdicts[position]
                         for position in range(len(facts.references))
                     ]
+                    self._flagged = _flags(self._verdict_list)
                     # Prime the per-domain taint index now, while we
                     # are on the full-check clock, so the first
                     # incremental recheck does not pay for it.
                     facts.domain_reference_taint()
-            for verdict in self._verdict_list:
-                problems.extend(verdict)
-            if check_capacity:
-                warnings.extend(self._check_capacity(facts))
+            problems, warnings = self._assemble(facts, check_capacity)
             span.annotate(inconsistencies=len(problems))
 
         stats = {
@@ -392,6 +395,7 @@ class ConsistencyChecker:
                 # of the facts that staled is reused.
                 previous_list = None
             previous_references = self._checked_references
+            previous_flagged = self._flagged
             # Dropped until this recheck completes: if it is abandoned (a
             # deadline) the next check or recheck starts from nothing
             # rather than from verdicts the patch below has staled.
@@ -410,15 +414,13 @@ class ConsistencyChecker:
             old_facts = self._facts
             with o.span("consistency.facts"):
                 facts = old_facts if patch is not None else self.facts
-            problems: List[Inconsistency] = []
-            warnings: List[str] = list(facts.warnings)
-            inst_problems, inst_warnings = self._instantiation_problems(facts)
-            problems.extend(inst_problems)
-            warnings.extend(inst_warnings)
+            self._instantiation_problems(facts)  # memoised for _assemble
 
             # Before the reduction ``new_list`` holds, for every
-            # reference, the verdict it had (none if it is new);
-            # ``gone`` collects the references that no longer exist.
+            # reference, the verdict it had (none if it is new), and
+            # ``flagged`` — on the patch path — the positions of the
+            # non-empty ones; ``gone`` collects the references that no
+            # longer exist.
             key = self._reference_key
             references = facts.references
 
@@ -429,6 +431,7 @@ class ConsistencyChecker:
 
             if patch is not None:
                 new_list = list(previous_list)
+                flagged = previous_flagged
                 gone: Dict[Tuple, Tuple] = {}
                 for start, replaced, length in patch.references:
                     end = start + len(replaced)
@@ -438,6 +441,19 @@ class ConsistencyChecker:
                         for reference in references[start:start + length]
                     ]
                     gone.update(had)
+                    # The flags move with the splice: none inside it,
+                    # those past it shifted, the spliced range re-read.
+                    shift = length - len(replaced)
+                    flagged = {
+                        position + shift if position >= end else position
+                        for position in flagged
+                        if not start <= position < end
+                    }
+                    flagged.update(
+                        position
+                        for position in range(start, start + length)
+                        if new_list[position]
+                    )
                 pending = [
                     (position, references[position])
                     for position in sorted(patch.pending)
@@ -470,23 +486,29 @@ class ConsistencyChecker:
                 computed = self._reduce(facts, pending, jobs, deadline=deadline)
             changes = self._verdict_changes
             for position, reference in pending:
-                if new_list[position] != computed[position]:
-                    changes.append(
-                        (reference, new_list[position], computed[position])
-                    )
-                new_list[position] = computed[position]
+                verdict = computed[position]
+                if new_list[position] != verdict:
+                    changes.append((reference, new_list[position], verdict))
+                new_list[position] = verdict
             changes.extend(
                 (reference, verdict, ())
                 for reference, verdict in gone.values()
                 if verdict
             )
+            if patch is not None:
+                for position, _reference in pending:
+                    if new_list[position]:
+                        flagged.add(position)
+                    else:
+                        flagged.discard(position)
+            else:
+                flagged = _flags(new_list)
             rechecked = len(pending)
             reused = len(references) - rechecked
             self._verdict_list = new_list
+            self._flagged = flagged
             self._checked_references = references
-            problems.extend(itertools.chain.from_iterable(new_list))
-            if check_capacity:
-                warnings.extend(self._check_capacity(facts))
+            problems, warnings = self._assemble(facts, check_capacity)
             patched = patch is not None and bool(delta.diff)
             span.annotate(rechecked=rechecked, reused=reused, patched=patched)
 
@@ -632,6 +654,22 @@ class ConsistencyChecker:
             )
         return self._instantiation_memo[2:]
 
+    def _assemble(
+        self, facts: FactSet, check_capacity: bool
+    ) -> Tuple[List[Inconsistency], Tuple[str, ...]]:
+        """The result's problems — the instantiation ones, then the
+        flagged verdicts in reference order — and its warnings (the
+        memoised instantiation tuple itself when nothing is added)."""
+        inst_problems, inst_warnings = self._instantiation_problems(facts)
+        problems = list(inst_problems)
+        verdicts = self._verdict_list
+        for position in sorted(self._flagged):
+            problems.extend(verdicts[position])
+        capacity = self._check_capacity(facts) if check_capacity else ()
+        if facts.warnings or capacity:
+            inst_warnings = (*facts.warnings, *inst_warnings, *capacity)
+        return problems, inst_warnings
+
     def _remember_instantiations(self, facts: FactSet, outcomes: List) -> None:
         self._instantiation_memo = (
             facts,
@@ -679,7 +717,7 @@ class ConsistencyChecker:
             and old_spec.extras == new_spec.extras
             and old_spec.extension_clauses == new_spec.extension_clauses
             and all(
-                old is new or list(old) == list(new)
+                old is new or same_items(old, new) or list(old) == list(new)
                 for old, new in (
                     (old_spec.systems, new_spec.systems),
                     (old_spec.domains, new_spec.domains),

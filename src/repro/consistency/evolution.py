@@ -32,10 +32,12 @@ affectedness test tracks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import is_not
 from typing import List, Optional, Set
 
 from repro.collector import bulk_load
-from repro.consistency.checker import ConsistencyChecker
+from repro.consistency.checker import ConsistencyChecker, same_items
 from repro.consistency.facts import FactSet
 from repro.consistency.report import ConsistencyResult
 from repro.mib.tree import MibTree
@@ -98,13 +100,25 @@ def diff_specifications(
                 # 100,000-system table dominates the diff otherwise.
                 continue
             # Entries shared by identity (all but a few, in the replace-
-            # one-entry idiom) drop out before anything is compared.
-            moved = [
-                name
-                for name, entry in old_table.items()
-                if new_table.get(name) is not entry
-            ]
-            moved.extend(name for name in new_table if name not in old_table)
+            # one-entry idiom) drop out before anything is compared: by
+            # position while the key sequence is the same objects, by
+            # name once entries were added, removed, renamed or moved.
+            if same_items(old_table, new_table):
+                moved = list(
+                    compress(
+                        old_table,
+                        map(is_not, old_table.values(), new_table.values()),
+                    )
+                )
+            else:
+                moved = [
+                    name
+                    for name, entry in old_table.items()
+                    if new_table.get(name) is not entry
+                ]
+                moved.extend(
+                    name for name in new_table if name not in old_table
+                )
             for name in sorted(moved):
                 if name not in new_table:
                     diff.entries.append(DiffEntry(kind, name, "removed"))

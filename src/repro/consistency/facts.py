@@ -387,10 +387,15 @@ class FactSet:
     def proxies_for_system(self, system_name: str) -> List[InstanceId]:
         """Instances whose process type proxies *system_name*."""
         if self._proxy_cache is None:
+            # Resolved once per process type; the walk stays in
+            # instance order, which is the candidate order.
+            proxied_by = {
+                name: process.proxied_systems()
+                for name, process in self.specification.processes.items()
+            }
             index: Dict[str, List[InstanceId]] = {}
             for instance in self.instances:
-                process = self.specification.processes[instance.process_name]
-                for proxied in process.proxied_systems():
+                for proxied in proxied_by[instance.process_name]:
                     index.setdefault(proxied, []).append(instance)
             self._proxy_cache = index
         return self._proxy_cache.get(system_name, [])

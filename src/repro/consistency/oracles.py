@@ -58,8 +58,10 @@ def check_with_scan(
             facts = generator.generate()
         outcomes = instantiation_outcomes(facts, facts.instances)
         problems = [out for out in outcomes if out.__class__ is Inconsistency]
-        warnings = list(facts.warnings)
-        warnings.extend(out for out in outcomes if out.__class__ is str)
+        warnings = (
+            *facts.warnings,
+            *(out for out in outcomes if out.__class__ is str),
+        )
         with o.span("consistency.reduce", references=len(facts.references)):
             for reference in facts.references:
                 problems.extend(

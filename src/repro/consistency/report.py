@@ -62,8 +62,13 @@ class ConsistencyResult:
 
     consistent: bool
     inconsistencies: List[Inconsistency] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
+    #: A tuple, so a checker can hand the same warnings on from one
+    #: result to the next without copying them.
+    warnings: Tuple[str, ...] = ()
     stats: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.warnings = tuple(self.warnings)  # a tuple is not copied
 
     def render(self) -> str:
         if self.consistent and not self.warnings:

@@ -14,6 +14,8 @@ every spec and every oracle registered in
   ``client ...`` cause;
 * ``scan``, which words its report as the checker does, renders the
   byte-identical report;
+* every engine's warnings are a tuple — ``scan``'s and a speculative
+  check's equal to the checker's, the rule-driven paths' empty;
 * an incremental ``recheck`` that arrives at the spec from a clean
   baseline produces the same verdict and causes as a from-scratch check.
 
@@ -32,7 +34,9 @@ import pytest
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.index import PermissionIndex
 from repro.consistency.oracles import ORACLES, failing_clients
+from repro.consistency.speculative import SpeculativeChecker
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
+from repro.nmsl.specs import Specification
 from repro.workloads.generator import InternetParameters, SyntheticInternet
 
 #: Corpus size demanded by the differential-oracle task.
@@ -86,9 +90,11 @@ def test_engines_agree(parameters):
     tree = _COMPILER.tree
 
     indexed = ConsistencyChecker(specification, tree).check()
+    assert isinstance(indexed.warnings, tuple)
     assert {"scan", "clpr", "datalog"} <= set(ORACLES)
     for name, oracle in ORACLES.items():
         answer = oracle(specification, tree)
+        assert isinstance(answer.warnings, tuple), name
         # Verdict agreement (acceptance criterion: 0 disagreements).
         assert answer.consistent == indexed.consistent, (
             f"verdict disagreement on {parameters!r}: "
@@ -102,6 +108,15 @@ def test_engines_agree(parameters):
             # It words its report as the checker does: same bytes.
             assert answer.render() == indexed.render()
             assert answer.warnings == indexed.warnings
+        else:
+            # The rule text decides references, not instantiations.
+            assert answer.warnings == ()
+    # A speculative check of nothing added reports the same warnings.
+    speculative = SpeculativeChecker(specification, tree).check_addition(
+        Specification()
+    )
+    assert speculative.warnings == indexed.warnings
+    assert isinstance(speculative.warnings, tuple)
 
 
 def test_scan_oracle_shares_no_state_with_the_checker(monkeypatch):

@@ -3,7 +3,9 @@
 Boots the daemon on a unix socket, then exercises the full client
 surface the way an operator session would:
 
-1. ``ping`` + ``status`` + warm/cold ``check``;
+1. ``ping`` + ``status`` + warm/cold ``check``, and a ``check`` with
+   ``jobs`` refused with a 400 ``bad-request`` (a pool worker may not
+   fork the checker's shard workers);
 2. ``diff`` of the campus spec against a scripted access-widening
    mutation — the relational gate must report NM401 as gating;
 3. a ``rollout`` of the widened revision *with* ``diff_base`` — the
@@ -146,6 +148,15 @@ def main(argv=None):
                 "cpu_s" in resources and "cache_hit_ratio" in resources,
                 "response envelope carries resource accounting",
                 resources,
+            )
+            sharded = client.request(
+                "check", {"spec": CAMPUS, "jobs": 2}, request_id="sharded"
+            )
+            expect(
+                not sharded["ok"]
+                and sharded["error"]["kind"] == "bad-request"
+                and sharded["error"]["code"] == 400,
+                "check with jobs is refused with a 400 bad-request", sharded,
             )
 
             diff = client.request(
@@ -316,6 +327,15 @@ def main(argv=None):
             and any(e["event"] == "apply" for e in audit_events),
             "audit log records admit/response/veto/apply events",
             sorted({e["event"] for e in audit_events}),
+        )
+        expect(
+            any(
+                e["event"] == "response"
+                and e.get("request_id") == "sharded"
+                and e.get("outcome") == "bad-request"
+                for e in audit_events
+            ),
+            "the refused sharded check has its audit response event",
         )
         request_scoped = [
             e for e in audit_events

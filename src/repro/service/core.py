@@ -13,7 +13,9 @@ four calls:
 * :meth:`next_action` — pick the next startable request (or an expired
   one to refuse), honouring priority order and bulkhead disjointness;
 * :meth:`execute` — run one request to completion on the caller's
-  thread, returning the wire response;
+  thread, returning the wire response (a pooled request runs in a
+  worker instead, and :meth:`settle` turns its result frame into the
+  same response);
 * :meth:`begin_drain` / :meth:`drain_responses` — stop admitting and
   refuse everything still queued, structured, never silent.
 
@@ -27,14 +29,11 @@ from __future__ import annotations
 
 import collections
 import threading
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from repro import obs
 from repro.deadline import Deadline
-from repro.errors import DeadlineExceeded, ReproError
 from repro.obs.audit import AuditLog
 from repro.obs.context import IdAllocator, TraceContext
 from repro.obs.slo import SloTracker
@@ -68,6 +67,9 @@ def _safe_id(request_id) -> Optional[str]:
 class ServiceConfig:
     """Tunables for one daemon instance."""
 
+    #: Supervised worker processes for the pooled ops (check/analyze/
+    #: diff/compile), and the bound on in-process handler threads for
+    #: everything else (ping/status/slo/rollout/heal).
     workers: int = 4
     queue_capacity: int = 64
     max_campaigns: int = 4
@@ -85,11 +87,6 @@ class ServiceConfig:
     #: Rough per-request service time used for ``retry_after_s`` hints
     #: on shed/queue-full refusals.
     nominal_service_s: float = 0.2
-    #: Workers that only interactive-class requests may occupy: under
-    #: bulk saturation at least this many slots stay free for checks
-    #: and diffs, bounding interactive tail latency.  Clamped to
-    #: ``workers - 1``; 0 disables the reservation.
-    reserved_interactive_workers: int = 0
     breaker_failure_threshold: int = 3
     breaker_cooldown_s: float = 30.0
     #: JSONL audit-log path (None keeps the bounded in-memory tail only).
@@ -102,12 +99,6 @@ class ServiceConfig:
     #: in response envelopes.  Off by default: the simulated runtime's
     #: transcripts must stay byte-identical, and thread CPU time is not.
     measure_resources: bool = False
-    #: Supervised worker *processes* for pooled ops (check/analyze/
-    #: diff/compile).  0 disables the pool entirely: everything runs
-    #: in-process on the thread pool, exactly as before the pool
-    #: existed.  When > 0, ``workers`` still bounds the in-process
-    #: thread pool that serves local ops (ping/status/slo/rollout/heal).
-    pool_workers: int = 0
     #: Worker heartbeat cadence and the staleness that marks a busy
     #: worker wedged (the heartbeat thread cannot run — e.g. a handler
     #: holding the GIL in a C loop, or the process is stopped).
@@ -157,10 +148,10 @@ class ServiceRequest:
     #: the request produces carries ``trace.trace_id``.
     trace: Optional[TraceContext] = None
     #: Per-request resource accounting (cpu_s, facts_scanned, ...),
-    #: filled by execute()/handlers and echoed in the response envelope
-    #: when ``config.measure_resources`` is on.
+    #: filled by ``ServiceHandlers.run`` and echoed in the response
+    #: envelope when ``config.measure_resources`` is on.
     resources: dict = field(default_factory=dict)
-    #: Pool-worker slot currently executing this request (pool mode).
+    #: Pool-worker slot currently executing this request (pooled ops).
     worker_id: Optional[int] = None
     #: Execution attempts so far — bumped by the supervisor on assign;
     #: a replayed request arrives at its second worker with attempts=1.
@@ -197,14 +188,10 @@ class ServiceCore:
         self._own_ids = IdAllocator(seed=self.config.trace_seed)
         self.audit = AuditLog(path=self.config.audit_path)
         self.slo = SloTracker(objectives=self.config.slo_objectives)
-        #: The worker-pool supervisor (None when the pool is disabled).
-        #: The core makes every supervision *decision*; runtimes only
-        #: deliver its events (spawn, kill, restart-at).
-        self.pool: Optional[WorkerSupervisor] = (
-            WorkerSupervisor(self.config)
-            if self.config.pool_workers > 0
-            else None
-        )
+        #: The worker-pool supervisor: every pooled op runs on one of
+        #: its slots.  The core makes every supervision *decision*;
+        #: runtimes only deliver its events (spawn, kill, restart-at).
+        self.pool = WorkerSupervisor(self.config)
         #: Requests requeued after a worker death, served before the
         #: admission queues (they already waited their turn once).
         self._replays: "collections.deque[ServiceRequest]" = (
@@ -212,8 +199,8 @@ class ServiceCore:
         )
         self.draining = False
         self.in_flight = 0
-        #: In-process executions only (local ops in pool mode); bounds
-        #: the thread pool separately from the worker processes.
+        #: In-process executions only (the local ops); bounds the
+        #: thread pool separately from the worker processes.
         self.in_flight_local = 0
         self._seq = 0
         self.started_s: Optional[float] = None
@@ -296,7 +283,7 @@ class ServiceCore:
                 trace=trace,
             )
 
-        if self.pool is not None and op in POOLED_OPS:
+        if op in POOLED_OPS:
             # The poison registry is consulted at admission (fingerprint
             # hashing reads spec files — never under the core lock): a
             # request whose fingerprint already killed two workers is
@@ -504,14 +491,14 @@ class ServiceCore:
     def next_action(self) -> Optional[Tuple[ServiceRequest, str]]:
         """The next ``(request, disposition)``, or None.
 
-        ``"run"`` requests execute in-process (the caller runs
-        :meth:`execute` then the response is done); ``"remote"``
-        requests (pool mode only) have been assigned a worker slot —
-        the caller ships them to that worker and later settles them via
-        :meth:`finish_remote` or :meth:`worker_failed`.  ``"expired"``
-        requests must be refused via :meth:`expire`.  Replayed requests
-        are served before the admission queues — they already waited
-        their turn once.
+        ``"run"`` requests (the local ops) execute in-process: the
+        caller runs :meth:`execute` and the response is done;
+        ``"remote"`` requests (the pooled ops) have been assigned a
+        worker slot — the caller ships them to that worker and later
+        settles them via :meth:`settle` or :meth:`worker_failed`.
+        ``"expired"`` requests must be refused via :meth:`expire`.
+        Replayed requests are served before the admission queues — they
+        already waited their turn once.
         """
         with self._lock:
             now = self.clock()
@@ -545,32 +532,18 @@ class ServiceCore:
             self.bulkheads.acquire(request.campaign_key, request.elements)
         self.in_flight += 1
         request.started_s = self.clock()
-        if self.pool is not None and request.op in POOLED_OPS:
+        if request.op in POOLED_OPS:
             self.pool.assign(request, self.clock())
             return request, "remote"
         self.in_flight_local += 1
         return request, "run"
 
     def _can_start(self, request: ServiceRequest) -> bool:
-        if self.pool is not None and request.op in POOLED_OPS:
-            # Pooled ops gate on an idle worker process; the class
-            # reservation below protects the in-process thread pool.
+        if request.op in POOLED_OPS:
             return self.pool.has_idle()
-        if request.rank > 0:
-            reserve = min(
-                self.config.reserved_interactive_workers,
-                self.config.workers - 1,
-            )
-            free = self.config.workers - self.in_flight_local
-            if free <= reserve:
-                return False  # keep the reserved slots for interactive
-        if (
-            self.pool is not None
-            and self.in_flight_local >= self.config.workers
-        ):
-            # With the pool on, remote requests do not occupy threads,
-            # so the runtimes no longer gate dispatch on ``in_flight``;
-            # local thread capacity is enforced here instead.
+        if self.in_flight_local >= self.config.workers:
+            # Remote requests occupy no thread, so local thread
+            # capacity is enforced here rather than on ``in_flight``.
             return False
         if request.campaign_key is None:
             return True
@@ -582,44 +555,31 @@ class ServiceCore:
     # Execution.
     # ------------------------------------------------------------------
     def execute(self, request: ServiceRequest) -> dict:
-        """Run *request*; always returns a wire response message.
+        """Run *request* on the caller's thread; returns its response.
 
-        The worker thread *adopts* the request's trace context for the
-        duration, so every span the handler opens — including subtrees
-        spliced back from forked checker shards — carries the request's
-        trace id; when ``config.measure_resources`` is on the thread's
-        CPU seconds are attributed to the request.
+        The handler runs under the request's adopted trace context, so
+        every span it opens carries the request's trace id.
+        """
+        return self.settle(request, self.handlers.run(request))
+
+    def settle(self, request: ServiceRequest, frame: dict) -> dict:
+        """Build and account the response from a handler's result frame.
+
+        *frame* is :meth:`ServiceHandlers.run`'s, whether it ran on
+        this thread or in a pool worker.  A worker also ships the span
+        subtree it closed; splicing it here keeps a pooled request one
+        connected trace.
         """
         o = obs.current()
+        tracer = getattr(o, "tracer", None)
+        if tracer is not None and frame.get("spans"):
+            tracer.splice(frame["spans"])
         traceparent = (
             request.trace.traceparent() if request.trace is not None else None
         )
-        cpu0 = (
-            time.thread_time() if self.config.measure_resources else None
-        )
-        with o.adopt(request.trace):
-            with o.span(
-                "service.request",
-                op=request.op, cls=request.cls, request_id=str(request.id),
-            ):
-                try:
-                    result = self.handlers.execute(request)
-                    failure = None
-                except DeadlineExceeded as exc:
-                    failure, result = ("deadline", str(exc)), None
-                except ProtocolError as exc:
-                    failure, result = (exc.kind, str(exc)), None
-                except ReproError as exc:
-                    failure, result = ("internal", str(exc)), None
-                except Exception as exc:  # noqa: BLE001 - worker must not die
-                    failure = ("internal", f"{type(exc).__name__}: {exc}")
-                    result = None
-        if cpu0 is not None:
-            request.resources["cpu_s"] = round(
-                max(0.0, time.thread_time() - cpu0), 6
-            )
-        if failure is not None:
-            kind, message = failure
+        request.resources.update(frame["resources"])
+        if not frame["ok"]:
+            kind, message = frame["kind"], frame["message"]
             if kind == "vetoed":
                 self.audit.event(
                     "veto", trace=request.trace,
@@ -631,8 +591,8 @@ class ServiceCore:
                 request.id, kind, message,
                 op=request.op, cls=request.cls, traceparent=traceparent,
             )
-            outcome = "deadline" if kind == "deadline" else kind
-            return self.finish(request, response, outcome=outcome)
+            return self.finish(request, response, outcome=kind)
+        result = frame["result"]
         response = result_response(
             request.id, request.op, request.cls, result,
             timing=self._timing(request),
@@ -722,45 +682,8 @@ class ServiceCore:
         )
 
     # ------------------------------------------------------------------
-    # Worker pool (pool mode only): remote completion and supervision.
+    # Worker pool supervision.
     # ------------------------------------------------------------------
-    def finish_remote(self, request: ServiceRequest, frame: dict) -> dict:
-        """Settle a request from its worker's response frame.
-
-        The worker shipped its span subtree inside the frame; splicing
-        it here keeps a pooled check one connected trace (the same
-        ``export_spans``/``splice`` contract the forked checker shards
-        use).  Accounting then flows through :meth:`finish` exactly as
-        an in-process execution would.
-        """
-        o = obs.current()
-        tracer = getattr(o, "tracer", None)
-        if tracer is not None and frame.get("spans"):
-            tracer.splice(frame["spans"])
-        traceparent = (
-            request.trace.traceparent() if request.trace is not None else None
-        )
-        if frame.get("resources"):
-            request.resources.update(frame["resources"])
-        if frame.get("ok"):
-            response = result_response(
-                request.id, request.op, request.cls, frame.get("result"),
-                timing=self._timing(request),
-                traceparent=traceparent,
-                resources=(
-                    dict(sorted(request.resources.items()))
-                    if self.config.measure_resources and request.resources
-                    else None
-                ),
-            )
-            return self.finish(request, response, outcome="ok")
-        kind = frame.get("kind", "internal")
-        response = error_response(
-            request.id, kind, frame.get("message", "worker failure"),
-            op=request.op, cls=request.cls, traceparent=traceparent,
-        )
-        return self.finish(request, response, outcome=kind)
-
     def pool_worker_started(self, worker_id: int, pid=None):
         """A worker came up (boot or post-crash restart)."""
         now = self.clock()
@@ -901,10 +824,19 @@ class ServiceCore:
                 request, response, "worker-lost"
             )
 
-    def audit_pool_event(self, event: str, worker_id: int, **fields):
-        self.audit.event(
-            event, at_s=self.clock(), worker=worker_id, **fields
-        )
+    def pool_recycled(self, worker_id: int, **fields) -> float:
+        """Retire an idle worker past its rss limit (after
+        :meth:`pool_completed` said ``"recycle"``); returns the time
+        its replacement may start."""
+        now = self.clock()
+        with self._lock:
+            restart_at = self.pool.recycle(worker_id, now)
+            self.audit.event(
+                "worker-recycle", at_s=now, worker=worker_id,
+                reason="rss-limit", **fields,
+            )
+            self.count_pool_restart("recycle")
+            return restart_at
 
     def count_pool_restart(self, reason: str) -> None:
         o = obs.current()
@@ -971,15 +903,10 @@ class ServiceCore:
     # ------------------------------------------------------------------
     def status_snapshot(self) -> dict:
         with self._lock:
-            pool = (
-                self.pool.snapshot(self.clock())
-                if self.pool is not None
-                else None
-            )
             return {
                 "draining": self.draining,
                 "in_flight": self.in_flight,
-                "pool": pool,
+                "pool": self.pool.snapshot(self.clock()),
                 "queue": {
                     "depths": self.admission.depths(),
                     "capacity": self.admission.capacity,

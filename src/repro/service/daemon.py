@@ -73,14 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-worker-pool",
-        action="store_true",
-        help=(
-            "run every op in-process on the thread pool (pre-pool "
-            "behaviour: no fault isolation, no crash recovery)"
-        ),
-    )
-    parser.add_argument(
         "--drain-grace",
         type=float,
         default=10.0,
@@ -176,7 +168,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             spec_cache_limit=args.spec_cache,
             journal_dir=args.journal_dir,
             audit_path=args.audit_path,
-            pool_workers=0 if args.no_worker_pool else args.workers,
             drain_grace_s=args.drain_grace,
         )
         runtime = AsyncServiceRuntime(

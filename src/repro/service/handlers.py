@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import threading
+import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -34,7 +35,13 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro import obs
 from repro.collector import bulk_load
 from repro.deadline import Deadline
-from repro.errors import NmslSemanticError, NmslSyntaxError, RolloutVetoed
+from repro.errors import (
+    DeadlineExceeded,
+    NmslSemanticError,
+    NmslSyntaxError,
+    ReproError,
+    RolloutVetoed,
+)
 from repro.service.protocol import ProtocolError
 from repro.service.specfile import read_spec
 
@@ -212,8 +219,8 @@ class ServiceHandlers:
         """Run *request* and return its JSON-safe result payload.
 
         Raises :class:`~repro.errors.DeadlineExceeded` on budget expiry
-        and :class:`ProtocolError` on parameter problems; the core maps
-        both to structured error responses.
+        and :class:`ProtocolError` on parameter problems; :meth:`run`
+        maps both to error kinds.
         """
         method = getattr(self, "_op_" + request.op.replace("-", "_"), None)
         if method is None:  # pragma: no cover - protocol already vets ops
@@ -222,6 +229,43 @@ class ServiceHandlers:
         # concurrently on worker threads, so per-request context must
         # never live in shared instance state.
         return method(request.params, request.deadline, request)
+
+    def run(self, request, **span_attrs) -> dict:
+        """Execute *request* under its trace; returns its result frame.
+
+        The frame is what a pool worker ships back over its pipe and
+        what the core settles an in-process request from:
+        ``{"id", "ok", "result"}`` or ``{"id", "ok", "kind",
+        "message"}``, plus ``resources`` (the handler's CPU seconds and
+        whatever the handler counted).  This is the one place a handler
+        exception becomes an error kind.
+        """
+        o = obs.current()
+        cpu0 = time.thread_time()
+        frame = {"id": request.id, "ok": True, "result": None}
+        with o.adopt(request.trace):
+            with o.span(
+                "service.request", op=request.op, cls=request.cls,
+                request_id=str(request.id), **span_attrs,
+            ):
+                try:
+                    frame["result"] = self.execute(request)
+                except DeadlineExceeded as exc:
+                    frame.update(ok=False, kind="deadline", message=str(exc))
+                except ProtocolError as exc:
+                    frame.update(ok=False, kind=exc.kind, message=str(exc))
+                except ReproError as exc:
+                    frame.update(ok=False, kind="internal", message=str(exc))
+                except Exception as exc:  # noqa: BLE001 - always answer
+                    frame.update(
+                        ok=False, kind="internal",
+                        message=f"{type(exc).__name__}: {exc}",
+                    )
+        request.resources["cpu_s"] = round(
+            max(0.0, time.thread_time() - cpu0), 6
+        )
+        frame["resources"] = request.resources
+        return frame
 
     @staticmethod
     def _require(params: dict, key: str) -> str:
@@ -276,50 +320,43 @@ class ServiceHandlers:
         session = self.cache.get(self._require(params, "spec"))
         spec_cache_hit = self.cache.hits > cache_hits_before
         if "chaos_sleep_s" in params:
-            # Test/chaos knob (cf. shard_threshold below): hold the
-            # request in execution so the pool's kill/overrun paths can
-            # be exercised deterministically from outside.
-            import time as _time
-
-            _time.sleep(float(params["chaos_sleep_s"]))
+            # Test/chaos knob: hold the request in execution so the
+            # pool's kill/overrun paths can be exercised from outside.
+            time.sleep(float(params["chaos_sleep_s"]))
         if params.get("chaos_exit"):
             # Test/chaos knob: die mid-request the way a segfault or
-            # OOM kill would — only meaningful under the worker pool,
-            # where the supervisor must recover; never set in real use.
+            # OOM kill would, so the supervisor must recover; the op
+            # always runs in a pool worker, never in the daemon.
             import os as _os
 
             _os._exit(int(params["chaos_exit"]))
-        jobs = int(params.get("jobs", 1))
+        for knob in ("jobs", "shard_threshold"):
+            if knob in params:
+                # A pool worker is a daemonic process: it may not fork
+                # the checker's shard workers.
+                raise ProtocolError(
+                    "bad-request",
+                    f"params.{knob} is not accepted: check runs serially "
+                    "in its pool worker",
+                )
         capacity = bool(params.get("capacity", False))
-        measure = (
-            self.core is not None and self.core.config.measure_resources
-        )
         with session.lock:
             warm = session.checks > 0
             session.checks += 1
             checker = session.checker
-            if "shard_threshold" in params:
-                # Test/bench knob: force multi-process sharding on small
-                # corpora (mirrors the ConsistencyChecker ctor override).
-                checker._shard_threshold = int(params["shard_threshold"])
-            tallies_before = checker.cache_tallies() if measure else None
+            tallies_before = checker.cache_tallies()
             outcome = checker.check(
-                check_capacity=capacity, jobs=jobs, deadline=deadline
+                check_capacity=capacity, deadline=deadline
             )
-            tallies_after = checker.cache_tallies() if measure else None
-        if measure and request is not None:
-            hits = tallies_after["hits"] - tallies_before["hits"]
-            lookups = hits + (
-                tallies_after["misses"] - tallies_before["misses"]
-            )
-            request.resources.update(
-                facts_scanned=outcome.stats.get("references") or 0,
-                cache_lookups=lookups,
-                cache_hit_ratio=(
-                    round(hits / lookups, 4) if lookups else 0.0
-                ),
-                spec_cache_hit=spec_cache_hit,
-            )
+            tallies_after = checker.cache_tallies()
+        hits = tallies_after["hits"] - tallies_before["hits"]
+        lookups = hits + (tallies_after["misses"] - tallies_before["misses"])
+        request.resources.update(
+            facts_scanned=outcome.stats.get("references") or 0,
+            cache_lookups=lookups,
+            cache_hit_ratio=round(hits / lookups, 4) if lookups else 0.0,
+            spec_cache_hit=spec_cache_hit,
+        )
         problems = [
             {"kind": problem.kind.value, "message": problem.message}
             for problem in outcome.inconsistencies[:MAX_REPORTED]

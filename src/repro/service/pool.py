@@ -69,7 +69,7 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -224,7 +224,7 @@ class WorkerSupervisor:
         self.config = config
         self.workers: Dict[int, WorkerState] = {
             worker_id: WorkerState(worker_id=worker_id)
-            for worker_id in range(config.pool_workers)
+            for worker_id in range(config.workers)
         }
         self.registry = registry or PoisonRegistry(
             threshold=config.poison_threshold
@@ -474,16 +474,6 @@ class WorkerSupervisor:
                     overdue.append((state.worker_id, "wedge"))
         return overdue
 
-    def due_restarts(self, now: float) -> List[int]:
-        with self._lock:
-            return [
-                s.worker_id
-                for s in self.workers.values()
-                if s.state == DOWN
-                and s.down_until is not None
-                and s.down_until <= now
-            ]
-
     def epoch(self, worker_id: int) -> int:
         with self._lock:
             return self.workers[worker_id].epoch
@@ -562,24 +552,22 @@ def _pool_worker_main(
     supervisor_pid: int,
     spec_cache_limit: int,
     heartbeat_interval_s: float,
-    measure_resources: bool,
 ) -> None:
     """The worker child: execute request frames until told to exit.
 
     Forked from the daemon, so it inherits the observability session
     (tracer, allocator) and — via :func:`frozen_fork_heap` — any warm
-    parent heap copy-on-write.  Every request adopts its trace context,
-    runs under a ``service.request`` span, and ships the spans it
-    closed back in the response frame for the parent to splice.
+    parent heap copy-on-write.  Each request runs through
+    :meth:`~repro.service.handlers.ServiceHandlers.run`, and its result
+    frame goes back with the spans the request closed, for the parent
+    to splice.
     """
     import signal
     import time as _time
 
     from repro.deadline import Deadline
-    from repro.errors import DeadlineExceeded, ReproError
     from repro.obs.context import TraceContext
     from repro.service.handlers import ServiceHandlers, SpecCache
-    from repro.service.protocol import ProtocolError
 
     # The parent's asyncio signal handlers are meaningless here and a
     # SIGTERM to the process group must kill workers promptly.
@@ -587,15 +575,6 @@ def _pool_worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     handlers = ServiceHandlers(cache=SpecCache(limit=spec_cache_limit))
-    if measure_resources:
-        # The only core attribute pooled handlers consult is the
-        # resource-measurement flag (_op_check); a stub keeps the
-        # accounting flowing without a real ServiceCore in the child.
-        from types import SimpleNamespace
-
-        handlers.core = SimpleNamespace(
-            config=SimpleNamespace(measure_resources=True)
-        )
     send_lock = threading.Lock()
     stop = threading.Event()
 
@@ -654,44 +633,10 @@ def _pool_worker_main(
             break
         if not isinstance(frame, tuple) or frame[0] == "exit":
             break
-        payload = frame[1]
-        request = _ChildRequest(payload)
-        o = obs.current()
-        tracer = getattr(o, "tracer", None)
+        tracer = getattr(obs.current(), "tracer", None)
         span_mark = len(tracer) if tracer is not None else 0
-        cpu0 = _time.thread_time() if measure_resources else None
-        with o.adopt(request.trace):
-            with o.span(
-                "service.request",
-                op=request.op, cls=request.cls,
-                request_id=str(request.id), worker=worker_id,
-            ):
-                try:
-                    result = handlers.execute(request)
-                    failure = None
-                except DeadlineExceeded as exc:
-                    failure, result = ("deadline", str(exc)), None
-                except ProtocolError as exc:
-                    failure, result = (exc.kind, str(exc)), None
-                except ReproError as exc:
-                    failure, result = ("internal", str(exc)), None
-                except Exception as exc:  # noqa: BLE001 - frame must go back
-                    failure = ("internal", f"{type(exc).__name__}: {exc}")
-                    result = None
-        if cpu0 is not None:
-            request.resources["cpu_s"] = round(
-                max(0.0, _time.thread_time() - cpu0), 6
-            )
-        response = {
-            "id": payload["id"],
-            "ok": failure is None,
-            "result": result,
-            "rss_kb": _rss_kb(),
-        }
-        if failure is not None:
-            response["kind"], response["message"] = failure
-        if request.resources:
-            response["resources"] = request.resources
+        response = handlers.run(_ChildRequest(frame[1]), worker=worker_id)
+        response["rss_kb"] = _rss_kb()
         if tracer is not None:
             response["spans"] = tracer.export_spans(span_mark)
         try:
@@ -714,7 +659,6 @@ class _WorkerHandle:
     #: Set when the parent asked it to exit (drain/recycle) — its EOF
     #: is then expected and must not trigger crash recovery.
     retired: bool = False
-    responded: "set" = field(default_factory=set)
 
 
 class ProcessWorkerPool:
@@ -759,7 +703,6 @@ class ProcessWorkerPool:
                     os.getpid(),
                     config.spec_cache_limit,
                     config.heartbeat_interval_s,
-                    config.measure_resources,
                 ),
                 name=f"nmsld-pool-{worker_id}",
                 daemon=True,
@@ -848,8 +791,7 @@ class ProcessWorkerPool:
         request = state.request
         if request is None or request.id != frame.get("id"):
             return  # response for a request the supervisor already settled
-        handle.responded.add(frame.get("id"))
-        message = self.core.finish_remote(request, frame)
+        message = self.core.settle(request, frame)
         recycle = self.core.pool_completed(
             request, rss_kb=frame.get("rss_kb")
         )
@@ -859,7 +801,7 @@ class ProcessWorkerPool:
             self.runtime._send(request.reply_to, message)
         )
         if recycle == "recycle" and not self._stopping:
-            self._retire(handle, reason="recycle")
+            self._retire(handle)
         self.runtime._kick()
 
     def _on_exit(self, handle: _WorkerHandle) -> None:
@@ -902,17 +844,12 @@ class ProcessWorkerPool:
         except ProcessLookupError:
             pass
 
-    def _retire(self, handle: _WorkerHandle, reason: str) -> None:
+    def _retire(self, handle: _WorkerHandle) -> None:
         """Gracefully replace an idle worker (rss recycle)."""
         handle.retired = True
-        restart_at = self.supervisor.recycle(
-            handle.worker_id, self.core.clock()
+        restart_at = self.core.pool_recycled(
+            handle.worker_id, pid=handle.process.pid
         )
-        self.core.audit_pool_event(
-            "worker-recycle", handle.worker_id, reason=reason,
-            pid=handle.process.pid,
-        )
-        self.core.count_pool_restart("recycle")
         try:
             handle.conn.send(("exit",))
         except (OSError, BrokenPipeError):

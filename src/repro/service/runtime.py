@@ -16,13 +16,14 @@ deterministic harness or by the operating system.
 :class:`AsyncServiceRuntime`
     The production driver: an asyncio NDJSON socket server plus a tiny
     HTTP endpoint for ``/metrics`` (Prometheus 0.0.4) and ``/healthz``.
-    Handlers execute on a thread pool (the checker and the simulated
-    rollout fabric are synchronous, CPU-bound code); the event loop does
-    admission, dispatch and replies.  SIGTERM/SIGINT begin a graceful
-    drain: stop admitting, answer everything queued with structured
-    ``draining`` refusals, let in-flight campaigns finish (their
-    journals make crash-resume possible regardless), flush metrics,
-    exit 0.
+    The pooled ops execute in supervised worker processes
+    (:class:`~repro.service.pool.ProcessWorkerPool`), the rest on a
+    thread pool (the simulated rollout fabric is synchronous code); the
+    event loop does admission, dispatch and replies.  SIGTERM/SIGINT
+    begin a graceful drain: stop admitting, answer everything queued
+    with structured ``draining`` refusals, let in-flight campaigns
+    finish (their journals make crash-resume possible regardless),
+    flush metrics, exit 0.
 """
 
 from __future__ import annotations
@@ -63,17 +64,18 @@ class SimulatedServiceRuntime:
 
     * ``arrival`` events submit the request line to the core (shedding
       and rejections resolve immediately, deterministically);
-    * free workers pick the next startable request; the clock jumps to
-      ``start + cost_s`` **before** the handler runs, so a deadline
-      shorter than the declared cost genuinely expires *mid-execution*
-      and surfaces as a 504 from inside the checker — the same code
-      path production hits, compressed onto the logical clock;
+    * pooled ops start on idle worker slots and local ops on free
+      threads; the clock jumps to ``start + cost_s`` **before** the
+      handler runs, so a deadline shorter than the declared cost
+      genuinely expires *mid-execution* and surfaces as a 504 from
+      inside the checker — the same code path production hits,
+      compressed onto the logical clock;
     * ``drain_at`` (optional) begins a graceful drain mid-run.
 
-    With ``config.pool_workers > 0`` the same heap drives the worker
-    pool's *entire* supervision state machine on the logical clock:
-    pooled ops dispatch to supervisor-assigned worker slots, and
-    :meth:`inject_chaos` schedules deterministic worker faults —
+    The same heap drives the worker pool's *entire* supervision state
+    machine on the logical clock: pooled ops dispatch to
+    supervisor-assigned worker slots, and :meth:`inject_chaos`
+    schedules deterministic worker faults —
 
     * ``worker-crash``: the worker dies instantly (epoch-bumping its
       pending completion); the in-flight request replays or is refused
@@ -96,19 +98,17 @@ class SimulatedServiceRuntime:
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
-        workers: Optional[int] = None,
         drain_at_s: Optional[float] = None,
     ):
         self._now = 0.0
         self.core = ServiceCore(config=config, clock=lambda: self._now)
-        self.workers = workers or self.core.config.workers
         self.drain_at_s = drain_at_s
         self._events: List[Tuple[float, int, str, object]] = []
         self._eseq = 0
         self.transcript: List[str] = []
         self.responses: List[dict] = []
-        #: Pool-mode chaos state: wedged (worker -> epoch), synthetic
-        #: per-worker rss and leak growth rates.
+        #: Chaos state: wedged (worker -> epoch), synthetic per-worker
+        #: rss and leak growth rates.
         self._wedged = {}
         self._rss = {}
         self._leak = {}
@@ -126,7 +126,7 @@ class SimulatedServiceRuntime:
     def inject_chaos(
         self, at_s: float, kind: str, worker: int = 0, **params
     ) -> None:
-        """Schedule a deterministic worker fault (pool mode only).
+        """Schedule a deterministic worker fault.
 
         *kind* is ``worker-crash``, ``worker-wedge`` or ``slow-leak``
         (``growth_kb=`` sets the per-completion rss growth).
@@ -144,57 +144,14 @@ class SimulatedServiceRuntime:
         self.responses.append(message)
         self.transcript.append(encode_message(message).rstrip("\n"))
 
-    def _dispatch_free_workers(self) -> None:
-        """Start queued work on free workers (busy ones hold a slot)."""
-        while self._busy < self.workers:
-            action = self.core.next_action()
-            if action is None:
-                return
-            request, disposition = action
-            if disposition == "expired":
-                self._emit(self.core.expire(request))
-                continue
-            self._busy += 1
-            # The completion event carries the request; the clock will
-            # be advanced to start + cost before the handler runs.
-            self._push(self._now + request.cost_s, "complete", request)
-
-    def run(self) -> List[dict]:
-        """Drain the event heap; returns every response in order."""
-        if self.core.pool is not None:
-            return self._run_pooled()
-        self._busy = 0
-        while self._events:
-            at_s, _seq, kind, payload = heapq.heappop(self._events)
-            self._now = max(self._now, at_s)
-            if kind == "arrival":
-                request, responses = self.core.submit(
-                    payload, reply_to=None, arrival_s=self._now
-                )
-                for _reply_to, message in responses:
-                    self._emit(message)
-                self._dispatch_free_workers()
-            elif kind == "complete":
-                request = payload
-                # Clock already at start + cost_s: execute the handler
-                # "at" completion time so cooperative deadline polls
-                # inside the checker observe the elapsed service time.
-                self._emit(self.core.execute(request))
-                self._busy -= 1
-                self._dispatch_free_workers()
-            elif kind == "drain":
-                self.core.begin_drain()
-                for _reply_to, message in self.core.drain_responses():
-                    self._emit(message)
-        return self.responses
-
-    # -- pooled engine --------------------------------------------------
-    def _dispatch_pooled(self) -> None:
+    def _dispatch(self) -> None:
         """Start everything startable: remote slots and local threads.
 
         ``_can_start`` gates pooled ops on supervisor-idle slots and
         local ops on ``in_flight_local``; no runtime-side busy counter
-        is needed.
+        is needed.  Completion events carry the request; the clock is
+        advanced to start + cost before the handler runs, so
+        cooperative deadline polls inside it observe the service time.
         """
         while True:
             action = self.core.next_action()
@@ -255,20 +212,13 @@ class SimulatedServiceRuntime:
             )
             rss = self._rss[worker_id]
         self._emit(self.core.execute(request))
-        if pool.completed(request.worker_id, self._now, rss_kb=rss) == (
-            "recycle"
-        ):
-            restart_at = pool.recycle(worker_id, self._now)
-            self.core.audit_pool_event(
-                "worker-recycle", worker_id, reason="rss-limit",
-                rss_kb=rss,
-            )
-            self.core.count_pool_restart("recycle")
+        if self.core.pool_completed(request, rss_kb=rss) == "recycle":
+            restart_at = self.core.pool_recycled(worker_id, rss_kb=rss)
             self._rss[worker_id] = 0.0
             self._schedule_restart(worker_id, restart_at)
 
-    def _run_pooled(self) -> List[dict]:
-        """The discrete-event loop with worker supervision in the heap."""
+    def run(self) -> List[dict]:
+        """Drain the event heap; returns every response in order."""
         for worker_id in sorted(self.core.pool.workers):
             self.core.pool_worker_started(worker_id)
         while self._events:
@@ -312,7 +262,7 @@ class SimulatedServiceRuntime:
                 self.core.begin_drain()
                 for _reply_to, message in self.core.drain_responses():
                     self._emit(message)
-            self._dispatch_pooled()
+            self._dispatch()
         return self.responses
 
     def transcript_text(self) -> str:
@@ -434,7 +384,7 @@ class AsyncServiceRuntime:
         self._work_available.set()
 
     async def _dispatcher(self) -> None:
-        """Moves startable requests onto the worker thread pool."""
+        """Moves startable requests onto pool workers and threads."""
         import asyncio
 
         loop = asyncio.get_running_loop()
@@ -448,14 +398,6 @@ class AsyncServiceRuntime:
             await self._work_available.wait()
             self._work_available.clear()
             while True:
-                if (
-                    self._pool is None
-                    and self.core.in_flight >= self.core.config.workers
-                ):
-                    # Pool mode drops this fast-path: remote requests do
-                    # not occupy threads, so thread capacity is enforced
-                    # inside the core's _can_start instead.
-                    break
                 action = self.core.next_action()
                 if action is None:
                     break
@@ -485,7 +427,7 @@ class AsyncServiceRuntime:
         interval = max(0.05, self.core.config.heartbeat_interval_s)
         while not self._stopped:
             await asyncio.sleep(interval)
-            if self._pool is None or self._pool._stopping:
+            if self._pool._stopping:
                 continue
             for worker_id, reason in self.core.pool.overdue_workers(
                 self.core.clock()
@@ -620,15 +562,16 @@ class AsyncServiceRuntime:
         self._work_available = asyncio.Event()
         self._answered = asyncio.Event()
         loop = asyncio.get_running_loop()
-        # Worker processes fork first, while this process is still
+        if self.socket_path:
+            # Before the fork: a refused socket must not cost N workers.
+            self._remove_stale_socket(self.socket_path)
+        # Worker processes fork next, while this process is still
         # (nearly) single-threaded — forking after the executors spin up
         # would copy a process image with live worker threads.
-        self._pool = None
-        if self.core.pool is not None:
-            from repro.service.pool import ProcessWorkerPool
+        from repro.service.pool import ProcessWorkerPool
 
-            self._pool = ProcessWorkerPool(self)
-            self._pool.start(loop)
+        self._pool = ProcessWorkerPool(self)
+        self._pool.start(loop)
         from concurrent.futures import ThreadPoolExecutor
 
         self._executor = ThreadPoolExecutor(
@@ -648,7 +591,6 @@ class AsyncServiceRuntime:
                 pass
 
         if self.socket_path:
-            self._remove_stale_socket(self.socket_path)
             server = await asyncio.start_unix_server(
                 self._serve_client, path=self.socket_path,
                 limit=MAX_FRAME_BYTES,
@@ -692,11 +634,7 @@ class AsyncServiceRuntime:
             os.replace(tmp, ready)
 
         dispatcher = asyncio.ensure_future(self._dispatcher())
-        monitor = (
-            asyncio.ensure_future(self._pool_monitor())
-            if self._pool is not None
-            else None
-        )
+        monitor = asyncio.ensure_future(self._pool_monitor())
         _log.info(
             "listening on %s (http: %s)", endpoint, self.http_port
         )
@@ -718,8 +656,7 @@ class AsyncServiceRuntime:
                 self._unlink_socket(self.socket_path)
             for reply_to, message in self.core.drain_responses():
                 await self._send(reply_to, message)
-            if self._pool is not None:
-                await self._pool.stop(self.core.config.drain_grace_s)
+            await self._pool.stop(self.core.config.drain_grace_s)
             while self.core.in_flight > 0:
                 await asyncio.sleep(0.05)
             # Only now is nothing owed to a half-closed connection, whose
@@ -728,14 +665,13 @@ class AsyncServiceRuntime:
             self._stopped = True
             self._kick()  # unblock the dispatcher to observe _stopped
             await asyncio.wait_for(dispatcher, timeout=5.0)
-            if monitor is not None:
-                # Asleep until its next heartbeat check: nothing is
-                # left to watch, so wake it rather than wait it out.
-                monitor.cancel()
-                try:
-                    await monitor
-                except asyncio.CancelledError:
-                    pass
+            # Asleep until its next heartbeat check: nothing is left to
+            # watch, so wake it rather than wait it out.
+            monitor.cancel()
+            try:
+                await monitor
+            except asyncio.CancelledError:
+                pass
             if http_server is not None:
                 http_server.close()
                 await http_server.wait_closed()

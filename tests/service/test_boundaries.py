@@ -35,6 +35,14 @@ def bad_spec(tmp_path):
     return str(path)
 
 
+def _core():
+    """A bare core with its worker slots up, as a runtime boots them."""
+    core = ServiceCore(ServiceConfig(), clock=lambda: 0.0)
+    for worker_id in sorted(core.pool.workers):
+        core.pool_worker_started(worker_id)
+    return core
+
+
 def _assert_names_the_byte(error, path):
     assert error["kind"] == "bad-request" and error["code"] == 400
     assert path in error["message"]
@@ -51,7 +59,7 @@ class TestNotUtf8InProcess:
 
     @pytest.mark.parametrize("op", ["check", "compile", "analyze"])
     def test_executed_op_answers_bad_request(self, bad_spec, op):
-        core = ServiceCore(ServiceConfig(), clock=lambda: 0.0)
+        core = _core()
         request, responses = core.submit(
             encode_message({"id": "r", "op": op, "params": {"spec": bad_spec}})
         )
@@ -64,7 +72,7 @@ class TestNotUtf8InProcess:
 
     @pytest.mark.parametrize("op", ["rollout", "heal"])
     def test_campaign_is_refused_at_admission(self, bad_spec, op):
-        core = ServiceCore(ServiceConfig(), clock=lambda: 0.0)
+        core = _core()
         request, responses = core.submit(
             encode_message({"id": "r", "op": op, "params": {"spec": bad_spec}})
         )
@@ -83,14 +91,14 @@ class TestDoesNotCompile:
 
     @pytest.mark.parametrize("op", ["check", "rollout"])
     def test_answers_compile_422(self, broken_spec, op):
-        core = ServiceCore(ServiceConfig(), clock=lambda: 0.0)
+        core = _core()
         request, responses = core.submit(
             encode_message(
                 {"id": "r", "op": op, "params": {"spec": broken_spec}}
             )
         )
         if op == "check":
-            core.next_action()
+            assert core.next_action() == (request, "remote")
             response = core.execute(request)
         else:  # a campaign compiles at admission
             assert request is None
@@ -98,6 +106,26 @@ class TestDoesNotCompile:
         error = response["error"]
         assert error["kind"] == "compile" and error["code"] == 422
         assert f"{broken_spec}:" in error["message"]  # path:line:column
+
+
+class TestRefusedCheckParams:
+    @pytest.mark.parametrize(
+        "knob, value", [("jobs", 2), ("jobs", "x"), ("shard_threshold", 1)]
+    )
+    def test_named_in_a_bad_request(self, knob, value):
+        """A pool worker may not fork shard workers, and no socket
+        parameter writes checker internals."""
+        core = _core()
+        request, _ = core.submit(
+            encode_message(
+                {"id": "r", "op": "check",
+                 "params": {"spec": CAMPUS, knob: value}}
+            )
+        )
+        core.next_action()
+        error = core.execute(request)["error"]
+        assert error["kind"] == "bad-request" and error["code"] == 400
+        assert f"params.{knob}" in error["message"]
 
 
 def _connect(daemon):

@@ -73,16 +73,22 @@ class TestEntryPoint:
     def test_oversubscribed_workers_warn_but_run(self, tmp_path):
         # A regular file at the socket path makes boot fail *after*
         # argument handling: the absurd worker count must have produced
-        # a warning, not an error, by the time the bind is refused.
+        # a warning, not an error, by the time the bind is refused —
+        # which happens before any worker is forked.
         bogus = tmp_path / "not-a-socket"
         bogus.write_text("precious data")
+        audit = tmp_path / "audit.jsonl"
         cpus = os.cpu_count() or 1
         proc = _run_daemon_cli(
-            "--workers", str(cpus + 8), "--no-worker-pool",
-            "--socket", str(bogus),
+            "--workers", str(cpus + 8), "--socket", str(bogus),
+            "--audit-log", str(audit),
         )
         assert proc.returncode == 1  # the socket, not the worker count
         assert "exceeds" in proc.stderr
+        assert "not a socket" in proc.stderr
+        assert bogus.read_text() == "precious data"
+        started = audit.read_text() if audit.exists() else ""
+        assert "worker-start" not in started
 
     def test_console_script_registered(self):
         import tomllib

@@ -330,42 +330,3 @@ class TestBreakers:
         assert kinds[3] == "circuit-open"
         by_id = {m["id"]: m for m in responses}
         assert by_id["f3"]["error"]["retry_after_s"] > 0
-
-
-class TestWorkerReservation:
-    def test_reserved_slot_keeps_interactive_fast(self):
-        config = ServiceConfig(
-            workers=2, reserved_interactive_workers=1
-        )
-        runtime = SimulatedServiceRuntime(config=config)
-        # Enough bulk to occupy every unreserved worker indefinitely.
-        for index in range(4):
-            runtime.offer(0.0, {
-                "id": f"bulk-{index}", "op": "analyze", "class": "bulk",
-                "params": {"spec": CAMPUS}, "cost_s": 40.0,
-            })
-        runtime.offer(5.0, {
-            "id": "fast", "op": "check",
-            "params": {"spec": CAMPUS}, "cost_s": 0.5,
-        })
-        responses = {m["id"]: m for m in runtime.run()}
-        # Only one worker ever ran bulk; the reserved slot served the
-        # interactive check immediately.
-        assert responses["fast"]["ok"]
-        assert responses["fast"]["timing"]["queued_s"] == 0.0
-        bulk_done = [m for m in responses.values()
-                     if m["id"].startswith("bulk") and m["ok"]]
-        assert bulk_done, "bulk still progresses on unreserved workers"
-
-    def test_reservation_clamped_below_worker_count(self):
-        config = ServiceConfig(
-            workers=1, reserved_interactive_workers=1
-        )
-        runtime = SimulatedServiceRuntime(config=config)
-        runtime.offer(0.0, {
-            "id": "b", "op": "analyze", "class": "bulk",
-            "params": {"spec": CAMPUS}, "cost_s": 1.0,
-        })
-        responses = runtime.run()
-        # With a single worker the clamp keeps bulk schedulable.
-        assert responses[0]["ok"]

@@ -46,7 +46,7 @@ def _request(op="check", params=None, deadline=None, request_id="r1"):
 
 
 def _config(**overrides):
-    overrides.setdefault("pool_workers", 2)
+    overrides.setdefault("workers",2)
     return ServiceConfig(**overrides)
 
 
@@ -92,7 +92,7 @@ class TestPoisonRegistry:
 
 class TestWorkerSupervisor:
     def test_affinity_routes_same_spec_to_same_worker(self):
-        supervisor = WorkerSupervisor(_config(pool_workers=4))
+        supervisor = WorkerSupervisor(_config(workers=4))
         for worker_id in range(4):
             supervisor.worker_started(worker_id, now=0.0)
         first = _request()
@@ -102,7 +102,7 @@ class TestWorkerSupervisor:
         assert supervisor.assign(again, now=3.0) == chosen
 
     def test_spills_to_lowest_idle_when_preferred_busy(self):
-        supervisor = WorkerSupervisor(_config(pool_workers=4))
+        supervisor = WorkerSupervisor(_config(workers=4))
         for worker_id in range(4):
             supervisor.worker_started(worker_id, now=0.0)
         preferred = supervisor.assign(_request(), now=1.0)
@@ -114,7 +114,7 @@ class TestWorkerSupervisor:
 
     def test_exponential_backoff_with_cap_and_reset(self):
         config = _config(
-            pool_workers=1, restart_backoff_s=0.5, restart_backoff_cap_s=4.0
+            workers=1, restart_backoff_s=0.5, restart_backoff_cap_s=4.0
         )
         supervisor = WorkerSupervisor(config)
         supervisor.worker_started(0, now=0.0)
@@ -131,7 +131,7 @@ class TestWorkerSupervisor:
         assert decision.backoff_s == 0.5
 
     def test_idempotent_request_replays_once_then_refuses(self):
-        supervisor = WorkerSupervisor(_config(pool_workers=1))
+        supervisor = WorkerSupervisor(_config(workers=1))
         supervisor.worker_started(0, now=0.0)
         request = _request(params={"spec": "/no/such.nmsl"})
         supervisor.assign(request, now=1.0)
@@ -151,7 +151,7 @@ class TestWorkerSupervisor:
         assert second.kind == "worker-lost"
 
     def test_second_kill_same_fingerprint_quarantines(self):
-        supervisor = WorkerSupervisor(_config(pool_workers=1))
+        supervisor = WorkerSupervisor(_config(workers=1))
         supervisor.worker_started(0, now=0.0)
         params = {"spec": "/poison.nmsl"}
         supervisor.assign(_request(params=params), now=1.0)
@@ -167,7 +167,7 @@ class TestWorkerSupervisor:
         assert supervisor.registry.is_quarantined(decision.fingerprint)
 
     def test_non_idempotent_op_never_replays(self):
-        supervisor = WorkerSupervisor(_config(pool_workers=1))
+        supervisor = WorkerSupervisor(_config(workers=1))
         supervisor.worker_started(0, now=0.0)
         rollout = _request(op="rollout", params={"spec": "/s.nmsl"})
         supervisor.assign(rollout, now=1.0)
@@ -178,7 +178,7 @@ class TestWorkerSupervisor:
 
     def test_overdue_detection_overrun_and_wedge(self):
         config = _config(
-            pool_workers=2, heartbeat_timeout_s=5.0, deadline_grace_s=2.0
+            workers=2, heartbeat_timeout_s=5.0, deadline_grace_s=2.0
         )
         supervisor = WorkerSupervisor(config)
         supervisor.worker_started(0, now=0.0)
@@ -204,7 +204,7 @@ class TestWorkerSupervisor:
         assert (1, "wedge") in stale
 
     def test_rss_limit_triggers_recycle(self):
-        config = _config(pool_workers=1, worker_rss_limit_kb=1000.0)
+        config = _config(workers=1, worker_rss_limit_kb=1000.0)
         supervisor = WorkerSupervisor(config)
         supervisor.worker_started(0, now=0.0)
         supervisor.assign(_request(), now=1.0)
@@ -217,7 +217,7 @@ class TestWorkerSupervisor:
         assert supervisor.recycles_total == 1
 
     def test_snapshot_shape(self):
-        supervisor = WorkerSupervisor(_config(pool_workers=2))
+        supervisor = WorkerSupervisor(_config(workers=2))
         supervisor.worker_started(0, now=0.0, pid=123)
         snapshot = supervisor.snapshot(now=1.0)
         assert snapshot["states"] == {"idle": 1, "busy": 0, "down": 1}
@@ -229,12 +229,12 @@ class TestSimulatedPool:
     """Replay and quarantine through the full scheduler, pooled sim."""
 
     def _runtime(self, **overrides):
-        overrides.setdefault("pool_workers", 1)
+        overrides.setdefault("workers",1)
         overrides.setdefault("restart_backoff_s", 0.5)
         return SimulatedServiceRuntime(ServiceConfig(**overrides))
 
     def test_pooled_check_serves_normally(self):
-        runtime = self._runtime(pool_workers=2)
+        runtime = self._runtime(workers=2)
         runtime.offer(
             0.0, {"op": "check", "params": {"spec": CAMPUS}, "cost_s": 1.0}
         )
@@ -314,7 +314,7 @@ class TestSimulatedPool:
 
     def test_slow_leak_recycles_worker_gracefully(self):
         runtime = self._runtime(
-            pool_workers=1, worker_rss_limit_kb=100_000.0
+            workers=1, worker_rss_limit_kb=100_000.0
         )
         for i in range(3):
             runtime.offer(
@@ -335,7 +335,7 @@ class TestSimulatedPool:
         touch them, and the journal shows exactly one apply_intent per
         element."""
         runtime = self._runtime(
-            pool_workers=2, journal_dir=str(tmp_path / "journals")
+            workers=2, journal_dir=str(tmp_path / "journals")
         )
         runtime.offer(
             0.0,
@@ -367,6 +367,12 @@ class TestSimulatedPool:
 @pytest.fixture
 def pooled_daemon(tmp_path):
     """A live daemon with two supervised worker processes."""
+    yield from serve(tmp_path, workers=2)
+
+
+def serve(tmp_path, workers):
+    """Boot a live daemon with *workers* worker processes; yield its
+    endpoints, then drain it."""
     ready_file = tmp_path / "ready.json"
     socket_path = tmp_path / "nmsld.sock"
     audit_path = tmp_path / "audit.jsonl"
@@ -375,7 +381,7 @@ def pooled_daemon(tmp_path):
             sys.executable, "-m", "repro.service.daemon",
             "--socket", str(socket_path),
             "--http-port", "0",
-            "--workers", "2",
+            "--workers", str(workers),
             "--drain-grace", "5",
             "--ready-file", str(ready_file),
             "--audit-log", str(audit_path),

@@ -33,7 +33,6 @@ def _chaos_runtime(seed: int, crashes: int = 6):
     runtime = SimulatedServiceRuntime(
         config=ServiceConfig(
             workers=2,
-            pool_workers=2,
             queue_capacity=8,
             heartbeat_timeout_s=4.0,
             restart_backoff_s=0.5,

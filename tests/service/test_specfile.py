@@ -291,7 +291,8 @@ class TestCallers:
         self, tmp_path, aged, opens
     ):
         """The supervisor's fingerprint hashed the file first (same
-        process, ``--no-worker-pool``): the cache still gets its text."""
+        process, as in the simulated runtime): the cache still gets its
+        text."""
         spec = tmp_path / "campus.nmsl"
         spec.write_bytes(Path(CAMPUS).read_bytes())
         specfile.spec_digest(str(spec))
@@ -324,7 +325,7 @@ class TestCallers:
 
     def test_simulated_transcripts_stay_byte_identical(self):
         def transcript():
-            runtime = SimulatedServiceRuntime(ServiceConfig(pool_workers=2))
+            runtime = SimulatedServiceRuntime(ServiceConfig(workers=2))
             for index in range(6):
                 runtime.offer(
                     0.1 * index,

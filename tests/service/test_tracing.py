@@ -1,9 +1,10 @@
-"""End-to-end request tracing through the service (the PR's acceptance
-property): one ``check`` with ``jobs=2`` yields one *connected* trace —
-every span carries the request's trace id, every parent link resolves,
-the envelope names the trace, the audit log and campaign journal join
-on it, and two same-seed logical-clock runs serialize the trace
-byte-identically."""
+"""End-to-end request tracing through the service: one ``check`` yields
+one *connected* trace — every span carries the request's trace id,
+every parent link resolves, the envelope names the trace, the audit log
+and campaign journal join on it, and two same-seed logical-clock runs
+serialize the trace byte-identically.  (The sharded reduction's trace,
+which the service no longer runs, is held in
+``tests/consistency/test_shard_trace.py``.)"""
 
 import json
 
@@ -19,9 +20,9 @@ CAMPUS = "examples/campus.nmsl"
 CS_ELEMENTS = ["gw.cs.campus.edu", "db.cs.campus.edu"]
 
 
-def run_one_check(jobs=2, audit_path=None, traceparent=None):
-    """One sharded check through the simulated runtime under a logical
-    clock; returns (response, session) with the session's tracer."""
+def run_one_check(audit_path=None, traceparent=None):
+    """One check through the simulated runtime under a logical clock;
+    returns (response, session) with the session's tracer."""
     with obs.scope(clock=LogicalClock()) as session:
         runtime = SimulatedServiceRuntime(
             config=ServiceConfig(workers=2, audit_path=audit_path)
@@ -29,12 +30,7 @@ def run_one_check(jobs=2, audit_path=None, traceparent=None):
         message = {
             "id": "r1",
             "op": "check",
-            "params": {
-                "spec": CAMPUS,
-                "jobs": jobs,
-                # Force multi-process sharding on the small corpus.
-                "shard_threshold": 1,
-            },
+            "params": {"spec": CAMPUS},
             "cost_s": 0.01,
         }
         if traceparent is not None:
@@ -55,7 +51,7 @@ def connected(records, trace_id, roots):
 
 class TestConnectedTrace:
     def test_single_check_yields_one_connected_trace(self):
-        response, session = run_one_check(jobs=2)
+        response, session = run_one_check()
         assert response["ok"], response
         context = TraceContext.from_traceparent(response["traceparent"])
         records = session.tracer.finished()
@@ -64,13 +60,12 @@ class TestConnectedTrace:
         names = {r.name for r in in_trace}
         assert "service.request" in names
         assert "consistency.check" in names
-        assert "consistency.shard" in names  # the forked subtrees
         assert connected(in_trace, context.trace_id, {context.span_id})
 
     def test_no_spans_escape_the_request_trace(self):
         """With one request in flight, *every* span the service records
         belongs to its trace — nothing executes untraced."""
-        response, session = run_one_check(jobs=2)
+        response, session = run_one_check()
         context = TraceContext.from_traceparent(response["traceparent"])
         orphans = [
             r.name
@@ -79,33 +74,25 @@ class TestConnectedTrace:
         ]
         assert orphans == []
 
-    def test_shard_spans_land_on_spliced_virtual_tids(self):
-        """Forked-worker spans render on their own virtual thread, not
-        the request thread's (distinct-tids-per-worker is unit-tested in
-        tests/obs/test_context.py — the examples only shard to one
-        bucket)."""
-        _, session = run_one_check(jobs=2)
-        by_name = {r.name: r for r in session.tracer.finished()}
-        assert (
-            by_name["consistency.shard"].tid
-            != by_name["service.request"].tid
-        )
-
     def test_single_job_check_is_equally_connected(self):
-        response, session = run_one_check(jobs=1)
+        """The service checks in one job: no shard subtree to splice."""
+        response, session = run_one_check()
         context = TraceContext.from_traceparent(response["traceparent"])
         records = [
             r
             for r in session.tracer.finished()
             if r.trace_id == context.trace_id
         ]
+        (check,) = [r for r in records if r.name == "consistency.check"]
+        assert dict(check.attrs)["jobs"] == 1
+        assert "consistency.shard" not in {r.name for r in records}
         assert connected(records, context.trace_id, {context.span_id})
 
 
 class TestDeterminism:
     def test_trace_byte_identical_across_same_seed_runs(self):
-        first_response, first = run_one_check(jobs=2)
-        second_response, second = run_one_check(jobs=2)
+        first_response, first = run_one_check()
+        second_response, second = run_one_check()
         assert first_response == second_response
         assert first.tracer.to_jsonl() == second.tracer.to_jsonl()
         assert first.tracer.to_jsonl()  # non-empty
@@ -152,6 +139,8 @@ class TestAuditJoin:
             json.loads(line)
             for line in audit_path.read_text().splitlines()
         ]
+        # Worker lifecycle events are keyed by worker, not by a trace.
+        events = [e for e in events if not e["event"].startswith("worker-")]
         assert {e["event"] for e in events} == {"admit", "response"}
         assert all(e["trace_id"] == context.trace_id for e in events)
         assert all(e["request_id"] == "r1" for e in events)

@@ -430,7 +430,7 @@ class TestDaemonColdPath:
         report_out, report_in = context.Pipe(duplex=False)
 
         def child(supervisor_pid):
-            _pool_worker_main(0, child_conn, supervisor_pid, 8, 60.0, False)
+            _pool_worker_main(0, child_conn, supervisor_pid, 8, 60.0)
             report_in.send((gc.get_threshold(), gc.isenabled()))
 
         process = context.Process(target=child, args=(os.getpid(),))

@@ -27,7 +27,7 @@ from repro.mib.tree import MibTree
 from repro.mib.view import MibView
 from repro.nmsl.actions import KeywordTable
 from repro.nmsl.extension import Extension
-from repro.nmsl.specs import PUBLIC_DOMAIN, Specification
+from repro.nmsl.specs import Specification
 
 
 @dataclass
@@ -37,7 +37,6 @@ class AnalysisContext:
     specification: Specification
     tree: MibTree
     filename: str = "<nmsl>"
-    public_domain: str = PUBLIC_DOMAIN
     extensions: Tuple[Extension, ...] = ()
     extension_files: Tuple[str, ...] = ()
     extension_decltypes: Tuple[str, ...] = ()
@@ -69,9 +68,7 @@ class AnalysisContext:
             # The generator's interner, not a bound method of this
             # context: index -> context would be a reference cycle, and
             # a request's context must die by reference count.
-            self._index = PermissionIndex(
-                self.facts, self._generator.view, self.public_domain
-            )
+            self._index = PermissionIndex(self.facts, self._generator.view)
         return self._index
 
     def view(self, paths: Sequence[str]) -> MibView:

@@ -20,16 +20,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.consistency.facts import FactSet, InstanceId
-from repro.consistency.relations import (
-    Permission,
-    Reference,
-    permission_covers,
-)
-from repro.mib.tree import Access, MibTree
+from repro.consistency.causes import covers, grant_demand, reference_demand
+from repro.consistency.facts import InstanceId
+from repro.consistency.relations import Permission, Reference
+from repro.mib.tree import MibTree
 from repro.nmsl.actions import BASE_DECLTYPES, KeywordTable
 from repro.nmsl.outputs import EPILOGUE
-from repro.nmsl.specs import ExportSpec
+from repro.nmsl.specs import PUBLIC_DOMAIN, ExportSpec
 from repro.analysis.context import AnalysisContext
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.registry import AnalysisPass, PassRegistry
@@ -243,9 +240,10 @@ def _export_as_permission(
 ) -> Permission:
     """A declaration-level permission value for coverage tests.
 
-    ``permission_covers`` only consults the grantee domain, view, access
-    and frequency, all of which are instance-independent, so one
-    synthetic permission per export declaration suffices.
+    The rule (:data:`repro.consistency.causes.DIMENSIONS`) only consults
+    the grantee domain, view, access and frequency, all of which are
+    instance-independent, so one synthetic permission per export
+    declaration suffices.
     """
     return Permission(
         grantor=subject,
@@ -262,21 +260,14 @@ def _export_as_permission(
 def _unused_permissions(
     rule: AnalysisPass, context: AnalysisContext
 ) -> Iterator[Diagnostic]:
-    facts = context.facts
+    demands = [
+        reference_demand(reference, context.view(reference.variables))
+        for reference in context.facts.references
+    ]
     for subject, export in _export_owners(context):
         permission = _export_as_permission(context, subject, export)
         permission_view = context.view(permission.variables)
-        used = any(
-            permission_covers(
-                reference,
-                permission,
-                context.view(reference.variables),
-                permission_view,
-                public_domain=context.public_domain,
-            ).covered
-            for reference in facts.references
-        )
-        if used:
+        if any(covers(permission, permission_view, d) for d in demands):
             continue
         yield rule.diagnostic(
             subject=subject,
@@ -293,7 +284,7 @@ def _overbroad_grants(
     rule: AnalysisPass, context: AnalysisContext
 ) -> Iterator[Diagnostic]:
     for subject, export in _export_owners(context):
-        if export.to_domain != context.public_domain:
+        if export.to_domain != PUBLIC_DOMAIN:
             continue
         if not export.access.allows_write():
             continue
@@ -330,61 +321,29 @@ def _origin_subject(permission: Permission) -> str:
     return permission.grantor
 
 
-def _grantee_admits(
-    facts: FactSet,
-    narrow: Permission,
-    broad: Permission,
-    public_domain: str,
-) -> bool:
-    """Does *broad*'s grantee set include *narrow*'s?
-
-    True when broad grants to the public domain, the same domain, or a
-    transitive ancestor of narrow's grantee (clients of a subdomain carry
-    every containing domain in ``client_domains``).
-    """
-    if broad.grantee_domain == public_domain:
-        return True
-    if broad.grantee_domain == narrow.grantee_domain:
-        return True
-    return broad.grantee_domain in facts.domains_of(
-        f"domain:{narrow.grantee_domain}"
-    )
-
-
-def _shadows(
-    context: AnalysisContext,
-    narrow: Permission,
-    broad: Permission,
-) -> bool:
-    """Is every query admitted by *narrow* also admitted by *broad*?"""
-    if not _grantee_admits(
-        context.facts, narrow, broad, context.public_domain
-    ):
-        return False
-    if not context.view(broad.variables).covers_view(
-        context.view(narrow.variables)
-    ):
-        return False
-    if not broad.access.permits(narrow.access):
-        return False
-    return narrow.frequency.covered_by(broad.frequency)
-
-
 def _shadowed_permissions(
     rule: AnalysisPass, context: AnalysisContext
 ) -> Iterator[Diagnostic]:
+    """A grant *broad* shadows *narrow* when it covers *narrow* read as
+    a demand — every client narrow admits, asking for all it grants."""
     facts = context.facts
     index = context.index
     reported: Set[Tuple] = set()
     for server in facts.agents():
         permissions = index.permissions_for(server)
+        if len(permissions) < 2:
+            continue
+        views = [context.view(p.variables) for p in permissions]
+        demands = [
+            grant_demand(p, view, facts) for p, view in zip(permissions, views)
+        ]
         for i, narrow in enumerate(permissions):
             for j, broad in enumerate(permissions):
                 if i == j:
                     continue
-                if not _shadows(context, narrow, broad):
+                if not covers(broad, views[j], demands[i]):
                     continue
-                if _shadows(context, broad, narrow):
+                if covers(narrow, views[i], demands[j]):
                     continue  # mutually equivalent, not a strict shadow
                 key = (_permission_key(narrow), _permission_key(broad))
                 if key in reported:
@@ -417,7 +376,7 @@ def _transitive_overbroad_reach(
     for server in facts.agents():
         direct = facts.direct_domains(server)
         for permission in index.permissions_for(server):
-            if permission.grantee_domain != context.public_domain:
+            if permission.grantee_domain != PUBLIC_DOMAIN:
                 continue
             if not permission.access.allows_write():
                 continue
@@ -495,15 +454,15 @@ def _frequency_budget_overload(
     load: Dict[str, float] = {}
     contributors: Dict[str, int] = {}
     for reference in facts.references:
-        reference_view = context.view(reference.variables)
+        demand = reference_demand(
+            reference, context.view(reference.variables)
+        )
         counted: Set[str] = set()
         for server in _candidate_instances(context, reference):
             if server.owner_kind != "system" or server.owner in counted:
                 continue
             counted.add(server.owner)
-            permission = index.covering_permission(
-                server, reference, reference_view
-            )
+            permission = index.covering_permission(server, demand)
             effective = reference.frequency
             if permission is not None:
                 effective = (

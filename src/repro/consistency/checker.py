@@ -12,10 +12,13 @@ owners it touches (:meth:`ConsistencyChecker.recheck`, used by
 reduction step per administrative domain across a process pool
 (``jobs``).  This is what the Section 3.1 scale goal demands.
 
-It only *decides* coverage.  For the (rare) uncovered reference the
-report is written by :mod:`repro.consistency.causes` — the unindexed
-reduction rule, which is also the whole of the ``scan`` oracle.  The
-independent executable models the checker is held to (``scan``, the
+It holds no copy of the reduction rule.  Every reference goes through
+the functions of :mod:`repro.consistency.causes` the ``scan`` oracle
+calls — the rule is :data:`~repro.consistency.causes.DIMENSIONS` there —
+with the checker's memoised view test and its index passed in: a
+covered reference costs one index lookup, and the (rare) uncovered one
+is explained by the scan, which writes every report.  The independent
+executable models the checker is held to (``scan``, the
 faithful CLP(R) path, the rule-text-driven datalog path) live beside it
 in :mod:`repro.consistency.oracles`; the differential suite drives
 every one of them against this class.
@@ -44,7 +47,6 @@ from repro.consistency.causes import (
     candidate_servers,
     check_reference,
     fit,
-    instance_by_tag,
     instantiation_outcomes,
 )
 from repro.consistency.facts import (
@@ -52,14 +54,13 @@ from repro.consistency.facts import (
     FactPatch,
     FactSet,
     IncrementalFactGenerator,
-    InstanceId,
 )
 from repro.consistency.index import PermissionIndex
 from repro.consistency.relations import Reference
 from repro.consistency.report import ConsistencyResult, Inconsistency
 from repro.mib.tree import MibTree
 from repro.mib.view import MibView
-from repro.nmsl.specs import Specification, PUBLIC_DOMAIN
+from repro.nmsl.specs import Specification
 
 #: Below this many references a shard pool costs more than it saves.
 _MIN_REFERENCES_PER_JOB = 64
@@ -166,13 +167,11 @@ class ConsistencyChecker:
         self,
         specification: Specification,
         tree: MibTree,
-        public_domain: str = PUBLIC_DOMAIN,
         *,
         shard_threshold: Optional[int] = None,
     ):
         self._spec = specification
         self._tree = tree
-        self._public = public_domain
         #: Generates the facts; interns their views across versions.
         self._generator = IncrementalFactGenerator(tree)
         #: Minimum pending references before ``jobs`` shards the
@@ -910,76 +909,15 @@ class ConsistencyChecker:
     def _reference_problems(
         self, reference: Reference, facts: FactSet
     ) -> Tuple[Inconsistency, ...]:
-        """This reference's problems: decided through the index, and —
-        only when it is not covered — explained by the unindexed rule,
-        which writes every report (so the ``scan`` oracle's is the same
-        bytes)."""
-        if self._covered_fast(reference, facts):
-            return ()
-        return tuple(
-            check_reference(
-                reference,
-                facts,
-                self._candidates(reference, facts),
-                self.view,
-                self._public,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # The indexed fast path: decide coverage without building reports.
-    # ------------------------------------------------------------------
-    def _covered_fast(self, reference: Reference, facts: FactSet) -> bool:
-        candidates, existential, data_system = self._candidates(
-            reference, facts
-        )
-        if candidates is None:  # unknown/external target: cannot check
-            return True
-        if not candidates:
-            return False
-        reference_view = self.view(reference.variables)
-        for server in candidates:
-            ok = self._server_covers(
-                reference, server, reference_view, facts, data_system
-            )
-            if existential:
-                if ok:
-                    return True
-            elif not ok:
-                return False
-        return not existential
-
-    def _server_covers(
-        self,
-        reference: Reference,
-        server: InstanceId,
-        reference_view: MibView,
-        facts: FactSet,
-        data_system: Optional[str],
-    ) -> bool:
-        """Mirror of :func:`causes.check_against_server`, verdict only."""
-        process_view = facts.instance_supports[server.id]
-        if not self._covers(process_view, reference_view):
-            return False
-        element_name = data_system
-        if element_name is None and server.owner_kind == "system":
-            element_name = server.owner
-        if element_name is not None:
-            element_view = facts.system_supports.get(element_name)
-            if element_view is not None and not self._covers(
-                element_view, reference_view
-            ):
-                return False
-        client = instance_by_tag(reference.client, facts)
-        if client is not None:
-            server_direct = facts.direct_domains(server)
-            for domain in facts.direct_domains(client):
-                if domain in server_direct:
-                    return True
-        index = self._permission_index(facts)
-        return (
-            index.covering_permission(server, reference, reference_view)
-            is not None
+        """This reference's problems, from the functions the ``scan``
+        oracle calls, with the memoised view test and the index."""
+        return check_reference(
+            reference,
+            facts,
+            self._candidates(reference, facts),
+            self._generator.view,
+            self._covers,
+            self._permission_index(facts),
         )
 
     def _covers(self, container: MibView, contained: MibView) -> bool:
@@ -1001,9 +939,7 @@ class ConsistencyChecker:
             # The generator's interner, not a bound method of this
             # checker: index -> checker would be a reference cycle, and
             # a dropped checker must die by reference count.
-            self._index = PermissionIndex(
-                facts, self._generator.view, public_domain=self._public
-            )
+            self._index = PermissionIndex(facts, self._generator.view)
         return self._index
 
     def _candidates(self, reference: Reference, facts: FactSet) -> Candidates:

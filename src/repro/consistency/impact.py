@@ -43,18 +43,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.consistency.causes import DIMENSIONS, covers, grant_demand, moved
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.evolution import (
     EvolutionDelta,
     SpecificationDiff,
 )
+from repro.consistency.facts import FactSet
 from repro.consistency.relations import Permission, Reference
 from repro.consistency.report import ConsistencyResult, Inconsistency
 from repro.mib.tree import MibTree
-from repro.nmsl.specs import PUBLIC_DOMAIN, Specification
-
-#: The dimensions along which a grant can move.
-DIMENSIONS = ("grantee", "view", "access", "frequency")
+from repro.nmsl.specs import Specification
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,8 @@ class PermissionChange:
     old: Optional[Permission]
     new: Optional[Permission]
     reasons: Tuple[str, ...] = ()
-    #: which of :data:`DIMENSIONS` moved (machine-readable).
+    #: which of :data:`~repro.consistency.causes.DIMENSIONS` moved, by
+    #: name (machine-readable).
     dimensions: Tuple[str, ...] = ()
 
     def subject(self) -> str:
@@ -151,55 +151,27 @@ class ImpactSet:
 
 
 # ----------------------------------------------------------------------
-# Grant-coverage algebra (the relational core).
+# Grant coverage: the reduction rule with a grant as the demand.
 # ----------------------------------------------------------------------
-def _covers_grant(old: Permission, new: Permission, view, public: str) -> bool:
-    """Does A-side grant *old* already confer everything *new* grants?"""
-    if old.grantee_domain != public and (
-        old.grantee_domain != new.grantee_domain
-    ):
-        return False
-    if not view(old.variables).covers_view(view(new.variables)):
-        return False
-    if not old.access.permits(new.access):
-        return False
-    if not new.frequency.covered_by(old.frequency):
-        return False
-    return True
-
-
-def _moved_dimensions(
-    old: Permission, new: Permission, view, public: str
-) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """(moved dimensions, human reasons) for *new* not covered by *old*."""
-    dimensions: List[str] = []
-    reasons: List[str] = []
-    if old.grantee_domain != public and (
-        old.grantee_domain != new.grantee_domain
-    ):
-        dimensions.append("grantee")
-        reasons.append(
-            f"grantee moved from {old.grantee_domain!r} "
-            f"to {new.grantee_domain!r}"
-        )
-    if not view(old.variables).covers_view(view(new.variables)):
-        dimensions.append("view")
-        reasons.append(
-            f"granted view grew beyond {', '.join(old.variables)} "
-            f"(now {', '.join(new.variables)})"
-        )
-    if not old.access.permits(new.access):
-        dimensions.append("access")
-        reasons.append(
-            f"access raised from {old.access.value} to {new.access.value}"
-        )
-    if not new.frequency.covered_by(old.frequency):
-        dimensions.append("frequency")
-        reasons.append(
-            f"frequency loosened from {old.frequency.describe()} "
-            f"to {new.frequency.describe()}"
-        )
-    return tuple(dimensions), tuple(reasons)
+#: What a failing dimension says, from the grant that does not cover
+#: (*old*) to the grant it fails (*new*).
+_MOVES = {
+    "grantee": lambda old, new: (
+        f"grantee moved from {old.grantee_domain!r} "
+        f"to {new.grantee_domain!r}"
+    ),
+    "view": lambda old, new: (
+        f"granted view grew beyond {', '.join(old.variables)} "
+        f"(now {', '.join(new.variables)})"
+    ),
+    "access": lambda old, new: (
+        f"access raised from {old.access.value} to {new.access.value}"
+    ),
+    "frequency": lambda old, new: (
+        f"frequency loosened from {old.frequency.describe()} "
+        f"to {new.frequency.describe()}"
+    ),
+}
 
 
 def _closest(
@@ -223,7 +195,7 @@ def grantor_permission_changes(
     old_grants: Sequence[Permission],
     new_grants: Sequence[Permission],
     view,
-    public: str = PUBLIC_DOMAIN,
+    facts: FactSet,
 ) -> List[PermissionChange]:
     """Classify one grantor's grant movements between A and B.
 
@@ -231,13 +203,31 @@ def grantor_permission_changes(
     ignores source location, so re-parses stay quiet); every surviving
     B-side grant is *widened* unless some A-side grant covers it, and
     every surviving A-side grant is *tightened* unless some B-side grant
-    still covers it.
+    still covers it.  Covering is the reduction rule with the grant as
+    the demand (:func:`~repro.consistency.causes.grant_demand`): its
+    grantee stands for the domains the B-side *facts* put around it too,
+    so a grant to a subdomain of a grantee already granted adds nothing.
     """
+
+    def demand(grant: Permission):
+        return grant_demand(grant, view(grant.variables), facts)
+
+    def covered(grant: Permission, by: Sequence[Permission]) -> bool:
+        wanted = demand(grant)
+        return any(covers(other, view(other.variables), wanted) for other in by)
+
+    def movement(partner: Permission, grant: Permission):
+        """(moved dimensions, reasons): *grant* against *partner*."""
+        dimensions = moved(partner, view(partner.variables), demand(grant))
+        return dimensions, tuple(
+            _MOVES[name](partner, grant) for name in dimensions
+        )
+
     changes: List[PermissionChange] = []
     added = list((Counter(new_grants) - Counter(old_grants)).elements())
     removed = list((Counter(old_grants) - Counter(new_grants)).elements())
     for grant in added:
-        if any(_covers_grant(old, grant, view, public) for old in old_grants):
+        if covered(grant, old_grants):
             changes.append(
                 PermissionChange(
                     "added",
@@ -250,14 +240,12 @@ def grantor_permission_changes(
             continue
         partner = _closest(grant, old_grants)
         if partner is None:
-            dimensions: Tuple[str, ...] = DIMENSIONS
+            dimensions = tuple(name for name, _holds in DIMENSIONS)
             reasons: Tuple[str, ...] = (
                 "no A-side grant from this grantor covers it",
             )
         else:
-            dimensions, reasons = _moved_dimensions(
-                partner, grant, view, public
-            )
+            dimensions, reasons = movement(partner, grant)
         changes.append(
             PermissionChange(
                 "widened",
@@ -269,7 +257,7 @@ def grantor_permission_changes(
             )
         )
     for grant in removed:
-        if any(_covers_grant(new, grant, view, public) for new in new_grants):
+        if covered(grant, new_grants):
             changes.append(
                 PermissionChange(
                     "removed",
@@ -287,9 +275,7 @@ def grantor_permission_changes(
         else:
             # The tightening is the reverse movement: what did the old
             # grant confer that the closest new grant no longer does?
-            dimensions, reasons = _moved_dimensions(
-                partner, grant, view, public
-            )
+            dimensions, reasons = movement(partner, grant)
             reasons = tuple(
                 reason.replace("raised", "lowered")
                 .replace("loosened", "tightened")
@@ -508,7 +494,7 @@ class ImpactAnalyzer:
                     old_grants.get(grantor, ()),
                     by_grantor.get(grantor, ()),
                     checker.view,
-                    PUBLIC_DOMAIN,
+                    new_facts,
                 )
             )
         config_changes: List[ConfigChange] = []

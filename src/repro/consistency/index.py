@@ -14,9 +14,10 @@ permission list per reference — O(refs × perms) in the worst case.  The
   components of their view roots, so "which permissions could cover this
   requested subtree" is answered by walking the subtree's OID prefixes —
   O(depth) dictionary probes instead of a scan;
-* the surviving candidates (usually zero or one) are then filtered by
-  grantee domain, access mode and frequency interval, exactly the
-  conditions of :func:`repro.consistency.relations.permission_covers`.
+* the surviving candidates (usually zero or one) are then held to the
+  rest of the rule — the grantee, access and frequency tests of
+  :data:`repro.consistency.causes.DIMENSIONS`, the buckets having
+  decided the view.
 
 The index answers the *positive* question only ("is the reference
 covered, and by which permission").  Cause reporting for uncovered
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.consistency.causes import BEYOND_VIEW, Demand, covers
 from repro.consistency.facts import FactSet, InstanceId
-from repro.consistency.relations import Permission, Reference
+from repro.consistency.relations import Permission
 from repro.mib.view import MibView
 
 #: Resolves a paths-tuple to a (preferably interned) MibView.
@@ -57,15 +59,9 @@ class PermissionIndex:
     aggressively.
     """
 
-    def __init__(
-        self,
-        facts: FactSet,
-        view_of: ViewResolver,
-        public_domain: str = "public",
-    ):
+    def __init__(self, facts: FactSet, view_of: ViewResolver):
         self._facts = facts
         self._view_of = view_of
-        self._public = public_domain
         self._servers: Dict[Tuple[Optional[str], Tuple[str, ...]], _ServerIndex] = {}
         #: id(view) -> its root OIDs as component tuples (views are
         #: interned by the checker, so id-keying is safe; the pin list
@@ -122,17 +118,15 @@ class PermissionIndex:
     # Lookup.
     # ------------------------------------------------------------------
     def covering_permission(
-        self,
-        server: InstanceId,
-        reference: Reference,
-        reference_view: MibView,
+        self, server: InstanceId, demand: Demand
     ) -> Optional[Permission]:
-        """A permission at *server* covering *reference*, if any exists.
+        """A permission at *server* covering *demand*, if any exists.
 
-        Agrees with :func:`permission_covers` over the server's candidate
-        list: returns a permission iff the scan would find one.
+        Agrees with :func:`repro.consistency.causes.covers` over the
+        server's candidate list: returns a permission iff the scan would
+        find one.
         """
-        found = self._lookup(server, reference, reference_view)
+        found = self._lookup(server, demand)
         if found is None:
             self.misses += 1
         else:
@@ -140,15 +134,12 @@ class PermissionIndex:
         return found
 
     def _lookup(
-        self,
-        server: InstanceId,
-        reference: Reference,
-        reference_view: MibView,
+        self, server: InstanceId, demand: Demand
     ) -> Optional[Permission]:
         entries, buckets = self._server_index(server)
         if not entries:
             return None
-        roots = self._roots_of(reference_view)
+        roots = self._roots_of(demand.view)
         if len(roots) == 1:
             components = roots[0]
             positions: List[int] = []
@@ -177,22 +168,13 @@ class PermissionIndex:
             ordered = sorted(candidates)
         else:
             # An empty view (nothing resolvable) is covered by any
-            # permission that passes the scalar conditions, matching
+            # permission that passes the other tests, matching
             # covers_view's all-of-nothing semantics.
             ordered = range(len(entries))
-        client_domains = reference.client_domains
         for position in ordered:
-            permission, _view = entries[position]
-            if (
-                permission.grantee_domain != self._public
-                and permission.grantee_domain not in client_domains
-            ):
-                continue
-            if not permission.access.permits(reference.access):
-                continue
-            if not reference.frequency.covered_by(permission.frequency):
-                continue
-            return permission
+            permission, view = entries[position]
+            if covers(permission, view, demand, BEYOND_VIEW):
+                return permission
         return None
 
     def _roots_of(

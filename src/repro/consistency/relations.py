@@ -3,18 +3,18 @@
 The checker reasons about *references* (a client may query some data with
 some access mode and frequency) and *permissions* (a grantor allows a
 grantee domain to access some data with some mode and frequency).  Both
-carry the MIB view they touch and the frequency interval; the reduction
-rules decide whether a permission *covers* a reference.
+carry the MIB view they touch and the frequency interval.  Whether a
+permission *covers* a reference is the reduction rule, written once as
+:data:`repro.consistency.causes.DIMENSIONS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import SourceLocation
 from repro.mib.tree import Access
-from repro.mib.view import MibView
 from repro.nmsl.frequency import FrequencySpec
 
 #: Partial order of access modes for the reduction rules: a granted mode
@@ -85,60 +85,3 @@ class Permission:
             f"{self.grantor} permits {self.grantee_domain} to access "
             f"{variables} for {self.access.value} ({self.frequency.describe()})"
         )
-
-
-@dataclass(frozen=True)
-class CoverageResult:
-    """Why a permission does or does not cover a reference."""
-
-    covered: bool
-    reason: str = ""
-
-
-def permission_covers(
-    reference: Reference,
-    permission: Permission,
-    reference_view: MibView,
-    permission_view: MibView,
-    public_domain: str = "public",
-) -> CoverageResult:
-    """The reduction rule: does *permission* cover *reference*?
-
-    Four conditions, checked in order so the report can name the first
-    failing one:
-
-    1. the permission's grantee domain contains the referencing client
-       (or is the public domain);
-    2. the permission's grantor is the referenced server or a domain
-       containing it — callers pre-filter on this, so here we only check
-       data;
-    3. the requested variables lie inside the permitted view;
-    4. the access mode and frequency interval are covered.
-    """
-    if permission.grantee_domain != public_domain and (
-        permission.grantee_domain not in reference.client_domains
-    ):
-        return CoverageResult(
-            False,
-            f"grantee domain {permission.grantee_domain!r} does not contain "
-            f"client {reference.client!r}",
-        )
-    if not permission_view.covers_view(reference_view):
-        return CoverageResult(
-            False,
-            "requested variables are outside the permitted view "
-            f"(permitted: {sorted(permission_view.paths())})",
-        )
-    if not permission.access.permits(reference.access):
-        return CoverageResult(
-            False,
-            f"access {reference.access.value} exceeds permitted "
-            f"{permission.access.value}",
-        )
-    if not reference.frequency.covered_by(permission.frequency):
-        return CoverageResult(
-            False,
-            f"reference {reference.frequency.describe()} violates permitted "
-            f"{permission.frequency.describe()}",
-        )
-    return CoverageResult(True, "covered")

@@ -53,11 +53,24 @@ class Access(Enum):
 
     def permits(self, requested: "Access") -> bool:
         """True if this granted mode covers the *requested* mode."""
-        if requested is Access.NONE:
-            return True
-        read_ok = self.allows_read() or not requested.allows_read()
-        write_ok = self.allows_write() or not requested.allows_write()
-        return read_ok and write_ok
+        return requested in _PERMITTED[self]
+
+
+#: granted mode -> the requested modes it covers: ``None`` always, any
+#: other mode when every read and write it needs is granted.  A table,
+#: because the reduction asks once per candidate permission.
+_PERMITTED = {
+    granted: frozenset(
+        requested
+        for requested in Access
+        if requested is Access.NONE
+        or (
+            (granted.allows_read() or not requested.allows_read())
+            and (granted.allows_write() or not requested.allows_write())
+        )
+    )
+    for granted in Access
+}
 
 
 @dataclass

@@ -32,6 +32,10 @@ Error kinds and their HTTP-style codes:
 ``bad-request``      400 malformed JSON / missing or invalid fields
 ``frame-too-large``  413 no newline within :data:`MAX_FRAME_BYTES`;
                          the connection is closed after this reply
+``header-too-large`` 431 an HTTP request line or header longer than
+                         :data:`MAX_HTTP_LINE_BYTES`, or more than
+                         :data:`MAX_HTTP_HEADERS` headers (``--http-port``
+                         only; answered as the HTTP status, then closed)
 ``unknown-op``       404 ``op`` not in :data:`OPS`
 ``compile``          422 the specification does not compile
 ``vetoed``           403 relational gate refused the campaign (NM401 unwaived)
@@ -61,6 +65,11 @@ from repro.obs.context import TraceContext
 
 #: Longest request line ``nmsld`` reads (asyncio's default is 64 KiB).
 MAX_FRAME_BYTES = 256 * 1024
+
+#: Longest line, and most header lines, the ``--http-port`` endpoints
+#: read before answering ``header-too-large``.
+MAX_HTTP_LINE_BYTES = 8 * 1024
+MAX_HTTP_HEADERS = 100
 
 #: Priority classes in rank order — rank 0 is served first, the highest
 #: rank is shed first.
@@ -112,14 +121,15 @@ IDEMPOTENT_OPS = frozenset(
 #: registry only holds fingerprints that killed workers twice.
 CLIENT_FAULT_KINDS = frozenset(
     {
-        "bad-request", "frame-too-large", "unknown-op", "compile", "vetoed",
-        "quarantined",
+        "bad-request", "frame-too-large", "header-too-large", "unknown-op",
+        "compile", "vetoed", "quarantined",
     }
 )
 
 ERROR_CODES: Dict[str, int] = {
     "bad-request": 400,
     "frame-too-large": 413,
+    "header-too-large": 431,
     "unknown-op": 404,
     "compile": 422,
     "vetoed": 403,

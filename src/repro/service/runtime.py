@@ -37,6 +37,8 @@ from repro import obs
 from repro.service.core import ServiceConfig, ServiceCore, ServiceRequest
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    MAX_HTTP_HEADERS,
+    MAX_HTTP_LINE_BYTES,
     encode_message,
     error_response,
 )
@@ -435,16 +437,37 @@ class AsyncServiceRuntime:
                 self._pool.kill_worker(worker_id, reason)
 
     # -- HTTP metrics/health --------------------------------------------
-    async def _serve_http(self, reader, writer) -> None:
+    async def _read_http_path(self, reader) -> Optional[str]:
+        """The request's path, once its headers are drained; None past
+        :data:`MAX_HTTP_LINE_BYTES` in a line or
+        :data:`MAX_HTTP_HEADERS` header lines."""
         try:
             request_line = await reader.readline()
-            while True:  # drain headers
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            parts = request_line.decode("latin-1").split()
-            path = parts[1] if len(parts) >= 2 else "/"
-            if path.startswith("/metrics"):
+            for _header in range(MAX_HTTP_HEADERS + 1):
+                if await reader.readline() in (b"\r\n", b"\n", b""):
+                    parts = request_line.decode("latin-1").split()
+                    return parts[1] if len(parts) >= 2 else "/"
+        except ValueError:  # a line past the reader's limit
+            pass
+        return None
+
+    async def _serve_http(self, reader, writer) -> None:
+        try:
+            path = await self._read_http_path(reader)
+            if path is None:
+                refusal = error_response(
+                    None, "header-too-large",
+                    f"request line or header longer than "
+                    f"{MAX_HTTP_LINE_BYTES} bytes, or more than "
+                    f"{MAX_HTTP_HEADERS} headers",
+                )
+                self.core.audit.event(
+                    "reject", at_s=self.core.clock(), **refusal["error"]
+                )
+                body = json.dumps(refusal, sort_keys=True) + "\n"
+                content_type = "application/json"
+                status = "431 Request Header Fields Too Large"
+            elif path.startswith("/metrics"):
                 o = obs.current()
                 if o.enabled:
                     o.publish_tracer_stats()
@@ -607,7 +630,8 @@ class AsyncServiceRuntime:
         http_server = None
         if self.http_port is not None:
             http_server = await asyncio.start_server(
-                self._serve_http, host=self.host, port=self.http_port
+                self._serve_http, host=self.host, port=self.http_port,
+                limit=MAX_HTTP_LINE_BYTES,
             )
             self.http_port = http_server.sockets[0].getsockname()[1]
 

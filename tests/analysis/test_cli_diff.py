@@ -68,6 +68,39 @@ class TestExitCodes:
         broken.write_text("this is not nmsl")
         assert main(["diff", str(old), str(broken)]) == 2
 
+    def test_grant_to_a_contained_domain_exits_zero(self, tmp_path, capsys):
+        """engr-domain grants mgmt.mib to campus; adding the same grant
+        to noc-domain, which campus contains, confers nothing new."""
+        campus = (
+            Path(__file__).resolve().parents[2] / "examples" / "campus.nmsl"
+        ).read_text(encoding="utf-8")
+        grant = (
+            "    exports mgmt.mib to {grantee}\n"
+            "        access ReadOnly\n"
+            "        frequency >= 5 minutes;\n"
+        )
+        engr = grant.format(grantee="noc-domain") + "end domain engr-domain."
+        assert engr in campus
+        old = tmp_path / "old.nmsl"
+        old.write_text(
+            campus.replace(
+                engr, grant.format(grantee="campus") + "end domain engr-domain."
+            )
+        )
+        new = tmp_path / "new.nmsl"
+        new.write_text(
+            campus.replace(
+                engr,
+                grant.format(grantee="campus")
+                + grant.format(grantee="noc-domain")
+                + "end domain engr-domain.",
+            )
+        )
+        assert main(["diff", str(old), str(new)]) == 0
+        out = capsys.readouterr().out
+        assert "NM401" not in out
+        assert "no analysis findings" in out
+
     def test_missing_file_exits_two(self, revisions):
         old, _ = revisions
         assert main(["diff", str(old), str(old.parent / "nope.nmsl")]) == 2

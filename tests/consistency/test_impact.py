@@ -14,6 +14,7 @@ Two families of guarantees:
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -271,26 +272,36 @@ def _grant(access=Access.READ_ONLY, seconds=300.0, grantee="noc",
 
 
 class TestGrantAlgebra:
-    def view(self, paths):
-        return ConsistencyChecker(
-            SyntheticInternet(
-                InternetParameters(n_domains=2, seed=1)
-            ).specification(),
-            TREE,
-        ).view(paths)
+    """Grantees are read in campus.nmsl, where ``campus`` contains
+    ``noc-domain``; the other names are domains of nothing."""
+
+    checker = ConsistencyChecker(
+        _COMPILER.compile(
+            (
+                Path(__file__).resolve().parents[2] / "examples"
+                / "campus.nmsl"
+            ).read_text(encoding="utf-8")
+        ).specification,
+        TREE,
+    )
+
+    def changes(self, old_grants, new_grants):
+        return grantor_permission_changes(
+            "domain:lab",
+            old_grants,
+            new_grants,
+            self.checker.view,
+            self.checker.facts,
+        )
 
     def test_identical_grants_cancel(self):
         grants = [_grant(), _grant(seconds=60.0)]
-        assert grantor_permission_changes(
-            "domain:lab", grants, list(grants), self.view
-        ) == []
+        assert self.changes(grants, list(grants)) == []
 
     def test_access_raise_is_widened(self):
-        changes = grantor_permission_changes(
-            "domain:lab",
+        changes = self.changes(
             [_grant()],
             [_grant(access=Access.READ_WRITE)],
-            self.view,
         )
         widened = [c for c in changes if c.kind == "widened"]
         assert len(widened) == 1
@@ -299,11 +310,9 @@ class TestGrantAlgebra:
         assert {c.kind for c in changes} == {"widened", "removed"}
 
     def test_frequency_tightening_is_flagged(self):
-        changes = grantor_permission_changes(
-            "domain:lab",
+        changes = self.changes(
             [_grant(seconds=300.0)],
             [_grant(seconds=1200.0)],
-            self.view,
         )
         tightened = [c for c in changes if c.kind == "tightened"]
         assert len(tightened) == 1
@@ -313,20 +322,31 @@ class TestGrantAlgebra:
         assert not [c for c in changes if c.kind == "widened"]
 
     def test_public_grant_covers_any_grantee(self):
-        changes = grantor_permission_changes(
-            "domain:lab",
+        changes = self.changes(
             [_grant(grantee="public")],
             [_grant(grantee="public"), _grant(grantee="engr")],
-            self.view,
         )
         assert {c.kind for c in changes} == {"added"}
 
+    def test_grant_to_a_contained_domain_is_added(self):
+        """A B-side grant to a domain an A-side grantee contains admits
+        no client the A-side grant did not (``campus`` contains
+        ``noc-domain``); the other way round is a widening, on the
+        grantee alone."""
+        parent, child = _grant(grantee="campus"), _grant(grantee="noc-domain")
+        changes = self.changes([parent], [parent, child])
+        assert [(c.kind, c.reasons) for c in changes] == [
+            ("added", ("already covered by an A-side grant",))
+        ]
+        changes = self.changes([child], [child, parent])
+        assert [(c.kind, c.dimensions) for c in changes] == [
+            ("widened", ("grantee",))
+        ]
+
     def test_new_grantee_is_widened(self):
-        changes = grantor_permission_changes(
-            "domain:lab",
+        changes = self.changes(
             [_grant(grantee="noc")],
             [_grant(grantee="noc"), _grant(grantee="engr")],
-            self.view,
         )
         widened = [c for c in changes if c.kind == "widened"]
         assert len(widened) == 1

@@ -3,8 +3,8 @@
 Three concerns:
 
 * the OID-prefix-bucketed index answers "which permission covers this
-  reference at this server" exactly as the linear scan over
-  :func:`permission_covers` would;
+  reference at this server" exactly as the linear scan over the rule
+  (:func:`repro.consistency.causes.covers`) would;
 * the checker's fact/view caches are keyed on the declarations the
   facts were expanded from, so mutating the specification between
   checks is seen
@@ -18,10 +18,14 @@ import dataclasses
 
 import pytest
 
-from repro.consistency.causes import candidate_servers, permissions_for_server
+from repro.consistency.causes import (
+    candidate_servers,
+    covers,
+    permissions_for_server,
+    reference_demand,
+)
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.index import PermissionIndex
-from repro.consistency.relations import permission_covers
 from repro.mib.tree import Access
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.nmsl.frequency import FrequencySpec
@@ -41,7 +45,7 @@ def _index_for(checker):
 
 
 class TestPermissionIndexAgreesWithScan:
-    """covering_permission == linear permission_covers scan, everywhere."""
+    """covering_permission == linear scan of the rule, everywhere."""
 
     @pytest.mark.parametrize(
         "parameters",
@@ -68,22 +72,18 @@ class TestPermissionIndexAgreesWithScan:
             candidates, _existential, _data = candidate_servers(
                 reference, facts
             )
-            reference_view = checker.view(reference.variables)
+            demand = reference_demand(
+                reference, checker.view(reference.variables)
+            )
             for server in candidates or ():
                 scan_hit = None
                 for permission in permissions_for_server(server, facts):
-                    verdict = permission_covers(
-                        reference,
-                        permission,
-                        reference_view,
-                        checker.view(permission.variables),
-                    )
-                    if verdict.covered:
+                    if covers(
+                        permission, checker.view(permission.variables), demand
+                    ):
                         scan_hit = permission
                         break
-                indexed_hit = index.covering_permission(
-                    server, reference, reference_view
-                )
+                indexed_hit = index.covering_permission(server, demand)
                 assert (indexed_hit is not None) == (scan_hit is not None), (
                     f"index/scan disagree for {reference.describe()} "
                     f"at {server.id}"
@@ -114,7 +114,8 @@ class TestPermissionIndexAgreesWithScan:
             reference, facts
         )
         index.covering_permission(
-            candidates[0], reference, checker.view(reference.variables)
+            candidates[0],
+            reference_demand(reference, checker.view(reference.variables)),
         )
         stats = index.stats()
         assert stats["indexed_servers"] == 1

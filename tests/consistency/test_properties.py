@@ -22,12 +22,9 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.consistency.causes import explain, reference_demand
 from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.relations import (
-    Permission,
-    Reference,
-    permission_covers,
-)
+from repro.consistency.relations import Permission, Reference
 from repro.mib.tree import Access
 from repro.mib.view import MibView
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
@@ -219,7 +216,7 @@ def _permission(paths, access, frequency, grantee="engr"):
 
 
 class TestCoverageLaws:
-    """Reflexivity and closure-monotonicity of ``permission_covers``."""
+    """Reflexivity and closure-monotonicity of the reduction rule."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -234,13 +231,12 @@ class TestCoverageLaws:
         interval covers the reference."""
         paths = (chain[0],)
         view = MibView(_COMPILER.tree, list(paths))
-        verdict = permission_covers(
-            _reference(paths, access, frequency),
+        failed = explain(
             _permission(paths, access, frequency),
             view,
-            view,
+            reference_demand(_reference(paths, access, frequency), view),
         )
-        assert verdict.covered, verdict.reason
+        assert failed is None, failed
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -258,17 +254,16 @@ class TestCoverageLaws:
         ancestor = (chain[min(ancestor_depth, len(chain) - 1)],)
         reference_view = MibView(_COMPILER.tree, list(requested))
         ancestor_view = MibView(_COMPILER.tree, list(ancestor))
-        exact = permission_covers(
-            _reference(requested, access, frequency),
+        demand = reference_demand(
+            _reference(requested, access, frequency), reference_view
+        )
+        exact = explain(
             _permission(requested, access, frequency),
-            reference_view,
             MibView(_COMPILER.tree, list(requested)),
+            demand,
         )
-        widened = permission_covers(
-            _reference(requested, access, frequency),
-            _permission(ancestor, access, frequency),
-            reference_view,
-            ancestor_view,
+        widened = explain(
+            _permission(ancestor, access, frequency), ancestor_view, demand
         )
-        assert exact.covered
-        assert widened.covered, widened.reason
+        assert exact is None
+        assert widened is None, widened

@@ -18,6 +18,8 @@ from repro.service.client import ServiceClient
 from repro.service.handlers import SpecCache
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    MAX_HTTP_HEADERS,
+    MAX_HTTP_LINE_BYTES,
     ProtocolError,
     encode_message,
 )
@@ -205,6 +207,55 @@ class TestOverTheSocket:
             and event.get("kind") == "frame-too-large"
             for event in audit
         )
+
+
+class TestHttpHeaders:
+    def test_oversized_request_gets_a_structured_431(
+        self, pooled_daemon  # noqa: F811
+    ):
+        """A request line past the bound, and a request with too many
+        headers, are each answered 431 with a JSON error and audited;
+        the endpoint still serves the next request."""
+
+        def exchange(request: bytes) -> bytes:
+            with socket.create_connection(
+                ("127.0.0.1", pooled_daemon["http_port"]), timeout=30.0
+            ) as sock:
+                try:
+                    sock.sendall(request)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # it stopped reading at the bound, as it should
+                return _read_to_eof(sock)
+
+        long_line = b"GET /" + b"x" * (70 * 1024) + b" HTTP/1.1\r\n\r\n"
+        many_headers = (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"X-Pad: 1\r\n" * (MAX_HTTP_HEADERS + 1)
+            + b"\r\n"
+        )
+        for request in (long_line, many_headers):
+            head, _sep, body = exchange(request).partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 431 "), head
+            error = json.loads(body)["error"]
+            assert error["kind"] == "header-too-large"
+            assert error["code"] == 431
+            assert str(MAX_HTTP_LINE_BYTES) in error["message"]
+        fine = (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"X-Pad: 1\r\n" * MAX_HTTP_HEADERS
+            + b"\r\n"
+        )
+        assert exchange(fine).startswith(b"HTTP/1.1 200 ")
+
+        audit = [
+            json.loads(line)
+            for line in pooled_daemon["audit_path"].read_text().splitlines()
+        ]
+        assert sum(
+            event["event"] == "reject"
+            and event.get("kind") == "header-too-large"
+            for event in audit
+        ) == 2
 
 
 class TestHalfClose:

@@ -3,20 +3,22 @@
 Boots the daemon on a unix socket, then exercises the full client
 surface the way an operator session would:
 
-1. ``ping`` + ``status`` + warm/cold ``check``, and a ``check`` with
-   ``jobs`` refused with a 400 ``bad-request`` (a pool worker may not
-   fork the checker's shard workers);
+1. ``ping`` + ``status`` + warm/cold ``check``; a ``check`` with
+   ``jobs`` and a ``rollout`` with typo'd ``diff_bse``/``elemnts`` are
+   each refused at admission with a 400 ``bad-request`` naming the
+   parameter (neither op declares it), audited as a ``reject``, and the
+   rollout applies nothing;
 2. ``diff`` of the campus spec against a scripted access-widening
    mutation — the relational gate must report NM401 as gating;
 3. a ``rollout`` of the widened revision *with* ``diff_base`` — the
    service must refuse it with 403 ``vetoed``;
 4. a clean ``rollout`` of the committed spec over a sub-campus element
    claim — must complete with a journal on disk;
-5. supervision: the daemon runs ``--workers 2``; a check is parked on
-   a worker and that worker is ``kill -9``-ed mid-request — the
-   request must still be answered (replayed transparently), the
-   restart must show up in ``GET /healthz`` and the pool must return
-   to two idle workers;
+5. supervision: the daemon runs ``--workers 2``; a cold check of a
+   generated 1,000-domain spec (~2 s of real work) is ``kill -9``-ed
+   mid-request on its worker — the request must still be answered
+   (replayed transparently), the restart must show up in
+   ``GET /healthz`` and the pool must return to two idle workers;
 6. ``GET /slo`` + ``GET /metrics`` — the exposition must pass the
    strict :mod:`repro.obs.promlint` parser with zero problems;
 7. SIGTERM — graceful drain, exit 0, final metrics scrape flushed,
@@ -49,6 +51,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.obs.promlint import lint  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
+from repro.workloads.paper import (  # noqa: E402
+    PaperScaleInternet,
+    PaperScaleParameters,
+)
 
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 from widen_access import widen  # noqa: E402
@@ -81,6 +87,11 @@ def main(argv=None):
     widened.write_text(
         widen(Path(CAMPUS).read_text(encoding="utf-8")), encoding="utf-8"
     )
+    # The kill -9 victim: slow because it is big, not because it sleeps.
+    slow_spec = workdir / "internet-1k.nmsl"
+    PaperScaleInternet(
+        PaperScaleParameters(n_domains=1000, hub_count=16)
+    ).write_text(slow_spec)
 
     socket_path = workdir / "nmsld.sock"
     ready_file = workdir / "ready.json"
@@ -157,6 +168,18 @@ def main(argv=None):
                 and sharded["error"]["kind"] == "bad-request"
                 and sharded["error"]["code"] == 400,
                 "check with jobs is refused with a 400 bad-request", sharded,
+            )
+            typo = client.request(
+                "rollout",
+                {"spec": CAMPUS, "diff_bse": CAMPUS, "elemnts": CS_ELEMENTS},
+                request_id="typo",
+            )
+            expect(
+                not typo["ok"]
+                and typo["error"]["code"] == 400
+                and "params.diff_bse" in typo["error"]["message"],
+                "typo'd rollout is refused with a 400 naming the parameter",
+                typo,
             )
 
             diff = client.request(
@@ -235,9 +258,7 @@ def main(argv=None):
                 socket_path=str(socket_path), timeout_s=120.0
             ) as parked:
                 victim_box["response"] = parked.request(
-                    "check",
-                    {"spec": CAMPUS, "chaos_sleep_s": 4.0},
-                    cls="bulk",
+                    "check", {"spec": str(slow_spec)}, cls="bulk",
                 )
 
         parker = threading.Thread(target=parked_check)
@@ -328,22 +349,32 @@ def main(argv=None):
             "audit log records admit/response/veto/apply events",
             sorted({e["event"] for e in audit_events}),
         )
+        for refused in ("sharded", "typo"):
+            expect(
+                any(
+                    e["event"] == "reject"
+                    and e.get("request_id") == refused
+                    and e.get("kind") == "bad-request"
+                    for e in audit_events
+                ),
+                f"the refused {refused} request has its audit reject event",
+            )
         expect(
-            any(
-                e["event"] == "response"
-                and e.get("request_id") == "sharded"
-                and e.get("outcome") == "bad-request"
+            not any(
+                e.get("request_id") == "typo" and e["event"] != "reject"
                 for e in audit_events
             ),
-            "the refused sharded check has its audit response event",
+            "the typo'd rollout was never admitted, so nothing applied",
         )
+        # A request refused while parsing never got a trace; every
+        # admitted one did.
         request_scoped = [
             e for e in audit_events
-            if not e["event"].startswith("worker-")
+            if not e["event"].startswith("worker-") and e["event"] != "reject"
         ]
         expect(
             all("trace_id" in e for e in request_scoped),
-            "every request-scoped audit event carries a trace id",
+            "every admitted request's audit events carry a trace id",
         )
         pool_kinds = {e["event"] for e in audit_events}
         expect(

@@ -29,6 +29,7 @@ from repro.analysis.registry import (
 )
 from repro.analysis.relational import (
     Waiver,
+    check_revisions,
     register_relational_passes,
     relational_registry,
     relational_report,
@@ -51,6 +52,7 @@ __all__ = [
     "Severity",
     "Waiver",
     "analyze_specification",
+    "check_revisions",
     "default_registry",
     "register_relational_passes",
     "relational_registry",

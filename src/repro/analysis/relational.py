@@ -32,7 +32,9 @@ The passes registered here carry the rule metadata (SARIF rules table,
 severity defaults); their ``run`` hooks are inert because NM4xx findings
 are derived from an impact set, not from a single-spec
 :class:`~repro.analysis.context.AnalysisContext` — use
-:func:`relational_report`.
+:func:`relational_report`, or :func:`check_revisions` for the whole
+question (baseline, impact, report, waiver) that ``nmslc diff``, both
+rollout gates and ``nmsld``'s ``diff`` ask of a revision pair.
 
 Waivers reuse the baseline machinery verbatim (same fingerprint
 identity, same suppression semantics) under a distinct ``tool`` name so
@@ -41,12 +43,14 @@ an analysis baseline cannot silently waive an access widening.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import Baseline
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.analysis.registry import AnalysisPass, PassRegistry
-from repro.consistency.impact import ImpactSet
+from repro.consistency.impact import ImpactAnalyzer, ImpactSet
+from repro.deadline import Deadline
 
 #: Severity of an NM402 finding by flip direction.
 FLIP_SEVERITY = {
@@ -256,3 +260,24 @@ def relational_report(
         deduped.append(diagnostic)
     deduped.sort(key=Diagnostic.sort_key)
     return AnalysisReport(deduped)
+
+
+def check_revisions(
+    tree, old, new, *, tags: Sequence[str], waiver: Optional[str] = None,
+    config_scope: str = "impacted", deadline: Optional[Deadline] = None,
+) -> Tuple[ImpactSet, AnalysisReport]:
+    """The relational verdict on evolving specification *old* to *new*.
+
+    Full-checks *old* as the baseline, analyzes *new* against it
+    (fingerprinting the configurations of *tags* over *config_scope*),
+    renders the NM4xx report and applies the *waiver* file when it
+    exists.  Returns the impact set and the (waived) report.
+    """
+    analyzer = ImpactAnalyzer(tree, tags=tags, config_scope=config_scope)
+    analyzer.baseline(old)
+    Deadline.poll(deadline, "relational.baseline")
+    impact = analyzer.analyze(new)
+    report = relational_report(impact)
+    if waiver and Path(waiver).exists():
+        report = Waiver.load(waiver).apply(report)
+    return impact, report

@@ -55,7 +55,6 @@ from repro.consistency.checker import ConsistencyChecker, ConsistencyResult
 from repro.consistency.datalog_path import check_with_datalog
 from repro.consistency.oracles import ORACLES, check_with_clpr
 from repro.consistency.evolution import (
-    DeltaChecker,
     SpecificationDiff,
     diff_specifications,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "ConfigChange",
     "ConsistencyChecker",
     "ConsistencyResult",
-    "DeltaChecker",
     "FactGenerator",
     "ImpactAnalyzer",
     "ImpactSet",

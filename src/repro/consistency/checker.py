@@ -7,10 +7,10 @@ views), decides reference→permission coverage through the
 :class:`~repro.consistency.index.PermissionIndex` (per-server OID-prefix
 buckets instead of permission scans), reuses the verdicts it holds when
 the fact set is unchanged, rechecks an evolution delta by patching the
-owners it touches (:meth:`ConsistencyChecker.recheck`, used by
-:class:`repro.consistency.evolution.DeltaChecker`), and can shard the
-reduction step per administrative domain across a process pool
-(``jobs``).  This is what the Section 3.1 scale goal demands.
+owners it touches (:meth:`ConsistencyChecker.recheck`), and can shard
+a full check's reduction step per administrative domain across a
+process pool (``check(jobs=)``).  This is what the Section 3.1 scale
+goal demands.
 
 It holds no copy of the reduction rule.  Every reference goes through
 the functions of :mod:`repro.consistency.causes` the ``scan`` oracle
@@ -352,7 +352,6 @@ class ConsistencyChecker:
         self,
         delta,
         check_capacity: bool = False,
-        jobs: int = 1,
         deadline=None,
     ) -> ConsistencyResult:
         """Re-check after an evolution delta, reusing unaffected verdicts.
@@ -384,7 +383,7 @@ class ConsistencyChecker:
             )
         o = obs.current()
         with o.span(
-            "consistency.recheck", engine="indexed", jobs=jobs
+            "consistency.recheck", engine="indexed"
         ) as span, _watched(o, span), contextlib.ExitStack() as scope:
             previous_list = (
                 self._verdict_list if self._facts is not None else None
@@ -482,7 +481,7 @@ class ConsistencyChecker:
                     pending.append((position, reference))
             del old_facts  # a regenerated-over fact set dies here, not later
             with o.span("consistency.reduce", references=len(pending)):
-                computed = self._reduce(facts, pending, jobs, deadline=deadline)
+                computed = self._reduce(facts, pending, deadline=deadline)
             changes = self._verdict_changes
             for position, reference in pending:
                 verdict = computed[position]
@@ -520,7 +519,6 @@ class ConsistencyChecker:
             "diff_entries": len(delta.diff),
             "patched": patched,
             "engine": "indexed",
-            "jobs": jobs,
             "seconds": span.elapsed,
         }
         stats.update(

@@ -13,16 +13,17 @@ true of re-checking consistency.  This module provides:
   :meth:`ConsistencyChecker.recheck` consumes;
 * :func:`affected_entities` / :func:`reference_affected` — the
   affectedness analysis shared by the incremental engine: which entity
-  tags a diff taints, and whether a reference touches any of them;
-* :class:`DeltaChecker` — the convenience wrapper: feed it successive
-  specification versions and it keeps one persistent
-  :class:`ConsistencyChecker` warm.  A delta that only changes system
-  and domain declarations in place (containment and the process table
-  as they were) re-expands just those owners inside the cached fact
-  set; any other delta regenerates the facts.  Either way only the
-  references that could be affected are re-reduced, with untouched
-  verdicts reused.  A reference is affected when its client instance,
-  its target, or any domain containing either changed.
+  tags a diff taints, and whether a reference touches any of them.  A
+  reference is affected when its client instance, its target, or any
+  domain containing either changed.
+
+Successive versions are checked by one persistent checker: ``check()``
+the first, then :meth:`ConsistencyChecker.recheck` each next one.  A
+delta that only changes system and domain declarations in place
+(containment and the process table as they were) re-expands just those
+owners inside the cached fact set; any other delta regenerates the
+facts.  Either way only the references that could be affected are
+re-reduced, with untouched verdicts reused.
 
 The delta check is exact (proved by the equivalence test-suite and by
 construction: coverage of a reference depends only on the entities the
@@ -34,13 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import is_not
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.collector import bulk_load
-from repro.consistency.checker import ConsistencyChecker, same_items
+from repro.consistency.checker import same_items
 from repro.consistency.facts import FactSet
-from repro.consistency.report import ConsistencyResult
-from repro.mib.tree import MibTree
 from repro.nmsl.specs import Specification
 
 
@@ -226,46 +225,3 @@ def reference_affected(reference, affected: Set[str]) -> bool:
         if f"domain:{domain}" in affected:
             return True
     return False
-
-
-class DeltaChecker:
-    """Incremental consistency checking across specification versions.
-
-    Usage::
-
-        checker = DeltaChecker(tree)
-        first  = checker.check(version1)   # full check, verdicts remembered
-        second = checker.check(version2)   # only affected references re-run
-
-    A thin convenience wrapper over one persistent
-    :class:`ConsistencyChecker` and its :meth:`~ConsistencyChecker.recheck`
-    — the checker's interned views and per-reference verdicts stay warm
-    across versions.
-    """
-
-    def __init__(self, tree: MibTree, jobs: int = 1):
-        self._tree = tree
-        self._jobs = jobs
-        self._checker: Optional[ConsistencyChecker] = None
-        self.last_rechecked = 0
-        self.last_reused = 0
-
-    @property
-    def checker(self) -> Optional[ConsistencyChecker]:
-        """The persistent checker (None before the first check)."""
-        return self._checker
-
-    def check(self, specification: Specification) -> ConsistencyResult:
-        if self._checker is None:
-            self._checker = ConsistencyChecker(specification, self._tree)
-            result = self._checker.check(jobs=self._jobs)
-            self.last_rechecked = result.stats["references"]
-            self.last_reused = 0
-            return result
-        delta = EvolutionDelta.between(
-            self._checker.specification, specification
-        )
-        result = self._checker.recheck(delta, jobs=self._jobs)
-        self.last_rechecked = result.stats["rechecked"]
-        self.last_reused = result.stats["reused"]
-        return result

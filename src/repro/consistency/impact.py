@@ -367,10 +367,8 @@ class ImpactAnalyzer:
         self,
         tree: MibTree,
         *,
-        jobs: int = 1,
         tags: Sequence[str] = ("BartsSnmpd",),
         config_scope: str = "impacted",
-        registry=None,
     ):
         if config_scope not in ("impacted", "full"):
             raise ValueError(
@@ -378,10 +376,9 @@ class ImpactAnalyzer:
                 f"not {config_scope!r}"
             )
         self._tree = tree
-        self._jobs = jobs
         self._tags = tuple(tags)
         self._config_scope = config_scope
-        self._registry = registry
+        self._registry = None  # the fingerprint registry, built once
         self._checker: Optional[ConsistencyChecker] = None
 
     @property
@@ -391,7 +388,7 @@ class ImpactAnalyzer:
     def baseline(self, specification: Specification) -> ConsistencyResult:
         """Full-check revision A and remember its verdicts and facts."""
         self._checker = ConsistencyChecker(specification, self._tree)
-        return self._checker.check(jobs=self._jobs)
+        return self._checker.check()
 
     def _fingerprints(
         self, specification, elements, facts
@@ -456,7 +453,7 @@ class ImpactAnalyzer:
             if grantor in by_grantor
         }
 
-        result = checker.recheck(delta, jobs=self._jobs)
+        result = checker.recheck(delta)
         new_facts = checker.checked_facts
 
         # ---- B-side fingerprints over the impacted scope.

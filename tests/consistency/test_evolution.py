@@ -6,10 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.evolution import (
-    DeltaChecker,
-    diff_specifications,
-)
+from repro.consistency.evolution import diff_specifications
 from repro.mib.tree import Access
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.nmsl.frequency import FrequencySpec
@@ -60,53 +57,66 @@ class TestDiff:
 
 
 class TestDeltaChecker:
+    """The delta check: one persistent checker, ``check()`` of the first
+    version, then ``recheck()`` of each next one."""
+
+    @staticmethod
+    def versions(compiler, first, *later):
+        checker = ConsistencyChecker(first, compiler.tree)
+        return [checker.check()] + [checker.recheck(spec) for spec in later]
+
     def test_first_check_is_full(self, compiler):
-        checker = DeltaChecker(compiler.tree)
         spec = compiler.compile(campus_internet()).specification
-        outcome = checker.check(spec)
+        [outcome] = self.versions(compiler, spec)
         assert outcome.consistent
-        assert checker.last_reused == 0
+        assert outcome.stats["facts_expanded"] == outcome.stats[
+            "facts_declarations"
+        ]
 
     def test_unchanged_respec_reuses_everything(self, compiler):
-        checker = DeltaChecker(compiler.tree)
-        checker.check(compiler.compile(campus_internet()).specification)
-        outcome = checker.check(compiler.compile(campus_internet()).specification)
+        _, outcome = self.versions(
+            compiler,
+            compiler.compile(campus_internet()).specification,
+            compiler.compile(campus_internet()).specification,
+        )
         assert outcome.consistent
         assert outcome.stats["rechecked"] == 0
         assert outcome.stats["reused"] == outcome.stats["references"]
 
     def test_detects_newly_introduced_problem(self, compiler):
-        checker = DeltaChecker(compiler.tree)
-        checker.check(compiler.compile(campus_internet()).specification)
-        outcome = checker.check(
-            compiler.compile(campus_internet(noc_frequency_minutes=1.0)).specification
+        _, outcome = self.versions(
+            compiler,
+            compiler.compile(campus_internet()).specification,
+            compiler.compile(
+                campus_internet(noc_frequency_minutes=1.0)
+            ).specification,
         )
         assert not outcome.consistent
         assert outcome.stats["rechecked"] > 0
 
     def test_detects_fixed_problem(self, compiler):
-        checker = DeltaChecker(compiler.tree)
-        first = checker.check(
+        first, second = self.versions(
+            compiler,
             compiler.compile(
                 campus_internet(include_noc_permission=False)
-            ).specification
+            ).specification,
+            compiler.compile(campus_internet()).specification,
         )
         assert not first.consistent
-        second = checker.check(compiler.compile(campus_internet()).specification)
         assert second.consistent
 
     def test_partial_recheck_on_local_change(self, compiler):
         """Changing one domain's export leaves other references untouched."""
-        checker = DeltaChecker(compiler.tree)
         base = SyntheticInternet(
             InternetParameters(n_domains=6, systems_per_domain=2)
         )
-        checker.check(base.specification())
         # Silence one domain: only the pollers targeting it are affected.
         changed = SyntheticInternet(
             InternetParameters(n_domains=6, systems_per_domain=2, silent_domains=(3,))
         )
-        outcome = checker.check(changed.specification())
+        _, outcome = self.versions(
+            compiler, base.specification(), changed.specification()
+        )
         assert not outcome.consistent
         assert 0 < outcome.stats["rechecked"] < outcome.stats["references"]
         assert outcome.stats["reused"] > 0
@@ -136,9 +146,9 @@ class TestDeltaEquivalence:
         )
         after = SyntheticInternet(after_params).specification()
 
-        delta = DeltaChecker(compiler.tree)
-        delta.check(before)
-        incremental = delta.check(after)
+        checker = ConsistencyChecker(before, compiler.tree)
+        checker.check()
+        incremental = checker.recheck(after)
         full = ConsistencyChecker(after, compiler.tree).check()
         assert incremental.consistent == full.consistent
         assert len(incremental.inconsistencies) == len(full.inconsistencies)

@@ -14,6 +14,8 @@ clock where they are decidable:
 * the full transcript is byte-identical across same-seed runs.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.service.core import ServiceConfig
@@ -315,17 +317,23 @@ class TestBreakers:
         runtime = SimulatedServiceRuntime(
             config=ServiceConfig(workers=1, journal_dir=str(tmp_path)),
         )
-        # Nonexistent tag -> handler raises -> internal error -> the
-        # campaign breaker records a failure each time.
+        widened = tmp_path / "widened.nmsl"
+        widened.write_text(
+            Path(CAMPUS).read_text().replace(
+                "access ReadOnly", "access ReadWrite", 1
+            )
+        )
+        # An unwaived access widening -> the relational gate vetoes the
+        # campaign -> its breaker records a failure each time.
         for index in range(4):
             runtime.offer(index * 1.0, {
                 "id": f"f{index}", "op": "rollout", "cost_s": 0.1,
-                "params": {"spec": CAMPUS, "tag": "NoSuchTag",
+                "params": {"spec": str(widened), "diff_base": CAMPUS,
                            "elements": CS_ELEMENTS},
             })
         responses = [m for m in runtime.run()]
         kinds = [m["error"]["kind"] for m in responses if not m["ok"]]
-        assert kinds[:3] == ["internal", "internal", "internal"]
+        assert kinds[:3] == ["vetoed", "vetoed", "vetoed"]
         # The fourth submission is refused at the door, fast.
         assert kinds[3] == "circuit-open"
         by_id = {m["id"]: m for m in responses}

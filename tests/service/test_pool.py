@@ -370,15 +370,22 @@ def pooled_daemon(tmp_path):
     yield from serve(tmp_path, workers=2)
 
 
-def serve(tmp_path, workers):
-    """Boot a live daemon with *workers* worker processes; yield its
-    endpoints, then drain it."""
+@pytest.fixture
+def chaos_daemon(tmp_path):
+    """The same, booted through the test-only launcher: its ``check``
+    obeys ``chaos_sleep_s`` and ``chaos_exit``."""
+    yield from serve(tmp_path, workers=2, module="tests.service.chaos_nmsld")
+
+
+def serve(tmp_path, workers, module="repro.service.daemon"):
+    """Boot a live daemon (*module* as ``python -m``) with *workers*
+    worker processes; yield its endpoints, then drain it."""
     ready_file = tmp_path / "ready.json"
     socket_path = tmp_path / "nmsld.sock"
     audit_path = tmp_path / "audit.jsonl"
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro.service.daemon",
+            sys.executable, "-m", module,
             "--socket", str(socket_path),
             "--http-port", "0",
             "--workers", str(workers),
@@ -451,12 +458,12 @@ class TestRealPool:
         assert "worker-restart" in kinds
 
     def test_kill_busy_worker_replays_to_identical_envelope(
-        self, pooled_daemon
+        self, chaos_daemon
     ):
         from repro.service.client import ServiceClient
 
         with ServiceClient(
-            socket_path=pooled_daemon["socket"], timeout_s=60.0
+            socket_path=chaos_daemon["socket"], timeout_s=60.0
         ) as client:
             clean = client.request("check", {"spec": CAMPUS})
             assert clean["ok"]
@@ -467,7 +474,7 @@ class TestRealPool:
 
             def slow_check():
                 with ServiceClient(
-                    socket_path=pooled_daemon["socket"], timeout_s=60.0
+                    socket_path=chaos_daemon["socket"], timeout_s=60.0
                 ) as inner:
                     result["response"] = inner.request(
                         "check",
@@ -481,7 +488,7 @@ class TestRealPool:
             victim_pid = None
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
-                pool = _healthz(pooled_daemon)["pool"]
+                pool = _healthz(chaos_daemon)["pool"]
                 busy = [
                     w for w in pool["workers"] if w["state"] == "busy"
                 ]
@@ -502,20 +509,20 @@ class TestRealPool:
                 if k not in ("timing", "resources", "id", "traceparent")
             }
             assert strip(replayed) == strip(clean)
-            pool = _healthz(pooled_daemon)["pool"]
+            pool = _healthz(chaos_daemon)["pool"]
             assert pool["restarts_total"] >= 1
-        audit = pooled_daemon["audit_path"].read_text()
+        audit = chaos_daemon["audit_path"].read_text()
         events = [json.loads(line) for line in audit.splitlines()]
         replays = [e for e in events if e["event"] == "replay"]
         assert any(e.get("request_id") == "victim" for e in replays)
 
     def test_poison_request_quarantined_after_two_kills(
-        self, pooled_daemon
+        self, chaos_daemon
     ):
         from repro.service.client import ServiceClient
 
         with ServiceClient(
-            socket_path=pooled_daemon["socket"], timeout_s=60.0
+            socket_path=chaos_daemon["socket"], timeout_s=60.0
         ) as client:
             # chaos_exit kills the worker mid-request every time: the
             # first kill replays (and kills again), quarantining the
@@ -528,12 +535,12 @@ class TestRealPool:
             assert response["error"]["diagnostic"] == "NM501"
             # Resubmission is refused at admission without touching a
             # worker (no further restarts).
-            pool_before = _healthz(pooled_daemon)["pool"]
+            pool_before = _healthz(chaos_daemon)["pool"]
             again = client.request(
                 "check", {"spec": CAMPUS, "chaos_exit": 17}
             )
             assert again["error"]["kind"] == "quarantined"
-            pool_after = _healthz(pooled_daemon)["pool"]
+            pool_after = _healthz(chaos_daemon)["pool"]
             assert (
                 pool_after["restarts_total"]
                 == pool_before["restarts_total"]
@@ -543,11 +550,11 @@ class TestRealPool:
             ok = client.request("check", {"spec": CAMPUS})
             assert ok["ok"]
 
-    def test_deadline_overrun_kills_wedged_worker(self, pooled_daemon):
+    def test_deadline_overrun_kills_wedged_worker(self, chaos_daemon):
         from repro.service.client import ServiceClient
 
         with ServiceClient(
-            socket_path=pooled_daemon["socket"], timeout_s=60.0
+            socket_path=chaos_daemon["socket"], timeout_s=60.0
         ) as client:
             # Sleeps far past its 1s deadline: the in-child cooperative
             # deadline cannot fire during a blocking sleep, so the
@@ -561,7 +568,7 @@ class TestRealPool:
             assert response["error"]["kind"] in (
                 "worker-lost", "deadline", "quarantined"
             )
-        audit = pooled_daemon["audit_path"].read_text()
+        audit = chaos_daemon["audit_path"].read_text()
         events = [json.loads(line) for line in audit.splitlines()]
         exits = [e for e in events if e["event"] == "worker-exit"]
         assert any(e.get("reason") == "overrun" for e in exits)

@@ -63,7 +63,9 @@ class TestParseRequest:
         assert excinfo.value.code == 404
 
     def test_demotion_allowed(self):
-        parsed = parse_request('{"op": "check", "class": "bulk"}')
+        parsed = parse_request(
+            '{"op": "check", "class": "bulk", "params": {"spec": "a.nmsl"}}'
+        )
         assert parsed["class"] == "bulk"
 
     def test_promotion_refused(self):

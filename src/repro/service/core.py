@@ -156,6 +156,9 @@ class ServiceRequest:
     #: Execution attempts so far — bumped by the supervisor on assign;
     #: a replayed request arrives at its second worker with attempts=1.
     attempts: int = 0
+    #: ``params`` resolved at admission (:func:`repro.operations.resolve`);
+    #: None on a request built directly, which ``execute`` resolves.
+    args: Optional[dict] = None
 
 
 class ServiceCore:
@@ -281,6 +284,7 @@ class ServiceCore:
                 seq=self._seq,
                 reply_to=reply_to,
                 trace=trace,
+                args=parsed["args"],
             )
 
         if op in POOLED_OPS:
@@ -318,7 +322,7 @@ class ServiceCore:
             # seconds at paper scale — never hold the core lock here.
             try:
                 request.campaign_key, request.elements = (
-                    self.handlers.campaign_plan(op, request.params)
+                    self.handlers.campaign_plan(op, request.args)
                 )
             except ProtocolError as exc:
                 with self._lock:

@@ -605,6 +605,7 @@ def _pool_worker_main(
             self.id = payload["id"]
             self.op = payload["op"]
             self.params = payload["params"]
+            self.args = payload.get("args")
             self.cls = payload["cls"]
             remaining = payload.get("deadline_remaining_s")
             self.deadline = (
@@ -770,6 +771,7 @@ class ProcessWorkerPool:
             "id": request.id,
             "op": request.op,
             "params": request.params,
+            "args": request.args,
             "cls": request.cls,
             "deadline_remaining_s": (
                 max(0.001, request.deadline.at_s - self.core.clock())

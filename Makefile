@@ -1,10 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze chaos heal profile service ledger ledger-cold-text ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare clean
+.PHONY: test cli-sweep analyze chaos heal profile service ledger ledger-cold-text ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare clean
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+## Sweep nmslc over examples/ and the 50-spec corpus (tests/cli_sweep.py):
+## OUT/cli-sweep.json maps each command to [exit, sha256(stdout),
+## sha256(stderr)]; run it on two checkouts and diff the two files.
+cli-sweep:
+	$(if $(OUT),,$(error usage: make cli-sweep OUT=DIR))
+	$(PYTHON) -m tests.cli_sweep $(OUT)
 
 ## Static-analysis gate: fails on non-baselined error diagnostics.
 analyze:

@@ -33,8 +33,8 @@ severity defaults); their ``run`` hooks are inert because NM4xx findings
 are derived from an impact set, not from a single-spec
 :class:`~repro.analysis.context.AnalysisContext` — use
 :func:`relational_report`, or :func:`check_revisions` for the whole
-question (baseline, impact, report, waiver) that ``nmslc diff``, both
-rollout gates and ``nmsld``'s ``diff`` ask of a revision pair.
+question (baseline, impact, report, waiver) that the ``diff`` op and the
+rollout gate (:mod:`repro.operations`) ask of a revision pair.
 
 Waivers reuse the baseline machinery verbatim (same fingerprint
 identity, same suppression semantics) under a distinct ``tool`` name so

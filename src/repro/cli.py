@@ -66,12 +66,21 @@ errors.  ``verify-runtime`` replays the paper's verification aspect —
 run the simulated internet, then check the observed query streams
 against the specification's frequency promises — and exits 1 when the
 network violates its specification.
+
+``analyze``, ``diff``, ``rollout`` and ``heal`` run ``nmsld``'s op
+bodies from :mod:`repro.operations` on the revisions :func:`_compile`
+reads.  This module keeps argument parsing, rendering the full result
+(text, JSON, SARIF, campaign reports), the effects only a command line
+has (baseline and waiver files, ``--report-file``, journals, the chaos
+injector, the breaker registry) and the exit codes.  ``top``,
+``profile``, ``verify-runtime`` and the default command have no op.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from collections import Counter
 from pathlib import Path
@@ -79,7 +88,6 @@ from typing import Iterator, Optional, Sequence
 
 from repro import obs, operations
 from repro.collector import bulk_load
-from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.oracles import ORACLES
 from repro.errors import ReproError
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
@@ -97,6 +105,22 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
         "unindexed reference scan, the faithful CLP(R) path, the "
         "bottom-up datalog path.  --jobs, --capacity and --diff-against "
         "are the checker's own",
+    )
+
+
+def _add_format_argument(parser, *formats: str) -> None:
+    """``--format``: text on stdout, or one of *formats*."""
+    parser.add_argument(
+        "--format", choices=("text", *formats), default="text",
+        help="output format (default: text)",
+    )
+
+
+def _add_extensions_argument(parser, to: str = "") -> None:
+    """``--extensions``: extension-language files to prepend (*to* what)."""
+    parser.add_argument(
+        "--extensions", nargs="*", default=(), metavar="FILE",
+        help="extension-language files to prepend" + to,
     )
 
 
@@ -269,13 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate output of this type (consistency, BartsSnmpd, "
         "acl-table, osi, or an extension tag)",
     )
-    parser.add_argument(
-        "--extensions",
-        nargs="*",
-        default=(),
-        metavar="FILE",
-        help="extension-language files to prepend",
-    )
+    _add_extensions_argument(parser)
     parser.add_argument(
         "--ship-dir",
         metavar="DIR",
@@ -322,12 +340,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "specifications", nargs="+", help="NMSL specification file(s)"
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
+    _add_format_argument(parser, "json", "sarif")
     parser.add_argument(
         "--baseline",
         metavar="FILE",
@@ -346,16 +359,11 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--select",
+        type=operations.parts,
         metavar="CODES",
         help="comma-separated diagnostic codes to run (default: all)",
     )
-    parser.add_argument(
-        "--extensions",
-        nargs="*",
-        default=(),
-        metavar="FILE",
-        help="extension-language files to prepend",
-    )
+    _add_extensions_argument(parser)
     parser.add_argument(
         "--lax",
         action="store_true",
@@ -375,12 +383,7 @@ def build_diff_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("old", help="baseline (A-side) NMSL specification")
     parser.add_argument("new", help="revised (B-side) NMSL specification")
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
+    _add_format_argument(parser, "json", "sarif")
     _add_declared(parser, "diff", "waiver")
     parser.add_argument(
         "--update-waiver",
@@ -396,13 +399,7 @@ def build_diff_parser() -> argparse.ArgumentParser:
         "enables NM403 (config rewrite without spec cause) at the cost "
         "of two full generation runs",
     )
-    parser.add_argument(
-        "--extensions",
-        nargs="*",
-        default=(),
-        metavar="FILE",
-        help="extension-language files to prepend to both revisions",
-    )
+    _add_extensions_argument(parser, " to both revisions")
     parser.add_argument(
         "--report-file",
         metavar="FILE",
@@ -529,12 +526,7 @@ def build_verify_runtime_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=1e-6, metavar="SECONDS",
         help="slack when comparing inter-arrival times (default: 1e-6)",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
+    _add_format_argument(parser, "json")
     _add_obs_arguments(parser)
     return parser
 
@@ -553,13 +545,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
         metavar="TAG",
         help="also profile generating output of this type",
     )
-    parser.add_argument(
-        "--extensions",
-        nargs="*",
-        default=(),
-        metavar="FILE",
-        help="extension-language files to prepend",
-    )
+    _add_extensions_argument(parser)
     parser.add_argument(
         "--lax",
         action="store_true",
@@ -675,84 +661,28 @@ def _run_top(args: argparse.Namespace) -> int:
 
     from repro.service.client import ServiceClient
 
-    with ServiceClient(
-        socket_path=args.socket, host=args.host, port=args.port
-    ) as client:
-        ticks = 0
-        while True:
-            snapshot = client.watch_snapshot()
-            if args.json:
-                print(
-                    _json.dumps(
-                        snapshot, sort_keys=True, separators=(",", ":")
-                    )
-                )
-            else:
-                print(_render_top(snapshot))
-            ticks += 1
-            if args.count is not None and ticks >= args.count:
-                return 0
-            _time.sleep(args.interval)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # A compile builds a few million long-lived, acyclic token,
-    # declaration, spec and fact objects; tests and embedders call
-    # main() in-process, and the scope leaves the collector as it was.
-    with bulk_load():
-        return _dispatch(argv)
-
-
-def _dispatch(argv: Sequence[str]) -> int:
     try:
-        if argv and argv[0] == "top":
-            args = build_top_parser().parse_args(argv[1:])
-            try:
-                return _run_top(args)
-            except (ConnectionError, ValueError) as exc:
-                print(f"nmslc: top: {exc}", file=sys.stderr)
-                return 2
-        if argv and argv[0] == "analyze":
-            args = build_analyze_parser().parse_args(argv[1:])
-            with _obs_session(args):
-                return _run_analyze(args)
-        if argv and argv[0] == "diff":
-            args = build_diff_parser().parse_args(argv[1:])
-            with _obs_session(args):
-                return _run_diff(args)
-        if argv and argv[0] == "rollout":
-            args = build_rollout_parser().parse_args(argv[1:])
-            with _obs_session(args):
-                return _run_rollout(args)
-        if argv and argv[0] == "heal":
-            args = build_heal_parser().parse_args(argv[1:])
-            with _obs_session(args):
-                return _run_heal(args)
-        if argv and argv[0] == "verify-runtime":
-            args = build_verify_runtime_parser().parse_args(argv[1:])
-            with _obs_session(args):
-                return _run_verify_runtime(args)
-        if argv and argv[0] == "profile":
-            args = build_profile_parser().parse_args(argv[1:])
-            with _obs_session(args, force=True) as session:
-                return _run_profile(args, session)
-        args = build_parser().parse_args(argv)
-        with _obs_session(args):
-            return _run(args)
-    except ReproError as exc:
-        print(f"nmslc: error: {exc}", file=sys.stderr)
+        with ServiceClient(
+            socket_path=args.socket, host=args.host, port=args.port
+        ) as client:
+            ticks = 0
+            while True:
+                snapshot = client.watch_snapshot()
+                if args.json:
+                    print(
+                        _json.dumps(
+                            snapshot, sort_keys=True, separators=(",", ":")
+                        )
+                    )
+                else:
+                    print(_render_top(snapshot))
+                ticks += 1
+                if args.count is not None and ticks >= args.count:
+                    return 0
+                _time.sleep(args.interval)
+    except (ConnectionError, ValueError) as exc:
+        print(f"nmslc: top: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"nmslc: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        # Campaign journals are closed by the finally blocks on the
-        # way out, so an interrupted rollout stays resumable; exit with
-        # the conventional 128 + SIGINT instead of a raw traceback.
-        print("nmslc: interrupted", file=sys.stderr)
-        return 130
 
 
 def _read_source(path) -> str:
@@ -766,25 +696,51 @@ def _read_source(path) -> str:
         ) from None
 
 
-def _read_extensions(names) -> tuple:
-    return tuple(parse_extension(_read_source(name)) for name in names)
+def _compiler(filename, extensions=(), lax=False) -> NmslCompiler:
+    """The compiler for spec file *filename*: the extension files named
+    in *extensions* prepended, strict unless *lax*."""
+    return NmslCompiler(
+        CompilerOptions(
+            filename=str(filename),
+            strict=not lax,
+            extensions=tuple(
+                parse_extension(_read_source(name)) for name in extensions
+            ),
+            extension_files=tuple(extensions),
+        )
+    )
+
+
+def _compile(
+    path, extensions=(), lax=False, compiler=None,
+    setup=contextlib.nullcontext(),
+) -> operations.Revision:
+    """Read spec file *path* and compile it; every spec file ``nmslc``
+    compiles comes through here, and a refused compile raises (exit 2).
+    ``--diff-against`` passes the newer revision's *compiler* to share
+    its MIB tree; ``profile`` traces the read and build as *setup*."""
+    with setup:
+        text = _read_source(path)
+        compiler = compiler or _compiler(path, extensions, lax)
+    result = compiler.compile(text, strict=False if lax else None)
+    return operations.Revision(compiler, result)
+
+
+def _declared(op: str, args: argparse.Namespace, **changes) -> dict:
+    """*args* as ``nmsld`` resolves *op*'s params: every parameter the
+    op declares, at its default where ``nmslc`` has no option for it."""
+    return {**operations.defaults(op), **vars(args), **changes}
 
 
 def _run(args: argparse.Namespace) -> int:
-    text = _read_source(args.specification)
-    extensions = _read_extensions(args.extensions)
-    compiler = NmslCompiler(
-        CompilerOptions(
-            filename=args.specification,
-            strict=not args.lax,
-            extensions=extensions,
-        )
-    )
     if args.list_tags:
+        _read_source(args.specification)  # refused like any other command
+        compiler = _compiler(args.specification, args.extensions)
         for tag in sorted(set(compiler.registry.tags())):
             print(tag)
         return 0
-    result = compiler.compile(text)
+    revision = _compile(args.specification, args.extensions, args.lax)
+    compiler, result = revision.compiler, revision.result
     if args.format:
         from repro.nmsl.pprint import render_specification
 
@@ -802,16 +758,14 @@ def _run(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
         return 1
 
-    status = 0
-    if args.diff_against:
-        status = max(status, _diff_against(args, compiler, result))
+    status = _diff_against(args, compiler, result) if args.diff_against else 0
 
     facts = None  # the checker's, when one ran: codegen reads the same
     if args.check:
         if args.engine != "indexed":
             outcome = ORACLES[args.engine](result.specification, compiler.tree)
         else:
-            checker = ConsistencyChecker(result.specification, compiler.tree)
+            checker = revision.checker
             outcome = checker.check(
                 check_capacity=args.capacity, jobs=args.jobs
             )
@@ -845,125 +799,63 @@ def _run(args: argparse.Namespace) -> int:
     return status
 
 
+def _save(suppressions, path, needs: str, noun: str) -> int:
+    """``--write-baseline``/``--update-waiver``: write *suppressions* to
+    *path* and exit 0; without a *path*, the usage error (exit 2)."""
+    if not path:
+        print(f"nmslc: error: {needs} FILE", file=sys.stderr)
+        return 2
+    suppressions.save(path)
+    print(f"wrote {len(suppressions)} {noun} to {path}", file=sys.stderr)
+    return 0
+
+
 def _run_analyze(args: argparse.Namespace) -> int:
     """The ``nmslc analyze`` subcommand: the static-analysis CI gate."""
-    from repro.analysis import (
-        AnalysisReport,
-        Baseline,
-        default_registry,
-        render,
-    )
+    from repro.analysis import Baseline, default_registry, render
 
-    codes: Optional[Sequence[str]] = None
-    if args.select:
-        codes = tuple(
-            code.strip() for code in args.select.split(",") if code.strip()
-        )
-    extensions = _read_extensions(args.extensions)
-    registry = default_registry()
-    merged = AnalysisReport()
-    for spec_path in args.specifications:
-        text = _read_source(spec_path)
-        compiler = NmslCompiler(
-            CompilerOptions(
-                filename=spec_path,
-                strict=not args.lax,
-                extensions=extensions,
-                extension_files=tuple(args.extensions),
-            )
-        )
-        result = compiler.compile(text)
-        if result.report.errors and not args.lax:
-            for error in result.report.errors:
-                print(f"nmslc: error: {error}", file=sys.stderr)
-            return 2
-        report = registry.run(compiler.analysis_context(result), codes=codes)
-        merged = merged.merged_with(report)
+    revisions = (
+        _compile(path, args.extensions, args.lax)
+        for path in args.specifications
+    )
+    merged = operations.analyze(revisions, _declared("analyze", args))
 
     if args.write_baseline or args.update_baseline:
-        if not args.baseline:
-            print(
-                "nmslc: error: --write-baseline needs --baseline FILE",
-                file=sys.stderr,
-            )
-            return 2
-        baseline = Baseline.from_report(merged)
-        baseline.save(args.baseline)
-        print(
-            f"wrote {len(baseline)} suppression(s) to {args.baseline}",
-            file=sys.stderr,
+        return _save(
+            Baseline.from_report(merged), args.baseline,
+            "--write-baseline needs --baseline", "suppression(s)",
         )
-        return 0
 
     if args.baseline and Path(args.baseline).exists():
         merged = Baseline.load(args.baseline).apply(merged)
 
-    sys.stdout.write(render(merged, args.format, registry.passes()))
+    sys.stdout.write(
+        render(merged, args.format, default_registry().passes())
+    )
     if args.format == "text":
         sys.stdout.write("\n")
     return 1 if merged.gating() else 0
 
 
-def _compile_revision(path, extensions=(), extension_files=()):
-    """(compiler, result) for one specification; None + stderr on
-    errors."""
-    text = _read_source(path)
-    compiler = NmslCompiler(
-        CompilerOptions(
-            filename=str(path),
-            extensions=extensions,
-            extension_files=extension_files,
-        )
-    )
-    result = compiler.compile(text)
-    if result.report.errors:
-        for error in result.report.errors:
-            print(f"nmslc: error: {error}", file=sys.stderr)
-        return None
-    return compiler, result
-
-
 def _run_diff(args: argparse.Namespace) -> int:
     """The ``nmslc diff`` subcommand: relational differential verify."""
-    from repro.analysis import (
-        Waiver,
-        check_revisions,
-        relational_registry,
-        render,
-        render_json,
-    )
+    from repro.analysis import Waiver, relational_registry, render, render_json
 
-    extensions = _read_extensions(args.extensions)
-    extension_files = tuple(args.extensions)
-    old = _compile_revision(args.old, extensions, extension_files)
-    if old is None:
-        return 2
-    new = _compile_revision(args.new, extensions, extension_files)
-    if new is None:
-        return 2
-    old_compiler, old_result = old
-    _, new_result = new
+    old, new = (
+        _compile(path, args.extensions) for path in (args.old, args.new)
+    )
     # --update-waiver records the findings as they are, unwaived.
-    impact, report = check_revisions(
-        old_compiler.tree, old_result.specification, new_result.specification,
-        tags=args.output, waiver=None if args.update_waiver else args.waiver,
+    waiver = None if args.update_waiver else args.waiver
+    impact, report = operations.diff(
+        old, new, _declared("diff", args, waiver=waiver),
         config_scope="full" if args.full_config_scan else "impacted",
     )
 
     if args.update_waiver:
-        if not args.waiver:
-            print(
-                "nmslc: error: --update-waiver needs --waiver FILE",
-                file=sys.stderr,
-            )
-            return 2
-        waiver = Waiver.from_gating(report)
-        waiver.save(args.waiver)
-        print(
-            f"wrote {len(waiver)} waiver(s) to {args.waiver}",
-            file=sys.stderr,
+        return _save(
+            Waiver.from_gating(report), args.waiver,
+            "--update-waiver needs --waiver", "waiver(s)",
         )
-        return 0
 
     sys.stdout.write(
         render(report, args.format, relational_registry().passes())
@@ -986,111 +878,61 @@ def _run_diff(args: argparse.Namespace) -> int:
     return 1 if report.gating() else 0
 
 
-def _build_rollout_gate(args: argparse.Namespace, runtime):
-    """Relational gate for ``rollout --diff-base``; (gate, report)."""
-    from repro.analysis import check_revisions
-    from repro.rollout import RolloutGate
-
-    base = _compile_revision(args.diff_base)
-    if base is None:
-        return None
-    base_compiler, base_result = base
-    impact, report = check_revisions(
-        base_compiler.tree, base_result.specification,
-        runtime.result.specification, tags=(args.tag,), waiver=args.waiver,
-    )
-    return RolloutGate.from_impact(impact, report), report
-
-
-def _parse_chaos_targets(entries, default_count):
-    targets = {}
-    for entry in entries:
-        element, _, count = entry.partition(":")
-        try:
-            targets[element] = int(count) if count else default_count
-        except ValueError:
-            raise ReproError(
-                f"malformed chaos target {entry!r} (want ELEMENT[:N])"
-            ) from None
-    return targets
+#: Per-element chaos flags in the order they apply: N's default and the
+#: ``FaultSpec`` field ``ELEMENT[:N]`` sets.
+_PER_ELEMENT = (
+    ("chaos_crash", 3, "crash_after"),
+    ("chaos_wedge", 0, "stall_after"),
+    ("chaos_flap", 6, "flap_after"),
+    ("chaos_corrupt_store", 6, "corrupt_store_after"),
+)
 
 
 def _build_injector(args: argparse.Namespace):
-    """Shared chaos-flag handling for ``rollout`` and ``heal``."""
+    """The seeded fault injector the chaos flags of ``rollout`` and
+    ``heal`` ask for, or None."""
     import dataclasses
 
     from repro.netsim.faults import FaultInjector, FaultSpec
 
-    loss = getattr(args, "chaos_loss", 0.0)
-    stall = getattr(args, "chaos_stall", 0.0)
-    corrupt = getattr(args, "chaos_corrupt", 0.0)
-    duplicate = getattr(args, "chaos_duplicate", 0.0)
-    default_spec = FaultSpec(
-        loss_rate=loss,
-        stall_rate=stall,
-        corrupt_rate=corrupt,
-        duplicate_rate=duplicate,
-    )
+    rates = {
+        f"{kind}_rate": getattr(args, f"chaos_{kind}", 0.0)
+        for kind in ("loss", "stall", "corrupt", "duplicate")
+    }
+    default = FaultSpec(**rates)
     per_element = {}
-
-    def update(element, **changes):
-        spec = per_element.get(element, default_spec)
-        per_element[element] = dataclasses.replace(spec, **changes)
-
-    for element, after in _parse_chaos_targets(
-        getattr(args, "chaos_crash", []), default_count=3
-    ).items():
-        update(element, crash_after=after)
-    for element, after in _parse_chaos_targets(
-        getattr(args, "chaos_wedge", []), default_count=0
-    ).items():
-        per_element[element] = FaultSpec(stall_after=after)
-    for element, after in _parse_chaos_targets(
-        getattr(args, "chaos_flap", []), default_count=6
-    ).items():
-        update(element, flap_after=after, flap_restart_after=1)
-    for element, after in _parse_chaos_targets(
-        getattr(args, "chaos_corrupt_store", []), default_count=6
-    ).items():
-        update(element, corrupt_store_after=after)
-    if per_element or any((loss, stall, corrupt, duplicate)):
+    for dest, count, field in _PER_ELEMENT:
+        for entry in getattr(args, dest, []):
+            element, _, after = entry.partition(":")
+            try:
+                changes = {field: int(after) if after else count}
+            except ValueError:
+                raise ReproError(
+                    f"malformed chaos target {entry!r} (want ELEMENT[:N])"
+                ) from None
+            if field == "flap_after":
+                changes["flap_restart_after"] = 1
+            # A wedged element stalls every response and does nothing else.
+            spec = FaultSpec() if field == "stall_after" else (
+                per_element.get(element, default)
+            )
+            per_element[element] = dataclasses.replace(spec, **changes)
+    if per_element or any(rates.values()):
         return FaultInjector(
-            seed=args.seed, default=default_spec, per_element=per_element
+            seed=args.seed, default=default, per_element=per_element
         )
     return None
 
 
-def _campaign(args: argparse.Namespace) -> dict:
-    """``ManagementRuntime.rollout``/``heal`` keywords: the delivery
-    options, read as ``nmsld`` reads them, and the chaos flags."""
-    campaign = operations.campaign(vars(args))
-    return dict(campaign, injector=_build_injector(args))
-
-
-def _compile_for_runtime(args: argparse.Namespace):
-    """Compile a specification and build its simulated runtime, or None."""
-    from repro.netsim.processes import ManagementRuntime
-
-    compiled = _compile_revision(args.specification)
-    return None if compiled is None else ManagementRuntime(*compiled)
-
-
 def _run_rollout(args: argparse.Namespace) -> int:
     """The ``nmslc rollout`` subcommand: fault-tolerant delivery."""
+    from repro.analysis import render_text
     from repro.rollout import RolloutJournal
 
-    runtime = _compile_for_runtime(args)
-    if runtime is None:
-        return 2
-
-    gate = None
-    if args.diff_base:
-        from repro.analysis import render_text
-
-        gated = _build_rollout_gate(args, runtime)
-        if gated is None:
-            return 2
-        gate, gate_report = gated
+    revision = _compile(args.specification)
+    declared = _declared("rollout", args)
+    gate, gate_report = operations.rollout_gate(revision, declared, _compile)
+    if gate is not None:
         if not gate.permits():
             print(render_text(gate_report))
             print(
@@ -1105,12 +947,8 @@ def _run_rollout(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    if args.baseline_install:
-        runtime.install_configuration(tag=args.tag)
-
-    campaign = _campaign(args)
-    journal = None
-    resume_from = None
+    injector = _build_injector(args)
+    journal = resume_from = None
     if args.resume:
         if not args.journal:
             raise ReproError("--resume needs --journal FILE")
@@ -1118,23 +956,18 @@ def _run_rollout(args: argparse.Namespace) -> int:
         resume_from.fsync = args.fsync
     elif args.journal:
         # A fresh campaign must not append onto a stale journal.
-        journal_path = Path(args.journal)
-        if journal_path.exists():
-            journal_path.unlink()
+        Path(args.journal).unlink(missing_ok=True)
         journal = RolloutJournal(path=args.journal, fsync=args.fsync)
     try:
-        report = runtime.rollout(
-            **campaign,
-            journal=journal,
+        report = operations.rollout(
+            revision, declared, injector=injector, journal=journal,
             crash_coordinator_after=args.chaos_crash_coordinator,
-            resume_from=resume_from,
-            gate=gate,
+            resume_from=resume_from, gate=gate,
         )
     finally:
-        if journal is not None:
-            journal.close()
-        if resume_from is not None:
-            resume_from.close()
+        for opened in (journal, resume_from):
+            if opened is not None:
+                opened.close()
     _emit_report(args, report)
     return 0 if report.complete else 1
 
@@ -1144,50 +977,43 @@ def _run_heal(args: argparse.Namespace) -> int:
     from repro.heal import HealthRegistry
     from repro.rollout import RolloutJournal
 
-    runtime = _compile_for_runtime(args)
-    if runtime is None:
-        return 2
-    if args.install:
-        runtime.install_configuration(tag=args.tag)
-
-    campaign = _campaign(args)
-    if args.resume:
-        journal = RolloutJournal.load(args.resume)
-        try:
-            resumed = runtime.rollout(**campaign, resume_from=journal)
-        finally:
+    revision = _compile(args.specification)
+    registry = HealthRegistry(
+        sorted(revision.runtime.rollout_targets(args.tag)),
+        failure_threshold=args.failure_threshold,
+        cooldown_s=args.cooldown,
+        quarantine_after=args.quarantine_after,
+    )
+    injector = _build_injector(args)
+    journal = RolloutJournal.load(args.resume) if args.resume else None
+    try:
+        heal = operations.heal(
+            revision, _declared("heal", args), resume_from=journal,
+            injector=injector, registry=registry,
+        )
+    finally:
+        if journal is not None:
             journal.close()
+    if journal is not None:
+        # A finished journal replays to the report its resume returned.
+        resumed = journal.replay()
         print(
             f"nmslc: resumed campaign from {args.resume}: "
             f"{len(resumed.committed())}/{len(resumed.elements)} committed",
             file=sys.stderr,
         )
-    targets = runtime.rollout_targets(args.tag)
-    registry = HealthRegistry(
-        sorted(targets),
-        failure_threshold=args.failure_threshold,
-        cooldown_s=args.cooldown,
-        quarantine_after=args.quarantine_after,
-    )
-    heal = runtime.heal(
-        **campaign,
-        registry=registry,
-        interval_s=args.interval_s,
-        rounds=args.rounds,
-    )
     _emit_report(args, heal)
     return 0 if heal.converged else 1
 
 
 def _run_verify_runtime(args: argparse.Namespace) -> int:
     """The ``nmslc verify-runtime`` subcommand: adherence checking."""
+    import dataclasses
     import json
 
     from repro.netsim.monitor import RuntimeVerifier
 
-    runtime = _compile_for_runtime(args)
-    if runtime is None:
-        return 2
+    runtime = _compile(args.specification).runtime
     runtime.install_configuration()
     misbehaving = {}
     for entry in args.misbehave:
@@ -1210,25 +1036,11 @@ def _run_verify_runtime(args: argparse.Namespace) -> int:
     traps = verifier.trap_summary(runtime.traps)
     discrepancies = verifier.cross_check_enforcement(runtime.log, report)
     if args.format == "json":
-        payload = {
-            "adheres": report.adheres,
-            "observed_queries": report.observed_queries,
-            "checked_pairs": report.checked_pairs,
-            "rate_limited_queries": report.rate_limited_queries,
-            "violating_clients": list(report.violating_clients),
-            "violations": [
-                {
-                    "client": violation.client,
-                    "server_agent": violation.server_agent,
-                    "observed_interval_s": violation.observed_interval_s,
-                    "promised_min_period_s": violation.promised_min_period_s,
-                    "at_time": violation.at_time,
-                }
-                for violation in report.violations
-            ],
-            "traps": {str(key): value for key, value in traps.items()},
-            "enforcement_discrepancies": list(discrepancies),
-        }
+        payload = dict(
+            dataclasses.asdict(report),
+            traps={str(key): value for key, value in traps.items()},
+            enforcement_discrepancies=list(discrepancies),
+        )
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(report.render())
@@ -1246,39 +1058,28 @@ def _run_verify_runtime(args: argparse.Namespace) -> int:
 _PROFILE_DEPTH = 3
 
 
-def _run_profile(args: argparse.Namespace, session: obs.Observability) -> int:
+def _run_profile(args: argparse.Namespace) -> int:
     """The ``nmslc profile`` subcommand: where does the time go?
 
     Runs compile → check (→ generate) under one top-level span and
     prints a per-phase breakdown (from the tracer), a per-rule table
     (datalog oracle), and the keyword-dispatch counts (from metrics).
     """
-    text = _read_source(args.specification)
-    extensions = _read_extensions(args.extensions)
+    session = obs.current()
     outcome = facts = None
     with session.span("profile", file=args.specification) as top:
-        with session.span("profile.setup"):
-            compiler = NmslCompiler(
-                CompilerOptions(
-                    filename=args.specification,
-                    strict=not args.lax,
-                    extensions=extensions,
-                )
-            )
-        result = compiler.compile(text)
-        if result.report.errors and not args.lax:
-            for error in result.report.errors:
-                print(f"nmslc: error: {error}", file=sys.stderr)
-            return 2
+        revision = _compile(
+            args.specification, args.extensions, args.lax,
+            setup=session.span("profile.setup"),
+        )
+        compiler, result = revision.compiler, revision.result
         if args.engine != "indexed":
             outcome = ORACLES[args.engine](result.specification, compiler.tree)
         else:
-            first = result
+            old = revision  # checked first; --diff-against rechecks from it
             if args.diff_against:
-                first = compiler.compile(
-                    _read_source(args.diff_against), strict=False
-                )
-            checker = ConsistencyChecker(first.specification, compiler.tree)
+                old = _compile(args.diff_against, lax=True, compiler=compiler)
+            checker = old.checker
             outcome = checker.check()
             if args.diff_against:
                 outcome = checker.recheck(result.specification)
@@ -1370,12 +1171,11 @@ def _diff_against(args, compiler, result) -> int:
     """Diff the compiled spec against an older version and delta-check."""
     from repro.consistency.evolution import EvolutionDelta, diff_specifications
 
-    old_text = _read_source(args.diff_against)
-    old_result = compiler.compile(old_text, strict=False)
-    diff = diff_specifications(old_result.specification, result.specification)
+    old = _compile(args.diff_against, lax=True, compiler=compiler)
+    diff = diff_specifications(old.result.specification, result.specification)
     print(f"--- changes vs {args.diff_against} ---")
     print(diff.render())
-    checker = ConsistencyChecker(old_result.specification, compiler.tree)
+    checker = old.checker
     old_outcome = checker.check()
     new_outcome = checker.recheck(
         EvolutionDelta(specification=result.specification, diff=diff)
@@ -1401,13 +1201,63 @@ def _diff_against(args, compiler, result) -> int:
         f"(re-checked {new_outcome.stats.get('rechecked', '?')} of "
         f"{new_outcome.stats.get('references', '?')} references) ---"
     )
-    for (kind, message, _causes), count in sorted(introduced.items()):
-        suffix = f" (x{count})" if count > 1 else ""
-        print(f"introduced: [{kind}] {message}{suffix}")
-    for (kind, message, _causes), count in sorted(fixed.items()):
-        suffix = f" (x{count})" if count > 1 else ""
-        print(f"fixed:      [{kind}] {message}{suffix}")
+    for label, problems in (("introduced:", introduced), ("fixed:", fixed)):
+        for (kind, message, _causes), count in sorted(problems.items()):
+            suffix = f" (x{count})" if count > 1 else ""
+            print(f"{label:<11} [{kind}] {message}{suffix}")
     return 1 if introduced else 0
+
+
+#: name -> (parser, runner, observed even without --trace/--metrics);
+#: any other first argument is the default command's specification.
+_SUBCOMMANDS = {
+    "top": (build_top_parser, _run_top, False),
+    "analyze": (build_analyze_parser, _run_analyze, False),
+    "diff": (build_diff_parser, _run_diff, False),
+    "rollout": (build_rollout_parser, _run_rollout, False),
+    "heal": (build_heal_parser, _run_heal, False),
+    "verify-runtime": (
+        build_verify_runtime_parser, _run_verify_runtime, False
+    ),
+    "profile": (build_profile_parser, _run_profile, True),
+}
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # A compile builds a few million long-lived, acyclic token,
+    # declaration, spec and fact objects; tests and embedders call
+    # main() in-process, and the scope leaves the collector as it was.
+    # Empty the young generations first, so whether the run pays a
+    # generation-1 pass over all of that does not hinge on the imports.
+    gc.collect(1)
+    with bulk_load():
+        return _dispatch(argv)
+
+
+def _dispatch(argv: Sequence[str]) -> int:
+    try:
+        if argv and argv[0] in _SUBCOMMANDS:
+            build, run, observed = _SUBCOMMANDS[argv[0]]
+            argv = argv[1:]
+        else:
+            build, run, observed = build_parser, _run, False
+        args = build().parse_args(argv)
+        with _obs_session(args, force=observed):
+            return run(args)
+    except ReproError as exc:
+        print(f"nmslc: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"nmslc: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        # Campaign journals are closed by the finally blocks on the
+        # way out, so an interrupted rollout stays resumable; exit with
+        # the conventional 128 + SIGINT instead of a raw traceback.
+        print("nmslc: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

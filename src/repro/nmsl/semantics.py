@@ -129,7 +129,8 @@ class SpecificationBuilder:
         self.link()
         if strict and self.report.errors:
             raise NmslSemanticError(
-                "specification has semantic errors:\n" + self.report.summary()
+                "specification has semantic errors:\n" + self.report.summary(),
+                self.report.errors[0].location,
             )
         return self._spec
 

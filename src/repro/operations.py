@@ -1,19 +1,24 @@
-"""Every operation's parameters, declared once.
+"""Every operation's parameters, declared once, and its one body.
 
 One :class:`Param` per (operation, parameter): the wire name, the type,
 the default, the allowed range or choices and, where ``nmslc`` has the
 same option, its flag, metavar and help.  ``nmsld`` checks a request's
 ``params`` against the rows at admission (:func:`resolve`); ``nmslc``
 builds the options it shares with the daemon from them, under the wire
-names (:meth:`Param.option`); both hand a campaign to
-``ManagementRuntime`` (whose defaults are :func:`defaults`) through
-:func:`campaign`.  Stdlib only at import.
+names (:meth:`Param.option`), and fills in the rest from
+:func:`defaults`, so both front ends hold the same ``args``.
+
+:func:`analyze`, :func:`diff`, :func:`rollout` (gated by
+:func:`rollout_gate`) and :func:`heal` are each op's one body, run by
+both front ends on :class:`Revision` objects and returning the full
+result for the front end to render.  Stdlib only at import.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -33,7 +38,7 @@ _EXPECTED = {
 }
 
 
-def _parts(text: str) -> Tuple[str, ...]:
+def parts(text: str) -> Tuple[str, ...]:
     """The entries of a comma-separated list, blanks dropped."""
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
@@ -80,7 +85,7 @@ class Param:
             wanted = "non-empty" if self.type is list else "positive"
             raise ValueError(f"{where} must be {wanted}, got {_show(value)}")
         if self.listed:
-            value = _parts(value)
+            value = parts(value)
         for part in value if isinstance(value, (list, tuple)) else (value,):
             if self.choices and part not in self.choices:
                 raise ValueError(
@@ -108,7 +113,7 @@ class Param:
         option = {"dest": self.name, "default": self.default,
                   "metavar": self.metavar, "help": text}
         if self.listed:
-            option["type"] = _parts
+            option["type"] = parts
         elif self.type in (int, float):
             option["type"] = self.type
         if self.choices and not self.listed:
@@ -244,3 +249,141 @@ def campaign(args: Mapping[str, object]) -> Dict[str, object]:
     keywords["policy"] = RetryPolicy(max_attempts=args["max_attempts"],
                                      timeout_s=args["timeout_s"])
     return keywords
+
+
+class Revision:
+    """One compiled specification, as the op bodies read it.
+
+    ``nmslc`` makes one per spec file it compiles; ``nmsld``'s cached
+    ``SpecSession`` is one that outlives its request.  The checker and
+    the simulated runtime are built on first use, under ``lock``, which
+    also serialises the engines' stateful work.
+    """
+
+    def __init__(self, compiler, result):
+        self.compiler = compiler
+        self.result = result
+        self.lock = threading.RLock()
+        self._checker = None
+        self._runtime = None
+
+    @property
+    def checker(self):
+        from repro.consistency.checker import ConsistencyChecker
+
+        with self.lock:
+            if self._checker is None:
+                self._checker = ConsistencyChecker(
+                    self.result.specification, self.compiler.tree
+                )
+            return self._checker
+
+    @property
+    def runtime(self):
+        from repro.netsim.processes import ManagementRuntime
+
+        with self.lock:
+            if self._runtime is None:
+                self._runtime = ManagementRuntime(self.compiler, self.result)
+            return self._runtime
+
+
+def analyze(revisions, args):
+    """``analyze``: the static analysis of each of *revisions*, merged
+    in order into one ``AnalysisReport``.  The passes read the fact set
+    of the revision's checker, which ``nmsld`` keeps warm."""
+    import dataclasses
+
+    from repro.analysis import AnalysisReport, default_registry
+
+    registry = default_registry()
+    codes = tuple(args["select"]) if args["select"] else None
+    merged = AnalysisReport()
+    for revision in revisions:
+        with revision.lock:
+            context = dataclasses.replace(
+                revision.compiler.analysis_context(revision.result),
+                checker=revision.checker,
+            )
+            merged = merged.merged_with(registry.run(context, codes=codes))
+    return merged
+
+
+def diff(old, new, args, config_scope="impacted", deadline=None):
+    """``diff``: the relational verdict on evolving revision *old* into
+    *new* — ``(ImpactSet, AnalysisReport)``, the NM4xx report with the
+    ``waiver`` file applied.  The configurations of the ``output`` tags
+    are fingerprinted over *config_scope* (``"full"``: every element)."""
+    from repro.analysis import check_revisions
+
+    with old.lock:
+        return check_revisions(
+            old.compiler.tree, old.result.specification,
+            new.result.specification, tags=args["output"],
+            waiver=args["waiver"], config_scope=config_scope,
+            deadline=deadline,
+        )
+
+
+def rollout_gate(revision, args, load):
+    """The relational gate on rolling *revision* out, and its NM4xx
+    report: the delta from the ``diff_base`` spec, which *load* turns
+    into a revision, with the ``waiver`` file applied.  ``(None, None)``
+    when there is no ``diff_base``."""
+    from repro.rollout import RolloutGate
+
+    if args["diff_base"] is None:
+        return None, None
+    impact, report = diff(
+        load(args["diff_base"]), revision,
+        {"output": (args["tag"],), "waiver": args["waiver"]},
+    )
+    return RolloutGate.from_impact(impact, report), report
+
+
+def _campaign(revision, args, install):
+    """*revision*'s simulated runtime, installed directly first when
+    ``args[install]``, and the ``ManagementRuntime`` keywords of the
+    campaign *args* describe: its targets narrowed to the ``elements``
+    claim when there is one."""
+    runtime = revision.runtime
+    if args[install]:
+        runtime.install_configuration(tag=args["tag"])
+    keywords = campaign(args)
+    if args["elements"] is not None:
+        claim = set(args["elements"])
+        with revision.lock:
+            targets = runtime.rollout_targets(args["tag"])
+        keywords["configs"] = {
+            target: text
+            for target, text in targets.items()
+            if target.partition("/")[0] in claim
+        }
+    return runtime, keywords
+
+
+def rollout(revision, args, **keywords):
+    """``rollout``: the campaign *args* describe, on *revision*'s
+    simulated runtime (after a ``baseline_install``); returns the
+    ``RolloutReport``.  *keywords* go to ``ManagementRuntime.rollout``:
+    the gate (a refusing one raises ``RolloutVetoed`` before anything is
+    staged), a journal to write or resume from, the chaos injector, the
+    deadline."""
+    runtime, delivery = _campaign(revision, args, "baseline_install")
+    return runtime.rollout(**delivery, **keywords)
+
+
+def heal(revision, args, resume_from=None, injector=None, **keywords):
+    """``heal``: reconcile *revision*'s simulated runtime to its
+    configuration (after an ``install``); returns the ``HealReport``.
+    *resume_from*, a rollout journal, is an interrupted campaign to
+    finish first.  *keywords* go to ``ManagementRuntime.heal``: the
+    breaker registry, the deadline."""
+    runtime, delivery = _campaign(revision, args, "install")
+    delivery["injector"] = injector
+    if resume_from is not None:
+        runtime.rollout(**delivery, resume_from=resume_from)
+    return runtime.heal(
+        **delivery, interval_s=args["interval_s"], rounds=args["rounds"],
+        **keywords,
+    )

@@ -24,13 +24,12 @@ threads at the same wall-clock moment.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro import obs, operations
 from repro.collector import bulk_load
@@ -49,50 +48,29 @@ from repro.service.specfile import read_spec
 MAX_REPORTED = 50
 
 
-class SpecSession:
-    """One cached specification: compiler, result, warm engines."""
+class SpecSession(operations.Revision):
+    """One cached specification: a revision compiled from a spec file's
+    text, kept warm (checker, runtime) across requests."""
 
     def __init__(self, path: str, text: str, text_hash: str):
         from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 
+        compiler = NmslCompiler(CompilerOptions(filename=path))
+        try:
+            with bulk_load():
+                result = compiler.compile(text)
+        except (NmslSyntaxError, NmslSemanticError) as exc:
+            # The compile is strict: errors arrive as exceptions.
+            raise ProtocolError("compile", str(exc))
+        super().__init__(compiler, result)
         self.path = path
         self.text_hash = text_hash
-        self.lock = threading.RLock()
         #: Held for the duration of any campaign that mutates the
         #: shared ManagementRuntime (install sweeps, rollout, heal).
         #: Element-disjoint campaigns on *different* specs run truly
         #: concurrently; on the same spec they serialise here.
         self.campaign_lock = threading.Lock()
-        self.compiler = NmslCompiler(CompilerOptions(filename=path))
-        try:
-            with bulk_load():
-                self.result = self.compiler.compile(text)
-        except (NmslSyntaxError, NmslSemanticError) as exc:
-            # The compile is strict: errors arrive as exceptions.
-            raise ProtocolError("compile", str(exc))
         self.checks = 0
-        self._checker = None
-        self._runtime = None
-
-    @property
-    def checker(self):
-        from repro.consistency.checker import ConsistencyChecker
-
-        with self.lock:
-            if self._checker is None:
-                self._checker = ConsistencyChecker(
-                    self.result.specification, self.compiler.tree
-                )
-            return self._checker
-
-    @property
-    def runtime(self):
-        from repro.netsim.processes import ManagementRuntime
-
-        with self.lock:
-            if self._runtime is None:
-                self._runtime = ManagementRuntime(self.compiler, self.result)
-            return self._runtime
 
 
 class SpecCache:
@@ -161,7 +139,9 @@ class SpecCache:
 
 
 class ServiceHandlers:
-    """Executes protocol operations against the warm cache."""
+    """Executes protocol operations against the warm cache; ``analyze``,
+    ``diff``, ``rollout`` and ``heal`` run the op bodies ``nmslc`` runs
+    (:mod:`repro.operations`) and keep the lookups, reply and audit."""
 
     def __init__(self, cache: Optional[SpecCache] = None, journal_dir=None):
         self.cache = cache or SpecCache()
@@ -344,56 +324,37 @@ class ServiceHandlers:
     def _op_analyze(
         self, args: dict, deadline: Optional[Deadline], request
     ) -> dict:
-        from repro.analysis import default_registry
-
         specs = args["specs"] or [args["spec"]]
-        codes = args["select"]
-        registry = default_registry()
-        diagnostics: List[dict] = []
-        gating = False
-        for spec in specs:
-            session = self.cache.get(spec)
-            Deadline.poll(deadline, "service.analyze")
-            with session.lock:
-                report = registry.run(
-                    # The passes read the fact set `check` keeps warm.
-                    dataclasses.replace(
-                        session.compiler.analysis_context(session.result),
-                        checker=session.checker,
-                    ),
-                    codes=tuple(codes) if codes else None,
-                )
-            gating = gating or bool(report.gating())
-            for diagnostic in report.diagnostics:
-                diagnostics.append(
-                    {
-                        "code": diagnostic.code,
-                        "severity": diagnostic.severity.value,
-                        "message": diagnostic.message,
-                        "location": str(diagnostic.location),
-                    }
-                )
+
+        def sessions():
+            for spec in specs:
+                session = self.cache.get(spec)
+                Deadline.poll(deadline, "service.analyze")
+                yield session
+
+        report = operations.analyze(sessions(), args)
         return {
             "specs": [str(Path(spec)) for spec in specs],
-            "findings": len(diagnostics),
-            "gating": gating,
-            "diagnostics": diagnostics[:MAX_REPORTED],
+            "findings": len(report.diagnostics),
+            "gating": bool(report.gating()),
+            "diagnostics": [
+                {
+                    "code": diagnostic.code,
+                    "severity": diagnostic.severity.value,
+                    "message": diagnostic.message,
+                    "location": str(diagnostic.location),
+                }
+                for diagnostic in report.diagnostics[:MAX_REPORTED]
+            ],
         }
 
     def _op_diff(
         self, args: dict, deadline: Optional[Deadline], request
     ) -> dict:
-        from repro.analysis import check_revisions
-
         old = self.cache.get(args["old"])
         new = self.cache.get(args["new"])
         Deadline.poll(deadline, "service.diff")
-        with old.lock:
-            impact, report = check_revisions(
-                old.compiler.tree, old.result.specification,
-                new.result.specification, tags=args["output"],
-                waiver=args["waiver"], deadline=deadline,
-            )
+        impact, report = operations.diff(old, new, args, deadline=deadline)
         return {
             "old": old.path,
             "new": new.path,
@@ -414,21 +375,6 @@ class ServiceHandlers:
     # ------------------------------------------------------------------
     # Bulk campaigns.
     # ------------------------------------------------------------------
-    def _campaign(self, session: SpecSession, args: dict) -> dict:
-        """``ManagementRuntime.rollout``/``heal`` keywords: the delivery
-        parameters the op declares, and the targets narrowed to the
-        request's element claim."""
-        with session.lock:
-            configs = session.runtime.rollout_targets(args["tag"])
-        if args["elements"] is not None:
-            claim = set(args["elements"])
-            configs = {
-                target: text
-                for target, text in configs.items()
-                if target.partition("/")[0] in claim
-            }
-        return dict(operations.campaign(args), configs=configs)
-
     def _campaign_journal(self, request):
         from repro.rollout import RolloutJournal
 
@@ -440,8 +386,7 @@ class ServiceHandlers:
             for ch in str(request.id)
         )
         path = self.journal_dir / f"campaign-{safe}.jsonl"
-        if path.exists():
-            path.unlink()
+        path.unlink(missing_ok=True)
         journal = RolloutJournal(path=path)
         # Stamp the campaign journal with the request's trace so every
         # durable record names the request that caused it.
@@ -450,50 +395,26 @@ class ServiceHandlers:
             journal.set_trace(trace)
         return journal
 
-    def _rollout_gate(self, session: SpecSession, args: dict):
-        """The relational gate for ``rollout`` with a ``diff_base``."""
-        from repro.analysis import check_revisions
-        from repro.rollout import RolloutGate
-
-        if args["diff_base"] is None:
-            return None
-        base = self.cache.get(args["diff_base"])
-        with base.lock:
-            impact, report = check_revisions(
-                base.compiler.tree, base.result.specification,
-                session.result.specification, tags=(args["tag"],),
-                waiver=args["waiver"],
-            )
-        return RolloutGate.from_impact(impact, report)
-
     def _op_rollout(
         self, args: dict, deadline: Optional[Deadline], request
     ) -> dict:
-        import json as _json
-
         session = self.cache.get(args["spec"])
-        tag = args["tag"]
-        gate = self._rollout_gate(session, args)
-        campaign = self._campaign(session, args)
+        gate, _ = operations.rollout_gate(session, args, self.cache.get)
         journal = self._campaign_journal(request)
         try:
             # One campaign at a time may mutate the shared runtime;
             # element-level disjointness (the bulkhead claim) is not a
             # memory-safety boundary inside the simulated fabric.
             with session.campaign_lock:
-                if args["baseline_install"]:
-                    session.runtime.install_configuration(tag=tag)
-                try:
-                    report = session.runtime.rollout(
-                        **campaign, journal=journal, gate=gate,
-                        deadline=deadline,
-                    )
-                except RolloutVetoed as exc:
-                    raise ProtocolError("vetoed", str(exc))
+                report = operations.rollout(
+                    session, args, journal=journal, gate=gate,
+                    deadline=deadline,
+                )
+        except RolloutVetoed as exc:
+            raise ProtocolError("vetoed", str(exc))
         finally:
             if journal is not None:
                 journal.close()
-        payload = _json.loads(report.to_json())
         if self.core is not None:
             now = self.core.clock()
             trace = getattr(request, "trace", None)
@@ -506,9 +427,9 @@ class ServiceHandlers:
                 )
         return {
             "spec": session.path,
-            "tag": tag,
+            "tag": args["tag"],
             "complete": report.complete,
-            "outcomes": payload.get("outcomes", {}),
+            "outcomes": report.outcomes(),
             "committed": sorted(report.committed()),
             "dead_letter": sorted(report.dead_letter()),
             "duration_s": report.duration_s,
@@ -519,24 +440,9 @@ class ServiceHandlers:
     def _op_heal(
         self, args: dict, deadline: Optional[Deadline], request
     ) -> dict:
-        import json as _json
-
-        from repro.heal import HealthRegistry
-
         session = self.cache.get(args["spec"])
-        tag = args["tag"]
-        campaign = self._campaign(session, args)
         with session.campaign_lock:
-            if args["install"]:
-                session.runtime.install_configuration(tag=tag)
-            report = session.runtime.heal(
-                **campaign,
-                registry=HealthRegistry(sorted(campaign["configs"])),
-                interval_s=args["interval_s"],
-                rounds=args["rounds"],
-                deadline=deadline,
-            )
-        payload = _json.loads(report.to_json())
+            report = operations.heal(session, args, deadline=deadline)
         if self.core is not None:
             self.core.audit.event(
                 "apply", trace=getattr(request, "trace", None),
@@ -547,10 +453,10 @@ class ServiceHandlers:
             )
         return {
             "spec": session.path,
-            "tag": tag,
+            "tag": args["tag"],
             "converged": report.converged,
             "rounds": len(report.rounds),
-            "drift_repaired": payload.get("drift_repaired", 0),
+            "drift_repaired": report.drift_repaired(),
             "quarantined": sorted(report.quarantined),
             "duration_s": report.duration_s,
         }

@@ -91,6 +91,16 @@ def test_cli_import_set_is_pinned():
     )
 
 
+def test_operations_loads_no_other_repro_module():
+    """Both front ends import the op table; its bodies import lazily."""
+    done = _fresh_python(
+        "import sys, repro.operations\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.')))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['repro.operations']"
+
+
 def test_bare_import_repro_loads_no_subpackage():
     done = _fresh_python(
         "import sys, repro\n"

@@ -1090,8 +1090,9 @@ def _run_profile(args: argparse.Namespace) -> int:
     records = session.tracer.finished()
     total = top.elapsed
     # Rows are keyed by the chain of span names below "profile", so a
-    # phase's sub-phases (compile > compile.pass1 > compile.lex) print
-    # under it; only the depth-1 rows add up to the total.
+    # phase's sub-phases (consistency.check > consistency.facts >
+    # consistency.facts.views) print under it; only the depth-1 rows add
+    # up to the total.
     by_id = {record.span_id: record for record in records}
 
     def chain(record):

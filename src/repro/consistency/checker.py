@@ -323,6 +323,8 @@ class ConsistencyChecker:
                     facts.domain_reference_taint()
             problems, warnings = self._assemble(facts, check_capacity)
             span.annotate(inconsistencies=len(problems))
+            if o.enabled:
+                self._publish_metrics(o, facts, consistent=not problems)
 
         stats = {
             "instances": len(facts.instances),
@@ -336,8 +338,6 @@ class ConsistencyChecker:
         stats.update(
             {f"facts_{key}": value for key, value in facts.expansion.items()}
         )
-        if o.enabled:
-            self._publish_metrics(o, facts, consistent=not problems)
         return ConsistencyResult(
             consistent=not problems,
             inconsistencies=problems,

@@ -2,7 +2,7 @@
 
 ``NmslCompiler`` ties the pieces together:
 
-1. **pass 1** — :func:`repro.nmsl.generic.parse_generic` parses the
+1. **pass 1** — :class:`repro.nmsl.generic.GenericParser` parses the
    generalized grammar;
 2. **pass 2** — :class:`repro.nmsl.semantics.SpecificationBuilder` runs
    the generic actions (semantic checks, typed-spec construction);
@@ -32,7 +32,7 @@ from repro.nmsl.actions import (
     OutputRegistry,
 )
 from repro.nmsl.extension import ClauseRenderer, Extension
-from repro.nmsl.generic import Declaration, parse_generic
+from repro.nmsl.generic import Declaration, GenericParser
 from repro.nmsl.outputs import EPILOGUE, register_base_outputs
 from repro.nmsl.semantics import BuildReport, SpecificationBuilder
 from repro.nmsl.specs import Specification
@@ -139,8 +139,17 @@ class NmslCompiler:
     # ------------------------------------------------------------------
     def parse(self, text: str) -> List[Declaration]:
         """Pass 1 only."""
-        with obs.current().span("compile.pass1", file=self.options.filename):
-            return parse_generic(text, self.options.filename)
+        o = obs.current()
+        with o.span("compile.pass1", file=self.options.filename) as span:
+            parser = GenericParser(text, self.options.filename)
+            declarations = parser.parse_declarations()
+            if o.enabled:
+                span.annotate(
+                    bytes=len(text.encode("utf-8")),
+                    clauses=sum(len(d.clauses) for d in declarations),
+                    tokens=parser.tokens_built,
+                )
+        return declarations
 
     def compile(self, text: str, strict: Optional[bool] = None) -> CompileResult:
         """Pass 1 + pass 2: returns the typed specification."""

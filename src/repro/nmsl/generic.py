@@ -15,29 +15,60 @@ preserved for actions that re-parse it (the ASN.1 body of a type spec).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro import obs
 from repro.errors import NmslSyntaxError, SourceLocation
-from repro.nmsl.lexer import EOF, PERIOD, PUNCT, STRING, WORD, NmslToken, tokenize
+from repro.nmsl.lexer import EOF, PERIOD, PUNCT, STRING, WORD, NmslToken, SourceMap
+from repro.nmsl.lexer import read_token, scan, tokenize
 
 _OPENERS = frozenset("({[")
 _CLOSERS = frozenset(")}]")
+_STRUCTURAL = _OPENERS | _CLOSERS | {";"}
+_BLANKS = " \t\n\r\f\v"
+#: The rest of a plain clause, through its ``;``: words, numbers, strings,
+#: ``, : < > = * |`` and ASCII blanks — no brackets, no comment, nothing
+#: the lexer refuses.  Each repeat of the group starts with a character
+#: the class leaves out, so the match is linear even when it fails.
+_PLAIN_CHAR = rf"[A-Za-z0-9_.,:<>=*|{_BLANKS}]"
+_PLAIN = re.compile(rf'{_PLAIN_CHAR}*(?:(?:"[^"\n]*"|-(?!-)){_PLAIN_CHAR}*)*;')
 
 
-@dataclass
 class GenericClause:
-    """One clause: its tokens (``;`` excluded) and exact source text."""
+    """One clause: its tokens (``;`` excluded) and exact source text.
 
-    tokens: List[NmslToken]
-    raw_text: str
-    location: SourceLocation
+    A plain clause comes without its tokens; they are lexed from the
+    source on first read (pass 2 reads those of one clause per text).
+    """
+
+    __slots__ = ("first", "raw_text", "_source", "_tokens")
+
+    def __init__(self, first: NmslToken, raw_text: str, source: SourceMap, tokens=None):
+        self.first = first
+        self.raw_text = raw_text
+        self._source = source
+        self._tokens = tokens
+
+    @property
+    def tokens(self) -> List[NmslToken]:
+        if self._tokens is None:
+            first = self.first
+            rest = scan(self._source, first.end, first.start + len(self.raw_text))
+            self._tokens = [first] + rest[:-1]
+        return self._tokens
+
+    @property
+    def location(self) -> SourceLocation:
+        return self.first.location
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GenericClause:
+            return NotImplemented
+        return (self.tokens, self.raw_text) == (other.tokens, other.raw_text)
 
     def first_keyword(self) -> Optional[str]:
-        if self.tokens and self.tokens[0].kind == WORD:
-            return self.tokens[0].text
-        return None
+        return self.first.text if self.first.kind == WORD else None
 
 
 @dataclass
@@ -59,28 +90,25 @@ class Declaration:
 class GenericParser:
     """Recursive-descent parser for the Figure 6.1 grammar.
 
-    The token list ends with ``EOF`` and no method steps past it, so the
-    hot loops (clauses, parameter lists) walk it by index unchecked.
+    Tokens are read one at a time from a cursor over the text, and a plain
+    clause is taken whole by one match of :data:`_PLAIN`.  Lexical errors
+    still come first: the cursor meets the first bad character before any
+    later one, and a syntax error re-lexes the whole text before it rises.
     """
 
     def __init__(self, text: str, filename: str = "<nmsl>"):
-        self._text = text
-        o = obs.current()
-        with o.span("compile.lex") as span:
-            self._tokens = tokenize(text, filename)
-            if o.enabled:
-                span.annotate(
-                    tokens=len(self._tokens), bytes=len(text.encode("utf-8"))
-                )
-        self._index = 0
+        self._source = SourceMap(text, filename)
+        self.tokens_built = 1  # for the pass-1 span
+        self._token = read_token(self._source, 0)
 
     # ------------------------------------------------------------------
     # Token helpers.
     # ------------------------------------------------------------------
     def _next(self) -> NmslToken:
-        token = self._tokens[self._index]
+        token = self._token
         if token.kind != EOF:
-            self._index += 1
+            self.tokens_built += 1
+            self._token = read_token(self._source, token.end)
         return token
 
     def _expect(self, kind: str, text: Optional[str] = None) -> NmslToken:
@@ -94,15 +122,19 @@ class GenericParser:
         return token
 
     def at_end(self) -> bool:
-        return self._tokens[self._index].kind == EOF
+        return self._token.kind == EOF
 
     # ------------------------------------------------------------------
     # Productions.
     # ------------------------------------------------------------------
     def parse_declarations(self) -> List[Declaration]:
         declarations = []
-        while not self.at_end():
-            declarations.append(self.parse_declaration())
+        try:
+            while not self.at_end():
+                declarations.append(self.parse_declaration())
+        except NmslSyntaxError:
+            tokenize(self._source.text, self._source.filename)
+            raise
         return declarations
 
     def parse_declaration(self) -> Declaration:
@@ -145,16 +177,14 @@ class GenericParser:
         )
 
     def _parse_declparams(self) -> List[List[NmslToken]]:
-        tokens = self._tokens
-        index = self._index
-        if not tokens[index].matches(PUNCT, "("):
+        if not self._token.matches(PUNCT, "("):
             return []
+        self._next()
         groups: List[List[NmslToken]] = []
         current: List[NmslToken] = []
         depth = 0
         while True:
-            index += 1
-            token = tokens[index]
+            token = self._next()
             kind, text = token.kind, token.text
             if kind == EOF:
                 raise NmslSyntaxError(
@@ -172,7 +202,6 @@ class GenericParser:
                     current = []
                     continue
             current.append(token)
-        self._index = index + 1
         if current or groups:
             groups.append(current)
         return groups
@@ -180,45 +209,53 @@ class GenericParser:
     def _parse_clauses(self) -> List[GenericClause]:
         """Clauses up to the closing ``end``: each is the token run up to
         the next ``;`` at bracket depth 0."""
-        tokens, source = self._tokens, self._text
-        index = self._index
+        source = self._source
+        text = source.text
         clauses: List[GenericClause] = []
         while True:
-            first = tokens[index]
+            first = self._token
             if first.kind == EOF:
                 raise NmslSyntaxError(
                     "specification not terminated by 'end'", first.location
                 )
             if first.kind == WORD and first.text == "end":
-                self._index = index
                 return clauses
-            start = index
+            plain = (
+                first.kind != PUNCT or first.text not in _STRUCTURAL
+            ) and _PLAIN.match(text, first.end)
+            if plain:
+                raw = text[first.start : plain.end() - 1].rstrip(_BLANKS)
+                clauses.append(GenericClause(first, raw, source))
+                self.tokens_built += 1
+                self._token = read_token(source, plain.end())
+                continue
+            tokens: List[NmslToken] = []
             depth = 0
             while True:
-                token = tokens[index]
+                token = self._token
                 kind = token.kind
                 if kind == PUNCT:
-                    text = token.text
-                    if text == ";" and depth == 0:
+                    punct = token.text
+                    if punct == ";" and depth == 0:
                         break
-                    if text in _OPENERS:
+                    if punct in _OPENERS:
                         depth += 1
-                    elif text in _CLOSERS:
+                    elif punct in _CLOSERS:
                         depth -= 1
                         if depth < 0:
                             raise NmslSyntaxError(
-                                f"unbalanced {text!r} in clause", token.location
+                                f"unbalanced {punct!r} in clause", token.location
                             )
                 elif kind == EOF:
                     raise NmslSyntaxError(
                         "clause not terminated by ';'", token.location
                     )
-                index += 1
-            if index == start:
+                tokens.append(self._next())
+            if not tokens:
                 raise NmslSyntaxError("empty clause", first.location)
-            raw = source[first.start : tokens[index - 1].end]
-            clauses.append(GenericClause(tokens[start:index], raw, first.location))
-            index += 1
+            raw = text[first.start : tokens[-1].end]
+            clauses.append(GenericClause(first, raw, source, tokens))
+            self._next()
 
 
 def parse_generic(text: str, filename: str = "<nmsl>") -> List[Declaration]:

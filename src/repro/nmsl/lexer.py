@@ -57,11 +57,12 @@ _TOKEN = re.compile(
 
 
 class SourceMap:
-    """Where the lines of one source text start, shared by its tokens."""
+    """One source text and where its lines start, shared by its tokens."""
 
-    __slots__ = ("filename", "line_starts")
+    __slots__ = ("text", "filename", "line_starts")
 
     def __init__(self, text: str, filename: str):
+        self.text = text
         self.filename = filename
         self.line_starts = [0]
         self.line_starts.extend(m.end() for m in re.finditer("\n", text))
@@ -131,10 +132,17 @@ class NmslToken:
 
 def tokenize(text: str, filename: str = "<nmsl>") -> List[NmslToken]:
     """Tokenize *text* fully, ending with the EOF token."""
-    source = SourceMap(text, filename)
+    return scan(SourceMap(text, filename), 0, len(text))
+
+
+def scan(source: SourceMap, pos: int, endpos: int) -> List[NmslToken]:
+    """The tokens of ``source.text[pos:endpos]``, ending with an EOF token
+    at *endpos*.  From a token boundary to one, they are exactly the
+    tokens :func:`tokenize` gives for that stretch of the whole text."""
+    text = source.text
     tokens: List[NmslToken] = []
     append = tokens.append
-    for match in _TOKEN.finditer(text):
+    for match in _TOKEN.finditer(text, pos, endpos):
         kind = match.lastgroup
         value = match[kind]
         end = match.end()
@@ -153,3 +161,13 @@ def tokenize(text: str, filename: str = "<nmsl>") -> List[NmslToken]:
                 message = "unterminated string"
             raise NmslSyntaxError(message, source.locate(end - 1))
     return tokens
+
+
+def read_token(source: SourceMap, pos: int) -> NmslToken:
+    """The one token that starts at or after *pos* (blanks skipped)."""
+    match = _TOKEN.match(source.text, pos)
+    kind = match.lastgroup
+    if kind == "BAD":
+        scan(source, pos, len(source.text))  # raises the lexer's error here
+    start = match.start(kind) - (kind == STRING)  # a string's opening quote
+    return NmslToken(kind, match[kind], source, start, match.end())

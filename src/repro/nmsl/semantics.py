@@ -14,7 +14,8 @@ found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -117,6 +118,8 @@ class SpecificationBuilder:
         self._extension_decltypes = tuple(extension_decltypes)
         self.report = BuildReport()
         self._spec = Specification()
+        #: (decltype, clause text) -> its parse (see :meth:`_memoized`).
+        self._memo: Dict[Tuple[str, str], object] = {}
 
     # ------------------------------------------------------------------
     # Top level.
@@ -211,24 +214,25 @@ class SpecificationBuilder:
     # ------------------------------------------------------------------
     def _build_process(self, declaration: Declaration) -> None:
         params = self._parse_params(declaration)
-        supports: List[str] = []
+        supports: Tuple[str, ...] = ()
         exports: List[ExportSpec] = []
         queries: List[QuerySpec] = []
         proxies: List[ProxySpec] = []
+        memoized = partial(self._memoized, declaration.decltype)
         for clause in declaration.clauses:
             keyword = clause.first_keyword()
             if keyword == "supports":
-                supports.extend(self._parse_supports(clause, "process"))
+                supports += memoized(clause, self._parse_supports, "process")
             elif keyword == "exports":
-                spec = self._parse_exports(clause, "process")
+                spec = memoized(clause, self._parse_exports, "process")
                 if spec is not None:
                     exports.append(spec)
             elif keyword == "queries":
-                spec = self._parse_queries(clause, declaration)
+                spec = memoized(clause, self._parse_queries, declaration)
                 if spec is not None:
                     queries.append(spec)
             elif keyword == "proxies":
-                spec = self._parse_proxies(clause)
+                spec = memoized(clause, self._parse_proxies)
                 if spec is not None:
                     proxies.append(spec)
             else:
@@ -237,7 +241,7 @@ class SpecificationBuilder:
             ProcessSpec(
                 name=declaration.name,
                 params=tuple(params),
-                supports=tuple(supports),
+                supports=supports,
                 exports=tuple(exports),
                 queries=tuple(queries),
                 proxies=tuple(proxies),
@@ -265,9 +269,9 @@ class SpecificationBuilder:
                 )
         return params
 
-    def _parse_supports(self, clause: GenericClause, decltype: str) -> List[str]:
+    def _parse_supports(self, clause: GenericClause, decltype: str) -> Tuple[str, ...]:
         subclauses = segment_clause(clause, decltype, self._table)
-        paths = self._vlist(subclauses[0])
+        paths = tuple(self._vlist(subclauses[0]))
         for path in paths:
             self._check_mib_path(path, clause.location)
         for stray in subclauses[1:]:
@@ -453,27 +457,27 @@ class SpecificationBuilder:
         opsys = ""
         opsys_version = ""
         interfaces: List[InterfaceSpec] = []
-        supports: List[str] = []
+        supports: Tuple[str, ...] = ()
         processes: List[ProcessInvocation] = []
+        memoized = partial(self._memoized, declaration.decltype)
         for clause in declaration.clauses:
             keyword = clause.first_keyword()
             if keyword == "cpu":
-                subclauses = segment_clause(clause, "system", self._table)
-                words = subclauses[0].words()
-                if len(words) != 1:
-                    self.report.error("cpu clause needs one value", clause.location)
-                else:
-                    cpu = words[0]
+                word = memoized(
+                    clause, self._parse_word, "system", "cpu clause needs one value"
+                )
+                if word is not None:
+                    cpu = word
             elif keyword == "interface":
-                interface = self._parse_interface(clause)
+                interface = memoized(clause, self._parse_interface)
                 if interface is not None:
                     interfaces.append(interface)
             elif keyword == "opsys":
-                opsys, opsys_version = self._parse_opsys(clause)
+                opsys, opsys_version = memoized(clause, self._parse_opsys)
             elif keyword == "supports":
-                supports.extend(self._parse_supports(clause, "system"))
+                supports += memoized(clause, self._parse_supports, "system")
             elif keyword == "process":
-                invocation = self._parse_invocation(clause, "system")
+                invocation = memoized(clause, self._parse_invocation, "system")
                 if invocation is not None:
                     processes.append(invocation)
             else:
@@ -485,7 +489,7 @@ class SpecificationBuilder:
                 interfaces=tuple(interfaces),
                 opsys=opsys,
                 opsys_version=opsys_version,
-                supports=tuple(supports),
+                supports=supports,
                 processes=tuple(processes),
                 location=declaration.location,
             )
@@ -543,12 +547,19 @@ class SpecificationBuilder:
                     f"speed unit must be 'bps', found {tokens[1].text!r}", location
                 )
             try:
-                return int(tokens[0].text)
+                speed = int(tokens[0].text)
             except ValueError:
                 self.report.error(
                     f"speed must be an integer, found {tokens[0].text!r}", location
                 )
                 return 0
+            if speed < 0:
+                self.report.error(
+                    f"speed must not be negative, found {tokens[0].text!r}",
+                    location,
+                )
+                return 0
+            return speed
         self.report.error("speed clause needs '<integer> bps'", location)
         return 0
 
@@ -611,32 +622,20 @@ class SpecificationBuilder:
         subdomains: List[str] = []
         processes: List[ProcessInvocation] = []
         exports: List[ExportSpec] = []
+        memoized = partial(self._memoized, declaration.decltype)
         for clause in declaration.clauses:
             keyword = clause.first_keyword()
-            if keyword == "system":
-                subclauses = segment_clause(clause, "domain", self._table)
-                words = subclauses[0].words()
-                if len(words) != 1:
-                    self.report.error(
-                        "system member clause needs one name", clause.location
-                    )
-                else:
-                    systems.append(words[0])
-            elif keyword == "domain":
-                subclauses = segment_clause(clause, "domain", self._table)
-                words = subclauses[0].words()
-                if len(words) != 1:
-                    self.report.error(
-                        "domain member clause needs one name", clause.location
-                    )
-                else:
-                    subdomains.append(words[0])
+            if keyword in ("system", "domain"):
+                complaint = f"{keyword} member clause needs one name"
+                name = memoized(clause, self._parse_word, "domain", complaint)
+                if name is not None:
+                    (systems if keyword == "system" else subdomains).append(name)
             elif keyword == "process":
-                invocation = self._parse_invocation(clause, "domain")
+                invocation = memoized(clause, self._parse_invocation, "domain")
                 if invocation is not None:
                     processes.append(invocation)
             elif keyword == "exports":
-                spec = self._parse_exports(clause, "domain")
+                spec = memoized(clause, self._parse_exports, "domain")
                 if spec is not None:
                     exports.append(spec)
             else:
@@ -653,8 +652,40 @@ class SpecificationBuilder:
         )
 
     # ------------------------------------------------------------------
-    # Shared subclause parsers.
+    # Shared clause and subclause parsers.
     # ------------------------------------------------------------------
+    def _memoized(self, decltype: str, clause: GenericClause, parse, *args):
+        """``parse(clause, *args)``, once per clause text in *decltype*.
+
+        Only a result that added no error or warning is kept; a later
+        clause of the same text gets it back, copied with its own
+        ``location`` when it has one.  That is exact: the parsers read
+        only the clause, the MIB tree and ``spec.types``, and types only
+        grow during a build, so a path known once stays known.
+        """
+        key = (decltype, clause.raw_text)
+        hit = self._memo.get(key)
+        if hit is not None:
+            if hasattr(hit, "location"):
+                return replace(hit, location=clause.location)
+            return hit
+        report = self.report
+        before = len(report.errors) + len(report.warnings)
+        result = parse(clause, *args)
+        if result is not None and before == len(report.errors) + len(report.warnings):
+            self._memo[key] = result
+        return result
+
+    def _parse_word(
+        self, clause: GenericClause, decltype: str, complaint: str
+    ) -> Optional[str]:
+        """The one word of a ``cpu``, ``system`` or ``domain`` clause."""
+        words = segment_clause(clause, decltype, self._table)[0].words()
+        if len(words) != 1:
+            self.report.error(complaint, clause.location)
+            return None
+        return words[0]
+
     def _vlist(self, subclause: Subclause) -> List[str]:
         tokens = join_wrapped_paths(subclause.tokens)
         return [token.text for token in tokens if token.kind in (WORD, STRING)]
@@ -828,23 +859,26 @@ class SpecificationBuilder:
             )
 
     def _check_domain_cycles(self) -> None:
-        spec = self._spec
-        state: Dict[str, int] = {}  # 0 visiting, 1 done
-
-        def visit(name: str, trail: List[str]) -> None:
-            if state.get(name) == 1:
-                return
-            if state.get(name) == 0:
-                cycle = " -> ".join(trail + [name])
-                self.report.error(f"domain containment cycle: {cycle}")
-                return
-            state[name] = 0
-            domain = spec.domains.get(name)
-            if domain is not None:
-                for sub in domain.subdomains:
-                    if sub in spec.domains:
-                        visit(sub, trail + [name])
-            state[name] = 1
-
-        for name in spec.domains:
-            visit(name, [])
+        """Depth first from each domain in turn, with an explicit stack:
+        a containment chain may be deeper than Python's recursion limit."""
+        domains = self._spec.domains
+        done: Dict[str, bool] = {}  # False while on the path, then True
+        for root in domains:
+            path: List[str] = []  # the domains being visited, outermost first
+            pending = [iter((root,))]
+            while pending:
+                for sub in pending[-1]:
+                    if sub not in domains or done.get(sub):
+                        continue
+                    if sub in done:
+                        cycle = " -> ".join(path + [sub])
+                        self.report.error(f"domain containment cycle: {cycle}")
+                        continue
+                    done[sub] = False
+                    path.append(sub)
+                    pending.append(iter(domains[sub].subdomains))
+                    break
+                else:
+                    pending.pop()
+                    if path:
+                        done[path.pop()] = True

@@ -11,7 +11,11 @@ relative paths, so two checkouts give comparable files::
 
 The corpus is :mod:`tests.consistency.test_differential`'s (seed 1989),
 written as NMSL text; two deliberately broken specs (a semantic error and
-a syntax error) cover the refusal paths of every subcommand.
+a syntax error) cover the refusal paths of every subcommand.  The
+``edge-*`` specs are the paper example rewritten to reach the parser's
+token-by-token path: comments and strings holding ``;`` or ``--`` inside
+clauses, CRLF line ends, ``\x0c``/``\x1c`` blanks, non-ASCII text, and a
+lexical error after a syntax error.
 """
 
 import contextlib
@@ -33,6 +37,27 @@ BROKEN = {
 }
 
 
+def edge_specs(paper: str):
+    """Front-end edge cases, each the paper example with one rewrite."""
+    return {
+        "edge-comments.nmsl": paper.replace(
+            "supports\n", "supports -- a comment; inside a clause\n"
+        ).replace("requests\n", 'requests -- "quoted"; (paren --\n'),
+        "edge-strings.nmsl": paper.replace(
+            "version 4.0.1;", 'version "4.0.1; -- (beta)";'
+        ).replace("cpu sparc;", 'cpu "sparc;--";'),
+        "edge-crlf.nmsl": paper.replace("\n", "\r\n"),
+        "edge-blanks.nmsl": paper.replace("\n    ", "\n\x0c \x1c "),
+        "edge-nonascii.nmsl": paper.replace(
+            "-- entire MIB subtree", "-- tout le sous-arbre, é λ"
+        ).replace("cpu sparc;", 'cpu "spärc";', 1),
+        "edge-nonascii-bad.nmsl": paper.replace("cpu sparc;", "cpu spärc;", 1),
+        "edge-lex-after-syntax.nmsl": paper.replace(
+            "access ReadOnly;", "access ReadOnly;;", 1
+        ) + "process x ::= supports @; end process x.\n",
+    }
+
+
 def _write_specs(specs: Path):
     """The example and corpus specs under *specs*; returns the corpus names."""
     from repro.workloads.generator import SyntheticInternet
@@ -46,6 +71,10 @@ def _write_specs(specs: Path):
     )
     for name, text in BROKEN.items():
         (specs / name).write_text(text, encoding="utf-8")
+    paper = (ROOT / "examples" / EXAMPLES[1]).read_text(encoding="utf-8")
+    for name, text in edge_specs(paper).items():
+        with open(specs / name, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     corpus = []
     for number, parameters in enumerate(_corpus()):
         name = f"spec{number:02d}.nmsl"
@@ -102,6 +131,9 @@ def commands(corpus):
         yield ["heal", broken]
         yield ["verify-runtime", broken]
         yield ["profile", broken]
+    for edge in edge_specs(""):
+        yield [edge, "--check", "--output", "BartsSnmpd"]
+        yield ["analyze", edge, "--format", "json"]
     previous = campus
     for number, spec in enumerate(corpus):
         yield [spec, "--check"]

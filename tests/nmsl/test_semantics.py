@@ -199,6 +199,54 @@ class TestSemanticErrors:
             "cycle",
         )
 
+    def test_domain_cycle_messages(self, compiler):
+        result = compiler.compile(
+            "domain a ::= domain b; end domain a. "
+            "domain b ::= domain c; end domain b. "
+            "domain c ::= domain a; domain d; end domain c. "
+            "domain d ::= domain d; end domain d.",
+            strict=False,
+        )
+        assert [error.message for error in result.report.errors] == [
+            "domain containment cycle: a -> b -> c -> a",
+            "domain containment cycle: a -> b -> c -> d -> d",
+        ]
+
+    def test_deep_containment_chain(self, compiler):
+        """Deeper than the recursion limit: the walk keeps its own stack."""
+        depth = 5_000
+        chain = "".join(
+            f"domain d{i} ::= domain d{i + 1}; end domain d{i}.\n"
+            for i in range(depth - 1)
+        )
+        leaf = f"domain d{depth - 1} ::= system s; end domain d{depth - 1}.\n"
+        system = "system s ::= cpu x; end system s.\n"
+        result = compiler.compile(chain + leaf + system)
+        assert not result.report.errors
+        assert len(result.specification.domains) == depth
+        closed = f"domain d{depth - 1} ::= domain d0; end domain d{depth - 1}.\n"
+        (error,) = compiler.compile(chain + closed, strict=False).report.errors
+        names = " -> ".join(f"d{i}" for i in range(depth))
+        assert error.message == f"domain containment cycle: {names} -> d0"
+
+    @pytest.mark.parametrize("speed", ["-10000000", "-1"])
+    def test_negative_interface_speed(self, compiler, speed):
+        result = compiler.compile(
+            "system s ::=\n  cpu x;\n"
+            f"  interface ie0 net n type ethernet speed {speed} bps;\n"
+            "end system s.",
+            strict=False,
+        )
+        (error,) = result.report.errors
+        assert error.message == f"speed must not be negative, found {speed!r}"
+        assert (error.location.line, error.location.column) == (3, 3)
+
+    def test_zero_speed_means_undeclared(self, compiler):
+        result = compiler.compile(
+            "system s ::= cpu x; interface ie0 net n speed 0 bps; end system s."
+        )
+        assert result.specification.systems["s"].total_speed_bps() == 0
+
     def test_query_target_not_param_or_process(self, compiler):
         self.fails_with(
             compiler,

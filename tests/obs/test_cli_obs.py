@@ -7,6 +7,8 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.nmsl.generic import parse_generic
+from repro.nmsl.lexer import tokenize
 from repro.workloads.scenarios import campus_internet
 
 FOREIGN_EXPORT_SPEC = """
@@ -53,13 +55,19 @@ class TestTraceAndMetricsFlags:
         assert {
             "compile",
             "compile.pass1",
-            "compile.lex",
             "compile.pass2",
             "consistency.check",
         } <= names
-        (lex,) = (event for event in events if event["name"] == "compile.lex")
-        assert lex["args"]["bytes"] == len(campus_file.read_bytes())
-        assert lex["args"]["tokens"] > 100
+        assert "compile.lex" not in names  # pass 1 lexes as it goes
+        (pass1,) = (e for e in events if e["name"] == "compile.pass1")
+        assert pass1["args"]["bytes"] == len(campus_file.read_bytes())
+        assert pass1["args"]["clauses"] == sum(
+            len(declaration.clauses)
+            for declaration in parse_generic(campus_file.read_text())
+        )
+        # Plain clauses are taken whole: fewer tokens than the lexer makes.
+        lexed = len(tokenize(campus_file.read_text()))
+        assert 100 < pass1["args"]["tokens"] < lexed
         for event in events:
             assert {"name", "ph", "pid", "tid", "ts"} <= set(event)
         assert "wrote chrome trace" in capsys.readouterr().err
@@ -153,8 +161,8 @@ class TestProfileSubcommand:
         rows = [line.split()[0] for line in out.splitlines() if "%" in line]
         assert {"compile", "compile.pass2", "consistency.check"} <= set(rows)
         assert rows.index("compile") < rows.index("compile.pass1")
-        assert rows[rows.index("compile.pass1") + 1] == "compile.lex"
-        assert re.search(r"^      compile\.lex\s", out, re.M)
+        assert re.search(r"^    compile\.pass1\s", out, re.M)
+        assert "compile.lex" not in rows
         assert "keyword dispatch (pass 2):" in out
         assert re.search(r"process\s+3", out)
 

@@ -18,7 +18,9 @@ _PLAIN_ATOM_CHARS = set("abcdefghijklmnopqrstuvwxyz"
                         "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
-def _atom_text(name: str) -> str:
+def atom_text(name: str) -> str:
+    """*name* as an atom: bare when plain, else quoted, ``\\`` and ``'``
+    escaped."""
     if name and name[0].islower() and set(name) <= _PLAIN_ATOM_CHARS:
         return name
     escaped = name.replace("\\", "\\\\").replace("'", "\\'")
@@ -28,7 +30,7 @@ def _atom_text(name: str) -> str:
 def to_prolog(term: Term) -> str:
     """Render *term* as parseable Prolog text."""
     if isinstance(term, Atom):
-        return _atom_text(term.name)
+        return atom_text(term.name)
     if isinstance(term, Num):
         value: Fraction = term.value
         if value.denominator == 1:
@@ -41,7 +43,7 @@ def to_prolog(term: Term) -> str:
         return name
     if isinstance(term, Struct):
         args = ", ".join(to_prolog(arg) for arg in term.args)
-        return f"{_atom_text(term.functor)}({args})"
+        return f"{atom_text(term.functor)}({args})"
     raise TypeError(f"cannot render {term!r}")
 
 

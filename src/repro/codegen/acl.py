@@ -9,7 +9,7 @@ SNMP daemons.  Columns are tab-separated::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.nmsl.actions import OutputContext, OutputRegistry
 from repro.nmsl.outputs import _facts
@@ -20,41 +20,41 @@ ACL_TAG = "acl-table"
 HEADER = "grantor\tgrantee\tvariables\taccess\tmin-period-seconds"
 
 
-def _rows_for_grantor(context: OutputContext, grantor_prefix: str) -> List[str]:
-    facts = _facts(context)
-    rows = []
-    for permission in facts.permissions:
-        if not permission.grantor.startswith(grantor_prefix):
-            continue
-        rows.append(
-            "\t".join(
-                (
-                    permission.grantor,
-                    permission.grantee_domain,
-                    ",".join(permission.variables),
-                    permission.access.value,
-                    f"{permission.frequency.min_period:g}",
-                )
+def _rows(context: OutputContext, grantors) -> Optional[str]:
+    """The rows of *grantors*' permissions, each grantor's in order."""
+    by_grantor = _facts(context).permissions_by_grantor()
+    rows = [
+        "\t".join(
+            (
+                permission.grantor,
+                permission.grantee_domain,
+                ",".join(permission.variables),
+                permission.access.value,
+                f"{permission.frequency.min_period:g}",
             )
         )
-    return rows
+        for grantor in grantors
+        for permission in by_grantor.get(grantor, ())
+    ]
+    return "\n".join(rows) if rows else None
 
 
 def acl_process_action(context: OutputContext, spec: ProcessSpec) -> Optional[str]:
     if not spec.exports:
         return None
-    facts = _facts(context)
-    rows = []
-    for instance in facts.instances_of_process(spec.name):
-        rows.extend(_rows_for_grantor(context, f"instance:{instance.id}"))
-    return "\n".join(rows) if rows else None
+    return _rows(
+        context,
+        (
+            f"instance:{instance.id}"
+            for instance in _facts(context).instances_of_process(spec.name)
+        ),
+    )
 
 
 def acl_domain_action(context: OutputContext, spec: DomainSpec) -> Optional[str]:
     if not spec.exports:
         return None
-    rows = _rows_for_grantor(context, f"domain:{spec.name}")
-    return "\n".join(rows) if rows else None
+    return _rows(context, (f"domain:{spec.name}",))
 
 
 def register_acl_outputs(registry: OutputRegistry) -> None:

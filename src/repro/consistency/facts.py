@@ -1,13 +1,16 @@
 """Fact generation: from a typed Specification to consistency relations.
 
-This is the compiler's "consistency output" (paper Section 3.2/6.2) in two
-forms:
+This is the compiler's "consistency output" (paper Section 3.2/6.2):
 
 * Python objects (:class:`FactSet`) — instances, containment, references
   and permissions — consumed by the checker;
-* CLP(R) program text (:meth:`FactSet.to_clpr_text`) — the literal
-  "statements of a logic programming language" handed to the CLP(R)
-  engine by the faithful ``clpr`` oracle.
+* the base facts (:meth:`FactSet.base_facts`), one walk that yields each
+  fact with the declaration that made it.  It is rendered as CLP(R)
+  program text (:meth:`FactSet.to_clpr_text`) — the literal "statements
+  of a logic programming language" the faithful ``clpr`` oracle hands
+  its engine — as tuples for the ``datalog`` oracle
+  (:meth:`FactSet.to_tuples`), and per declaration by the
+  ``consistency`` output actions.
 
 Instantiation: every ``process`` clause of a system or domain creates an
 *instance* with a unique id (``instan(X, Y, Z)`` of Figure 4.9).
@@ -21,12 +24,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
+from repro.clpr.pretty import atom_text
 from repro.mib.tree import MibTree
 from repro.mib.view import MibView
-from repro.nmsl.frequency import FrequencySpec
 from repro.nmsl.specs import WILDCARD, ProcessSpec, Specification
 from repro.consistency.relations import Permission, Reference, access_atom
 
@@ -148,7 +151,7 @@ class FactPatch:
 
 @dataclass
 class FactSet:
-    """Everything the checker needs, plus CLP(R) rendering."""
+    """Everything the checker needs, plus the base facts' renderings."""
 
     specification: Specification
     tree: MibTree
@@ -194,8 +197,8 @@ class FactSet:
         """``contains/2`` edges parent -> child, entities named as
         ``domain:<name>``, ``system:<name>``, ``instance:<id>``.
 
-        Only the CLP(R) and tuple renderings read the edges (the checker
-        asks :meth:`domains_of`), so the list is built on first use.
+        Only :meth:`base_facts` reads the edges (the checker asks
+        :meth:`domains_of`), so the list is built on first use.
         """
         edges: List[Tuple[str, str]] = []
         for domain in self.specification.domains.values():
@@ -616,97 +619,117 @@ class FactSet:
             )
 
     # ------------------------------------------------------------------
-    # CLP(R) text rendering (the paper's consistency output format).
+    # The base facts (the paper's consistency output) and their two
+    # renderings: CLP(R) text and the datalog engine's tuples.
     # ------------------------------------------------------------------
-    def to_clpr_text(self) -> str:
-        lines: List[str] = ["% NMSL consistency output (compiler-generated facts)"]
+    def base_facts(self) -> Iterator[Tuple[Optional[Tuple[str, str]], tuple]]:
+        """Every base fact once, as ``(owner, fact)``, in text order.
+
+        A *fact* is a tuple ``(functor, *args)`` whose tagged entities
+        are ``(tag, name)`` pairs and whose periods stay numeric.  Its
+        *owner* is the ``(table, name)`` of the declaration that made
+        it: the process of a ``proc_*`` or ``proxy_for`` fact, the system
+        or domain owning an instance, the system of a ``system_supports``
+        or ``speed`` fact, the parent of a ``contains`` edge, the domain
+        of a ``dom_export``; ``None`` for the whole-specification
+        ``data_covers`` and ``access_covers`` facts.
+        """
         spec = self.specification
         for name, process in sorted(spec.processes.items()):
+            owner = ("processes", name)
             for path in process.supports:
-                lines.append(f"proc_supports({_atom(name)}, {_atom(path)}).")
+                yield owner, ("proc_supports", name, path)
             for export in process.exports:
+                access = access_atom(export.access)
+                period = export.frequency.min_period
                 for path in export.variables:
-                    lines.append(
-                        "proc_export("
-                        f"{_atom(name)}, {_atom(export.to_domain)}, {_atom(path)}, "
-                        f"{access_atom(export.access)}, "
-                        f"{_period(export.frequency)})."
+                    yield owner, (
+                        "proc_export", name, export.to_domain, path, access,
+                        period,
                     )
+            params = process.param_names()
             for query in process.queries:
-                target = self._render_target(process, query.target)
+                target = (
+                    ("param", params.index(query.target))
+                    if query.target in params else ("proc", query.target)
+                )
+                access = access_atom(query.access)
+                period = query.frequency.min_period
                 for path in query.requests:
-                    lines.append(
-                        "proc_query("
-                        f"{_atom(name)}, {target}, {_atom(path)}, "
-                        f"{access_atom(query.access)}, "
-                        f"{_period(query.frequency)})."
+                    yield owner, (
+                        "proc_query", name, target, path, access, period
                     )
             for proxy in process.proxies:
-                lines.append(
-                    "proxy_for("
-                    f"{_atom(name)}, system({_atom(proxy.target_system)}), "
-                    f"{_atom(proxy.protocol or 'direct')})."
+                yield owner, (
+                    "proxy_for", name, ("system", proxy.target_system),
+                    proxy.protocol or "direct",
                 )
         for instance in self.instances:
-            lines.append(
-                "instance("
-                f"{_atom(instance.id)}, {_atom(instance.owner)}, "
-                f"{_atom(instance.process_name)})."
+            owner = (_TABLES[instance.owner_kind], instance.owner)
+            yield owner, (
+                "instance", instance.id, instance.owner, instance.process_name
             )
             for index, arg in enumerate(instance.args):
                 if arg == WILDCARD:
                     continue
                 value = str(arg)
                 if value in spec.systems:
-                    rendered = f"system({_atom(value)})"
+                    tag = "system"
                 elif value in spec.processes:
-                    rendered = f"proc({_atom(value)})"
+                    tag = "proc"
                 elif value in spec.domains:
-                    rendered = f"domain({_atom(value)})"
+                    tag = "domain"
                 else:
-                    rendered = f"val({_atom(value)})"
-                lines.append(
-                    f"inst_arg({_atom(instance.id)}, {index}, {rendered})."
-                )
+                    tag = "val"
+                yield owner, ("inst_arg", instance.id, index, (tag, value))
         for system_name, view in sorted(self.system_supports.items()):
             for path in sorted(view.paths()):
-                lines.append(
-                    f"system_supports({_atom(system_name)}, {_atom(path)})."
+                yield ("systems", system_name), (
+                    "system_supports", system_name, path
                 )
         for system in spec.systems.values():
             for interface in system.interfaces:
-                lines.append(
-                    f"speed({_atom(system.name)}, {interface.speed_bps})."
+                yield ("systems", system.name), (
+                    "speed", system.name, interface.speed_bps
                 )
         for parent, child in self.containment:
-            lines.append(f"contains({_entity(parent)}, {_entity(child)}).")
+            kind, _sep, name = parent.partition(":")
+            child_kind, _sep, child_name = child.partition(":")
+            yield (_TABLES[kind], name), (
+                "contains", (kind, name), (child_kind, child_name)
+            )
         for domain in spec.domains.values():
+            owner = ("domains", domain.name)
             for export in domain.exports:
+                access = access_atom(export.access)
+                period = export.frequency.min_period
                 for path in export.variables:
-                    lines.append(
-                        "dom_export("
-                        f"{_atom(domain.name)}, {_atom(export.to_domain)}, "
-                        f"{_atom(path)}, {access_atom(export.access)}, "
-                        f"{_period(export.frequency)})."
+                    yield owner, (
+                        "dom_export", domain.name, export.to_domain, path,
+                        access, period,
                     )
-        lines.extend(self._data_containment_facts())
-        lines.extend(_ACCESS_COVER_FACTS)
+        for parent, child in self._data_containment_pairs():
+            yield None, ("data_covers", parent, child)
+        for broad, narrow in _ACCESS_COVER_PAIRS:
+            yield None, ("access_covers", broad, narrow)
+
+    def to_clpr_text(self) -> str:
+        """The base facts as CLP(R) program text, one fact a line."""
+        lines = ["% NMSL consistency output (compiler-generated facts)"]
+        lines.extend(clpr_fact(fact) for _owner, fact in self.base_facts())
         return "\n".join(lines) + "\n"
 
-    def _render_target(self, process: ProcessSpec, target: str) -> str:
-        names = process.param_names()
-        if target in names:
-            return f"param({names.index(target)})"
-        return f"proc({_atom(target)})"
-
-    def _data_containment_facts(self) -> List[str]:
-        """``data_covers(Parent, Child)`` for every mentioned path pair."""
+    def to_tuples(self) -> List[tuple]:
+        """The base facts as tuples, for
+        :func:`repro.consistency.seminaive.seminaive_fixpoint`: no text
+        round-trip, no parser.  The ``speed`` facts are left out — no
+        consistency rule reads them."""
         return [
-            f"data_covers({_atom(parent)}, {_atom(child)})."
-            for parent, child in self._data_containment_pairs()
+            fact for _owner, fact in self.base_facts() if fact[0] != "speed"
         ]
 
     def _data_containment_pairs(self) -> List[Tuple[str, str]]:
+        """``data_covers(Parent, Child)`` for every mentioned path pair."""
         mentioned: Set[str] = set()
         spec = self.specification
         for process in spec.processes.values():
@@ -729,89 +752,9 @@ class FactSet:
                     pairs.append((parent, child))
         return pairs
 
-    # ------------------------------------------------------------------
-    # Tuple rendering (the semi-naive datalog engine's native format).
-    # ------------------------------------------------------------------
-    def to_tuples(self) -> List[tuple]:
-        """The same base facts as :meth:`to_clpr_text`, as plain tuples.
 
-        Feeds :func:`repro.consistency.seminaive.seminaive_fixpoint`
-        directly — no text round-trip, no parser.  Schemas mirror the
-        CLP(R) rendering exactly (tagged entities become ``(tag, name)``
-        pairs, periods stay numeric) except that the ``speed`` facts are
-        omitted: no consistency rule reads them.
-        """
-        facts: List[tuple] = []
-        spec = self.specification
-        for name, process in sorted(spec.processes.items()):
-            for path in process.supports:
-                facts.append(("proc_supports", name, path))
-            for export in process.exports:
-                access = access_atom(export.access)
-                period = export.frequency.min_period
-                for path in export.variables:
-                    facts.append(
-                        ("proc_export", name, export.to_domain, path,
-                         access, period)
-                    )
-            for query in process.queries:
-                target = self._target_tuple(process, query.target)
-                access = access_atom(query.access)
-                period = query.frequency.min_period
-                for path in query.requests:
-                    facts.append(
-                        ("proc_query", name, target, path, access, period)
-                    )
-            for proxy in process.proxies:
-                facts.append(
-                    ("proxy_for", name, ("system", proxy.target_system),
-                     proxy.protocol or "direct")
-                )
-        for instance in self.instances:
-            facts.append(
-                ("instance", instance.id, instance.owner,
-                 instance.process_name)
-            )
-            for index, arg in enumerate(instance.args):
-                if arg == WILDCARD:
-                    continue
-                value = str(arg)
-                if value in spec.systems:
-                    tag = "system"
-                elif value in spec.processes:
-                    tag = "proc"
-                elif value in spec.domains:
-                    tag = "domain"
-                else:
-                    tag = "val"
-                facts.append(("inst_arg", instance.id, index, (tag, value)))
-        for system_name, view in sorted(self.system_supports.items()):
-            for path in sorted(view.paths()):
-                facts.append(("system_supports", system_name, path))
-        for parent, child in self.containment:
-            facts.append(
-                ("contains", _entity_tuple(parent), _entity_tuple(child))
-            )
-        for domain in spec.domains.values():
-            for export in domain.exports:
-                access = access_atom(export.access)
-                period = export.frequency.min_period
-                for path in export.variables:
-                    facts.append(
-                        ("dom_export", domain.name, export.to_domain, path,
-                         access, period)
-                    )
-        for parent, child in self._data_containment_pairs():
-            facts.append(("data_covers", parent, child))
-        facts.extend(ACCESS_COVER_TUPLES)
-        return facts
-
-    def _target_tuple(self, process: ProcessSpec, target: str) -> tuple:
-        names = process.param_names()
-        if target in names:
-            return ("param", names.index(target))
-        return ("proc", target)
-
+#: An owner kind's declaration table.
+_TABLES = {"system": "systems", "domain": "domains"}
 
 _ACCESS_COVER_PAIRS = [
     ("any", "readonly"),
@@ -830,37 +773,20 @@ _ACCESS_COVER_PAIRS = [
     ("none", "none"),
 ]
 
-ACCESS_COVER_TUPLES = [
-    ("access_covers", broad, narrow) for broad, narrow in _ACCESS_COVER_PAIRS
-]
+
+def clpr_fact(fact: tuple) -> str:
+    """One base fact as a CLP(R) clause: ``functor(arg, ...).``"""
+    return _term(fact) + "."
 
 
-def _entity_tuple(tagged: str) -> tuple:
-    kind, _sep, name = tagged.partition(":")
-    return (kind, name)
-
-
-_ACCESS_COVER_FACTS = [
-    f"access_covers({broad}, {narrow})." for broad, narrow in _ACCESS_COVER_PAIRS
-]
-
-
-def _atom(text) -> str:
-    text = str(text)
-    if text and text[0].islower() and all(
-        ch.isalnum() or ch == "_" for ch in text
-    ):
-        return text
-    return f"'{text}'"
-
-
-def _entity(tagged: str) -> str:
-    kind, _sep, name = tagged.partition(":")
-    return f"{kind}({_atom(name)})"
-
-
-def _period(frequency: FrequencySpec) -> str:
-    value = frequency.min_period
+def _term(value) -> str:
+    """A tuple as a compound term, a string as an atom, a number as an
+    integer when it is integral (periods are floats)."""
+    if isinstance(value, tuple):
+        functor, *args = value
+        return f"{atom_text(functor)}({', '.join(map(_term, args))})"
+    if isinstance(value, str):
+        return atom_text(value)
     if value == int(value):
         return str(int(value))
     return str(value)

@@ -15,7 +15,11 @@ a syntax error) cover the refusal paths of every subcommand.  The
 ``edge-*`` specs are the paper example rewritten to reach the parser's
 token-by-token path: comments and strings holding ``;`` or ``--`` inside
 clauses, CRLF line ends, ``\x0c``/``\x1c`` blanks, non-ASCII text, and a
-lexical error after a syntax error.
+lexical error after a syntax error.  Two more rewrite the campus example
+for the fact renderings: ``edge-quote`` names a system ``gw.cs.o'neil.edu``
+(the CLP(R) text must escape the quote), ``edge-prefix`` adds an
+exporting domain ``cs`` beside ``cs-domain`` and eleven agents on one
+element (``#1`` beside ``#10``), so no grantor is a prefix match.
 """
 
 import contextlib
@@ -37,8 +41,23 @@ BROKEN = {
 }
 
 
-def edge_specs(paper: str):
-    """Front-end edge cases, each the paper example with one rewrite."""
+#: Appended to the campus example by ``edge-prefix``.
+PREFIX_DOMAIN = """
+domain cs ::=
+    exports mgmt.mib.system to noc-domain
+        access ReadOnly
+        frequency >= 5 minutes;
+end domain cs.
+"""
+
+
+def edge_specs():
+    """Edge cases, each an example with one rewrite."""
+    from tests.consistency.test_differential import quoted_campus
+
+    paper = (ROOT / "examples" / EXAMPLES[1]).read_text(encoding="utf-8")
+    campus = (ROOT / "examples" / EXAMPLES[0]).read_text(encoding="utf-8")
+    agents = '    process snmpAgent;\nend system "noc.campus.edu".'
     return {
         "edge-comments.nmsl": paper.replace(
             "supports\n", "supports -- a comment; inside a clause\n"
@@ -55,6 +74,10 @@ def edge_specs(paper: str):
         "edge-lex-after-syntax.nmsl": paper.replace(
             "access ReadOnly;", "access ReadOnly;;", 1
         ) + "process x ::= supports @; end process x.\n",
+        "edge-quote.nmsl": quoted_campus(),
+        "edge-prefix.nmsl": campus.replace(
+            agents, "    process snmpAgent;\n" * 10 + agents
+        ) + PREFIX_DOMAIN,
     }
 
 
@@ -71,8 +94,7 @@ def _write_specs(specs: Path):
     )
     for name, text in BROKEN.items():
         (specs / name).write_text(text, encoding="utf-8")
-    paper = (ROOT / "examples" / EXAMPLES[1]).read_text(encoding="utf-8")
-    for name, text in edge_specs(paper).items():
+    for name, text in edge_specs().items():
         with open(specs / name, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     corpus = []
@@ -131,9 +153,13 @@ def commands(corpus):
         yield ["heal", broken]
         yield ["verify-runtime", broken]
         yield ["profile", broken]
-    for edge in edge_specs(""):
+    for edge in edge_specs():
         yield [edge, "--check", "--output", "BartsSnmpd"]
         yield ["analyze", edge, "--format", "json"]
+    for edge in ("edge-quote.nmsl", "edge-prefix.nmsl"):
+        yield [edge, "--check", "--engine", "clpr"]
+        for tag in ("acl-table", "consistency"):
+            yield [edge, "--output", tag]
     previous = campus
     for number, spec in enumerate(corpus):
         yield [spec, "--check"]

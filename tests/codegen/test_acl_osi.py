@@ -1,7 +1,10 @@
 """Tests for the acl-table and osi output types."""
 
+from collections import Counter
+
 import pytest
 
+from repro.consistency.facts import FactGenerator
 from repro.nmsl.compiler import NmslCompiler
 from repro.workloads.paper import PAPER_SPEC_TEXT
 from repro.workloads.scenarios import campus_internet
@@ -38,6 +41,38 @@ class TestAclTable:
         compiler, result = compiled
         bundle = compiler.generate("acl-table", result)
         assert bundle.unit_for("snmpaddr") is None
+
+
+def test_each_grant_once_under_its_own_grantor():
+    """Grantors are read by exact key: domain ``cs`` beside
+    ``cs-domain``, and ``snmpAgent@noc.campus.edu#1`` beside ``#10`` and
+    ``#11``, each list only their own grants."""
+    from tests.cli_sweep import edge_specs
+
+    compiler = NmslCompiler()
+    result = compiler.compile(edge_specs()["edge-prefix.nmsl"])
+    facts = FactGenerator(result.specification, compiler.tree).generate()
+    bundle = compiler.generate("acl-table", result)
+    rows = [
+        (unit, row.split("\t")[0])
+        for unit in bundle.units
+        for row in unit.text.splitlines()
+    ]
+    assert Counter(grantor for _unit, grantor in rows) == Counter(
+        permission.grantor for permission in facts.permissions
+    )
+    for unit, grantor in rows:
+        if unit.decltype == "domain":
+            assert grantor == f"domain:{unit.name}"
+        else:
+            assert grantor in {
+                f"instance:{instance.id}"
+                for instance in facts.instances_of_process(unit.name)
+            }
+    assert [grantor for unit, grantor in rows if unit.name == "cs"] == [
+        "domain:cs"
+    ]
+    assert len(facts.instances_on_system("noc.campus.edu")) == 11
 
 
 class TestOsi:

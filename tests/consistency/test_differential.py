@@ -3,8 +3,9 @@
 The indexed/incremental checker is only trustworthy if it keeps agreeing
 with the faithful path of paper Figure 3.1.  This suite draws a seeded
 corpus of ≥50 synthetic internets (reusing
-:class:`repro.workloads.generator.SyntheticInternet`) and asserts, for
-every spec and every oracle registered in
+:class:`repro.workloads.generator.SyntheticInternet`), adds the campus
+example with a system named ``gw.cs.o'neil.edu`` (engine agreement
+only), and asserts, for every spec and every oracle registered in
 :data:`repro.consistency.oracles.ORACLES`:
 
 * the oracle returns the checker's consistent/inconsistent verdict;
@@ -28,6 +29,7 @@ of :mod:`repro.consistency.oracles`).
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,7 @@ CORPUS_SIZE = 50
 CORPUS_SEED = 1989
 
 _COMPILER = NmslCompiler(CompilerOptions(register_codegen=False))
+_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _draw_parameters(rng: random.Random) -> InternetParameters:
@@ -80,13 +83,27 @@ def _corpus():
     return [_draw_parameters(rng) for _ in range(CORPUS_SIZE)]
 
 
+def quoted_campus() -> str:
+    """``examples/campus.nmsl`` with a system named ``gw.cs.o'neil.edu``:
+    the quote has to survive the CLP(R) fact text."""
+    text = (_ROOT / "examples" / "campus.nmsl").read_text(encoding="utf-8")
+    quoted = '"gw.cs.o\'neil.edu"'
+    return text.replace('"gw.cs.campus.edu"', quoted).replace(
+        "gw.cs.campus.edu", quoted
+    )
+
+
 @pytest.mark.parametrize(
     "parameters",
-    _corpus(),
-    ids=[f"spec{i:02d}" for i in range(CORPUS_SIZE)],
+    [*_corpus(), quoted_campus()],
+    ids=[*(f"spec{i:02d}" for i in range(CORPUS_SIZE)), "campus-quote"],
 )
 def test_engines_agree(parameters):
-    specification = SyntheticInternet(parameters).specification()
+    """*parameters* draw a synthetic internet, or are NMSL text."""
+    if isinstance(parameters, str):
+        specification = _COMPILER.compile(parameters).specification
+    else:
+        specification = SyntheticInternet(parameters).specification()
     tree = _COMPILER.tree
 
     indexed = ConsistencyChecker(specification, tree).check()

@@ -1,22 +1,27 @@
-"""The ``consistency`` output: one render, every line bucketed by owner.
+"""The ``consistency`` output: every fact line once, under its declaration.
 
-Each basic consistency action emits the lines of the CLP(R) fact text
-that belong to its declaration.  The actions used to re-render the whole
-text and filter every line of it once per declaration — quadratic, about
-110 minutes at 1,000 domains.  Now the text is rendered once per output
-context and its lines are bucketed by owner in one pass.  That filter is
-kept below as the reference the buckets are held to, per declaration
-and byte for byte, including names that make its substring tests match
-in unexpected places.
+Each basic consistency action emits the CLP(R) fact lines its
+declaration produced; the ``*`` epilogue emits the whole-specification
+ones.  The units are held to three properties against the fact text:
+
+* together they are exactly the text's fact lines, each as often as the
+  text has it — nothing dropped, nothing twice;
+* each line sits under the declaration that produced it, read here from
+  the parsed term: a process's ``proc_*``/``proxy_for`` facts, the
+  system or domain whose ``contains`` edge holds an instance (for its
+  ``instance``/``inst_arg`` facts), a system's ``system_supports`` and
+  ``speed``, a ``contains`` edge's parent, a domain's ``dom_export``;
+* within a unit, lines keep their text order.
 """
 
 import dataclasses
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.consistency.facts import _atom
+from repro.clpr.program import parse_clauses
 from repro.nmsl.actions import OutputContext
 from repro.nmsl.compiler import NmslCompiler
 from repro.nmsl.outputs import (
@@ -33,72 +38,84 @@ from tests.consistency.test_differential import _corpus
 _ROOT = Path(__file__).resolve().parents[2]
 _COMPILER = NmslCompiler()
 
-
-def _select(text, pairs):
-    """Lines matching any (prefix, needle) pair."""
-    lines = []
-    for line in text.splitlines():
-        for prefix, needle in pairs:
-            if line.startswith(prefix) and needle in line:
-                lines.append(line)
-                break
-    return "\n".join(lines)
-
-
-def _reference_pairs(kind, spec):
-    name = _atom(spec.name)
-    if kind == "process":
-        return (
-            ("proc_supports(", f"proc_supports({name},"),
-            ("proc_export(", f"proc_export({name},"),
-            ("proc_query(", f"proc_query({name},"),
-        )
-    if kind == "system":
-        return (
-            ("instance(", f", {name},"),
-            ("inst_arg(", f"@{spec.name}#"),
-            ("system_supports(", f"system_supports({name},"),
-            ("speed(", f"speed({name},"),
-            ("contains(system", f"contains(system({name})"),
-        )
-    return (
-        ("contains(domain", f"contains(domain({name}),"),
-        ("dom_export(", f"dom_export({name},"),
-    )
-
-
 _ACTIONS = (
-    ("process", "processes", consistency_process_action),
-    ("system", "systems", consistency_system_action),
-    ("domain", "domains", consistency_domain_action),
+    ("processes", consistency_process_action),
+    ("systems", consistency_system_action),
+    ("domains", consistency_domain_action),
 )
 
+_TABLES = {"system": "systems", "domain": "domains"}
 
-def _assert_matches_reference(specification):
+
+def _owners(lines):
+    """The ``(table, name)`` owner of each fact line (``None``: the
+    epilogue's), read from its parsed term."""
+    terms = [clause.head for clause in parse_clauses("\n".join(lines))]
+    assert len(terms) == len(lines)
+    # An instance belongs to the system or domain its contains edge names.
+    holder = {
+        term.args[1].args[0].name: (
+            _TABLES[term.args[0].functor], term.args[0].args[0].name
+        )
+        for term in terms
+        if term.functor == "contains" and term.args[1].functor == "instance"
+    }
+    owners = []
+    for term in terms:
+        functor, first = term.functor, term.args[0]
+        if functor.startswith("proc_") or functor == "proxy_for":
+            owners.append(("processes", first.name))
+        elif functor in ("instance", "inst_arg"):
+            owners.append(holder[first.name])
+        elif functor in ("system_supports", "speed"):
+            owners.append(("systems", first.name))
+        elif functor == "contains":
+            owners.append((_TABLES[first.functor], first.args[0].name))
+        elif functor == "dom_export":
+            owners.append(("domains", first.name))
+        else:
+            assert functor in ("data_covers", "access_covers"), functor
+            owners.append(None)
+    return owners
+
+
+def _units(specification):
+    """The consistency output's units, by owner, and the fact text."""
     context = OutputContext(
         specification=specification, options={"tree": _COMPILER.tree}
     )
-    full = _facts(context).to_clpr_text()
-    emitted = 0
-    for kind, table, action in _ACTIONS:
-        for spec in getattr(specification, table).values():
-            expected = _select(full, _reference_pairs(kind, spec))
-            assert action(context, spec) == expected, (kind, spec.name)
-            emitted += bool(expected)
-    epilogue = "\n".join(
-        line
-        for line in full.splitlines()
-        if line.startswith(("data_covers(", "access_covers("))
+    units = {
+        (table, spec.name): action(context, spec).splitlines()
+        for table, action in _ACTIONS
+        for spec in getattr(specification, table).values()
+    }
+    units[None] = consistency_epilogue_action(
+        context, specification
+    ).splitlines()
+    return units, _facts(context).to_clpr_text()
+
+
+def _assert_partition(specification):
+    units, text = _units(specification)
+    lines = text.splitlines()[1:]  # the header is a comment, not a fact
+    assert Counter(line for unit in units.values() for line in unit) == (
+        Counter(lines)
     )
-    assert consistency_epilogue_action(context, specification) == epilogue
-    assert emitted
+    expected = {}
+    for line, owner in zip(lines, _owners(lines)):
+        expected.setdefault(owner, []).append(line)
+    assert set(expected) <= set(units)
+    for owner, unit in units.items():
+        assert unit == expected.get(owner, []), owner
+    assert any(unit for owner, unit in units.items() if owner is not None)
+    return units
 
 
 @pytest.mark.parametrize(
     "parameters", _corpus(), ids=lambda p: f"seed{p.seed}-d{p.n_domains}"
 )
 def test_corpus_matches_the_per_declaration_filter(parameters):
-    _assert_matches_reference(SyntheticInternet(parameters).specification())
+    _assert_partition(SyntheticInternet(parameters).specification())
 
 
 @pytest.mark.parametrize(
@@ -106,14 +123,14 @@ def test_corpus_matches_the_per_declaration_filter(parameters):
 )
 def test_examples_match_the_per_declaration_filter(path):
     result = _COMPILER.compile(path.read_text(encoding="utf-8"))
-    _assert_matches_reference(result.specification)
+    _assert_partition(result.specification)
 
 
 def test_sixty_domain_text_matches_the_per_declaration_filter():
     text = PaperScaleInternet(
         PaperScaleParameters(n_domains=60, hub_count=4, seed=7)
     ).text()
-    _assert_matches_reference(_COMPILER.compile(text).specification)
+    _assert_partition(_COMPILER.compile(text).specification)
 
 
 def _renamed(specification, rename):
@@ -153,8 +170,9 @@ def _renamed(specification, rename):
 
 def test_names_the_substring_tests_confuse():
     """A system that is a suffix of another across ``@`` (its instance
-    ids contain ``@a#`` too), a domain sharing a system's name, quoted
-    atoms with commas, quotes and ``#`` in them."""
+    ids contain ``@a#`` too), a domain sharing a system's name and
+    owning an instance, quoted atoms with commas, quotes, backslashes
+    and ``#`` in them."""
     base = SyntheticInternet(
         InternetParameters(
             n_domains=3, systems_per_domain=2, applications_per_domain=1,
@@ -166,12 +184,16 @@ def test_names_the_substring_tests_confuse():
         systems[0]: "a",
         systems[1]: "b@a",
         systems[2]: "Cap, comma",
-        systems[3]: "it's",
+        systems[3]: "it's \\ here",
         systems[4]: "x#1",
         domains[0]: "a",
         domains[1]: "d, 1",
     }
-    _assert_matches_reference(_renamed(base, rename))
+    units = _assert_partition(_renamed(base, rename))
+    # Domain ``a``'s poller is the domain's, not system ``a``'s.
+    poller = "instance('poller@a#1', a, poller)."
+    assert poller in units["domains", "a"]
+    assert poller not in units["systems", "a"]
 
 
 @pytest.mark.slow
@@ -194,3 +216,4 @@ def test_thousand_domains_is_linear():
     assert time.perf_counter() - started < 60.0
     units = {unit.decltype for unit in bundle.units}
     assert {"process", "system", "domain", "*"} <= units
+    _assert_partition(result.specification)

@@ -40,7 +40,7 @@ def run_once(compiler, misbehaving=None, label=""):
     runtime.start(duration_s=DURATION, misbehaving=overrides)
     runtime.run(DURATION)
 
-    verifier = RuntimeVerifier(runtime.specification, runtime.facts)
+    verifier = RuntimeVerifier(runtime.facts)
     report = verifier.verify(runtime.log)
 
     print(f"--- {label} ---")

@@ -18,11 +18,15 @@ linter; the other five are new in this framework.  Every pass yields
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
-from repro.consistency.causes import covers, grant_demand, reference_demand
-from repro.consistency.facts import InstanceId
-from repro.consistency.relations import Permission, Reference
+from repro.consistency.causes import (
+    candidate_servers,
+    covers,
+    grant_demand,
+    reference_demand,
+)
+from repro.consistency.relations import Permission
 from repro.mib.tree import MibTree
 from repro.nmsl.actions import BASE_DECLTYPES, KeywordTable
 from repro.nmsl.outputs import EPILOGUE
@@ -409,35 +413,6 @@ def _transitive_overbroad_reach(
 # ----------------------------------------------------------------------
 # NM3xx — frequency and types.
 # ----------------------------------------------------------------------
-def _candidate_instances(
-    context: AnalysisContext, reference: Reference
-) -> List[InstanceId]:
-    """Server instances that may answer *reference* (checker's rules)."""
-    facts = context.facts
-    server = reference.server
-    if server == "*":
-        return facts.agents()
-    kind, _sep, name = server.partition(":")
-    if kind == "process":
-        return facts.instances_of_process(name)
-    if kind == "system":
-        agents = [
-            instance
-            for instance in facts.instances_on_system(name)
-            if context.specification.processes[
-                instance.process_name
-            ].is_agent()
-        ]
-        return agents or facts.proxies_for_system(name)
-    if kind == "domain":
-        return [
-            instance
-            for instance in facts.agents()
-            if name in facts.domains_of(instance)
-        ]
-    return []
-
-
 def _frequency_budget_overload(
     rule: AnalysisPass, context: AnalysisContext
 ) -> Iterator[Diagnostic]:
@@ -458,7 +433,7 @@ def _frequency_budget_overload(
             reference, context.view(reference.variables)
         )
         counted: Set[str] = set()
-        for server in _candidate_instances(context, reference):
+        for server in candidate_servers(reference, facts)[0] or ():
             if server.owner_kind != "system" or server.owner in counted:
                 continue
             counted.add(server.owner)

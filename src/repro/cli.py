@@ -1031,7 +1031,7 @@ def _run_verify_runtime(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     runtime.run(args.duration)
-    verifier = RuntimeVerifier(runtime.specification, runtime.facts)
+    verifier = RuntimeVerifier(runtime.facts)
     report = verifier.verify(runtime.log, tolerance=args.tolerance)
     traps = verifier.trap_summary(runtime.traps)
     discrepancies = verifier.cross_check_enforcement(runtime.log, report)

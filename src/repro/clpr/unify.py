@@ -8,7 +8,7 @@ binding on the trail; the caller undoes to a saved mark on backtrack.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.clpr.terms import Struct, Term, Var
 
@@ -128,15 +128,3 @@ def unify_or_undo(
         return True
     bindings.undo_to(mark)
     return False
-
-
-def match(pattern: Term, ground: Term, bindings: Optional[Bindings] = None) -> Optional[Bindings]:
-    """One-way match of *pattern* against a ground term.
-
-    Convenience wrapper used by the datalog evaluator; returns the bindings
-    on success, None on failure.
-    """
-    bindings = bindings or Bindings()
-    if unify_or_undo(pattern, ground, bindings):
-        return bindings
-    return None

@@ -1,11 +1,12 @@
 """The Configuration Generator: compiler output -> shipped configurations.
 
 Ties an :class:`~repro.nmsl.compiler.NmslCompiler` run to the transports:
-generate the requested output type, split it per network element, and
-deliver each element's configuration.  Supports both centralized
-generation (one generator produces everything, paper's default) and
-distributed generation (per-element generation, the paper's suggested
-scaling refinement) — the prescriptive benchmark compares the two.
+:meth:`ConfigurationGenerator.documents` attributes the requested output
+type's units to network elements, one document per element, and every
+consumer reads it — :meth:`~ConfigurationGenerator.ship`, the paper's
+distributed generation (:meth:`~ConfigurationGenerator.generate_for_element`,
+one element's document) and the simulated network's install, rollout and
+heal (:mod:`repro.netsim.processes`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import CodegenError
-from repro.nmsl.compiler import CompileResult, NmslCompiler, OutputBundle
+from repro.nmsl.compiler import CompileResult, NmslCompiler
 from repro.codegen.transport import ShipmentRecord, Transport
 
 
@@ -34,68 +35,66 @@ class ConfigurationGenerator:
         self._compiler = compiler
         self._result = result
         self._facts = facts
-        self._bundles: Dict[str, OutputBundle] = {}
+        self._documents: Dict[str, Dict[str, str]] = {}
 
     # ------------------------------------------------------------------
     # Generation.
     # ------------------------------------------------------------------
-    def generate(self, tag: str) -> List[GeneratedConfig]:
-        """Centralized generation: one compiler run for all elements."""
-        return self._split_per_element(tag, self._bundle(tag))
+    def documents(self, tag: str) -> Dict[str, str]:
+        """element -> the configuration document it runs, for *tag*.
 
-    def _bundle(self, tag: str) -> OutputBundle:
-        """The compiler's output for *tag*, generated once per instance."""
-        bundle = self._bundles.get(tag)
-        if bundle is None:
-            bundle = self._bundles[tag] = self._compiler.generate(
-                tag, self._result, facts=self._facts
-            )
-        return bundle
-
-    def generate_for_element(self, tag: str, element: str) -> GeneratedConfig:
-        """Distributed generation: regenerate just one element's config.
-
-        "If a process's configuration depends only on its own
-        specification, the configuration information for that process can
-        be generated from its specification alone" (Section 5).
+        One compiler run per tag serves every element (centralized
+        generation) and every later call.  A document is the element's
+        output units joined with ``"\\n"`` in output order: a system unit
+        belongs to the system, a domain unit to every member, a process
+        unit to every system instantiating the process, and the
+        whole-specification epilogue to nobody.
         """
-        for config in self._split_per_element(tag, self._bundle(tag)):
-            if config.element == element:
-                return config
-        raise CodegenError(
-            f"output type {tag!r} produced no configuration for {element!r}"
-        )
-
-    def _split_per_element(
-        self, tag: str, bundle: OutputBundle
-    ) -> List[GeneratedConfig]:
-        configs: List[GeneratedConfig] = []
+        documents = self._documents.get(tag)
+        if documents is not None:
+            return documents
+        bundle = self._compiler.generate(tag, self._result, facts=self._facts)
+        chunks: Dict[str, List[str]] = {}
         specification = self._result.specification
         for unit in bundle.units:
             if not unit.text:
                 continue
             if unit.decltype == "system":
-                configs.append(GeneratedConfig(unit.name, tag, unit.text))
+                elements = [unit.name]
             elif unit.decltype == "domain":
-                # Domain-level output is delivered to every member element.
                 domain = specification.domains.get(unit.name)
-                if domain is None:
-                    continue
-                for system_name in domain.systems:
-                    configs.append(
-                        GeneratedConfig(system_name, tag, unit.text)
-                    )
+                elements = domain.systems if domain is not None else []
             elif unit.decltype == "process":
-                # Process-level output goes to each element instantiating it.
-                for system in specification.systems.values():
+                elements = [
+                    system.name
+                    for system in specification.systems.values()
                     if any(
                         invocation.process_name == unit.name
                         for invocation in system.processes
-                    ):
-                        configs.append(
-                            GeneratedConfig(system.name, tag, unit.text)
-                        )
-        return configs
+                    )
+                ]
+            else:  # the epilogue
+                continue
+            for element in elements:
+                chunks.setdefault(element, []).append(unit.text)
+        documents = self._documents[tag] = {
+            element: "\n".join(texts) for element, texts in chunks.items()
+        }
+        return documents
+
+    def generate_for_element(self, tag: str, element: str) -> GeneratedConfig:
+        """Distributed generation: just one element's document.
+
+        "If a process's configuration depends only on its own
+        specification, the configuration information for that process can
+        be generated from its specification alone" (Section 5).
+        """
+        text = self.documents(tag).get(element)
+        if text is None:
+            raise CodegenError(
+                f"output type {tag!r} produced no configuration for {element!r}"
+            )
+        return GeneratedConfig(element, tag, text)
 
     # ------------------------------------------------------------------
     # Shipping.
@@ -103,17 +102,9 @@ class ConfigurationGenerator:
     def ship(
         self, tag: str, transport: Transport, elements: Optional[Sequence[str]] = None
     ) -> List[ShipmentRecord]:
-        """Generate and deliver configuration, one shipment per element.
-
-        Multiple chunks for the same element are concatenated so each
-        element receives a single configuration document.
-        """
-        merged: Dict[str, List[str]] = {}
-        for config in self.generate(tag):
-            if elements is not None and config.element not in elements:
-                continue
-            merged.setdefault(config.element, []).append(config.text)
-        records = []
-        for element, chunks in sorted(merged.items()):
-            records.append(transport.deliver(element, "\n".join(chunks) + "\n"))
-        return records
+        """Deliver each element its document, one shipment per element."""
+        return [
+            transport.deliver(element, text + "\n")
+            for element, text in sorted(self.documents(tag).items())
+            if elements is None or element in elements
+        ]

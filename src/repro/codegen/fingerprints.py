@@ -4,24 +4,23 @@ The relational diff (:mod:`repro.consistency.impact`) needs to know which
 generated configurations change byte-wise between two spec revisions —
 without round-tripping through source text and parse declarations, which
 paper-scale workloads never have (they build typed specifications
-directly).  This module re-implements the attribution rules of
-:meth:`repro.codegen.base.ConfigurationGenerator._split_per_element`
-against a typed :class:`~repro.nmsl.specs.Specification`:
+directly).  This module re-implements the attribution rule of
+:meth:`repro.codegen.base.ConfigurationGenerator.documents` against a
+typed :class:`~repro.nmsl.specs.Specification`:
 
 * ``system`` output belongs to the system itself;
 * ``domain`` output is delivered to every member system;
 * ``process`` output goes to each system instantiating the process;
-* the ``*`` epilogue is whole-specification output and is dropped by the
-  per-element split, so it is ignored here too.
+* the ``*`` epilogue is whole-specification output and belongs to no
+  element, so it is ignored here too.
 
-Each element's chunks are joined exactly as
-:meth:`~repro.codegen.base.ConfigurationGenerator.ship` joins them
-(``"\\n".join(chunks) + "\\n"``) before hashing, so two revisions agree on
-an element's fingerprint iff the shipped document would be byte-identical.
-The *canonical order* here is systems, then domains, then processes (the
-declaration-interleaved generator may order chunks differently for
-multi-chunk elements); fingerprints are only ever compared against other
-fingerprints from this module.
+Each element's chunks are joined exactly as a document is, and shipped
+(``"\\n".join(chunks) + "\\n"``), before hashing, so two revisions agree
+on an element's fingerprint iff the shipped document would be
+byte-identical.  The *canonical order* here is systems, then domains,
+then processes (the declaration-interleaved generator may order chunks
+differently for multi-chunk elements); fingerprints are only ever
+compared against other fingerprints from this module.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The paper's goal is both *specifying* and *verifying* — "a method for
 verifying that these specifications are actually being adhered to in the
 network."  The :class:`RuntimeVerifier` replays a management runtime's
-query log against the specification's frequency promises:
+query log against the frequency promises of the fact set's references,
+the ones the checker verified:
 
 * **client-side**: successive queries from one client instance to one
   agent must be at least the specified minimum period apart;
@@ -16,12 +17,10 @@ query log against the specification's frequency promises:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.consistency.facts import FactSet
 from repro.netsim.processes import QueryRecord
-from repro.nmsl.frequency import FrequencySpec
-from repro.nmsl.specs import Specification
 
 
 @dataclass
@@ -74,23 +73,22 @@ class VerificationReport:
 class RuntimeVerifier:
     """Compares observed behaviour with specified frequency promises."""
 
-    def __init__(self, specification: Specification, facts: FactSet):
-        self._spec = specification
-        self._facts = facts
-        self._promises = self._collect_promises()
+    def __init__(self, facts: FactSet):
+        self._promises = self._collect_promises(facts)
 
-    def _collect_promises(self) -> Dict[str, float]:
-        """client instance id -> promised minimum query period (seconds)."""
+    @staticmethod
+    def _collect_promises(facts: FactSet) -> Dict[str, float]:
+        """client instance id -> promised minimum query period (seconds):
+        the least positive period among the client's references."""
         promises: Dict[str, float] = {}
-        for instance in self._facts.instances:
-            process = self._spec.processes[instance.process_name]
-            for query in process.queries:
-                period = query.frequency.min_period
-                if period <= 0:
-                    continue
-                current = promises.get(instance.id)
-                if current is None or period < current:
-                    promises[instance.id] = period
+        for reference in facts.references:
+            period = reference.frequency.min_period
+            if period <= 0:
+                continue
+            client = reference.client.partition(":")[2]
+            current = promises.get(client)
+            if current is None or period < current:
+                promises[client] = period
         return promises
 
     def verify(

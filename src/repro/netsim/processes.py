@@ -1,17 +1,23 @@
 """The management runtime: a compiled specification, running.
 
 :class:`ManagementRuntime` turns a typed Specification into live simulated
-processes:
+processes.  It re-derives nothing the checker and the Configuration
+Generator already decide:
 
 * each *agent* instance becomes an :class:`~repro.snmp.agent.SnmpAgent`
   with an instance store populated over its effective view (process
   supports ∩ element supports);
-* the prescriptive loop installs the compiler's ``BartsSnmpd``
-  configuration into every agent (via the management path by default);
-* each *application* instance becomes a periodic query driver that sends
-  real BER-encoded requests through the simulated internet at its
-  specified frequency — or faster, when a misbehaving manager is
-  injected;
+* the prescriptive loop installs, rolls out and heals each element's
+  one document, :meth:`ConfigurationGenerator.documents
+  <repro.codegen.base.ConfigurationGenerator.documents>` (``BartsSnmpd``
+  by default), into every agent on the element — directly, or with
+  SNMP Sets over the management protocol;
+* each reference in the checked fact set becomes a periodic query
+  driver aimed at the first system agent that
+  :func:`~repro.consistency.causes.candidate_servers` names for it, so
+  the simulated managers run exactly the references the checker
+  verified, at their specified frequency — or faster, when a
+  misbehaving manager is injected;
 * every query is logged as a :class:`QueryRecord` for the runtime
   verifier.
 """
@@ -20,25 +26,28 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs, operations
 from repro.asn1.types import Asn1Module
 from repro.codegen.base import ConfigurationGenerator
+from repro.consistency.causes import (
+    candidate_servers,
+    instance_by_tag,
+    permissions_for_server,
+)
 from repro.consistency.facts import FactSet, IncrementalFactGenerator, InstanceId
 from repro.errors import SimulationError, SnmpError
 from repro.mib.instances import InstanceStore
 from repro.mib.tree import MibTree
-from repro.mib.view import MibView
 from repro.netsim.network import Internet
 from repro.netsim.sim import Simulator
 from repro.nmsl.compiler import CompileResult, NmslCompiler
-from repro.nmsl.frequency import FrequencySpec
 from repro.nmsl.specs import Specification, PUBLIC_DOMAIN
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.codec import decode_message, encode_message
-from repro.snmp.messages import ErrorStatus, Message, PduType
+from repro.snmp.messages import ErrorStatus, Message
 
 #: Campaign defaults, as an absent ``nmsld`` parameter or ``nmslc``
 #: option reads them (``heal`` stages in ``rollout``'s chunk size).
@@ -62,7 +71,7 @@ class QueryRecord:
 
 @dataclass
 class ApplicationDriver:
-    """Schedules one application instance's queries.
+    """Schedules the queries of one reference, made by ``instance``.
 
     ``data_element`` is the element whose data the query addresses; it
     differs from ``target_agent.owner`` when a proxy answers for it.
@@ -98,18 +107,13 @@ class ManagementRuntime:
         self.facts: FactSet = IncrementalFactGenerator(self.tree).generate(
             self.specification
         )
+        self._generator = ConfigurationGenerator(compiler, result)
         self.agents: Dict[str, SnmpAgent] = {}  # agent instance id -> agent
         self.drivers: List[ApplicationDriver] = []
         self.log: List[QueryRecord] = []
         #: (time, agent instance id, trap message) — unsolicited traps.
         self.traps: List[tuple] = []
         self._request_ids = itertools.count(1)
-        # id -> instance, prebuilt once: install sweeps resolve instances
-        # per (config, agent) pair, and a linear scan is O(n^2) over a
-        # large campus.
-        self._instances_by_id: Dict[str, InstanceId] = {
-            instance.id: instance for instance in self.facts.instances
-        }
         self._build_agents()
         self._build_drivers()
 
@@ -184,7 +188,7 @@ class ManagementRuntime:
         via_protocol: bool = False,
         chunk_size: int = _ROLLOUT["chunk_size"],
     ) -> int:
-        """Generate per-element configuration and install it into each agent.
+        """Install each element's document into every agent on it.
 
         Returns the number of agents configured.  With ``via_protocol``
         the paper's preferred method is used literally: the Configuration
@@ -209,22 +213,19 @@ class ManagementRuntime:
         )
         from repro.snmp.manager import SnmpManager
 
-        generator = ConfigurationGenerator(self.compiler, self.result)
+        documents = self._generator.documents(tag)
         configured = 0
         failures: List[str] = []
         with obs.current().span(
             "netsim.install_configuration", tag=tag, via_protocol=via_protocol
         ) as span:
-            for config in generator.generate(tag):
-                for instance_id, agent in self.agents.items():
-                    instance = self._instance(instance_id)
-                    if instance.owner != config.element:
-                        continue
+            for element, text in documents.items():
+                for instance_id, agent in self._agents_of_element(element):
                     if via_protocol:
                         manager = SnmpManager(
                             ADMIN_COMMUNITY, agent.handle_octets
                         )
-                        octets = config.text.encode("utf-8")
+                        octets = text.encode("utf-8")
                         try:
                             manager.set([(NMSL_CONFIG_RESET, 1)])
                             for start in range(0, len(octets), chunk_size):
@@ -238,12 +239,10 @@ class ManagementRuntime:
                                 )
                             manager.set([(NMSL_CONFIG_APPLY, 1)])
                         except SnmpError as exc:
-                            failures.append(
-                                f"{config.element} ({instance_id}): {exc}"
-                            )
+                            failures.append(f"{element} ({instance_id}): {exc}")
                             continue
                     else:
-                        agent.load_config(config.text, self.tree)
+                        agent.load_config(text, self.tree)
                         agent.emit_cold_start(self.simulator.now)
                     configured += 1
             span.annotate(configured=configured, failures=len(failures))
@@ -253,12 +252,6 @@ class ManagementRuntime:
                 + "; ".join(sorted(failures))
             )
         return configured
-
-    def _instance(self, instance_id: str) -> InstanceId:
-        instance = self._instances_by_id.get(instance_id)
-        if instance is None:
-            raise SimulationError(f"unknown instance {instance_id!r}")
-        return instance
 
     # ------------------------------------------------------------------
     # Fault-tolerant rollout (the hardened prescriptive loop).
@@ -272,13 +265,9 @@ class ManagementRuntime:
         agents each becomes its own ``element/agent-id`` target so the
         coordinator tracks them independently.
         """
-        generator = ConfigurationGenerator(self.compiler, self.result)
-        merged: Dict[str, List[str]] = {}
-        for config in generator.generate(tag):
-            merged.setdefault(config.element, []).append(config.text)
+        documents = self._generator.documents(tag)
         targets: Dict[str, str] = {}
-        for element, chunks in merged.items():
-            text = "\n".join(chunks)
+        for element, text in documents.items():
             for target in self._element_targets(element):
                 targets[target] = text
         return targets
@@ -293,9 +282,9 @@ class ManagementRuntime:
 
     def _agents_of_element(self, element: str) -> List[Tuple[str, SnmpAgent]]:
         return sorted(
-            (instance_id, agent)
-            for instance_id, agent in self.agents.items()
-            if self._instance(instance_id).owner == element
+            (instance.id, self.agents[instance.id])
+            for instance in self.facts.instances_on_system(element)
+            if instance.id in self.agents
         )
 
     def target_agent(self, target: str) -> SnmpAgent:
@@ -440,77 +429,34 @@ class ManagementRuntime:
     # Application drivers.
     # ------------------------------------------------------------------
     def _build_drivers(self) -> None:
-        for instance in self.facts.instances:
-            process = self.specification.processes[instance.process_name]
-            if not process.queries:
-                continue
-            for query in process.queries:
-                target = self._resolve_driver_target(instance, query.target)
-                if target is None:
-                    continue
-                period = query.frequency.min_period or 60.0
-                community = self._community_for(instance, target)
-                source = self._source_element(instance, target)
-                self.drivers.append(
-                    ApplicationDriver(
-                        instance=instance,
-                        target_agent=target,
-                        community=community,
-                        request_path=query.requests[0],
-                        period_s=period,
-                        source_element=source,
-                        data_element=self._data_element(instance, query.target)
-                        or target.owner,
-                    )
-                )
-
-    def _resolve_driver_target(
-        self, instance: InstanceId, target: str
-    ) -> Optional[InstanceId]:
-        process = self.specification.processes[instance.process_name]
-        names = process.param_names()
-        value = target
-        if target in names:
-            position = names.index(target)
-            if position < len(instance.args):
-                value = str(instance.args[position])
-            else:
-                value = "*"
-        candidates: List[InstanceId] = []
-        if value == "*":
-            candidates = self.facts.agents()
-        elif value in self.specification.systems:
-            candidates = [
-                agent
-                for agent in self.facts.agents()
-                if agent.owner == value
-            ]
-            if not candidates:
-                # Proxy-managed element: direct the query at its proxy.
-                candidates = self.facts.proxies_for_system(value)
-        elif value in self.specification.processes:
-            candidates = self.facts.instances_of_process(value)
-        if not candidates:
-            return None
-        # Deterministic choice: first agent on a system, in fact order.
-        for candidate in candidates:
-            if candidate.owner_kind == "system":
-                return candidate
-        return None
-
-    def _data_element(self, instance: InstanceId, target: str) -> Optional[str]:
-        """The element name a query literally addresses, if any."""
-        process = self.specification.processes[instance.process_name]
-        names = process.param_names()
-        value = target
-        if target in names:
-            position = names.index(target)
-            value = (
-                str(instance.args[position])
-                if position < len(instance.args)
-                else "*"
+        """One driver per reference the checker verified, aimed at the
+        first system agent :func:`candidate_servers` names for it."""
+        for reference in self.facts.references:
+            servers, _existential, data_system = candidate_servers(
+                reference, self.facts
             )
-        return value if value in self.specification.systems else None
+            target = next(
+                (
+                    server
+                    for server in servers or ()
+                    if server.owner_kind == "system"
+                ),
+                None,
+            )
+            if target is None:
+                continue
+            instance = instance_by_tag(reference.client, self.facts)
+            self.drivers.append(
+                ApplicationDriver(
+                    instance=instance,
+                    target_agent=target,
+                    community=self._community_for(instance, target),
+                    request_path=reference.variables[0],
+                    period_s=reference.frequency.min_period or 60.0,
+                    source_element=self._source_element(instance, target),
+                    data_element=data_system or target.owner,
+                )
+            )
 
     def _community_for(self, instance: InstanceId, target: InstanceId) -> str:
         """The community an application presents to *target*'s agent.
@@ -524,12 +470,8 @@ class ManagementRuntime:
         shared = sorted(client_direct & target_direct)
         if shared:
             return shared[0]
-        by_grantor = self.facts.permissions_by_grantor()
-        grants = list(by_grantor.get(f"instance:{target.id}", ()))
-        for domain in self.facts.domains_of(target):
-            grants.extend(by_grantor.get(f"domain:{domain}", ()))
         client_domains = self.facts.domains_of(instance)
-        for permission in grants:
+        for permission in permissions_for_server(target, self.facts):
             if permission.grantee_domain in client_domains:
                 return permission.grantee_domain
         return PUBLIC_DOMAIN
@@ -580,9 +522,12 @@ class ManagementRuntime:
         self.simulator.schedule_every(period, fire, start=period, until=until)
 
     def _execute_query(self, driver: ApplicationDriver) -> None:
-        agent = self.agents.get(driver.target_agent.id)
         now = self.simulator.now
-        if agent is None:
+
+        # Records carry the SEND time: the verifier measures the client's
+        # promised inter-query period, and mixing send and arrival
+        # timestamps would skew intervals by the path delay.
+        def log(outcome: str, delay_s: float = 0.0) -> None:
             self._log_query(
                 QueryRecord(
                     now,
@@ -591,9 +536,14 @@ class ManagementRuntime:
                     driver.target_agent.id,
                     driver.community,
                     driver.request_path,
-                    "no-route",
+                    outcome,
+                    delay_s=delay_s,
                 )
             )
+
+        agent = self.agents.get(driver.target_agent.id)
+        if agent is None:
+            log("no-route")
             return
         try:
             node = self.tree.resolve(driver.request_path)
@@ -609,58 +559,23 @@ class ManagementRuntime:
                 driver.source_element, driver.target_agent.owner, len(octets)
             )
         except SimulationError:
-            self._log_query(
-                QueryRecord(
-                    now,
-                    driver.instance.id,
-                    driver.target_agent.owner,
-                    driver.target_agent.id,
-                    driver.community,
-                    driver.request_path,
-                    "no-route",
-                )
-            )
+            log("no-route")
             return
 
         loss_rate = getattr(self, "_loss_rate", 0.0)
         if loss_rate and self._rng.random() < loss_rate:
-            self._log_query(
-                QueryRecord(
-                    now,
-                    driver.instance.id,
-                    driver.target_agent.owner,
-                    driver.target_agent.id,
-                    driver.community,
-                    driver.request_path,
-                    "lost",
-                )
-            )
+            log("lost")
             return
 
         def deliver() -> None:
             response_octets = agent.handle_octets(octets, now=self.simulator.now)
             response = decode_message(response_octets)
             if response.pdu.error_status == ErrorStatus.NO_ERROR:
-                outcome = "ok"
+                log("ok", delay)
             elif response.pdu.error_status == ErrorStatus.GEN_ERR:
-                outcome = "rate-limited"
+                log("rate-limited", delay)
             else:
-                outcome = "denied"
-            # Records carry the SEND time: the verifier measures the
-            # client's promised inter-query period, and mixing send and
-            # arrival timestamps would skew intervals by the path delay.
-            self._log_query(
-                QueryRecord(
-                    now,
-                    driver.instance.id,
-                    driver.target_agent.owner,
-                    driver.target_agent.id,
-                    driver.community,
-                    driver.request_path,
-                    outcome,
-                    delay_s=delay,
-                )
-            )
+                log("denied", delay)
 
         self.simulator.schedule(delay, deliver)
 

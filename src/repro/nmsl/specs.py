@@ -307,31 +307,6 @@ class Specification:
             )
         table[name] = spec
 
-    # ------------------------------------------------------------------
-    # Lookup.
-    # ------------------------------------------------------------------
-    def process_named(self, name: str) -> ProcessSpec:
-        if name not in self.processes:
-            raise NmslSemanticError(f"unknown process {name!r}")
-        return self.processes[name]
-
-    def system_named(self, name: str) -> SystemSpec:
-        if name not in self.systems:
-            raise NmslSemanticError(f"unknown system {name!r}")
-        return self.systems[name]
-
-    def domain_named(self, name: str) -> DomainSpec:
-        if name not in self.domains:
-            raise NmslSemanticError(f"unknown domain {name!r}")
-        return self.domains[name]
-
-    def domains_containing_system(self, system_name: str) -> List[DomainSpec]:
-        return [
-            domain
-            for domain in self.domains.values()
-            if system_name in domain.systems
-        ]
-
     def merged_with(self, other: "Specification") -> "Specification":
         """A new specification combining both (duplicate names rejected)."""
         merged = Specification()

@@ -20,6 +20,9 @@ for the fact renderings: ``edge-quote`` names a system ``gw.cs.o'neil.edu``
 (the CLP(R) text must escape the quote), ``edge-prefix`` adds an
 exporting domain ``cs`` beside ``cs-domain`` and eleven agents on one
 element (``#1`` beside ``#10``), so no grantor is a prefix match.
+
+``--ship-dir`` commands write each spool to ``OUT/specs/shipped/SPEC-TAG``;
+``diff -r`` those trees too, since the sweep hashes only what was printed.
 """
 
 import contextlib
@@ -35,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ("campus.nmsl", "paper_internet.nmsl")
 TAGS = ("BartsSnmpd", "acl-table", "consistency", "osi")
+SHIPPED = ("BartsSnmpd", "acl-table", "osi")
 BROKEN = {
     "semantic.nmsl": "process p ::= supports mgmt.mib.nosuch; end process p.\n",
     "syntax.nmsl": "process broken ::= supports",
@@ -141,6 +145,14 @@ def commands(corpus):
     yield ["rollout", campus, "--diff-base", paper]
     yield ["heal", campus, "--rounds", "6", "--chaos-loss", "0.1", "--seed",
            "7", "--report", "json"]
+    # ``bart.watcher`` is the help text's example and names no campus
+    # instance; ``nocMonitor@noc-domain#1`` does.
+    for client in ("bart.watcher", "nocMonitor@noc-domain#1"):
+        yield ["verify-runtime", campus, "--misbehave", f"{client}:5",
+               "--loss", "0.1", "--format", "json"]
+    for spec in EXAMPLES:
+        for tag in SHIPPED:
+            yield _ship(spec, tag)
     for broken in BROKEN:
         yield [broken, "--check"]
         yield [broken, "--lax"]
@@ -170,7 +182,15 @@ def commands(corpus):
                    "json"]
         else:
             yield ["rollout", spec, "--report", "json"]
+        yield ["verify-runtime", spec, "--format", "json"]
+        yield _ship(spec, "acl-table")
         previous = spec
+
+
+def _ship(spec, tag):
+    """Ship *tag* for *spec* into a spool of its own, kept for ``diff -r``."""
+    return [spec, "--output", tag, "--ship-dir",
+            f"shipped/{Path(spec).stem}-{tag}"]
 
 
 def run(argv):

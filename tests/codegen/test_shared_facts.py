@@ -100,7 +100,7 @@ def test_facts_of_another_specification_are_refused():
     with pytest.raises(CodegenError, match="another specification"):
         _COMPILER.generate("BartsSnmpd", result, facts=others)
     with pytest.raises(CodegenError, match="another specification"):
-        ConfigurationGenerator(_COMPILER, result, facts=others).generate("osi")
+        ConfigurationGenerator(_COMPILER, result, facts=others).documents("osi")
 
 
 # ----------------------------------------------------------------------
@@ -198,13 +198,13 @@ def test_generate_for_element_reuses_the_bundle(monkeypatch):
 
     monkeypatch.setattr(NmslCompiler, "generate", counting)
     generator = ConfigurationGenerator(_COMPILER, result)
-    whole = {c.element: c for c in generator.generate("BartsSnmpd")}
+    whole = generator.documents("BartsSnmpd")
     for element in list(whole)[:3]:
         config = generator.generate_for_element("BartsSnmpd", element)
-        assert config.text == whole[element].text
+        assert config.text == whole[element]
     shipped = []
     generator.ship("BartsSnmpd", CallbackTransport(lambda e, t: shipped.append(e)))
-    generator.generate("acl-table")
+    generator.documents("acl-table")
     assert runs == ["BartsSnmpd", "acl-table"]
     assert shipped
 

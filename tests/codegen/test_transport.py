@@ -82,8 +82,7 @@ class TestDistributedGeneration:
             generator.generate_for_element("BartsSnmpd", "ghost.example")
 
     def test_acl_output_routed_to_domain_members(self, generator):
-        configs = generator.generate("acl-table")
-        elements = {config.element for config in configs}
+        elements = set(generator.documents("acl-table"))
         # domain-level rows are delivered to both member systems
         assert {"romano.cs.wisc.edu", "cs.wisc.edu"} <= elements
 

@@ -93,6 +93,17 @@ def quoted_campus() -> str:
     )
 
 
+def spec_texts():
+    """``examples/`` and the corpus as NMSL text, by name."""
+    texts = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted((_ROOT / "examples").glob("*.nmsl"))
+    }
+    for number, parameters in enumerate(_corpus()):
+        texts[f"spec{number:02d}"] = SyntheticInternet(parameters).text()
+    return texts
+
+
 @pytest.mark.parametrize(
     "parameters",
     [*_corpus(), quoted_campus()],

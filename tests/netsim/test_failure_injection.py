@@ -57,7 +57,7 @@ class TestLoss:
         runtime = make_runtime(compiler)
         runtime.start(duration_s=7200, loss_rate=0.3, seed=11)
         runtime.run(7200)
-        verifier = RuntimeVerifier(runtime.specification, runtime.facts)
+        verifier = RuntimeVerifier(runtime.facts)
         report = verifier.verify(runtime.log)
         assert report.adheres
 
@@ -72,7 +72,7 @@ class TestLoss:
             duration_s=7200, misbehaving={bad: 60.0}, loss_rate=0.3, seed=11
         )
         runtime.run(7200)
-        verifier = RuntimeVerifier(runtime.specification, runtime.facts)
+        verifier = RuntimeVerifier(runtime.facts)
         report = verifier.verify(runtime.log)
         assert not report.adheres
         assert bad in report.violating_clients

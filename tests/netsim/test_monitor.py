@@ -22,7 +22,7 @@ def runtime(compiler):
 
 
 def verifier_for(runtime):
-    return RuntimeVerifier(runtime.specification, runtime.facts)
+    return RuntimeVerifier(runtime.facts)
 
 
 class TestAdherence:

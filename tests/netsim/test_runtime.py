@@ -52,6 +52,20 @@ class TestConfiguration:
         assert "noc-domain" in agent.policy.communities()
         assert "cs-domain" in agent.policy.communities()
 
+    @pytest.mark.parametrize("via_protocol", [False, True])
+    def test_each_agent_runs_its_elements_whole_document(
+        self, campus_runtime, via_protocol
+    ):
+        # acl-table gives every campus element two output units.
+        configured = campus_runtime.install_configuration(
+            "acl-table", via_protocol=via_protocol
+        )
+        targets = campus_runtime.rollout_targets("acl-table")
+        assert configured == len(targets) == 5
+        for target, text in targets.items():
+            agent = campus_runtime.target_agent(target)
+            assert agent.last_good_config == text, target
+
 
 class TestExecution:
     def test_clean_run_all_ok(self, campus_runtime):

@@ -18,7 +18,7 @@ class TestTrapSummary:
     def test_cold_starts_match_installs(self, compiler):
         runtime = ManagementRuntime(compiler, compiler.compile(campus_internet()))
         configured = runtime.install_configuration()
-        verifier = RuntimeVerifier(runtime.specification, runtime.facts)
+        verifier = RuntimeVerifier(runtime.facts)
         summary = verifier.trap_summary(runtime.traps)
         assert sum(
             counts.get("cold_start", 0) for counts in summary.values()
@@ -35,11 +35,11 @@ class TestTrapSummary:
         for _attempt in range(3):
             with pytest.raises(SnmpError):
                 stranger.get(["1.3.6.1.2.1.1.1.0"])
-        verifier = RuntimeVerifier(runtime.specification, runtime.facts)
+        verifier = RuntimeVerifier(runtime.facts)
         summary = verifier.trap_summary(runtime.traps)
         assert summary[agent_id]["authentication_failure"] == 3
 
     def test_empty_traps(self, compiler):
         runtime = ManagementRuntime(compiler, compiler.compile(campus_internet()))
-        verifier = RuntimeVerifier(runtime.specification, runtime.facts)
+        verifier = RuntimeVerifier(runtime.facts)
         assert verifier.trap_summary([]) == {}

@@ -110,7 +110,7 @@ class TestSpecToSimulationToVerification:
         runtime.run(1800)
         assert set(runtime.outcomes()) == {"ok"}
         # 4. verify adherence
-        verifier = RuntimeVerifier(runtime.specification, runtime.facts)
+        verifier = RuntimeVerifier(runtime.facts)
         report = verifier.verify(runtime.log)
         assert report.adheres
         assert verifier.cross_check_enforcement(runtime.log, report) == []

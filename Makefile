@@ -1,17 +1,22 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test cli-sweep analyze chaos heal profile service ledger ledger-cold-text ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare clean
+.PHONY: test cli-sweep cli-sweep-update analyze chaos heal profile service ledger ledger-cold-text ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare clean
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 ## Sweep nmslc over examples/ and the 50-spec corpus (tests/cli_sweep.py):
 ## OUT/cli-sweep.json maps each command to [exit, sha256(stdout),
-## sha256(stderr)]; run it on two checkouts and diff the two files.
+## sha256(stderr)] and each --ship-dir spool file to its sha256.
 cli-sweep:
 	$(if $(OUT),,$(error usage: make cli-sweep OUT=DIR))
 	$(PYTHON) -m tests.cli_sweep $(OUT)
+
+## Rewrite the pinned sweep tests/test_cli_sweep.py holds the code to.
+cli-sweep-update:
+	out=$$(mktemp -d) && $(PYTHON) -m tests.cli_sweep $$out && \
+		cp $$out/cli-sweep.json tests/cli_sweep.json && rm -rf $$out
 
 ## Static-analysis gate: fails on non-baselined error diagnostics.
 analyze:

@@ -13,10 +13,9 @@ Per-network byte counters support utilisation reporting (the speculative
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import networkx
 
 from repro.errors import SimulationError
 from repro.nmsl.specs import Specification, SystemSpec
@@ -50,7 +49,8 @@ class Internet:
     def __init__(self):
         self._elements: Dict[str, SimElement] = {}
         self._networks: Dict[str, SimNetwork] = {}
-        self._graph = networkx.Graph()
+        #: ("elem" | "net", name) -> its neighbours, in attach order.
+        self._adjacency: Dict[Tuple[str, str], Dict[Tuple[str, str], None]] = {}
 
     # ------------------------------------------------------------------
     # Construction.
@@ -58,20 +58,21 @@ class Internet:
     def add_network(self, name: str, latency_s: float = DEFAULT_LATENCY_S) -> SimNetwork:
         if name not in self._networks:
             self._networks[name] = SimNetwork(name, latency_s)
-            self._graph.add_node(("net", name))
+            self._adjacency[("net", name)] = {}
         return self._networks[name]
 
     def add_element(self, name: str) -> SimElement:
         if name not in self._elements:
             self._elements[name] = SimElement(name)
-            self._graph.add_node(("elem", name))
+            self._adjacency[("elem", name)] = {}
         return self._elements[name]
 
     def attach(self, element_name: str, network_name: str, speed_bps: int) -> None:
         element = self.add_element(element_name)
         self.add_network(network_name)
         element.interfaces[network_name] = speed_bps
-        self._graph.add_edge(("elem", element_name), ("net", network_name))
+        self._adjacency[("elem", element_name)][("net", network_name)] = None
+        self._adjacency[("net", network_name)][("elem", element_name)] = None
 
     @classmethod
     def from_specification(cls, specification: Specification) -> "Internet":
@@ -106,18 +107,25 @@ class Internet:
     # Delay model.
     # ------------------------------------------------------------------
     def path_networks(self, src: str, dst: str) -> List[str]:
-        """The networks a message crosses from *src* to *dst*."""
+        """The networks a message crosses from *src* to *dst*: a shortest
+        path, the one through the earliest attached neighbour on a tie."""
         if src == dst:
             return []
-        try:
-            path = networkx.shortest_path(
-                self._graph, ("elem", src), ("elem", dst)
-            )
-        except (networkx.NetworkXNoPath, networkx.NodeNotFound) as exc:
-            raise SimulationError(
-                f"no route from {src!r} to {dst!r}"
-            ) from exc
-        return [name for kind, name in path if kind == "net"]
+        start, goal = ("elem", src), ("elem", dst)
+        parent = {start: start}
+        queue = deque([start] if start in self._adjacency else [])
+        while queue and goal not in parent:
+            node = queue.popleft()
+            for neighbour in self._adjacency[node]:
+                if neighbour not in parent:
+                    parent[neighbour] = node
+                    queue.append(neighbour)
+        if goal not in parent:
+            raise SimulationError(f"no route from {src!r} to {dst!r}")
+        path = [goal]
+        while path[-1] != start:
+            path.append(parent[path[-1]])
+        return [name for kind, name in reversed(path) if kind == "net"]
 
     def delay(self, src: str, dst: str, nbytes: int) -> float:
         """Latency + transmission time for *nbytes* from *src* to *dst*.

@@ -2,10 +2,12 @@
 
 * :mod:`repro.workloads.paper` — the exact specification texts of paper
   Figures 4.2, 4.4, 4.6 and 4.8 (plus the small completions needed to make
-  the four figures one closed internet);
-* :mod:`repro.workloads.generator` — synthetic internet generator for the
-  Section 3.1 scale evaluation (parameterised #domains, #systems/domain,
-  #applications, inconsistency injection);
+  the four figures one closed internet), and ``PaperScaleInternet``, the
+  generator below at the paper's 10,000 domains;
+* :mod:`repro.workloads.generator` — the synthetic internet generator
+  for the Section 3.1 scale evaluation (parameterised #domains,
+  #systems/domain, #applications, reference locality, umbrella domains,
+  inconsistency injection);
 * :mod:`repro.workloads.scenarios` — richer canned scenarios used by the
   examples and benchmarks (campus internet, new-organisation join).
 """

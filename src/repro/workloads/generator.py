@@ -1,19 +1,23 @@
-"""Synthetic internet generator for the Section 3.1 scale evaluation.
+"""The synthetic internet generator for the Section 3.1 scale evaluation.
 
 The paper's stated target: "very large networks, on the order of 100,000
 networks (and gateways), 100,000 to a million hosts, and 10,000
 administrative domains."  :class:`SyntheticInternet` builds parameterised
-internets two ways:
+internets up to that size as NMSL text (``text``, or streamed one
+declaration at a time by ``iter_text``/``write_text``) and as the typed
+model built directly (``specification``, structure-shared so 100,000
+elements stay cheap).
 
-* :meth:`text` — NMSL source text, exercising the full compiler path;
-* :meth:`specification` — the typed model built directly, for measuring
-  the consistency checker alone.
-
-Both produce the same structure: ``n_domains`` administrative domains,
-each containing ``systems_per_domain`` network elements running a shared
-read-only agent and exporting the MIB to the public domain, plus
-``applications_per_domain`` poller applications querying elements of the
-*next* domain (so every check crosses an administrative boundary).
+Both hold ``n_domains`` administrative domains, each containing
+``systems_per_domain`` network elements running a shared read-only agent
+and exporting the MIB to the public domain, plus
+``applications_per_domain`` pollers querying an element of another
+domain, so every check crosses an administrative boundary.  A
+``locality`` share of targets falls within ``locality_span`` domains
+of the client (each step half as likely as the last); the rest go to
+``hub_count`` Zipf-weighted hub domains.  The defaults make every target
+the *next* domain; :class:`repro.workloads.paper.PaperScaleInternet` is
+this generator at the paper's sizes and locality.
 
 Deliberate inconsistencies can be injected by kind to verify detection at
 scale: ``missing_permission`` (a domain that exports nothing),
@@ -24,9 +28,11 @@ variables that no element supports).
 
 from __future__ import annotations
 
+import bisect
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from repro.nmsl.frequency import FrequencySpec
 from repro.nmsl.specs import (
@@ -58,13 +64,23 @@ UNSUPPORTED_PATH = "mgmt.mib.egp"
 
 @dataclass(frozen=True)
 class InternetParameters:
-    """Size and fault-injection knobs for a synthetic internet."""
+    """Size, locality and fault-injection knobs for a synthetic internet."""
 
     n_domains: int = 10
     systems_per_domain: int = 10
     applications_per_domain: int = 2
     export_period_s: float = 300.0
     query_period_s: float = 900.0
+    #: Fraction of references that stay in the local neighbourhood.
+    locality: float = 1.0
+    #: Width of the neighbourhood (domain-index distance); within it,
+    #: distances fall off geometrically (halving per step).
+    locality_span: int = 1
+    #: Skew of hub popularity for the non-local references; weight of
+    #: hub *k* is ``1 / (k + 1) ** zipf_s``.
+    zipf_s: float = 1.1
+    #: How many low-index domains act as hubs.
+    hub_count: int = 256
     #: Domains (by index) that export nothing -> missing permissions.
     silent_domains: Tuple[int, ...] = ()
     #: Applications (by global index) that query too fast.
@@ -92,7 +108,7 @@ class SyntheticInternet:
 
     def __init__(self, parameters: InternetParameters):
         self.parameters = parameters
-        self._random = random.Random(parameters.seed)
+        self._target_rows: Optional[List[Tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------
     # Naming scheme.
@@ -106,46 +122,106 @@ class SyntheticInternet:
         return f"host{system_index:05d}.dom{domain_index:05d}.net"
 
     # ------------------------------------------------------------------
+    # Locality: who references whom.
+    # ------------------------------------------------------------------
+    def target_domain(self, domain_index: int, app_index: int) -> int:
+        """The (deterministic) target domain of one poller."""
+        return self._targets()[domain_index][app_index]
+
+    def _targets(self) -> List[Tuple[int, ...]]:
+        if self._target_rows is not None:
+            return self._target_rows
+        p = self.parameters
+        rng = random.Random(p.seed)
+        hubs = max(1, min(p.hub_count, p.n_domains))
+        cumulative: List[float] = []
+        total = 0.0
+        for rank in range(hubs):
+            total += 1.0 / (rank + 1) ** p.zipf_s
+            cumulative.append(total)
+        rows: List[Tuple[int, ...]] = []
+        for domain_index in range(p.n_domains):
+            row = []
+            for _app in range(p.applications_per_domain):
+                if rng.random() < p.locality:
+                    # Geometric fall-off inside the neighbourhood:
+                    # distance d+1 is half as likely as distance d.
+                    draw = max(rng.random(), 1e-12)
+                    distance = 1 + min(
+                        int(-math.log2(draw)), max(p.locality_span - 1, 0)
+                    )
+                    target = (domain_index + distance) % p.n_domains
+                else:
+                    draw = rng.random() * cumulative[-1]
+                    target = bisect.bisect_left(cumulative, draw)
+                if target == domain_index:
+                    target = (domain_index + 1) % p.n_domains
+                row.append(target)
+            rows.append(tuple(row))
+        self._target_rows = rows
+        return rows
+
+    def _target_for(self, domain_index: int, app_index: int) -> str:
+        target = self.target_domain(domain_index, app_index)
+        system_index = app_index % self.parameters.systems_per_domain
+        return self.system_name(target, system_index)
+
+    def _process_name_for(self, domain_index: int, app_index: int) -> str:
+        p = self.parameters
+        global_index = domain_index * p.applications_per_domain + app_index
+        if global_index in p.fast_pollers:
+            return "fastPoller"
+        if global_index in p.egp_pollers:
+            return "egpPoller"
+        return "poller"
+
+    # ------------------------------------------------------------------
     # NMSL text.
     # ------------------------------------------------------------------
-    def text(self) -> str:
+    def iter_text(self) -> Iterator[str]:
+        """Yield the NMSL source one declaration at a time.
+
+        ``"\\n".join(net.iter_text())`` equals :meth:`text`, but a
+        consumer that writes chunks as they arrive (a file, a pipe into
+        the compiler) never holds more than one declaration in memory.
+        """
         p = self.parameters
-        parts: List[str] = [self._process_texts()]
+        yield self._process_texts()
         for domain_index in range(p.n_domains):
             for system_index in range(p.systems_per_domain):
-                parts.append(self._system_text(domain_index, system_index))
+                yield self._system_text(domain_index, system_index)
         for domain_index in range(p.n_domains):
-            parts.append(self._domain_text(domain_index))
-        parts.extend(self._umbrella_texts())
-        return "\n".join(parts)
-
-    def _umbrella_groups(self) -> List[List[str]]:
-        p = self.parameters
-        if p.umbrella_fanout <= 0:
-            return []
-        names = [self.domain_name(index) for index in range(p.n_domains)]
-        return [
-            names[start : start + p.umbrella_fanout]
-            for start in range(0, len(names), p.umbrella_fanout)
-        ]
-
-    def _umbrella_texts(self) -> List[str]:
-        groups = self._umbrella_groups()
-        parts = []
-        umbrella_names = []
-        for index, members in enumerate(groups):
-            name = f"region{index:04d}"
-            umbrella_names.append(name)
+            yield self._domain_text(domain_index)
+        for name, members in self._umbrellas():
             lines = [f"domain {name} ::="]
             lines.extend(f"    domain {member};" for member in members)
-            lines.append(f"end domain {name}.")
-            parts.append("\n".join(lines))
-        if umbrella_names:
-            lines = ["domain root ::="]
-            lines.extend(f"    domain {name};" for name in umbrella_names)
-            lines.append("end domain root.")
-            parts.append("\n".join(lines))
-        return parts
+            lines.append(f"end domain {name}.\n")
+            yield "\n".join(lines)
+
+    def text(self) -> str:
+        return "\n".join(self.iter_text())
+
+    def write_text(self, path) -> int:
+        """Stream the source to *path*; returns bytes written."""
+        written = 0
+        with open(path, "w", encoding="utf-8") as handle:
+            for chunk in self.iter_text():
+                written += handle.write(chunk)
+                written += handle.write("\n")
+        return written
+
+    def _umbrellas(self) -> List[Tuple[str, Tuple[str, ...]]]:
+        """(name, subdomains) of each umbrella domain, the root last."""
+        p = self.parameters
+        if p.umbrella_fanout <= 0 or p.n_domains <= 0:
+            return []
+        names = [self.domain_name(index) for index in range(p.n_domains)]
+        starts = range(0, p.n_domains, p.umbrella_fanout)
+        regions = [
+            (f"region{index:04d}", tuple(names[start:start + p.umbrella_fanout]))
+            for index, start in enumerate(starts)
+        ]
+        return regions + [("root", tuple(name for name, _ in regions))]
 
     def _process_texts(self) -> str:
         p = self.parameters
@@ -201,12 +277,7 @@ end system "{name}".
                 f"    system {self.system_name(domain_index, system_index)};"
             )
         for app_index in range(p.applications_per_domain):
-            global_index = domain_index * p.applications_per_domain + app_index
-            process = "poller"
-            if global_index in p.fast_pollers:
-                process = "fastPoller"
-            elif global_index in p.egp_pollers:
-                process = "egpPoller"
+            process = self._process_name_for(domain_index, app_index)
             target = self._target_for(domain_index, app_index)
             lines.append(f"    process {process}({target});")
         if domain_index not in p.silent_domains:
@@ -219,14 +290,8 @@ end system "{name}".
         lines.append(f"end domain {name}.")
         return "\n".join(lines)
 
-    def _target_for(self, domain_index: int, app_index: int) -> str:
-        p = self.parameters
-        target_domain = (domain_index + 1) % p.n_domains
-        target_system = app_index % p.systems_per_domain
-        return self.system_name(target_domain, target_system)
-
     # ------------------------------------------------------------------
-    # Direct typed-model construction (bypasses the parser).
+    # Direct typed-model construction, structure-shared.
     # ------------------------------------------------------------------
     def specification(self) -> Specification:
         p = self.parameters
@@ -244,44 +309,38 @@ end system "{name}".
                                       FrequencySpec.exactly_every(30)))
         spec.add_process(self._poller("egpPoller", UNSUPPORTED_PATH,
                                       FrequencySpec.at_most_every(p.query_period_s)))
+        agent_invocations = (ProcessInvocation("stdAgent"),)
+        exports_tuple = (export,)
         for domain_index in range(p.n_domains):
+            # One interface object per domain, shared by its elements.
+            interfaces = (
+                InterfaceSpec(
+                    name="ie0",
+                    network=f"net{domain_index:05d}",
+                    if_type="ethernet-csmacd",
+                    speed_bps=10_000_000,
+                ),
+            )
             for system_index in range(p.systems_per_domain):
-                name = self.system_name(domain_index, system_index)
                 spec.add_system(
                     SystemSpec(
-                        name=name,
+                        name=self.system_name(domain_index, system_index),
                         cpu="sparc",
-                        interfaces=(
-                            InterfaceSpec(
-                                name="ie0",
-                                network=f"net{domain_index:05d}",
-                                if_type="ethernet-csmacd",
-                                speed_bps=10_000_000,
-                            ),
-                        ),
+                        interfaces=interfaces,
                         opsys="SunOS",
                         opsys_version="4.0.1",
                         supports=SUPPORTED_GROUPS,
-                        processes=(ProcessInvocation("stdAgent"),),
+                        processes=agent_invocations,
                     )
                 )
         for domain_index in range(p.n_domains):
-            invocations = []
-            for app_index in range(p.applications_per_domain):
-                global_index = domain_index * p.applications_per_domain + app_index
-                process = "poller"
-                if global_index in p.fast_pollers:
-                    process = "fastPoller"
-                elif global_index in p.egp_pollers:
-                    process = "egpPoller"
-                invocations.append(
-                    ProcessInvocation(
-                        process, (self._target_for(domain_index, app_index),)
-                    )
+            invocations = tuple(
+                ProcessInvocation(
+                    self._process_name_for(domain_index, app_index),
+                    (self._target_for(domain_index, app_index),),
                 )
-            exports = ()
-            if domain_index not in p.silent_domains:
-                exports = (export,)
+                for app_index in range(p.applications_per_domain)
+            )
             spec.add_domain(
                 DomainSpec(
                     name=self.domain_name(domain_index),
@@ -289,19 +348,15 @@ end system "{name}".
                         self.system_name(domain_index, system_index)
                         for system_index in range(p.systems_per_domain)
                     ),
-                    processes=tuple(invocations),
-                    exports=exports,
+                    processes=invocations,
+                    exports=(
+                        () if domain_index in p.silent_domains
+                        else exports_tuple
+                    ),
                 )
             )
-        umbrella_names = []
-        for index, members in enumerate(self._umbrella_groups()):
-            name = f"region{index:04d}"
-            umbrella_names.append(name)
-            spec.add_domain(DomainSpec(name=name, subdomains=tuple(members)))
-        if umbrella_names:
-            spec.add_domain(
-                DomainSpec(name="root", subdomains=tuple(umbrella_names))
-            )
+        for name, members in self._umbrellas():
+            spec.add_domain(DomainSpec(name=name, subdomains=members))
         return spec
 
     @staticmethod
@@ -317,19 +372,17 @@ end system "{name}".
     def expected_inconsistent_references(self) -> int:
         """How many references the checker should flag, by construction.
 
-        A poller in domain *d* targets domain *d+1*: its reference fails
-        when it is a fast/EGP poller, or when the target domain is silent
-        (exports nothing — element agents also export nothing here, so the
-        permission must come from the domain).
+        A reference fails when its poller is a fast/EGP poller, or when
+        its target domain is silent (exports nothing — element agents
+        also export nothing here, so the permission must come from the
+        domain).
         """
         p = self.parameters
-        count = 0
-        for domain_index in range(p.n_domains):
-            target_domain = (domain_index + 1) % p.n_domains
-            for app_index in range(p.applications_per_domain):
-                global_index = domain_index * p.applications_per_domain + app_index
-                if global_index in p.fast_pollers or global_index in p.egp_pollers:
-                    count += 1
-                elif target_domain in p.silent_domains:
-                    count += 1
-        return count
+        silent = set(p.silent_domains)
+        bad = set(p.fast_pollers) | set(p.egp_pollers)
+        return sum(
+            domain_index * p.applications_per_domain + app_index in bad
+            or self.target_domain(domain_index, app_index) in silent
+            for domain_index in range(p.n_domains)
+            for app_index in range(p.applications_per_domain)
+        )

@@ -11,50 +11,23 @@ runs the read-only SNMP agent) and an ``snmpaddr`` application instance.
 ``cs.wisc.edu``, named as a second system in Figure 4.8 but never given
 its own figure, is completed minimally here.
 
-:class:`PaperScaleInternet` scales the same structure up to the target
-the paper states for itself — "on the order of 100,000 networks (and
+:class:`PaperScaleInternet` is
+:class:`~repro.workloads.generator.SyntheticInternet` at the target the
+paper states for itself — "on the order of 100,000 networks (and
 gateways), 100,000 to a million hosts, and 10,000 administrative
-domains" — with two properties the smaller
-:class:`~repro.workloads.generator.SyntheticInternet` does not have:
-
-* **streaming emission**: :meth:`PaperScaleInternet.iter_text` yields
-  the NMSL source one declaration at a time, so a 10,000-domain
-  internet can be written to disk or piped to the compiler without the
-  tens of megabytes of source ever being resident at once;
-* **reference locality**: instead of every poller targeting the next
-  domain, targets follow the distribution real internets show — most
-  references stay within a nearby administrative neighbourhood
-  (geometric fall-off), and the rest go to a small set of popular hub
-  domains (Zipf over the low indices, the "backbone" of the synthetic
-  internet).  Both draws are deterministic in the seed.
+domains".  :class:`PaperScaleParameters` only changes four defaults:
+10,000 domains, umbrella domains of 100, and reference locality — 70%
+of poller targets within eight domains of the client, the rest on the
+Zipf-distributed hub domains — instead of every poller targeting the
+next domain.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
-import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Optional
 
-from repro.mib.tree import Access
-from repro.nmsl.frequency import FrequencySpec
-from repro.nmsl.specs import (
-    DomainSpec,
-    ExportSpec,
-    InterfaceSpec,
-    ProcessInvocation,
-    ProcessSpec,
-    Specification,
-    SystemSpec,
-)
-from repro.workloads.generator import (
-    REQUESTED_PATH,
-    SUPPORTED_GROUPS,
-    UNSUPPORTED_PATH,
-    SyntheticInternet,
-    InternetParameters,
-)
+from repro.workloads.generator import InternetParameters, SyntheticInternet
 
 FIG_42_TYPE_SPECS = """
 type ipAddrTable ::=
@@ -152,278 +125,19 @@ PAPER_SPEC_TEXT = (
 # Paper scale: the Section 3.1 numbers.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class PaperScaleParameters:
-    """Size, locality and fault-injection knobs for a paper-scale internet.
-
-    The defaults reproduce the paper's own target: 10,000 administrative
-    domains of 10 network elements each (100,000 systems).
-    """
+class PaperScaleParameters(InternetParameters):
+    """The synthetic internet's knobs at the paper's own target: 10,000
+    administrative domains of 10 network elements each (100,000
+    systems), with reference locality and umbrella domains."""
 
     n_domains: int = 10_000
-    systems_per_domain: int = 10
-    applications_per_domain: int = 2
-    export_period_s: float = 300.0
-    query_period_s: float = 900.0
-    #: Fraction of references that stay in the local neighbourhood.
     locality: float = 0.7
-    #: Width of the neighbourhood (domain-index distance); within it,
-    #: distances fall off geometrically (halving per step).
     locality_span: int = 8
-    #: Skew of hub popularity for the non-local references; weight of
-    #: hub *k* is ``1 / (k + 1) ** zipf_s``.
-    zipf_s: float = 1.1
-    #: How many low-index domains act as hubs.
-    hub_count: int = 256
-    #: Domains (by index) that export nothing -> missing permissions.
-    silent_domains: Tuple[int, ...] = ()
-    #: Applications (by global index) that query too fast.
-    fast_pollers: Tuple[int, ...] = ()
-    #: Applications (by global index) that request unsupported EGP data.
-    egp_pollers: Tuple[int, ...] = ()
-    #: Umbrella-domain fanout (0 = flat), as in the synthetic generator.
     umbrella_fanout: int = 100
-    seed: int = 1989
-
-    @property
-    def n_systems(self) -> int:
-        return self.n_domains * self.systems_per_domain
-
-    @property
-    def n_applications(self) -> int:
-        return self.n_domains * self.applications_per_domain
-
-    def as_internet_parameters(self) -> InternetParameters:
-        """The equivalent knobs of the small synthetic generator."""
-        return InternetParameters(
-            n_domains=self.n_domains,
-            systems_per_domain=self.systems_per_domain,
-            applications_per_domain=self.applications_per_domain,
-            export_period_s=self.export_period_s,
-            query_period_s=self.query_period_s,
-            silent_domains=self.silent_domains,
-            fast_pollers=self.fast_pollers,
-            egp_pollers=self.egp_pollers,
-            umbrella_fanout=self.umbrella_fanout,
-            seed=self.seed,
-        )
 
 
-class PaperScaleInternet:
-    """A 10,000-domain / 100,000-system internet, streamed and shared.
-
-    Reuses :class:`SyntheticInternet`'s naming scheme and declaration
-    texts so small and large workloads are structurally comparable, but
-    draws poller targets from the locality distribution and builds the
-    typed model with aggressive structure sharing (one interface object
-    per domain, one shared process-invocation tuple for all elements) so
-    100,000 :class:`SystemSpec` objects stay cheap.
-    """
+class PaperScaleInternet(SyntheticInternet):
+    """A 10,000-domain / 100,000-system internet, streamed and shared."""
 
     def __init__(self, parameters: Optional[PaperScaleParameters] = None):
-        self.parameters = parameters or PaperScaleParameters()
-        self._base = SyntheticInternet(self.parameters.as_internet_parameters())
-        self._target_rows: Optional[List[Tuple[int, ...]]] = None
-
-    # ------------------------------------------------------------------
-    # Locality: who references whom.
-    # ------------------------------------------------------------------
-    def target_domain(self, domain_index: int, app_index: int) -> int:
-        """The (deterministic) target domain of one poller."""
-        return self._targets()[domain_index][app_index]
-
-    def _targets(self) -> List[Tuple[int, ...]]:
-        if self._target_rows is not None:
-            return self._target_rows
-        p = self.parameters
-        rng = random.Random(p.seed)
-        hubs = max(1, min(p.hub_count, p.n_domains))
-        cumulative: List[float] = []
-        total = 0.0
-        for rank in range(hubs):
-            total += 1.0 / (rank + 1) ** p.zipf_s
-            cumulative.append(total)
-        rows: List[Tuple[int, ...]] = []
-        for domain_index in range(p.n_domains):
-            row = []
-            for _app in range(p.applications_per_domain):
-                if rng.random() < p.locality:
-                    # Geometric fall-off inside the neighbourhood:
-                    # distance d+1 is half as likely as distance d.
-                    draw = max(rng.random(), 1e-12)
-                    distance = 1 + min(
-                        int(-math.log2(draw)), max(p.locality_span - 1, 0)
-                    )
-                    target = (domain_index + distance) % p.n_domains
-                else:
-                    draw = rng.random() * cumulative[-1]
-                    target = bisect.bisect_left(cumulative, draw)
-                if target == domain_index:
-                    target = (domain_index + 1) % p.n_domains
-                row.append(target)
-            rows.append(tuple(row))
-        self._target_rows = rows
-        return rows
-
-    def _target_for(self, domain_index: int, app_index: int) -> str:
-        target = self.target_domain(domain_index, app_index)
-        system_index = app_index % self.parameters.systems_per_domain
-        return SyntheticInternet.system_name(target, system_index)
-
-    def _process_name_for(self, domain_index: int, app_index: int) -> str:
-        p = self.parameters
-        global_index = domain_index * p.applications_per_domain + app_index
-        if global_index in p.fast_pollers:
-            return "fastPoller"
-        if global_index in p.egp_pollers:
-            return "egpPoller"
-        return "poller"
-
-    # ------------------------------------------------------------------
-    # Streaming NMSL emission.
-    # ------------------------------------------------------------------
-    def iter_text(self) -> Iterator[str]:
-        """Yield the NMSL source one declaration at a time.
-
-        ``"".join(net.iter_text())`` equals :meth:`text`, but a consumer
-        that writes chunks as they arrive (a file, a pipe into the
-        compiler) never holds more than one declaration in memory.
-        """
-        p = self.parameters
-        yield self._base._process_texts()
-        for domain_index in range(p.n_domains):
-            for system_index in range(p.systems_per_domain):
-                yield self._base._system_text(domain_index, system_index)
-        for domain_index in range(p.n_domains):
-            yield self._domain_text(domain_index)
-        for part in self._base._umbrella_texts():
-            yield part + "\n"
-
-    def text(self) -> str:
-        return "\n".join(self.iter_text())
-
-    def write_text(self, path) -> int:
-        """Stream the source to *path*; returns bytes written."""
-        written = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            for chunk in self.iter_text():
-                written += handle.write(chunk)
-                written += handle.write("\n")
-        return written
-
-    def _domain_text(self, domain_index: int) -> str:
-        p = self.parameters
-        name = SyntheticInternet.domain_name(domain_index)
-        lines = [f"domain {name} ::="]
-        for system_index in range(p.systems_per_domain):
-            lines.append(
-                f"    system {SyntheticInternet.system_name(domain_index, system_index)};"
-            )
-        for app_index in range(p.applications_per_domain):
-            process = self._process_name_for(domain_index, app_index)
-            target = self._target_for(domain_index, app_index)
-            lines.append(f"    process {process}({target});")
-        if domain_index not in p.silent_domains:
-            minutes = p.export_period_s / 60.0
-            lines.append(
-                f'    exports mgmt.mib to "public"\n'
-                f"        access ReadOnly\n"
-                f"        frequency >= {minutes:g} minutes;"
-            )
-        lines.append(f"end domain {name}.")
-        return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # Direct typed-model construction, structure-shared.
-    # ------------------------------------------------------------------
-    def specification(self) -> Specification:
-        p = self.parameters
-        spec = Specification()
-        export = ExportSpec(
-            variables=("mgmt.mib",),
-            to_domain="public",
-            access=Access.READ_ONLY,
-            frequency=FrequencySpec.at_most_every(p.export_period_s),
-        )
-        spec.add_process(ProcessSpec(name="stdAgent", supports=("mgmt.mib",)))
-        spec.add_process(self._base._poller(
-            "poller", REQUESTED_PATH,
-            FrequencySpec.at_most_every(p.query_period_s)))
-        spec.add_process(self._base._poller(
-            "fastPoller", REQUESTED_PATH, FrequencySpec.exactly_every(30)))
-        spec.add_process(self._base._poller(
-            "egpPoller", UNSUPPORTED_PATH,
-            FrequencySpec.at_most_every(p.query_period_s)))
-        agent_invocations = (ProcessInvocation("stdAgent"),)
-        exports_tuple = (export,)
-        for domain_index in range(p.n_domains):
-            # One interface object per domain, shared by its elements.
-            interface = InterfaceSpec(
-                name="ie0",
-                network=f"net{domain_index:05d}",
-                if_type="ethernet-csmacd",
-                speed_bps=10_000_000,
-            )
-            interfaces = (interface,)
-            for system_index in range(p.systems_per_domain):
-                spec.add_system(
-                    SystemSpec(
-                        name=SyntheticInternet.system_name(
-                            domain_index, system_index
-                        ),
-                        cpu="sparc",
-                        interfaces=interfaces,
-                        opsys="SunOS",
-                        opsys_version="4.0.1",
-                        supports=SUPPORTED_GROUPS,
-                        processes=agent_invocations,
-                    )
-                )
-        for domain_index in range(p.n_domains):
-            invocations = tuple(
-                ProcessInvocation(
-                    self._process_name_for(domain_index, app_index),
-                    (self._target_for(domain_index, app_index),),
-                )
-                for app_index in range(p.applications_per_domain)
-            )
-            spec.add_domain(
-                DomainSpec(
-                    name=SyntheticInternet.domain_name(domain_index),
-                    systems=tuple(
-                        SyntheticInternet.system_name(domain_index, system_index)
-                        for system_index in range(p.systems_per_domain)
-                    ),
-                    processes=invocations,
-                    exports=(
-                        () if domain_index in p.silent_domains
-                        else exports_tuple
-                    ),
-                )
-            )
-        umbrella_names = []
-        for index, members in enumerate(self._base._umbrella_groups()):
-            name = f"region{index:04d}"
-            umbrella_names.append(name)
-            spec.add_domain(DomainSpec(name=name, subdomains=tuple(members)))
-        if umbrella_names:
-            spec.add_domain(
-                DomainSpec(name="root", subdomains=tuple(umbrella_names))
-            )
-        return spec
-
-    def expected_inconsistent_references(self) -> int:
-        """How many references the checker should flag, by construction."""
-        p = self.parameters
-        silent = set(p.silent_domains)
-        bad = set(p.fast_pollers) | set(p.egp_pollers)
-        count = 0
-        for domain_index in range(p.n_domains):
-            for app_index in range(p.applications_per_domain):
-                global_index = (
-                    domain_index * p.applications_per_domain + app_index
-                )
-                if global_index in bad:
-                    count += 1
-                elif self.target_domain(domain_index, app_index) in silent:
-                    count += 1
-        return count
+        super().__init__(parameters or PaperScaleParameters())

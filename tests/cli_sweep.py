@@ -1,28 +1,30 @@
 """Run ``nmslc`` over ``examples/`` and the 50-spec corpus; record what it said.
 
-Writes ``OUT/cli-sweep.json``, one entry per command:
-``{command: [exit code, sha256(stdout), sha256(stderr)]}``.  The specs are
-copied into ``OUT/specs`` and every command runs in-process from there on
-relative paths, so two checkouts give comparable files::
+Writes ``OUT/cli-sweep.json``: under ``commands``, one entry per command,
+``{command: [exit code, sha256(stdout), sha256(stderr)]}``; under
+``spools``, the sha256 of every file the ``--ship-dir`` commands wrote
+to ``OUT/specs/shipped/SPEC-TAG``.  The specs are copied into
+``OUT/specs`` and every command runs in-process from there on relative
+paths, so two checkouts give comparable files.  ``tests/cli_sweep.json``
+is this file for the committed code; ``tests/test_cli_sweep.py`` holds
+a fresh sweep to it, and after a deliberate change::
 
-    make cli-sweep OUT=/tmp/before        # on one checkout
-    make cli-sweep OUT=/tmp/after         # on the other
-    diff /tmp/before/cli-sweep.json /tmp/after/cli-sweep.json
+    make cli-sweep-update                 # rewrites tests/cli_sweep.json
+    make cli-sweep OUT=/tmp/after         # or: sweep into a directory
 
-The corpus is :mod:`tests.consistency.test_differential`'s (seed 1989),
-written as NMSL text; two deliberately broken specs (a semantic error and
-a syntax error) cover the refusal paths of every subcommand.  The
-``edge-*`` specs are the paper example rewritten to reach the parser's
-token-by-token path: comments and strings holding ``;`` or ``--`` inside
-clauses, CRLF line ends, ``\x0c``/``\x1c`` blanks, non-ASCII text, and a
-lexical error after a syntax error.  Two more rewrite the campus example
-for the fact renderings: ``edge-quote`` names a system ``gw.cs.o'neil.edu``
-(the CLP(R) text must escape the quote), ``edge-prefix`` adds an
-exporting domain ``cs`` beside ``cs-domain`` and eleven agents on one
-element (``#1`` beside ``#10``), so no grantor is a prefix match.
+The corpus is :mod:`tests.corpus`'s (seed 1989), written as NMSL text;
+two deliberately broken specs (a semantic error and a syntax error)
+cover the refusal paths of every subcommand.  The ``edge-*`` specs are
+the paper example rewritten to reach the parser's token-by-token path:
+comments and strings holding ``;`` or ``--`` inside clauses, CRLF line
+ends, ``\x0c``/``\x1c`` blanks, non-ASCII text, and a lexical error after
+a syntax error.  Two more rewrite the campus example for the fact
+renderings: ``edge-quote`` names a system ``gw.cs.o'neil.edu`` (the
+CLP(R) text must escape the quote), ``edge-prefix`` adds an exporting
+domain ``cs`` beside ``cs-domain`` and eleven agents on one element
+(``#1`` beside ``#10``), so no grantor is a prefix match.
 
-``--ship-dir`` commands write each spool to ``OUT/specs/shipped/SPEC-TAG``;
-``diff -r`` those trees too, since the sweep hashes only what was printed.
+Standard library only: the sweep runs without ``pytest`` installed.
 """
 
 import contextlib
@@ -57,7 +59,7 @@ end domain cs.
 
 def edge_specs():
     """Edge cases, each an example with one rewrite."""
-    from tests.consistency.test_differential import quoted_campus
+    from tests.corpus import quoted_campus
 
     paper = (ROOT / "examples" / EXAMPLES[1]).read_text(encoding="utf-8")
     campus = (ROOT / "examples" / EXAMPLES[0]).read_text(encoding="utf-8")
@@ -88,7 +90,7 @@ def edge_specs():
 def _write_specs(specs: Path):
     """The example and corpus specs under *specs*; returns the corpus names."""
     from repro.workloads.generator import SyntheticInternet
-    from tests.consistency.test_differential import _corpus
+    from tests.corpus import corpus as draw_corpus
 
     specs.mkdir(parents=True, exist_ok=True)
     for name in EXAMPLES:
@@ -102,7 +104,7 @@ def _write_specs(specs: Path):
         with open(specs / name, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     corpus = []
-    for number, parameters in enumerate(_corpus()):
+    for number, parameters in enumerate(draw_corpus()):
         name = f"spec{number:02d}.nmsl"
         (specs / name).write_text(
             SyntheticInternet(parameters).text(), encoding="utf-8"
@@ -213,6 +215,16 @@ def run(argv):
     ]
 
 
+def spool_digests(specs: Path):
+    """{path under *specs*: sha256} of every file under ``shipped/``."""
+    return {
+        path.relative_to(specs).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((specs / "shipped").rglob("*"))
+        if path.is_file()
+    }
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -227,10 +239,14 @@ def main(argv=None) -> int:
         results = {" ".join(argv): run(argv) for argv in commands(corpus)}
     finally:
         os.chdir(cwd)
+    spools = spool_digests(specs)
     (out / "cli-sweep.json").write_text(
-        json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps({"commands": results, "spools": spools}, indent=1,
+                   sort_keys=True) + "\n",
+        encoding="utf-8",
     )
-    print(f"swept {len(results)} commands into {out / 'cli-sweep.json'}")
+    print(f"swept {len(results)} commands and {len(spools)} spool files "
+          f"into {out / 'cli-sweep.json'}")
     return 0
 
 

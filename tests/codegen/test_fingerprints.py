@@ -25,7 +25,7 @@ from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.workloads.generator import SyntheticInternet
 from repro.workloads.paper import PaperScaleInternet, PaperScaleParameters
 
-from tests.consistency.test_differential import CORPUS_SIZE, _corpus
+from tests.corpus import CORPUS_SIZE, corpus
 
 TREE = NmslCompiler(CompilerOptions(register_codegen=False)).tree
 TAGS = (SNMPD_TAG, ACL_TAG, OSI_TAG)
@@ -61,7 +61,7 @@ def _assert_scopes_agree(specification, scopes):
     "index", range(CORPUS_SIZE), ids=[f"spec{i:02d}" for i in range(CORPUS_SIZE)]
 )
 def test_corpus_scoped_equals_unscoped(index):
-    specification = SyntheticInternet(_corpus()[index]).specification()
+    specification = SyntheticInternet(corpus()[index]).specification()
     # The last domain also lists the first domain's first element, out
     # of declaration order: one element, two delivering domains.
     first, *_others, last = specification.domains.values()

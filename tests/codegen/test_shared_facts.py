@@ -23,7 +23,7 @@ from repro.codegen.transport import CallbackTransport
 from repro.nmsl.compiler import NmslCompiler
 from repro.workloads.generator import SyntheticInternet
 from repro.workloads.paper import PaperScaleInternet, PaperScaleParameters
-from tests.consistency.test_differential import _corpus
+from tests.corpus import corpus
 
 _ROOT = Path(__file__).resolve().parents[2]
 _EXAMPLES = sorted((_ROOT / "examples").glob("*.nmsl"))
@@ -54,7 +54,7 @@ def _assert_three_ways_equal(compiler, result, tags=TAGS):
 
 
 @pytest.mark.parametrize(
-    "parameters", _corpus(), ids=lambda p: f"seed{p.seed}-d{p.n_domains}"
+    "parameters", corpus(), ids=lambda p: f"seed{p.seed}-d{p.n_domains}"
 )
 def test_corpus_shared_equals_fresh_equals_parent(parameters):
     result = _COMPILER.compile(SyntheticInternet(parameters).text())
@@ -168,7 +168,7 @@ def test_profile_with_output_expands_facts_once(campus, generations, capsys):
 
 
 def test_output_alone_interns_views(tmp_path, generations, views_built, capsys):
-    parameters = _corpus()[0]
+    parameters = corpus()[0]
     spec = tmp_path / "internet.nmsl"
     spec.write_text(SyntheticInternet(parameters).text(), encoding="utf-8")
     assert cli.main([str(spec), "--output", "BartsSnmpd"]) == 0
@@ -271,7 +271,7 @@ def test_profile_diff_against_hands_codegen_the_patched_facts(
 def test_random_owner_local_edits_keep_shared_equal_to_fresh():
     """Five corpus specs, each with one system's supports list cut."""
     rng = random.Random(24)
-    for parameters in rng.sample(_corpus(), 5):
+    for parameters in rng.sample(corpus(), 5):
         text = SyntheticInternet(parameters).text()
         old = _COMPILER.compile(text)
         victim = rng.choice(sorted(old.specification.systems))

@@ -33,7 +33,7 @@ from repro.workloads.generator import SyntheticInternet
 from repro.workloads.paper import PaperScaleInternet, PaperScaleParameters
 
 from .reference_containment import transitive_containment
-from .test_differential import CORPUS_SIZE, _corpus
+from tests.corpus import CORPUS_SIZE, corpus
 
 _COMPILER = NmslCompiler(CompilerOptions(register_codegen=False))
 
@@ -74,7 +74,7 @@ def assert_matches_reference(specification: Specification) -> None:
 
 @pytest.mark.parametrize(
     "parameters",
-    _corpus(),
+    corpus(),
     ids=[f"spec{i:02d}" for i in range(CORPUS_SIZE)],
 )
 def test_corpus_matches_reference(parameters):

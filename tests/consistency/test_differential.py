@@ -28,7 +28,6 @@ there (the checker decides them existentially; see the module docstring
 of :mod:`repro.consistency.oracles`).
 """
 
-import random
 from pathlib import Path
 
 import pytest
@@ -39,58 +38,11 @@ from repro.consistency.oracles import ORACLES, failing_clients
 from repro.consistency.speculative import SpeculativeChecker
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.nmsl.specs import Specification
-from repro.workloads.generator import InternetParameters, SyntheticInternet
-
-#: Corpus size demanded by the differential-oracle task.
-CORPUS_SIZE = 50
-
-#: One seed for the whole corpus: reproducible, yet varied.
-CORPUS_SEED = 1989
+from repro.workloads.generator import SyntheticInternet
+from tests.corpus import CORPUS_SIZE, corpus, quoted_campus
 
 _COMPILER = NmslCompiler(CompilerOptions(register_codegen=False))
 _ROOT = Path(__file__).resolve().parents[2]
-
-
-def _draw_parameters(rng: random.Random) -> InternetParameters:
-    """One random internet, small enough for the CLP(R) engine."""
-    n_domains = rng.randint(2, 4)
-    systems = rng.randint(1, 3)
-    applications = rng.randint(1, 2)
-    poller_slots = n_domains * applications
-    return InternetParameters(
-        n_domains=n_domains,
-        systems_per_domain=systems,
-        applications_per_domain=applications,
-        silent_domains=tuple(
-            sorted(
-                rng.sample(
-                    range(n_domains), k=rng.randint(0, min(2, n_domains - 1))
-                )
-            )
-        ),
-        fast_pollers=tuple(
-            sorted(rng.sample(range(poller_slots), k=rng.randint(0, 2)))
-        ),
-        egp_pollers=tuple(
-            sorted(rng.sample(range(poller_slots), k=rng.randint(0, 1)))
-        ),
-        seed=rng.randint(0, 2**31),
-    )
-
-
-def _corpus():
-    rng = random.Random(CORPUS_SEED)
-    return [_draw_parameters(rng) for _ in range(CORPUS_SIZE)]
-
-
-def quoted_campus() -> str:
-    """``examples/campus.nmsl`` with a system named ``gw.cs.o'neil.edu``:
-    the quote has to survive the CLP(R) fact text."""
-    text = (_ROOT / "examples" / "campus.nmsl").read_text(encoding="utf-8")
-    quoted = '"gw.cs.o\'neil.edu"'
-    return text.replace('"gw.cs.campus.edu"', quoted).replace(
-        "gw.cs.campus.edu", quoted
-    )
 
 
 def spec_texts():
@@ -99,14 +51,14 @@ def spec_texts():
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted((_ROOT / "examples").glob("*.nmsl"))
     }
-    for number, parameters in enumerate(_corpus()):
+    for number, parameters in enumerate(corpus()):
         texts[f"spec{number:02d}"] = SyntheticInternet(parameters).text()
     return texts
 
 
 @pytest.mark.parametrize(
     "parameters",
-    [*_corpus(), quoted_campus()],
+    [*corpus(), quoted_campus()],
     ids=[*(f"spec{i:02d}" for i in range(CORPUS_SIZE)), "campus-quote"],
 )
 def test_engines_agree(parameters):
@@ -152,7 +104,7 @@ def test_scan_oracle_shares_no_state_with_the_checker(monkeypatch):
     same specification object through ``scan`` builds no
     ``PermissionIndex``, reads and writes none of a live checker's
     memos, and reduces a fact set of its own."""
-    parameters = next(p for p in _corpus() if p.silent_domains)
+    parameters = next(p for p in corpus() if p.silent_domains)
     specification = SyntheticInternet(parameters).specification()
     tree = _COMPILER.tree
     checker = ConsistencyChecker(specification, tree)
@@ -189,7 +141,7 @@ def test_scan_oracle_shares_no_state_with_the_checker(monkeypatch):
 
 @pytest.mark.parametrize(
     "parameters",
-    _corpus(),
+    corpus(),
     ids=[f"spec{i:02d}" for i in range(CORPUS_SIZE)],
 )
 def test_sharded_reduction_is_byte_identical(parameters):
@@ -222,7 +174,7 @@ def test_sharded_reduction_is_byte_identical(parameters):
 
 @pytest.mark.parametrize(
     "parameters",
-    _corpus()[:10],
+    corpus()[:10],
     ids=[f"spec{i:02d}" for i in range(10)],
 )
 def test_incremental_recheck_agrees(parameters):

@@ -29,7 +29,7 @@ from repro.nmsl import specs as specs_module
 from repro.nmsl.compiler import NmslCompiler
 from repro.nmsl.specs import TypeSpec
 from repro.workloads.generator import InternetParameters, SyntheticInternet
-from tests.consistency.test_differential import _corpus
+from tests.corpus import corpus
 
 _ROOT = Path(__file__).resolve().parents[2]
 _CAMPUS = _ROOT / "examples" / "campus.nmsl"
@@ -150,7 +150,7 @@ def test_unchanged_spec_expands_nothing():
 
 
 @pytest.mark.parametrize(
-    "parameters", _corpus(), ids=lambda p: f"seed{p.seed}-d{p.n_domains}"
+    "parameters", corpus(), ids=lambda p: f"seed{p.seed}-d{p.n_domains}"
 )
 def test_reordered_tables_check_like_a_fresh_spec(parameters):
     """Reversing ``systems`` and ``domains`` in place reorders the facts,

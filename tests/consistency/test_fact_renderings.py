@@ -15,11 +15,7 @@ from repro.clpr.terms import Atom, Struct
 from repro.consistency.facts import IncrementalFactGenerator
 from repro.nmsl.compiler import NmslCompiler
 from repro.workloads.generator import InternetParameters, SyntheticInternet
-from tests.consistency.test_differential import (
-    CORPUS_SIZE,
-    _corpus,
-    quoted_campus,
-)
+from tests.corpus import CORPUS_SIZE, corpus, quoted_campus
 from tests.nmsl.test_consistency_output import _renamed
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -51,7 +47,7 @@ def test_examples(path):
 
 
 @pytest.mark.parametrize(
-    "parameters", _corpus(), ids=[f"spec{i:02d}" for i in range(CORPUS_SIZE)]
+    "parameters", corpus(), ids=[f"spec{i:02d}" for i in range(CORPUS_SIZE)]
 )
 def test_corpus(parameters):
     _assert_text_says_what_tuples_say(

@@ -34,45 +34,10 @@ from repro.mib.tree import Access
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.nmsl.frequency import FrequencySpec
 from repro.workloads.generator import InternetParameters, SyntheticInternet
-
-#: Same corpus contract as tests/consistency/test_differential.py.
-CORPUS_SIZE = 50
-CORPUS_SEED = 1989
+from tests.corpus import CORPUS_SIZE, corpus, draw_parameters
 
 _COMPILER = NmslCompiler(CompilerOptions(register_codegen=False))
 TREE = _COMPILER.tree
-
-
-def _draw_parameters(rng: random.Random) -> InternetParameters:
-    """One random internet (duplicated from the differential oracle)."""
-    n_domains = rng.randint(2, 4)
-    systems = rng.randint(1, 3)
-    applications = rng.randint(1, 2)
-    poller_slots = n_domains * applications
-    return InternetParameters(
-        n_domains=n_domains,
-        systems_per_domain=systems,
-        applications_per_domain=applications,
-        silent_domains=tuple(
-            sorted(
-                rng.sample(
-                    range(n_domains), k=rng.randint(0, min(2, n_domains - 1))
-                )
-            )
-        ),
-        fast_pollers=tuple(
-            sorted(rng.sample(range(poller_slots), k=rng.randint(0, 2)))
-        ),
-        egp_pollers=tuple(
-            sorted(rng.sample(range(poller_slots), k=rng.randint(0, 1)))
-        ),
-        seed=rng.randint(0, 2**31),
-    )
-
-
-def _corpus():
-    rng = random.Random(CORPUS_SEED)
-    return [_draw_parameters(rng) for _ in range(CORPUS_SIZE)]
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +142,7 @@ def _brute_force_flips(spec_a, spec_b):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "parameters",
-    _corpus(),
+    corpus(),
     ids=[f"spec{i:02d}" for i in range(CORPUS_SIZE)],
 )
 def test_self_diff_is_empty(parameters):
@@ -205,7 +170,7 @@ def test_self_diff_is_empty(parameters):
     position=st.integers(min_value=0, max_value=7),
 )
 def test_flips_equal_brute_force(seed, edit, position):
-    parameters = _draw_parameters(random.Random(seed))
+    parameters = draw_parameters(random.Random(seed))
     spec_a = SyntheticInternet(parameters).specification()
     name = _pick_domain(spec_a, position)
     spec_b = EDITS[edit](spec_a, name)
@@ -227,7 +192,7 @@ def test_flips_equal_brute_force(seed, edit, position):
     position=st.integers(min_value=0, max_value=7),
 )
 def test_widening_edit_is_reported_widened(seed, position):
-    parameters = _draw_parameters(random.Random(seed))
+    parameters = draw_parameters(random.Random(seed))
     spec_a = SyntheticInternet(parameters).specification()
     name = _pick_domain(spec_a, position)
     spec_b = _widen_access(spec_a, name)

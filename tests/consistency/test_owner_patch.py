@@ -50,7 +50,7 @@ from repro.workloads.generator import (
     SyntheticInternet,
 )
 
-from .test_differential import CORPUS_SIZE, _corpus
+from tests.corpus import CORPUS_SIZE, corpus
 
 TREE = NmslCompiler(CompilerOptions(register_codegen=False)).tree
 
@@ -475,7 +475,7 @@ def check_local_delta(before, after, warm):
     "index", range(CORPUS_SIZE), ids=[f"spec{i:02d}" for i in range(CORPUS_SIZE)]
 )
 def test_corpus_patch_equals_cold_generation(index):
-    before = SyntheticInternet(_corpus()[index]).specification()
+    before = SyntheticInternet(corpus()[index]).specification()
     rng = random.Random(index)
     for delta in (*LOCAL_DELTAS, several):
         after = delta(rng, before)
@@ -488,7 +488,7 @@ def test_corpus_patch_equals_cold_generation(index):
     # chain that stays inside that, compared at its end.
     if index % 5:
         return
-    before = SyntheticInternet(_corpus()[index]).specification()
+    before = SyntheticInternet(corpus()[index]).specification()
     checker = ConsistencyChecker(before, TREE)
     checker.check()
     for delta in (toggle_exports, change_supports, change_agents):
@@ -506,7 +506,7 @@ def test_corpus_patch_equals_cold_generation(index):
 @pytest.mark.parametrize("index", range(0, CORPUS_SIZE, 5))
 @pytest.mark.parametrize("delta", NON_LOCAL_DELTAS, ids=lambda d: d.__name__)
 def test_corpus_non_local_delta_regenerates(index, delta):
-    before = SyntheticInternet(_corpus()[index]).specification()
+    before = SyntheticInternet(corpus()[index]).specification()
     after = delta(random.Random(index), before)
     checker = ConsistencyChecker(before, TREE)
     checker.check()

@@ -1,5 +1,10 @@
 """Tests for the topology and delay model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SimulationError
@@ -59,6 +64,40 @@ class TestRouting:
         internet.attach("b", "net2", 10)
         with pytest.raises(SimulationError, match="no route"):
             internet.path_networks("a", "b")
+
+    def test_unknown_element_has_no_route(self, small):
+        for src, dst in (("a", "ghost"), ("ghost", "a")):
+            with pytest.raises(SimulationError, match="no route"):
+                small.path_networks(src, dst)
+
+    def test_tie_goes_to_the_first_attached_network(self):
+        # Two two-hop paths from a to d; a joined netB before netA.
+        internet = Internet()
+        for element, network in (
+            ("a", "netB"), ("a", "netA"), ("x", "netA"), ("x", "netC"),
+            ("y", "netB"), ("y", "netC"), ("d", "netC"),
+        ):
+            internet.attach(element, network, 10)
+        assert internet.path_networks("a", "d") == ["netB", "netC"]
+
+    def test_runtime_subcommands_need_no_networkx(self):
+        root = Path(__file__).resolve().parents[2]
+        code = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from repro import cli\n"
+            "for command in ('rollout', 'verify-runtime'):\n"
+            "    assert cli.main([command, 'examples/campus.nmsl']) == 0\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestDelay:

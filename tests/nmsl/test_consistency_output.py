@@ -33,7 +33,7 @@ from repro.nmsl.outputs import (
 )
 from repro.workloads.generator import InternetParameters, SyntheticInternet
 from repro.workloads.paper import PaperScaleInternet, PaperScaleParameters
-from tests.consistency.test_differential import _corpus
+from tests.corpus import corpus
 
 _ROOT = Path(__file__).resolve().parents[2]
 _COMPILER = NmslCompiler()
@@ -112,7 +112,7 @@ def _assert_partition(specification):
 
 
 @pytest.mark.parametrize(
-    "parameters", _corpus(), ids=lambda p: f"seed{p.seed}-d{p.n_domains}"
+    "parameters", corpus(), ids=lambda p: f"seed{p.seed}-d{p.n_domains}"
 )
 def test_corpus_matches_the_per_declaration_filter(parameters):
     _assert_partition(SyntheticInternet(parameters).specification())

@@ -20,7 +20,7 @@ from repro.nmsl.compiler import compile_text
 from repro.nmsl.generic import parse_generic
 from repro.nmsl.lexer import EOF, NUMBER, PERIOD, WORD, NmslToken, tokenize
 from repro.workloads.generator import SyntheticInternet
-from tests.consistency.test_differential import _corpus
+from tests.corpus import corpus
 from tests.nmsl import reference_lexer
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -93,7 +93,7 @@ class TestAgainstTheOracle:
         assert actual(text) == expected(text)
 
     def test_the_fifty_spec_corpus(self):
-        for parameters in _corpus():
+        for parameters in corpus():
             text = SyntheticInternet(parameters).text()
             assert actual(text) == expected(text)
 

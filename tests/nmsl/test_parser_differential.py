@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import NmslSyntaxError
 from repro.nmsl.generic import parse_generic
 from repro.workloads.generator import SyntheticInternet
-from tests.consistency.test_differential import _corpus
+from tests.corpus import corpus
 from tests.nmsl import reference_parser
 from tests.nmsl.test_lexer_differential import PIECES
 
@@ -85,7 +85,7 @@ class TestAgainstTheOracle:
         agree(path.read_text(encoding="utf-8"))
 
     def test_the_fifty_spec_corpus(self):
-        for parameters in _corpus():
+        for parameters in corpus():
             agree(SyntheticInternet(parameters).text())
 
 

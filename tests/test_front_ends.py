@@ -25,7 +25,7 @@ from repro.service.handlers import ServiceHandlers
 from repro.service.protocol import ProtocolError
 from repro.workloads.generator import SyntheticInternet
 
-from tests.consistency.test_differential import _corpus
+from tests.corpus import corpus
 
 SRC = Path(cli.__file__).resolve().parent
 EXAMPLES = sorted(
@@ -58,7 +58,7 @@ def specs(tmp_path_factory):
     """The examples, then every tenth corpus spec as NMSL text."""
     root = tmp_path_factory.mktemp("corpus")
     paths = list(EXAMPLES)
-    for number, parameters in list(enumerate(_corpus()))[::10]:
+    for number, parameters in list(enumerate(corpus()))[::10]:
         path = root / f"spec{number:02d}.nmsl"
         path.write_text(SyntheticInternet(parameters).text(), encoding="utf-8")
         paths.append(str(path))

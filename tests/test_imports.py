@@ -35,7 +35,6 @@ LEDGER_ENTRY_POINTS = [
 
 #: Imported by some subcommand, never by ``import repro.cli`` itself.
 NOT_AT_CLI_IMPORT = (
-    "networkx",
     "repro.netsim",
     "repro.rollout",
     "repro.service",

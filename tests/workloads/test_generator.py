@@ -1,10 +1,14 @@
 """Tests for the synthetic internet generator."""
 
+import hashlib
+
 import pytest
 
 from repro.consistency.checker import ConsistencyChecker
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.workloads.generator import InternetParameters, SyntheticInternet
+from repro.workloads.paper import PaperScaleInternet, PaperScaleParameters
+from tests.corpus import corpus
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +44,33 @@ class TestShape:
         spec = internet.specification()
         invocation = spec.domains["dom00000"].processes[0]
         assert invocation.args == ("host00000.dom00001.net",)
+
+    def test_default_target_is_the_next_domain(self):
+        parameters = InternetParameters(n_domains=7, applications_per_domain=3)
+        internet = SyntheticInternet(parameters)
+        assert all(
+            internet.target_domain(domain, app) == (domain + 1) % 7
+            for domain in range(7)
+            for app in range(3)
+        )
+
+    def test_pinned_bytes(self, tmp_path):
+        """Umbrellas and locality at paper scale, one corpus spec, and
+        what ``write_text`` reports writing: the bytes the perf
+        ledger's inputs and the CLI sweep are built from."""
+        def sha256(text):
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        internet = PaperScaleInternet(
+            PaperScaleParameters(n_domains=60, hub_count=4, seed=7)
+        )
+        assert sha256(internet.text()) == (
+            "9d16949940f2d56e4d007b2605e37a68d935729fe7cca5b0c63757987326ef1d"
+        )
+        assert sha256(SyntheticInternet(corpus()[0]).text()) == (
+            "ce1ecfb096693362f093f04a21226bf933f53805aafcba2798dd3e19393de92f"
+        )
+        assert internet.write_text(tmp_path / "paper60.nmsl") == 267_587
 
 
 class TestVerdicts:

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test cli-sweep cli-sweep-update analyze chaos heal profile service ledger ledger-cold-text ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare clean
+.PHONY: test cli-sweep cli-sweep-update analyze chaos heal profile service ledger ledger-cold-text ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare ledger-pairs clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -83,6 +83,13 @@ ledger-edit-stream:
 ledger-daemon-mix:
 	$(PYTHON) benchmarks/ledger --workload daemon_mix_1k --seed 7 --seconds 15 --trace 0
 	$(PYTHON) benchmarks/ledger --workload daemon_mix_1k --seed 7 --seconds 15 --trace 1
+
+## Alternating base/change pairs of one workload, untraced, and the
+## median change of each end-to-end metric (tools/ledger_pairs.py):
+##   make ledger-pairs BASE=main WORKLOAD=daemon_mix_1k PAIRS=5
+ledger-pairs:
+	$(if $(and $(BASE),$(WORKLOAD)),,$(error usage: make ledger-pairs BASE=REV WORKLOAD=W [PAIRS=N]))
+	$(PYTHON) tools/ledger_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(or $(PAIRS),5)
 
 ## Judge ledger B against ledger A, metric by metric against its bound:
 ##   make ledger-compare A=benchmarks/ledger/out/ledger-seed200-*.json B=...

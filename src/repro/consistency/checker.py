@@ -36,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from operator import is_
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -60,7 +61,7 @@ from repro.consistency.relations import Reference
 from repro.consistency.report import ConsistencyResult, Inconsistency
 from repro.mib.tree import MibTree
 from repro.mib.view import MibView
-from repro.nmsl.specs import Specification
+from repro.nmsl.specs import TABLES, Specification
 
 #: Below this many references a shard pool costs more than it saves.
 _MIN_REFERENCES_PER_JOB = 64
@@ -74,10 +75,10 @@ _DEADLINE_POLL_REFERENCES = 32
 #: workers read the parent's checker without pickling the fact set.
 _WORKER_STATE: Optional[Tuple] = None
 
-#: The tables a fact set is expanded from, in the order their record is
-#: checked; an extension table maps to lists callers append to in place.
-_TABLES = ("types", "processes", "systems", "domains")
-_EXTENSIONS = ("extras", "extension_clauses")
+
+def _extension_lists(spec: Specification):
+    """The extension tables' lists, which callers append to in place."""
+    return chain(spec.extras.values(), spec.extension_clauses.values())
 
 
 def _flags(verdicts: Sequence[Tuple[Inconsistency, ...]]) -> Set[int]:
@@ -182,8 +183,9 @@ class ConsistencyChecker:
             else shard_threshold
         )
         self._facts: Optional[FactSet] = None
-        #: table name -> (keys, entries) the facts were expanded from.
-        self._expanded_from: Dict[str, Tuple[List, List]] = {}
+        #: (name, table, revision) per table, and the extension lists'
+        #: items: what the facts were expanded from (DESIGN.md §3.1).
+        self._expanded_from: Tuple[List, List] = ([], [])
         #: Verdicts of the last check, aligned by position with the
         #: reference list they were computed over (recheck fuel), and
         #: the positions among them whose verdict is not empty (replaced
@@ -224,13 +226,10 @@ class ConsistencyChecker:
     @property
     def facts(self) -> FactSet:
         """The expanded fact set, reused while the specification holds
-        the declarations it was expanded from.
-
-        Regenerated (and all per-fact-set memos dropped) when an entry
-        of any table was replaced, added, removed, renamed or moved —
-        including in place, in the specification the checker was built
-        with.  The test is identity only; equal values under other
-        objects are :meth:`recheck`'s to match, through its diff.
+        the tables it was expanded from, unmutated since; regenerated,
+        and every per-fact-set memo dropped, otherwise (the staleness
+        key, DESIGN.md §3.1).  Equal values under other objects are
+        :meth:`recheck`'s to match, through its diff.
         """
         facts = self._facts
         if facts is not None and self._expansion_holds(self._spec):
@@ -246,31 +245,20 @@ class ConsistencyChecker:
         return self._facts
 
     def _expansion_holds(self, spec: Specification) -> bool:
-        """Whether *spec* holds, by identity and in order, what the facts
-        were expanded from (stops at the first difference)."""
-        for name, (keys, entries) in self._expanded_from.items():
-            table = getattr(spec, name)
-            same = same_items if name in _EXTENSIONS else is_
-            if not (
-                len(table) == len(keys)
-                and all(map(same, table.values(), entries))
-                and all(map(is_, table, keys))
-            ):
-                return False
-        return True
+        """Whether *spec* holds the tables the facts were expanded from,
+        unmutated, and the extension lists the items they had."""
+        tables, items = self._expanded_from
+        return all(
+            getattr(spec, name) is table and table.revision == revision
+            for name, table, revision in tables
+        ) and all(map(same_items, _extension_lists(spec), items))
 
-    def _record_expansion(
-        self, spec: Specification, shared_with: Optional[Specification] = None
-    ) -> None:
-        """Record *spec*'s tables (an extension table's lists as copies)
-        as what the facts are expanded from; a table it shares with
-        *shared_with*, recorded before, keeps its record."""
-        for name in _TABLES + _EXTENSIONS:
-            table = getattr(spec, name)
-            if shared_with is None or table is not getattr(shared_with, name):
-                values = table.values()
-                copies = map(tuple, values) if name in _EXTENSIONS else values
-                self._expanded_from[name] = (list(table), list(copies))
+    def _record_expansion(self, spec: Specification) -> None:
+        self._expanded_from = (
+            [(name, getattr(spec, name), getattr(spec, name).revision)
+             for name in TABLES],
+            list(map(tuple, _extension_lists(spec))),
+        )
 
     # ------------------------------------------------------------------
     # The check.
@@ -388,9 +376,9 @@ class ConsistencyChecker:
             previous_list = (
                 self._verdict_list if self._facts is not None else None
             )
-            if not delta.diff and not self._expansion_holds(self._spec):
-                # Changed in place, so diffed against itself: no verdict
-                # of the facts that staled is reused.
+            if not self._expansion_holds(self._spec):
+                # Changed in place since the facts were expanded, which
+                # no diff from it sees: no verdict of them is reused.
                 previous_list = None
             previous_references = self._checked_references
             previous_flagged = self._flagged
@@ -724,7 +712,7 @@ class ConsistencyChecker:
             return None
         if not owners:
             facts.rebind(new_spec)
-            self._record_expansion(new_spec, shared_with=old_spec)
+            self._record_expansion(new_spec)
             return FactPatch()
         o = obs.current()
         with o.span("consistency.facts.patch", owners=len(owners)) as span:
@@ -753,7 +741,7 @@ class ConsistencyChecker:
             # Permission- and instance-dependent state restarts.
             self._index = None
             self._candidate_memo = {}
-            self._record_expansion(new_spec, shared_with=old_spec)
+            self._record_expansion(new_spec)
             span.annotate(
                 instances=sum(length for _s, _o, length in patch.instances),
                 references=sum(length for _s, _o, length in patch.references),
@@ -1006,7 +994,7 @@ class ConsistencyChecker:
 
     @property
     def checked_facts(self) -> Optional[FactSet]:
-        """:attr:`facts` as last reduced: no staleness (identity) walk."""
+        """:attr:`facts` as last reduced, with no staleness test."""
         return self._facts
 
     def verdict_changes(self) -> List[Tuple]:

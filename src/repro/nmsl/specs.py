@@ -266,23 +266,60 @@ class DomainSpec:
 PUBLIC_DOMAIN = "public"
 
 
+class Table(dict):
+    """A specification table that counts its mutations in ``revision``
+    (the staleness key, DESIGN.md §3.1).  Every mutator bumps it first,
+    so a call that fails half way counts; ``setdefault`` if it inserts."""
+
+    revision = 0
+
+    def setdefault(self, key, default=None):
+        if key not in self:
+            self.revision += 1
+        return dict.setdefault(self, key, default)
+
+
+def _counted(method):
+    def counted(self, *args, **kwargs):
+        self.revision += 1
+        return method(self, *args, **kwargs)
+
+    counted.__name__ = counted.__qualname__ = method.__name__
+    return counted
+
+
+for _name in (
+    "__setitem__", "__delitem__", "__ior__", "pop", "popitem", "clear", "update"
+):
+    setattr(Table, _name, _counted(getattr(dict, _name)))
+
+#: The ``Specification`` fields, all tables.
+TABLES = ("types", "processes", "systems", "domains", "extras", "extension_clauses")
+
+
 @dataclass
 class Specification:
     """A complete NMSL specification: every declaration, indexed by name.
 
     ``extras`` holds whole declarations of extension-defined decltypes;
     ``extension_clauses`` holds extension-keyword clauses found inside
-    basic declarations, keyed by (decltype, declaration name).
+    basic declarations, keyed by (decltype, declaration name).  A plain
+    ``dict`` assigned to a table is copied into a :class:`Table`.
     """
 
-    types: Dict[str, TypeSpec] = field(default_factory=dict)
-    processes: Dict[str, ProcessSpec] = field(default_factory=dict)
-    systems: Dict[str, SystemSpec] = field(default_factory=dict)
-    domains: Dict[str, DomainSpec] = field(default_factory=dict)
-    extras: Dict[str, List[object]] = field(default_factory=dict)
+    types: Dict[str, TypeSpec] = field(default_factory=Table)
+    processes: Dict[str, ProcessSpec] = field(default_factory=Table)
+    systems: Dict[str, SystemSpec] = field(default_factory=Table)
+    domains: Dict[str, DomainSpec] = field(default_factory=Table)
+    extras: Dict[str, List[object]] = field(default_factory=Table)
     extension_clauses: Dict[Tuple[str, str], List[Tuple[str, Tuple[str, ...]]]] = field(
-        default_factory=dict
+        default_factory=Table
     )
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in TABLES and not isinstance(value, Table):
+            value = Table(value)
+        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     # Registration (used by the generic actions).
@@ -300,12 +337,14 @@ class Specification:
         self._add(self.domains, spec.name, spec, "domain")
 
     @staticmethod
-    def _add(table: Dict, name: str, spec, kind: str) -> None:
+    def _add(table: Table, name: str, spec, kind: str) -> None:
         if name in table:
             raise NmslSemanticError(
                 f"duplicate {kind} specification {name!r}", spec.location
             )
-        table[name] = spec
+        # Bumped by hand: a paper-scale build makes 110,000 of these.
+        table.revision += 1
+        dict.__setitem__(table, name, spec)
 
     def merged_with(self, other: "Specification") -> "Specification":
         """A new specification combining both (duplicate names rejected)."""

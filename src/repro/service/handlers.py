@@ -86,6 +86,11 @@ class SpecCache:
         self.misses = 0
 
     def get(self, spec: str) -> SpecSession:
+        return self.fetch(spec)[0]
+
+    def fetch(self, spec: str) -> Tuple[SpecSession, bool]:
+        """The session for *spec*, and whether this call was a hit (the
+        ``hits`` counter is shared by every thread serving requests)."""
         path = str(Path(spec))
         try:
             text_hash, data = read_spec(path)
@@ -95,7 +100,7 @@ class SpecCache:
                     self._entries.move_to_end(path)
                     self.hits += 1
                     self._publish()
-                    return session
+                    return session, True
             if data is None:  # the signature answered; now the text is needed
                 text_hash, data = read_spec(path, need_bytes=True)
             text = data.decode("utf-8")
@@ -119,7 +124,7 @@ class SpecCache:
             while len(self._entries) > self.limit:
                 self._entries.popitem(last=False)
             self._publish()
-        return session
+        return session, False
 
     def stats(self) -> dict:
         return {
@@ -280,9 +285,7 @@ class ServiceHandlers:
     def _op_check(
         self, args: dict, deadline: Optional[Deadline], request
     ) -> dict:
-        cache_hits_before = self.cache.hits
-        session = self.cache.get(args["spec"])
-        spec_cache_hit = self.cache.hits > cache_hits_before
+        session, spec_cache_hit = self.cache.fetch(args["spec"])
         with session.lock:
             warm = session.checks > 0
             session.checks += 1

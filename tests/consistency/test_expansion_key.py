@@ -1,25 +1,25 @@
-"""What the checker's fact set is keyed on: the declarations it expanded.
-
-``ConsistencyChecker.facts`` is reused exactly while the specification
-still holds, under the same names and in the same order, the objects
-the facts were expanded from (and the extension tables' lists hold the
-same items).  The test is identity only, so:
+"""What the checker's fact set is keyed on: the staleness key of
+DESIGN.md §3.1 (each table's object and ``revision``, and the items of
+the extension tables' lists).  So:
 
 * every way a specification can change in place — per table: replace,
-  add, delete, the same object under a new key, reorder; an append to
-  an ``extras`` list; a changed ``extension_clauses`` entry — makes the
-  next ``check()`` regenerate, and equal a fresh check byte for byte;
-* no value fingerprint is computed on the way: a cold check and a warm
-  ``facts`` access call no declaration's ``fingerprint_tuple``;
+  add, delete, the same object under a new key, reorder, and every
+  ``dict`` mutator of every table; an append to an ``extras`` list; a
+  changed ``extension_clauses`` entry — makes the next ``check()``
+  regenerate, and equal a fresh check byte for byte;
+* a warm check is O(tables): it reads no table's entries, and no value
+  fingerprint is computed on the way;
 * equal values under other objects (a re-parse) are matched by
   ``recheck``'s diff, which rebinds the facts it keeps to the new
   specification — so codegen accepts them as that specification's.
 """
 
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import cli
 from repro.asn1.nodes import IntegerType
@@ -27,8 +27,9 @@ from repro.consistency.checker import ConsistencyChecker
 from repro.mib.tree import Access
 from repro.nmsl import specs as specs_module
 from repro.nmsl.compiler import NmslCompiler
-from repro.nmsl.specs import TypeSpec
+from repro.nmsl.specs import TABLES, Table, TypeSpec
 from repro.workloads.generator import InternetParameters, SyntheticInternet
+from tests.consistency.test_owner_patch import LOCAL_DELTAS, _report
 from tests.corpus import corpus
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -55,7 +56,11 @@ def _specification():
 
 
 def _changed(table, value):
-    """A declaration that differs from *value* in what it grants or holds."""
+    """An entry that differs from *value* in what it grants or holds."""
+    if table == "extras":
+        return [*value, "changed"]
+    if table == "extension_clauses":
+        return [("metered", ("y",))]
     if table == "types":
         return dataclasses.replace(value, access=Access.READ_WRITE)
     if table == "systems":
@@ -105,6 +110,36 @@ def _change_clause(spec):
     clauses[0] = ("metered", ("y",))
 
 
+def _new_entry(spec, table):
+    """A key the table lacks, and an entry to put under it."""
+    entries = getattr(spec, table)
+    if table == "extras":
+        return "second-note", ["second"]
+    if table == "extension_clauses":
+        return ("domain", next(iter(spec.domains))), [("metered", ("z",))]
+    last = _last(entries)
+    return f"{last}-copy", dataclasses.replace(entries[last], name=f"{last}-copy")
+
+
+def _last(entries):
+    return list(entries)[-1]
+
+
+#: Each dict mutator of :class:`Table`, called on a table in place.
+_MUTATOR_CALLS = {
+    "setitem": lambda e, s, t: e.__setitem__(_last(e), _changed(t, e[_last(e)])),
+    "delitem": lambda e, s, t: e.__delitem__(_last(e)),
+    "pop": lambda e, s, t: e.pop(_last(e)),
+    # Counted although nothing moves: pop counts every call.
+    "pop-missing-default": lambda e, s, t: e.pop("no-such-entry", None),
+    "popitem": lambda e, s, t: e.popitem(),
+    "clear": lambda e, s, t: e.clear(),
+    "update": lambda e, s, t: e.update({_last(e): _changed(t, e[_last(e)])}),
+    "setdefault-insert": lambda e, s, t: e.setdefault(*_new_entry(s, t)),
+    "ior": lambda e, s, t: e.__ior__(dict([_new_entry(s, t)])),
+}
+
+
 _MUTATIONS = [
     pytest.param(
         lambda spec, table=table, edit=edit: edit(spec, table),
@@ -115,6 +150,13 @@ _MUTATIONS = [
 ] + [
     pytest.param(_append_extra, id="extras-append"),
     pytest.param(_change_clause, id="extension_clauses-change"),
+] + [
+    pytest.param(
+        lambda spec, table=table, call=call: call(getattr(spec, table), spec, table),
+        id=f"{table}-{name}",
+    )
+    for table in TABLES
+    for name, call in _MUTATOR_CALLS.items()
 ]
 
 
@@ -222,7 +264,7 @@ def test_recheck_of_a_reparse_rebinds_the_facts():
 
 def test_recheck_of_the_same_object_after_in_place_edit_regenerates():
     """The diff of a specification against itself is empty whatever was
-    done to it in place; the record is what notices."""
+    done to it in place; the staleness key is what notices."""
     spec = _specification()
     checker = ConsistencyChecker(spec, _COMPILER.tree)
     checker.check()
@@ -242,3 +284,188 @@ def test_profile_diff_against_an_equal_file(tmp_path, capsys):
     assert "another specification" not in captured.err
     assert "consistency.recheck" in captured.out
     assert "codegen.generate" in captured.out
+
+
+# ----------------------------------------------------------------------
+# Every dict mutator of every table counts.
+# ----------------------------------------------------------------------
+
+#: ``dict``'s own methods, split by whether they can change the dict.
+_DICT_READERS = {
+    "__class_getitem__", "__contains__", "__getitem__", "__iter__",
+    "__len__", "__or__", "__reversed__", "__ror__", "copy", "fromkeys",
+    "get", "items", "keys", "values",
+}
+_DICT_MUTATORS = {
+    "__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem",
+    "setdefault", "update",
+}
+
+
+def test_table_overrides_exactly_the_dict_mutators():
+    # A method a later Python adds to dict must be sorted in first.
+    assert _DICT_READERS | _DICT_MUTATORS == set(dir(dict)) - set(dir(object))
+    overridden = {name for name, value in vars(Table).items() if callable(value)}
+    assert overridden == _DICT_MUTATORS
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_setdefault_on_an_existing_key_counts_nothing(table):
+    spec = _specification()
+    checker = ConsistencyChecker(spec, _COMPILER.tree)
+    checker.check()
+    entries = getattr(spec, table)
+    revision = entries.revision
+    entries.setdefault(_last(entries), None)
+    assert entries.revision == revision
+    warm = checker.check()
+    assert warm.stats["facts_expanded"] == 0
+    assert _report(warm) == _report(ConsistencyChecker(spec, _COMPILER.tree).check())
+
+
+def test_same_object_reassignment_regenerates_to_the_same_verdict():
+    """Where the key is stricter than the declarations: a key given
+    back the object it held regenerates, to the same verdict."""
+    spec = _specification()
+    checker = ConsistencyChecker(spec, _COMPILER.tree)
+    before = checker.check()
+    for table in ("systems", "domains"):
+        entries = getattr(spec, table)
+        entries[_last(entries)] = entries[_last(entries)]
+    again = checker.check()
+    assert again.stats["facts_expanded"] == again.stats["facts_declarations"]
+    assert (again.render(), again.to_json()) == (before.render(), before.to_json())
+
+
+def test_a_plain_dict_becomes_a_table_and_a_table_stays_shared():
+    spec = _specification()
+    edited = dataclasses.replace(spec, domains=dict(spec.domains))
+    assert type(edited.domains) is Table
+    assert edited.domains == spec.domains and edited.domains is not spec.domains
+    assert edited.systems is spec.systems
+    edited.types = {}
+    assert type(edited.types) is Table
+
+
+# ----------------------------------------------------------------------
+# A warm check is O(tables).
+# ----------------------------------------------------------------------
+
+
+def test_warm_check_reads_no_declaration_table_entry():
+    """At 1,000 domains the staleness test reads no table entry: no
+    ``__iter__``, ``keys``, ``values`` or ``items`` on the four
+    declaration tables during a warm ``check()``."""
+    reads = []
+
+    class Counted(Table):
+        def __iter__(self):
+            reads.append("__iter__")
+            return dict.__iter__(self)
+
+        def keys(self):
+            reads.append("keys")
+            return dict.keys(self)
+
+        def values(self):
+            reads.append("values")
+            return dict.values(self)
+
+        def items(self):
+            reads.append("items")
+            return dict.items(self)
+
+    spec = SyntheticInternet(
+        InternetParameters(n_domains=1000, silent_domains=(1,), fast_pollers=(2,))
+    ).specification()
+    spec = dataclasses.replace(
+        spec, **{name: Counted(getattr(spec, name)) for name in _TABLES}
+    )
+    checker = ConsistencyChecker(spec, _COMPILER.tree)
+    cold = checker.check()
+    assert reads  # the count sees what the cold check reads
+    reads.clear()
+    warm = checker.check()
+    assert reads == []
+    assert warm.stats["facts_expanded"] == 0
+    assert warm.render() == cold.render()
+
+
+# ----------------------------------------------------------------------
+# In-place edits interleaved with check and recheck.
+# ----------------------------------------------------------------------
+
+
+def test_recheck_after_an_in_place_edit_and_a_diff_regenerates():
+    """The old specification edited in place, then a new one diffed
+    against it: the diff misses the in-place edit, so no verdict of the
+    facts it staled may be reused."""
+    spec = _specification()
+    checker = ConsistencyChecker(spec, _COMPILER.tree)
+    checker.check()
+    silent, loud = list(spec.domains)[2:]  # both export to begin with
+    spec.domains[silent] = _changed("domains", spec.domains[silent])
+    new = dataclasses.replace(
+        spec,
+        domains={
+            **spec.domains,
+            loud: _changed("domains", spec.domains[loud]),
+        },
+    )
+    again = checker.recheck(new)
+    assert _report(again) == _report(ConsistencyChecker(new, _COMPILER.tree).check())
+
+
+def _in_place(rng, spec):
+    """Change one table of *spec* in place through one dict mutator,
+    keeping every name (so the deltas below still find what they edit)."""
+    table = rng.choice(TABLES)
+    entries = getattr(spec, table)
+    if not entries:
+        return
+    name = rng.choice(list(entries))
+    value = entries[name]
+    how = rng.choice(("setitem", "same", "update", "ior", "move", "reverse"))
+    if how == "setitem":
+        entries[name] = _changed(table, value)
+    elif how == "same":
+        entries[name] = value
+    elif how == "update":
+        entries.update({name: _changed(table, value)})
+    elif how == "ior":
+        entries |= {name: _changed(table, value)}
+    elif how == "move":
+        entries[name] = entries.pop(name)
+    else:
+        items = list(entries.items())
+        entries.clear()
+        entries.update(reversed(items))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    steps=st.lists(
+        st.sampled_from(("in-place", "check", "recheck-self", "recheck-delta")),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_interleaved_edits_check_like_a_fresh_checker(seed, steps):
+    rng = random.Random(seed)
+    spec = _specification()
+    checker = ConsistencyChecker(spec, _COMPILER.tree)
+    checker.check()
+    for step in steps:
+        if step == "in-place":
+            _in_place(rng, spec)
+            continue
+        if step == "check":
+            result = checker.check()
+        elif step == "recheck-self":
+            result = checker.recheck(spec)
+        else:
+            spec = rng.choice(LOCAL_DELTAS)(rng, spec)
+            result = checker.recheck(spec)
+        fresh = ConsistencyChecker(spec, _COMPILER.tree).check()
+        assert _report(result) == _report(fresh)

@@ -67,3 +67,45 @@ class TestAnalyzeReusesTheSessionFacts:
             assert [d["message"] for d in served["diagnostics"]] == [
                 d.message for d in report.diagnostics[:50]
             ]
+
+
+class TestSpecCacheHitIsPerCall:
+    def test_a_concurrent_hit_does_not_make_a_miss_report_one(
+        self, monkeypatch, tmp_path
+    ):
+        """The cache's ``hits`` counter is shared by every thread serving
+        requests: a check that compiles must say ``spec_cache_hit`` false
+        even when another request hits while it compiles."""
+        import shutil
+        import threading
+
+        from repro.service import handlers as handlers_module
+
+        warm, cold = tmp_path / "warm.nmsl", tmp_path / "cold.nmsl"
+        for path in (warm, cold):
+            shutil.copyfile(EXAMPLES[0], path)
+        handlers = ServiceHandlers()
+        handlers.cache.get(str(warm))
+        compiling, hit = threading.Event(), threading.Event()
+
+        class HeldSession(handlers_module.SpecSession):
+            def __init__(self, *args):
+                compiling.set()
+                assert hit.wait(timeout=30)
+                super().__init__(*args)
+
+        monkeypatch.setattr(handlers_module, "SpecSession", HeldSession)
+        request = _request("check", spec=str(cold))
+        worker = threading.Thread(target=handlers.execute, args=(request,))
+        worker.start()
+        try:
+            assert compiling.wait(timeout=30)
+            handlers.cache.get(str(warm))
+        finally:
+            hit.set()
+            worker.join(timeout=60)
+        assert handlers.cache.stats()["hits"] == 1
+        assert request.resources["spec_cache_hit"] is False
+        again = _request("check", spec=str(cold))
+        handlers.execute(again)
+        assert again.resources["spec_cache_hit"] is True

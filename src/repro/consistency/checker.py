@@ -183,8 +183,7 @@ class ConsistencyChecker:
             else shard_threshold
         )
         self._facts: Optional[FactSet] = None
-        #: (name, table, revision) per table, and the extension lists'
-        #: items: what the facts were expanded from (DESIGN.md §3.1).
+        #: What the facts were expanded from: the key of DESIGN.md §3.1.
         self._expanded_from: Tuple[List, List] = ([], [])
         #: Verdicts of the last check, aligned by position with the
         #: reference list they were computed over (recheck fuel), and
@@ -234,8 +233,9 @@ class ConsistencyChecker:
         facts = self._facts
         if facts is not None and self._expansion_holds(self._spec):
             if facts.expansion:
-                # Wholesale reuse: this access expanded no declarations.
-                facts.note_expansion(0)
+                # Wholesale reuse, of the unmutated tables' counted entries.
+                counted = facts.expansion["declarations"]
+                facts.expansion.update(expanded=0, reused=counted)
             return facts
         with bulk_load():
             self._record_expansion(self._spec)

@@ -304,7 +304,7 @@ class Specification:
     ``extras`` holds whole declarations of extension-defined decltypes;
     ``extension_clauses`` holds extension-keyword clauses found inside
     basic declarations, keyed by (decltype, declaration name).  A plain
-    ``dict`` assigned to a table is copied into a :class:`Table`.
+    ``dict`` assigned to a table is copied into a :class:`Table`, not aliased.
     """
 
     types: Dict[str, TypeSpec] = field(default_factory=Table)

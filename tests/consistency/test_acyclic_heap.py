@@ -19,7 +19,7 @@ import pytest
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.impact import ImpactAnalyzer
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
-from repro.nmsl.specs import ProcessInvocation
+from repro.nmsl.specs import ProcessInvocation, Table
 from repro.workloads.generator import SyntheticInternet
 from repro.workloads.paper import PaperScaleInternet, PaperScaleParameters
 
@@ -63,7 +63,7 @@ def _retargeted(specification, domain_index=7):
     """One domain's first poller now polls an element of (silent) domain
     3: its instances and references change, nothing else does."""
     domain = specification.domains[SyntheticInternet.domain_name(domain_index)]
-    domains = dict(specification.domains)
+    domains = Table(specification.domains)
     domains[domain.name] = dataclasses.replace(
         domain,
         processes=(
@@ -189,7 +189,7 @@ def test_edit_stream_triggers_no_full_collection():
         for edit in range(40):
             name = SyntheticInternet.domain_name(17 * edit + 5)
             domain = specification.domains[name]
-            domains = dict(specification.domains)
+            domains = Table(specification.domains)
             domains[name] = dataclasses.replace(
                 domain, exports=() if domain.exports else on
             )

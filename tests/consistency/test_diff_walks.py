@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.consistency.evolution import DiffEntry, diff_specifications
 
-from .test_owner_patch import EXPORT, rich_internet
+from .deltas import EXPORT, rich_internet
 
 TABLES = (("process", "processes"), ("system", "systems"), ("domain", "domains"))
 

@@ -7,8 +7,8 @@ the extension tables' lists).  So:
   ``dict`` mutator of every table; an append to an ``extras`` list; a
   changed ``extension_clauses`` entry — makes the next ``check()``
   regenerate, and equal a fresh check byte for byte;
-* a warm check is O(tables): it reads no table's entries, and no value
-  fingerprint is computed on the way;
+* a warm check is O(tables): it reads no declaration table, neither an
+  entry nor its length, and no value fingerprint is computed on the way;
 * equal values under other objects (a re-parse) are matched by
   ``recheck``'s diff, which rebinds the facts it keeps to the new
   specification — so codegen accepts them as that specification's.
@@ -29,7 +29,7 @@ from repro.nmsl import specs as specs_module
 from repro.nmsl.compiler import NmslCompiler
 from repro.nmsl.specs import TABLES, Table, TypeSpec
 from repro.workloads.generator import InternetParameters, SyntheticInternet
-from tests.consistency.test_owner_patch import LOCAL_DELTAS, _report
+from tests.consistency.deltas import LOCAL_DELTAS, report_of
 from tests.corpus import corpus
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -320,7 +320,7 @@ def test_setdefault_on_an_existing_key_counts_nothing(table):
     assert entries.revision == revision
     warm = checker.check()
     assert warm.stats["facts_expanded"] == 0
-    assert _report(warm) == _report(ConsistencyChecker(spec, _COMPILER.tree).check())
+    assert report_of(warm) == report_of(ConsistencyChecker(spec, _COMPILER.tree).check())
 
 
 def test_same_object_reassignment_regenerates_to_the_same_verdict():
@@ -352,28 +352,29 @@ def test_a_plain_dict_becomes_a_table_and_a_table_stays_shared():
 # ----------------------------------------------------------------------
 
 
+#: Every ``dict`` method that reads entries, or their number.
+_READS = (
+    "__iter__", "keys", "values", "items",
+    "__getitem__", "get", "__contains__", "__len__",
+)
+
+
 def test_warm_check_reads_no_declaration_table_entry():
-    """At 1,000 domains the staleness test reads no table entry: no
-    ``__iter__``, ``keys``, ``values`` or ``items`` on the four
-    declaration tables during a warm ``check()``."""
+    """At 1,000 domains the staleness test reads no table entry: none of
+    ``_READS`` is called on the four declaration tables during a warm
+    ``check()`` — no walk, and no keyed lookup either."""
     reads = []
 
-    class Counted(Table):
-        def __iter__(self):
-            reads.append("__iter__")
-            return dict.__iter__(self)
+    def counted(name):
+        method = getattr(dict, name)
 
-        def keys(self):
-            reads.append("keys")
-            return dict.keys(self)
+        def read(self, *args):
+            reads.append(name)
+            return method(self, *args)
 
-        def values(self):
-            reads.append("values")
-            return dict.values(self)
+        return read
 
-        def items(self):
-            reads.append("items")
-            return dict.items(self)
+    Counted = type("Counted", (Table,), {name: counted(name) for name in _READS})
 
     spec = SyntheticInternet(
         InternetParameters(n_domains=1000, silent_domains=(1,), fast_pollers=(2,))
@@ -413,7 +414,7 @@ def test_recheck_after_an_in_place_edit_and_a_diff_regenerates():
         },
     )
     again = checker.recheck(new)
-    assert _report(again) == _report(ConsistencyChecker(new, _COMPILER.tree).check())
+    assert report_of(again) == report_of(ConsistencyChecker(new, _COMPILER.tree).check())
 
 
 def _in_place(rng, spec):
@@ -468,4 +469,4 @@ def test_interleaved_edits_check_like_a_fresh_checker(seed, steps):
             spec = rng.choice(LOCAL_DELTAS)(rng, spec)
             result = checker.recheck(spec)
         fresh = ConsistencyChecker(spec, _COMPILER.tree).check()
-        assert _report(result) == _report(fresh)
+        assert report_of(result) == report_of(fresh)

@@ -22,7 +22,7 @@ from repro.consistency.evolution import diff_specifications
 from repro.deadline import Deadline
 from repro.errors import DeadlineExceeded
 
-from .test_owner_patch import (
+from .deltas import (
     LOCAL_DELTAS,
     TREE,
     add_invocation,

@@ -33,6 +33,7 @@ from repro.consistency.relations import Permission
 from repro.mib.tree import Access
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.nmsl.frequency import FrequencySpec
+from repro.nmsl.specs import Table
 from repro.workloads.generator import InternetParameters, SyntheticInternet
 from tests.corpus import CORPUS_SIZE, corpus, draw_parameters
 
@@ -44,7 +45,7 @@ TREE = _COMPILER.tree
 # Single-edit delta constructors over compiled specifications.
 # ----------------------------------------------------------------------
 def _replace_domain(spec, name, domain):
-    domains = dict(spec.domains)
+    domains = Table(spec.domains)
     domains[name] = domain
     return dataclasses.replace(spec, domains=domains)
 

@@ -29,360 +29,23 @@ from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.oracles import ORACLES, failing_clients
 from repro.consistency.evolution import diff_specifications
 from repro.consistency.facts import IncrementalFactGenerator
-from repro.mib.tree import Access
-from repro.nmsl.compiler import CompilerOptions, NmslCompiler
-from repro.nmsl.frequency import FrequencySpec
-from repro.nmsl.specs import (
-    WILDCARD,
-    DomainSpec,
-    ExportSpec,
-    ProcessInvocation,
-    ProcessSpec,
-    ProxySpec,
-    QuerySpec,
-    Specification,
-    SystemSpec,
-)
-from repro.workloads.generator import (
-    REQUESTED_PATH,
-    SUPPORTED_GROUPS,
-    UNSUPPORTED_PATH,
-    SyntheticInternet,
-)
+from repro.nmsl.specs import ProcessInvocation, SystemSpec
+from repro.workloads.generator import SUPPORTED_GROUPS, SyntheticInternet
 
 from tests.corpus import CORPUS_SIZE, corpus
 
-TREE = NmslCompiler(CompilerOptions(register_codegen=False)).tree
-
-BRIDGE = "bridge.lan"
-EXPORT = ExportSpec(
-    variables=("mgmt.mib",),
-    to_domain="public",
-    access=Access.READ_ONLY,
-    frequency=FrequencySpec.at_most_every(300),
-)
-
-
-# ----------------------------------------------------------------------
-# Internets with everything the taint index and the candidate rules read.
-# ----------------------------------------------------------------------
-def _poller(name, target, path=REQUESTED_PATH, period=900.0, params=True):
-    return ProcessSpec(
-        name=name,
-        params=(("Target", "Process"),) if params else (),
-        queries=(
-            QuerySpec(
-                target=target,
-                requests=(path,),
-                frequency=FrequencySpec.at_most_every(period),
-            ),
-        ),
-    )
-
-
-def rich_internet(rng: random.Random, n_domains: int, n_systems: int):
-    spec = Specification()
-    spec.add_process(ProcessSpec(name="stdAgent", supports=("mgmt.mib",)))
-    spec.add_process(
-        ProcessSpec(
-            name="grantAgent",
-            supports=("mgmt.mib.system", "mgmt.mib.ip"),
-            exports=(
-                ExportSpec(
-                    variables=("mgmt.mib.ip",),
-                    to_domain="public",
-                    access=Access.READ_ONLY,
-                    frequency=FrequencySpec.at_most_every(300),
-                ),
-            ),
-        )
-    )
-    spec.add_process(
-        ProcessSpec(
-            name="bridgeProxy",
-            supports=("mgmt.mib",),
-            proxies=(ProxySpec(target_system=BRIDGE, protocol="lanbridge"),),
-        )
-    )
-    spec.add_process(_poller("poller", "Target"))
-    spec.add_process(_poller("fastPoller", "Target", period=30.0))
-    spec.add_process(_poller("egpPoller", "Target", path=UNSUPPORTED_PATH))
-    # Literal targets: every instance of a process type, every agent of
-    # a domain (the umbrella, so the agents sit in its subdomains).
-    spec.add_process(
-        _poller("agentWatch", "grantAgent", path="mgmt.mib.ip", params=False)
-    )
-    spec.add_process(_poller("regionWatch", "region", params=False))
-    names = [
-        [SyntheticInternet.system_name(d, s) for s in range(n_systems)]
-        for d in range(n_domains)
-    ]
-    for row in names:
-        for name in row:
-            spec.add_system(
-                SystemSpec(
-                    name=name,
-                    supports=rng.choice(
-                        (SUPPORTED_GROUPS, ("mgmt.mib",), ("mgmt.mib.system",))
-                    ),
-                    processes=_agent_invocations(rng),
-                )
-            )
-    spec.add_system(SystemSpec(name=BRIDGE, supports=SUPPORTED_GROUPS))
-    for index, row in enumerate(names):
-        members = list(row)
-        if index == 0:
-            members.append(BRIDGE)
-        if index and rng.random() < 0.3:
-            members.append(names[0][0])  # one element, two domains
-        spec.add_domain(
-            DomainSpec(
-                name=SyntheticInternet.domain_name(index),
-                systems=tuple(members),
-                processes=tuple(
-                    _application(rng, spec) for _ in range(rng.randint(0, 3))
-                ),
-                exports=(EXPORT,) if rng.random() < 0.7 else (),
-            )
-        )
-    spec.add_domain(
-        DomainSpec(
-            name="region",
-            subdomains=tuple(
-                SyntheticInternet.domain_name(index)
-                for index in range(n_domains)
-            ),
-        )
-    )
-    return spec
-
-
-def _agent_invocations(rng):
-    return tuple(
-        ProcessInvocation(name)
-        for name in rng.choice(
-            (
-                ("stdAgent",),
-                ("grantAgent",),
-                ("stdAgent", "grantAgent"),
-                ("stdAgent", "stdAgent"),
-                ("bridgeProxy",),
-                (),
-            )
-        )
-    )
-
-
-def _application(rng, spec):
-    kind = rng.choice(
-        ("poller", "poller", "fastPoller", "egpPoller", "agentWatch", "regionWatch")
-    )
-    if kind in ("agentWatch", "regionWatch"):
-        return ProcessInvocation(kind)
-    target = rng.choice(
-        [WILDCARD, "10.0.0.1", *spec.domains, *spec.systems, *spec.systems]
-    )
-    return ProcessInvocation(kind, (target,))
-
-
-# ----------------------------------------------------------------------
-# Deltas.  Each returns a new revision sharing every untouched entry.
-# ----------------------------------------------------------------------
-def _replace(spec, **tables):
-    return dataclasses.replace(
-        spec,
-        **{
-            table: {**getattr(spec, table), **entries}
-            for table, entries in tables.items()
-        },
-    )
-
-
-def _a_domain(rng, spec, needs=lambda domain: True):
-    leaves = [d for d in spec.domains.values() if d.systems and needs(d)]
-    return rng.choice(leaves) if leaves else None
-
-
-def retarget(rng, spec, only_systems=False):
-    domain = _a_domain(rng, spec, lambda d: any(i.args for i in d.processes))
-    if domain is None:
-        return spec
-    slot = rng.choice([n for n, i in enumerate(domain.processes) if i.args])
-    processes = list(domain.processes)
-    targets = [*spec.systems, *spec.systems]
-    if not only_systems:
-        targets += [WILDCARD, *spec.domains]
-    processes[slot] = ProcessInvocation(
-        processes[slot].process_name, (rng.choice(targets),)
-    )
-    return _replace(
-        spec,
-        domains={
-            domain.name: dataclasses.replace(domain, processes=tuple(processes))
-        },
-    )
-
-
-def add_invocation(rng, spec):
-    domain = _a_domain(rng, spec)
-    position = rng.randint(0, len(domain.processes))
-    processes = list(domain.processes)
-    processes.insert(position, _application(rng, spec))
-    return _replace(
-        spec,
-        domains={
-            domain.name: dataclasses.replace(domain, processes=tuple(processes))
-        },
-    )
-
-
-def remove_invocation(rng, spec):
-    domain = _a_domain(rng, spec, lambda d: d.processes)
-    if domain is None:
-        return spec
-    processes = list(domain.processes)
-    del processes[rng.randrange(len(processes))]
-    return _replace(
-        spec,
-        domains={
-            domain.name: dataclasses.replace(domain, processes=tuple(processes))
-        },
-    )
-
-
-def toggle_exports(rng, spec):
-    domain = _a_domain(rng, spec)
-    return _replace(
-        spec,
-        domains={
-            domain.name: dataclasses.replace(
-                domain, exports=() if domain.exports else (EXPORT,)
-            )
-        },
-    )
-
-
-def _a_system(rng, spec):
-    housed = {name for d in spec.domains.values() for name in d.systems}
-    return spec.systems[rng.choice(sorted(housed & spec.systems.keys()))]
-
-
-def change_supports(rng, spec):
-    system = _a_system(rng, spec)
-    supports = rng.choice(
-        (SUPPORTED_GROUPS, ("mgmt.mib",), ("mgmt.mib.system",), ("mgmt.mib.egp",))
-    )
-    return _replace(
-        spec,
-        systems={system.name: dataclasses.replace(system, supports=supports)},
-    )
-
-
-def change_agents(rng, spec):
-    system = _a_system(rng, spec)
-    if "bridgeProxy" in spec.processes:
-        processes = _agent_invocations(rng)
-    else:  # the corpus has one agent type (and CLP(R) no rule for an
-        # element without any): run it once or twice
-        processes = (ProcessInvocation("stdAgent"),) * rng.choice((1, 2))
-    return _replace(
-        spec,
-        systems={system.name: dataclasses.replace(system, processes=processes)},
-    )
-
-
-LOCAL_DELTAS = (
-    retarget,
-    add_invocation,
-    remove_invocation,
-    toggle_exports,
-    change_supports,
+from .deltas import (
+    LOCAL_DELTAS,
+    NON_LOCAL_DELTAS,
+    TREE,
     change_agents,
-)
-
-
-def several(rng, spec):
-    for delta in rng.sample(LOCAL_DELTAS, k=rng.randint(2, 4)):
-        spec = delta(rng, spec)
-    return spec
-
-
-def move_system(rng, spec):
-    """Containment: an element leaves one domain for another."""
-    source = _a_domain(rng, spec)
-    target = rng.choice(
-        [d for d in spec.domains.values() if d.systems and d is not source]
-    )
-    moved = source.systems[0]
-    return _replace(
-        spec,
-        domains={
-            source.name: dataclasses.replace(source, systems=source.systems[1:]),
-            target.name: dataclasses.replace(
-                target, systems=target.systems + (moved,)
-            ),
-        },
-    )
-
-
-def change_process(rng, spec):
-    poller = spec.processes["poller"]
-    query = dataclasses.replace(
-        poller.queries[0], frequency=FrequencySpec.at_most_every(120.0)
-    )
-    return _replace(
-        spec, processes={"poller": dataclasses.replace(poller, queries=(query,))}
-    )
-
-
-def add_system(rng, spec):
-    domain = _a_domain(rng, spec)
-    name = f"new.{domain.name}.net"
-    return _replace(
-        spec,
-        systems={
-            name: SystemSpec(
-                name=name,
-                supports=SUPPORTED_GROUPS,
-                processes=(ProcessInvocation("stdAgent"),),
-            )
-        },
-        domains={
-            domain.name: dataclasses.replace(
-                domain, systems=domain.systems + (name,)
-            )
-        },
-    )
-
-
-def remove_domain(rng, spec):
-    domain = _a_domain(rng, spec)
-    domains = {k: v for k, v in spec.domains.items() if k != domain.name}
-    for name, other in domains.items():
-        if domain.name in other.subdomains:
-            domains[name] = dataclasses.replace(
-                other,
-                subdomains=tuple(
-                    s for s in other.subdomains if s != domain.name
-                ),
-            )
-    return dataclasses.replace(spec, domains=domains)
-
-
-def change_extras(rng, spec):
-    """Not a table the diff tracks, but one the facts are keyed on:
-    rides on an exports toggle so there is a diff to look at."""
-    return dataclasses.replace(
-        toggle_exports(rng, spec), extras={"note": [rng.random()]}
-    )
-
-
-NON_LOCAL_DELTAS = (
-    move_system,
-    change_process,
-    add_system,
-    remove_domain,
-    change_extras,
+    change_supports,
+    report_of,
+    retarget,
+    rich_internet,
+    several,
+    toggle_exports,
+    with_entries,
 )
 
 
@@ -433,17 +96,6 @@ def assert_same_facts(patched, specification):
         assert forced[name] == expected[name], name
 
 
-def _report(result):
-    """The bytes an operator sees, minus the engine's own statistics (a
-    recheck and a check count different things there)."""
-    return (
-        result.render(),
-        dataclasses.replace(result, stats={}).to_json(),
-        [p.causes for p in result.inconsistencies],
-        result.warnings,
-    )
-
-
 def check_local_delta(before, after, warm):
     checker = ConsistencyChecker(before, TREE)
     checker.check()
@@ -453,7 +105,7 @@ def check_local_delta(before, after, warm):
     fresh = ConsistencyChecker(after, TREE).check()
     changed = len(diff_specifications(before, after))
     if not changed:  # the draw replaced a value by itself
-        assert _report(result) == _report(fresh)
+        assert report_of(result) == report_of(fresh)
         return result, fresh
     assert result.stats["patched"], "an owner-local delta must be patched"
     assert result.stats["facts_expanded"] == changed
@@ -461,10 +113,10 @@ def check_local_delta(before, after, warm):
         result.stats["rechecked"] + result.stats["reused"]
         == result.stats["references"]
     )
-    assert _report(result) == _report(fresh)
+    assert report_of(result) == report_of(fresh)
     assert_same_facts(checker.checked_facts, after)
     # And the state it leaves is one a plain check() trusts.
-    assert _report(checker.check()) == _report(fresh)
+    assert report_of(checker.check()) == report_of(fresh)
     return result, fresh
 
 
@@ -481,7 +133,7 @@ def test_corpus_patch_equals_cold_generation(index):
         after = delta(rng, before)
         result, _fresh = check_local_delta(before, after, warm=index % 2 == 0)
         scan = ORACLES["scan"](after, TREE)
-        assert _report(result) == _report(scan)
+        assert report_of(result) == report_of(scan)
         before = after
     # CLP(R) grounds literal system targets only (the scope note of
     # test_differential), and is slow: for every fifth spec, one more
@@ -513,7 +165,7 @@ def test_corpus_non_local_delta_regenerates(index, delta):
     result = checker.recheck(after)
     assert not result.stats["patched"]
     assert result.stats["facts_expanded"] == result.stats["facts_declarations"]
-    assert _report(result) == _report(ConsistencyChecker(after, TREE).check())
+    assert report_of(result) == report_of(ConsistencyChecker(after, TREE).check())
     assert_same_facts(checker.checked_facts, after)
 
 
@@ -544,7 +196,7 @@ def test_patch_equals_cold_generation(seed, n_domains, n_systems, steps, warm):
         result = checker.recheck(after)
         assert result.stats["patched"]
         fresh = ConsistencyChecker(after, TREE).check()
-        assert _report(result) == _report(fresh)
+        assert report_of(result) == report_of(fresh)
         assert_same_facts(checker.checked_facts, after)
         before = after
 
@@ -563,14 +215,14 @@ def test_non_local_delta_regenerates_then_patches(seed, delta, then):
     after = delta(rng, before)
     result = checker.recheck(after)
     assert not result.stats["patched"]
-    assert _report(result) == _report(ConsistencyChecker(after, TREE).check())
+    assert report_of(result) == report_of(ConsistencyChecker(after, TREE).check())
     assert_same_facts(checker.checked_facts, after)
     # The regenerated fact set is as patchable as a cold one.
     last = then(rng, after)
     if len(diff_specifications(after, last)):
         result = checker.recheck(last)
         assert result.stats["patched"]
-        assert _report(result) == _report(
+        assert report_of(result) == report_of(
             ConsistencyChecker(last, TREE).check()
         )
         assert_same_facts(checker.checked_facts, last)
@@ -590,9 +242,9 @@ def test_patch_declines_what_it_cannot_locate(housed):
         supports=SUPPORTED_GROUPS,
         processes=(ProcessInvocation("stdAgent"),),
     )
-    before = _replace(base, systems={name: element})
+    before = with_entries(base, systems={name: element})
     if housed:
-        before = _replace(
+        before = with_entries(
             before,
             domains={
                 home.name: dataclasses.replace(
@@ -602,7 +254,7 @@ def test_patch_declines_what_it_cannot_locate(housed):
                 )
             },
         )
-    after = _replace(
+    after = with_entries(
         before,
         systems={
             name: dataclasses.replace(element, supports=("mgmt.mib.system",))
@@ -612,5 +264,5 @@ def test_patch_declines_what_it_cannot_locate(housed):
     checker.check()
     result = checker.recheck(after)
     assert not result.stats["patched"]
-    assert _report(result) == _report(ConsistencyChecker(after, TREE).check())
+    assert report_of(result) == report_of(ConsistencyChecker(after, TREE).check())
     assert_same_facts(checker.checked_facts, after)

@@ -17,6 +17,7 @@ from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.evolution import EvolutionDelta
 from repro.consistency.seminaive import seminaive_fixpoint
 from repro.mib.mib1 import build_mib1
+from repro.nmsl.specs import Table
 from repro.workloads.paper import PaperScaleInternet, PaperScaleParameters
 
 #: Wall-clock budget for the full 1k-domain check, seconds.
@@ -31,7 +32,7 @@ PEAK_RSS_BUDGET_MB = 512
 
 def _drop_exports(spec, index):
     name = sorted(spec.domains)[index]
-    domains = dict(spec.domains)
+    domains = Table(spec.domains)
     domains[name] = dataclasses.replace(domains[name], exports=())
     return dataclasses.replace(spec, domains=domains)
 

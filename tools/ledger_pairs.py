@@ -11,21 +11,27 @@ worktree left registered if the run is killed), then runs
 
 in that directory and in the working tree in turn, PAIRS times; the
 side that runs first alternates from pair to pair.  For each pair it
-prints the end-to-end metrics BENCHMARK.json declares, then per metric
-the median of each side, the change of the medians, the number of
-pairs in which the change did better and the interquartile range of the
-base side's runs.  A timing claim is a statement about these pairs.
+prints the ledger's end-to-end metrics, then per metric the median of
+each side, the change of the medians, the number of pairs in which the
+change did better, and the ledger's own verdict on the two sides
+(``compare.judge``: ``worse`` beyond the metric's bound, ``unresolved``
+when the spread is wider than the bound, else ``ok``).  A timing claim
+is a statement about these pairs.
 """
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from benchmarks.ledger import catalogue  # noqa: E402
+from benchmarks.ledger.compare import judge  # noqa: E402
+from benchmarks.ledger.stats import median  # noqa: E402
 
 
 def export(revision: str, into: Path) -> None:
@@ -39,14 +45,12 @@ def export(revision: str, into: Path) -> None:
         raise SystemExit(f"git archive {revision} failed")
 
 
-def run(tree: Path, workload: str, seed: int, seconds) -> dict:
+def run(tree: Path, workload: str, seed: int) -> dict:
     """One untraced ledger run in *tree*: the JSON of its last line."""
     command = [
         sys.executable, "benchmarks/ledger",
         "--workload", workload, "--seed", str(seed), "--trace", "0",
     ]
-    if seconds is not None:
-        command += ["--seconds", str(seconds)]
     completed = subprocess.run(
         command, cwd=tree, stdout=subprocess.PIPE, text=True
     )
@@ -54,13 +58,6 @@ def run(tree: Path, workload: str, seed: int, seconds) -> dict:
     if completed.returncode not in (0, 1) or not lines:
         raise SystemExit(f"{tree}: the ledger exited {completed.returncode}")
     return json.loads(lines[-1])
-
-
-def quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0]
-    low, _median, high = statistics.quantiles(values, n=4)
-    return low, high
 
 
 def main(argv=None) -> int:
@@ -71,12 +68,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = declared["end_to_end"]
     sides = {"base": [], "change": []}
     wrong = 0
     with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as scratch:
@@ -86,30 +80,29 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
-                result = run(trees[side], args.workload, args.seed, args.seconds)
+                result = run(trees[side], args.workload, args.seed)
                 wrong += not result["correct"]
                 sides[side].append(result["metrics"])
             print(f"pair {pair + 1} ({order[0]} first)")
-            for metric in metrics:
-                name = metric["name"]
-                base = sides["base"][-1][name]["value"]
-                change = sides["change"][-1][name]["value"]
-                print(f"  {name:<12} {base:>12.4g} -> {change:>12.4g} {metric['unit']}")
+            for metric in catalogue.END_TO_END:
+                base = sides["base"][-1][metric.name]["value"]
+                change = sides["change"][-1][metric.name]["value"]
+                print(f"  {metric.name:<12} {base:>12.4g} -> {change:>12.4g} {metric.unit}")
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, base {args.base}")
     print(f"  {'metric':<12} {'base p50':>10} {'change p50':>10} {'change':>8} "
-          f"{'better':>7} {'base IQR':>9}")
-    for metric in metrics:
-        name = metric["name"]
-        base = [run_metrics[name]["value"] for run_metrics in sides["base"]]
-        change = [run_metrics[name]["value"] for run_metrics in sides["change"]]
-        lower = metric["better"] == "lower"
+          f"{'better':>7} {'spread':>7} {'bound':>6}  verdict")
+    for metric in catalogue.END_TO_END:
+        base = [run_metrics[metric.name]["value"] for run_metrics in sides["base"]]
+        change = [run_metrics[metric.name]["value"] for run_metrics in sides["change"]]
+        lower = metric.better == "lower"
         better = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
-        base_median, change_median = statistics.median(base), statistics.median(change)
+        base_median, change_median = median(base), median(change)
         moved = (change_median - base_median) / base_median if base_median else 0.0
-        low, high = quartiles(base)
+        verdict, _worsening, widest = judge(metric, base, change)
         print(
-            f"  {name:<12} {base_median:>10.4g} {change_median:>10.4g} "
-            f"{moved:>+8.1%} {better:>3}/{args.pairs:<3} {high - low:>9.3g}"
+            f"  {metric.name:<12} {base_median:>10.4g} {change_median:>10.4g} "
+            f"{moved:>+8.1%} {better:>3}/{args.pairs:<3} {widest:>7.1%} "
+            f"{metric.bound:>6.0%}  {verdict}"
         )
     if wrong:
         print(f"{wrong} run(s) answered wrongly")

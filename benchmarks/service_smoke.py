@@ -9,7 +9,9 @@ surface the way an operator session would:
    parameter (neither op declares it), audited as a ``reject``, and the
    rollout applies nothing;
 2. ``diff`` of the campus spec against a scripted access-widening
-   mutation — the relational gate must report NM401 as gating;
+   mutation — the relational gate must report NM401 as gating, and
+   ``resources.facts_expanded`` must count the widened revision's
+   declarations only (the checked campus is forked, not re-expanded);
 3. a ``rollout`` of the widened revision *with* ``diff_base`` — the
    service must refuse it with 403 ``vetoed``;
 4. a clean ``rollout`` of the committed spec over a sub-campus element
@@ -196,6 +198,17 @@ def main(argv=None):
                     for finding in diff["result"]["findings"]
                 ),
                 "NM401 present in diff findings", diff,
+            )
+            # The widening edits a process, so B is expanded in full;
+            # campus, checked above, is forked and expands nothing.
+            counts = client.request(
+                "compile", {"spec": str(widened)}
+            )["result"]["counts"]
+            expect(
+                diff.get("resources", {}).get("facts_expanded")
+                == counts["processes"] + counts["systems"] + counts["domains"],
+                "diff of a checked spec expands only the new revision",
+                diff.get("resources"),
             )
 
             vetoed = client.request(

@@ -266,17 +266,20 @@ def check_revisions(
     tree, old, new, *, tags: Sequence[str], waiver: Optional[str] = None,
     config_scope: str = "impacted", deadline: Optional[Deadline] = None,
 ) -> Tuple[ImpactSet, AnalysisReport]:
-    """The relational verdict on evolving specification *old* to *new*.
+    """The relational verdict on evolving revision *old* to *new*.
 
-    Full-checks *old* as the baseline, analyzes *new* against it
-    (fingerprinting the configurations of *tags* over *config_scope*),
-    renders the NM4xx report and applies the *waiver* file when it
-    exists.  Returns the impact set and the (waived) report.
+    *old* is the baseline :meth:`ImpactAnalyzer.baseline` takes: a
+    resident checker, forked (a checked one is not checked again), or a
+    specification, checked afresh.  Analyzes *new* against it under
+    *deadline* (fingerprinting the configurations of *tags* over
+    *config_scope*), renders the NM4xx report and applies the *waiver*
+    file when it exists.  Returns the impact set and the (waived) report.
     """
     analyzer = ImpactAnalyzer(tree, tags=tags, config_scope=config_scope)
-    analyzer.baseline(old)
+    baseline = analyzer.baseline(old)
     Deadline.poll(deadline, "relational.baseline")
-    impact = analyzer.analyze(new)
+    impact = analyzer.analyze(new, deadline=deadline)
+    impact.stats["facts_expanded"] += baseline.stats["facts_expanded"]
     report = relational_report(impact)
     if waiver and Path(waiver).exists():
         report = Waiver.load(waiver).apply(report)

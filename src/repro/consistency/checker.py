@@ -34,6 +34,7 @@ through :meth:`ConsistencyChecker.recheck`'s diff instead.
 from __future__ import annotations
 
 import contextlib
+import copy
 import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
@@ -520,6 +521,26 @@ class ConsistencyChecker:
             warnings=warnings,
             stats=stats,
         )
+
+    def fork(self) -> "ConsistencyChecker":
+        """This checker as a new one whose :meth:`recheck` leaves this
+        one as it is (DESIGN.md §3.2): what a recheck writes is copied
+        at the top level, the rest shared; the per-fact-set memos start
+        again."""
+        twin = copy.copy(self)
+        facts = self._facts
+        if facts is not None:
+            twin._facts = facts.fork()
+            if self._checked_references is facts.references:
+                twin._checked_references = twin._facts.references
+            memo = self._instantiation_memo
+            if memo is not None and memo[0] is facts:
+                outcomes = list(memo[1])  # spliced in place by a patch
+                twin._instantiation_memo = (twin._facts, outcomes, *memo[2:])
+        for name in ("_flagged", "_memo_hits", "_memo_misses", "_published"):
+            setattr(twin, name, getattr(self, name).copy())
+        twin._index, twin._candidate_memo = None, {}
+        return twin
 
     def cache_tallies(self) -> Dict[str, int]:
         """Cumulative memo + index hit/miss totals.

@@ -21,6 +21,7 @@ names, or system names.
 
 from __future__ import annotations
 
+import copy
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -189,6 +190,16 @@ class FactSet:
         self.__dict__.pop("containment", None)  # edge list: rebuilt on use
         self.note_expansion(0)
 
+    def fork(self) -> "FactSet":
+        """A copy to patch while this one stays as it is: the
+        containers a patch writes, copied at the top level (§3.2)."""
+        twin = copy.copy(self)
+        for name in _PATCHED:
+            built = getattr(self, name)
+            if built is not None:
+                setattr(twin, name, built.copy())
+        return twin
+
     # ------------------------------------------------------------------
     # Containment: the edge list and the owner-keyed closure.
     # ------------------------------------------------------------------
@@ -263,26 +274,21 @@ class FactSet:
             containers.add(f"{instance.owner_kind}:{instance.owner}")
         return containers
 
-    _taint_cache: Optional[Tuple[Dict[str, Set[int]], Set[int]]] = None
+    _taint_cache: Optional[Dict[Optional[str], Set[int]]] = None
 
-    def domain_reference_taint(
-        self,
-    ) -> Tuple[Dict[str, Set[int]], Set[int]]:
+    def domain_reference_taint(self) -> Dict[Optional[str], Set[int]]:
         """domain name -> positions of references its exports may affect.
 
-        Returns ``(index, wildcard)``: a conservative superset — every
-        reference whose verdict could change when the named domain's
-        export clauses change appears in its position set; ``wildcard``
-        holds the positions of run-time (``*``) targets, affected by any
-        delta.  A function of references, containment and instances
-        only — :meth:`patch_owners` keeps it exact — so the checker
-        re-reduces a handful of references after a one-owner delta
-        instead of the whole internet.
+        A conservative superset: every reference whose verdict could
+        change when the named domain's export clauses change appears in
+        its position set; the key ``None`` holds the positions of
+        run-time (``*``) targets, affected by any delta.  A function of
+        references, containment and instances only — :meth:`patch_owners`
+        keeps it exact — so the checker re-reduces a handful of
+        references after a one-owner delta instead of the whole internet.
         """
-        if self._taint_cache is not None:
-            return self._taint_cache
-        self._taint_cache = ({}, set())
-        self._retaint(range(len(self.references)), add=True)
+        if self._taint_cache is None:
+            self._taint_cache = self._taint_of(range(len(self.references)))
         return self._taint_cache
 
     def _server_taint(self, server: str) -> Set[str]:
@@ -309,30 +315,45 @@ class FactSet:
                 domains.update(self.domains_of(instance))
         return domains
 
-    def _retaint(self, positions, add: bool) -> None:
-        """Enter (or withdraw) the references at *positions* in the taint
-        index, as the fact set stands now."""
-        index, wildcard = self._taint_cache
+    def _taint_of(self, positions) -> Dict[Optional[str], Set[int]]:
+        """The taint index of the references at *positions* alone, as
+        the fact set stands now."""
+        index: Dict[Optional[str], Set[int]] = {}
         servers: Dict[str, Set[str]] = {}
         for position in positions:
             reference = self.references[position]
             server = reference.server
             if server == "*":
-                (wildcard.add if add else wildcard.discard)(position)
+                domains = (None,)
+            else:
+                domains = servers.get(server)
+                if domains is None:
+                    domains = servers[server] = self._server_taint(server)
+                # The client's domains grant implicit/exported access,
+                # the server side's the rest.
+                domains = domains.union(reference.client_domains)
+            for domain in domains:
+                index.setdefault(domain, set()).add(position)
+        return index
+
+    def _retaint(self, withdrawn, entered, shift=None) -> None:
+        """Trade the taint entries *withdrawn* before a splice for those
+        *entered* after it, moving every other position through *shift*.
+        A set that changes is replaced, never written (a fork shares
+        it); one that keeps its positions is left alone."""
+        index = self._taint_cache
+        for domain in (index if shift else withdrawn).keys() | entered.keys():
+            out, into = withdrawn.get(domain, ()), entered.get(domain, ())
+            if shift is None and out == into:
                 continue
-            server_side = servers.get(server)
-            if server_side is None:
-                server_side = servers[server] = self._server_taint(server)
-            # The client's domains grant implicit/exported access, the
-            # server side's the rest.
-            for domain in server_side.union(reference.client_domains):
-                if add:
-                    index.setdefault(domain, set()).add(position)
-                else:
-                    tainted = index[domain]
-                    tainted.discard(position)
-                    if not tainted:
-                        del index[domain]
+            kept = index.get(domain, set()).difference(out)
+            if shift is not None:
+                kept = shift(kept)
+            kept.update(into)
+            if kept:
+                index[domain] = kept
+            else:
+                index.pop(domain, None)
 
     _grantor_cache: Optional[Dict[str, List[Permission]]] = None
 
@@ -487,7 +508,7 @@ class FactSet:
         # Whatever read these domains' exports, or reached a server
         # inside them, before the patch ...
         reach = {domain for home in homes.values() for domain in home}
-        index = self._taint_cache[0]
+        index = self._taint_cache
         pending = set().union(*(index.get(domain, ()) for domain in reach))
         self.rebind(spec)
         patch = FactPatch()
@@ -522,7 +543,7 @@ class FactSet:
                 for position, reference in enumerate(self.references)
                 if reference.server in answered and not r0 <= position < r1
             ] if answered else []
-            self._retaint([*range(r0, r1), *others], add=False)
+            withdrawn = self._taint_of([*range(r0, r1), *others])
             pending.difference_update(range(r0, r1))
             for instance in old:
                 del self._instance_cache[instance.id]
@@ -544,6 +565,7 @@ class FactSet:
             self.references[r0:r1] = references
             for instance in new:
                 self._instance_cache[instance.id] = instance
+            # The owner's grantors were popped above: each list is new.
             for permission in grants:
                 by_grantor.setdefault(permission.grantor, []).append(permission)
             self._swap_instances(rank, old, new)
@@ -559,22 +581,21 @@ class FactSet:
                     by_grantor[f"domain:{name}"] = exports
                 patch.permissions += len(exports)
             grown = len(references) - (r1 - r0)
+            shifted = None
             if grown:
                 def shifted(positions):
                     return {p + grown if p >= r1 else p for p in positions}
 
-                index, wildcard = self._taint_cache
-                for domain in index:
-                    index[domain] = shifted(index[domain])
-                self._taint_cache = (index, shifted(wildcard))
                 pending = shifted(pending)
                 others = shifted(others)
             fresh = range(r0, r0 + len(references))
-            self._retaint([*fresh, *others], add=True)
+            self._retaint(
+                withdrawn, self._taint_of([*fresh, *others]), shifted
+            )
             pending.update(fresh)
         # ... and whatever does now, plus every run-time target.
-        index, wildcard = self._taint_cache
-        pending.update(wildcard, *(index.get(domain, ()) for domain in reach))
+        index = self._taint_cache
+        pending.update(*(index.get(domain, ()) for domain in (*reach, None)))
         patch.pending = pending
         self.note_expansion(len(owners))
         return patch
@@ -583,12 +604,13 @@ class FactSet:
         self, rank: int, old: List[InstanceId], new: List[InstanceId]
     ) -> None:
         """Replace one owner's entries in the instance-ordered indexes
-        that have been built (the others build from the patched list)."""
+        that have been built (the others build from the patched list):
+        each list that changes is replaced, never written."""
         processes = self.specification.processes
 
-        def swap(index, keys_of) -> None:
+        def swap(index, keys_of):
             if index is None:
-                return
+                return None
             members: Dict[str, List[InstanceId]] = {}
             for instance in new:
                 for key in keys_of(instance):
@@ -596,11 +618,14 @@ class FactSet:
             for key in {
                 key for instance in old for key in keys_of(instance)
             }.union(members):
-                items = index.setdefault(key, [])
+                items = index.get(key, ())
                 start, end = self._owned(items, rank, self._instance_rank)
-                items[start:end] = members.get(key, ())
-                if not items:
-                    del index[key]
+                items = [*items[:start], *members.get(key, ()), *items[end:]]
+                if items:
+                    index[key] = items
+                else:
+                    index.pop(key, None)
+            return index
 
         swap(self._by_process_cache, lambda i: (i.process_name,))
         swap(
@@ -613,10 +638,10 @@ class FactSet:
         )
         if self._agents_cache is not None:
             # The one unkeyed list: lend it a key for the swap.
-            swap(
+            self._agents_cache = swap(
                 {"": self._agents_cache},
                 lambda i: ("",) if processes[i.process_name].is_agent() else (),
-            )
+            ).get("", [])
 
     # ------------------------------------------------------------------
     # The base facts (the paper's consistency output) and their two
@@ -755,6 +780,14 @@ class FactSet:
 
 #: An owner kind's declaration table.
 _TABLES = {"system": "systems", "domain": "domains"}
+
+#: The :class:`FactSet` containers :meth:`~FactSet.patch_owners` writes
+#: to (it replaces the lists inside the lazy indexes instead).
+_PATCHED = (
+    "instances", "references", "permissions", "instance_supports",
+    "system_supports", "expansion", "_instance_cache", "_grantor_cache",
+    "_by_process_cache", "_by_system_cache", "_proxy_cache", "_taint_cache",
+)
 
 _ACCESS_COVER_PAIRS = [
     ("any", "readonly"),

@@ -22,15 +22,17 @@ set lives in :mod:`repro.rollout.gate`.
 
 Cost model
 ----------
-:meth:`ImpactAnalyzer.analyze` piggybacks on one persistent
-:class:`~repro.consistency.checker.ConsistencyChecker`.  An owner-local
-delta makes the recheck patch the cached fact set **in place**, so
+:meth:`ImpactAnalyzer.analyze` piggybacks on one
+:class:`~repro.consistency.checker.ConsistencyChecker`: A's, or a fork
+of a checked one (``nmsld``'s ``diff`` forks the resident revision's,
+which stays as it was), so A is not expanded again.  An owner-local
+delta makes the recheck patch that checker's fact set in place, so
 A-side state (config fingerprints for impacted elements, the grants of
 the grantors the diff names) is captured *before* the recheck runs; the
 verdict flips are the verdicts the recheck itself moved
-(:meth:`ConsistencyChecker.verdict_changes`).  Nothing here walks the
-model, not even for a whole-spec fingerprint: only the diff, the
-impacted elements and the re-reduced references.
+(:meth:`ConsistencyChecker.verdict_changes`).  A diff costs the spec
+diff, the patch, the re-reductions and the scoped fingerprints: nothing
+here walks the model, not even for a whole-spec fingerprint.
 Config fingerprinting is scoped to the impacted elements by default —
 ``config_scope="full"`` hashes every element on both sides, which
 additionally exposes config-rewrites-without-spec-cause (NM403) at
@@ -385,10 +387,17 @@ class ImpactAnalyzer:
     def checker(self) -> Optional[ConsistencyChecker]:
         return self._checker
 
-    def baseline(self, specification: Specification) -> ConsistencyResult:
-        """Full-check revision A and remember its verdicts and facts."""
-        self._checker = ConsistencyChecker(specification, self._tree)
-        return self._checker.check()
+    def baseline(self, revision) -> ConsistencyResult:
+        """Check revision A — a :class:`Specification`, or a checker of
+        it, which is then forked and left as it was — and remember its
+        verdicts and facts."""
+        if isinstance(revision, ConsistencyChecker):
+            result = revision.check()
+            self._checker = revision.fork()
+        else:
+            self._checker = ConsistencyChecker(revision, self._tree)
+            result = self._checker.check()
+        return result
 
     def _fingerprints(
         self, specification, elements, facts
@@ -409,8 +418,11 @@ class ImpactAnalyzer:
             registry=self._registry,
         )
 
-    def analyze(self, specification: Specification) -> ImpactSet:
-        """The impact set of evolving the last-seen revision to B."""
+    def analyze(
+        self, specification: Specification, deadline=None
+    ) -> ImpactSet:
+        """The impact set of evolving the last-seen revision to B; the
+        recheck polls *deadline* (a :class:`repro.deadline.Deadline`)."""
         checker = self._checker
         if checker is None:
             raise RuntimeError(
@@ -453,7 +465,7 @@ class ImpactAnalyzer:
             if grantor in by_grantor
         }
 
-        result = checker.recheck(delta)
+        result = checker.recheck(delta, deadline=deadline)
         new_facts = checker.checked_facts
 
         # ---- B-side fingerprints over the impacted scope.
@@ -529,6 +541,7 @@ class ImpactAnalyzer:
             "permission_changes": len(permission_changes),
             "config_changes": len(config_changes),
             "seconds": result.stats.get("seconds", 0.0),
+            "facts_expanded": result.stats.get("facts_expanded", 0),
         }
         return ImpactSet(
             diff=diff,

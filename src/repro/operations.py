@@ -312,13 +312,15 @@ def analyze(revisions, args):
 def diff(old, new, args, config_scope="impacted", deadline=None):
     """``diff``: the relational verdict on evolving revision *old* into
     *new* — ``(ImpactSet, AnalysisReport)``, the NM4xx report with the
-    ``waiver`` file applied.  The configurations of the ``output`` tags
-    are fingerprinted over *config_scope* (``"full"``: every element)."""
+    ``waiver`` file applied.  The baseline is a fork of *old*'s checker,
+    which ``nmsld`` keeps checked and which the diff leaves as it was.
+    The configurations of the ``output`` tags are fingerprinted over
+    *config_scope* (``"full"``: every element)."""
     from repro.analysis import check_revisions
 
     with old.lock:
         return check_revisions(
-            old.compiler.tree, old.result.specification,
+            old.compiler.tree, old.checker,
             new.result.specification, tags=args["output"],
             waiver=args["waiver"], config_scope=config_scope,
             deadline=deadline,

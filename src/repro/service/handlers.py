@@ -358,6 +358,7 @@ class ServiceHandlers:
         new = self.cache.get(args["new"])
         Deadline.poll(deadline, "service.diff")
         impact, report = operations.diff(old, new, args, deadline=deadline)
+        request.resources["facts_expanded"] = impact.stats["facts_expanded"]
         return {
             "old": old.path,
             "new": new.path,

@@ -277,7 +277,7 @@ class WorkerSupervisor:
     @staticmethod
     def _affinity_key(request) -> str:
         params = getattr(request, "params", None) or {}
-        spec = params.get("spec") or params.get("new")
+        spec = params.get("spec") or params.get("old")
         if isinstance(spec, str) and spec:
             return spec
         return request.op
@@ -286,8 +286,9 @@ class WorkerSupervisor:
         """Pick a worker for *request* and mark it busy.
 
         Spec-affinity first: the same spec prefers the same worker (its
-        cache is warm there), spilling deterministically to the
-        lowest-id idle worker when the preferred one is busy or down.
+        cache is warm there; a ``diff`` goes where its ``old`` is),
+        spilling deterministically to the lowest-id idle worker when the
+        preferred one is busy or down.
         Raises :class:`RuntimeError` if nothing is idle — callers gate
         on :meth:`has_idle` via the core's ``_can_start``.
         """

@@ -1,6 +1,10 @@
-"""The NM4xx relational diagnostics: rendering, waivers, determinism."""
+"""The NM4xx relational diagnostics: rendering, waivers, determinism,
+and a forked baseline's equality with a fresh one."""
 
+import dataclasses
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -9,14 +13,21 @@ from repro.analysis import (
     BaselineError,
     Severity,
     Waiver,
+    check_revisions,
     relational_registry,
     relational_report,
     render_json,
     render_sarif,
 )
+from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.impact import ConfigChange, ImpactAnalyzer, ImpactSet
 from repro.consistency.evolution import diff_specifications
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
+from repro.workloads.generator import SyntheticInternet
+from tests.consistency.deltas import LOCAL_DELTAS, NON_LOCAL_DELTAS, TREE
+from tests.corpus import CORPUS_SIZE, corpus
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SYSTEMS = """
 process agent ::=
@@ -213,3 +224,52 @@ class TestDeterminism:
         (result,) = sarif["runs"][0]["results"]
         fingerprint = result["partialFingerprints"]["nmslFingerprint/v2"]
         assert len(fingerprint) == 64
+
+
+# ----------------------------------------------------------------------
+# A forked baseline answers like a fresh one, and leaves its origin be.
+# ----------------------------------------------------------------------
+def _checked_state(checker):
+    return (
+        checker.check().render(),
+        list(checker._verdict_list),
+        list(checker.checked_facts.base_facts()),
+    )
+
+
+def assert_fork_equals_fresh(tree, old, new, tags=("BartsSnmpd",)):
+    """``check_revisions`` from a checked checker of *old* (forked) and
+    from *old* itself (checked afresh): the same impact set, bar the
+    engine's statistics, the same NM4xx bytes, and the checker as it
+    was."""
+    resident = ConsistencyChecker(old, tree)
+    before = _checked_state(resident)
+    forked, forked_report = check_revisions(tree, resident, new, tags=tags)
+    fresh, fresh_report = check_revisions(tree, old, new, tags=tags)
+    assert dataclasses.replace(forked, stats={}) == dataclasses.replace(
+        fresh, stats={}
+    )
+    assert render_json(forked_report) == render_json(fresh_report)
+    assert _checked_state(resident) == before
+    return forked
+
+
+def test_forked_campus_widening_equals_the_fresh_baseline():
+    from benchmarks.widen_access import widen
+
+    text = (REPO_ROOT / "examples" / "campus.nmsl").read_text()
+    compiler = NmslCompiler()
+    old = compiler.compile(text).specification
+    new = NmslCompiler().compile(widen(text)).specification
+    impact = assert_fork_equals_fresh(compiler.tree, old, new)
+    assert impact.widened()
+
+
+@pytest.mark.parametrize(
+    "index", range(CORPUS_SIZE), ids=[f"spec{i:02d}" for i in range(CORPUS_SIZE)]
+)
+def test_forked_corpus_deltas_equal_the_fresh_baseline(index):
+    rng = random.Random(index)
+    old = SyntheticInternet(corpus()[index]).specification()
+    for delta in (*LOCAL_DELTAS, *NON_LOCAL_DELTAS):
+        assert_fork_equals_fresh(TREE, old, delta(rng, old))

@@ -4,7 +4,8 @@ Hypothesis-drawn internets with everything the taint index and the
 candidate rules read (``rich_internet``), single-step deltas over them
 and over the corpus, split into owner-local ones (``LOCAL_DELTAS``,
 which ``recheck`` patches) and the rest (``NON_LOCAL_DELTAS``, which it
-regenerates), and ``report_of``: what "the same answer" means.
+regenerates), ``report_of``: what "the same answer" means, and
+``force_indexes``, which builds every lazy index of a fact set.
 """
 
 import dataclasses
@@ -374,3 +375,27 @@ def report_of(result):
         [p.causes for p in result.inconsistencies],
         result.warnings,
     )
+
+
+def force_indexes(facts):
+    """Build every lazy index; return them by name."""
+    spec = facts.specification
+    facts.instance_by_id("")
+    facts.agents()
+    facts.instances_of_process("")
+    facts.instances_on_system("")
+    facts.proxies_for_system("")
+    return {
+        "taint": facts.domain_reference_taint(),
+        "grantors": facts.permissions_by_grantor(),
+        "instance ids": facts._instance_cache,
+        "agents": facts._agents_cache,
+        "by process": facts._by_process_cache,
+        "by system": facts._by_system_cache,
+        "proxies": facts._proxy_cache,
+        "containment": facts.containment,
+        "direct": facts.owners.direct,
+        "domains of": [facts.domains_of(i) for i in facts.instances],
+        "ranks": [facts.owner_rank("system", name) for name in spec.systems]
+        + [facts.owner_rank("domain", name) for name in spec.domains],
+    }

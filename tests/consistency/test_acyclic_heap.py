@@ -5,9 +5,10 @@ collector passes.  That is safe for peak memory only if what a check
 builds and drops is freed by reference count — so this is asserted, not
 assumed: with the collector *disabled*, a full check, a recheck on
 either path (patched in place, regenerated), an impact analysis and a
-dropped checker must leave ``gc.collect()`` nothing to find.  And an
-edit must not feed the collector either: a stream of them through the
-impact analyzer triggers no full (generation-2) pass.
+dropped checker must leave ``gc.collect()`` nothing to find, and so
+must a diff from a fork of a resident checker.  And an edit must not
+feed the collector either: a stream of them through the impact
+analyzer, or of forked diffs, triggers no full (generation-2) pass.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.nmsl.specs import ProcessInvocation, Table
 from repro.workloads.generator import SyntheticInternet
 from repro.workloads.paper import PaperScaleInternet, PaperScaleParameters
+from tests.consistency.deltas import force_indexes
 
 _COMPILER = NmslCompiler(CompilerOptions(register_codegen=False))
 
@@ -199,3 +201,82 @@ def test_edit_stream_triggers_no_full_collection():
     finally:
         gc.callbacks.remove(watch)
     assert full_passes == []
+
+
+def _silenced(specification, name):
+    """*specification* with domain *name*'s exports dropped."""
+    domains = Table(specification.domains)
+    domains[name] = dataclasses.replace(domains[name], exports=())
+    return dataclasses.replace(specification, domains=domains)
+
+
+def test_forked_diff_leaves_the_collector_nothing(collector_off):
+    """``nmsld``'s diff: a fork of the resident checker is rechecked and
+    dropped; the resident one lives on."""
+    specification = _internet().specification()
+    resident = ConsistencyChecker(specification, _COMPILER.tree)
+    resident.check()
+    name = next(n for n, d in specification.domains.items() if d.exports)
+    analyzer = ImpactAnalyzer(_COMPILER.tree)
+    analyzer.baseline(resident)
+    impact = analyzer.analyze(_silenced(specification, name))
+    assert impact.stats["patched"] and impact.stats["facts_expanded"] == 1
+    fork = weakref.ref(analyzer.checker)
+    del analyzer, impact
+    assert fork() is None
+    assert gc.collect() == 0
+
+
+def test_forked_diff_stream_triggers_no_full_collection():
+    """Forty diffs against one resident 1,000-domain checker, each a
+    fork of it: the forks' containers die young with them, so no
+    generation-2 pass runs over the warm heap."""
+    internet = _internet(n_domains=1000, hub_count=25, silent_domains=(3, 500))
+    specification = internet.specification()
+    resident = ConsistencyChecker(specification, _COMPILER.tree)
+    resident.check()
+    exporting = [n for n, d in specification.domains.items() if d.exports]
+    full_passes = []
+
+    def watch(phase, info):
+        if phase == "stop" and info["generation"] == 2:
+            full_passes.append(info)
+
+    gc.collect()
+    gc.callbacks.append(watch)
+    try:
+        for edit in range(40):
+            analyzer = ImpactAnalyzer(_COMPILER.tree)
+            analyzer.baseline(resident)
+            impact = analyzer.analyze(
+                _silenced(specification, exporting[17 * edit + 5])
+            )
+            assert impact.stats["patched"] and impact.stats["facts_expanded"] == 1
+    finally:
+        gc.callbacks.remove(watch)
+    assert full_passes == []
+
+
+def _fork_allocations(n_domains):
+    """Tracked objects a fork of a checked checker, every lazy index
+    built, leaves allocated."""
+    internet = _internet(n_domains=n_domains, hub_count=8, silent_domains=(3,))
+    checker = ConsistencyChecker(internet.specification(), _COMPILER.tree)
+    checker.check()
+    force_indexes(checker.checked_facts)
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        fork = checker.fork()
+        return gc.get_count()[0] - before, fork
+    finally:
+        gc.enable()
+
+
+def test_a_fork_allocates_per_container_not_per_entry():
+    """A few dozen objects at 200 domains and at 1,000 (2,400 and 12,000
+    instances): a fork copies containers, never what they hold."""
+    for n_domains in (200, 1000):
+        allocated, _fork = _fork_allocations(n_domains)
+        assert allocated < 64

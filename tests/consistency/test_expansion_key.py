@@ -11,7 +11,9 @@ the extension tables' lists).  So:
   entry nor its length, and no value fingerprint is computed on the way;
 * equal values under other objects (a re-parse) are matched by
   ``recheck``'s diff, which rebinds the facts it keeps to the new
-  specification — so codegen accepts them as that specification's.
+  specification — so codegen accepts them as that specification's;
+* a fork's recheck, on any of the three paths, answers like a fresh
+  check and leaves the checker it was forked from as it was.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ from repro.nmsl import specs as specs_module
 from repro.nmsl.compiler import NmslCompiler
 from repro.nmsl.specs import TABLES, Table, TypeSpec
 from repro.workloads.generator import InternetParameters, SyntheticInternet
-from tests.consistency.deltas import LOCAL_DELTAS, report_of
+from tests.consistency.deltas import LOCAL_DELTAS, NON_LOCAL_DELTAS, report_of
 from tests.corpus import corpus
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -443,11 +445,31 @@ def _in_place(rng, spec):
         entries.update(reversed(items))
 
 
+def _equal_values(rng, spec):
+    """A revision with the same tables: its empty diff rebinds the facts."""
+    return dataclasses.replace(spec)
+
+
+#: A fork is rechecked with one of these: patched, regenerated, rebound.
+_FORK_DELTAS = (LOCAL_DELTAS, NON_LOCAL_DELTAS, (_equal_values,))
+
+
+def _checked_state(checker):
+    """What a fork's recheck must leave as it was."""
+    return (
+        checker.check().render(),
+        list(checker._verdict_list),
+        list(checker.checked_facts.base_facts()),
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
     steps=st.lists(
-        st.sampled_from(("in-place", "check", "recheck-self", "recheck-delta")),
+        st.sampled_from(
+            ("in-place", "check", "recheck-self", "recheck-delta", "fork")
+        ),
         min_size=1,
         max_size=6,
     ),
@@ -458,6 +480,7 @@ def test_interleaved_edits_check_like_a_fresh_checker(seed, steps):
     checker = ConsistencyChecker(spec, _COMPILER.tree)
     checker.check()
     for step in steps:
+        checked = spec
         if step == "in-place":
             _in_place(rng, spec)
             continue
@@ -465,8 +488,13 @@ def test_interleaved_edits_check_like_a_fresh_checker(seed, steps):
             result = checker.check()
         elif step == "recheck-self":
             result = checker.recheck(spec)
+        elif step == "fork":
+            before = _checked_state(checker)
+            checked = rng.choice(rng.choice(_FORK_DELTAS))(rng, spec)
+            result = checker.fork().recheck(checked)
+            assert _checked_state(checker) == before
         else:
-            spec = rng.choice(LOCAL_DELTAS)(rng, spec)
+            spec = checked = rng.choice(LOCAL_DELTAS)(rng, spec)
             result = checker.recheck(spec)
-        fresh = ConsistencyChecker(spec, _COMPILER.tree).check()
+        fresh = ConsistencyChecker(checked, _COMPILER.tree).check()
         assert report_of(result) == report_of(fresh)

@@ -16,7 +16,9 @@ targets, an umbrella domain, an element in two domains) this asserts:
   the bytes of ``render()`` and ``to_json()`` — and, on the corpus, the
   scan engine and the CLP(R) path;
 * every delta that is not owner-local takes the regenerate path, and
-  agrees too.
+  agrees too;
+* a patch of a fork (``ConsistencyChecker.fork``) leaves every list and
+  lazy index of the checker it was forked from as it was.
 """
 
 import dataclasses
@@ -40,6 +42,7 @@ from .deltas import (
     TREE,
     change_agents,
     change_supports,
+    force_indexes,
     report_of,
     retarget,
     rich_internet,
@@ -52,30 +55,6 @@ from .deltas import (
 # ----------------------------------------------------------------------
 # What "the same" means.
 # ----------------------------------------------------------------------
-def _force(facts):
-    """Build every lazy index; return them by name."""
-    spec = facts.specification
-    facts.instance_by_id("")
-    facts.agents()
-    facts.instances_of_process("")
-    facts.instances_on_system("")
-    facts.proxies_for_system("")
-    return {
-        "taint": facts.domain_reference_taint(),
-        "grantors": facts.permissions_by_grantor(),
-        "instance ids": facts._instance_cache,
-        "agents": facts._agents_cache,
-        "by process": facts._by_process_cache,
-        "by system": facts._by_system_cache,
-        "proxies": facts._proxy_cache,
-        "containment": facts.containment,
-        "direct": facts.owners.direct,
-        "domains of": [facts.domains_of(i) for i in facts.instances],
-        "ranks": [facts.owner_rank("system", name) for name in spec.systems]
-        + [facts.owner_rank("domain", name) for name in spec.domains],
-    }
-
-
 def assert_same_facts(patched, specification):
     cold = IncrementalFactGenerator(TREE).generate(specification)
     assert patched.specification is specification
@@ -91,7 +70,7 @@ def assert_same_facts(patched, specification):
     assert (
         patched.expansion["declarations"] == cold.expansion["declarations"]
     )
-    forced, expected = _force(patched), _force(cold)
+    forced, expected = force_indexes(patched), force_indexes(cold)
     for name in expected:
         assert forced[name] == expected[name], name
 
@@ -100,7 +79,7 @@ def check_local_delta(before, after, warm):
     checker = ConsistencyChecker(before, TREE)
     checker.check()
     if warm:  # the indexes exist, so the patch has to update them
-        _force(checker.facts)
+        force_indexes(checker.facts)
     result = checker.recheck(after)
     fresh = ConsistencyChecker(after, TREE).check()
     changed = len(diff_specifications(before, after))
@@ -192,13 +171,53 @@ def test_patch_equals_cold_generation(seed, n_domains, n_systems, steps, warm):
         if not len(diff_specifications(before, after)):
             continue  # the draw replaced a value by itself
         if warm:
-            _force(checker.checked_facts)
+            force_indexes(checker.checked_facts)
         result = checker.recheck(after)
         assert result.stats["patched"]
         fresh = ConsistencyChecker(after, TREE).check()
         assert report_of(result) == report_of(fresh)
         assert_same_facts(checker.checked_facts, after)
         before = after
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    steps=st.lists(
+        st.sampled_from((*LOCAL_DELTAS, several)), min_size=1, max_size=3
+    ),
+)
+def test_a_forked_patch_leaves_the_origin_as_it_was(seed, steps):
+    """Every lazy index built, then each delta patched into a fork of
+    the checker: the fork's facts are the new revision's, the origin's —
+    lists and every index — still the old one's, and a patch of the
+    origin afterwards answers like a fresh check."""
+    rng = random.Random(seed)
+    before = rich_internet(rng, 3, 2)
+    origin = ConsistencyChecker(before, TREE)
+    report = report_of(origin.check())
+    force_indexes(origin.checked_facts)
+    fork = origin
+    for delta in steps:
+        after = delta(rng, before)
+        if not len(diff_specifications(before, after)):
+            continue  # the draw replaced a value by itself
+        fork = fork.fork()
+        force_indexes(fork.checked_facts)
+        result = fork.recheck(after)
+        assert result.stats["patched"]
+        assert report_of(result) == report_of(
+            ConsistencyChecker(after, TREE).check()
+        )
+        assert_same_facts(fork.checked_facts, after)
+        before = after
+    assert_same_facts(origin.checked_facts, origin.specification)
+    assert report_of(origin.check()) == report
+    # Its own patch starts from its own state too.
+    after = several(rng, origin.specification)
+    result = origin.recheck(after)
+    assert report_of(result) == report_of(ConsistencyChecker(after, TREE).check())
+    assert_same_facts(origin.checked_facts, after)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,19 +1,27 @@
 """What one warm session shares between the operations on it."""
 
+import itertools
+import time
 from pathlib import Path
 
+import pytest
+
+from benchmarks.widen_access import widen
 from repro.consistency.facts import FactGenerator
+from repro.deadline import Deadline
+from repro.service import specfile
 from repro.service.core import ServiceRequest
 from repro.service.handlers import ServiceHandlers
+from repro.workloads.generator import InternetParameters, SyntheticInternet
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 EXAMPLES = sorted(str(path) for path in (REPO_ROOT / "examples").glob("*.nmsl"))
 
 
-def _request(op, **params):
+def _request(op, deadline=None, **params):
     return ServiceRequest(
         id="r", op=op, params=params, cls="interactive", rank=0,
-        deadline=None, deadline_s=None, cost_s=0.0, arrival_s=0.0, seq=0,
+        deadline=deadline, deadline_s=None, cost_s=0.0, arrival_s=0.0, seq=0,
     )
 
 
@@ -109,3 +117,125 @@ class TestSpecCacheHitIsPerCall:
         again = _request("check", spec=str(cold))
         handlers.execute(again)
         assert again.resources["spec_cache_hit"] is True
+
+
+# ----------------------------------------------------------------------
+# A diff forks the resident revision: it expands nothing A's checked
+# state holds, and leaves A as it was.
+# ----------------------------------------------------------------------
+@pytest.fixture
+def spec_files(tmp_path, monkeypatch):
+    """Writes spec texts to files that read as older than the racy
+    window (the clock is put ahead; nothing sleeps)."""
+    monkeypatch.setattr(
+        specfile, "_clock_ns",
+        lambda: time.time_ns() + 10 * specfile.RACY_WINDOW_NS,
+    )
+
+    def write(**texts):
+        for name, text in texts.items():
+            (tmp_path / f"{name}.nmsl").write_text(text, encoding="utf-8")
+        return [str(tmp_path / f"{name}.nmsl") for name in texts]
+
+    return write
+
+
+def _resident(session):
+    """The resident revision's report, verdicts and base facts."""
+    checker = session.checker
+    return (
+        checker.check().render(),
+        list(checker._verdict_list),
+        list(checker.checked_facts.base_facts()),
+    )
+
+
+def _silent(*domains):
+    return SyntheticInternet(
+        InternetParameters(n_domains=40, silent_domains=domains)
+    ).text()
+
+
+class TestDiffForksTheResidentRevision:
+    def test_a_diff_of_checked_revisions_generates_no_facts(
+        self, monkeypatch, spec_files
+    ):
+        """``daemon_mix_1k``'s diff at 40 domains: B silences one more
+        domain, an owner-local delta the fork patches."""
+        old, new = spec_files(a=_silent(3), b=_silent(3, 17))
+        generations = _count_generations(monkeypatch)
+        handlers = ServiceHandlers()
+        handlers.execute(_request("check", spec=old))
+        handlers.execute(_request("check", spec=new))
+        assert len(generations) == 2
+        before = _resident(handlers.cache.get(old))
+        request = _request("diff", old=old, new=new)
+        result = handlers.execute(request)
+        assert len(generations) == 2
+        assert result["diff_entries"] == 1
+        assert request.resources["facts_expanded"] == 1  # the silenced domain
+        assert _resident(handlers.cache.get(old)) == before
+
+    def test_a_process_edit_expands_the_new_revision_once(
+        self, monkeypatch, spec_files
+    ):
+        """campus.nmsl's access widening edits a process, which the
+        fork regenerates: B is expanded, A's checked state is not."""
+        campus = (REPO_ROOT / "examples" / "campus.nmsl").read_text()
+        old, new = spec_files(campus=campus, widened=widen(campus))
+        handlers = ServiceHandlers()
+        handlers.execute(_request("check", spec=old))
+        before = _resident(handlers.cache.get(old))
+        generations = _count_generations(monkeypatch)
+        request = _request("diff", old=old, new=new)
+        assert handlers.execute(request)["gating"]
+        assert len(generations) == 1
+        counts = handlers.cache.get(new).result.specification.counts()
+        assert request.resources["facts_expanded"] == (
+            counts["processes"] + counts["systems"] + counts["domains"]
+        )
+        assert _resident(handlers.cache.get(old)) == before
+
+    def test_a_diff_of_an_unchecked_revision_counts_its_check(
+        self, spec_files
+    ):
+        old, new = spec_files(a=_silent(3), b=_silent(3, 17))
+        handlers = ServiceHandlers()
+        request = _request("diff", old=old, new=new)
+        handlers.execute(request)
+        facts = handlers.cache.get(old).checker.checked_facts
+        assert request.resources["facts_expanded"] == (
+            facts.expansion["declarations"] + 1
+        )
+        again = _request("diff", old=old, new=new)
+        handlers.execute(again)
+        assert again.resources["facts_expanded"] == 1
+
+    def test_an_expired_diff_leaves_the_resident_revision_warm(
+        self, monkeypatch, spec_files
+    ):
+        """A deadline on a counting clock that expires at the last poll
+        of the fork's reduction: the diff answers with the structured
+        deadline error, and ``check A`` stays warm and byte-equal."""
+        old, new = spec_files(a=_silent(3), b=_silent(*range(3, 40, 2)))
+        handlers = ServiceHandlers()
+        handlers.execute(_request("check", spec=old))
+        before = handlers.execute(_request("check", spec=old))
+        generations = _count_generations(monkeypatch)
+        polls = []
+
+        class Polled(Deadline):
+            def check(self, where=""):
+                polls.append(where)
+                super().check(where)
+
+        unlimited = Polled(float("inf"), itertools.count(1).__next__)
+        assert handlers.run(_request("diff", unlimited, old=old, new=new))["ok"]
+        assert polls[-3:] == ["consistency.reduce"] * 3
+        expiring = Deadline(len(polls), itertools.count(1).__next__)
+        frame = handlers.run(_request("diff", expiring, old=old, new=new))
+        assert frame["ok"] is False and frame["kind"] == "deadline"
+        assert "consistency.reduce" in frame["message"]
+        after = handlers.execute(_request("check", spec=old))
+        assert after == before and after["warm"]
+        assert generations == []

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test cli-sweep cli-sweep-update analyze chaos heal profile service ledger ledger-cold-text ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare ledger-pairs clean
+.PHONY: test cli-sweep cli-sweep-update service-sweep-update analyze chaos heal profile service ledger ledger-cold-text ledger-full-check ledger-edit-stream ledger-daemon-mix ledger-compare ledger-pairs clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -17,6 +17,14 @@ cli-sweep:
 cli-sweep-update:
 	out=$$(mktemp -d) && $(PYTHON) -m tests.cli_sweep $$out && \
 		cp $$out/cli-sweep.json tests/cli_sweep.json && rm -rf $$out
+
+## Rewrite the pinned scheduler sweep tests/service/test_scheduler_sweep.py
+## holds nmsld's scheduler to: seeded simulated-runtime scenarios, each
+## recorded as the sha256 of its transcript, audit log and Prometheus
+## text plus the core's counters (tests/service/scheduler_sweep.py).
+service-sweep-update:
+	out=$$(mktemp -d) && $(PYTHON) -m tests.service.scheduler_sweep $$out && \
+		cp $$out/scheduler-sweep.json tests/service/scheduler_sweep.json && rm -rf $$out
 
 ## Static-analysis gate: fails on non-baselined error diagnostics.
 analyze:

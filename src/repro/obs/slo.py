@@ -119,8 +119,10 @@ class SloTracker:
         now: float,
     ) -> dict:
         start = now - window_s
-        # Events are time-ordered; binary-search the window start.
-        lo = bisect_left(events, start, key=lambda e: e[0])
+        # Events are time-ordered; binary-search the window start.  The
+        # 1-tuple sorts before every event stamped at or after ``start``
+        # (``bisect_left``'s ``key`` is 3.10+).
+        lo = bisect_left(events, (start,))
         total = len(events) - lo
         good = sum(1 for event in events[lo:] if event[1])
         bad = total - good

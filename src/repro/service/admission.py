@@ -57,11 +57,13 @@ class AdmissionController:
     def depths(self) -> Dict[str, int]:
         return {name: len(queue) for name, queue in self._queues.items()}
 
-    def queued(self) -> List:
-        """Every queued request, rank order then FIFO (drain helper)."""
+    def drain(self) -> List:
+        """Take every queued request, rank order then FIFO, leaving the
+        queues empty (a drain answers each one)."""
         requests = []
         for name in PRIORITY_CLASSES:
             requests.extend(self._queues[name])
+            self._queues[name].clear()
         return requests
 
     # ------------------------------------------------------------------

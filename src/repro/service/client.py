@@ -143,7 +143,7 @@ def render_watch_line(snapshot: dict) -> str:
     return (
         f"in_flight={status.get('in_flight', 0)}"
         f" queued={sum(depths.values()) if depths else 0}"
-        f" served={status.get('responses_total', 0)}"
+        f" answered={status.get('responses_total', 0)}"
         f" shed={queue.get('shed_total', 0)}"
         f"{pool_part}"
         f" burn={burn:.2f}"

@@ -19,6 +19,15 @@ four calls:
 * :meth:`begin_drain` / :meth:`drain_responses` — stop admitting and
   refuse everything still queued, structured, never silent.
 
+A request ends in one of two places, and each counts the answer
+(``responses_total`` and ``repro_service_requests_total``), audits it,
+charges the SLO unless the client is at fault, and builds its envelope
+through :meth:`_error`: :meth:`finish` for a request that started, and
+:meth:`_refuse` for one that never did (shed, refused at admission,
+expired while queued, drained).  A line that is not a request gets
+:meth:`refuse_line`.  So ``requests_total - responses_total`` is the
+number of requests still in the system.
+
 Because every decision lives here, the deterministic simulated runtime
 exercises the *same* shed ordering, deadline expiry, and bulkhead logic
 that production ``nmsld`` runs — the chaos suite's byte-identical
@@ -58,9 +67,18 @@ LATENCY_BUCKETS_S = (
 )
 
 
+#: What a request refused for a drain is told.
+DRAINING = "daemon is draining; resubmit to its successor"
+
+
 def _safe_id(request_id) -> Optional[str]:
     """Request ids as audit-log strings (ints become their repr)."""
     return None if request_id is None else str(request_id)
+
+
+def _traceparent(request: "ServiceRequest") -> Optional[str]:
+    """The ``traceparent`` a response to *request* carries."""
+    return None if request.trace is None else request.trace.traceparent()
 
 
 @dataclass
@@ -205,8 +223,6 @@ class ServiceCore:
         #: In-process executions only (the local ops); bounds the
         #: thread pool separately from the worker processes.
         self.in_flight_local = 0
-        self._seq = 0
-        self.started_s: Optional[float] = None
         self.requests_total = 0
         self.responses_total = 0
         #: Guards all scheduler state (queues, bulkheads, in_flight,
@@ -231,61 +247,44 @@ class ServiceCore:
         structured; nothing is ever silently dropped.
         """
         now = self.clock() if arrival_s is None else arrival_s
+        try:
+            parsed = parse_request(line)
+        except ProtocolError as exc:
+            return None, [
+                self.refuse_line(
+                    exc.kind, str(exc), exc.request_id, reply_to, now
+                )
+            ]
+        op, cls = parsed["op"], parsed["class"]
+        deadline_s = parsed["deadline_s"]
         with self._lock:
             self.requests_total += 1
-            try:
-                parsed = parse_request(line)
-            except ProtocolError as exc:
-                self._count("invalid", "invalid", "rejected")
-                self.audit.event(
-                    "reject", request_id=_safe_id(exc.request_id),
-                    at_s=now, kind=exc.kind, message=str(exc),
-                )
-                return None, [
-                    (
-                        reply_to,
-                        error_response(exc.request_id, exc.kind, str(exc)),
-                    )
-                ]
-            request_id = parsed["id"]
-            if request_id is None:
-                request_id = f"req-{self.requests_total}"
-            op, cls = parsed["op"], parsed["class"]
-            trace = self._mint_context(parsed.get("traceparent"))
-
-            if self.draining:
-                self._count(op, cls, "draining")
-                self._audit_refusal(
-                    "draining", trace, request_id, op, cls, now
-                )
-                return None, [
-                    self._draining_refusal(reply_to, request_id, op, cls, trace)
-                ]
-
-            deadline_s = parsed["deadline_s"]
             if deadline_s is None:
                 deadline_s = self.config.default_deadline_s.get(cls)
-            deadline = (
-                Deadline(at_s=now + deadline_s, clock=self.clock, label=op)
-                if deadline_s is not None
-                else None
-            )
-            self._seq += 1
             request = ServiceRequest(
-                id=request_id,
+                id=(
+                    f"req-{self.requests_total}"
+                    if parsed["id"] is None else parsed["id"]
+                ),
                 op=op,
                 params=parsed["params"],
                 cls=cls,
                 rank=CLASS_RANK[cls],
-                deadline=deadline,
+                deadline=(
+                    Deadline(at_s=now + deadline_s, clock=self.clock, label=op)
+                    if deadline_s is not None
+                    else None
+                ),
                 deadline_s=deadline_s,
                 cost_s=parsed["cost_s"] or 0.0,
                 arrival_s=now,
-                seq=self._seq,
+                seq=self.requests_total,
                 reply_to=reply_to,
-                trace=trace,
+                trace=self._mint_context(parsed["traceparent"]),
                 args=parsed["args"],
             )
+            if self.draining:
+                return None, [self._refuse(request, "draining", DRAINING, now)]
 
         if op in POOLED_OPS:
             # The poison registry is consulted at admission (fingerprint
@@ -295,26 +294,17 @@ class ServiceCore:
             fingerprint = request_fingerprint(op, request.params)
             if self.pool.registry.is_quarantined(fingerprint):
                 with self._lock:
-                    self._count(op, cls, "quarantined")
-                    self._audit_refusal(
-                        "quarantined", trace, request_id, op, cls,
-                        self.clock(), fingerprint=fingerprint[:16],
-                    )
-                return None, [
-                    (
-                        reply_to,
-                        error_response(
-                            request_id, "quarantined",
+                    return None, [
+                        self._refuse(
+                            request, "quarantined",
                             f"request fingerprint {fingerprint[:16]} is "
                             "quarantined after killing "
                             f"{self.pool.registry.threshold} workers; edit "
                             "the specification to clear it",
-                            op=op, cls=cls,
-                            traceparent=trace.traceparent(),
+                            audit={"fingerprint": fingerprint[:16]},
                             diagnostic="NM501",
-                        ),
-                    )
-                ]
+                        )
+                    ]
 
         if op in CAMPAIGN_OPS:
             # Campaign planning resolves the element claim through the
@@ -326,52 +316,28 @@ class ServiceCore:
                 )
             except ProtocolError as exc:
                 with self._lock:
-                    self._count(op, cls, "rejected")
-                    self._audit_refusal(
-                        exc.kind, trace, request_id, op, cls, self.clock(),
-                        message=str(exc),
-                    )
-                return None, [
-                    (
-                        reply_to,
-                        error_response(
-                            request_id, exc.kind, str(exc), op=op, cls=cls,
-                            traceparent=trace.traceparent(),
-                        ),
-                    )
-                ]
+                    return None, [
+                        self._refuse(
+                            request, exc.kind, str(exc), outcome="rejected",
+                            audit={"message": str(exc)},
+                        )
+                    ]
 
         with self._lock:
             if self.draining:
                 # Drain began while the campaign was being planned; the
                 # queue has already been flushed, so anything admitted
                 # now would never be answered.
-                self._count(op, cls, "draining")
-                self._audit_refusal(
-                    "draining", trace, request_id, op, cls, self.clock()
-                )
+                return None, [self._refuse(request, "draining", DRAINING)]
+            key = request.campaign_key
+            if key is not None and not self.bulkheads.allow(key, now):
                 return None, [
-                    self._draining_refusal(reply_to, request_id, op, cls, trace)
-                ]
-            if request.campaign_key is not None and not self.bulkheads.allow(
-                request.campaign_key, now
-            ):
-                retry = self.bulkheads.retry_after(request.campaign_key, now)
-                self._count(op, cls, "circuit-open")
-                self._audit_refusal(
-                    "circuit-open", trace, request_id, op, cls, now,
-                    campaign=request.campaign_key,
-                )
-                return None, [
-                    (
-                        reply_to,
-                        error_response(
-                            request_id, "circuit-open",
-                            f"campaign {request.campaign_key} breaker open"
-                            " after repeated failures",
-                            op=op, cls=cls,
-                            traceparent=trace.traceparent(),
-                            retry_after_s=round(retry, 6),
+                    self._refuse(
+                        request, "circuit-open",
+                        f"campaign {key} breaker open after repeated failures",
+                        now, audit={"campaign": key},
+                        retry_after_s=round(
+                            self.bulkheads.retry_after(key, now), 6
                         ),
                     )
                 ]
@@ -379,11 +345,13 @@ class ServiceCore:
             admitted, victim = self.admission.offer(request)
             responses: List[Tuple[object, dict]] = []
             if victim is not None:
-                self._count(victim.op, victim.cls, "shed")
-                self._audit_refusal(
-                    "shed", victim.trace, victim.id, victim.op, victim.cls,
-                    now, latency_s=max(0.0, now - victim.arrival_s),
-                    shed_by=str(request_id),
+                responses.append(
+                    self._refuse(
+                        victim, "shed",
+                        f"shed by higher-priority {op} arrival under overload",
+                        now, audit={"shed_by": str(request.id)},
+                        retry_after_s=self._retry_after_hint(),
+                    )
                 )
                 o = obs.current()
                 if o.enabled:
@@ -392,48 +360,74 @@ class ServiceCore:
                         "requests evicted by higher-priority arrivals",
                         **{"class": victim.cls},
                     ).inc()
-                responses.append(
-                    (
-                        victim.reply_to,
-                        error_response(
-                            victim.id, "shed",
-                            f"shed by higher-priority {request.op} arrival"
-                            " under overload",
-                            op=victim.op, cls=victim.cls,
-                            traceparent=(
-                                victim.trace.traceparent()
-                                if victim.trace is not None
-                                else None
-                            ),
-                            retry_after_s=self._retry_after_hint(),
-                        ),
-                    )
-                )
             if not admitted:
-                self._count(op, cls, "queue-full")
-                self._audit_refusal(
-                    "queue-full", trace, request_id, op, cls, now
-                )
                 responses.append(
-                    (
-                        reply_to,
-                        error_response(
-                            request_id, "queue-full",
-                            f"queue at capacity ({self.admission.capacity})"
-                            " with nothing lower-priority to shed",
-                            op=op, cls=cls,
-                            traceparent=trace.traceparent(),
-                            retry_after_s=self._retry_after_hint(),
-                        ),
+                    self._refuse(
+                        request, "queue-full",
+                        f"queue at capacity ({self.admission.capacity})"
+                        " with nothing lower-priority to shed",
+                        now, retry_after_s=self._retry_after_hint(),
                     )
                 )
                 return None, responses
             self.audit.event(
-                "admit", trace=trace, request_id=_safe_id(request_id),
-                op=op, cls=cls, at_s=now,
+                "admit", trace=request.trace,
+                request_id=_safe_id(request.id), op=op, cls=cls, at_s=now,
                 queue_depth=self.admission.depth(),
             )
             return request, responses
+
+    def refuse_line(
+        self, kind: str, message: str, request_id=None,
+        reply_to: object = None, at_s: Optional[float] = None,
+    ) -> Tuple[object, dict]:
+        """Answer a line that is not a request: one that does not parse
+        (:meth:`submit`) or that has no end (the socket runtime).  It is
+        counted as a request and an answer, under ``op="invalid"``, and
+        audited as a ``reject``."""
+        with self._lock:
+            self.requests_total += 1
+            self.responses_total += 1
+            self._count("invalid", "invalid", "rejected")
+            self.audit.event(
+                "reject", request_id=_safe_id(request_id),
+                at_s=self.clock() if at_s is None else at_s,
+                kind=kind, message=message,
+            )
+        return reply_to, error_response(request_id, kind, message)
+
+    def _refuse(
+        self, request: ServiceRequest, kind: str, message: str,
+        at_s: Optional[float] = None, outcome: Optional[str] = None,
+        audit: Optional[dict] = None, **details,
+    ) -> Tuple[object, dict]:
+        """End a request that never started (the caller holds the lock):
+        count it under *outcome* (default *kind*), audit it under *kind*
+        with the *audit* fields, charge the SLO unless the client is at
+        fault, count the answer and build it.  :meth:`finish` is the
+        other way a request ends."""
+        now = self.clock() if at_s is None else at_s
+        self._count(request.op, request.cls, outcome or kind)
+        self.audit.event(
+            kind, trace=request.trace, request_id=_safe_id(request.id),
+            op=request.op, cls=request.cls, at_s=now, **(audit or {}),
+        )
+        if kind not in CLIENT_FAULT_KINDS:
+            self.slo.record(
+                request.cls, max(0.0, now - request.arrival_s),
+                ok=False, now=now,
+            )
+        self.responses_total += 1
+        return request.reply_to, self._error(request, kind, message, **details)
+
+    def _error(
+        self, request: ServiceRequest, kind: str, message: str, **details
+    ) -> dict:
+        """The error envelope answering *request*."""
+        return error_response(
+            request.id, kind, message, op=request.op, cls=request.cls,
+            traceparent=_traceparent(request), **details,
+        )
 
     def _mint_context(self, traceparent: Optional[str]) -> TraceContext:
         """The request's trace context: client's trace id, fresh span id.
@@ -453,34 +447,6 @@ class ServiceCore:
                 trace_id=parent.trace_id, span_id=ids.span_id()
             )
         return TraceContext(trace_id=ids.trace_id(), span_id=ids.span_id())
-
-    def _audit_refusal(
-        self, kind, trace, request_id, op, cls, now, latency_s=0.0, **fields
-    ) -> None:
-        self.audit.event(
-            kind, trace=trace, request_id=_safe_id(request_id),
-            op=op, cls=cls, at_s=now, **fields,
-        )
-        # Client faults (bad params, uncompilable spec) are the
-        # requester's problem, not unavailability.
-        if kind not in CLIENT_FAULT_KINDS:
-            self.slo.record(cls, latency_s, ok=False, now=now)
-
-    def _draining_refusal(
-        self, reply_to: object, request_id: object, op: str, cls: str,
-        trace: Optional[TraceContext] = None,
-    ) -> Tuple[object, dict]:
-        return (
-            reply_to,
-            error_response(
-                request_id, "draining",
-                "daemon is draining; resubmit to its successor",
-                op=op, cls=cls,
-                traceparent=(
-                    trace.traceparent() if trace is not None else None
-                ),
-            ),
-        )
 
     def _retry_after_hint(self) -> float:
         backlog = self.admission.depth() + self.in_flight
@@ -578,9 +544,6 @@ class ServiceCore:
         tracer = getattr(o, "tracer", None)
         if tracer is not None and frame.get("spans"):
             tracer.splice(frame["spans"])
-        traceparent = (
-            request.trace.traceparent() if request.trace is not None else None
-        )
         request.resources.update(frame["resources"])
         if not frame["ok"]:
             kind, message = frame["kind"], frame["message"]
@@ -591,16 +554,14 @@ class ServiceCore:
                     op=request.op, cls=request.cls, at_s=self.clock(),
                     message=message,
                 )
-            response = error_response(
-                request.id, kind, message,
-                op=request.op, cls=request.cls, traceparent=traceparent,
+            return self.finish(
+                request, self._error(request, kind, message), outcome=kind
             )
-            return self.finish(request, response, outcome=kind)
         result = frame["result"]
         response = result_response(
             request.id, request.op, request.cls, result,
             timing=self._timing(request),
-            traceparent=traceparent,
+            traceparent=_traceparent(request),
             resources=(
                 dict(sorted(request.resources.items()))
                 if self.config.measure_resources and request.resources
@@ -635,10 +596,7 @@ class ServiceCore:
                     **{"class": request.cls},
                 ).observe(latency_s)
             ok = bool(response.get("ok"))
-            error_kind = (
-                None if ok else (response.get("error") or {}).get("kind")
-            )
-            if ok or error_kind not in CLIENT_FAULT_KINDS:
+            if ok or response["error"]["kind"] not in CLIENT_FAULT_KINDS:
                 self.slo.record(request.cls, latency_s, ok=ok, now=now)
             self.audit.event(
                 "response", trace=request.trace,
@@ -664,26 +622,12 @@ class ServiceCore:
 
     def expire(self, request: ServiceRequest) -> dict:
         """Refuse a request whose deadline lapsed while queued."""
-        now = self.clock()
         with self._lock:
-            self._count(request.op, request.cls, "deadline")
-            self._audit_refusal(
-                "deadline", request.trace, request.id,
-                request.op, request.cls, now,
-                latency_s=max(0.0, now - request.arrival_s),
-                queued=True,
-            )
-            self.responses_total += 1
-        return error_response(
-            request.id, "deadline",
-            f"deadline ({request.deadline_s}s) expired while queued",
-            op=request.op, cls=request.cls,
-            traceparent=(
-                request.trace.traceparent()
-                if request.trace is not None
-                else None
-            ),
-        )
+            return self._refuse(
+                request, "deadline",
+                f"deadline ({request.deadline_s}s) expired while queued",
+                audit={"queued": True},
+            )[1]
 
     # ------------------------------------------------------------------
     # Worker pool supervision.
@@ -725,23 +669,15 @@ class ServiceCore:
         with self._lock:
             decision = self.pool.worker_failed(worker_id, reason, now)
             self.count_pool_restart(reason)
+            request = decision.request
             self.audit.event(
                 "worker-exit", at_s=now, worker=worker_id, reason=reason,
-                trace=(
-                    decision.request.trace
-                    if decision.request is not None else None
-                ),
-                action=decision.action,
+                trace=request and request.trace, action=decision.action,
                 backoff_s=round(decision.backoff_s, 6),
-                request_id=_safe_id(
-                    decision.request.id
-                    if decision.request is not None
-                    else None
-                ),
+                request_id=request and _safe_id(request.id),
             )
-            if decision.request is None:
+            if request is None:
                 return None, decision
-            request = decision.request
             if decision.action == "replay" and not self.draining:
                 # The slot accounting resets: the request re-enters the
                 # dispatch path and re-increments in_flight on restart.
@@ -779,18 +715,9 @@ class ServiceCore:
                 message = (
                     f"worker {worker_id} {reason} mid-request during drain"
                 )
-            details = {"worker": worker_id, "reason": reason}
-            if decision.quarantined:
-                details["diagnostic"] = "NM501"
-            response = error_response(
-                request.id, kind, message,
-                op=request.op, cls=request.cls,
-                traceparent=(
-                    request.trace.traceparent()
-                    if request.trace is not None
-                    else None
-                ),
-                **details,
+            response = self._error(
+                request, kind, message, worker=worker_id, reason=reason,
+                diagnostic="NM501" if decision.quarantined else None,
             )
             return (
                 (request.reply_to, self.finish(request, response, kind)),
@@ -812,16 +739,10 @@ class ServiceCore:
                 trace=request.trace, action="refuse",
                 request_id=_safe_id(request.id),
             )
-            response = error_response(
-                request.id, "worker-lost",
+            response = self._error(
+                request, "worker-lost",
                 f"daemon drained; worker {worker_id} killed after the "
                 "grace period with this request still executing",
-                op=request.op, cls=request.cls,
-                traceparent=(
-                    request.trace.traceparent()
-                    if request.trace is not None
-                    else None
-                ),
                 worker=worker_id, reason=reason,
             )
             return request.reply_to, self.finish(
@@ -866,41 +787,15 @@ class ServiceCore:
 
     def drain_responses(self) -> List[Tuple[object, dict]]:
         """Refuse everything still queued (drain flushes the queues)."""
-        responses = []
-        now = self.clock()
         with self._lock:
-            for request in self.admission.queued():
-                self._count(request.op, request.cls, "draining")
-                self._audit_refusal(
-                    "draining", request.trace, request.id,
-                    request.op, request.cls, now,
-                    latency_s=max(0.0, now - request.arrival_s),
+            now = self.clock()
+            return [
+                self._refuse(
+                    request, "draining",
+                    "daemon drained before this request was served", now,
                 )
-                self.responses_total += 1
-                responses.append(
-                    (
-                        request.reply_to,
-                        error_response(
-                            request.id, "draining",
-                            "daemon drained before this request was served",
-                            op=request.op, cls=request.cls,
-                            traceparent=(
-                                request.trace.traceparent()
-                                if request.trace is not None
-                                else None
-                            ),
-                        ),
-                    )
-                )
-            # Reset the queues; everything in them has now been answered.
-            for name in list(self.admission._queues):
-                self.admission._queues[name].clear()
-        return responses
-
-    @property
-    def idle(self) -> bool:
-        with self._lock:
-            return self.in_flight == 0 and self.admission.depth() == 0
+                for request in self.admission.drain()
+            ]
 
     # ------------------------------------------------------------------
     # Introspection / metrics.

@@ -323,15 +323,14 @@ class AsyncServiceRuntime:
                 except ValueError:
                     # No newline within the bound, so nothing after it
                     # can be framed either: answer, then hang up.
-                    refusal = error_response(
-                        None, "frame-too-large",
-                        f"request line exceeds {MAX_FRAME_BYTES} bytes",
-                    )
-                    self.core.audit.event(
-                        "reject", at_s=self.core.clock(), **refusal["error"]
-                    )
                     self._owed[writer] += 1
-                    await self._send(writer, refusal)
+                    await self._send(
+                        *self.core.refuse_line(
+                            "frame-too-large",
+                            f"request line exceeds {MAX_FRAME_BYTES} bytes",
+                            reply_to=writer,
+                        )
+                    )
                     break
                 if not line:
                     break

@@ -50,6 +50,13 @@ class TestWindows:
         assert long["bad"] == 1
         assert short["availability"] == 1.0
 
+    def test_an_event_at_the_window_start_is_inside_it(self):
+        t = tracker()
+        for at in (49.0, 50.0, 50.0, 51.0):
+            t.record("interactive", 0.1, ok=at != 49.0, now=at)
+        stats = window(t.snapshot(now=350.0), "interactive", 300)
+        assert (stats["total"], stats["bad"]) == (3, 0)
+
     def test_burn_rate_is_bad_fraction_over_budget(self):
         t = tracker()
         # 1 bad in 10 over a 0.1% budget -> burn 100.

@@ -75,6 +75,23 @@ class TestOffer:
             AdmissionController(capacity=0)
 
 
+class TestDrain:
+    def test_takes_every_request_in_rank_order_then_fifo(self):
+        controller = AdmissionController(capacity=8)
+        for request_id, cls in (
+            ("b1", "bulk"), ("n1", "normal"), ("i1", "interactive"),
+            ("b2", "bulk"), ("i2", "interactive"),
+        ):
+            controller.offer(_req(request_id, cls))
+        drained = controller.drain()
+        assert [request.id for request in drained] == [
+            "i1", "i2", "n1", "b1", "b2",
+        ]
+        assert controller.depth() == 0
+        assert controller.drain() == []
+        assert controller.offer(_req("i3", "interactive")) == (True, None)
+
+
 class TestPopNext:
     def test_rank_order_then_fifo(self):
         controller = AdmissionController(capacity=8)

@@ -13,6 +13,7 @@ Parameters the op does not declare, or that do not fit its declaration
 import json
 import socket
 import time
+import urllib.request
 
 import pytest
 
@@ -208,6 +209,22 @@ def _connect(daemon):
     return sock
 
 
+def _counted(daemon):
+    """``/healthz``'s ``requests_total`` and ``responses_total``, and
+    ``/metrics``' count of lines that were not requests."""
+    base = f"http://127.0.0.1:{daemon['http_port']}"
+    health = json.loads(urllib.request.urlopen(base + "/healthz").read())
+    invalid = 0.0
+    for line in urllib.request.urlopen(base + "/metrics").read().decode(
+        "utf-8"
+    ).splitlines():
+        if line.startswith("repro_service_requests_total{") and (
+            'op="invalid"' in line and 'outcome="rejected"' in line
+        ):
+            invalid += float(line.rsplit(" ", 1)[1])
+    return health["requests_total"], health["responses_total"], invalid
+
+
 def _read_to_eof(sock):
     received = b""
     while True:
@@ -235,6 +252,8 @@ class TestOverTheSocket:
                 _assert_names_the_byte(response["error"], bad_spec)
 
             # A line that never ends: one reply, then the server hangs up.
+            # It is a request answered, counted like a malformed line.
+            before = _counted(pooled_daemon)
             with _connect(pooled_daemon) as sock:
                 try:
                     sock.sendall(b"x" * (1024 * 1024))
@@ -244,6 +263,8 @@ class TestOverTheSocket:
             error = json.loads(line)["error"]
             assert error["kind"] == "frame-too-large" and error["code"] == 413
             assert str(MAX_FRAME_BYTES) in error["message"]
+            after = _counted(pooled_daemon)
+            assert [b - a for a, b in zip(before, after)] == [1, 1, 1]
             assert client.request("check", {"spec": CAMPUS})["ok"]
 
             # A line just inside the bound is still a request (padded

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.service.client import render_watch_line
 from repro.service.core import ServiceConfig
 from repro.service.runtime import SimulatedServiceRuntime
 
@@ -100,6 +101,21 @@ class TestOverload:
         for index in range(4):
             assert by_id[f"int-0-{index}"]["ok"], by_id[f"int-0-{index}"]
             assert by_id[f"norm-0-{index}"]["ok"]
+
+    def test_every_answer_is_counted(self):
+        """``requests_total - responses_total`` is what is still in the
+        system: nothing, once the run is over.  A shed victim and every
+        admission-time refusal count as answers too."""
+        runtime = _overload_runtime()
+        responses = runtime.run()
+        status = runtime.core.status_snapshot()
+        assert (
+            status["requests_total"]
+            == status["responses_total"]
+            == len(responses)
+        )
+        line = render_watch_line({"status": status, "slo": {}})
+        assert f" answered={len(responses)} " in line
 
     def test_interactive_served_before_queued_bulk(self):
         runtime = _overload_runtime()

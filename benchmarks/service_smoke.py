@@ -3,7 +3,9 @@
 Boots the daemon on a unix socket, then exercises the full client
 surface the way an operator session would:
 
-1. ``ping`` + ``status`` + warm/cold ``check``; a ``check`` with
+1. ``ping`` + ``status`` + warm/cold ``check``; a cold then a warm
+   ``analyze``, which must answer alike, the cold one running all nine
+   passes and the warm one none (``resources.passes_run``); a ``check`` with
    ``jobs`` and a ``rollout`` with typo'd ``diff_bse``/``elemnts`` are
    each refused at admission with a 400 ``bad-request`` naming the
    parameter (neither op declares it), audited as a ``reject``, and the
@@ -161,6 +163,20 @@ def main(argv=None):
                 "cpu_s" in resources and "cache_hit_ratio" in resources,
                 "response envelope carries resource accounting",
                 resources,
+            )
+            analyses = [
+                client.request("analyze", {"spec": CAMPUS}) for _ in range(2)
+            ]
+            expect(
+                all(analysis["ok"] for analysis in analyses)
+                and analyses[0]["result"] == analyses[1]["result"],
+                "warm analyze answers as the cold one did", analyses,
+            )
+            expect(
+                [analysis["resources"].get("passes_run")
+                 for analysis in analyses] == [9, 0],
+                "cold analyze runs every pass, warm analyze none",
+                [analysis.get("resources") for analysis in analyses],
             )
             sharded = client.request(
                 "check", {"spec": CAMPUS, "jobs": 2}, request_id="sharded"

@@ -90,17 +90,25 @@ class PassRegistry:
         codes: Optional[Sequence[str]] = None,
     ) -> AnalysisReport:
         """Run the selected passes and return a deterministic report."""
-        findings: List[Diagnostic] = []
-        seen: set = set()
-        for analysis_pass in self.passes(codes):
-            for diagnostic in analysis_pass.run(analysis_pass, context):
-                key = (diagnostic.fingerprint(), diagnostic.location)
-                if key in seen:
-                    continue
-                seen.add(key)
-                findings.append(diagnostic)
-        findings.sort(key=Diagnostic.sort_key)
-        return AnalysisReport(findings)
+        return collate(
+            diagnostic
+            for analysis_pass in self.passes(codes)
+            for diagnostic in analysis_pass.run(analysis_pass, context)
+        )
+
+
+def collate(findings: Iterable[Diagnostic]) -> AnalysisReport:
+    """The report of *findings*, given in pass order: the first of each
+    (fingerprint, location) kept, sorted by source position."""
+    kept: List[Diagnostic] = []
+    seen: set = set()
+    for diagnostic in findings:
+        key = (diagnostic.fingerprint(), diagnostic.location)
+        if key not in seen:
+            seen.add(key)
+            kept.append(diagnostic)
+    kept.sort(key=Diagnostic.sort_key)
+    return AnalysisReport(kept)
 
 
 def default_registry() -> PassRegistry:

@@ -818,7 +818,9 @@ def _run_analyze(args: argparse.Namespace) -> int:
         _compile(path, args.extensions, args.lax)
         for path in args.specifications
     )
-    merged = operations.analyze(revisions, _declared("analyze", args))
+    merged, _passes_run = operations.analyze(
+        revisions, _declared("analyze", args)
+    )
 
     if args.write_baseline or args.update_baseline:
         return _save(

@@ -186,6 +186,10 @@ class ConsistencyChecker:
         self._facts: Optional[FactSet] = None
         #: What the facts were expanded from: the key of DESIGN.md §3.1.
         self._expanded_from: Tuple[List, List] = ([], [])
+        #: The facts' version, an opaque token compared by identity:
+        #: replaced at every regeneration, owner patch and rebind, kept
+        #: while the key holds (DESIGN.md §3.1).
+        self.version = object()
         #: Verdicts of the last check, aligned by position with the
         #: reference list they were computed over (recheck fuel), and
         #: the positions among them whose verdict is not empty (replaced
@@ -255,6 +259,7 @@ class ConsistencyChecker:
         ) and all(map(same_items, _extension_lists(spec), items))
 
     def _record_expansion(self, spec: Specification) -> None:
+        self.version = object()
         self._expanded_from = (
             [(name, getattr(spec, name), getattr(spec, name).revision)
              for name in TABLES],

@@ -257,13 +257,16 @@ class Revision:
     ``nmslc`` makes one per spec file it compiles; ``nmsld``'s cached
     ``SpecSession`` is one that outlives its request.  The checker and
     the simulated runtime are built on first use, under ``lock``, which
-    also serialises the engines' stateful work.
+    also serialises the engines' stateful work.  ``findings`` keeps
+    each analysis pass's findings by pass code, with the checker
+    ``version`` they were computed under (:func:`analyze`).
     """
 
     def __init__(self, compiler, result):
         self.compiler = compiler
         self.result = result
         self.lock = threading.RLock()
+        self.findings: Dict[str, Tuple[object, Tuple]] = {}
         self._checker = None
         self._runtime = None
 
@@ -288,25 +291,57 @@ class Revision:
             return self._runtime
 
 
-def analyze(revisions, args):
+def analyze(revisions, args, deadline=None):
     """``analyze``: the static analysis of each of *revisions*, merged
-    in order into one ``AnalysisReport``.  The passes read the fact set
-    of the revision's checker, which ``nmsld`` keeps warm."""
+    in order into one ``AnalysisReport``, and the number of passes run
+    to answer it.  The passes read the fact set of the revision's
+    checker, which ``nmsld`` keeps warm.  A pass's findings are kept on
+    the revision under the checker's ``version`` and reused while the
+    staleness key (DESIGN.md §3.1) holds, so a warm answer costs the
+    key and its findings.  *deadline* is polled before each pass that
+    runs; an abandoned analyze keeps the passes it finished."""
     import dataclasses
 
     from repro.analysis import AnalysisReport, default_registry
+    from repro.analysis.registry import collate
+    from repro.deadline import Deadline
 
-    registry = default_registry()
-    codes = tuple(args["select"]) if args["select"] else None
+    passes = default_registry().passes(
+        tuple(args["select"]) if args["select"] else None
+    )
     merged = AnalysisReport()
+    ran = 0
     for revision in revisions:
         with revision.lock:
+            checker = revision.checker
+            checker.facts  # re-takes the staleness key
+            # The key guards the specification the checker holds; one
+            # rechecked to another reuses nothing.
+            version = (
+                checker.version
+                if checker.specification is revision.result.specification
+                else object()
+            )
             context = dataclasses.replace(
                 revision.compiler.analysis_context(revision.result),
-                checker=revision.checker,
+                checker=checker,
             )
-            merged = merged.merged_with(registry.run(context, codes=codes))
-    return merged
+            findings = revision.findings
+            for analysis_pass in passes:
+                kept = findings.get(analysis_pass.code)
+                if kept is None or kept[0] is not version:
+                    Deadline.poll(deadline, f"analysis.{analysis_pass.code}")
+                    findings[analysis_pass.code] = (
+                        version,
+                        tuple(analysis_pass.run(analysis_pass, context)),
+                    )
+                    ran += 1
+            merged = merged.merged_with(collate(
+                diagnostic
+                for analysis_pass in passes
+                for diagnostic in findings[analysis_pass.code][1]
+            ))
+    return merged, ran
 
 
 def diff(old, new, args, config_scope="impacted", deadline=None):

@@ -64,6 +64,7 @@ class AdmissionController:
         for name in PRIORITY_CLASSES:
             requests.extend(self._queues[name])
             self._queues[name].clear()
+        self._publish()
         return requests
 
     # ------------------------------------------------------------------

@@ -5,7 +5,8 @@ The daemon's whole reason to exist over the batch CLI: a
 warm :class:`~repro.consistency.checker.ConsistencyChecker` (with its
 verdict memos and permission index) alive across requests, so the
 second ``check`` of an unchanged spec costs memo lookups instead of a
-full compile + fact expansion.  Entries are keyed by resolved path and
+full compile + fact expansion, and its second ``analyze`` reuses the
+findings of every pass (``operations.analyze``).  Entries are keyed by resolved path and
 invalidated by content hash (:mod:`repro.service.specfile`: from ``stat``
 while the file is unchanged); a bounded LRU caps resident specs.
 
@@ -335,7 +336,9 @@ class ServiceHandlers:
                 Deadline.poll(deadline, "service.analyze")
                 yield session
 
-        report = operations.analyze(sessions(), args)
+        report, request.resources["passes_run"] = operations.analyze(
+            sessions(), args, deadline=deadline
+        )
         return {
             "specs": [str(Path(spec)) for spec in specs],
             "findings": len(report.diagnostics),

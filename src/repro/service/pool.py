@@ -83,7 +83,8 @@ IDLE, BUSY, DOWN = "idle", "busy", "down"
 def request_fingerprint(op: str, params: dict) -> str:
     """The poison-registry key: op + canonical params + spec digest.
 
-    The spec parameter(s) contribute their *content* hash when the file
+    The spec parameter(s) (``spec``, ``old``, ``new``, and each of
+    ``specs`` in order) contribute their *content* hash when the file
     is readable, so editing a poisonous spec clears its quarantine (the
     fingerprint changes) while resubmitting it verbatim does not.
     Deterministic: canonical JSON, no wall-clock or filesystem-order
@@ -96,8 +97,11 @@ def request_fingerprint(op: str, params: dict) -> str:
         json.dumps(params, sort_keys=True, separators=(",", ":"),
                    default=str).encode("utf-8")
     )
-    for key in ("spec", "old", "new"):
-        value = params.get(key)
+    specs = params.get("specs")
+    named = [(key, params.get(key)) for key in ("spec", "old", "new")]
+    if isinstance(specs, list):
+        named += [(f"specs.{n}", value) for n, value in enumerate(specs)]
+    for key, value in named:
         if isinstance(value, str):
             try:
                 content_digest = bytes.fromhex(spec_digest(value))
@@ -278,6 +282,9 @@ class WorkerSupervisor:
     def _affinity_key(request) -> str:
         params = getattr(request, "params", None) or {}
         spec = params.get("spec") or params.get("old")
+        specs = params.get("specs")
+        if spec is None and isinstance(specs, list) and specs:
+            spec = specs[0]
         if isinstance(spec, str) and spec:
             return spec
         return request.op
@@ -286,7 +293,8 @@ class WorkerSupervisor:
         """Pick a worker for *request* and mark it busy.
 
         Spec-affinity first: the same spec prefers the same worker (its
-        cache is warm there; a ``diff`` goes where its ``old`` is),
+        cache is warm there; a ``diff`` goes where its ``old`` is, a
+        multi-spec ``analyze`` where its first spec is),
         spilling deterministically to the lowest-id idle worker when the
         preferred one is busy or down.
         Raises :class:`RuntimeError` if nothing is idle — callers gate

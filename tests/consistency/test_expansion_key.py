@@ -13,23 +13,28 @@ the extension tables' lists).  So:
   ``recheck``'s diff, which rebinds the facts it keeps to the new
   specification — so codegen accepts them as that specification's;
 * a fork's recheck, on any of the three paths, answers like a fresh
-  check and leaves the checker it was forked from as it was.
+  check and leaves the checker it was forked from as it was;
+* the checker's ``version`` moves at every new expansion (regeneration,
+  owner patch, rebind) and only then, so the analysis findings a
+  revision keeps under it are recomputed after every in-place change.
 """
 
 import dataclasses
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import cli
+from repro import cli, operations
 from repro.asn1.nodes import IntegerType
 from repro.consistency.checker import ConsistencyChecker
 from repro.mib.tree import Access
 from repro.nmsl import specs as specs_module
 from repro.nmsl.compiler import NmslCompiler
 from repro.nmsl.specs import TABLES, Table, TypeSpec
+from repro.operations import ANALYSIS_CODES
 from repro.workloads.generator import InternetParameters, SyntheticInternet
 from tests.consistency.deltas import LOCAL_DELTAS, NON_LOCAL_DELTAS, report_of
 from tests.corpus import corpus
@@ -184,6 +189,59 @@ def test_in_place_change_is_seen(mutate):
     if result is not None:
         stats = result.stats
         assert stats["facts_expanded"] == stats["facts_declarations"]
+
+
+@pytest.mark.parametrize("mutate", _MUTATIONS)
+def test_in_place_change_reruns_the_analysis(mutate):
+    """The findings a revision keeps are keyed on its checker's
+    ``version``, which every in-place change moves."""
+    spec = _specification()
+    revision = operations.Revision(_COMPILER, SimpleNamespace(specification=spec))
+    _analysis(revision)
+    mutate(spec)
+    kept = _analysis(revision)
+    fresh = _analysis(
+        operations.Revision(_COMPILER, SimpleNamespace(specification=spec))
+    )
+    assert kept == fresh
+    if kept[1] is not None:
+        assert kept[1] == len(ANALYSIS_CODES)
+
+
+def _analysis(revision):
+    """The rendered analysis of *revision* and the passes it ran, or how
+    it failed (some edits leave a dangling name)."""
+    try:
+        report, passes_run = operations.analyze([revision], {"select": None})
+    except Exception as exc:  # noqa: BLE001 — compared, not swallowed
+        return f"{type(exc).__name__}: {exc}", None
+    return report.render(), passes_run
+
+
+def test_the_version_moves_with_every_new_expansion():
+    """A warm check keeps the token; a regeneration, an owner patch and
+    a rebind each take a new one; a fork's recheck leaves the origin's."""
+    rng = random.Random(7)
+    spec = _specification()
+    checker = ConsistencyChecker(spec, _COMPILER.tree)
+    checker.check()
+    version = checker.version
+    checker.check()
+    assert checker.version is version
+    checker.fork().recheck(_equal_values(rng, spec))
+    assert checker.version is version
+    for step in ("rebind", "patch", "regenerate"):
+        if step == "rebind":
+            result = checker.recheck(_equal_values(rng, spec))
+            assert result.stats["diff_entries"] == 0
+        elif step == "patch":
+            spec = rng.choice(LOCAL_DELTAS)(rng, spec)
+            assert checker.recheck(spec).stats["patched"]
+        else:
+            _replace(spec, "domains")
+            assert checker.check().stats["facts_expanded"] > 0
+        assert checker.version is not version, step
+        version = checker.version
 
 
 def test_unchanged_spec_expands_nothing():

@@ -91,6 +91,19 @@ class TestDrain:
         assert controller.drain() == []
         assert controller.offer(_req("i3", "interactive")) == (True, None)
 
+    def test_the_depth_gauge_reads_the_emptied_queues(self):
+        from repro import obs
+
+        with obs.scope(obs.logical_observability()) as session:
+            controller = AdmissionController(capacity=8)
+            controller.offer(_req("b1", "bulk"))
+            controller.offer(_req("i1", "interactive"))
+            controller.drain()
+        for cls in ("interactive", "normal", "bulk"):
+            assert session.metrics.value(
+                "repro_service_queue_depth", **{"class": cls}
+            ) == 0, cls
+
 
 class TestPopNext:
     def test_rank_order_then_fifo(self):

@@ -86,3 +86,37 @@ class TestCampaignDeadline:
                 rounds=3,
                 deadline=Deadline(at_s=0.0, clock=lambda: 1.0),
             )
+
+
+class TestAnalyzeDeadline:
+    """``analyze`` polls its deadline before each pass it runs; an
+    abandoned analyze keeps the passes it finished."""
+
+    def test_an_expired_analyze_keeps_the_passes_it_finished(self):
+        import itertools
+
+        from repro.operations import ANALYSIS_CODES
+        from repro.service.handlers import ServiceHandlers
+        from tests.service.test_handlers import CAMPUS, _request
+
+        polls = []
+
+        class Polled(Deadline):
+            def check(self, where=""):
+                polls.append(where)
+                super().check(where)
+
+        unbounded = Polled(float("inf"), itertools.count(1).__next__)
+        fresh = ServiceHandlers().run(_request("analyze", unbounded, spec=CAMPUS))
+        assert polls == ["service.analyze"] + [
+            f"analysis.{code}" for code in ANALYSIS_CODES
+        ]
+        handlers = ServiceHandlers()
+        # The sixth poll, before NM202: four passes are done.
+        expiring = Deadline(6, itertools.count(1).__next__)
+        frame = handlers.run(_request("analyze", expiring, spec=CAMPUS))
+        assert frame["ok"] is False and frame["kind"] == "deadline"
+        assert "analysis.NM202" in frame["message"]
+        request = _request("analyze", spec=CAMPUS)
+        assert handlers.run(request)["result"] == fresh["result"]
+        assert request.resources["passes_run"] == 5

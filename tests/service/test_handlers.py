@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.widen_access import widen
+from repro import operations
 from repro.consistency.facts import FactGenerator
 from repro.deadline import Deadline
 from repro.service import specfile
@@ -16,6 +17,7 @@ from repro.workloads.generator import InternetParameters, SyntheticInternet
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 EXAMPLES = sorted(str(path) for path in (REPO_ROOT / "examples").glob("*.nmsl"))
+CAMPUS = str(REPO_ROOT / "examples" / "campus.nmsl")
 
 
 def _request(op, deadline=None, **params):
@@ -23,6 +25,16 @@ def _request(op, deadline=None, **params):
         id="r", op=op, params=params, cls="interactive", rank=0,
         deadline=deadline, deadline_s=None, cost_s=0.0, arrival_s=0.0, seq=0,
     )
+
+
+def _served(revision):
+    """*revision*'s analysis report, as fresh lists of its findings."""
+    report, _ = operations.analyze([revision], {"select": None})
+    return report
+
+
+def _locations(report):
+    return [(d.code, str(d.location)) for d in report.diagnostics]
 
 
 def _count_generations(monkeypatch):
@@ -46,10 +58,13 @@ class TestAnalyzeReusesTheSessionFacts:
         for spec in EXAMPLES:
             handlers.execute(_request("check", spec=spec))
         assert len(generations) == len(EXAMPLES)
-        first = handlers.execute(_request("analyze", specs=EXAMPLES))
-        second = handlers.execute(_request("analyze", specs=EXAMPLES))
+        cold, warm = (_request("analyze", specs=EXAMPLES) for _ in range(2))
+        first, second = handlers.execute(cold), handlers.execute(warm)
         assert len(generations) == len(EXAMPLES)
-        assert first == second
+        assert first == second and first["findings"] > 0
+        # The second answer is the kept findings of every pass.
+        assert cold.resources["passes_run"] == 9 * len(EXAMPLES)
+        assert warm.resources["passes_run"] == 0
 
     def test_analyze_first_leaves_the_facts_for_check(self, monkeypatch):
         generations = _count_generations(monkeypatch)
@@ -75,6 +90,152 @@ class TestAnalyzeReusesTheSessionFacts:
             assert [d["message"] for d in served["diagnostics"]] == [
                 d.message for d in report.diagnostics[:50]
             ]
+
+    # A session keeps each pass's findings under its checker's version.
+    def test_an_in_place_edit_reruns_every_pass(self):
+        import dataclasses
+
+        handlers = ServiceHandlers()
+        before = handlers.execute(_request("analyze", spec=CAMPUS))
+        session = handlers.cache.get(CAMPUS)
+        domains = session.result.specification.domains
+        domains["noc-domain"] = dataclasses.replace(
+            domains["noc-domain"], exports=()
+        )
+        request = _request("analyze", spec=CAMPUS)
+        after = handlers.execute(request)
+        assert request.resources["passes_run"] == 9
+        assert after["findings"] == before["findings"] - 1
+        fresh = operations.Revision(session.compiler, session.result)
+        assert _served(session) == _served(fresh)
+
+    def test_a_selection_leaves_the_other_passes_to_run(self):
+        handlers = ServiceHandlers()
+        selected = _request("analyze", spec=CAMPUS, select=["NM201"])
+        handlers.execute(selected)
+        assert selected.resources["passes_run"] == 1
+        full = _request("analyze", spec=CAMPUS)
+        served = handlers.execute(full)
+        assert full.resources["passes_run"] == 8
+        assert served == ServiceHandlers().execute(
+            _request("analyze", spec=CAMPUS)
+        )
+
+    @pytest.mark.parametrize("texts", ["widened", "owner-local"])
+    def test_a_diff_from_the_session_leaves_it_warm(self, spec_files, texts):
+        campus = Path(CAMPUS).read_text()
+        old, new = spec_files(
+            **{"widened": {"a": campus, "b": widen(campus)},
+               "owner-local": {"a": _silent(3), "b": _silent(3, 17)}}[texts]
+        )
+        handlers = ServiceHandlers()
+        before = handlers.execute(_request("analyze", spec=old))
+        handlers.execute(_request("diff", old=old, new=new))
+        request = _request("analyze", spec=old)
+        assert handlers.execute(request) == before
+        assert request.resources["passes_run"] == 0
+
+    def test_a_caller_cannot_change_the_kept_findings(self):
+        session = ServiceHandlers().cache.get(CAMPUS)
+        args = {"select": None}
+        report, _ = operations.analyze([session], args)
+        kept = list(report.diagnostics)
+        report.diagnostics.clear()
+        again, passes_run = operations.analyze([session], args)
+        assert passes_run == 0
+        assert again.diagnostics == kept
+
+    def test_concurrent_analyzes_compute_each_pass_once(self, monkeypatch):
+        """Handler threads share a session; its lock makes each pass's
+        findings computed once however the threads interleave.  Every
+        pass sleeps first, so a thread that found no findings yields
+        while the others look."""
+        import dataclasses
+        import threading
+
+        import repro.analysis
+        from repro.operations import ANALYSIS_CODES
+
+        session = ServiceHandlers().cache.get(CAMPUS)
+        fresh = _served(operations.Revision(session.compiler, session.result))
+        registry = repro.analysis.default_registry
+
+        def slowed(run):
+            def run_after_a_pause(rule, context):
+                time.sleep(0.002)
+                return run(rule, context)
+            return run_after_a_pause
+
+        def slow_registry():
+            slow = repro.analysis.PassRegistry()
+            for rule in registry().passes():
+                slow.register(dataclasses.replace(rule, run=slowed(rule.run)))
+            return slow
+
+        monkeypatch.setattr(repro.analysis, "default_registry", slow_registry)
+        selections = [[code] for code in ANALYSIS_CODES] + [None] * 7
+        start = threading.Barrier(len(selections))
+        answers, errors = [], []
+
+        def analyze(select):
+            try:
+                start.wait(timeout=60)
+                answers.append(
+                    (select, *operations.analyze([session], {"select": select}))
+                )
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=analyze, args=(select,))
+            for select in selections
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert sum(passes_run for _, _, passes_run in answers) == 9
+        for select, report, _ in answers:
+            assert report.diagnostics == [
+                d for d in fresh.diagnostics if select in (None, [d.code])
+            ]
+
+    def test_a_recheck_onto_a_shifted_re_parse_reruns_every_pass(self):
+        """A value-equal re-parse rebinds the facts, which moves the
+        checker's version; the findings are recomputed, those of the
+        revision's own compile, located as a fresh session's."""
+        from repro.nmsl.compiler import CompilerOptions, NmslCompiler
+
+        session = ServiceHandlers().cache.get(CAMPUS)
+        fresh = _served(operations.Revision(session.compiler, session.result))
+        assert _served(session) == fresh
+        shifted = NmslCompiler(CompilerOptions(filename=CAMPUS)).compile(
+            "\n" + Path(CAMPUS).read_text()
+        )
+        checker = session.checker
+        checker.check()  # a recheck of checked facts rebinds them
+        # A rebind keeps the fact set but not the findings.  Onto the
+        # re-parse, whose tables the key then guards instead of the
+        # revision's, nothing is reused; back onto the revision's own
+        # specification, the findings are kept again.
+        for specification, again in (
+            (session.result.specification, 0),
+            (shifted.specification, 9),
+            (session.result.specification, 0),
+        ):
+            version = checker.version
+            facts = checker.checked_facts
+            outcome = checker.recheck(specification)
+            assert outcome.stats["diff_entries"] == 0
+            assert checker.checked_facts is facts  # rebound, not regenerated
+            assert checker.version is not version
+            for passes in (9, again):
+                report, passes_run = operations.analyze(
+                    [session], {"select": None}
+                )
+                assert passes_run == passes
+                assert _locations(report) == _locations(fresh)
 
 
 class TestSpecCacheHitIsPerCall:

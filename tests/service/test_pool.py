@@ -70,6 +70,18 @@ class TestRequestFingerprint:
         # clears its quarantine.
         assert before != after
 
+    def test_each_listed_spec_content_contributes(self, tmp_path):
+        first, second = tmp_path / "a.nmsl", tmp_path / "b.nmsl"
+        first.write_text("one")
+        second.write_text("two")
+        params = {"specs": [str(first), str(second)]}
+        before = request_fingerprint("analyze", params)
+        assert request_fingerprint("analyze", params) == before
+        second.write_text("three")
+        # A multi-spec analyze of an edited spec is a new request, as a
+        # single-spec one is.
+        assert request_fingerprint("analyze", params) != before
+
     def test_unreadable_spec_still_fingerprints(self):
         fingerprint = request_fingerprint(
             "check", {"spec": "/no/such/file.nmsl"}
@@ -100,6 +112,20 @@ class TestWorkerSupervisor:
         supervisor.completed(chosen, now=2.0)
         again = _request(request_id="r2")
         assert supervisor.assign(again, now=3.0) == chosen
+
+    def test_a_multi_spec_analyze_goes_where_its_first_spec_is(self):
+        supervisor = WorkerSupervisor(_config(workers=4))
+        for worker_id in range(4):
+            supervisor.worker_started(worker_id, now=0.0)
+        # Literal names: "a.nmsl" and the op name hash to different
+        # workers of four.
+        single = _request("analyze", {"spec": "a.nmsl"})
+        chosen = supervisor.assign(single, now=1.0)
+        supervisor.completed(chosen, now=2.0)
+        several = _request(
+            "analyze", {"specs": ["a.nmsl", "b.nmsl"]}, request_id="r2"
+        )
+        assert supervisor.assign(several, now=3.0) == chosen
 
     def test_spills_to_lowest_idle_when_preferred_busy(self):
         supervisor = WorkerSupervisor(_config(workers=4))

@@ -848,10 +848,10 @@ class FactGenerator:
         facts = FactSet(spec, self._tree)
         span = obs.current().span
         with span("consistency.facts.instances"):
-            counters: Dict[Tuple[str, str], int] = {}
+            carried: Dict[str, Dict[str, int]] = {}
             for kind, table in (("system", spec.systems), ("domain", spec.domains)):
                 self._make_instances(
-                    kind, table.values(), counters, facts.instances
+                    kind, table.values(), carried, facts.instances
                 )
         with span("consistency.facts.containment"):
             facts.owners  # built here so the phase is attributed
@@ -874,19 +874,28 @@ class FactGenerator:
         self,
         owner_kind: str,
         owners,
-        counters: Dict[Tuple[str, str], int],
+        carried: Dict[str, Dict[str, int]],
         out: List[InstanceId],
     ) -> None:
-        # Ordinals count per (owner, process) so instance ids are stable
-        # when specifications are merged (the speculative what-if relies
-        # on re-identifying pre-existing instances).
+        # Ordinals count per (owner name, process) so instance ids are
+        # stable when specifications are merged (the speculative what-if
+        # relies on re-identifying pre-existing instances).  An id does
+        # not name its owner's kind, so a domain counts on from the
+        # system of its name; *carried* holds only those systems' counts.
+        # A count over every owner would be a dict of one entry per
+        # instance that dies with the generation (5 MB at paper scale):
+        # freeing it lifts glibc's mmap threshold above the checker's
+        # largest tables, and a checker dropped later can then leave
+        # them resident in the heap.
         processes = self._spec.processes
+        domains = self._spec.domains
         for owner in owners:
+            ordinals = carried.pop(owner.name, None) or {}
             for invocation in owner.processes:
                 if invocation.process_name not in processes:
                     continue  # linker already reported this
-                key = (owner.name, invocation.process_name)
-                ordinal = counters[key] = counters.get(key, 0) + 1
+                key = invocation.process_name
+                ordinal = ordinals[key] = ordinals.get(key, 0) + 1
                 out.append(
                     InstanceId(
                         owner.name,
@@ -896,6 +905,8 @@ class FactGenerator:
                         invocation.args,
                     )
                 )
+            if owner_kind == "system" and owner.name in domains:
+                carried[owner.name] = ordinals
 
     # ------------------------------------------------------------------
     # Supported views.

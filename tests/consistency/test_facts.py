@@ -1,5 +1,7 @@
 """Tests for fact generation from the typed specification."""
 
+import dataclasses
+
 import pytest
 
 from repro.clpr.program import parse_program
@@ -43,6 +45,27 @@ class TestInstantiation:
 
     def test_instances_of_process(self, facts):
         assert len(facts.instances_of_process("snmpaddr")) == 1
+
+    def test_a_domain_counts_on_from_the_system_of_its_name(self, compiler):
+        """An instance id does not name its owner's kind, so a domain's
+        ordinals go on from those of a system with the same name."""
+        spec = compiler.compile(PAPER_SPEC_TEXT).specification
+        domain = spec.domains["wisc-cs"]
+        twin = dataclasses.replace(
+            spec.systems["romano.cs.wisc.edu"],
+            name=domain.name,
+            processes=domain.processes * 2,
+        )
+        spec = dataclasses.replace(
+            spec, systems={**spec.systems, twin.name: twin}
+        )
+        facts = FactGenerator(spec, compiler.tree).generate()
+        owned = [i for i in facts.instances if i.owner == domain.name]
+        assert [(i.owner_kind, str(i.id)) for i in owned] == [
+            ("system", "snmpaddr@wisc-cs#1"),
+            ("system", "snmpaddr@wisc-cs#2"),
+            ("domain", "snmpaddr@wisc-cs#3"),
+        ]
 
 
 class TestContainment:

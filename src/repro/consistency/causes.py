@@ -23,8 +23,11 @@ the oracle).
 
 from __future__ import annotations
 
+from itertools import chain, groupby, islice, repeat
+from operator import attrgetter, itemgetter
 from typing import (
-    Callable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.consistency.facts import FactSet, InstanceId
@@ -169,9 +172,68 @@ def fit(
     return ("clipped", sorted(effective.paths()))
 
 
+class ClippedView:
+    """The warning for a process whose view its element clips, kept as
+    the fields :meth:`pieces` words it from (a paper-scale report holds
+    100,000; the paths list is the fit memo's, shared).  Equal to a
+    record with the same fields and to a string with its text."""
+
+    __slots__ = ("process", "owner", "paths")
+
+    def __init__(self, process: str, owner: str, paths: List[str]) -> None:
+        self.process, self.owner, self.paths = process, owner, paths
+
+    @staticmethod
+    def pieces(
+        records: Iterable["ClippedView"],
+        sep: str,
+        quote: Optional[Callable[[str], str]] = None,
+    ) -> Iterator[str]:
+        """Strings that concatenate to the records' sentences with *sep*
+        between them, each quoted by *quote* if given (one that escapes
+        character by character, as JSON's encoder does).  The words
+        around the owner are worded once per run of records that share
+        them: no string is made per sentence but the owner's."""
+        parts: List[Iterator[str]] = []
+        for (process, paths), run in groupby(
+            records, attrgetter("process", "paths")
+        ):
+            head = f"process {process!r} on "
+            clause = (
+                f": supported view clipped to what the element supports "
+                f"({paths})"
+            )
+            # A tuple: the run ends when groupby moves on, the map later.
+            owners = map(repr, map(attrgetter("owner"), tuple(run)))
+            if quote is not None:
+                head, clause = quote(head)[:-1], quote(clause)[1:]
+                owners = map(itemgetter(slice(1, -1)), map(quote, owners))
+            between = zip(repeat(clause + sep + head), owners)
+            parts.append(
+                chain(
+                    (sep, head) if parts else (head,),
+                    islice(chain.from_iterable(between), 1, None),
+                    (clause,),
+                )
+            )
+        return chain.from_iterable(parts)
+
+    def __str__(self) -> str:
+        return "".join(self.pieces((self,), ""))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is ClippedView:
+            return (self.process, self.owner, self.paths) == (
+                other.process, other.owner, other.paths
+            )
+        if isinstance(other, str):
+            return str(self) == other
+        return NotImplemented
+
+
 def instantiation_outcomes(
     facts: FactSet, instances: Sequence[InstanceId], fit: Callable = fit
-) -> List[Union[None, str, Inconsistency]]:
+) -> List[Union[None, ClippedView, Inconsistency]]:
     """One outcome per instance: nothing, a warning or a problem.
 
     An agent's effective view is ``process supports ∩ element
@@ -181,7 +243,7 @@ def instantiation_outcomes(
     warning.  An *empty* intersection means the instantiation can
     serve nothing: reported as an inconsistency.
     """
-    outcomes: List[Union[None, str, Inconsistency]] = []
+    outcomes: List[Union[None, ClippedView, Inconsistency]] = []
     instance_supports = facts.instance_supports
     system_supports = facts.system_supports
     for instance in instances:
@@ -209,10 +271,8 @@ def instantiation_outcomes(
                     ),
                 )
             elif state == "clipped":
-                outcome = (
-                    f"process {instance.process_name!r} on "
-                    f"{instance.owner!r}: supported view clipped to what "
-                    f"the element supports ({effective_paths})"
+                outcome = ClippedView(
+                    instance.process_name, instance.owner, effective_paths
                 )
         outcomes.append(outcome)
     return outcomes

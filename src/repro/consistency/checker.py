@@ -46,6 +46,7 @@ from repro.collector import bulk_load, collector_watch, frozen_fork_heap
 
 from repro.consistency.causes import (
     Candidates,
+    ClippedView,
     candidate_servers,
     check_reference,
     fit,
@@ -59,7 +60,11 @@ from repro.consistency.facts import (
 )
 from repro.consistency.index import PermissionIndex
 from repro.consistency.relations import Reference
-from repro.consistency.report import ConsistencyResult, Inconsistency
+from repro.consistency.report import (
+    ConsistencyResult,
+    Inconsistency,
+    Warnings,
+)
 from repro.mib.tree import MibTree
 from repro.mib.view import MibView
 from repro.nmsl.specs import TABLES, Specification
@@ -209,7 +214,7 @@ class ConsistencyChecker:
         #: patch can splice an owner's), then the problems and warnings
         #: among them (identity-keyed: regeneration makes a new FactSet).
         self._instantiation_memo: Optional[
-            Tuple[FactSet, List, Tuple[Inconsistency, ...], Tuple[str, ...]]
+            Tuple[FactSet, List, Tuple[Inconsistency, ...], Warnings]
         ] = None
         self._verdict_changes: List[Tuple] = []  # see verdict_changes()
         # Plain-int memo tallies — cheap enough to keep unconditionally;
@@ -653,7 +658,7 @@ class ConsistencyChecker:
     # ------------------------------------------------------------------
     def _instantiation_problems(
         self, facts: FactSet
-    ) -> Tuple[Tuple[Inconsistency, ...], Tuple[str, ...]]:
+    ) -> Tuple[Tuple[Inconsistency, ...], Warnings]:
         """Instantiation verdicts, memoized per fact-set object:
         regeneration builds a new ``FactSet``, and :meth:`_patch_facts`
         splices the outcomes of the owners it re-expands."""
@@ -667,10 +672,11 @@ class ConsistencyChecker:
 
     def _assemble(
         self, facts: FactSet, check_capacity: bool
-    ) -> Tuple[List[Inconsistency], Tuple[str, ...]]:
+    ) -> Tuple[List[Inconsistency], Warnings]:
         """The result's problems — the instantiation ones, then the
         flagged verdicts in reference order — and its warnings (the
-        memoised instantiation tuple itself when nothing is added)."""
+        memoised instantiation warnings themselves when nothing is
+        added)."""
         inst_problems, inst_warnings = self._instantiation_problems(facts)
         problems = list(inst_problems)
         verdicts = self._verdict_list
@@ -678,7 +684,9 @@ class ConsistencyChecker:
             problems.extend(verdicts[position])
         capacity = self._check_capacity(facts) if check_capacity else ()
         if facts.warnings or capacity:
-            inst_warnings = (*facts.warnings, *inst_warnings, *capacity)
+            inst_warnings = Warnings.concat(
+                facts.warnings, inst_warnings, capacity
+            )
         return problems, inst_warnings
 
     def _remember_instantiations(self, facts: FactSet, outcomes: List) -> None:
@@ -686,7 +694,7 @@ class ConsistencyChecker:
             facts,
             outcomes,
             tuple(o for o in outcomes if o.__class__ is Inconsistency),
-            tuple(o for o in outcomes if o.__class__ is str),
+            Warnings(o for o in outcomes if o.__class__ is ClippedView),
         )
 
     def _patch_facts(self, delta):

@@ -31,6 +31,7 @@ from repro.clpr.program import parse_program
 from repro.clpr.solver import Engine
 from repro.clpr.terms import Struct
 from repro.consistency.causes import (
+    ClippedView,
     candidate_servers,
     check_reference,
     instantiation_outcomes,
@@ -41,6 +42,7 @@ from repro.consistency.report import (
     ConsistencyResult,
     Inconsistency,
     InconsistencyKind,
+    Warnings,
 )
 from repro.consistency.rules import CONSISTENCY_RULES
 from repro.mib.tree import MibTree
@@ -58,9 +60,9 @@ def check_with_scan(
             facts = generator.generate()
         outcomes = instantiation_outcomes(facts, facts.instances)
         problems = [out for out in outcomes if out.__class__ is Inconsistency]
-        warnings = (
-            *facts.warnings,
-            *(out for out in outcomes if out.__class__ is str),
+        warnings = Warnings.concat(
+            facts.warnings,
+            (out for out in outcomes if out.__class__ is ClippedView),
         )
         with o.span("consistency.reduce", references=len(facts.references)):
             for reference in facts.references:

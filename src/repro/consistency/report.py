@@ -12,7 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Tuple
+from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii
+from typing import (
+    Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.consistency.relations import Reference
 
@@ -56,19 +60,90 @@ class Inconsistency:
         return "\n".join(lines)
 
 
+class Warnings(Sequence[str]):
+    """A result's warnings, read as strings: plain ones and records
+    (:class:`~repro.consistency.causes.ClippedView`) worded only when
+    read — ``len`` and truth word nothing, iteration and slicing what
+    they read.  Equal to a :class:`Warnings` or tuple of the same texts
+    in order (records against records by field, unworded).  Immutable,
+    so a checker hands one on from result to result uncopied."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Iterable = ()) -> None:
+        self._items = tuple(items)
+
+    @classmethod
+    def concat(cls, *parts: Iterable) -> "Warnings":
+        """The items of *parts* in order, records left unworded."""
+        return cls(
+            item
+            for part in parts
+            for item in (part._items if part.__class__ is cls else part)
+        )
+
+    def pieces(
+        self, sep: str, quote: Optional[Callable[[str], str]] = None
+    ) -> Iterator[str]:
+        """Strings that concatenate to the warnings joined by *sep*, each
+        quoted by *quote* if given; records are worded a run at a time
+        (:meth:`ClippedView.pieces`)."""
+        parts: List[Iterable[str]] = []
+        for kind, run in groupby(self._items, type):
+            if parts:
+                parts.append((sep,))
+            if kind is str:
+                run = run if quote is None else map(quote, run)
+                parts.append((sep.join(run),))
+            else:
+                parts.append(kind.pieces(tuple(run), sep, quote))
+        return chain.from_iterable(parts)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(str, self._items)
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[str, Tuple[str, ...]]:
+        if isinstance(index, slice):
+            return tuple(map(str, self._items[index]))
+        return str(self._items[index])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Warnings:
+            other = other._items
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        # Records compare to records by field, to strings by their text.
+        return self._items == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Warnings({tuple(self)!r})"
+
+
 @dataclass
 class ConsistencyResult:
     """The outcome of a consistency check."""
 
     consistent: bool
     inconsistencies: List[Inconsistency] = field(default_factory=list)
-    #: A tuple, so a checker can hand the same warnings on from one
-    #: result to the next without copying them.
-    warnings: Tuple[str, ...] = ()
+    #: Any iterable of warnings is held as :class:`Warnings`; a
+    #: :class:`Warnings` is held as it is, not copied.
+    warnings: Warnings = ()  # type: ignore[assignment]
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.warnings = tuple(self.warnings)  # a tuple is not copied
+        if self.warnings.__class__ is not Warnings:
+            self.warnings = Warnings(self.warnings)
 
     def render(self) -> str:
         if self.consistent and not self.warnings:
@@ -83,9 +158,11 @@ class ConsistencyResult:
             )
         for item in self.inconsistencies:
             lines.append(item.render())
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
-        return "\n".join(lines)
+        text = "\n".join(lines)
+        if not self.warnings:
+            return text
+        sep = "\nwarning: "
+        return "".join(chain((text, sep), self.warnings.pieces(sep)))
 
     def kinds(self) -> List[InconsistencyKind]:
         return [item.kind for item in self.inconsistencies]
@@ -123,11 +200,25 @@ class ConsistencyResult:
                 }
                 for item in self.inconsistencies
             ],
-            "warnings": list(self.warnings),
+            "warnings": [],
             "stats": {
                 key: value
                 for key, value in self.stats.items()
                 if key not in self.VOLATILE_STATS
             },
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        if not self.warnings:
+            return text
+        # "warnings" sorts last, so its array ends the text: written here
+        # with the encoder json.dumps uses for a string, not through its
+        # indenting encoder, which is pure Python.
+        tail = '"warnings": []\n}'
+        assert text.endswith(tail)
+        return "".join(
+            chain(
+                (text[: -len(tail)], '"warnings": [\n    '),
+                self.warnings.pieces(",\n    ", encode_basestring_ascii),
+                ("\n  ]\n}",),
+            )
+        )

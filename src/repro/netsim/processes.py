@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -162,11 +163,11 @@ class ManagementRuntime:
             store.bind("1.3.6.1.2.1.1.1.0", f"{system.opsys} {system.opsys_version}".strip().encode())
         except Exception:
             pass
-        # One ipAddrTable row per interface so walks return real rows.
+        # One ipAddrTable row per interface so walks return real rows,
+        # addressed by a digest of the name that no hash seed moves.
+        host = zlib.crc32(system.name.encode("utf-8")) % 250 + 1
         for index, interface in enumerate(system.interfaces, start=1):
-            address = bytes(
-                [10, (index * 7) % 250 + 1, hash(system.name) % 250 + 1, index]
-            )
+            address = bytes([10, (index * 7) % 250 + 1, host, index])
             row_index = ".".join(str(b) for b in address)
             try:
                 store.bind(f"1.3.6.1.2.1.4.20.1.1.{row_index}", address)

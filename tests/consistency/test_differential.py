@@ -15,8 +15,9 @@ only), and asserts, for every spec and every oracle registered in
   ``client ...`` cause;
 * ``scan``, which words its report as the checker does, renders the
   byte-identical report;
-* every engine's warnings are a tuple — ``scan``'s and a speculative
-  check's equal to the checker's, the rule-driven paths' empty;
+* every engine's warnings are one :class:`Warnings` — ``scan``'s and a
+  speculative check's equal to the checker's, the rule-driven paths'
+  empty;
 * an incremental ``recheck`` that arrives at the spec from a clean
   baseline produces the same verdict and causes as a from-scratch check.
 
@@ -35,6 +36,7 @@ import pytest
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.index import PermissionIndex
 from repro.consistency.oracles import ORACLES, failing_clients
+from repro.consistency.report import Warnings
 from repro.consistency.speculative import SpeculativeChecker
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.nmsl.specs import Specification
@@ -70,11 +72,11 @@ def test_engines_agree(parameters):
     tree = _COMPILER.tree
 
     indexed = ConsistencyChecker(specification, tree).check()
-    assert isinstance(indexed.warnings, tuple)
+    assert isinstance(indexed.warnings, Warnings)
     assert {"scan", "clpr", "datalog"} <= set(ORACLES)
     for name, oracle in ORACLES.items():
         answer = oracle(specification, tree)
-        assert isinstance(answer.warnings, tuple), name
+        assert isinstance(answer.warnings, Warnings), name
         # Verdict agreement (acceptance criterion: 0 disagreements).
         assert answer.consistent == indexed.consistent, (
             f"verdict disagreement on {parameters!r}: "
@@ -96,7 +98,7 @@ def test_engines_agree(parameters):
         Specification()
     )
     assert speculative.warnings == indexed.warnings
-    assert isinstance(speculative.warnings, tuple)
+    assert isinstance(speculative.warnings, Warnings)
 
 
 def test_scan_oracle_shares_no_state_with_the_checker(monkeypatch):

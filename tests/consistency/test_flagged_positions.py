@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.evolution import diff_specifications
+from repro.consistency.report import ConsistencyResult, Warnings
 from repro.deadline import Deadline
 from repro.errors import DeadlineExceeded
 
@@ -138,23 +139,22 @@ def test_exports_edit_hands_on_warnings():
     before = rich_internet(rng, 4, 3)
     checker = ConsistencyChecker(before, TREE)
     first = checker.check()
-    assert first.warnings and isinstance(first.warnings, tuple)
+    assert first.warnings and isinstance(first.warnings, Warnings)
     after = toggle_exports(rng, before)
     assert len(diff_specifications(before, after)) == 1
     second = checker.recheck(after)
     assert second.stats["patched"]
     assert second.warnings is first.warnings
-    # A capacity check adds warnings of its own: one new tuple.
+    # A capacity check adds warnings of its own: one new sequence.
     third = checker.check(check_capacity=True)
-    assert isinstance(third.warnings, tuple)
+    assert isinstance(third.warnings, Warnings)
     assert third.warnings[: len(first.warnings)] == first.warnings
 
 
-def test_warnings_are_a_tuple_whatever_is_passed():
-    from repro.consistency.report import ConsistencyResult
-
+def test_warnings_are_one_type_whatever_is_passed():
     listed = ConsistencyResult(consistent=True, warnings=["w"])
+    assert isinstance(listed.warnings, Warnings)
     assert listed.warnings == ("w",)
-    held = ("w",)
+    held = Warnings(("w",))
     assert ConsistencyResult(consistent=True, warnings=held).warnings is held
     assert dataclasses.replace(listed, stats={}).warnings == ("w",)

@@ -1,5 +1,10 @@
 """Tests for the management runtime (spec -> live simulated managers)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.nmsl.compiler import NmslCompiler
@@ -113,3 +118,42 @@ class TestExecution:
         campus_runtime.run(600)
         report = campus_runtime.internet.utilisation_report(600)
         assert report["campus-backbone"] > 0
+
+
+#: Walks db.cs.campus.edu's ipAddrTable as its own domain's manager.
+_WALK_ADDRESSES = """
+from repro.netsim.processes import ManagementRuntime
+from repro.nmsl.compiler import NmslCompiler
+from repro.snmp.manager import SnmpManager
+from repro.workloads.scenarios import campus_internet
+
+compiler = NmslCompiler()
+runtime = ManagementRuntime(compiler, compiler.compile(campus_internet()))
+runtime.install_configuration()
+agent = runtime.agents["snmpAgent@db.cs.campus.edu#1"]
+manager = SnmpManager(
+    "cs-domain", lambda octets: agent.handle_octets(octets, now=0.0)
+)
+for binding in manager.walk("1.3.6.1.2.1.4.20").bindings:
+    print(binding.oid, binding.value)
+"""
+
+
+def test_ip_addr_table_is_the_same_under_every_hash_seed():
+    root = Path(__file__).resolve().parents[2]
+    walks = [
+        subprocess.run(
+            [sys.executable, "-c", _WALK_ADDRESSES],
+            cwd=root,
+            env=dict(
+                os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=seed
+            ),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert "1.3.6.1.2.1.4.20.1.1." in walks[0]
+    assert walks[0] == walks[1]

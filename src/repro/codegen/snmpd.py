@@ -50,7 +50,7 @@ def snmpd_system_action(context: OutputContext, spec: SystemSpec) -> Optional[st
             )
         view_name = f"view-{agent.process_name}"
         for path in _effective_paths(
-            facts.instance_supports[agent.id], element_view, context.options
+            facts.process_supports[agent.process_name], element_view, context.options
         ):
             lines.append(f"view {view_name} include {path}")
         for permission in _permissions_for(facts, agent):

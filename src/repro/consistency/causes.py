@@ -244,7 +244,7 @@ def instantiation_outcomes(
     serve nothing: reported as an inconsistency.
     """
     outcomes: List[Union[None, ClippedView, Inconsistency]] = []
-    instance_supports = facts.instance_supports
+    process_supports = facts.process_supports
     system_supports = facts.system_supports
     for instance in instances:
         outcome = None
@@ -254,7 +254,7 @@ def instantiation_outcomes(
             else None
         )
         if element_view is not None:
-            supported = instance_supports[instance.id]
+            supported = process_supports[instance.process_name]
             state, effective_paths = (
                 ("ok", None)
                 if supported.is_empty()
@@ -412,7 +412,7 @@ def check_against_server(
     and *index* are :func:`check_reference`'s.
     """
     reference_view = demand.view
-    process_view = facts.instance_supports[server.id]
+    process_view = facts.process_supports[server.process_name]
     if not covers_view(process_view, reference_view):
         return Inconsistency(
             kind=InconsistencyKind.UNSUPPORTED_BY_PROCESS,

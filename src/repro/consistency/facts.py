@@ -55,11 +55,32 @@ class InstanceId:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "id", f"{self.process_name}@{self.owner}#{self.ordinal}"
+            self, "id", instance_id(self.process_name, self.owner, self.ordinal)
         )
 
     def __str__(self) -> str:
         return self.id
+
+
+def instance_id(process_name: str, owner: str, ordinal: int) -> str:
+    """An instance's id, ``process@owner#ordinal``: the one spelling of it."""
+    return f"{process_name}@{owner}#{ordinal}"
+
+
+def numbered(invocations, processes, after=()):
+    """``(invocation, ordinal)`` for each of one owner's *invocations* of
+    a declared process.  Ordinals count per process name (ids survive a
+    merge of specifications) on from the invocations *after* names: an
+    id does not name its owner's kind, so a domain counts on from the
+    system of its name."""
+    ordinals: Dict[str, int] = {}
+    for owned, group in ((False, after), (True, invocations)):
+        for invocation in group:
+            key = invocation.process_name
+            if key in processes:  # else the linker reported it
+                ordinal = ordinals[key] = ordinals.get(key, 0) + 1
+                if owned:
+                    yield invocation, ordinal
 
 
 class Containment:
@@ -159,8 +180,8 @@ class FactSet:
     instances: List[InstanceId] = field(default_factory=list)
     references: List[Reference] = field(default_factory=list)
     permissions: List[Permission] = field(default_factory=list)
-    #: instance id -> the view its process type supports.
-    instance_supports: Dict[str, MibView] = field(default_factory=dict)
+    #: process name -> the view the process type supports.
+    process_supports: Dict[str, MibView] = field(default_factory=dict)
     #: system name -> the view the element supports.
     system_supports: Dict[str, MibView] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
@@ -377,7 +398,6 @@ class FactSet:
 
     _agents_cache: Optional[List[InstanceId]] = None
     _by_process_cache: Optional[Dict[str, List[InstanceId]]] = None
-    _by_system_cache: Optional[Dict[str, List[InstanceId]]] = None
 
     def agents(self) -> List[InstanceId]:
         """Instances whose process type supports data (paper footnote 1)."""
@@ -398,13 +418,18 @@ class FactSet:
         return self._by_process_cache.get(process_name, [])
 
     def instances_on_system(self, system_name: str) -> List[InstanceId]:
-        if self._by_system_cache is None:
-            index: Dict[str, List[InstanceId]] = {}
-            for instance in self.instances:
-                if instance.owner_kind == "system":
-                    index.setdefault(instance.owner, []).append(instance)
-            self._by_system_cache = index
-        return self._by_system_cache.get(system_name, [])
+        """The system's instances in instance order, numbered from its
+        declaration as a generation numbers them (no table is kept); an
+        id the facts do not hold, after an in-place edit, is left out."""
+        spec = self.specification
+        system = spec.systems.get(system_name)
+        if system is None:
+            return []
+        ids = (
+            instance_id(invocation.process_name, system_name, ordinal)
+            for invocation, ordinal in numbered(system.processes, spec.processes)
+        )
+        return [i for i in map(self.instance_by_id, ids) if i is not None]
 
     _proxy_cache: Optional[Dict[str, List[InstanceId]]] = None
 
@@ -521,7 +546,7 @@ class FactSet:
             r0, r1 = self._owned(self.references, rank, self._reference_rank)
             old = self.instances[i0:i1]
             new: List[InstanceId] = []
-            generator._make_instances(kind, (owner,), {}, new)
+            generator._make_instances(kind, (owner,), new)
             # References elsewhere answered by a process type this
             # owner starts or stops instantiating: their taint moves.
             answered: Set[str] = set()
@@ -547,11 +572,10 @@ class FactSet:
             pending.difference_update(range(r0, r1))
             for instance in old:
                 del self._instance_cache[instance.id]
-                del self.instance_supports[instance.id]
             for permission in self.permissions[g0:g1]:
                 by_grantor.pop(permission.grantor, None)
             generator._make_views(
-                self, (owner,) if kind == "system" else (), new
+                self, (owner,) if kind == "system" else (), ()
             )
             grants: List[Permission] = []
             generator._make_grants(self, new, grants)
@@ -628,10 +652,6 @@ class FactSet:
             return index
 
         swap(self._by_process_cache, lambda i: (i.process_name,))
-        swap(
-            self._by_system_cache,
-            lambda i: (i.owner,) if i.owner_kind == "system" else (),
-        )
         swap(
             self._proxy_cache,
             lambda i: processes[i.process_name].proxied_systems(),
@@ -784,9 +804,9 @@ _TABLES = {"system": "systems", "domain": "domains"}
 #: The :class:`FactSet` containers :meth:`~FactSet.patch_owners` writes
 #: to (it replaces the lists inside the lazy indexes instead).
 _PATCHED = (
-    "instances", "references", "permissions", "instance_supports",
-    "system_supports", "expansion", "_instance_cache", "_grantor_cache",
-    "_by_process_cache", "_by_system_cache", "_proxy_cache", "_taint_cache",
+    "instances", "references", "permissions", "system_supports",
+    "expansion", "_instance_cache", "_grantor_cache", "_by_process_cache",
+    "_proxy_cache", "_taint_cache",
 )
 
 _ACCESS_COVER_PAIRS = [
@@ -848,15 +868,12 @@ class FactGenerator:
         facts = FactSet(spec, self._tree)
         span = obs.current().span
         with span("consistency.facts.instances"):
-            carried: Dict[str, Dict[str, int]] = {}
             for kind, table in (("system", spec.systems), ("domain", spec.domains)):
-                self._make_instances(
-                    kind, table.values(), carried, facts.instances
-                )
+                self._make_instances(kind, table.values(), facts.instances)
         with span("consistency.facts.containment"):
             facts.owners  # built here so the phase is attributed
         with span("consistency.facts.views"):
-            self._make_views(facts, spec.systems.values(), facts.instances)
+            self._make_views(facts, spec.systems.values(), spec.processes.items())
         with span("consistency.facts.permissions"):
             self._make_grants(facts, facts.instances, facts.permissions)
             self._make_exports(spec.domains.values(), facts.permissions)
@@ -871,31 +888,18 @@ class FactGenerator:
     # Instantiation (instan/3).
     # ------------------------------------------------------------------
     def _make_instances(
-        self,
-        owner_kind: str,
-        owners,
-        carried: Dict[str, Dict[str, int]],
-        out: List[InstanceId],
+        self, owner_kind: str, owners, out: List[InstanceId]
     ) -> None:
-        # Ordinals count per (owner name, process) so instance ids are
-        # stable when specifications are merged (the speculative what-if
-        # relies on re-identifying pre-existing instances).  An id does
-        # not name its owner's kind, so a domain counts on from the
-        # system of its name; *carried* holds only those systems' counts.
-        # A count over every owner would be a dict of one entry per
-        # instance that dies with the generation (5 MB at paper scale):
-        # freeing it lifts glibc's mmap threshold above the checker's
-        # largest tables, and a checker dropped later can then leave
-        # them resident in the heap.
+        # No count outlives its owner: a dict of one entry per instance
+        # that dies with the generation lifts glibc's mmap threshold, and
+        # a checker dropped later can leave its tables in the heap.
         processes = self._spec.processes
-        domains = self._spec.domains
+        systems = self._spec.systems
         for owner in owners:
-            ordinals = carried.pop(owner.name, None) or {}
-            for invocation in owner.processes:
-                if invocation.process_name not in processes:
-                    continue  # linker already reported this
-                key = invocation.process_name
-                ordinal = ordinals[key] = ordinals.get(key, 0) + 1
+            twin = systems.get(owner.name) if owner_kind == "domain" else None
+            for invocation, ordinal in numbered(
+                owner.processes, processes, twin.processes if twin else ()
+            ):
                 out.append(
                     InstanceId(
                         owner.name,
@@ -905,23 +909,17 @@ class FactGenerator:
                         invocation.args,
                     )
                 )
-            if owner_kind == "system" and owner.name in domains:
-                carried[owner.name] = ordinals
 
     # ------------------------------------------------------------------
     # Supported views.
     # ------------------------------------------------------------------
-    def _make_views(self, facts: FactSet, systems, instances) -> None:
+    def _make_views(self, facts: FactSet, systems, processes) -> None:
+        """The views *systems* and the ``(name, process)`` pairs of
+        *processes* support: an instance's is its process's."""
         for system in systems:
             facts.system_supports[system.name] = self.view(system.supports)
-        by_process: Dict[str, MibView] = {}
-        for instance in instances:
-            view = by_process.get(instance.process_name)
-            if view is None:
-                view = by_process[instance.process_name] = self.view(
-                    self._spec.processes[instance.process_name].supports
-                )
-            facts.instance_supports[instance.id] = view
+        for name, process in processes:
+            facts.process_supports[name] = self.view(process.supports)
 
     def view(self, paths: Sequence[str]) -> MibView:
         """The view over the known *paths*: ``view_of``'s when one was

@@ -137,7 +137,7 @@ class ManagementRuntime:
         for instance in self.facts.agents():
             if instance.owner_kind != "system":
                 continue
-            process_view = self.facts.instance_supports[instance.id]
+            process_view = self.facts.process_supports[instance.process_name]
             element_view = self.facts.system_supports.get(instance.owner)
             effective = (
                 process_view.intersection(element_view)

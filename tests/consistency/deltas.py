@@ -383,7 +383,6 @@ def force_indexes(facts):
     facts.instance_by_id("")
     facts.agents()
     facts.instances_of_process("")
-    facts.instances_on_system("")
     facts.proxies_for_system("")
     return {
         "taint": facts.domain_reference_taint(),
@@ -391,7 +390,9 @@ def force_indexes(facts):
         "instance ids": facts._instance_cache,
         "agents": facts._agents_cache,
         "by process": facts._by_process_cache,
-        "by system": facts._by_system_cache,
+        "by system": {
+            name: facts.instances_on_system(name) for name in spec.systems
+        },
         "proxies": facts._proxy_cache,
         "containment": facts.containment,
         "direct": facts.owners.direct,

@@ -126,7 +126,8 @@ class TestViews:
 
     def test_instance_view_full_mib(self, facts):
         agent = facts.instances_on_system("romano.cs.wisc.edu")[0]
-        assert facts.instance_supports[agent.id].covers_path("mgmt.mib.egp")
+        view = facts.process_supports[agent.process_name]
+        assert view.covers_path("mgmt.mib.egp")
 
 
 class TestClprText:

@@ -62,7 +62,7 @@ def assert_same_facts(patched, specification):
         "instances",
         "permissions",
         "references",
-        "instance_supports",
+        "process_supports",
         "system_supports",
         "warnings",
     ):

@@ -16,7 +16,9 @@ type they generate, e.g. ``BartsSnmpd``):
 * ``osi`` — an OSI-organisational-model rendering: domains, ports,
   exposed objects (:mod:`repro.codegen.osi`).
 
-Shipping (Section 5 lists three ways) lives in
+Output is attributed to elements, one document each, by
+:func:`repro.codegen.base.element_documents`.  Shipping
+(Section 5 lists three ways) lives in
 :mod:`repro.codegen.transport`: the management protocol itself (see
 :class:`repro.netsim.processes.ManagementRuntime` for the live version),
 a file copy, or electronic mail to the element's administrator — the
@@ -24,10 +26,6 @@ latter two simulated as spool directories.
 """
 
 from repro.codegen.base import ConfigurationGenerator, GeneratedConfig
-from repro.codegen.fingerprints import (
-    config_fingerprints,
-    default_fingerprint_registry,
-)
 from repro.codegen.snmpd import SNMPD_TAG, register_snmpd_outputs
 from repro.codegen.acl import ACL_TAG, register_acl_outputs
 from repro.codegen.osi import OSI_TAG, register_osi_outputs
@@ -58,8 +56,6 @@ __all__ = [
     "SNMPD_TAG",
     "ShipmentRecord",
     "Transport",
-    "config_fingerprints",
-    "default_fingerprint_registry",
     "register_acl_outputs",
     "register_all",
     "register_osi_outputs",

@@ -10,9 +10,10 @@ a pair of NMSL specification revisions A and B:
 * which permissions were widened or tightened, grantor by grantor —
   access-widening grants are the changes worth refusing to ship without
   an explicit waiver (Diekmann, *Provably Secure Networks*);
-* which generated per-element configurations change byte-wise (content
-  fingerprints from :mod:`repro.codegen.fingerprints`), i.e. which
-  elements a rollout must redrive;
+* which generated per-element configurations change byte-wise (the
+  sha256 of the document each element is shipped, from
+  :func:`repro.codegen.base.element_documents`), i.e. which elements a
+  rollout must redrive;
 * which elements were orphaned (removed from B while still carrying an
   A-side configuration).
 
@@ -41,6 +42,7 @@ full-check cost.
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -372,6 +374,8 @@ class ImpactAnalyzer:
         tags: Sequence[str] = ("BartsSnmpd",),
         config_scope: str = "impacted",
     ):
+        from repro.nmsl.compiler import output_registry
+
         if config_scope not in ("impacted", "full"):
             raise ValueError(
                 f"config_scope must be 'impacted' or 'full', "
@@ -379,8 +383,8 @@ class ImpactAnalyzer:
             )
         self._tree = tree
         self._tags = tuple(tags)
+        self._registry = output_registry()  # the compiler's output actions
         self._config_scope = config_scope
-        self._registry = None  # the fingerprint registry, built once
         self._checker: Optional[ConsistencyChecker] = None
 
     @property
@@ -402,21 +406,21 @@ class ImpactAnalyzer:
     def _fingerprints(
         self, specification, elements, facts
     ) -> Dict[str, Dict[str, str]]:
-        from repro.codegen.fingerprints import (
-            config_fingerprints,
-            default_fingerprint_registry,
-        )
+        """``tag -> element -> sha256`` of the document *elements* would
+        be shipped (all of them when ``None``)."""
+        from repro.codegen.base import element_documents
 
-        if self._registry is None:
-            self._registry = default_fingerprint_registry()
-        return config_fingerprints(
-            specification,
-            self._tree,
-            tags=self._tags,
-            elements=elements,
-            facts=facts,
-            registry=self._registry,
-        )
+        prints = {}
+        for tag in self._tags:
+            documents = element_documents(
+                specification, tag, self._registry, tree=self._tree,
+                facts=facts, elements=elements, clause_actions={},
+            )
+            prints[tag] = {
+                element: hashlib.sha256((text + "\n").encode()).hexdigest()
+                for element, text in documents.items()
+            }
+        return prints
 
     def analyze(
         self, specification: Specification, deadline=None

@@ -108,7 +108,9 @@ class ManagementRuntime:
         self.facts: FactSet = IncrementalFactGenerator(self.tree).generate(
             self.specification
         )
-        self._generator = ConfigurationGenerator(compiler, result)
+        self._generator = ConfigurationGenerator(
+            compiler, result, facts=self.facts
+        )
         self.agents: Dict[str, SnmpAgent] = {}  # agent instance id -> agent
         self.drivers: List[ApplicationDriver] = []
         self.log: List[QueryRecord] = []

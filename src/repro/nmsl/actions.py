@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import NmslSemanticError
-from repro.nmsl.generic import Declaration, GenericClause
+from repro.nmsl.generic import GenericClause
 from repro.nmsl.lexer import NUMBER, PUNCT, STRING, WORD, NmslToken
 
 # ----------------------------------------------------------------------
@@ -193,7 +193,6 @@ class OutputContext:
     """What an output action may consult while rendering."""
 
     specification: object  # repro.nmsl.specs.Specification
-    declaration: Optional[Declaration] = None
     options: Dict[str, object] = field(default_factory=dict)
 
 
@@ -223,11 +222,13 @@ class OutputRegistry:
         """Prepend an extension action (overrides same tag+decltype)."""
         self._entries.insert(0, OutputEntry(tag, decltype, action))
 
-    def lookup(self, tag: str, decltype: str) -> Optional[OutputAction]:
-        for entry in self._entries:
-            if entry.tag == tag and entry.decltype == decltype:
-                return entry.action
-        return None
+    def actions(self, tag: str) -> Dict[str, OutputAction]:
+        """decltype -> *tag*'s action, the first entry winning."""
+        return {
+            entry.decltype: entry.action
+            for entry in reversed(self._entries)
+            if entry.tag == tag
+        }
 
     def tags(self) -> Tuple[str, ...]:
         seen: List[str] = []

@@ -18,8 +18,9 @@ installed in the clause-action table.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.asn1.types import Asn1Module
@@ -101,12 +102,7 @@ class NmslCompiler:
         self.module = Asn1Module()
         self.tree: MibTree = build_mib1(self.module)
         self.keyword_table = KeywordTable()
-        self.registry = OutputRegistry()
-        register_base_outputs(self.registry)
-        if self.options.register_codegen:
-            from repro.codegen import register_all
-
-            register_all(self.registry)
+        self.registry = output_registry(self.options.register_codegen)
         #: clause-level extension actions: (tag, decltype, keyword) -> renderer
         self.clause_actions: Dict[Tuple[str, str, str], ClauseRenderer] = {}
         self.extension_decltypes: List[str] = []
@@ -214,95 +210,26 @@ class NmslCompiler:
         checker's ``checked_facts``); the actions read it instead of
         expanding their own.
         """
-        o = obs.current()
-        with o.span("codegen.generate", tag=tag) as span:
-            specification = result.specification
-            options = {"tree": self.tree, "module": self.module}
-            if facts is not None:
-                if facts.specification is not specification:
-                    raise CodegenError(
-                        "the fact set handed to generate() was expanded "
-                        "from another specification"
-                    )
-                options["facts"] = facts
-            context = OutputContext(specification=specification, options=options)
-            bundle = OutputBundle(tag=tag)
-            produced_any = False
+        specification = result.specification
+        bundle = OutputBundle(tag=tag)
+        with generation(
+            tag, specification, self.registry, self.clause_actions,
+            tree=self.tree, facts=facts,
+        ) as run:
             for declaration in result.declarations:
-                spec_obj = self._typed_spec_for(specification, declaration)
-                chunks: List[str] = []
-                action = self.registry.lookup(tag, declaration.decltype)
-                if action is not None and spec_obj is not None:
-                    context.declaration = declaration
-                    if o.enabled:
-                        with o.span(
-                            "codegen.action",
-                            tag=tag,
-                            decltype=declaration.decltype,
-                            declaration=declaration.name,
-                        ):
-                            chunk = action(context, spec_obj)
-                        o.counter(
-                            "repro_codegen_actions_total",
-                            "output-specific actions dispatched",
-                            tag=tag,
-                            decltype=declaration.decltype,
-                        ).inc()
-                    else:
-                        chunk = action(context, spec_obj)
-                    if chunk:
-                        chunks.append(chunk)
-                chunks.extend(
-                    self._clause_chunks(tag, declaration, specification)
-                )
-                if chunks:
-                    produced_any = True
+                spec = self._typed_spec_for(specification, declaration)
+                text = run.unit(declaration.decltype, declaration.name, spec)
+                if text is not None:
                     bundle.units.append(
-                        OutputUnit(
-                            name=declaration.name,
-                            decltype=declaration.decltype,
-                            text="\n".join(chunks),
-                        )
+                        OutputUnit(declaration.name, declaration.decltype, text)
                     )
-            epilogue = self.registry.lookup(tag, EPILOGUE)
+            epilogue = run.actions.get(EPILOGUE)
             if epilogue is not None:
-                context.declaration = None
-                chunk = epilogue(context, specification)
+                chunk = epilogue(run.context, specification)
                 if chunk:
-                    produced_any = True
+                    run.units += 1
                     bundle.units.append(OutputUnit("", EPILOGUE, chunk))
-            if not produced_any and tag not in self.registry.tags():
-                known = ", ".join(sorted(set(self.registry.tags())))
-                raise CodegenError(
-                    f"no output actions registered for tag {tag!r} "
-                    f"(known: {known})"
-                )
-            span.annotate(units=len(bundle.units))
-        if o.enabled:
-            o.histogram(
-                "repro_codegen_generate_seconds",
-                _help="per-generator (per-tag) output time",
-                tag=tag,
-            ).observe(round(span.elapsed, 9))
-            o.counter(
-                "repro_codegen_units_total",
-                "output units produced",
-                tag=tag,
-            ).inc(len(bundle.units))
         return bundle
-
-    def _clause_chunks(
-        self, tag: str, declaration: Declaration, specification: Specification
-    ) -> List[str]:
-        stored = specification.extension_clauses.get(
-            (declaration.decltype, declaration.name), []
-        )
-        chunks = []
-        for keyword, args in stored:
-            renderer = self.clause_actions.get((tag, declaration.decltype, keyword))
-            if renderer is not None:
-                chunks.append(renderer(declaration.name, args))
-        return chunks
 
     @staticmethod
     def _typed_spec_for(specification: Specification, declaration: Declaration):
@@ -316,6 +243,123 @@ class NmslCompiler:
             return declaration  # extension decltype: hand over raw declaration
         return table.get(declaration.name)
 
+
+def output_registry(register_codegen: bool = True) -> OutputRegistry:
+    """The basic language's output actions: ``consistency``'s and, unless
+    *register_codegen* is false, every configuration output type's."""
+    registry = OutputRegistry()
+    register_base_outputs(registry)
+    if register_codegen:
+        from repro.codegen import register_all
+
+        register_all(registry)
+    return registry
+
+
+class Generation:
+    """One output run of a tag: the context its actions read, the
+    actions, and the units they render (see :func:`generation`)."""
+
+    def __init__(self, tag, registry, clause_actions, context):
+        self.tag = tag
+        self.context = context
+        #: decltype -> this tag's action, looked up once per run.
+        self.actions = registry.actions(tag)
+        #: (decltype, keyword) -> this tag's extension clause renderer.
+        self.clause_actions = {
+            (decltype, keyword): renderer
+            for (clause_tag, decltype, keyword), renderer in clause_actions.items()
+            if clause_tag == tag
+        }
+        #: output units rendered so far (the ``units`` the run reports).
+        self.units = 0
+
+    def unit(self, decltype: str, name: str, spec) -> Optional[str]:
+        """The output unit of declaration *name*: the action's chunk of
+        *spec*, then the chunks of its extension clauses, joined;
+        ``None`` when there is none."""
+        chunks: List[str] = []
+        action = self.actions.get(decltype)
+        if action is not None and spec is not None:
+            o = obs.current()
+            if o.enabled:
+                with o.span(
+                    "codegen.action", tag=self.tag, decltype=decltype,
+                    declaration=name,
+                ):
+                    chunk = action(self.context, spec)
+                o.counter(
+                    "repro_codegen_actions_total",
+                    "output-specific actions dispatched",
+                    tag=self.tag,
+                    decltype=decltype,
+                ).inc()
+            else:
+                chunk = action(self.context, spec)
+            if chunk:
+                chunks.append(chunk)
+        if self.clause_actions:
+            stored = self.context.specification.extension_clauses.get(
+                (decltype, name), ()
+            )
+            for keyword, args in stored:
+                renderer = self.clause_actions.get((decltype, keyword))
+                if renderer is not None:
+                    chunks.append(renderer(name, args))
+        if not chunks:
+            return None
+        self.units += 1
+        return "\n".join(chunks)
+
+
+@contextmanager
+def generation(
+    tag: str,
+    specification: Specification,
+    registry: OutputRegistry,
+    clause_actions: Mapping[Tuple[str, str, str], ClauseRenderer],
+    *,
+    tree: MibTree,
+    facts=None,
+) -> Iterator[Generation]:
+    """One output run of *tag* over *specification*, traced.
+
+    The compiler's walk of its declarations and
+    :func:`repro.codegen.base.element_documents`' walk of the typed
+    tables both run in here: one ``codegen.generate`` span, a
+    ``codegen.action`` span per action dispatched, and the
+    ``repro_codegen_*`` metrics.  *facts*, when given, must have been
+    expanded from *specification*.  A tag nothing renders is refused.
+    """
+    o = obs.current()
+    with o.span("codegen.generate", tag=tag) as span:
+        if facts is not None and facts.specification is not specification:
+            raise CodegenError(
+                "the fact set handed to generate() was expanded "
+                "from another specification"
+            )
+        run = Generation(tag, registry, clause_actions, OutputContext(
+            specification=specification, options={"tree": tree, "facts": facts}
+        ))
+        if not run.actions and not run.clause_actions:
+            known = ", ".join(sorted(set(registry.tags())))
+            raise CodegenError(
+                f"no output actions registered for tag {tag!r} "
+                f"(known: {known})"
+            )
+        yield run
+        span.annotate(units=run.units)
+    if o.enabled:
+        o.histogram(
+            "repro_codegen_generate_seconds",
+            _help="per-generator (per-tag) output time",
+            tag=tag,
+        ).observe(round(span.elapsed, 9))
+        o.counter(
+            "repro_codegen_units_total",
+            "output units produced",
+            tag=tag,
+        ).inc(run.units)
 
 def compile_text(
     text: str,

@@ -22,7 +22,9 @@ a syntax error.  Two more rewrite the campus example for the fact
 renderings: ``edge-quote`` names a system ``gw.cs.o'neil.edu`` (the
 CLP(R) text must escape the quote), ``edge-prefix`` adds an exporting
 domain ``cs`` beside ``cs-domain`` and eleven agents on one element
-(``#1`` beside ``#10``), so no grantor is a prefix match.
+(``#1`` beside ``#10``), so no grantor is a prefix match.  Two feed
+``diff``: ``edge-order`` declares the campus systems after its domains,
+``edge-frequency`` slows ``cs-domain``'s export to ``noc-domain``.
 
 Standard library only: the sweep runs without ``pytest`` installed.
 """
@@ -59,7 +61,11 @@ end domain cs.
 
 def edge_specs():
     """Edge cases, each an example with one rewrite."""
-    from tests.corpus import quoted_campus
+    from tests.corpus import (
+        campus_slower_cs_exports,
+        campus_systems_last,
+        quoted_campus,
+    )
 
     paper = (ROOT / "examples" / EXAMPLES[1]).read_text(encoding="utf-8")
     campus = (ROOT / "examples" / EXAMPLES[0]).read_text(encoding="utf-8")
@@ -84,6 +90,8 @@ def edge_specs():
         "edge-prefix.nmsl": campus.replace(
             agents, "    process snmpAgent;\n" * 10 + agents
         ) + PREFIX_DOMAIN,
+        "edge-order.nmsl": campus_systems_last(),
+        "edge-frequency.nmsl": campus_slower_cs_exports(),
     }
 
 
@@ -174,6 +182,11 @@ def commands(corpus):
         yield [edge, "--check", "--engine", "clpr"]
         for tag in ("acl-table", "consistency"):
             yield [edge, "--output", tag]
+    # A diff fingerprints the documents that ship: declaration order
+    # moves none of them, a frequency edit two ``consistency`` ones.
+    yield ["diff", campus, "edge-order.nmsl", "--full-config-scan",
+           "--output", "acl-table,consistency"]
+    yield ["diff", campus, "edge-frequency.nmsl", "--output", "consistency"]
     previous = campus
     for number, spec in enumerate(corpus):
         yield [spec, "--check"]

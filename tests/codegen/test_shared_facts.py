@@ -16,10 +16,12 @@ import pytest
 from repro import cli
 from repro.consistency import facts as facts_module
 from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.facts import FactGenerator
+from repro.consistency.facts import FactGenerator, IncrementalFactGenerator
 from repro.errors import CodegenError
+from repro.codegen import base as codegen_base
 from repro.codegen.base import ConfigurationGenerator
 from repro.codegen.transport import CallbackTransport
+from repro.netsim.processes import ManagementRuntime
 from repro.nmsl.compiler import NmslCompiler
 from repro.workloads.generator import SyntheticInternet
 from repro.workloads.paper import PaperScaleInternet, PaperScaleParameters
@@ -190,13 +192,13 @@ def test_an_oracle_engine_leaves_codegen_its_own_single_expansion(
 def test_generate_for_element_reuses_the_bundle(monkeypatch):
     result = _COMPILER.compile(_EXAMPLES[0].read_text(encoding="utf-8"))
     runs = []
-    original = NmslCompiler.generate
+    original = codegen_base.element_documents
 
-    def counting(self, tag, result, facts=None):
+    def counting(specification, tag, registry, **keywords):
         runs.append(tag)
-        return original(self, tag, result, facts=facts)
+        return original(specification, tag, registry, **keywords)
 
-    monkeypatch.setattr(NmslCompiler, "generate", counting)
+    monkeypatch.setattr(codegen_base, "element_documents", counting)
     generator = ConfigurationGenerator(_COMPILER, result)
     whole = generator.documents("BartsSnmpd")
     for element in list(whole)[:3]:
@@ -207,6 +209,24 @@ def test_generate_for_element_reuses_the_bundle(monkeypatch):
     generator.documents("acl-table")
     assert runs == ["BartsSnmpd", "acl-table"]
     assert shipped
+
+
+def test_the_runtime_renders_from_its_own_facts(campus, monkeypatch):
+    """Runtime start, an install and two rollouts: one expansion."""
+    result = _COMPILER.compile(campus.read_text(encoding="utf-8"))
+    calls = []
+    original = IncrementalFactGenerator.generate
+
+    def counting(self, specification):
+        calls.append(specification)
+        return original(self, specification)
+
+    monkeypatch.setattr(IncrementalFactGenerator, "generate", counting)
+    runtime = ManagementRuntime(_COMPILER, result)
+    assert runtime.install_configuration(tag="BartsSnmpd")
+    for tag in ("acl-table", "osi"):
+        assert runtime.rollout_targets(tag)
+    assert calls == [result.specification]
 
 
 # ----------------------------------------------------------------------

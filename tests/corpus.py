@@ -52,11 +52,34 @@ def corpus():
     return [draw_parameters(rng) for _ in range(CORPUS_SIZE)]
 
 
+def _campus() -> str:
+    return (_ROOT / "examples" / "campus.nmsl").read_text(encoding="utf-8")
+
+
 def quoted_campus() -> str:
     """``examples/campus.nmsl`` with a system named ``gw.cs.o'neil.edu``:
     the quote has to survive the CLP(R) fact text."""
-    text = (_ROOT / "examples" / "campus.nmsl").read_text(encoding="utf-8")
     quoted = '"gw.cs.o\'neil.edu"'
-    return text.replace('"gw.cs.campus.edu"', quoted).replace(
+    return _campus().replace('"gw.cs.campus.edu"', quoted).replace(
         "gw.cs.campus.edu", quoted
+    )
+
+
+def campus_systems_last() -> str:
+    """``examples/campus.nmsl`` with its five ``system`` declarations
+    moved after its domains: the same specification written in another
+    order, so every document it ships stays byte for byte."""
+    text = _campus()
+    start = text.index('system "gw.cs.campus.edu" ::=')
+    end = text.index("domain cs-domain ::=")
+    return text[:start] + text[end:] + "\n" + text[start:end]
+
+
+def campus_slower_cs_exports() -> str:
+    """``examples/campus.nmsl`` with ``cs-domain``'s export to
+    ``noc-domain`` (line 95) every 7 minutes instead of every 5: the
+    ``consistency`` documents of both ``cs-domain`` members change."""
+    head, marker, tail = _campus().partition("domain cs-domain ::=")
+    return head + marker + tail.replace(
+        "frequency >= 5 minutes;", "frequency >= 7 minutes;", 1
     )

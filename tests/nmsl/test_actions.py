@@ -142,9 +142,8 @@ class TestOutputRegistry:
         registry = OutputRegistry()
         action = lambda ctx, spec: "x"
         registry.register("t", "process", action)
-        assert registry.lookup("t", "process") is action
-        assert registry.lookup("t", "domain") is None
-        assert registry.lookup("other", "process") is None
+        assert registry.actions("t") == {"process": action}
+        assert registry.actions("other") == {}
 
     def test_prepend_shadows(self):
         registry = OutputRegistry()
@@ -152,7 +151,7 @@ class TestOutputRegistry:
         override = lambda ctx, spec: "override"
         registry.register("t", "process", base)
         registry.prepend("t", "process", override)
-        assert registry.lookup("t", "process") is override
+        assert registry.actions("t") == {"process": override}
 
     def test_prepend_does_not_touch_other_tags(self):
         registry = OutputRegistry()
@@ -161,7 +160,7 @@ class TestOutputRegistry:
         registry.register("a", "process", base_a)
         registry.register("b", "process", base_b)
         registry.prepend("a", "process", lambda ctx, spec: "a2")
-        assert registry.lookup("b", "process") is base_b
+        assert registry.actions("b") == {"process": base_b}
 
     def test_tags_in_first_seen_order(self):
         registry = OutputRegistry()

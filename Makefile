@@ -104,9 +104,9 @@ ledger-pairs:
 ledger-compare:
 	$(PYTHON) -m benchmarks.ledger compare $(A) $(B)
 
-## Where does the time go?  Per-phase/per-rule breakdown + Perfetto trace.
+## Where does the time go?  Per-phase/per-keyword breakdown + Perfetto trace.
 profile:
-	$(PYTHON) -m repro.cli profile examples/campus.nmsl --engine datalog \
+	$(PYTHON) -m repro.cli profile examples/campus.nmsl --engine clpr \
 		--output consistency --trace TRACE_profile.json
 
 clean:

@@ -16,7 +16,7 @@ Subpackages
     action-driven semantics (pass 2), extension mechanism, compiler.
 ``repro.consistency``
     The consistency model of Figure 4.9, the one checker, the oracle
-    table beside it (scan, faithful CLP(R), datalog), and the
+    table beside it (scan, faithful CLP(R)), and the
     speculative/reverse modes.
 ``repro.codegen``
     Configuration Generators (snmpd-style, ACL table, OSI) and shipping

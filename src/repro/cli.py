@@ -102,9 +102,8 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
         default="indexed",
         help="what answers the check: the production indexed checker "
         "(default), or an oracle from repro.consistency.oracles — the "
-        "unindexed reference scan, the faithful CLP(R) path, the "
-        "bottom-up datalog path.  --jobs, --capacity and --diff-against "
-        "are the checker's own",
+        "unindexed reference scan or the faithful CLP(R) path.  --jobs, "
+        "--capacity and --diff-against are the checker's own",
     )
 
 
@@ -535,8 +534,8 @@ def build_profile_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmslc profile",
         description="Profile a compile + consistency check (+ optional "
-        "codegen): per-phase time breakdown from the tracer, per-rule "
-        "and per-keyword detail from the metrics registry",
+        "codegen): per-phase time breakdown from the tracer, per-keyword "
+        "detail from the metrics registry",
     )
     parser.add_argument("specification", help="NMSL specification file")
     _add_engine_argument(parser)
@@ -562,7 +561,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         metavar="N",
-        help="rows in the per-rule and per-keyword tables (default: 10)",
+        help="rows in the per-keyword table (default: 10)",
     )
     _add_obs_arguments(parser)
     return parser
@@ -1064,8 +1063,8 @@ def _run_profile(args: argparse.Namespace) -> int:
     """The ``nmslc profile`` subcommand: where does the time go?
 
     Runs compile → check (→ generate) under one top-level span and
-    prints a per-phase breakdown (from the tracer), a per-rule table
-    (datalog oracle), and the keyword-dispatch counts (from metrics).
+    prints a per-phase breakdown (from the tracer) and the
+    keyword-dispatch counts (from metrics).
     """
     session = obs.current()
     outcome = facts = None
@@ -1133,20 +1132,6 @@ def _run_profile(args: argparse.Namespace) -> int:
             f"{100.0 * untraced / total:>6.1f}%"
         )
     print(f"{'total':<36} {total:>12.6f}")
-
-    rule_stats = (outcome.stats or {}).get("rule_stats") if outcome else None
-    if rule_stats:
-        print()
-        print(f"top rules by time ({args.engine}):")
-        print(f"  {'rule':<34} {'firings':>8} {'seconds':>12}")
-        ranked = sorted(
-            rule_stats.items(), key=lambda item: -item[1]["seconds"]
-        )
-        for rule, stats in ranked[: args.top]:
-            print(
-                f"  {rule:<34} {int(stats['firings']):>8} "
-                f"{stats['seconds']:>12.6f}"
-            )
 
     snapshot = session.metrics.snapshot()
     keywords = snapshot.get("repro_compile_declarations_total", {}).get(

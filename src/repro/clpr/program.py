@@ -19,7 +19,7 @@ Syntax accepted (a practical Prolog subset)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.clpr.terms import (
     Atom,
@@ -65,16 +65,78 @@ class Clause:
         return f"{self.head!r} :- {goals}."
 
 
+def _identity(term: Term) -> Term:
+    return term
+
+
+def _arg_keys(
+    term: Term, walk: Callable[[Term], Term]
+) -> Tuple[Optional[Hashable], Optional[Hashable]]:
+    """The two index keys of an argument, ``None`` where it has none.
+
+    The first is the atom, the number, or ``(functor, arity)``; the
+    second refines a structure by its first argument when that is an
+    atom or a number.  A head argument without a key matches anything
+    at that level; a goal argument without one selects nothing there.
+    """
+    if isinstance(term, Var):
+        return None, None
+    if not isinstance(term, Struct):
+        return term, term
+    outer = (term.functor, len(term.args))
+    first = walk(term.args[0]) if term.args else None
+    if isinstance(first, (Atom, Num)):
+        return outer, outer + (first,)
+    return outer, None
+
+
+def _column(clauses: List[Clause], keys: List[Optional[Hashable]]):
+    """``({key: clauses}, unkeyed)``: each bucket holds, in source order,
+    the clauses with that key and those with none."""
+    buckets: Dict[Hashable, List[Clause]] = {
+        key: [] for key in keys if key is not None
+    }
+    unkeyed: List[Clause] = []
+    for clause, key in zip(clauses, keys):
+        if key is not None:
+            buckets[key].append(clause)
+            continue
+        unkeyed.append(clause)
+        for bucket in buckets.values():
+            bucket.append(clause)
+    return buckets, unkeyed
+
+
+def _build_index(clauses: List[Clause], arity: int):
+    """Per argument position, a column for each of :func:`_arg_keys`."""
+    index = []
+    for position in range(arity):
+        keys = [
+            _arg_keys(clause.head.args[position], _identity)  # type: ignore
+            for clause in clauses
+        ]
+        outer = [key[0] for key in keys]
+        inner = [key[1] for key in keys]
+        first = _column(clauses, outer)
+        # Atom and number heads key both levels alike: share the column.
+        second = first if inner == outer else _column(clauses, inner)
+        index.append((first, second))
+    return index
+
+
 class Program:
-    """A database of clauses indexed by predicate indicator."""
+    """A database of clauses indexed by predicate indicator and, within
+    a predicate, by the keys of each head argument."""
 
     def __init__(self, clauses: Iterable[Clause] = ()):
         self._clauses: Dict[Tuple[str, int], List[Clause]] = {}
+        self._index: Dict[Tuple[str, int], list] = {}
         for clause in clauses:
             self.add(clause)
 
     def add(self, clause: Clause) -> None:
         self._clauses.setdefault(clause.indicator, []).append(clause)
+        self._index.pop(clause.indicator, None)
 
     def add_fact(self, fact: Term) -> None:
         self.add(Clause(fact))
@@ -85,6 +147,34 @@ class Program:
 
     def clauses_for(self, indicator: Tuple[str, int]) -> List[Clause]:
         return self._clauses.get(indicator, [])
+
+    def clauses_matching(
+        self, goal: Term, walk: Callable[[Term], Term] = _identity
+    ) -> List[Clause]:
+        """The clauses whose head may unify with *goal*, in source order.
+
+        The candidates are the bucket of the goal's most selective bound
+        argument: every clause that can match is in it, so trying only
+        these finds the same answers in the same order as trying every
+        clause of the predicate.  *walk* dereferences the goal's
+        arguments (the engine passes its bindings' ``walk``).
+        """
+        indicator = indicator_of(goal)
+        best = self._clauses.get(indicator, [])
+        if len(best) < 2 or not isinstance(goal, Struct):
+            return best
+        index = self._index.get(indicator)
+        if index is None:
+            index = self._index[indicator] = _build_index(best, indicator[1])
+        for position, arg in enumerate(goal.args):
+            for (buckets, unkeyed), key in zip(
+                index[position], _arg_keys(walk(arg), walk)
+            ):
+                if key is not None:
+                    candidates = buckets.get(key, unkeyed)
+                    if len(candidates) < len(best):
+                        best = candidates
+        return best
 
     def defines(self, indicator: Tuple[str, int]) -> bool:
         return indicator in self._clauses

@@ -187,8 +187,7 @@ class Engine:
             return
 
         # --- user predicates ---
-        clauses = self._program.clauses_for((name, arity))
-        for clause in clauses:
+        for clause in self._program.clauses_matching(goal, bindings.walk):
             renamed = clause.fresh()
             mark_b, mark_c = bindings.mark(), store.mark()
             self.stats["unifications"] += 1

@@ -30,12 +30,10 @@ There is one checker, and a table of oracles beside it:
   tree) -> ConsistencyResult}``, the independent executable models the
   differential suite holds the checker to: ``scan`` (the reduction rule
   of :mod:`repro.consistency.causes` for every reference; byte-identical
-  reports), ``clpr`` (:func:`~repro.consistency.oracles.check_with_clpr`,
+  reports) and ``clpr`` (:func:`~repro.consistency.oracles.check_with_clpr`,
   the faithful path: the compiler's CLP(R) consistency output plus the
   rule text of :mod:`repro.consistency.rules`, run through
-  :class:`repro.clpr.Engine`) and ``datalog``
-  (:func:`~repro.consistency.datalog_path.check_with_datalog`, the same
-  rules bottom-up with the closed-world negation as a set difference).
+  :class:`repro.clpr.Engine`).  Two oracles, one rule text.
 
 Speculative modes (paper Section 4.2) live in
 :mod:`repro.consistency.speculative`: checking a new organisation's
@@ -52,7 +50,6 @@ from repro.consistency.relations import (
 )
 from repro.consistency.facts import FactGenerator, InstanceId
 from repro.consistency.checker import ConsistencyChecker, ConsistencyResult
-from repro.consistency.datalog_path import check_with_datalog
 from repro.consistency.oracles import ORACLES, check_with_clpr
 from repro.consistency.evolution import (
     SpecificationDiff,
@@ -90,7 +87,6 @@ __all__ = [
     "VerdictFlip",
     "access_atom",
     "check_with_clpr",
-    "check_with_datalog",
     "impacted_elements",
     "solve_for_frequency",
 ]

@@ -18,10 +18,10 @@ calls — the rule is :data:`~repro.consistency.causes.DIMENSIONS` there —
 with the checker's memoised view test and its index passed in: a
 covered reference costs one index lookup, and the (rare) uncovered one
 is explained by the scan, which writes every report.  The independent
-executable models the checker is held to (``scan``, the
-faithful CLP(R) path, the rule-text-driven datalog path) live beside it
-in :mod:`repro.consistency.oracles`; the differential suite drives
-every one of them against this class.
+executable models the checker is held to (``scan`` and the
+faithful CLP(R) path) live beside it in
+:mod:`repro.consistency.oracles`; the differential suite drives both
+of them against this class.
 
 The checker's fact set and verdict memos are keyed on the declarations
 they were expanded from: reused exactly while the specification holds

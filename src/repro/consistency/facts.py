@@ -8,9 +8,8 @@ This is the compiler's "consistency output" (paper Section 3.2/6.2):
   fact with the declaration that made it.  It is rendered as CLP(R)
   program text (:meth:`FactSet.to_clpr_text`) — the literal "statements
   of a logic programming language" the faithful ``clpr`` oracle hands
-  its engine — as tuples for the ``datalog`` oracle
-  (:meth:`FactSet.to_tuples`), and per declaration by the
-  ``consistency`` output actions.
+  its engine — and per declaration by the ``consistency`` output
+  actions.
 
 Instantiation: every ``process`` clause of a system or domain creates an
 *instance* with a unique id (``instan(X, Y, Z)`` of Figure 4.9).
@@ -664,8 +663,8 @@ class FactSet:
             ).get("", [])
 
     # ------------------------------------------------------------------
-    # The base facts (the paper's consistency output) and their two
-    # renderings: CLP(R) text and the datalog engine's tuples.
+    # The base facts (the paper's consistency output) and their CLP(R)
+    # text rendering.
     # ------------------------------------------------------------------
     def base_facts(self) -> Iterator[Tuple[Optional[Tuple[str, str]], tuple]]:
         """Every base fact once, as ``(owner, fact)``, in text order.
@@ -763,15 +762,6 @@ class FactSet:
         lines = ["% NMSL consistency output (compiler-generated facts)"]
         lines.extend(clpr_fact(fact) for _owner, fact in self.base_facts())
         return "\n".join(lines) + "\n"
-
-    def to_tuples(self) -> List[tuple]:
-        """The base facts as tuples, for
-        :func:`repro.consistency.seminaive.seminaive_fixpoint`: no text
-        round-trip, no parser.  The ``speed`` facts are left out — no
-        consistency rule reads them."""
-        return [
-            fact for _owner, fact in self.base_facts() if fact[0] != "speed"
-        ]
 
     def _data_containment_pairs(self) -> List[Tuple[str, str]]:
         """``data_covers(Parent, Child)`` for every mentioned path pair."""

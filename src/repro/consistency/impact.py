@@ -157,23 +157,24 @@ class ImpactSet:
 # ----------------------------------------------------------------------
 # Grant coverage: the reduction rule with a grant as the demand.
 # ----------------------------------------------------------------------
-#: What a failing dimension says, from the grant that does not cover
-#: (*old*) to the grant it fails (*new*).
+#: What a failing dimension says, from the A-side grant (*old*) to the
+#: B-side one (*new*), when B is *wider* or, otherwise, tighter.
 _MOVES = {
-    "grantee": lambda old, new: (
+    "grantee": lambda old, new, wider: (
         f"grantee moved from {old.grantee_domain!r} "
         f"to {new.grantee_domain!r}"
     ),
-    "view": lambda old, new: (
-        f"granted view grew beyond {', '.join(old.variables)} "
-        f"(now {', '.join(new.variables)})"
+    "view": lambda old, new, wider: (
+        f"granted view {'grew beyond' if wider else 'shrank from'} "
+        f"{', '.join(old.variables)} (now {', '.join(new.variables)})"
     ),
-    "access": lambda old, new: (
-        f"access raised from {old.access.value} to {new.access.value}"
+    "access": lambda old, new, wider: (
+        f"access {'raised' if wider else 'lowered'} from "
+        f"{old.access.value} to {new.access.value}"
     ),
-    "frequency": lambda old, new: (
-        f"frequency loosened from {old.frequency.describe()} "
-        f"to {new.frequency.describe()}"
+    "frequency": lambda old, new, wider: (
+        f"frequency {'loosened' if wider else 'tightened'} from "
+        f"{old.frequency.describe()} to {new.frequency.describe()}"
     ),
 }
 
@@ -220,11 +221,14 @@ def grantor_permission_changes(
         wanted = demand(grant)
         return any(covers(other, view(other.variables), wanted) for other in by)
 
-    def movement(partner: Permission, grant: Permission):
-        """(moved dimensions, reasons): *grant* against *partner*."""
+    def movement(partner: Permission, grant: Permission, wider: bool):
+        """(moved dimensions, reasons): what *grant* confers that
+        *partner* does not, worded from the A-side grant to the B-side
+        one (*grant* is B-side when the movement is *wider*)."""
         dimensions = moved(partner, view(partner.variables), demand(grant))
+        old, new = (partner, grant) if wider else (grant, partner)
         return dimensions, tuple(
-            _MOVES[name](partner, grant) for name in dimensions
+            _MOVES[name](old, new, wider) for name in dimensions
         )
 
     changes: List[PermissionChange] = []
@@ -249,7 +253,7 @@ def grantor_permission_changes(
                 "no A-side grant from this grantor covers it",
             )
         else:
-            dimensions, reasons = movement(partner, grant)
+            dimensions, reasons = movement(partner, grant, wider=True)
         changes.append(
             PermissionChange(
                 "widened",
@@ -279,13 +283,7 @@ def grantor_permission_changes(
         else:
             # The tightening is the reverse movement: what did the old
             # grant confer that the closest new grant no longer does?
-            dimensions, reasons = movement(partner, grant)
-            reasons = tuple(
-                reason.replace("raised", "lowered")
-                .replace("loosened", "tightened")
-                .replace("grew beyond", "shrank from")
-                for reason in reasons
-            )
+            dimensions, reasons = movement(partner, grant, wider=False)
         changes.append(
             PermissionChange(
                 "tightened",

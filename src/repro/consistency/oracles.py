@@ -14,12 +14,11 @@ an entry by name.
   text of :mod:`repro.consistency.rules`, queried for ``inconsistent(R)``
   through :class:`repro.clpr.Engine`.  Wildcard (``*``) query targets are
   outside it (unknown until run time; the checker decides them
-  existentially).
-* ``datalog`` — the same rule text evaluated bottom-up
-  (:mod:`repro.consistency.datalog_path`).
+  existentially).  It words its report its own way, so it is held to
+  the verdict and to :func:`failing_clients`.
 
-The last two word their reports their own way, so they are held to the
-verdict and to :func:`failing_clients`.
+:mod:`repro.consistency.rules` is the only rule text; ``clpr`` is the
+only oracle that reads it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.consistency.causes import (
     check_reference,
     instantiation_outcomes,
 )
-from repro.consistency.datalog_path import check_with_datalog
 from repro.consistency.facts import FactGenerator
 from repro.consistency.report import (
     ConsistencyResult,
@@ -99,9 +97,13 @@ def check_with_scan(
 def check_with_clpr(
     specification: Specification,
     tree: MibTree,
-    limit: int = 1000,
 ) -> ConsistencyResult:
-    """The faithful CLP(R) path: facts text + rules text -> engine query."""
+    """The faithful CLP(R) path: facts text + rules text -> engine query.
+
+    The query runs to exhaustion: every ``inconsistent(R)`` answer is
+    read.  A proof deeper than the engine's depth bound raises
+    :class:`~repro.errors.ClprError`.
+    """
     o = obs.current()
     with o.span("consistency.check", engine="clpr") as span:
         with o.span("consistency.facts"):
@@ -112,7 +114,7 @@ def check_with_clpr(
         problems: List[Inconsistency] = []
         seen = set()
         with o.span("consistency.solve", clauses=len(program)):
-            for answer in engine.solve("inconsistent(R)", limit=limit):
+            for answer in engine.solve("inconsistent(R)"):
                 term = answer.value("R")
                 rendered = repr(term)
                 if rendered in seen:
@@ -170,7 +172,6 @@ def check_with_clpr(
 ORACLES: Dict[str, Callable[[Specification, MibTree], ConsistencyResult]] = {
     "scan": check_with_scan,
     "clpr": check_with_clpr,
-    "datalog": check_with_datalog,
 }
 
 

@@ -12,8 +12,11 @@ closed-world assumption.
 
 CONSISTENCY_RULES = r"""
 % ---- transitivity: containment is transitive -------------------------
+% Written child-first; it is the same relation as the parent-first
+% closure, but a call with only the child bound climbs its ancestors
+% instead of enumerating every containment edge.
 contains_tc(X, Y) :- contains(X, Y).
-contains_tc(X, Z) :- contains(X, Y), contains_tc(Y, Z).
+contains_tc(X, Z) :- contains(Y, Z), contains_tc(X, Y).
 
 % ---- distribution: instantiation places instances in domains ---------
 in_domain(I, D) :- contains_tc(domain(D), instance(I)).

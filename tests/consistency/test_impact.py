@@ -287,6 +287,39 @@ class TestGrantAlgebra:
         # one covered, so it reads as "added", not "widened".
         assert not [c for c in changes if c.kind == "widened"]
 
+    def tightening(self, old, new):
+        (change,) = [
+            c for c in self.changes([old], [new]) if c.kind == "tightened"
+        ]
+        assert (change.old, change.new) == (old, new)
+        return change.dimensions, change.reasons
+
+    def test_frequency_tightening_is_worded_old_to_new(self):
+        assert self.tightening(_grant(seconds=300.0), _grant(seconds=1200.0)) == (
+            ("frequency",),
+            (
+                "frequency tightened from frequency >= 300 seconds "
+                "to frequency >= 1200 seconds",
+            ),
+        )
+
+    def test_access_lowering_is_worded_old_to_new(self):
+        assert self.tightening(
+            _grant(access=Access.READ_WRITE), _grant(access=Access.READ_ONLY)
+        ) == (
+            ("access",),
+            ("access lowered from ReadWrite to ReadOnly",),
+        )
+
+    def test_view_shrinking_is_worded_old_to_new(self):
+        assert self.tightening(
+            _grant(variables=("mgmt.mib",)),
+            _grant(variables=("mgmt.mib.system",)),
+        ) == (
+            ("view",),
+            ("granted view shrank from mgmt.mib (now mgmt.mib.system)",),
+        )
+
     def test_public_grant_covers_any_grantee(self):
         changes = self.changes(
             [_grant(grantee="public")],

@@ -193,11 +193,15 @@ class TestProfileSubcommand:
         assert re.search(r"^    consistency\.facts\.patch\s", out, re.M)
         assert rows.count("consistency.facts.instances") == 1
 
-    def test_datalog_engine_reports_per_rule_times(self, campus_file, capsys):
-        assert main(["profile", str(campus_file), "--engine", "datalog"]) == 0
+    def test_clpr_engine_reports_phases_and_keywords(self, campus_file, capsys):
+        assert main(["profile", str(campus_file), "--engine", "clpr"]) == 0
         out = capsys.readouterr().out
-        assert "top rules by time (datalog):" in out
-        assert re.search(r"\w+/\d+#\d+\s+\d+\s+[\d.]+", out)
+        assert "profile:" in out and "(engine=clpr)" in out
+        rows = [line.split()[0] for line in out.splitlines() if "%" in line]
+        assert {"compile", "consistency.check"} <= set(rows)
+        assert re.search(r"^    consistency\.solve\s", out, re.M)
+        assert "keyword dispatch (pass 2):" in out
+        assert re.search(r"process\s+3", out)
 
     def test_compile_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.nmsl"

@@ -265,6 +265,7 @@ def relational_report(
 def check_revisions(
     tree, old, new, *, tags: Sequence[str], waiver: Optional[str] = None,
     config_scope: str = "impacted", deadline: Optional[Deadline] = None,
+    registry=None, clause_actions=None,
 ) -> Tuple[ImpactSet, AnalysisReport]:
     """The relational verdict on evolving revision *old* to *new*.
 
@@ -272,10 +273,14 @@ def check_revisions(
     resident checker, forked (a checked one is not checked again), or a
     specification, checked afresh.  Analyzes *new* against it under
     *deadline* (fingerprinting the configurations of *tags* over
-    *config_scope*), renders the NM4xx report and applies the *waiver*
+    *config_scope*, with *new*'s compiler's *registry* and extension
+    *clause_actions*), renders the NM4xx report and applies the *waiver*
     file when it exists.  Returns the impact set and the (waived) report.
     """
-    analyzer = ImpactAnalyzer(tree, tags=tags, config_scope=config_scope)
+    analyzer = ImpactAnalyzer(
+        tree, tags=tags, config_scope=config_scope, registry=registry,
+        clause_actions=clause_actions,
+    )
     baseline = analyzer.baseline(old)
     Deadline.poll(deadline, "relational.baseline")
     impact = analyzer.analyze(new, deadline=deadline)

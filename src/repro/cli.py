@@ -792,9 +792,14 @@ def _run(args: argparse.Namespace) -> int:
                     f"shipped {record.element} via {record.method} -> "
                     f"{record.destination} ({record.octets} octets)"
                 )
-        else:
-            bundle = compiler.generate(args.output, result, facts=facts)
-            sys.stdout.write(bundle.text())
+        else:  # each unit as it is rendered: the bytes of bundle.text()
+            empty = True
+            for unit in compiler.units(args.output, result, facts=facts):
+                if unit.text:
+                    sys.stdout.write(unit.text + "\n")
+                    empty = False
+            if empty:
+                sys.stdout.write("\n")
     return status
 
 

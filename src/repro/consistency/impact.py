@@ -371,6 +371,8 @@ class ImpactAnalyzer:
         *,
         tags: Sequence[str] = ("BartsSnmpd",),
         config_scope: str = "impacted",
+        registry=None,
+        clause_actions=None,
     ):
         from repro.nmsl.compiler import output_registry
 
@@ -381,7 +383,10 @@ class ImpactAnalyzer:
             )
         self._tree = tree
         self._tags = tuple(tags)
-        self._registry = output_registry()  # the compiler's output actions
+        # The output recipe of the compiler that built B (extensions'
+        # actions included); the basic language's when not given.
+        self._registry = registry or output_registry()
+        self._clause_actions = clause_actions or {}
         self._config_scope = config_scope
         self._checker: Optional[ConsistencyChecker] = None
 
@@ -412,7 +417,8 @@ class ImpactAnalyzer:
         for tag in self._tags:
             documents = element_documents(
                 specification, tag, self._registry, tree=self._tree,
-                facts=facts, elements=elements, clause_actions={},
+                facts=facts, elements=elements,
+                clause_actions=self._clause_actions,
             )
             prints[tag] = {
                 element: hashlib.sha256((text + "\n").encode()).hexdigest()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
@@ -57,11 +58,18 @@ class CompilerOptions:
 
 @dataclass
 class CompileResult:
-    """Everything produced by one compile run."""
+    """Everything produced by one compile run: of pass 1, only the
+    source order of the declarations, as ``(decltype, name)``."""
 
-    declarations: List[Declaration]
+    order: List[Tuple[str, str]]
     specification: Specification
     report: BuildReport
+
+    def __post_init__(self):
+        # Handed pass 1's declarations (parse() and build() run by hand),
+        # keep their order and nothing else.
+        if self.order and isinstance(self.order[0], Declaration):
+            self.order = [(d.decltype, d.name) for d in self.order]
 
     @property
     def ok(self) -> bool:
@@ -135,39 +143,44 @@ class NmslCompiler:
     # ------------------------------------------------------------------
     def parse(self, text: str) -> List[Declaration]:
         """Pass 1 only."""
-        o = obs.current()
-        with o.span("compile.pass1", file=self.options.filename) as span:
-            parser = GenericParser(text, self.options.filename)
-            declarations = parser.parse_declarations()
-            if o.enabled:
-                span.annotate(
-                    bytes=len(text.encode("utf-8")),
-                    clauses=sum(len(d.clauses) for d in declarations),
-                    tokens=parser.tokens_built,
-                )
-        return declarations
+        return GenericParser(text, self.options.filename).parse_declarations()
 
     def compile(self, text: str, strict: Optional[bool] = None) -> CompileResult:
-        """Pass 1 + pass 2: returns the typed specification."""
+        """Pass 1 + pass 2: returns the typed specification.  Pass 2
+        builds each declaration as pass 1 reads it, and only the order
+        of the declarations is kept."""
         o = obs.current()
         with o.span("compile", file=self.options.filename) as span:
-            declarations = self.parse(text)
+            parser = GenericParser(text, self.options.filename)
             builder = SpecificationBuilder(
                 self.tree,
                 self.module,
                 self.keyword_table,
                 extension_decltypes=self.extension_decltypes,
             )
+            order: List[Tuple[str, str]] = []
+            clauses = 0
+
+            def stream() -> Iterator[Declaration]:
+                nonlocal clauses
+                for declaration in parser.iter_declarations():
+                    # One string per decltype, not one per declaration.
+                    order.append((intern(declaration.decltype), declaration.name))
+                    clauses += len(declaration.clauses)
+                    yield declaration
+
             effective_strict = self.options.strict if strict is None else strict
-            with o.span("compile.pass2", declarations=len(declarations)):
-                specification = builder.build(
-                    declarations, strict=effective_strict
+            with o.span("compile.pass2"):
+                specification = builder.build(stream(), strict=effective_strict)
+            if o.enabled:
+                span.annotate(
+                    bytes=len(text.encode("utf-8")),
+                    clauses=clauses,
+                    tokens=parser.tokens_built,
+                    declarations=len(order),
+                    errors=len(builder.report.errors),
+                    warnings=len(builder.report.warnings),
                 )
-            span.annotate(
-                declarations=len(declarations),
-                errors=len(builder.report.errors),
-                warnings=len(builder.report.warnings),
-            )
         if o.enabled:
             o.counter("repro_compile_runs_total", "compile invocations").inc()
             if builder.report.errors:
@@ -179,7 +192,7 @@ class NmslCompiler:
                     "repro_compile_warnings_total", "semantic warnings reported"
                 ).inc(len(builder.report.warnings))
         return CompileResult(
-            declarations=declarations,
+            order=order,
             specification=specification,
             report=builder.report,
         )
@@ -203,45 +216,46 @@ class NmslCompiler:
     # Output generation.
     # ------------------------------------------------------------------
     def generate(self, tag: str, result: CompileResult, facts=None) -> OutputBundle:
-        """Run the output-specific actions for *tag* over every declaration.
+        """All output units of *tag* (see :meth:`units`), in one bundle."""
+        return OutputBundle(tag, list(self.units(tag, result, facts)))
+
+    def units(
+        self, tag: str, result: CompileResult, facts=None
+    ) -> Iterator[OutputUnit]:
+        """Run the output-specific actions for *tag* over every
+        declaration, yielding each unit as it is rendered.
 
         *facts* is the :class:`~repro.consistency.facts.FactSet` of
         ``result.specification`` when the caller already holds one (a
         checker's ``checked_facts``); the actions read it instead of
-        expanding their own.
+        expanding their own.  A declaration of an extension decltype is
+        handed over raw, from ``specification.extras``.
         """
         specification = result.specification
-        bundle = OutputBundle(tag=tag)
+        tables = {
+            "type": specification.types,
+            "process": specification.processes,
+            "system": specification.systems,
+            "domain": specification.domains,
+        }
+        extras = {key: iter(raw) for key, raw in specification.extras.items()}
         with generation(
             tag, specification, self.registry, self.clause_actions,
             tree=self.tree, facts=facts,
         ) as run:
-            for declaration in result.declarations:
-                spec = self._typed_spec_for(specification, declaration)
-                text = run.unit(declaration.decltype, declaration.name, spec)
+            for decltype, name in result.order:
+                spec = tables[decltype].get(name) if decltype in tables else (
+                    next(extras.get(decltype, iter(())), None)
+                )
+                text = run.unit(decltype, name, spec)
                 if text is not None:
-                    bundle.units.append(
-                        OutputUnit(declaration.name, declaration.decltype, text)
-                    )
+                    yield OutputUnit(name, decltype, text)
             epilogue = run.actions.get(EPILOGUE)
             if epilogue is not None:
                 chunk = epilogue(run.context, specification)
                 if chunk:
                     run.units += 1
-                    bundle.units.append(OutputUnit("", EPILOGUE, chunk))
-        return bundle
-
-    @staticmethod
-    def _typed_spec_for(specification: Specification, declaration: Declaration):
-        table = {
-            "type": specification.types,
-            "process": specification.processes,
-            "system": specification.systems,
-            "domain": specification.domains,
-        }.get(declaration.decltype)
-        if table is None:
-            return declaration  # extension decltype: hand over raw declaration
-        return table.get(declaration.name)
+                    yield OutputUnit("", EPILOGUE, chunk)
 
 
 def output_registry(register_codegen: bool = True) -> OutputRegistry:

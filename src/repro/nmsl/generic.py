@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.errors import NmslSyntaxError, SourceLocation
 from repro.nmsl.lexer import EOF, PERIOD, PUNCT, STRING, WORD, NmslToken, SourceMap
@@ -127,15 +127,17 @@ class GenericParser:
     # ------------------------------------------------------------------
     # Productions.
     # ------------------------------------------------------------------
-    def parse_declarations(self) -> List[Declaration]:
-        declarations = []
+    def iter_declarations(self) -> Iterator[Declaration]:
+        """The declarations, one at a time, as pass 1 reads them."""
         try:
             while not self.at_end():
-                declarations.append(self.parse_declaration())
+                yield self.parse_declaration()
         except NmslSyntaxError:
             tokenize(self._source.text, self._source.filename)
             raise
-        return declarations
+
+    def parse_declarations(self) -> List[Declaration]:
+        return list(self.iter_declarations())
 
     def parse_declaration(self) -> Declaration:
         decltype_token = self._expect(WORD)

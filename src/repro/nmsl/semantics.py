@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.asn1.parser import parse_type as parse_asn1_type
@@ -125,11 +125,13 @@ class SpecificationBuilder:
     # Top level.
     # ------------------------------------------------------------------
     def build(
-        self, declarations: Sequence[Declaration], strict: bool = True
+        self, declarations: Iterable[Declaration], strict: bool = True
     ) -> Specification:
+        """Build *declarations* (a list, or pass 1's stream), then link."""
         for declaration in declarations:
             self._build_declaration(declaration)
-        self.link()
+        with obs.current().span("compile.link"):
+            self.link()
         if strict and self.report.errors:
             raise NmslSemanticError(
                 "specification has semantic errors:\n" + self.report.summary(),

@@ -5,7 +5,7 @@ One import surface for every instrumented layer::
     from repro import obs
 
     o = obs.current()
-    with o.span("compile.pass1", path=str(path)):
+    with o.span("compile.pass2", path=str(path)):
         ...
     if o.enabled:
         o.counter("repro_compile_runs_total").inc()

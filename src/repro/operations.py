@@ -358,7 +358,8 @@ def diff(old, new, args, config_scope="impacted", deadline=None):
             old.compiler.tree, old.checker,
             new.result.specification, tags=args["output"],
             waiver=args["waiver"], config_scope=config_scope,
-            deadline=deadline,
+            deadline=deadline, registry=new.compiler.registry,
+            clause_actions=new.compiler.clause_actions,
         )
 
 

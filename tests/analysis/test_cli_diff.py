@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from tests.corpus import BILLING_EXTENSION, billed_campus
 
 SPEC = """
 process agent ::=
@@ -104,6 +105,37 @@ class TestExitCodes:
     def test_missing_file_exits_two(self, revisions):
         old, _ = revisions
         assert main(["diff", str(old), str(old.parent / "nope.nmsl")]) == 2
+
+
+class TestExtensionClauses:
+    def test_a_changed_rate_redrives_the_system_billed(self, tmp_path, capsys):
+        """The diff fingerprints with the compiler's own output actions,
+        extension clauses included: ``billing 12`` -> ``billing 13``
+        rewrites ``noc.campus.edu``'s ``consistency`` document."""
+        extension = tmp_path / "billing.nmslx"
+        extension.write_text(BILLING_EXTENSION)
+        old, new = tmp_path / "old.nmsl", tmp_path / "new.nmsl"
+        old.write_text(billed_campus(12))
+        new.write_text(billed_campus(13))
+        assert main([
+            "diff", str(old), str(new), "--extensions", str(extension),
+            "--output", "consistency", "--full-config-scan",
+        ]) == 0
+        out, err = capsys.readouterr()
+        assert "1 redrive(s)" in err
+        assert (
+            "element noc.campus.edu: consistency configuration rewritten"
+            in out
+        )
+        # EvolutionDelta does not compare extension clauses yet, so the
+        # spec delta is empty and the default (impacted) scope sees no
+        # rewrite; only the full scan finds it.
+        assert "0 spec delta entries" in err
+        assert main([
+            "diff", str(old), str(new), "--extensions", str(extension),
+            "--output", "consistency",
+        ]) == 0
+        assert "0 redrive(s)" in capsys.readouterr().err
 
 
 class TestWaiverFlow:

@@ -25,6 +25,9 @@ domain ``cs`` beside ``cs-domain`` and eleven agents on one element
 (``#1`` beside ``#10``), so no grantor is a prefix match.  Two feed
 ``diff``: ``edge-order`` declares the campus systems after its domains,
 ``edge-frequency`` slows ``cs-domain``'s export to ``noc-domain``.
+``billed-12``/``billed-13`` are the campus example with a billed process
+on ``noc.campus.edu`` (``billing.nmslx``), at two rates: the ``diff``
+between them reaches the extension's clause-level output actions.
 
 Standard library only: the sweep runs without ``pytest`` installed.
 """
@@ -98,6 +101,7 @@ def edge_specs():
 def _write_specs(specs: Path):
     """The example and corpus specs under *specs*; returns the corpus names."""
     from repro.workloads.generator import SyntheticInternet
+    from tests.corpus import BILLING_EXTENSION, billed_campus
     from tests.corpus import corpus as draw_corpus
 
     specs.mkdir(parents=True, exist_ok=True)
@@ -111,6 +115,11 @@ def _write_specs(specs: Path):
     for name, text in edge_specs().items():
         with open(specs / name, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    (specs / "billing.nmslx").write_text(BILLING_EXTENSION, encoding="utf-8")
+    for rate in (12, 13):
+        (specs / f"billed-{rate}.nmsl").write_text(
+            billed_campus(rate), encoding="utf-8"
+        )
     corpus = []
     for number, parameters in enumerate(draw_corpus()):
         name = f"spec{number:02d}.nmsl"
@@ -187,6 +196,10 @@ def commands(corpus):
     yield ["diff", campus, "edge-order.nmsl", "--full-config-scan",
            "--output", "acl-table,consistency"]
     yield ["diff", campus, "edge-frequency.nmsl", "--output", "consistency"]
+    # ... and a changed billing rate, through the extension's clause
+    # action, the ``consistency`` document of the one system billed.
+    yield ["diff", "billed-12.nmsl", "billed-13.nmsl", "--extensions",
+           "billing.nmslx", "--output", "consistency", "--full-config-scan"]
     previous = campus
     for number, spec in enumerate(corpus):
         yield [spec, "--check"]

@@ -107,8 +107,8 @@ def test_every_fingerprint_is_the_digest_of_the_shipped_document(text):
 def test_declaration_order_moves_no_shipped_byte():
     result = _COMPILER.compile(_campus())
     permuted = _COMPILER.compile(campus_systems_last())
-    assert [d.decltype for d in permuted.declarations] != [
-        d.decltype for d in result.declarations
+    assert [decltype for decltype, _ in permuted.order] != [
+        decltype for decltype, _ in result.order
     ]
     for tag in TAGS:
         assert _shipped(_COMPILER, permuted, tag) == _shipped(

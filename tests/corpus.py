@@ -83,3 +83,37 @@ def campus_slower_cs_exports() -> str:
     return head + marker + tail.replace(
         "frequency >= 5 minutes;", "frequency >= 7 minutes;", 1
     )
+
+
+#: Charge-back accounting for management traffic: an extension with a
+#: clause-level action for ``consistency`` and one for a tag of its own.
+BILLING_EXTENSION = """
+-- charge-back accounting for management traffic
+extension billing;
+keyword billing in process, domain;
+output consistency for process.billing emit "billing_rate({name}, {arg0}).";
+output acct-report for process.billing emit "charge {name} {arg0} cents per query";
+"""
+
+SPEC_WITH_BILLING = """
+process meteredAgent ::=
+    supports mgmt.mib;
+    exports mgmt.mib to "public"
+        access ReadOnly
+        frequency >= 5 minutes;
+    billing 12;
+end process meteredAgent.
+"""
+
+
+def billed_campus(rate: int = 12) -> str:
+    """``examples/campus.nmsl`` after :data:`SPEC_WITH_BILLING` billed
+    at *rate*, with ``noc.campus.edu`` running ``meteredAgent``: the
+    rate is in that system's ``consistency`` document only."""
+    agent = '    process snmpAgent;\nend system "noc.campus.edu".'
+    return SPEC_WITH_BILLING.replace("billing 12;", f"billing {rate};") + (
+        _campus().replace(
+            agent, "    process snmpAgent;\n    process meteredAgent;\n"
+            'end system "noc.campus.edu".'
+        )
+    )

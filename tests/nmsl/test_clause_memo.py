@@ -92,7 +92,7 @@ class TestLocations:
         compiler, result = compile_text(REPEATED, filename="f")
         clauses = {
             clause.location
-            for declaration in result.declarations
+            for declaration in compiler.parse(REPEATED)
             for clause in declaration.clauses
         }
         objects = list(clause_objects(result.specification))

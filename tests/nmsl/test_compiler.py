@@ -21,8 +21,12 @@ class TestCompile:
         assert result.specification.counts()["systems"] == 2
 
     def test_declarations_preserved(self, compiled):
-        _compiler, result = compiled
-        assert len(result.declarations) == 7
+        compiler, result = compiled
+        assert len(result.order) == 7
+        assert result.order == [
+            (declaration.decltype, declaration.name)
+            for declaration in compiler.parse(PAPER_SPEC_TEXT)
+        ]
 
 
 class TestConsistencyOutput:

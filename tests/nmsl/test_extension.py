@@ -6,24 +6,7 @@ from repro.errors import ExtensionError, NmslSemanticError
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.nmsl.extension import Extension, ExtensionAction, parse_extension
 from repro.nmsl.actions import KeywordEntry
-
-BILLING_EXTENSION = """
--- charge-back accounting for management traffic
-extension billing;
-keyword billing in process, domain;
-output consistency for process.billing emit "billing_rate({name}, {arg0}).";
-output acct-report for process.billing emit "charge {name} {arg0} cents per query";
-"""
-
-SPEC_WITH_BILLING = """
-process meteredAgent ::=
-    supports mgmt.mib;
-    exports mgmt.mib to "public"
-        access ReadOnly
-        frequency >= 5 minutes;
-    billing 12;
-end process meteredAgent.
-"""
+from tests.corpus import BILLING_EXTENSION, SPEC_WITH_BILLING
 
 
 class TestParseExtension:

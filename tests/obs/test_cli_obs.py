@@ -54,20 +54,23 @@ class TestTraceAndMetricsFlags:
         names = {event["name"] for event in events}
         assert {
             "compile",
-            "compile.pass1",
             "compile.pass2",
+            "compile.link",
             "consistency.check",
         } <= names
         assert "compile.lex" not in names  # pass 1 lexes as it goes
-        (pass1,) = (e for e in events if e["name"] == "compile.pass1")
-        assert pass1["args"]["bytes"] == len(campus_file.read_bytes())
-        assert pass1["args"]["clauses"] == sum(
-            len(declaration.clauses)
-            for declaration in parse_generic(campus_file.read_text())
+        # ... and streams into pass 2: no span of its own.
+        assert "compile.pass1" not in names
+        (compile_span,) = (e for e in events if e["name"] == "compile")
+        declarations = parse_generic(campus_file.read_text())
+        assert compile_span["args"]["bytes"] == len(campus_file.read_bytes())
+        assert compile_span["args"]["declarations"] == len(declarations)
+        assert compile_span["args"]["clauses"] == sum(
+            len(declaration.clauses) for declaration in declarations
         )
         # Plain clauses are taken whole: fewer tokens than the lexer makes.
         lexed = len(tokenize(campus_file.read_text()))
-        assert 100 < pass1["args"]["tokens"] < lexed
+        assert 100 < compile_span["args"]["tokens"] < lexed
         for event in events:
             assert {"name", "ph", "pid", "tid", "ts"} <= set(event)
         assert "wrote chrome trace" in capsys.readouterr().err
@@ -160,9 +163,10 @@ class TestProfileSubcommand:
         # Top-level phases, with their sub-phases indented under them.
         rows = [line.split()[0] for line in out.splitlines() if "%" in line]
         assert {"compile", "compile.pass2", "consistency.check"} <= set(rows)
-        assert rows.index("compile") < rows.index("compile.pass1")
-        assert re.search(r"^    compile\.pass1\s", out, re.M)
-        assert "compile.lex" not in rows
+        assert rows.index("compile") < rows.index("compile.pass2")
+        assert re.search(r"^    compile\.pass2\s", out, re.M)
+        assert re.search(r"^      compile\.link\s", out, re.M)
+        assert "compile.lex" not in rows and "compile.pass1" not in rows
         assert "keyword dispatch (pass 2):" in out
         assert re.search(r"process\s+3", out)
 

@@ -5,11 +5,11 @@ This is the compiler's "consistency output" (paper Section 3.2/6.2):
 * Python objects (:class:`FactSet`) — instances, containment, references
   and permissions — consumed by the checker;
 * the base facts (:meth:`FactSet.base_facts`), one walk that yields each
-  fact with the declaration that made it.  It is rendered as CLP(R)
-  program text (:meth:`FactSet.to_clpr_text`) — the literal "statements
-  of a logic programming language" the faithful ``clpr`` oracle hands
-  its engine — and per declaration by the ``consistency`` output
-  actions.
+  fact with the declaration that made it.  The ``consistency`` output
+  actions write each fact as a CLP(R) clause (:func:`clpr_fact`) — the
+  literal "statements of a logic programming language" — under its
+  declaration; the faithful ``clpr`` oracle builds the same facts as
+  terms (:func:`clpr_term`) and hands them to its engine unparsed.
 
 Instantiation: every ``process`` clause of a system or domain creates an
 *instance* with a unique id (``instan(X, Y, Z)`` of Figure 4.9).
@@ -28,6 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.clpr.pretty import atom_text
+from repro.clpr.terms import Atom, Num, Struct, Term
 from repro.mib.tree import MibTree
 from repro.mib.view import MibView
 from repro.nmsl.specs import WILDCARD, ProcessSpec, Specification
@@ -663,8 +664,7 @@ class FactSet:
             ).get("", [])
 
     # ------------------------------------------------------------------
-    # The base facts (the paper's consistency output) and their CLP(R)
-    # text rendering.
+    # The base facts (the paper's consistency output).
     # ------------------------------------------------------------------
     def base_facts(self) -> Iterator[Tuple[Optional[Tuple[str, str]], tuple]]:
         """Every base fact once, as ``(owner, fact)``, in text order.
@@ -757,12 +757,6 @@ class FactSet:
         for broad, narrow in _ACCESS_COVER_PAIRS:
             yield None, ("access_covers", broad, narrow)
 
-    def to_clpr_text(self) -> str:
-        """The base facts as CLP(R) program text, one fact a line."""
-        lines = ["% NMSL consistency output (compiler-generated facts)"]
-        lines.extend(clpr_fact(fact) for _owner, fact in self.base_facts())
-        return "\n".join(lines) + "\n"
-
     def _data_containment_pairs(self) -> List[Tuple[str, str]]:
         """``data_covers(Parent, Child)`` for every mentioned path pair."""
         mentioned: Set[str] = set()
@@ -832,7 +826,26 @@ def _term(value) -> str:
         return atom_text(value)
     if value == int(value):
         return str(int(value))
-    return str(value)
+    text = repr(value)
+    if "e" in text:  # the reader takes no exponent: write it positionally
+        from decimal import Decimal
+        text = format(Decimal(text), "f")
+    return text
+
+
+def clpr_term(value, leaves: Dict[object, Term]) -> Term:
+    """A base fact as the term its :func:`clpr_fact` clause reads back to:
+    a tuple as a compound term, a string as an atom, a number as a
+    :class:`~repro.clpr.terms.Num`.  *leaves* holds each atom and number
+    made so far, so the calls of one build share them."""
+    if isinstance(value, tuple):
+        functor, *args = value
+        return Struct(functor, tuple(clpr_term(arg, leaves) for arg in args))
+    leaf = leaves.get(value)
+    if leaf is None:
+        leaf = Atom(value) if isinstance(value, str) else Num.of(value)
+        leaves[value] = leaf
+    return leaf
 
 
 class FactGenerator:

@@ -10,12 +10,13 @@ an entry by name.
   *every* reference over a fresh :class:`FactGenerator`: no index, no
   memo, no interned views.  Held to the checker's report byte for byte.
 * ``clpr`` — the faithful path of paper Figure 3.1: the compiler's
-  CLP(R) consistency output (:meth:`FactSet.to_clpr_text`) plus the rule
-  text of :mod:`repro.consistency.rules`, queried for ``inconsistent(R)``
-  through :class:`repro.clpr.Engine`.  Wildcard (``*``) query targets are
-  outside it (unknown until run time; the checker decides them
-  existentially).  It words its report its own way, so it is held to
-  the verdict and to :func:`failing_clients`.
+  consistency facts, built as terms, plus the rule text of
+  :mod:`repro.consistency.rules`
+  (:func:`~repro.consistency.rules.consistency_program`), queried for
+  ``inconsistent(R)`` through :class:`repro.clpr.Engine`.  Wildcard
+  (``*``) query targets are outside it (unknown until run time; the
+  checker decides them existentially).  It words its report its own
+  way, so it is held to the verdict and to :func:`failing_clients`.
 
 :mod:`repro.consistency.rules` is the only rule text; ``clpr`` is the
 only oracle that reads it.
@@ -26,9 +27,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from repro import obs
-from repro.clpr.program import parse_program
 from repro.clpr.solver import Engine
 from repro.clpr.terms import Struct
+from repro.collector import bulk_load
 from repro.consistency.causes import (
     ClippedView,
     candidate_servers,
@@ -42,7 +43,7 @@ from repro.consistency.report import (
     InconsistencyKind,
     Warnings,
 )
-from repro.consistency.rules import CONSISTENCY_RULES
+from repro.consistency.rules import consistency_program
 from repro.mib.tree import MibTree
 from repro.nmsl.specs import Specification
 
@@ -98,7 +99,7 @@ def check_with_clpr(
     specification: Specification,
     tree: MibTree,
 ) -> ConsistencyResult:
-    """The faithful CLP(R) path: facts text + rules text -> engine query.
+    """The faithful CLP(R) path: facts + rules text -> engine query.
 
     The query runs to exhaustion: every ``inconsistent(R)`` answer is
     read.  A proof deeper than the engine's depth bound raises
@@ -106,10 +107,10 @@ def check_with_clpr(
     """
     o = obs.current()
     with o.span("consistency.check", engine="clpr") as span:
-        with o.span("consistency.facts"):
-            facts = FactGenerator(specification, tree).generate()
-            program_text = facts.to_clpr_text() + CONSISTENCY_RULES
-            program = parse_program(program_text)
+        with o.span("consistency.facts"), bulk_load():
+            program = consistency_program(
+                FactGenerator(specification, tree).generate()
+            )
         engine = Engine(program, max_depth=100_000)
         problems: List[Inconsistency] = []
         seen = set()

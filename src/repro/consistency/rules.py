@@ -8,7 +8,13 @@ and instantiation over reference and permission, and the reduction rules
 relating references to permissions.  The final goal proves
 *inconsistency*: a reference with no covering permission, valid under the
 closed-world assumption.
+
+:func:`consistency_program` is the one place the paper's program is
+assembled: the compiler's base facts as terms, then these rules.
 """
+
+from repro.clpr.program import Clause, Program, parse_clauses
+from repro.consistency.facts import FactSet, clpr_term
 
 CONSISTENCY_RULES = r"""
 % ---- transitivity: containment is transitive -------------------------
@@ -85,3 +91,10 @@ ok(I, J, V, A, T) :-
 inconsistent(ref(I, J, V, A, T)) :-
     ref_inst(I, J, V, A, T), \+ ok(I, J, V, A, T).
 """
+
+
+def consistency_program(facts: FactSet) -> Program:
+    """*facts*' base facts as terms (:func:`clpr_term`), then the rules."""
+    leaves: dict = {}
+    clauses = [Clause(clpr_term(f, leaves)) for _, f in facts.base_facts()]
+    return Program(clauses + parse_clauses(CONSISTENCY_RULES))

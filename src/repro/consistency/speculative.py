@@ -13,24 +13,23 @@ Two modes:
 * **reverse** — "make the consistency of the combined specification a
   premise of the proof, and ask CLP(R) to solve for the parameters to the
   references and permissions of the new specification that satisfy this
-  premise."  :func:`solve_for_frequency` runs the ``ok/5`` goal with a
-  *free* frequency variable through the CLP(R) engine and returns the
-  residual bounds (e.g. ``T >= 300``).
+  premise."  :func:`solve_for_frequency` asks the CLP(R) engine the
+  ``ok/5`` goal with the period left free and returns the residual
+  bounds on it (e.g. ``T >= 300``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.clpr.program import parse_program, parse_term
-from repro.clpr.solver import Answer, Engine
-from repro.clpr.terms import Struct, Var
+from repro.clpr.solver import Engine
+from repro.clpr.terms import Atom, Struct, Var
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.facts import IncrementalFactGenerator
 from repro.consistency.report import ConsistencyResult, Inconsistency
-from repro.consistency.rules import CONSISTENCY_RULES
+from repro.consistency.rules import consistency_program
 from repro.errors import ConsistencyError
 from repro.mib.tree import MibTree
 from repro.nmsl.specs import Specification
@@ -122,15 +121,14 @@ def solve_for_frequency(
 ) -> List[FrequencyBound]:
     """Reverse mode: solve for the query periods that keep the spec consistent.
 
-    Builds the CLP(R) program (facts + rules) but replaces the client
-    process's query frequency with a free variable ``T``, then asks for
-    ``ok(I, J, V, A, T)`` where ``I`` is an instance of *client_process*
-    and ``J`` an instance of *server_process*.  The union of residual
-    bounds across answers describes the satisfying periods.
+    The program is the specification's own, unchanged; the goal is
+    ``ok(I, J, V, readonly, T)`` with the period ``T`` free, ``I`` and
+    ``J`` the first instances of *client_process* and *server_process*,
+    ``V`` the first variable the client queries.  The union of residual
+    bounds on ``T`` across answers is the periods that query may use.
     """
     facts = IncrementalFactGenerator(tree).generate(specification)
-    text = facts.to_clpr_text() + CONSISTENCY_RULES
-    program = parse_program(text)
+    program = consistency_program(facts)
 
     # Find an instance pair to ask about.
     client_instances = [
@@ -157,12 +155,11 @@ def solve_for_frequency(
     variable_path = process.queries[0].requests[0]
 
     engine = Engine(program, max_depth=100_000)
-    query = (
-        f"ok('{client.id}', '{server.id}', '{variable_path}', readonly, T)"
-    )
+    names = (client.id, server.id, variable_path, "readonly")
+    goal = Struct("ok", (*map(Atom, names), Var.fresh("T")))
     bounds: List[FrequencyBound] = []
     seen = set()
-    for answer in engine.solve(query, limit=limit):
+    for answer in engine.solve([goal], limit=limit):
         for bound in answer.residual:
             key = (bound.op, bound.value)
             if key in seen:

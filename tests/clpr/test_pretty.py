@@ -1,80 +1,49 @@
-"""Tests for Prolog-text rendering, including parse round-trips."""
+"""Atom rendering: bare when plain, quoted and escaped otherwise, and
+read back by the CLP(R) reader as the atom it stands for.
 
-import pytest
+That whole written facts read back to their terms is held by
+``tests/consistency/test_fact_renderings.py``, over drawn facts.
+"""
+
 from hypothesis import given, strategies as st
 
-from repro.clpr.pretty import clause_to_prolog, program_to_prolog, to_prolog
-from repro.clpr.program import parse_clauses, parse_term
-from repro.clpr.terms import Atom, Num, Struct, atom, num, struct, var
+from repro.clpr.pretty import atom_text
+from repro.clpr.program import Clause, parse_clauses, parse_term
+from repro.clpr.terms import Atom
+from repro.consistency.facts import clpr_fact, clpr_term
 
 
 class TestRendering:
     def test_plain_atom(self):
-        assert to_prolog(atom("public")) == "public"
+        assert atom_text("public") == "public"
 
     def test_quoted_atom(self):
-        assert to_prolog(atom("romano.cs.wisc.edu")) == "'romano.cs.wisc.edu'"
+        assert atom_text("romano.cs.wisc.edu") == "'romano.cs.wisc.edu'"
 
     def test_uppercase_atom_quoted(self):
-        assert to_prolog(atom("ReadOnly")) == "'ReadOnly'"
+        assert atom_text("ReadOnly") == "'ReadOnly'"
 
     def test_atom_with_quote_escaped(self):
-        assert to_prolog(atom("it's")) == r"'it\'s'"
-
-    def test_integer(self):
-        assert to_prolog(num(300)) == "300"
-
-    def test_fraction_as_float(self):
-        assert to_prolog(num(0.5)) == "0.5"
-
-    def test_structure(self):
-        term = struct("contains", "wisc-cs", struct("system", "romano"))
-        assert to_prolog(term) == "contains('wisc-cs', system(romano))"
-
-    def test_variable(self):
-        rendered = to_prolog(var("Xyz"))
-        assert rendered[0].isupper()
-
-    def test_fact_clause(self):
-        (clause,) = parse_clauses("p(a).")
-        assert clause_to_prolog(clause) == "p(a)."
-
-    def test_rule_clause(self):
-        (clause,) = parse_clauses("p(X) :- q(X), r(X).")
-        rendered = clause_to_prolog(clause)
-        assert rendered.startswith("p(")
-        assert ":-" in rendered
-
-    def test_program(self):
-        clauses = parse_clauses("p(a). q(b).")
-        assert program_to_prolog(clauses) == "p(a).\nq(b).\n"
+        assert atom_text("it's") == r"'it\'s'"
 
 
-ground_terms = st.recursive(
-    st.one_of(
-        st.from_regex(r"[a-z][a-zA-Z0-9_]{0,8}", fullmatch=True).map(Atom),
-        st.text(
-            alphabet=st.characters(min_codepoint=32, max_codepoint=126,
-                                   exclude_characters="\\"),
-            min_size=1,
-            max_size=12,
-        ).map(Atom),
-        st.integers(-10**6, 10**6).map(Num.of),
+names = st.one_of(
+    st.from_regex(r"[a-z][a-zA-Z0-9_]{0,8}", fullmatch=True),
+    st.text(
+        alphabet=st.characters(min_codepoint=32, max_codepoint=126),
+        min_size=1,
+        max_size=12,
     ),
-    lambda children: st.builds(
-        lambda args: Struct("f", tuple(args)),
-        st.lists(children, min_size=1, max_size=3),
-    ),
-    max_leaves=8,
 )
 
 
 class TestRoundTrip:
-    @given(ground_terms)
-    def test_ground_terms_round_trip(self, term):
-        assert parse_term(to_prolog(term)) == term
+    @given(names)
+    def test_ground_terms_round_trip(self, name):
+        assert parse_term(atom_text(name)) == Atom(name)
 
     def test_consistency_fact_round_trip(self):
         text = "perm_eq('wisc-cs', public, 'mgmt.mib', readonly, 300)"
-        term = parse_term(text)
-        assert parse_term(to_prolog(term)) == term
+        fact = ("perm_eq", "wisc-cs", "public", "mgmt.mib", "readonly", 300)
+        assert parse_clauses(clpr_fact(fact)) == [Clause(clpr_term(fact, {}))]
+        assert parse_clauses(clpr_fact(fact)) == [Clause(parse_term(text))]

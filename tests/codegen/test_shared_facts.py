@@ -76,7 +76,7 @@ def test_examples_shared_equals_fresh_equals_golden(path):
 def test_paper_scale_text_shared_equals_fresh_equals_parent():
     """The seed-1989 1,000-domain text.  The ``consistency`` actions are
     quadratic in the text they filter (half an hour at this size); all
-    they read is ``to_clpr_text()``, so that is what is compared."""
+    they read is the base-fact walk, so that is what is compared."""
     internet = PaperScaleInternet(
         PaperScaleParameters(
             n_domains=1_000,
@@ -92,7 +92,7 @@ def test_paper_scale_text_shared_equals_fresh_equals_parent():
     _assert_three_ways_equal(compiler, result, tags=CONFIG_TAGS)
     shared = _checked(compiler, result).checked_facts
     parents = FactGenerator(result.specification, compiler.tree).generate()
-    assert shared.to_clpr_text() == parents.to_clpr_text()
+    assert list(shared.base_facts()) == list(parents.base_facts())
 
 
 def test_facts_of_another_specification_are_refused():

@@ -119,13 +119,12 @@ class TestEngineAgreement:
         assert len(verdict_text.inconsistencies) == len(verdict_model.inconsistencies)
 
 
-@pytest.mark.slow
-def test_faulted_300_domain_row_agrees(compiler):
-    """The paper's rule text at 300 faulted paper-scale domains: the
-    clients ``clpr`` proves inconsistent are the checker's nine."""
+def _assert_faulted_row_agrees(compiler, n_domains, clients):
+    """The paper's rule text at *n_domains* faulted paper-scale domains:
+    the clients ``clpr`` proves inconsistent are the checker's."""
     specification = PaperScaleInternet(
         PaperScaleParameters(
-            n_domains=300,
+            n_domains=n_domains,
             seed=7,
             silent_domains=(3, 100),
             fast_pollers=(5,),
@@ -134,5 +133,20 @@ def test_faulted_300_domain_row_agrees(compiler):
     ).specification()
     checked = ConsistencyChecker(specification, compiler.tree).check()
     outcome = check_with_clpr(specification, compiler.tree)
-    assert len(failing_clients(checked)) == 9
+    assert len(failing_clients(checked)) == clients
     assert failing_clients(outcome) == failing_clients(checked)
+
+
+def test_faulted_300_domain_row_agrees(compiler):
+    _assert_faulted_row_agrees(compiler, 300, clients=9)
+
+
+@pytest.mark.slow
+def test_faulted_1k_domain_row_agrees(compiler):
+    _assert_faulted_row_agrees(compiler, 1_000, clients=22)
+
+
+@pytest.mark.slow
+def test_faulted_10k_domain_row_agrees(compiler):
+    """The paper row itself: 10,000 domains, 300 failing clients."""
+    _assert_faulted_row_agrees(compiler, 10_000, clients=300)

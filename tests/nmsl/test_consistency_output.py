@@ -2,16 +2,17 @@
 
 Each basic consistency action emits the CLP(R) fact lines its
 declaration produced; the ``*`` epilogue emits the whole-specification
-ones.  The units are held to three properties against the fact text:
+ones.  The units are held to three properties against the base facts,
+each written with :func:`clpr_fact`:
 
-* together they are exactly the text's fact lines, each as often as the
-  text has it — nothing dropped, nothing twice;
+* together they are exactly those lines, each as often as the walk
+  yields it — nothing dropped, nothing twice;
 * each line sits under the declaration that produced it, read here from
   the parsed term: a process's ``proc_*``/``proxy_for`` facts, the
   system or domain whose ``contains`` edge holds an instance (for its
   ``instance``/``inst_arg`` facts), a system's ``system_supports`` and
   ``speed``, a ``contains`` edge's parent, a domain's ``dom_export``;
-* within a unit, lines keep their text order.
+* within a unit, lines keep their walk order.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.clpr.program import parse_clauses
+from repro.consistency.facts import clpr_fact
 from repro.nmsl.actions import OutputContext
 from repro.nmsl.compiler import NmslCompiler
 from repro.nmsl.outputs import (
@@ -80,7 +82,8 @@ def _owners(lines):
 
 
 def _units(specification):
-    """The consistency output's units, by owner, and the fact text."""
+    """The consistency output's units, by owner, and the base facts'
+    lines in walk order."""
     context = OutputContext(
         specification=specification, options={"tree": _COMPILER.tree}
     )
@@ -92,12 +95,12 @@ def _units(specification):
     units[None] = consistency_epilogue_action(
         context, specification
     ).splitlines()
-    return units, _facts(context).to_clpr_text()
+    lines = [clpr_fact(fact) for _owner, fact in _facts(context).base_facts()]
+    return units, lines
 
 
 def _assert_partition(specification):
-    units, text = _units(specification)
-    lines = text.splitlines()[1:]  # the header is a comment, not a fact
+    units, lines = _units(specification)
     assert Counter(line for unit in units.values() for line in unit) == (
         Counter(lines)
     )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.oracles import check_with_clpr
-from repro.consistency.facts import FactGenerator
+from repro.consistency.facts import FactGenerator, clpr_fact
 from repro.consistency.report import InconsistencyKind
 from repro.errors import NmslSemanticError
 from repro.mib.tree import Access
@@ -223,10 +223,13 @@ class TestProxies:
     def test_proxy_facts_emitted(self, compiler):
         result = compiler.compile(PROXY_TEXT)
         facts = FactGenerator(result.specification, compiler.tree).generate()
-        text = facts.to_clpr_text()
-        assert (
+        fact = (
+            "proxy_for", "bridgeProxy", ("system", "bridge1.example"),
+            "bridgeTalk",
+        )
+        assert (("processes", "bridgeProxy"), fact) in list(facts.base_facts())
+        assert clpr_fact(fact) == (
             "proxy_for(bridgeProxy, system('bridge1.example'), bridgeTalk)."
-            in text
         )
 
     def test_proxies_for_system_lookup(self, compiler):

@@ -14,6 +14,8 @@ surface the way an operator session would:
    mutation — the relational gate must report NM401 as gating, and
    ``resources.facts_expanded`` must count the widened revision's
    declarations only (the checked campus is forked, not re-expanded);
+   the same diff again must answer alike from the answer kept on the
+   campus revision, expanding nothing;
 3. a ``rollout`` of the widened revision *with* ``diff_base`` — the
    service must refuse it with 403 ``vetoed``;
 4. a clean ``rollout`` of the committed spec over a sub-campus element
@@ -25,7 +27,8 @@ surface the way an operator session would:
    ``GET /healthz`` and the pool must return to two idle workers;
 6. ``GET /slo`` + ``GET /metrics`` — the exposition must pass the
    strict :mod:`repro.obs.promlint` parser with zero problems;
-7. SIGTERM — graceful drain, exit 0, final metrics scrape flushed,
+7. SIGTERM with an idle client connected — graceful drain, exit 0,
+   no traceback on ``nmsld``'s stderr, final metrics scrape flushed,
    the drained trace must contain one *connected* trace for the warm
    check (every span reachable from the request's trace id), and the
    audit log must hold the full worker lifecycle
@@ -107,6 +110,8 @@ def main(argv=None):
             stale.unlink()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    log_file = workdir / "nmsld.stderr"
+    daemon_log = open(log_file, "wb")
     daemon = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service.daemon",
@@ -123,6 +128,7 @@ def main(argv=None):
         ],
         env=env,
         cwd=REPO_ROOT,
+        stderr=daemon_log,
     )
     try:
         for _ in range(200):
@@ -200,9 +206,12 @@ def main(argv=None):
                 typo,
             )
 
-            diff = client.request(
-                "diff", {"old": CAMPUS, "new": str(widened)},
-                deadline_s=120,
+            diff, again = (
+                client.request(
+                    "diff", {"old": CAMPUS, "new": str(widened)},
+                    deadline_s=120,
+                )
+                for _ in range(2)
             )
             expect(
                 diff["ok"] and diff["result"]["gating"],
@@ -225,6 +234,12 @@ def main(argv=None):
                 == counts["processes"] + counts["systems"] + counts["domains"],
                 "diff of a checked spec expands only the new revision",
                 diff.get("resources"),
+            )
+            expect(
+                again["ok"] and again["result"] == diff["result"]
+                and again["resources"].get("facts_expanded") == 0,
+                "a repeated diff is the kept answer, expanding nothing",
+                again,
             )
 
             vetoed = client.request(
@@ -355,9 +370,16 @@ def main(argv=None):
             "/healthz embeds the SLO summary", health,
         )
 
-        daemon.send_signal(signal.SIGTERM)
-        code = daemon.wait(timeout=30)
+        # An idle client holds its connection across the drain, which
+        # must hang up on it rather than leave its task to be cancelled.
+        with ServiceClient(socket_path=str(socket_path)) as idle:
+            expect(idle.request("ping")["ok"], "idle client ping")
+            daemon.send_signal(signal.SIGTERM)
+            code = daemon.wait(timeout=30)
         expect(code == 0, "graceful SIGTERM drain exits 0", code)
+        log = log_file.read_text(encoding="utf-8", errors="replace")
+        sys.stderr.write(log)
+        expect("Traceback" not in log, "nmsld's stderr holds no traceback")
         expect(
             metrics_file.exists()
             and "repro_service_requests_total" in metrics_file.read_text(),
@@ -434,6 +456,7 @@ def main(argv=None):
         if daemon.poll() is None:
             daemon.kill()
             daemon.wait(timeout=10)
+        daemon_log.close()
 
     (REPO_ROOT / "SERVICE_smoke.json").write_text(
         json.dumps(

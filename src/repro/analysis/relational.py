@@ -33,7 +33,7 @@ severity defaults); their ``run`` hooks are inert because NM4xx findings
 are derived from an impact set, not from a single-spec
 :class:`~repro.analysis.context.AnalysisContext` — use
 :func:`relational_report`, or :func:`check_revisions` for the whole
-question (baseline, impact, report, waiver) that the ``diff`` op and the
+question (baseline, impact, report) that the ``diff`` op and the
 rollout gate (:mod:`repro.operations`) ask of a revision pair.
 
 Waivers reuse the baseline machinery verbatim (same fingerprint
@@ -43,7 +43,6 @@ an analysis baseline cannot silently waive an access widening.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import Baseline
@@ -263,7 +262,7 @@ def relational_report(
 
 
 def check_revisions(
-    tree, old, new, *, tags: Sequence[str], waiver: Optional[str] = None,
+    tree, old, new, *, tags: Sequence[str],
     config_scope: str = "impacted", deadline: Optional[Deadline] = None,
     registry=None, clause_actions=None,
 ) -> Tuple[ImpactSet, AnalysisReport]:
@@ -274,8 +273,8 @@ def check_revisions(
     specification, checked afresh.  Analyzes *new* against it under
     *deadline* (fingerprinting the configurations of *tags* over
     *config_scope*, with *new*'s compiler's *registry* and extension
-    *clause_actions*), renders the NM4xx report and applies the *waiver*
-    file when it exists.  Returns the impact set and the (waived) report.
+    *clause_actions*) and renders the NM4xx report, unwaived.  Returns
+    the impact set and the report.
     """
     analyzer = ImpactAnalyzer(
         tree, tags=tags, config_scope=config_scope, registry=registry,
@@ -285,7 +284,4 @@ def check_revisions(
     Deadline.poll(deadline, "relational.baseline")
     impact = analyzer.analyze(new, deadline=deadline)
     impact.stats["facts_expanded"] += baseline.stats["facts_expanded"]
-    report = relational_report(impact)
-    if waiver and Path(waiver).exists():
-        report = Waiver.load(waiver).apply(report)
-    return impact, report
+    return impact, relational_report(impact)

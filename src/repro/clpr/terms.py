@@ -57,14 +57,13 @@ class Atom(Term):
 
 @dataclass(frozen=True)
 class Num(Term):
-    """A numeric constant, exact (Fraction)."""
+    """A numeric constant, exact (Fraction): a float is its binary
+    value, so no period is too small to order."""
 
     value: Fraction
 
     @classmethod
     def of(cls, value: Numeric) -> "Num":
-        if isinstance(value, float):
-            return cls(Fraction(value).limit_denominator(10**9))
         return cls(Fraction(value))
 
     def __repr__(self) -> str:

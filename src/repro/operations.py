@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, Mapping, Optional, Tuple
 
 #: The output tags a compiler registers without extensions.
 TAGS: Tuple[str, ...] = ("BartsSnmpd", "acl-table", "consistency", "osi")
@@ -30,6 +32,8 @@ ANALYSIS_CODES = ("NM101", "NM102", "NM103", "NM201", "NM202", "NM203",
                   "NM204", "NM301", "NM302")
 #: Where every seeded campaign and simulation starts unless told.
 DEFAULT_SEED = 1989
+#: How many answers :func:`diff` keeps on a revision, oldest dropped.
+KEPT_DIFFS = 4
 
 #: What a value of each type must be, as a refusal says it.
 _EXPECTED = {
@@ -259,7 +263,8 @@ class Revision:
     the simulated runtime are built on first use, under ``lock``, which
     also serialises the engines' stateful work.  ``findings`` keeps
     each analysis pass's findings by pass code, with the checker
-    ``version`` they were computed under (:func:`analyze`).
+    ``version`` they were computed under (:func:`analyze`); ``diffs``
+    the last :data:`KEPT_DIFFS` answers of a :func:`diff` from it.
     """
 
     def __init__(self, compiler, result):
@@ -267,6 +272,7 @@ class Revision:
         self.result = result
         self.lock = threading.RLock()
         self.findings: Dict[str, Tuple[object, Tuple]] = {}
+        self.diffs: List[Tuple] = []
         self._checker = None
         self._runtime = None
 
@@ -289,6 +295,21 @@ class Revision:
             if self._runtime is None:
                 self._runtime = ManagementRuntime(self.compiler, self.result)
             return self._runtime
+
+
+def _staleness(*specs):
+    """The staleness keys (DESIGN.md §3.1) of *specs*: their tables and
+    the items of their extension lists, to compare by identity, and the
+    tables' revisions and the lists' lengths, to compare by value."""
+    from itertools import chain
+
+    from repro.nmsl.specs import TABLES
+
+    tables = [getattr(spec, name) for spec in specs for name in TABLES]
+    lists = [items for spec in specs for items in chain(
+        spec.extras.values(), spec.extension_clauses.values())]
+    return ([*tables, *chain.from_iterable(lists)],
+            [*(table.revision for table in tables), *map(len, lists)])
 
 
 def analyze(revisions, args, deadline=None):
@@ -350,17 +371,45 @@ def diff(old, new, args, config_scope="impacted", deadline=None):
     ``waiver`` file applied.  The baseline is a fork of *old*'s checker,
     which ``nmsld`` keeps checked and which the diff leaves as it was.
     The configurations of the ``output`` tags are fingerprinted over
-    *config_scope* (``"full"``: every element)."""
-    from repro.analysis import check_revisions
+    *config_scope* (``"full"``: every element).
 
+    The unwaived answer is kept on *old* under its checker ``version``,
+    both specifications' staleness keys (DESIGN.md §3.1), the tags and
+    the scope, and returned again, with ``facts_expanded`` 0, while all
+    of them hold; the waiver is read on every call.  Only *old* is
+    locked."""
+    import dataclasses
+
+    from repro.analysis import Waiver, check_revisions
+
+    spec = new.result.specification
+    objects, values = _staleness(old.result.specification, spec)
+    values = (values, tuple(args["output"]), config_scope)
     with old.lock:
-        return check_revisions(
-            old.compiler.tree, old.checker,
-            new.result.specification, tags=args["output"],
-            waiver=args["waiver"], config_scope=config_scope,
-            deadline=deadline, registry=new.compiler.registry,
-            clause_actions=new.compiler.clause_actions,
-        )
+        checker = old.checker
+        # A checker rechecked to another specification matches nothing.
+        version = (checker.version
+                   if checker.specification is old.result.specification
+                   else object())
+        for kept_version, kept, kept_values, impact, report in old.diffs:
+            if (kept_version is version and kept_values == values
+                    and all(map(operator.is_, kept, objects))):
+                impact = dataclasses.replace(
+                    impact, stats={**impact.stats, "facts_expanded": 0}
+                )
+                break
+        else:
+            impact, report = check_revisions(
+                old.compiler.tree, checker, spec, tags=args["output"],
+                config_scope=config_scope, deadline=deadline,
+                registry=new.compiler.registry,
+                clause_actions=new.compiler.clause_actions,
+            )
+            entry = (checker.version, objects, values, impact, report)
+            old.diffs = [*old.diffs, entry][-KEPT_DIFFS:]
+    if args["waiver"] and Path(args["waiver"]).exists():
+        report = Waiver.load(args["waiver"]).apply(report)
+    return impact, report
 
 
 def rollout_gate(revision, args, load):

@@ -576,6 +576,16 @@ class AsyncServiceRuntime:
         except OSError:
             pass
 
+    @staticmethod
+    async def _settle(busy) -> None:
+        """Wait while ``busy()`` holds, for at most 5 s."""
+        import asyncio
+
+        for _ in range(100):
+            if not busy():
+                return
+            await asyncio.sleep(0.05)
+
     async def _run_async(self) -> int:
         import asyncio
         import signal
@@ -682,8 +692,13 @@ class AsyncServiceRuntime:
             await self._pool.stop(self.core.config.drain_grace_s)
             while self.core.in_flight > 0:
                 await asyncio.sleep(0.05)
-            # Only now is nothing owed to a half-closed connection, whose
-            # handler waits for that before it closes.
+            # Once every answer owed is written, hang up on the
+            # connections still open, so each handler reads EOF and
+            # returns rather than being cancelled when the loop stops.
+            await self._settle(lambda: any(self._owed.values()))
+            for writer in list(self._owed):
+                writer.close()
+            await self._settle(lambda: self._owed)
             await server.wait_closed()
             self._stopped = True
             self._kick()  # unblock the dispatcher to observe _stopped

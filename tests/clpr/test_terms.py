@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clpr.terms import (
     Atom,
@@ -47,6 +49,21 @@ class TestConstruction:
     def test_to_term_passthrough(self):
         x = var("X")
         assert to_term(x) is x
+
+
+PERIODS = st.floats(min_value=1e-12, max_value=1e18)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(PERIODS, PERIODS)
+def test_a_float_num_is_the_float_exactly(x, y):
+    """A float becomes its exact value: equal floats give equal terms,
+    order is kept at any scale (a period of 1e-12 s too), and the term
+    reads as the float does."""
+    assert Num.of(x) == Num.of(float(repr(x)))
+    assert (Num.of(x).value < Num.of(y).value) == (x < y)
+    assert (Num.of(x) == Num.of(y)) == (x == y)
+    assert repr(Num.of(x)) == (str(int(x)) if x.is_integer() else repr(x))
 
 
 class TestIntrospection:

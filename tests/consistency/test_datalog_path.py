@@ -7,6 +7,8 @@ reader, ``clpr``, and these cases hold it, the unindexed ``scan`` oracle
 and the production checker to the same verdicts.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.consistency.checker import ConsistencyChecker
@@ -15,6 +17,8 @@ from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 from repro.workloads.generator import InternetParameters, SyntheticInternet
 from repro.workloads.paper import PAPER_SPEC_TEXT
 from repro.workloads.scenarios import campus_internet
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +78,25 @@ class TestThreeEngineAgreement:
             == failing_clients(scan)
             == failing_clients(clpr)
         )
+
+
+class TestSubNanosecondPeriods:
+    """``examples/campus.nmsl`` with ``nocMonitor`` polling every 1e-10 s
+    where the two exports to ``noc-domain`` allow 2e-10 s: a frequency
+    conflict every oracle must find, which ``clpr`` missed while it
+    rounded a float to a denominator of 10**9 (1e-10 read as 0)."""
+
+    def test_every_oracle_finds_the_conflict(self, compiler):
+        text = (REPO_ROOT / "examples" / "campus.nmsl").read_text()
+        assert text.count("5 minutes") == 3  # nocMonitor, then the exports
+        text = text.replace("5 minutes", "0.0000000002 seconds").replace(
+            "0.0000000002 seconds", "0.0000000001 seconds", 1
+        )
+        specification = compiler.compile(text).specification
+        checked = ConsistencyChecker(specification, compiler.tree).check()
+        assert not checked.consistent
+        assert len(failing_clients(checked)) == 4
+        for name, oracle in ORACLES.items():
+            answer = oracle(specification, compiler.tree)
+            assert not answer.consistent, name
+            assert failing_clients(answer) == failing_clients(checked), name

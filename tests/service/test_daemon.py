@@ -183,6 +183,38 @@ class TestDaemon:
         # ...and removed the socket file so a successor can bind it.
         assert not Path(daemon["socket"]).exists()
 
+    def test_a_drain_hangs_up_on_an_idle_client(self, tmp_path):
+        """SIGTERM while a client holds its connection open, owed
+        nothing: the drain closes it, so no connection task is left for
+        the loop to cancel (CPython 3.11 logs that as a traceback)."""
+        from repro.service.client import ServiceClient
+
+        ready_file = tmp_path / "ready.json"
+        socket_path = tmp_path / "nmsld.sock"
+        stderr_path = tmp_path / "stderr.txt"
+        with open(stderr_path, "wb") as stderr:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.service.daemon",
+                    "--socket", str(socket_path), "--workers", "1",
+                    "--ready-file", str(ready_file),
+                ],
+                env=_daemon_env(), cwd=REPO_ROOT, stderr=stderr,
+            )
+        try:
+            for _ in range(200):
+                if ready_file.exists() or proc.poll() is not None:
+                    break
+                time.sleep(0.05)
+            with ServiceClient(socket_path=str(socket_path)) as client:
+                assert client.request("ping")["ok"]
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=20) == 0
+        finally:
+            _stop_daemon(proc)
+        stderr = stderr_path.read_text()
+        assert "Traceback" not in stderr and "CancelledError" not in stderr
+
     def test_rollout_over_the_socket(self, daemon):
         from repro.service.client import ServiceClient
 

@@ -1,5 +1,6 @@
 """What one warm session shares between the operations on it."""
 
+import dataclasses
 import itertools
 import time
 from pathlib import Path
@@ -8,12 +9,15 @@ import pytest
 
 from benchmarks.widen_access import widen
 from repro import operations
+from repro.analysis import Waiver, render_json
+from repro.codegen.base import element_documents
 from repro.consistency.facts import FactGenerator
 from repro.deadline import Deadline
 from repro.service import specfile
 from repro.service.core import ServiceRequest
-from repro.service.handlers import ServiceHandlers
+from repro.service.handlers import ServiceHandlers, SpecCache
 from repro.workloads.generator import InternetParameters, SyntheticInternet
+from tests.corpus import SPEC_WITH_BILLING, corpus
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 EXAMPLES = sorted(str(path) for path in (REPO_ROOT / "examples").glob("*.nmsl"))
@@ -368,19 +372,23 @@ class TestDiffForksTheResidentRevision:
         assert request.resources["facts_expanded"] == (
             facts.expansion["declarations"] + 1
         )
+        # The repeat is the kept answer: nothing expanded.
         again = _request("diff", old=old, new=new)
         handlers.execute(again)
-        assert again.resources["facts_expanded"] == 1
+        assert again.resources["facts_expanded"] == 0
 
     def test_an_expired_diff_leaves_the_resident_revision_warm(
         self, monkeypatch, spec_files
     ):
         """A deadline on a counting clock that expires at the last poll
         of the fork's reduction: the diff answers with the structured
-        deadline error, and ``check A`` stays warm and byte-equal."""
+        deadline error, and ``check A`` stays warm and byte-equal.  The
+        polls are counted on a twin, where ``handlers`` keeps no answer
+        to reuse; the expired diff keeps none either."""
         old, new = spec_files(a=_silent(3), b=_silent(*range(3, 40, 2)))
-        handlers = ServiceHandlers()
-        handlers.execute(_request("check", spec=old))
+        handlers, twin = ServiceHandlers(), ServiceHandlers()
+        for each in (twin, handlers):
+            each.execute(_request("check", spec=old))
         before = handlers.execute(_request("check", spec=old))
         generations = _count_generations(monkeypatch)
         polls = []
@@ -391,7 +399,8 @@ class TestDiffForksTheResidentRevision:
                 super().check(where)
 
         unlimited = Polled(float("inf"), itertools.count(1).__next__)
-        assert handlers.run(_request("diff", unlimited, old=old, new=new))["ok"]
+        counted = twin.run(_request("diff", unlimited, old=old, new=new))
+        assert counted["ok"]
         assert polls[-3:] == ["consistency.reduce"] * 3
         expiring = Deadline(len(polls), itertools.count(1).__next__)
         frame = handlers.run(_request("diff", expiring, old=old, new=new))
@@ -400,3 +409,246 @@ class TestDiffForksTheResidentRevision:
         after = handlers.execute(_request("check", spec=old))
         assert after == before and after["warm"]
         assert generations == []
+        again = handlers.run(_request("diff", old=old, new=new))
+        assert again["result"] == counted["result"]
+        assert again["resources"]["facts_expanded"] == (
+            counted["resources"]["facts_expanded"]
+        ) > 0
+
+
+class TestLanguageScope:
+    def test_an_extension_clause_is_refused_where_it_stands(
+        self, spec_files
+    ):
+        """``nmsld`` compiles the basic language only: a ``billing``
+        clause, which the billing extension would define, is a compile
+        refusal at its own line and column."""
+        (billed,) = spec_files(billed=SPEC_WITH_BILLING)
+        frame = ServiceHandlers().run(_request("check", spec=billed))
+        assert frame["ok"] is False and frame["kind"] == "compile"
+        assert frame["message"].endswith(
+            f"{billed}:7:5: clause 'billing 12' is not valid in a "
+            f"process specification"
+        )
+
+
+def _pairs():
+    """``(old, new)`` texts: campus and its access widening, then two
+    corpus internets and each with one more silent domain and a fast
+    poller."""
+    campus = (REPO_ROOT / "examples" / "campus.nmsl").read_text()
+    yield campus, widen(campus)
+    for index in (3, 17):
+        parameters = corpus()[index]
+        changed = dataclasses.replace(
+            parameters, silent_domains=(parameters.n_domains - 1,),
+            fast_pollers=(0,),
+        )
+        yield (SyntheticInternet(parameters).text(),
+               SyntheticInternet(changed).text())
+
+
+@pytest.fixture
+def answers(monkeypatch):
+    """Every ``(ImpactSet, report)`` a handler's ``operations.diff``
+    returns, in order."""
+    returned = []
+    diff = operations.diff
+
+    def spied(*args, **keywords):
+        returned.append(diff(*args, **keywords))
+        return returned[-1]
+
+    monkeypatch.setattr(operations, "diff", spied)
+    return returned
+
+
+def _answer(answer):
+    """An answer bar the engine's wall time and the facts it expanded."""
+    impact, report = answer
+    volatile = ("seconds", "facts_expanded")
+    stats = {k: v for k, v in impact.stats.items() if k not in volatile}
+    return dataclasses.replace(impact, stats=stats), render_json(report)
+
+
+class TestDiffKeepsItsAnswer:
+    """A repeated diff of resident revisions is the kept answer while
+    ``old``'s checker version, both sides' staleness keys, the tags and
+    the scope hold; the waiver is applied per request."""
+
+    @pytest.mark.parametrize("pair", range(3), ids=["campus", "c03", "c17"])
+    def test_a_repeat_is_the_cold_answer_and_does_no_work(
+        self, monkeypatch, spec_files, answers, pair
+    ):
+        old, new = spec_files(**dict(zip("ab", list(_pairs())[pair])))
+        handlers = ServiceHandlers()
+        first = _request("diff", old=old, new=new)
+        handlers.execute(first)
+        generations = _count_generations(monkeypatch)
+        rendered = []
+        documents = element_documents
+
+        def counted(*args, **keywords):
+            rendered.append(args)
+            return documents(*args, **keywords)
+
+        monkeypatch.setattr(
+            "repro.codegen.base.element_documents", counted
+        )
+        again = _request("diff", old=old, new=new)
+        repeat = handlers.execute(again)
+        assert generations == [] and rendered == []
+        assert again.resources["facts_expanded"] == 0
+        assert first.resources["facts_expanded"] > 0
+        cold = ServiceHandlers().execute(_request("diff", old=old, new=new))
+        assert repeat == cold
+        assert _answer(answers[1]) == _answer(answers[0])
+        # The kept ImpactSet still says what its first diff expanded.
+        assert answers[0][0].stats["facts_expanded"] > 0
+
+    def test_an_in_place_edit_of_new_recomputes(
+        self, spec_files, answers
+    ):
+        campus = (REPO_ROOT / "examples" / "campus.nmsl").read_text()
+        old, new = spec_files(a=campus, b=widen(campus))
+        handlers, fresh = ServiceHandlers(), ServiceHandlers()
+        first = handlers.execute(_request("diff", old=old, new=new))
+        assert first["gating"]
+        # Undo the widening in place, in the new revision's own table.
+        for each in (handlers, fresh):
+            processes = each.cache.get(new).result.specification.processes
+            before = each.cache.get(old).result.specification.processes
+            for name in processes:
+                processes[name] = before[name]
+        warm = handlers.execute(_request("diff", old=old, new=new))
+        assert warm == fresh.execute(_request("diff", old=old, new=new))
+        assert not warm["gating"] and warm != first
+        assert _answer(answers[-2]) == _answer(answers[-1])
+
+    def test_an_in_place_edit_of_old_recomputes_and_counts_it(
+        self, spec_files
+    ):
+        """``old``'s key is its own tables too: the recompute regenerates
+        ``old``'s facts inside the diff, which counts them as a diff
+        with nothing kept does."""
+        old, new = spec_files(a=_silent(3), b=_silent(3, 17))
+        counted = []
+        for keeps in (True, False):
+            handlers = ServiceHandlers()
+            handlers.execute(_request("check", spec=old))
+            if keeps:
+                handlers.execute(_request("diff", old=old, new=new))
+            domains = handlers.cache.get(old).result.specification.domains
+            name = next(iter(domains))
+            domains[name] = domains[name]
+            request = _request("diff", old=old, new=new)
+            counted.append((handlers.execute(request),
+                            request.resources["facts_expanded"]))
+        assert counted[0] == counted[1] and counted[0][1] > 1
+
+    def test_an_edited_waiver_applies_to_the_kept_answer(
+        self, tmp_path, spec_files, answers
+    ):
+        campus = (REPO_ROOT / "examples" / "campus.nmsl").read_text()
+        old, new = spec_files(a=campus, b=widen(campus))
+        waiver = str(tmp_path / "waiver.json")
+        handlers = ServiceHandlers()
+        gated = handlers.execute(_request("diff", old=old, new=new,
+                                          waiver=waiver))
+        assert gated["gating"]
+        Waiver.from_gating(answers[-1][1]).save(waiver)
+        request = _request("diff", old=old, new=new, waiver=waiver)
+        waived = handlers.execute(request)
+        assert request.resources["facts_expanded"] == 0
+        assert not waived["gating"]
+        cold = ServiceHandlers().execute(_request("diff", old=old, new=new,
+                                                  waiver=waiver))
+        assert waived == cold
+        # The kept answer is unwaived: without the file it gates again.
+        assert handlers.execute(_request("diff", old=old, new=new)) == gated
+
+    def test_a_check_of_old_in_between_changes_nothing(
+        self, spec_files, answers
+    ):
+        old, new = spec_files(a=_silent(3), b=_silent(3, 17))
+        handlers = ServiceHandlers()
+        first = handlers.execute(_request("diff", old=old, new=new))
+        handlers.execute(_request("check", spec=old))
+        request = _request("diff", old=old, new=new)
+        assert handlers.execute(request) == first
+        assert request.resources["facts_expanded"] == 0
+        cold = ServiceHandlers().execute(_request("diff", old=old, new=new))
+        assert first == cold
+        assert _answer(answers[-1]) == _answer(answers[-2])
+
+    def test_each_tag_set_is_its_own_answer_and_few_are_kept(self, spec_files):
+        old, new = spec_files(a=_silent(3), b=_silent(3, 17))
+        handlers = ServiceHandlers()
+        handlers.execute(_request("check", spec=old))
+        outputs = ("BartsSnmpd", "acl-table", "BartsSnmpd")
+        expanded = []
+        for output in outputs:
+            request = _request("diff", old=old, new=new, output=output)
+            handlers.execute(request)
+            expanded.append(request.resources["facts_expanded"])
+        assert expanded == [1, 1, 0]
+        session = handlers.cache.get(old)
+        for more in ("osi", "consistency", "BartsSnmpd,osi"):
+            handlers.execute(_request("diff", old=old, new=new, output=more))
+        assert len(session.diffs) == operations.KEPT_DIFFS
+
+    def test_an_evicted_revision_is_freed(self, spec_files):
+        """The kept answers hold no checker, fork or fact set: evicting
+        either side frees its checker."""
+        import gc
+        import weakref
+
+        from repro.consistency.checker import ConsistencyChecker
+        from repro.consistency.facts import FactSet
+
+        a, b, c, d = spec_files(a=_silent(3), b=_silent(3, 17),
+                                c=_silent(5), d=_silent(7))
+        handlers = ServiceHandlers(SpecCache(limit=2))
+        for spec in (a, b):
+            handlers.execute(_request("check", spec=spec))
+        handlers.execute(_request("diff", old=a, new=b))
+        reached, stack = set(), [handlers.cache.get(a).diffs]
+        while stack:
+            item = stack.pop()
+            if id(item) in reached or isinstance(item, type):
+                continue
+            reached.add(id(item))
+            assert not isinstance(item, (ConsistencyChecker, FactSet))
+            stack.extend(gc.get_referents(item))
+        del item
+        b_checker, a_checker = (
+            weakref.ref(handlers.cache.get(spec).checker) for spec in (b, a)
+        )
+        handlers.cache.get(c)  # evicts b, the least recently used
+        gc.collect()
+        assert b_checker() is None and a_checker() is not None
+        handlers.cache.get(d)  # evicts a, and the answers it kept
+        gc.collect()
+        assert a_checker() is None
+
+    def test_opposite_diffs_on_two_threads_both_finish(self, spec_files):
+        import threading
+
+        old, new = spec_files(a=_silent(3), b=_silent(3, 17))
+        handlers = ServiceHandlers()
+        frames = {}
+
+        def run(first, second):
+            for _ in range(3):
+                frames[first] = handlers.run(
+                    _request("diff", old=first, new=second)
+                )
+
+        threads = [threading.Thread(target=run, args=pair)
+                   for pair in ((old, new), (new, old))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert frames[old]["ok"] and frames[new]["ok"]

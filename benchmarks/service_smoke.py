@@ -15,7 +15,12 @@ surface the way an operator session would:
    ``resources.facts_expanded`` must count the widened revision's
    declarations only (the checked campus is forked, not re-expanded);
    the same diff again must answer alike from the answer kept on the
-   campus revision, expanding nothing;
+   campus revision, expanding nothing; an ``analyze`` of campus and the
+   widened revision, which goes to the worker that ran the diff (whose
+   compile of the widened file took every declaration it shares with
+   campus from that worker's declaration store), must report what a
+   cold in-process ``operations.analyze`` of the two files reports,
+   locations (each file's own path and lines) included;
 3. a ``rollout`` of the widened revision *with* ``diff_base`` — the
    service must refuse it with 403 ``vetoed``;
 4. a clean ``rollout`` of the committed spec over a sub-campus element
@@ -56,8 +61,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import operations  # noqa: E402
+from repro.nmsl.compiler import CompilerOptions, NmslCompiler  # noqa: E402
 from repro.obs.promlint import lint  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
+from repro.service.handlers import MAX_REPORTED  # noqa: E402
 from repro.workloads.paper import (  # noqa: E402
     PaperScaleInternet,
     PaperScaleParameters,
@@ -68,6 +76,26 @@ from widen_access import widen  # noqa: E402
 
 CAMPUS = str(REPO_ROOT / "examples" / "campus.nmsl")
 CS_ELEMENTS = ["gw.cs.campus.edu", "db.cs.campus.edu"]
+
+
+def cold_diagnostics(*paths):
+    """``analyze`` of *paths* in process, on compiles that share
+    nothing, as the daemon words its diagnostics."""
+    revisions = []
+    for path in paths:
+        compiler = NmslCompiler(CompilerOptions(filename=str(path)))
+        text = Path(path).read_text(encoding="utf-8")
+        revisions.append(operations.Revision(compiler, compiler.compile(text)))
+    report, _ran = operations.analyze(revisions, operations.defaults("analyze"))
+    return [
+        {
+            "code": diagnostic.code,
+            "severity": diagnostic.severity.value,
+            "message": diagnostic.message,
+            "location": str(diagnostic.location),
+        }
+        for diagnostic in report.diagnostics[:MAX_REPORTED]
+    ]
 
 
 def expect(condition, label, context=None):
@@ -240,6 +268,21 @@ def main(argv=None):
                 and again["resources"].get("facts_expanded") == 0,
                 "a repeated diff is the kept answer, expanding nothing",
                 again,
+            )
+            shared = client.request(
+                "analyze", {"specs": [CAMPUS, str(widened)]}
+            )
+            expect(
+                shared["ok"]
+                and shared["result"]["diagnostics"]
+                == cold_diagnostics(CAMPUS, widened)
+                and any(
+                    diagnostic["location"].startswith(f"{widened}:")
+                    for diagnostic in shared["result"]["diagnostics"]
+                ),
+                "analyze of the widened revision, sharing campus's "
+                "declarations, reports what a cold analyze does",
+                shared,
             )
 
             vetoed = client.request(

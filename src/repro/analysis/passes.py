@@ -27,6 +27,7 @@ from repro.consistency.causes import (
     reference_demand,
 )
 from repro.consistency.relations import Permission
+from repro.errors import SourceLocation
 from repro.mib.tree import MibTree
 from repro.nmsl.actions import BASE_DECLTYPES, KeywordTable
 from repro.nmsl.outputs import EPILOGUE
@@ -71,7 +72,7 @@ def _unused_processes(
             message=(
                 "specified but never instantiated on any system or domain"
             ),
-            location=process.location,
+            location=context.specification.locate("process", name),
             suggestion=(
                 "instantiate the process on a system or domain, or delete "
                 "the specification"
@@ -98,7 +99,7 @@ def _unmanaged_elements(
                 "no agent process and no proxy: management queries cannot "
                 "be answered for this element"
             ),
-            location=system.location,
+            location=spec.locate("system", system_name),
             suggestion=(
                 "run an agent process on the element or declare a proxy "
                 "process for it"
@@ -125,8 +126,6 @@ def _dead_extension_entries(
     for position, extension in enumerate(context.extensions):
         where = None
         if position < len(context.extension_files):
-            from repro.errors import SourceLocation
-
             where = SourceLocation(context.extension_files[position])
         subject = f"extension {extension.name}"
         for entry in extension.keywords:
@@ -221,26 +220,28 @@ def _dead_extension_entries(
 # ----------------------------------------------------------------------
 def _export_owners(
     context: AnalysisContext,
-) -> Iterator[Tuple[str, ExportSpec]]:
-    """(subject, export) for every export declaration with live grantors.
+) -> Iterator[Tuple[str, ExportSpec, SourceLocation]]:
+    """(subject, export, where it is) for every export declaration with
+    live grantors.
 
     Process exports only materialize as permissions once the process is
     instantiated; uninstantiated processes are already NM101 findings, so
     their exports are skipped here rather than double-reported.
     """
     facts = context.facts
+    locate = context.specification.locate
     for name, process in sorted(context.specification.processes.items()):
         if not process.exports or not facts.instances_of_process(name):
             continue
         for export in process.exports:
-            yield f"process {name}", export
+            yield f"process {name}", export, locate("process", name, export.location)
     for name, domain in sorted(context.specification.domains.items()):
         for export in domain.exports:
-            yield f"domain {name}", export
+            yield f"domain {name}", export, locate("domain", name, export.location)
 
 
 def _export_as_permission(
-    context: AnalysisContext, subject: str, export: ExportSpec
+    subject: str, export: ExportSpec, location: SourceLocation
 ) -> Permission:
     """A declaration-level permission value for coverage tests.
 
@@ -257,7 +258,7 @@ def _export_as_permission(
         access=export.access,
         frequency=export.frequency,
         origin=f"{subject} exports",
-        location=export.location,
+        location=location,
     )
 
 
@@ -268,8 +269,8 @@ def _unused_permissions(
         reference_demand(reference, context.view(reference.variables))
         for reference in context.facts.references
     ]
-    for subject, export in _export_owners(context):
-        permission = _export_as_permission(context, subject, export)
+    for subject, export, location in _export_owners(context):
+        permission = _export_as_permission(subject, export, location)
         permission_view = context.view(permission.variables)
         if any(covers(permission, permission_view, d) for d in demands):
             continue
@@ -279,7 +280,7 @@ def _unused_permissions(
                 f"export of {', '.join(export.variables)} to "
                 f"{export.to_domain!r} matches no specified reference"
             ),
-            location=export.location,
+            location=location,
             suggestion="remove the export or tighten it to what is queried",
         )
 
@@ -287,7 +288,7 @@ def _unused_permissions(
 def _overbroad_grants(
     rule: AnalysisPass, context: AnalysisContext
 ) -> Iterator[Diagnostic]:
-    for subject, export in _export_owners(context):
+    for subject, export, location in _export_owners(context):
         if export.to_domain != PUBLIC_DOMAIN:
             continue
         if not export.access.allows_write():
@@ -298,7 +299,7 @@ def _overbroad_grants(
                 f"exports {export.access.value} access to the public "
                 "domain: any administration may modify this data"
             ),
-            location=export.location,
+            location=location,
             suggestion=(
                 "export ReadOnly to the public domain and grant write "
                 "access to named domains only"
@@ -469,7 +470,7 @@ def _frequency_budget_overload(
                 f"({BUDGET_FRACTION:.0%} of the declared {capacity} bps "
                 "interface speed)"
             ),
-            location=system.location,
+            location=context.specification.locate("system", system_name),
             suggestion=(
                 "lower the query frequencies, tighten the admitting "
                 "exports, or raise the element's interface speed"
@@ -526,6 +527,7 @@ def _type_access_mismatches(
                     ),
                 )
 
+    locate = context.specification.locate
     for name, process in sorted(context.specification.processes.items()):
         subject = f"process {name}"
         for query in process.queries:
@@ -533,7 +535,7 @@ def _type_access_mismatches(
                 subject,
                 query.requests,
                 query.access,
-                query.location,
+                locate("process", name, query.location),
                 f"{query.kind} clause",
             )
         for export in process.exports:
@@ -541,7 +543,7 @@ def _type_access_mismatches(
                 subject,
                 export.variables,
                 export.access,
-                export.location,
+                locate("process", name, export.location),
                 "exports clause",
             )
     for name, domain in sorted(context.specification.domains.items()):
@@ -551,7 +553,7 @@ def _type_access_mismatches(
                 subject,
                 export.variables,
                 export.access,
-                export.location,
+                locate("domain", name, export.location),
                 "exports clause",
             )
 

@@ -712,16 +712,17 @@ def _compiler(filename, extensions=(), lax=False) -> NmslCompiler:
 
 def _compile(
     path, extensions=(), lax=False, compiler=None,
-    setup=contextlib.nullcontext(),
+    setup=contextlib.nullcontext(), store=None,
 ) -> operations.Revision:
     """Read spec file *path* and compile it; every spec file ``nmslc``
     compiles comes through here, and a refused compile raises (exit 2).
     ``--diff-against`` passes the newer revision's *compiler* to share
-    its MIB tree; ``profile`` traces the read and build as *setup*."""
+    its MIB tree; ``profile`` traces the read and build as *setup*;
+    ``diff`` compiles both revisions into one declaration *store*."""
     with setup:
         text = _read_source(path)
         compiler = compiler or _compiler(path, extensions, lax)
-    result = compiler.compile(text, strict=False if lax else None)
+    result = compiler.compile(text, strict=False if lax else None, store=store)
     return operations.Revision(compiler, result)
 
 
@@ -846,9 +847,12 @@ def _run_analyze(args: argparse.Namespace) -> int:
 def _run_diff(args: argparse.Namespace) -> int:
     """The ``nmslc diff`` subcommand: relational differential verify."""
     from repro.analysis import Waiver, relational_registry, render, render_json
+    from repro.nmsl.semantics import DeclarationStore
 
+    store = DeclarationStore()
     old, new = (
-        _compile(path, args.extensions) for path in (args.old, args.new)
+        _compile(path, args.extensions, store=store)
+        for path in (args.old, args.new)
     )
     # --update-waiver records the findings as they are, unwaived.
     waiver = None if args.update_waiver else args.waiver

@@ -938,6 +938,7 @@ class FactGenerator:
     def _make_grants(
         self, facts: FactSet, instances, out: List[Permission]
     ) -> None:
+        locate = self._spec.locate
         for instance in instances:
             process = self._spec.processes[instance.process_name]
             if not process.exports:
@@ -953,12 +954,12 @@ class FactGenerator:
                         access=export.access,
                         frequency=export.frequency,
                         origin=f"process {process.name} exports",
-                        location=export.location,
+                        location=locate("process", process.name, export.location),
                     )
                 )
 
-    @staticmethod
-    def _make_exports(domains, out: List[Permission]) -> None:
+    def _make_exports(self, domains, out: List[Permission]) -> None:
+        locate = self._spec.locate
         for domain in domains:
             for export in domain.exports:
                 out.append(
@@ -970,7 +971,7 @@ class FactGenerator:
                         access=export.access,
                         frequency=export.frequency,
                         origin=f"domain {domain.name} exports",
-                        location=export.location,
+                        location=locate("domain", domain.name, export.location),
                     )
                 )
 
@@ -980,6 +981,7 @@ class FactGenerator:
     def _make_references(
         self, facts: FactSet, instances, out: List[Reference]
     ) -> None:
+        locate = self._spec.locate
         for instance in instances:
             process = self._spec.processes[instance.process_name]
             if not process.queries:
@@ -999,7 +1001,7 @@ class FactGenerator:
                             f"process {process.name} queries {query.target} "
                             f"({instance.id})"
                         ),
-                        location=query.location,
+                        location=locate("process", process.name, query.location),
                     )
                 )
 

@@ -21,6 +21,21 @@ class SourceLocation:
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
 
+    def relative_to(self, start: "SourceLocation") -> "SourceLocation":
+        """This position as a built declaration keeps it: no file name,
+        the line counted from *start*'s, and on that line the column
+        counted from *start*'s too (see :meth:`at`)."""
+        line = self.line - start.line
+        return SourceLocation("", line, self.column - (0 if line else start.column - 1))
+
+    def at(self, start: "SourceLocation") -> "SourceLocation":
+        """A position :meth:`relative_to` *start* read back in *start*'s
+        file; one with a file name (built by hand) is returned as is."""
+        if self.filename:
+            return self
+        column = self.column + (0 if self.line else start.column - 1)
+        return SourceLocation(start.filename, start.line + self.line, column)
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""

@@ -87,14 +87,15 @@ class KeywordTable:
     """Ordered keyword entries; extensions prepend (first match wins)."""
 
     def __init__(self, entries: Iterable[KeywordEntry] = BASE_KEYWORDS):
-        self._entries: List[KeywordEntry] = []
+        #: Every entry, first match first.
+        self.entries: List[KeywordEntry] = []
         #: (keyword, decltype) -> the first entry in order that matches.
         self._by_key: Dict[Tuple[str, str], KeywordEntry] = {}
         for entry in reversed(tuple(entries)):
             self.prepend(entry)
 
     def prepend(self, entry: KeywordEntry) -> None:
-        self._entries.insert(0, entry)
+        self.entries.insert(0, entry)
         for decltype in entry.decltypes:
             self._by_key[entry.keyword, decltype] = entry
 
@@ -106,7 +107,7 @@ class KeywordTable:
 
     def keywords_for(self, decltype: str) -> Tuple[str, ...]:
         seen = []
-        for entry in self._entries:
+        for entry in self.entries:
             if entry.valid_in(decltype) and entry.keyword not in seen:
                 seen.append(entry.keyword)
         return tuple(seen)

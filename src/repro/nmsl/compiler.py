@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from sys import intern
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
@@ -36,7 +35,7 @@ from repro.nmsl.actions import (
 from repro.nmsl.extension import ClauseRenderer, Extension
 from repro.nmsl.generic import Declaration, GenericParser
 from repro.nmsl.outputs import EPILOGUE, register_base_outputs
-from repro.nmsl.semantics import BuildReport, SpecificationBuilder
+from repro.nmsl.semantics import BuildReport, DeclarationStore, SpecificationBuilder
 from repro.nmsl.specs import Specification
 
 
@@ -145,42 +144,50 @@ class NmslCompiler:
         """Pass 1 only."""
         return GenericParser(text, self.options.filename).parse_declarations()
 
-    def compile(self, text: str, strict: Optional[bool] = None) -> CompileResult:
+    def recipe(self) -> tuple:
+        """What a build reads besides the text and the MIB tree: the
+        keyword table, the extension decltypes, the clause actions' keys."""
+        return (tuple(self.keyword_table.entries), tuple(self.extension_decltypes),
+                tuple(sorted(self.clause_actions)))
+
+    def compile(
+        self, text: str, strict: Optional[bool] = None,
+        store: Optional[DeclarationStore] = None,
+    ) -> CompileResult:
         """Pass 1 + pass 2: returns the typed specification.  Pass 2
         builds each declaration as pass 1 reads it, and only the order
-        of the declarations is kept."""
+        of the declarations is kept.  Given a *store*, a declaration
+        whose text it holds is taken from it instead of being built, and
+        one built clean is put in it."""
         o = obs.current()
+        stored = store is not None
         with o.span("compile", file=self.options.filename) as span:
-            parser = GenericParser(text, self.options.filename)
+            parser = GenericParser(text, self.options.filename, spans=stored)
             builder = SpecificationBuilder(
                 self.tree,
                 self.module,
                 self.keyword_table,
                 extension_decltypes=self.extension_decltypes,
+                shelf=store.shelf(self.recipe()) if stored else None,
             )
-            order: List[Tuple[str, str]] = []
-            clauses = 0
-
-            def stream() -> Iterator[Declaration]:
-                nonlocal clauses
-                for declaration in parser.iter_declarations():
-                    # One string per decltype, not one per declaration.
-                    order.append((intern(declaration.decltype), declaration.name))
-                    clauses += len(declaration.clauses)
-                    yield declaration
-
             effective_strict = self.options.strict if strict is None else strict
             with o.span("compile.pass2"):
-                specification = builder.build(stream(), strict=effective_strict)
+                specification = builder.build(
+                    parser.iter_declarations(builder.reuse if stored else None),
+                    strict=effective_strict,
+                )
+            order = builder.order
             if o.enabled:
                 span.annotate(
                     bytes=len(text.encode("utf-8")),
-                    clauses=clauses,
+                    clauses=builder.clauses,
                     tokens=parser.tokens_built,
                     declarations=len(order),
                     errors=len(builder.report.errors),
                     warnings=len(builder.report.warnings),
                 )
+                if stored:
+                    span.annotate(built=len(order) - builder.reused, reused=builder.reused)
         if o.enabled:
             o.counter("repro_compile_runs_total", "compile invocations").inc()
             if builder.report.errors:

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from hashlib import sha256
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import NmslSyntaxError, SourceLocation
 from repro.nmsl.lexer import EOF, PERIOD, PUNCT, STRING, WORD, NmslToken, SourceMap
-from repro.nmsl.lexer import read_token, scan, tokenize
+from repro.nmsl.lexer import _WORD_MORE, read_token, scan, tokenize
 
 _OPENERS = frozenset("({[")
 _CLOSERS = frozenset(")}]")
@@ -33,6 +34,13 @@ _BLANKS = " \t\n\r\f\v"
 #: the class leaves out, so the match is linear even when it fails.
 _PLAIN_CHAR = rf"[A-Za-z0-9_.,:<>=*|{_BLANKS}]"
 _PLAIN = re.compile(rf'{_PLAIN_CHAR}*(?:(?:"[^"\n]*"|-(?!-)){_PLAIN_CHAR}*)*;')
+#: What, right after a declaration's final ``.``, makes it part of a word
+#: (``foo.5`` is one): a text that goes on so does not end there.
+_GOES_ON = re.compile(_WORD_MORE)
+
+
+def _digest(text: str) -> bytes:
+    return sha256(text.encode("utf-8", "surrogatepass")).digest()
 
 
 class GenericClause:
@@ -80,6 +88,9 @@ class Declaration:
     params: List[List[NmslToken]] = field(default_factory=list)
     clauses: List[GenericClause] = field(default_factory=list)
     location: SourceLocation = field(default_factory=SourceLocation)
+    #: (length, sha256, tokens built) of its text, from a parser that
+    #: keeps ``spans`` (what :meth:`GenericParser.skip` tests).
+    span: Optional[Tuple[int, bytes, int]] = field(default=None, compare=False, repr=False)
 
     def clauses_starting(self, keyword: str) -> List[GenericClause]:
         return [
@@ -96,19 +107,21 @@ class GenericParser:
     later one, and a syntax error re-lexes the whole text before it rises.
     """
 
-    def __init__(self, text: str, filename: str = "<nmsl>"):
+    def __init__(self, text: str, filename: str = "<nmsl>", spans: bool = False):
         self._source = SourceMap(text, filename)
         self.tokens_built = 1  # for the pass-1 span
-        self._token = read_token(self._source, 0)
+        #: The next token: between declarations, a decltype.
+        self.cursor = read_token(self._source, 0)
+        self.spans = spans
 
     # ------------------------------------------------------------------
     # Token helpers.
     # ------------------------------------------------------------------
     def _next(self) -> NmslToken:
-        token = self._token
+        token = self.cursor
         if token.kind != EOF:
             self.tokens_built += 1
-            self._token = read_token(self._source, token.end)
+            self.cursor = read_token(self._source, token.end)
         return token
 
     def _expect(self, kind: str, text: Optional[str] = None) -> NmslToken:
@@ -122,16 +135,37 @@ class GenericParser:
         return token
 
     def at_end(self) -> bool:
-        return self._token.kind == EOF
+        return self.cursor.kind == EOF
+
+    def name_ahead(self) -> NmslToken:
+        """The token after the cursor's: a declaration's name."""
+        return read_token(self._source, self.cursor.end)
+
+    def skip(self, length: int, digest: bytes, tokens: int) -> bool:
+        """Move the cursor past the *length* characters at it, counted as
+        *tokens* tokens built, if they are a text of sha256 *digest* that
+        ends where its last token does."""
+        text = self._source.text
+        end = self.cursor.start + length
+        if _GOES_ON.match(text, end) or _digest(text[self.cursor.start:end]) != digest:
+            return False
+        self.tokens_built += tokens
+        self.cursor = read_token(self._source, end)
+        return True
 
     # ------------------------------------------------------------------
     # Productions.
     # ------------------------------------------------------------------
-    def iter_declarations(self) -> Iterator[Declaration]:
-        """The declarations, one at a time, as pass 1 reads them."""
+    def iter_declarations(
+        self, reuse: Optional[Callable[["GenericParser"], bool]] = None
+    ) -> Iterator[Declaration]:
+        """The declarations, one at a time, as pass 1 reads them, but for
+        those *reuse* takes: asked at each, it may move the cursor past
+        one (:meth:`SpecificationBuilder.reuse`) and answer true."""
         try:
             while not self.at_end():
-                yield self.parse_declaration()
+                if reuse is None or not reuse(self):
+                    yield self.parse_declaration()
         except NmslSyntaxError:
             tokenize(self._source.text, self._source.filename)
             raise
@@ -140,6 +174,7 @@ class GenericParser:
         return list(self.iter_declarations())
 
     def parse_declaration(self) -> Declaration:
+        built = self.tokens_built
         decltype_token = self._expect(WORD)
         name_token = self._next()
         if name_token.kind not in (WORD, STRING):
@@ -169,17 +204,21 @@ class GenericParser:
                 f"declaration of {name_token.text!r}",
                 end_name.location,
             )
-        self._expect(PERIOD)
-        return Declaration(
+        end = self._expect(PERIOD).end
+        declaration = Declaration(
             decltype=decltype_token.text,
             name=name_token.text,
             params=params,
             clauses=clauses,
             location=decltype_token.location,
         )
+        if self.spans:
+            text = self._source.text[decltype_token.start : end]
+            declaration.span = (len(text), _digest(text), self.tokens_built - built)
+        return declaration
 
     def _parse_declparams(self) -> List[List[NmslToken]]:
-        if not self._token.matches(PUNCT, "("):
+        if not self.cursor.matches(PUNCT, "("):
             return []
         self._next()
         groups: List[List[NmslToken]] = []
@@ -215,7 +254,7 @@ class GenericParser:
         text = source.text
         clauses: List[GenericClause] = []
         while True:
-            first = self._token
+            first = self.cursor
             if first.kind == EOF:
                 raise NmslSyntaxError(
                     "specification not terminated by 'end'", first.location
@@ -229,12 +268,12 @@ class GenericParser:
                 raw = text[first.start : plain.end() - 1].rstrip(_BLANKS)
                 clauses.append(GenericClause(first, raw, source))
                 self.tokens_built += 1
-                self._token = read_token(source, plain.end())
+                self.cursor = read_token(source, plain.end())
                 continue
             tokens: List[NmslToken] = []
             depth = 0
             while True:
-                token = self._token
+                token = self.cursor
                 kind = token.kind
                 if kind == PUNCT:
                     punct = token.text

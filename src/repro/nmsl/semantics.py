@@ -14,8 +14,10 @@ found.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import partial
+from sys import intern
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -31,9 +33,10 @@ from repro.errors import (
 from repro.mib.tree import Access, MibTree
 from repro.nmsl.actions import KeywordTable, Subclause, segment_clause
 from repro.nmsl.frequency import FrequencySpec
-from repro.nmsl.generic import Declaration, GenericClause
+from repro.nmsl.generic import Declaration, GenericClause, GenericParser
 from repro.nmsl.lexer import NUMBER, PERIOD, PUNCT, STRING, WORD, NmslToken
 from repro.nmsl.specs import (
+    TABLE_OF,
     WILDCARD,
     DomainSpec,
     ExportSpec,
@@ -103,7 +106,8 @@ class BuildReport:
 
 
 class SpecificationBuilder:
-    """Builds a :class:`Specification` from generalized declarations."""
+    """Builds a :class:`Specification` from generalized declarations,
+    taking from and putting on *shelf* (:class:`DeclarationStore`)."""
 
     def __init__(
         self,
@@ -111,6 +115,7 @@ class SpecificationBuilder:
         asn1_module: Optional[Asn1Module] = None,
         keyword_table: Optional[KeywordTable] = None,
         extension_decltypes: Sequence[str] = (),
+        shelf: Optional[Dict[str, Dict[str, tuple]]] = None,
     ):
         self._tree = mib_tree
         self._module = asn1_module or Asn1Module()
@@ -120,6 +125,14 @@ class SpecificationBuilder:
         self._spec = Specification()
         #: (decltype, clause text) -> its parse (see :meth:`_memoized`).
         self._memo: Dict[Tuple[str, str], object] = {}
+        self._shelf = {} if shelf is None else shelf
+        #: (decltype, name) of each declaration, in source order; their
+        #: clauses; how many were reused.
+        self.order: List[Tuple[str, str]] = []
+        self.clauses = self.reused = 0
+        #: Where the declaration being built starts; the user types its
+        #: paths resolved against.
+        self._start, self._needs = SourceLocation(), []
 
     # ------------------------------------------------------------------
     # Top level.
@@ -139,14 +152,54 @@ class SpecificationBuilder:
             )
         return self._spec
 
-    def _build_declaration(self, declaration: Declaration) -> None:
+    def _dispatched(self, decltype: str, name: str, clauses: int) -> None:
+        # One string per decltype, not one per declaration.
+        self.order.append((intern(decltype), name))
+        self.clauses += clauses
         o = obs.current()
         if o.enabled:
             o.counter(
                 "repro_compile_declarations_total",
                 "declarations dispatched by keyword (pass 2)",
-                decltype=declaration.decltype,
+                decltype=decltype,
             ).inc()
+
+    def _table_of(self, decltype: str) -> dict:
+        return getattr(self._spec, TABLE_OF[decltype])
+
+    def reuse(self, parser: GenericParser) -> bool:
+        """Whether the declaration at *parser*'s cursor was taken from the
+        shelf: found by decltype and name, its name not yet taken, every
+        type it needs declared and its text the same (:meth:`GenericParser.skip`).
+        The object is entered under its own name string."""
+        first = parser.cursor
+        entries = self._shelf.get(first.text)
+        entry = entries and entries.get(parser.name_ahead().text)
+        if not entry:
+            return False
+        decltype = intern(first.text)
+        ref, length, digest, tokens, clauses, needs = entry
+        spec = ref()
+        if (
+            spec is None
+            or spec.name in self._table_of(decltype)
+            or not all(map(self._spec.types.__contains__, needs))
+            or not parser.skip(length, digest, tokens)
+        ):
+            return False
+        self._dispatched(decltype, spec.name, clauses)
+        self._spec.add(decltype, spec, first.location)
+        self.reused += 1
+        return True
+
+    def _mark(self, decltype: str) -> Tuple[int, ...]:
+        spec, report = self._spec, self.report
+        return (self._table_of(decltype).revision, spec.extras.revision,
+                spec.extension_clauses.revision, len(report.errors) + len(report.warnings))
+
+    def _build_declaration(self, declaration: Declaration) -> None:
+        decltype, name = declaration.decltype, declaration.name
+        self._dispatched(decltype, name, len(declaration.clauses))
         handler = {
             "type": self._build_type,
             "process": self._build_process,
@@ -164,10 +217,19 @@ class SpecificationBuilder:
                 declaration.location,
             )
             return
+        self._start, self._needs = declaration.location, []
+        entries = self._shelf.get(decltype)
+        mark = entries is not None and declaration.span and self._mark(decltype)
         try:
             handler(declaration)
         except ReproError as exc:
             self.report.error(str(exc), declaration.location)
+        if mark and self._mark(decltype) == (mark[0] + 1, *mark[1:]):
+            # Built clean into exactly one table entry: shelved, weakly.
+            spec = self._table_of(decltype)[name]
+            forget = partial(_forget, entries, spec.name)
+            entries[spec.name] = (weakref.ref(spec, forget), *declaration.span,
+                                  len(declaration.clauses), tuple(self._needs))
 
     # ------------------------------------------------------------------
     # type specifications (Figure 4.1).
@@ -201,13 +263,8 @@ class SpecificationBuilder:
         if access_clauses:
             subclauses = segment_clause(access_clauses[0], "type", self._table)
             access = self._parse_access(subclauses[0], declaration.name)
-        spec = TypeSpec(
-            name=declaration.name,
-            asn1_type=asn1_type,
-            access=access,
-            location=declaration.location,
-        )
-        self._spec.add_type(spec)
+        spec = TypeSpec(name=declaration.name, asn1_type=asn1_type, access=access)
+        self._spec.add("type", spec, declaration.location)
         if declaration.name not in self._module:
             self._module.define(declaration.name, asn1_type)
 
@@ -239,7 +296,8 @@ class SpecificationBuilder:
                     proxies.append(spec)
             else:
                 self._handle_extra_clause(declaration, clause, "process")
-        self._spec.add_process(
+        self._spec.add(
+            "process",
             ProcessSpec(
                 name=declaration.name,
                 params=tuple(params),
@@ -247,8 +305,8 @@ class SpecificationBuilder:
                 exports=tuple(exports),
                 queries=tuple(queries),
                 proxies=tuple(proxies),
-                location=declaration.location,
-            )
+            ),
+            declaration.location,
         )
 
     def _parse_params(self, declaration: Declaration) -> List[Tuple[str, str]]:
@@ -324,7 +382,7 @@ class SpecificationBuilder:
             to_domain=to_domain,
             access=access,
             frequency=frequency,
-            location=clause.location,
+            location=self._where(clause),
         )
 
     def _parse_queries(
@@ -390,7 +448,7 @@ class SpecificationBuilder:
             frequency=frequency,
             access=access,
             kind=kind,
-            location=clause.location,
+            location=self._where(clause),
         )
 
     def _parse_proxies(self, clause: GenericClause) -> Optional[ProxySpec]:
@@ -419,7 +477,7 @@ class SpecificationBuilder:
             self.report.error("proxies clause missing a target", clause.location)
             return None
         return ProxySpec(
-            target_system=target, protocol=protocol, location=clause.location
+            target_system=target, protocol=protocol, location=self._where(clause)
         )
 
     def _parse_using(
@@ -484,7 +542,8 @@ class SpecificationBuilder:
                     processes.append(invocation)
             else:
                 self._handle_extra_clause(declaration, clause, "system")
-        self._spec.add_system(
+        self._spec.add(
+            "system",
             SystemSpec(
                 name=declaration.name,
                 cpu=cpu,
@@ -493,8 +552,8 @@ class SpecificationBuilder:
                 opsys_version=opsys_version,
                 supports=supports,
                 processes=tuple(processes),
-                location=declaration.location,
-            )
+            ),
+            declaration.location,
         )
 
     def _parse_interface(self, clause: GenericClause) -> Optional[InterfaceSpec]:
@@ -535,7 +594,7 @@ class SpecificationBuilder:
             if_type=if_type,
             speed_bps=speed,
             protocols=protocols,
-            location=clause.location,
+            location=self._where(clause),
         )
 
     def _parse_speed(self, subclause: Subclause, location: SourceLocation) -> int:
@@ -613,7 +672,7 @@ class SpecificationBuilder:
                         clause.location,
                     )
         return ProcessInvocation(
-            process_name=name, args=tuple(args), location=clause.location
+            process_name=name, args=tuple(args), location=self._where(clause)
         )
 
     # ------------------------------------------------------------------
@@ -642,39 +701,48 @@ class SpecificationBuilder:
                     exports.append(spec)
             else:
                 self._handle_extra_clause(declaration, clause, "domain")
-        self._spec.add_domain(
+        self._spec.add(
+            "domain",
             DomainSpec(
                 name=declaration.name,
                 systems=tuple(systems),
                 subdomains=tuple(subdomains),
                 processes=tuple(processes),
                 exports=tuple(exports),
-                location=declaration.location,
-            )
+            ),
+            declaration.location,
         )
 
     # ------------------------------------------------------------------
     # Shared clause and subclause parsers.
     # ------------------------------------------------------------------
+    def _where(self, clause: GenericClause) -> SourceLocation:
+        """Where *clause* is, relative to its declaration's start."""
+        return clause.location.relative_to(self._start)
+
     def _memoized(self, decltype: str, clause: GenericClause, parse, *args):
         """``parse(clause, *args)``, once per clause text in *decltype*.
 
-        Only a result that added no error or warning is kept; a later
-        clause of the same text gets it back, copied with its own
-        ``location`` when it has one.  That is exact: the parsers read
-        only the clause, the MIB tree and ``spec.types``, and types only
+        Only a result that added no error or warning, and named no user
+        type (those are the declaration's to record, :meth:`reuse`), is
+        kept; a later clause of the same text gets it back, itself when
+        it has no ``location`` or one at the same place in its
+        declaration, else copied with its own.  That is exact: the
+        parsers read only the clause, the MIB tree and ``spec.types``, and types only
         grow during a build, so a path known once stays known.
         """
         key = (decltype, clause.raw_text)
         hit = self._memo.get(key)
         if hit is not None:
-            if hasattr(hit, "location"):
-                return replace(hit, location=clause.location)
+            if hasattr(hit, "location") and hit.location != self._where(clause):
+                return replace(hit, location=self._where(clause))
             return hit
         report = self.report
-        before = len(report.errors) + len(report.warnings)
+        before = len(report.errors) + len(report.warnings), len(self._needs)
         result = parse(clause, *args)
-        if result is not None and before == len(report.errors) + len(report.warnings):
+        if result is not None and before == (
+            len(report.errors) + len(report.warnings), len(self._needs)
+        ):
             self._memo[key] = result
         return result
 
@@ -761,9 +829,10 @@ class SpecificationBuilder:
             return
         # Paths may also name user-specified types (paper Figure 4.2
         # defines ipAddrTable as a type of its own).
-        head = path.split(".")[0]
-        if head in self._spec.types or path in self._spec.types:
-            return
+        for name in (path.split(".")[0], path):
+            if name in self._spec.types:
+                self._needs.append(name)
+                return
         self.report.error(f"unknown MIB path {path!r}", location)
 
     # ------------------------------------------------------------------
@@ -791,21 +860,21 @@ class SpecificationBuilder:
         spec = self._spec
         for system in spec.systems.values():
             for invocation in system.processes:
-                self._check_invocation(invocation, f"system {system.name!r}")
+                self._check_invocation(invocation, "system", system.name)
         for domain in spec.domains.values():
             for invocation in domain.processes:
-                self._check_invocation(invocation, f"domain {domain.name!r}")
+                self._check_invocation(invocation, "domain", domain.name)
             for name in domain.systems:
                 if name not in spec.systems:
                     self.report.error(
                         f"domain {domain.name!r} lists unknown system {name!r}",
-                        domain.location,
+                        spec.locate("domain", domain.name),
                     )
             for name in domain.subdomains:
                 if name not in spec.domains:
                     self.report.error(
                         f"domain {domain.name!r} lists unknown sub-domain {name!r}",
-                        domain.location,
+                        spec.locate("domain", domain.name),
                     )
         self._check_domain_cycles()
         for process in spec.processes.values():
@@ -818,7 +887,7 @@ class SpecificationBuilder:
                 self.report.error(
                     f"process {process.name!r} queries unknown target "
                     f"{query.target!r} (not a parameter or process)",
-                    query.location,
+                    spec.locate("process", process.name, query.location),
                 )
             for export in process.exports:
                 self._check_export_domain(export, f"process {process.name!r}")
@@ -827,19 +896,22 @@ class SpecificationBuilder:
                     self.report.error(
                         f"process {process.name!r} proxies unknown element "
                         f"{proxy.target_system!r}",
-                        proxy.location,
+                        spec.locate("process", process.name, proxy.location),
                     )
         for domain in spec.domains.values():
             for export in domain.exports:
                 self._check_export_domain(export, f"domain {domain.name!r}")
 
-    def _check_invocation(self, invocation: ProcessInvocation, owner: str) -> None:
+    def _check_invocation(
+        self, invocation: ProcessInvocation, kind: str, name: str
+    ) -> None:
         spec = self._spec
+        owner = f"{kind} {name!r}"
         if invocation.process_name not in spec.processes:
             self.report.error(
                 f"{owner} instantiates unknown process "
                 f"{invocation.process_name!r}",
-                invocation.location,
+                spec.locate(kind, name, invocation.location),
             )
             return
         process = spec.processes[invocation.process_name]
@@ -848,7 +920,7 @@ class SpecificationBuilder:
                 f"{owner}: {invocation.describe()} passes "
                 f"{len(invocation.args)} arguments but process "
                 f"{process.name!r} declares {len(process.params)} parameters",
-                invocation.location,
+                spec.locate(kind, name, invocation.location),
             )
 
     def _check_export_domain(self, export: ExportSpec, owner: str) -> None:
@@ -884,3 +956,22 @@ class SpecificationBuilder:
                     pending.pop()
                     if path:
                         done[path.pop()] = True
+
+
+def _forget(entries: dict, name: str, ref) -> None:
+    # Unless a newer entry took the name; a thread putting one between
+    # the test and the pop loses it, which costs a rebuild, not a result.
+    if entries.get(name, (ref,))[0] is ref:
+        entries.pop(name, None)
+
+
+class DeclarationStore(dict):
+    """The ``process``, ``system`` and ``domain`` declarations compiles
+    built clean, for the next compile of a changed text (DESIGN.md §3.1):
+    a shelf per recipe (:meth:`NmslCompiler.recipe`), on it per decltype
+    and name a tuple of the object, held weakly, the length and sha256 of
+    its text, the tokens and clauses counted in it and the user types it
+    needs.  Threads may share a store: a tuple is replaced whole."""
+
+    def shelf(self, recipe: tuple) -> Dict[str, Dict[str, tuple]]:
+        return self.setdefault(recipe, {"process": {}, "system": {}, "domain": {}})

@@ -51,7 +51,6 @@ class TypeSpec:
     name: str
     asn1_type: Asn1Type
     access: Optional[Access] = None
-    location: SourceLocation = field(default_factory=SourceLocation)
 
     def fingerprint_tuple(self) -> Tuple:
         """A hashable value-summary of this declaration (see module note)."""
@@ -120,7 +119,6 @@ class ProcessSpec:
     exports: Tuple[ExportSpec, ...] = ()
     queries: Tuple[QuerySpec, ...] = ()
     proxies: Tuple[ProxySpec, ...] = ()
-    location: SourceLocation = field(default_factory=SourceLocation)
 
     def is_agent(self) -> bool:
         """Agents store data and answer queries (paper footnote 1)."""
@@ -204,7 +202,6 @@ class SystemSpec:
     opsys_version: str = ""
     supports: Tuple[str, ...] = ()
     processes: Tuple[ProcessInvocation, ...] = ()
-    location: SourceLocation = field(default_factory=SourceLocation)
 
     def networks(self) -> Tuple[str, ...]:
         return tuple(interface.network for interface in self.interfaces)
@@ -240,7 +237,6 @@ class DomainSpec:
     subdomains: Tuple[str, ...] = ()
     processes: Tuple[ProcessInvocation, ...] = ()
     exports: Tuple[ExportSpec, ...] = ()
-    location: SourceLocation = field(default_factory=SourceLocation)
 
     def member_names(self) -> Tuple[str, ...]:
         return self.systems + self.subdomains
@@ -293,8 +289,10 @@ for _name in (
 ):
     setattr(Table, _name, _counted(getattr(dict, _name)))
 
-#: The ``Specification`` fields, all tables.
+#: The ``Specification`` fields that are tables.
 TABLES = ("types", "processes", "systems", "domains", "extras", "extension_clauses")
+#: A basic decltype's table.
+TABLE_OF = {"type": "types", "process": "processes", "system": "systems", "domain": "domains"}
 
 
 @dataclass
@@ -305,6 +303,9 @@ class Specification:
     ``extension_clauses`` holds extension-keyword clauses found inside
     basic declarations, keyed by (decltype, declaration name).  A plain
     ``dict`` assigned to a table is copied into a :class:`Table`, not aliased.
+    ``starts`` holds where each compiled declaration starts, by decltype
+    and name; the positions inside it are relative to that
+    (:meth:`locate`), so one declaration object can serve two texts.
     """
 
     types: Dict[str, TypeSpec] = field(default_factory=Table)
@@ -314,6 +315,9 @@ class Specification:
     extras: Dict[str, List[object]] = field(default_factory=Table)
     extension_clauses: Dict[Tuple[str, str], List[Tuple[str, Tuple[str, ...]]]] = field(
         default_factory=Table
+    )
+    starts: Dict[str, Dict[str, SourceLocation]] = field(
+        default_factory=lambda: {kind: {} for kind in TABLE_OF}
     )
 
     def __setattr__(self, name: str, value) -> None:
@@ -325,39 +329,49 @@ class Specification:
     # Registration (used by the generic actions).
     # ------------------------------------------------------------------
     def add_type(self, spec: TypeSpec) -> None:
-        self._add(self.types, spec.name, spec, "type")
+        self.add("type", spec)
 
     def add_process(self, spec: ProcessSpec) -> None:
-        self._add(self.processes, spec.name, spec, "process")
+        self.add("process", spec)
 
     def add_system(self, spec: SystemSpec) -> None:
-        self._add(self.systems, spec.name, spec, "system")
+        self.add("system", spec)
 
     def add_domain(self, spec: DomainSpec) -> None:
-        self._add(self.domains, spec.name, spec, "domain")
+        self.add("domain", spec)
 
-    @staticmethod
-    def _add(table: Table, name: str, spec, kind: str) -> None:
+    def add(self, kind: str, spec, start: Optional[SourceLocation] = None) -> None:
+        """Enter *spec* in *kind*'s table, under its own ``name`` string,
+        starting at *start* in the source (see :meth:`locate`)."""
+        table = getattr(self, TABLE_OF[kind])
+        name = spec.name
         if name in table:
             raise NmslSemanticError(
-                f"duplicate {kind} specification {name!r}", spec.location
+                f"duplicate {kind} specification {name!r}", start or SourceLocation()
             )
         # Bumped by hand: a paper-scale build makes 110,000 of these.
         table.revision += 1
         dict.__setitem__(table, name, spec)
+        if start is not None:
+            self.starts[kind][name] = start
+
+    def locate(
+        self, kind: str, name: str, where: Optional[SourceLocation] = None
+    ) -> SourceLocation:
+        """Where declaration (*kind*, *name*) starts in its source file or,
+        given *where*, a position relative to that start, where that is."""
+        start = self.starts[kind].get(name)
+        if where is None:
+            return start or SourceLocation()
+        return where if start is None else where.at(start)
 
     def merged_with(self, other: "Specification") -> "Specification":
         """A new specification combining both (duplicate names rejected)."""
         merged = Specification()
         for source in (self, other):
-            for spec in source.types.values():
-                merged.add_type(spec)
-            for spec in source.processes.values():
-                merged.add_process(spec)
-            for spec in source.systems.values():
-                merged.add_system(spec)
-            for spec in source.domains.values():
-                merged.add_domain(spec)
+            for kind, table in TABLE_OF.items():
+                for name, spec in getattr(source, table).items():
+                    merged.add(kind, spec, source.starts[kind].get(name))
         return merged
 
     def counts(self) -> Dict[str, int]:

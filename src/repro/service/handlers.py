@@ -51,15 +51,16 @@ MAX_REPORTED = 50
 
 class SpecSession(operations.Revision):
     """One cached specification: a revision compiled from a spec file's
-    text, kept warm (checker, runtime) across requests."""
+    text, kept warm (checker, runtime) across requests.  Its compile
+    takes every declaration *store* holds the text of."""
 
-    def __init__(self, path: str, text: str, text_hash: str):
+    def __init__(self, path: str, text: str, text_hash: str, store=None):
         from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 
         compiler = NmslCompiler(CompilerOptions(filename=path))
         try:
             with bulk_load():
-                result = compiler.compile(text)
+                result = compiler.compile(text, store=store)
         except (NmslSyntaxError, NmslSemanticError) as exc:
             # The compile is strict: errors arrive as exceptions.
             raise ProtocolError("compile", str(exc))
@@ -75,12 +76,18 @@ class SpecSession(operations.Revision):
 
 
 class SpecCache:
-    """Bounded LRU of :class:`SpecSession`, invalidated by content hash."""
+    """Bounded LRU of :class:`SpecSession`, invalidated by content hash.
+    Its sessions compile into one declaration store, so a new revision
+    shares every declaration a resident one was built from the same text
+    of; the store holds them weakly, and an evicted session frees its own."""
 
     def __init__(self, limit: int = 8):
+        from repro.nmsl.semantics import DeclarationStore
+
         if limit < 1:
             raise ValueError(f"limit must be at least 1, got {limit}")
         self.limit = limit
+        self.store = DeclarationStore()
         self._entries: "OrderedDict[str, SpecSession]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -118,7 +125,7 @@ class SpecCache:
         # Compile outside the cache lock (it can take seconds at paper
         # scale); last writer wins on a racing recompile of one path.
         self.misses += 1
-        session = SpecSession(path, text, text_hash)
+        session = SpecSession(path, text, text_hash, self.store)
         with self._lock:
             self._entries[path] = session
             self._entries.move_to_end(path)

@@ -3,6 +3,7 @@ clause that caused them, not at 1:1 or a synthesized location."""
 
 from pathlib import Path
 
+from repro.errors import SourceLocation
 from repro.nmsl.compiler import CompilerOptions, NmslCompiler
 
 from tests.analysis.conftest import analyze
@@ -82,7 +83,10 @@ class TestPermissionLocations:
         )
         process = result.specification.processes["watcher"]
         (query,) = process.queries
-        assert query.location.line == 2
+        # Kept relative to the declaration, read back in the file.
+        assert query.location == SourceLocation("", 1, 5)
+        where = result.specification.locate("process", "watcher", query.location)
+        assert where == SourceLocation("fixture.nmsl", 2, 5)
 
 
 class TestDiagnosticSpansNotDefault:

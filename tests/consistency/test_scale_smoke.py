@@ -8,7 +8,10 @@ regressions back to superlinear behaviour, not scheduler noise.
 """
 
 import dataclasses
+import os
 import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -23,9 +26,9 @@ from repro.workloads.paper import PaperScaleInternet, PaperScaleParameters
 FULL_CHECK_BUDGET_S = 30.0
 #: Wall-clock budget for a warm one-domain incremental recheck, seconds.
 RECHECK_BUDGET_S = 1.0
-#: Peak RSS bound for the whole test, MB.  Without interned fact tuples
-#: and the generator's shared per-domain structures this workload blows
-#: past a gigabyte.
+#: Peak RSS bound for the check, MB, in a process that runs only it.
+#: Without interned fact tuples and the generator's shared per-domain
+#: structures this workload blows past a gigabyte.
 PEAK_RSS_BUDGET_MB = 512
 
 
@@ -38,6 +41,26 @@ def _drop_exports(spec, index):
 
 @pytest.mark.slow
 def test_thousand_domain_internet_checks_inside_budget():
+    """The check runs in a fresh interpreter, which reports its own peak
+    RSS: ``ru_maxrss`` is a whole process's high-water mark, and in this
+    one an earlier ``slow`` test (the 10k row of ``test_clpr_path``) has
+    already set it far above the budget."""
+    child = subprocess.run(
+        [sys.executable, "-c",
+         f"import {__name__} as smoke; print(smoke.check_thousand_domains())"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert child.returncode == 0, child.stderr
+    peak_rss_mb = float(child.stdout.split()[-1])
+    assert peak_rss_mb < PEAK_RSS_BUDGET_MB
+
+
+def check_thousand_domains() -> float:
+    """The 1k check and recheck, inside their time budgets; returns this
+    process's peak RSS in MB: ``VmHWM``, the high-water mark of its own
+    memory map, since a child's ``ru_maxrss`` starts at its parent's
+    resident size (the map it was forked with) on Linux."""
     params = PaperScaleParameters(
         n_domains=1000, silent_domains=(17, 400), fast_pollers=(5,)
     )
@@ -67,5 +90,11 @@ def test_thousand_domain_internet_checks_inside_budget():
     assert recheck_elapsed < RECHECK_BUDGET_S
     assert rechecked.stats["rechecked"] < result.stats["references"] // 10
 
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    assert peak_rss_mb < PEAK_RSS_BUDGET_MB
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -66,17 +66,22 @@ def unshared(text):
     )
 
 
-def clause_objects(specification):
-    """Every object of a memoized clause kind that has a location."""
+def owned_clause_objects(specification):
+    """(decltype, declaration name, object) for every object of a
+    memoized clause kind that has a location."""
     for process in specification.processes.values():
-        yield from process.exports
-        yield from process.queries
+        for spec in process.exports + process.queries:
+            yield "process", process.name, spec
     for system in specification.systems.values():
-        yield from system.interfaces
-        yield from system.processes
+        for spec in system.interfaces + system.processes:
+            yield "system", system.name, spec
     for domain in specification.domains.values():
-        yield from domain.processes
-        yield from domain.exports
+        for spec in domain.processes + domain.exports:
+            yield "domain", domain.name, spec
+
+
+def clause_objects(specification):
+    return [spec for _kind, _name, spec in owned_clause_objects(specification)]
 
 
 def diagnostics(text):
@@ -95,13 +100,27 @@ class TestLocations:
             for declaration in compiler.parse(REPEATED)
             for clause in declaration.clauses
         }
-        objects = list(clause_objects(result.specification))
-        assert len(objects) == 12
-        locations = [spec.location for spec in objects]
+        specification = result.specification
+        owned = list(owned_clause_objects(specification))
+        assert len(owned) == 12
+        locations = [
+            specification.locate(kind, name, spec.location)
+            for kind, name, spec in owned
+        ]
         assert len(set(locations)) == len(locations)
         assert set(locations) <= clauses
-        systems = result.specification.systems
+        systems = specification.systems
         assert systems["s1"].supports is systems["s2"].supports
+
+    def test_a_copy_at_the_same_place_in_its_declaration_is_the_same_object(self):
+        _compiler, result = compile_text(REPEATED, filename="f")
+        processes = result.specification.processes
+        systems = result.specification.systems
+        assert processes["agent"].exports[0] is processes["agent2"].exports[0]
+        assert systems["s1"].interfaces[0] is systems["s2"].interfaces[0]
+        # poll(s2) is the second clause of d1 and of d2, the export the third.
+        domains = result.specification.domains
+        assert domains["d1"].processes[0] is domains["d2"].processes[0]
 
     def test_shared_and_unshared_compiles_agree(self):
         _compiler, shared = compile_text(REPEATED, filename="f")

@@ -376,9 +376,9 @@ class TestDaemonColdPath:
         seen = []
         compile_ = NmslCompiler.compile
 
-        def probed(compiler, text):
+        def probed(compiler, text, **keywords):
             seen.append(gc.get_threshold()[0])
-            return compile_(compiler, text)
+            return compile_(compiler, text, **keywords)
 
         monkeypatch.setattr(NmslCompiler, "compile", probed)
         return seen
